@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseSeq -fuzztime=10s ./internal/dna/
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/fastq/
 	$(GO) test -run=NONE -fuzz=FuzzKVReader -fuzztime=10s ./internal/kvio/
+	$(GO) test -run=NONE -fuzz=FuzzEliasFanoPair -fuzztime=10s ./internal/bitvec/
 	$(GO) test -run=NONE -fuzz=FuzzSpmatFromEdgeRuns -fuzztime=10s ./internal/spmat/
 	$(GO) test -run=NONE -fuzz=FuzzSuccinctFromEdgeRuns -fuzztime=10s ./internal/succinct/
 

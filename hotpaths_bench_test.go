@@ -1,7 +1,8 @@
-// Wall-clock micro-benchmarks for the three real hot loops of the
-// pipeline — the Rabin-Karp fingerprint scan, kvio pair serialization,
-// and the external sort's device chunk sort — plus the BENCH_wall.json
-// emission the bench_gate wall-clock rule consumes.
+// Wall-clock micro-benchmarks for the real hot loops of the pipeline —
+// the Rabin-Karp fingerprint scan, kvio pair serialization, the external
+// sort's device chunk sort, and one tile of the two-hop transitive
+// reducer over the succinct store — plus the BENCH_wall.json emission the
+// bench_gate wall-clock rule consumes.
 //
 // Unlike the modeled-seconds benchmarks (BenchmarkTable2 etc.), these
 // measure raw host nanoseconds and allocations per operation: the cost
@@ -20,6 +21,7 @@
 package lasagna
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -34,6 +36,8 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/kv"
 	"repro/internal/kvio"
+	"repro/internal/spmat"
+	"repro/internal/succinct"
 )
 
 // Workload shapes for the hot loops. The kvio loop rotates its files
@@ -45,6 +49,7 @@ const (
 	hotBatchPairs  = 1024 // pairs per kvio read/write batch
 	hotFileBatches = 512  // batches written per kvio file rotation
 	hotChunkPairs  = 2048 // m_d-sized device chunk for the sort loop
+	hotTileRows    = 4096 // rows in the two-hop reducer's tile (its default RowBatch)
 )
 
 // wallRow is one hot loop's measurement in BENCH_wall.json. The nsPerOp
@@ -78,6 +83,7 @@ func hotPathLoops() []wallLoop {
 		{"fingerprint_scan", setupFingerprintScan},
 		{"kvio_roundtrip", setupKVIORoundtrip},
 		{"extsort_chunk_sort", setupChunkSort},
+		{"twohop_tile", setupTwoHopTile},
 	}
 }
 
@@ -200,6 +206,61 @@ func setupChunkSort() (func() error, func(), error) {
 		copy(work, pristine)
 		dev.SortPairs(work)
 		return nil
+	}
+	return op, func() {}, nil
+}
+
+// setupTwoHopTile times the shared two-hop reducer over one full tile of
+// a succinct store: hotTileRows vertices of a shotgun-like overlap graph
+// (reads every ~1.6 bases, overlaps of 63..99 of 100 bases, so ~23
+// out-edges per vertex as in the H.Genome workloads). Each op is a whole
+// single-tile pass — row decodes, merge-joins, and the pass's fixed
+// set-up — so its allocs/op is that set-up's constant; a decode that
+// allocates per row again shows as thousands.
+func setupTwoHopTile() (func() error, func(), error) {
+	const readLen, minOverlap = 100, 63
+	rng := rand.New(rand.NewSource(45))
+	numReads := hotTileRows / 2
+	offsets := make([]int, numReads)
+	for i := 1; i < numReads; i++ {
+		offsets[i] = offsets[i-1] + 1 + rng.Intn(3)
+	}
+	b := spmat.NewBuilder(numReads)
+	for i := range offsets {
+		for j := i + 1; j < numReads && offsets[j]-offsets[i] <= readLen-minOverlap; j++ {
+			b.AddOverlap(uint32(2*i), uint32(2*j), uint16(readLen-(offsets[j]-offsets[i])))
+		}
+	}
+	var edges []succinct.Edge
+	b.Build().Edges(func(e spmat.Edge) {
+		edges = append(edges, succinct.Edge{U: e.U, V: e.V, Len: e.Len})
+	})
+	g, err := succinct.FromEdgeRuns(hotTileRows, func() (succinct.Edge, bool, error) {
+		if len(edges) == 0 {
+			return succinct.Edge{}, false, nil
+		}
+		e := edges[0]
+		edges = edges[1:]
+		return e, true, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	// A device sizes its worker pool from GOMAXPROCS when it is created:
+	// pinning that to one makes the launch run its blocks inline, so ns/op
+	// is the kernel's serial work, comparable across core counts like the
+	// other loops.
+	procs := runtime.GOMAXPROCS(1)
+	dev := gpu.NewDevice(gpu.K40, nil)
+	runtime.GOMAXPROCS(procs)
+	cfg := succinct.ReduceConfig{
+		Device:    dev,
+		VertexLen: func(uint32) int { return readLen },
+		RowBatch:  hotTileRows,
+	}
+	op := func() error {
+		_, err := g.TransitiveReduce(context.Background(), cfg)
+		return err
 	}
 	return op, func() {}, nil
 }

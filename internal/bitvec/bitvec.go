@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // Vector is a fixed-size bit vector.
@@ -74,6 +75,24 @@ func (v *Vector) TestAndSet(i uint32) (bool, error) {
 	old := v.words[w]&m != 0
 	v.words[w] |= m
 	return old, nil
+}
+
+// nextSet returns the position of the first set bit at or after from,
+// or -1 when there is none.
+func (v *Vector) nextSet(from int) int {
+	w := from >> 6
+	if w >= len(v.words) {
+		return -1
+	}
+	if x := v.words[w] >> (from & 63); x != 0 {
+		return from + bits.TrailingZeros64(x)
+	}
+	for w++; w < len(v.words); w++ {
+		if x := v.words[w]; x != 0 {
+			return w<<6 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
 }
 
 // PopCount returns the number of set bits.

@@ -10,8 +10,11 @@ import (
 // quasi-succinct indices). Each value is split into l = log2(u/n) low
 // bits, stored verbatim in a packed array, and a high part coded in
 // unary in a bitvector of n + (u >> l) + 1 bits. Total space is about
-// n*(2 + log2(u/n)) bits — far below the 64n of a plain offset array —
-// while Get stays O(1) via the rank/select directory on the high bits.
+// n*(2 + log2(u/n)) bits — far below the 64n of a plain offset array.
+// Get is select-bound: one RankIndex.Select1 on the high bits (a search
+// over the superblock counts, not a constant-time directory lookup) plus
+// a packed-array read. Pair amortizes that select over two adjacent
+// values, which is how an offset sequence is read (lo and hi of one row).
 //
 // The succinct graph store uses two of these: one for per-vertex edge
 // offsets (rowPtr) and one for per-vertex byte offsets into the
@@ -100,6 +103,20 @@ func (b *EliasFanoBuilder) Build() (*EliasFano, error) {
 // Len returns the number of values in the sequence.
 func (ef *EliasFano) Len() int { return ef.n }
 
+// lowBits returns the packed low part of the i-th value.
+func (ef *EliasFano) lowBits(i int) uint64 {
+	if ef.l == 0 {
+		return 0
+	}
+	pos := uint(i) * ef.l
+	w, off := pos>>6, pos&63
+	v := ef.low[w] >> off
+	if off+ef.l > 64 {
+		v |= ef.low[w+1] << (64 - off)
+	}
+	return v & ((1 << ef.l) - 1)
+}
+
 // Get returns the i-th value.
 func (ef *EliasFano) Get(i int) (uint64, error) {
 	if i < 0 || i >= ef.n {
@@ -109,17 +126,25 @@ func (ef *EliasFano) Get(i int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v := uint64(p-i) << ef.l
-	if ef.l > 0 {
-		pos := uint(i) * ef.l
-		w, off := pos>>6, pos&63
-		lowVal := ef.low[w] >> off
-		if off+ef.l > 64 {
-			lowVal |= ef.low[w+1] << (64 - off)
-		}
-		v |= lowVal & ((1 << ef.l) - 1)
+	return uint64(p-i)<<ef.l | ef.lowBits(i), nil
+}
+
+// Pair returns the i-th and (i+1)-th values for the price of one select:
+// the (i+1)-th high part ends at the next set bit after the i-th's, found
+// by a forward word scan. i+1 must be below Len().
+func (ef *EliasFano) Pair(i int) (lo, hi uint64, err error) {
+	if i < 0 || i+1 >= ef.n {
+		return 0, 0, fmt.Errorf("bitvec: eliasfano pair index %d out of range [0, %d)", i, ef.n-1)
 	}
-	return v, nil
+	p, err := ef.rank.Select1(i)
+	if err != nil {
+		return 0, 0, err
+	}
+	q := ef.high.nextSet(p + 1)
+	if q < 0 {
+		return 0, 0, fmt.Errorf("bitvec: eliasfano high bits end after value %d of %d", i, ef.n)
+	}
+	return uint64(p-i)<<ef.l | ef.lowBits(i), uint64(q-i-1)<<ef.l | ef.lowBits(i+1), nil
 }
 
 // Bytes returns the in-memory size of the encoded sequence including

@@ -11,7 +11,11 @@ import (
 // superblock the index stores the absolute number of set bits before
 // it, plus seven 9-bit relative counts (one per interior word) packed
 // into a single uint64. Space overhead is 2 words per 8 payload words
-// (25%), and both Rank1 and Select1 touch O(1) superblocks.
+// (25%). Rank1 touches one superblock. Select1 has no directory of its
+// own: it locates the superblock by searching the absolute counts —
+// an interpolated guess plus a galloping search, so a handful of probes
+// when the ones are spread evenly (the Elias–Fano case) and O(log n) at
+// worst — then finishes inside one superblock in constant time.
 //
 // The index is a snapshot: mutating the underlying Vector after
 // NewRankIndex invalidates it.
@@ -20,6 +24,8 @@ type RankIndex struct {
 	abs  []uint64 // per superblock: set bits strictly before it
 	rel  []uint64 // per superblock: packed 9-bit cumulative word counts
 	ones int
+	// sbPerOne is superblocks per set bit, Select1's interpolation slope.
+	sbPerOne float64
 }
 
 // NewRankIndex builds the directory in one pass over the vector.
@@ -47,6 +53,9 @@ func NewRankIndex(v *Vector) *RankIndex {
 	}
 	r.abs[nsb] = total
 	r.ones = int(total)
+	if total > 0 {
+		r.sbPerOne = float64(nsb) / float64(total)
+	}
 	return r
 }
 
@@ -78,50 +87,97 @@ func (r *RankIndex) Rank1(i int) (int, error) {
 	return int(count), nil
 }
 
+// superblockOf returns the superblock holding the k-th set bit: the sb
+// with abs[sb] <= k < abs[sb+1]. k must be below Ones().
+func (r *RankIndex) superblockOf(k uint64) int {
+	nsb := len(r.rel)
+	lo := min(int(float64(k)*r.sbPerOne), nsb-1)
+	hi := lo + 1
+	// Gallop away from the guess until [lo, hi) brackets k; abs[0] = 0 and
+	// abs[nsb] = Ones() > k stop the two directions.
+	if r.abs[lo] > k {
+		for step := 1; r.abs[lo] > k; step *= 2 {
+			hi = lo
+			lo = max(lo-step, 0)
+		}
+	} else {
+		for step := 1; r.abs[hi] <= k; step *= 2 {
+			lo = hi
+			hi = min(hi+step, nsb)
+		}
+	}
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.abs[mid] <= k {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Select1 returns the position of the k-th set bit (0-based), i.e. the
 // smallest p with Rank1(p+1) == k+1.
 func (r *RankIndex) Select1(k int) (int, error) {
 	if k < 0 || k >= r.ones {
 		return 0, fmt.Errorf("bitvec: select index %d out of range [0, %d)", k, r.ones)
 	}
-	// Binary search for the superblock holding the k-th one.
-	lo, hi := 0, len(r.abs)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if r.abs[mid] <= uint64(k) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	sb := lo
+	sb := r.superblockOf(uint64(k))
 	rem := uint64(k) - r.abs[sb]
-	// Scan the packed relative counts for the word.
-	j := 0
-	for j < 7 && r.relCount(sb, j+1) <= rem {
-		j++
+	// Walk the packed relative counts to the word.
+	rel := r.rel[sb]
+	w := sb * 8
+	var before uint64
+	for j := 0; j < 7; j++ {
+		c := rel & 0x1ff
+		if c > rem {
+			break
+		}
+		before = c
+		w++
+		rel >>= 9
 	}
-	rem -= r.relCount(sb, j)
-	w := sb*8 + j
+	rem -= before
 	word := r.v.words[w]
-	// Select within the word, byte by byte.
-	base := w << 6
-	for b := 0; b < 8; b++ {
-		c := bits.OnesCount8(uint8(word >> (8 * b)))
-		if uint64(c) > rem {
-			byteVal := uint8(word >> (8 * b))
-			for bit := 0; bit < 8; bit++ {
-				if byteVal&(1<<bit) != 0 {
-					if rem == 0 {
-						return base + 8*b + bit, nil
-					}
-					rem--
-				}
+	if uint64(bits.OnesCount64(word)) <= rem {
+		return 0, fmt.Errorf("bitvec: select directory corrupt at bit %d", k)
+	}
+	return w<<6 + select64(word, uint(rem)), nil
+}
+
+// selectInByte[b][k] is the position of the k-th set bit of byte b.
+var selectInByte = func() (t [256][8]uint8) {
+	for b := range t {
+		k := 0
+		for bit := 0; bit < 8; bit++ {
+			if b&(1<<bit) != 0 {
+				t[b][k] = uint8(bit)
+				k++
 			}
 		}
-		rem -= uint64(c)
 	}
-	return 0, fmt.Errorf("bitvec: select directory corrupt at bit %d", k)
+	return t
+}()
+
+// select64 returns the position of the k-th set bit of x (0-based); x
+// must have more than k bits set. Broadword: byte-wise prefix popcounts
+// by one multiplication, a parallel compare to find the byte, and a
+// table lookup inside it (Vigna, op. cit., Algorithm 2).
+func select64(x uint64, k uint) int {
+	const (
+		ones = 0x0101010101010101
+		msbs = 0x8080808080808080
+	)
+	s := x - ((x >> 1) & 0x5555555555555555)
+	s = (s & 0x3333333333333333) + ((s >> 2) & 0x3333333333333333)
+	s = (s + (s >> 4)) & 0x0f0f0f0f0f0f0f0f
+	byteSums := s * ones // byte i: popcount of bytes 0..i
+	// A byte's high bit survives the subtraction iff its prefix count is
+	// <= k, so the survivors count the bytes wholly before the target.
+	place := uint(bits.OnesCount64(((uint64(k)*ones|msbs)-byteSums)&msbs)) * 8
+	inByte := k - uint((byteSums<<8)>>place)&0xff
+	return int(place) + int(selectInByte[(x>>place)&0xff][inByte&7])
 }
 
 // Bytes returns the in-memory size of the directory (excluding the

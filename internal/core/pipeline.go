@@ -867,12 +867,17 @@ func (p *Pipeline) reduceSuccinct(ctx context.Context, rs dna.ReadSource, partDi
 	mtr.Counter(`graph.nnz{backend="succinct"}`).Add(g.NNZ())
 	mtr.Counter(`graph.removed_edges{backend="succinct"}`).Add(red.Removed)
 	mtr.Counter(`graph.spgemm_flops{backend="succinct"}`).Add(red.Flops)
-	next := red.LiveEdges()
+	live := red.LiveEdges()
 	_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool) {
-		e, ok := next()
+		e, ok := live.Next()
 		return persistedEdge{U: e.U, V: e.V, Len: e.Len}, ok
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	// A row that failed to decode ended the stream early: the file is
+	// short, not complete.
+	return live.Err()
 }
 
 // edgeCand is one verified candidate overlap buffered between a reduce

@@ -285,20 +285,23 @@ func (d *Device) LaunchBlocks(numBlocks int, kernel func(block int)) {
 		}
 		return
 	}
+	// Workers claim block indices from a shared counter; the caller is one
+	// of them, so a launch of small blocks costs an atomic add per block,
+	// not a channel handoff.
+	var next atomic.Int64
+	work := func() {
+		for b := int(next.Add(1)) - 1; b < numBlocks; b = int(next.Add(1)) - 1 {
+			kernel(b)
+		}
+	}
 	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for b := range next {
-				kernel(b)
-			}
+			work()
 		}()
 	}
-	for b := 0; b < numBlocks; b++ {
-		next <- b
-	}
-	close(next)
+	work()
 	wg.Wait()
 }

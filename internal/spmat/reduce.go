@@ -2,60 +2,28 @@ package spmat
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/costmodel"
-	"repro/internal/gpu"
 	"repro/internal/graph"
 )
 
-// ReduceConfig parameterizes the SpGEMM transitive-reduction pass.
-type ReduceConfig struct {
-	// Device is the simulated card the masked SpGEMM runs on (required).
-	Device *gpu.Device
-	// VertexLen supplies sequence lengths for overhang arithmetic
-	// (required).
-	VertexLen func(uint32) int
-	// Fuzz is the overhang slack tolerated when matching a two-hop chain
-	// against a direct edge, as in sgraph.Graph.TransitiveReduce.
-	Fuzz int
-	// RowBatch is the number of matrix rows per kernel tile (one BSP
-	// superstep, one grid launch). Defaults to 4096.
-	RowBatch int
-	// MaxResidentBytes caps the device memory claimed for the matrix and
-	// its removal mask. When the matrix exceeds the cap, each tile
-	// re-streams its rows and their product neighbors over PCIe
-	// (out-of-core SpGEMM). 0 means the whole matrix is resident.
-	MaxResidentBytes int64
-	// Overlap, when set, accounts the H2D prefetch against the compute
-	// on a modeled timeline so streamed runs report makespan instead of
-	// the additive sum. Counters are identical either way.
-	Overlap *costmodel.OverlapLedger
-}
+// ReduceConfig parameterizes the transitive-reduction pass; it is the
+// shared two-hop reducer's config.
+type ReduceConfig = graph.TwoHopConfig
 
-// Reduction is the outcome of a transitive-reduction pass: the mask over
-// the matrix's entries plus the metered totals.
+// Reduction is the outcome of a transitive-reduction pass: the shared
+// reducer's mask and metered totals (Removed, Flops, Tiles) over this
+// matrix's entries.
 type Reduction struct {
-	m       *Matrix
-	removed []bool
-	// Removed counts the directed edges masked as transitive.
-	Removed int64
-	// Flops counts SpGEMM multiply-accumulates: one per (u->w, w->x)
-	// product term examined. A pure function of the matrix structure.
-	Flops int64
-	// Tiles is the number of row tiles (kernel launches / supersteps).
-	Tiles int
+	m *Matrix
+	graph.TwoHopResult
 }
 
 // Live streams the surviving (non-masked) edges in CSR order.
 func (r *Reduction) Live(fn func(Edge)) {
-	i := int64(0)
-	r.m.Edges(func(e Edge) {
-		if !r.removed[i] {
-			fn(e)
-		}
-		i++
-	})
+	next := r.LiveEdges()
+	for e, ok := next(); ok; e, ok = next() {
+		fn(e)
+	}
 }
 
 // LiveEdges returns a pull-style iterator over the surviving edges in
@@ -70,7 +38,7 @@ func (r *Reduction) LiveEdges() func() (Edge, bool) {
 			}
 			k := i
 			i++
-			if r.removed[k] {
+			if r.Mask[k] {
 				continue
 			}
 			return Edge{U: u, V: r.m.col[k], Len: r.m.val[k]}, true
@@ -79,179 +47,32 @@ func (r *Reduction) LiveEdges() func() (Edge, bool) {
 	}
 }
 
-// TransitiveReduce runs the masked SpGEMM A·A pass on the device: for
-// every entry (u, x), if some two-hop chain u->w->x with strictly
-// positive overhangs spells the same placement (overhang sum within Fuzz
-// of the direct edge's), the entry is masked as transitive.
-//
-// This removes a superset of the edges Myers' sweep (sgraph) removes —
-// the sweep skips witness chains whose first hop was itself eliminated,
-// the matrix product considers every chain of the original A — while
-// preserving reachability: a masked edge is always spelled by two
-// surviving-or-masked edges with strictly smaller overhangs, so
-// induction on overhang rebuilds every path. The strict-positivity guard
-// is what makes that induction well-founded in the presence of
-// full-length (zero overhang) overlaps between duplicate reads.
-//
-// Execution is tiled: RowBatch rows per superstep, routed through
-// graph.RunSupersteps so the device sees one aggregate kernel charge.
-// Per tile, the modeled timeline (when Overlap is set) records the H2D
-// prefetch of the next tile overlapping the current tile's compute,
-// exactly like the reduce phase's window streaming. All charges are pure
-// functions of the matrix and config, so modeled cost is deterministic
-// and identical with streams on or off.
-func (m *Matrix) TransitiveReduce(ctx context.Context, cfg ReduceConfig) (*Reduction, error) {
-	if cfg.Device == nil {
-		return nil, fmt.Errorf("spmat: ReduceConfig.Device is required")
-	}
-	if cfg.VertexLen == nil {
-		return nil, fmt.Errorf("spmat: ReduceConfig.VertexLen is required")
-	}
-	rowBatch := cfg.RowBatch
-	if rowBatch <= 0 {
-		rowBatch = 4096
-	}
-	dev := cfg.Device
-	red := &Reduction{m: m, removed: make([]bool, len(m.col))}
-	if m.n == 0 {
-		return red, nil
-	}
+// csrRows is the Matrix as a graph.RowStore: rows are zero-copy slices of
+// the CSR arrays, so a row costs two rowPtr loads.
+type csrRows struct{ *Matrix }
 
-	// Device residency: matrix + mask if they fit the cap, else a
-	// streamed working set. The claim never exceeds MaxResidentBytes, so
-	// the pass stays inside the device lease the serve scheduler admitted
-	// the job under.
-	matBytes := m.Bytes()
-	maskBytes := (m.NNZ() + 7) / 8
-	claim := matBytes + maskBytes
-	if cfg.MaxResidentBytes > 0 && claim > cfg.MaxResidentBytes {
-		claim = cfg.MaxResidentBytes
-	}
-	residentMat := claim - maskBytes
-	if residentMat < 0 {
-		residentMat = 0
-	}
-	alloc, err := dev.AllocWait(ctx, claim)
+func (c csrRows) Row(u uint32, _ *graph.RowScratch) ([]uint32, []uint16, int64, error) {
+	cols, vals := c.Matrix.Row(u)
+	return cols, vals, c.rowPtr[u], nil
+}
+
+func (c csrRows) Degree(u uint32) (int64, error) {
+	return c.rowPtr[u+1] - c.rowPtr[u], nil
+}
+
+// TransferBytes prices a tile's out-of-core transfer in CSR terms: its
+// row pointers, its entries, and every neighbor entry its products read.
+func (c csrRows) TransferBytes(_, _, rowBatch int, nnz, flops int64) (int64, error) {
+	return 8*int64(rowBatch+1) + 6*nnz + 6*flops, nil
+}
+
+// TransitiveReduce runs the shared masked two-hop reducer
+// (graph.TransitiveReduceTwoHop, which documents the predicate, tiling
+// and metering) over the CSR arrays.
+func (m *Matrix) TransitiveReduce(ctx context.Context, cfg ReduceConfig) (*Reduction, error) {
+	res, err := graph.TransitiveReduceTwoHop(ctx, csrRows{m}, "spgemm", cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer alloc.Free()
-
-	tl := cfg.Overlap.NewTimeline()
-	defer tl.Commit()
-	streams := tl != nil
-	ioS := dev.NewStream("spgemm-io", tl.Line("prefetch"), streams)
-	defer ioS.Close()
-	cmp := dev.NewStream("spgemm-compute", tl.Line("compute"), false)
-	defer cmp.Close()
-
-	// Upfront upload of the resident portion.
-	ioS.CopyToDeviceAsync(residentMat)
-
-	numTiles := (m.n + rowBatch - 1) / rowBatch
-	red.Tiles = numTiles
-	// tileTraffic returns the tile's nz count and product-term count —
-	// the structural quantities every charge derives from.
-	tileTraffic := func(t int) (tileNnz, flops int64) {
-		lo, hi := t*rowBatch, min((t+1)*rowBatch, m.n)
-		for u := lo; u < hi; u++ {
-			for i := m.rowPtr[u]; i < m.rowPtr[u+1]; i++ {
-				tileNnz++
-				w := m.col[i]
-				flops += m.rowPtr[w+1] - m.rowPtr[w]
-			}
-		}
-		return tileNnz, flops
-	}
-	// h2d is the out-of-core transfer a tile needs: its own rows plus
-	// every neighbor row its products read. Zero when fully resident.
-	h2d := func(t int) int64 {
-		if residentMat >= matBytes {
-			return 0
-		}
-		tileNnz, flops := tileTraffic(t)
-		return 8*int64(rowBatch+1) + 6*tileNnz + 6*flops
-	}
-	if numTiles > 0 {
-		ioS.CopyToDeviceAsync(h2d(0))
-	}
-
-	var stepErr error
-	graph.RunSupersteps(dev, numTiles, func(t int) (int64, int64) {
-		if stepErr != nil {
-			return 0, 0
-		}
-		if err := ctx.Err(); err != nil {
-			stepErr = err
-			return 0, 0
-		}
-		// Barrier: this tile's data must be on-device before compute.
-		if err := ioS.Sync(); err != nil {
-			stepErr = err
-			return 0, 0
-		}
-		cmp.WaitModeled(ioS.ModeledCursor())
-		// Prefetch the next tile while this one computes.
-		if t+1 < numTiles {
-			ioS.CopyToDeviceAsync(h2d(t + 1))
-		}
-
-		lo, hi := t*rowBatch, min((t+1)*rowBatch, m.n)
-		dev.LaunchBlocks(hi-lo, func(block int) {
-			u := uint32(lo + block)
-			lenU := cfg.VertexLen(u)
-			for i := m.rowPtr[u]; i < m.rowPtr[u+1]; i++ {
-				w := m.col[i]
-				o1 := lenU - int(m.val[i])
-				if o1 <= 0 {
-					continue
-				}
-				lenW := cfg.VertexLen(w)
-				for j := m.rowPtr[w]; j < m.rowPtr[w+1]; j++ {
-					o2 := lenW - int(m.val[j])
-					if o2 <= 0 {
-						continue
-					}
-					k := m.find(u, m.col[j])
-					if k < 0 {
-						continue
-					}
-					total := o1 + o2
-					if d := lenU - int(m.val[k]); total >= d-cfg.Fuzz && total <= d+cfg.Fuzz {
-						red.removed[k] = true // row-local: block owns row u
-					}
-				}
-			}
-		})
-
-		tileNnz, flops := tileTraffic(t)
-		red.Flops += flops
-		// Each product term reads its neighbor entry and probes the
-		// direct row; each tile entry is read once and its mask bit
-		// written once.
-		memBytes := 6*(tileNnz+2*flops) + (tileNnz+7)/8
-		ops := tileNnz + flops
-		cmp.Charge(costmodel.TierDeviceMem, memBytes)
-		cmp.Charge(costmodel.TierDeviceOps, ops)
-		// Mask download rides the io stream, ordered after this tile's
-		// compute by an enqueued modeled wait. Keeping every PCIe charge
-		// on one line makes the modeled schedule independent of host
-		// goroutine interleaving: the lines share no tier, so placement
-		// is purely geometric.
-		ioS.WaitModeled(cmp.ModeledCursor())
-		ioS.CopyFromDeviceAsync((tileNnz + 7) / 8)
-		return memBytes, ops
-	})
-	if stepErr != nil {
-		return nil, stepErr
-	}
-	if err := ioS.Sync(); err != nil {
-		return nil, err
-	}
-	for _, r := range red.removed {
-		if r {
-			red.Removed++
-		}
-	}
-	return red, nil
+	return &Reduction{m: m, TwoHopResult: *res}, nil
 }

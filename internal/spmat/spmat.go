@@ -18,8 +18,9 @@
 package spmat
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dna"
 )
@@ -33,8 +34,8 @@ type Edge struct {
 
 // Matrix is a CSR adjacency matrix over the 2*numReads string-graph
 // vertices: entry (u, v) holds the overlap length of edge u->v. Column
-// indices are strictly increasing within each row, which makes entry
-// lookup a binary search and the serialized edge order deterministic.
+// indices are strictly increasing within each row, which lets the reducer
+// merge-join two rows and makes the serialized edge order deterministic.
 type Matrix struct {
 	n      int
 	rowPtr []int64
@@ -52,17 +53,6 @@ func (m *Matrix) NNZ() int64 { return int64(len(m.col)) }
 func (m *Matrix) Row(u uint32) ([]uint32, []uint16) {
 	lo, hi := m.rowPtr[u], m.rowPtr[u+1]
 	return m.col[lo:hi], m.val[lo:hi]
-}
-
-// find returns the nz index of entry (u, v), or -1.
-func (m *Matrix) find(u, v uint32) int64 {
-	lo, hi := m.rowPtr[u], m.rowPtr[u+1]
-	cols := m.col[lo:hi]
-	i := sort.Search(len(cols), func(i int) bool { return cols[i] >= v })
-	if i < len(cols) && cols[i] == v {
-		return lo + int64(i)
-	}
-	return -1
 }
 
 // Edges streams every entry in CSR order: (u, v) ascending.
@@ -118,15 +108,12 @@ func (b *Builder) ApproxBytes() int64 { return 10 * int64(cap(b.edges)) }
 // the longest overlap among duplicates. Insertion order never leaks into
 // the result.
 func (b *Builder) Build() *Matrix {
-	sort.Slice(b.edges, func(i, j int) bool {
-		ei, ej := b.edges[i], b.edges[j]
-		if ei.U != ej.U {
-			return ei.U < ej.U
+	slices.SortFunc(b.edges, func(a, e Edge) int {
+		ka, ke := uint64(a.U)<<32|uint64(a.V), uint64(e.U)<<32|uint64(e.V)
+		if ka != ke {
+			return cmp.Compare(ka, ke)
 		}
-		if ei.V != ej.V {
-			return ei.V < ej.V
-		}
-		return ei.Len > ej.Len // longest first, so dedupe keeps it
+		return cmp.Compare(e.Len, a.Len) // longest first, so dedupe keeps it
 	})
 	m := &Matrix{n: 2 * b.numReads, rowPtr: make([]int64, 2*b.numReads+1)}
 	for i, e := range b.edges {

@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitvec"
+	"repro/internal/graph"
 )
 
 // Edge is one directed overlap edge: the Len-suffix of vertex U matches
@@ -80,27 +81,38 @@ func (g *Graph) Bytes() int64 {
 // is dropped.
 func (g *Graph) HostBytes() int64 { return g.hostBytes }
 
-// EdgeBase returns the index of row u's first edge in CSR entry order
-// (the rowPtr analogue), valid for u in [0, NumVertices()].
-func (g *Graph) EdgeBase(u uint32) (int64, error) {
-	v, err := g.edgeOff.Get(int(u))
-	if err != nil {
-		return 0, fmt.Errorf("succinct: edge offset of vertex %d: %w", u, err)
+// entrySpan returns row u's interval [lo, hi) in CSR entry order (the
+// rowPtr analogue), read with one paired select.
+func (g *Graph) entrySpan(u uint32) (lo, hi int64, err error) {
+	if int64(u) >= int64(g.n) {
+		return 0, 0, fmt.Errorf("succinct: vertex %d out of range for %d vertices", u, g.n)
 	}
-	return int64(v), nil
+	eLo, eHi, err := g.edgeOff.Pair(int(u))
+	if err != nil {
+		return 0, 0, fmt.Errorf("succinct: edge offsets of vertex %d: %w", u, err)
+	}
+	return int64(eLo), int64(eHi), nil
+}
+
+// rowSpan resolves row u's first entry index, its degree and its encoded
+// bytes: two paired selects, one per offset sequence (one select when the
+// row is empty).
+func (g *Graph) rowSpan(u uint32) (base, deg int64, enc []byte, err error) {
+	lo, hi, err := g.entrySpan(u)
+	if err != nil || hi == lo {
+		return lo, 0, nil, err
+	}
+	bLo, bHi, err := g.byteOff.Pair(int(u))
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("succinct: byte offsets of vertex %d: %w", u, err)
+	}
+	return lo, hi - lo, g.adj[bLo:bHi], nil
 }
 
 // Degree returns the out-degree of vertex u.
 func (g *Graph) Degree(u uint32) (int64, error) {
-	lo, err := g.EdgeBase(u)
-	if err != nil {
-		return 0, err
-	}
-	hi, err := g.EdgeBase(u + 1)
-	if err != nil {
-		return 0, err
-	}
-	return hi - lo, nil
+	lo, hi, err := g.entrySpan(u)
+	return hi - lo, err
 }
 
 // zigzag codes a signed delta as an unsigned varint payload.
@@ -108,56 +120,110 @@ func zigzag(d int64) uint64 { return uint64((d << 1) ^ (d >> 63)) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// DecodeRow appends row u's column indices and overlap lengths to the
-// provided scratch slices (which may be nil) and returns them. Columns
-// come out strictly ascending, exactly as a CSR row would.
-func (g *Graph) DecodeRow(u uint32, cols []uint32, vals []uint16) ([]uint32, []uint16, error) {
-	if int64(u) >= int64(g.n) {
-		return cols, vals, fmt.Errorf("succinct: vertex %d out of range for %d vertices", u, g.n)
+// uvarint is binary.Uvarint with the one-byte case (length deltas, small
+// column gaps) decided inline.
+func uvarint(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
 	}
-	deg, err := g.Degree(u)
+	return binary.Uvarint(b)
+}
+
+// nextEntry decodes the entry at the head of enc. The row's first entry
+// is absolute; later ones are a column gap and a zig-zag length delta
+// against the previous entry (col, l). ok is false on a malformed varint.
+func nextEntry(enc []byte, first bool, col uint32, l uint16) (rest []byte, c uint32, ln uint16, ok bool) {
+	cv, n := uvarint(enc)
+	if n <= 0 {
+		return nil, 0, 0, false
+	}
+	enc = enc[n:]
+	lv, n := uvarint(enc)
+	if n <= 0 {
+		return nil, 0, 0, false
+	}
+	if first {
+		return enc[n:], uint32(cv), uint16(lv), true
+	}
+	return enc[n:], col + uint32(cv), uint16(int64(l) + unzigzag(lv)), true
+}
+
+// errCorruptRow reports a row whose bytes do not decode to its degree.
+func errCorruptRow(u uint32) error {
+	return fmt.Errorf("succinct: corrupt adjacency stream in row %d", u)
+}
+
+// Row decodes row u into scratch and returns its columns (strictly
+// ascending, exactly as a CSR row would be), overlap lengths, and the
+// index of its first entry in CSR entry order. It implements
+// graph.RowStore; with a warmed scratch it allocates nothing.
+func (g *Graph) Row(u uint32, scratch *graph.RowScratch) ([]uint32, []uint16, int64, error) {
+	base, deg, enc, err := g.rowSpan(u)
 	if err != nil {
-		return cols, vals, err
+		return nil, nil, 0, err
 	}
-	if deg == 0 {
-		return cols, vals, nil
+	if int64(min(cap(scratch.Cols), cap(scratch.Vals))) < deg {
+		n := max(2*deg, 32) // headroom: few rows ever grow the scratch again
+		scratch.Cols, scratch.Vals = make([]uint32, n), make([]uint16, n)
 	}
-	lo64, err := g.byteOff.Get(int(u))
+	cols, vals := scratch.Cols[:deg], scratch.Vals[:deg]
+	var col uint32
+	var l uint16
+	for i := range cols {
+		var ok bool
+		if enc, col, l, ok = nextEntry(enc, i == 0, col, l); !ok {
+			return nil, nil, 0, errCorruptRow(u)
+		}
+		cols[i], vals[i] = col, l
+	}
+	if len(enc) != 0 {
+		return nil, nil, 0, errCorruptRow(u)
+	}
+	return cols, vals, base, nil
+}
+
+// walkRow visits row u's entries in place — no decode buffer — passing
+// each entry's CSR index, and stops early when fn returns false.
+func (g *Graph) walkRow(u uint32, fn func(k int64, to uint32, l uint16) bool) error {
+	base, deg, enc, err := g.rowSpan(u)
 	if err != nil {
-		return cols, vals, fmt.Errorf("succinct: byte offset of vertex %d: %w", u, err)
+		return err
 	}
-	hi64, err := g.byteOff.Get(int(u) + 1)
-	if err != nil {
-		return cols, vals, fmt.Errorf("succinct: byte offset of vertex %d: %w", u+1, err)
-	}
-	buf := g.adj[lo64:hi64]
 	var col uint32
 	var l uint16
 	for i := int64(0); i < deg; i++ {
-		cv, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return cols, vals, fmt.Errorf("succinct: corrupt adjacency stream in row %d", u)
+		var ok bool
+		if enc, col, l, ok = nextEntry(enc, i == 0, col, l); !ok {
+			return errCorruptRow(u)
 		}
-		buf = buf[n:]
-		lv, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return cols, vals, fmt.Errorf("succinct: corrupt adjacency stream in row %d", u)
+		if !fn(base+i, col, l) {
+			return nil
 		}
-		buf = buf[n:]
-		if i == 0 {
-			col = uint32(cv)
-			l = uint16(lv)
-		} else {
-			col += uint32(cv)
-			l = uint16(int64(l) + unzigzag(lv))
-		}
-		cols = append(cols, col)
-		vals = append(vals, l)
 	}
-	if len(buf) != 0 {
-		return cols, vals, fmt.Errorf("succinct: trailing bytes in row %d", u)
+	if len(enc) != 0 {
+		return errCorruptRow(u)
 	}
-	return cols, vals, nil
+	return nil
+}
+
+// TransferBytes implements graph.RowStore: a tile's out-of-core transfer
+// is its two offset-sequence slices, its own compressed rows, and every
+// neighbor row its products decode, priced at the amortized compressed
+// bytes per entry.
+func (g *Graph) TransferBytes(lo, hi, rowBatch int, _, flops int64) (int64, error) {
+	bLo, err := g.byteOff.Get(lo)
+	if err != nil {
+		return 0, err
+	}
+	bHi, err := g.byteOff.Get(hi)
+	if err != nil {
+		return 0, err
+	}
+	bytesPerEdge := int64(1)
+	if g.nnz > 0 {
+		bytesPerEdge = max(int64(len(g.adj))/g.nnz, 1)
+	}
+	return 2*int64(rowBatch+1) + int64(bHi-bLo) + bytesPerEdge*flops, nil
 }
 
 // EachOut visits the out-edges of v in ascending target order, stopping
@@ -166,30 +232,19 @@ func (g *Graph) DecodeRow(u uint32, cols []uint32, vals []uint16) ([]uint32, []u
 // the persisted live edges. Decode errors terminate the iteration; they
 // cannot occur on a Builder-sealed graph.
 func (g *Graph) EachOut(v uint32, fn func(to uint32, l uint16) bool) {
-	cols, vals, err := g.DecodeRow(v, nil, nil)
-	if err != nil {
-		return
-	}
-	for i := range cols {
-		if !fn(cols[i], vals[i]) {
-			return
-		}
-	}
+	_ = g.walkRow(v, func(_ int64, to uint32, l uint16) bool { return fn(to, l) })
 }
 
-// Edges streams every entry in CSR order: (u, v) ascending.
+// Edges streams every entry in CSR order: (u, v) ascending. Like EachOut
+// it stops at a decode error, which a Builder-sealed graph cannot have.
 func (g *Graph) Edges(fn func(Edge)) {
-	var cols []uint32
-	var vals []uint16
-	for u := 0; u < g.n; u++ {
-		cols, vals = cols[:0], vals[:0]
-		var err error
-		cols, vals, err = g.DecodeRow(uint32(u), cols, vals)
+	for u := uint32(0); int(u) < g.n; u++ {
+		err := g.walkRow(u, func(_ int64, to uint32, l uint16) bool {
+			fn(Edge{U: u, V: to, Len: l})
+			return true
+		})
 		if err != nil {
 			return
-		}
-		for i := range cols {
-			fn(Edge{U: uint32(u), V: cols[i], Len: vals[i]})
 		}
 	}
 }

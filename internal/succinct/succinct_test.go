@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/graph"
 	"repro/internal/spmat"
 	"repro/internal/stats"
 )
@@ -207,13 +208,12 @@ func TestTransitiveReduceMatchesSpmat(t *testing.T) {
 		var wantLive []Edge
 		mr.Live(func(e spmat.Edge) { wantLive = append(wantLive, Edge{U: e.U, V: e.V, Len: e.Len}) })
 		var gotLive []Edge
-		next := gr.LiveEdges()
-		for {
-			e, ok := next()
-			if !ok {
-				break
-			}
+		live := gr.LiveEdges()
+		for e, ok := live.Next(); ok; e, ok = live.Next() {
 			gotLive = append(gotLive, e)
+		}
+		if err := live.Err(); err != nil {
+			t.Fatal(err)
 		}
 		if len(gotLive) != len(wantLive) {
 			t.Fatalf("trial %d: %d live vs %d", trial, len(gotLive), len(wantLive))
@@ -300,5 +300,106 @@ func TestEmptyGraph(t *testing.T) {
 	}
 	if r.Removed != 0 {
 		t.Fatalf("removed = %d", r.Removed)
+	}
+}
+
+// denseGraph is a fixture with no empty rows among the low vertices and
+// rows wide enough to need multi-byte varints.
+func denseGraph(t *testing.T) *Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(4))
+	g, err := FromEdgeRuns(600, sliceIter(randomSortedEdges(rng, 600, 9000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestCorruptAdjacencyFailsLoudly hand-corrupts one row of the adjacency
+// stream (a dangling varint continuation bit) and requires every consumer
+// with an error path to report it: the reducer must not return a partial
+// mask, and the live-edge iterator must not end as if the store were
+// exhausted.
+func TestCorruptAdjacencyFailsLoudly(t *testing.T) {
+	g := denseGraph(t)
+	cfg := ReduceConfig{Device: testDevice(), VertexLen: func(uint32) int { return 600 }, RowBatch: 64}
+	red, err := g.TransitiveReduce(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 300
+	_, deg, enc, err := g.rowSpan(victim)
+	if err != nil || deg == 0 {
+		t.Fatalf("fixture row %d: degree %d, %v", victim, deg, err)
+	}
+	enc[len(enc)-1] |= 0x80 // aliases g.adj
+
+	if _, _, _, err := g.Row(victim, new(graph.RowScratch)); err == nil || !strings.Contains(err.Error(), "corrupt adjacency stream in row 300") {
+		t.Fatalf("Row on the corrupt row: %v", err)
+	}
+	if red2, err := g.TransitiveReduce(context.Background(), cfg); err == nil {
+		t.Fatalf("TransitiveReduce over a corrupt store returned a mask (%d removed) and no error", red2.Removed)
+	} else if !strings.Contains(err.Error(), "corrupt adjacency stream") {
+		t.Fatalf("TransitiveReduce error does not name the corruption: %v", err)
+	}
+	if dev := cfg.Device; dev.InUse() != 0 {
+		t.Fatalf("failed pass leaked %d device bytes", dev.InUse())
+	}
+
+	live := red.LiveEdges()
+	var last Edge
+	for e, ok := live.Next(); ok; e, ok = live.Next() {
+		last = e
+	}
+	if live.Err() == nil {
+		t.Fatal("LiveEdges ended without an error on a corrupt store")
+	}
+	if last.U >= victim {
+		t.Fatalf("LiveEdges yielded %+v at or past the corrupt row %d", last, victim)
+	}
+	if _, ok := live.Next(); ok {
+		t.Fatal("LiveEdges resumed after its error")
+	}
+}
+
+// TestRowAccessAllocatesNothing pins the decode paths the reducer and
+// the unitig walk sit on: a row decode into warmed scratch, and the
+// in-place out-edge walks, allocate nothing.
+func TestRowAccessAllocatesNothing(t *testing.T) {
+	g := denseGraph(t)
+	red, err := g.TransitiveReduce(context.Background(), ReduceConfig{
+		Device: testDevice(), VertexLen: func(uint32) int { return 600 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := red.LiveView()
+	var scratch graph.RowScratch
+	var sum uint64
+	visit := func(to uint32, l uint16) bool {
+		sum += uint64(to) + uint64(l)
+		return true
+	}
+	sweeps := map[string]func(u uint32){
+		"Row": func(u uint32) {
+			if _, _, _, err := g.Row(u, &scratch); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"Graph.EachOut":    func(u uint32) { g.EachOut(u, visit) },
+		"LiveView.EachOut": func(u uint32) { view.EachOut(u, visit) },
+	}
+	for name, access := range sweeps {
+		sweep := func() {
+			for u := 0; u < g.NumVertices(); u++ {
+				access(uint32(u))
+			}
+		}
+		sweep() // grow the scratch
+		if allocs := testing.AllocsPerRun(5, sweep); allocs != 0 {
+			t.Errorf("%s: %v allocs per sweep of %d rows, want 0", name, allocs, g.NumVertices())
+		}
+	}
+	if sum == 0 {
+		t.Fatal("walks visited nothing")
 	}
 }

@@ -344,6 +344,10 @@ func BenchmarkGraphBackendMemory(b *testing.B) {
 					b.StopTimer()
 					cfg := benchConfig(b, gpu.K40, p.MinOverlap)
 					cfg.GraphBackend = backend
+					// Total host peak grows with the sort blocks concurrent
+					// workers hold; one worker keeps the gated hostPeakB
+					// independent of the box's core count.
+					cfg.Workers = 1
 					b.StartTimer()
 					var err error
 					res, err = Assemble(cfg, rs)

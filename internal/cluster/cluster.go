@@ -38,17 +38,13 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/dna"
 	"repro/internal/extsort"
-	"repro/internal/fastq"
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/kv"
 	"repro/internal/kvio"
 	"repro/internal/obs"
 	"repro/internal/overlap"
-	"repro/internal/sgraph"
-	"repro/internal/spmat"
 	"repro/internal/stats"
-	"repro/internal/succinct"
 )
 
 // Config parameterizes a cluster run. Block sizes have the same meaning
@@ -92,19 +88,16 @@ type Config struct {
 	BreakCycles            bool
 	// GraphBackend selects the reduce/compress engine, mirroring
 	// core.Config.GraphBackend: "" or core.BackendGreedy runs the paper's
-	// serialized greedy graph with bit-vector token forwarding;
-	// core.BackendSpmat ships every node's candidate list to the master,
-	// builds the CSR string graph there (the spmat Builder is
-	// order-independent, so the cluster's arrival order cannot change the
-	// matrix), and removes transitive edges with the masked SpGEMM pass on
-	// the master's device. core.BackendSuccinct also serializes through
-	// the master but spills candidates to disk and streams the sorted
-	// runs into the compressed store, so the master's host peak stays at
-	// the compressed size instead of the CSR size. Contig output is
-	// byte-identical to a single-node run under the same backend.
+	// serialized greedy graph with bit-vector token forwarding; any other
+	// backend ships every node's candidate list to the master, which feeds
+	// them to the same core.GraphEngine the single-node pipeline uses and
+	// seals it on the master's device (DESIGN.md, "Graph engines"). Engine
+	// stores are order-independent, so the cluster's arrival order cannot
+	// change them and contig output is byte-identical to a single-node run
+	// under the same backend.
 	// Output-relevant: part of the per-node manifest fingerprints.
 	GraphBackend string
-	// TransitiveFuzz is the overhang slack for the spmat transitive
+	// TransitiveFuzz is the overhang slack for the engines' transitive
 	// reduction, mirroring core.Config.TransitiveFuzz.
 	TransitiveFuzz int
 	// Resume re-enters an interrupted run from the nodes' private storage
@@ -167,17 +160,25 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: %d nodes need %d fleet devices, fleet has %d",
 			c.Nodes, c.Nodes, c.Fleet.Size())
 	}
-	single := core.Config{
-		Workspace:        c.Workspace,
-		MinOverlap:       c.MinOverlap,
-		HostBlockPairs:   c.HostBlockPairs,
-		DeviceBlockPairs: c.DeviceBlockPairs,
-		MapBatchReads:    c.MapBatchReads,
-		GPU:              c.GPU,
-		GraphBackend:     c.GraphBackend,
-		TransitiveFuzz:   c.TransitiveFuzz,
+	return c.single().Validate()
+}
+
+// single is the per-node view of the configuration in core's terms: what
+// core validates, and what the master's graph engine is built from.
+func (c Config) single() core.Config {
+	return core.Config{
+		Workspace:         c.Workspace,
+		MinOverlap:        c.MinOverlap,
+		HostBlockPairs:    c.HostBlockPairs,
+		DeviceBlockPairs:  c.DeviceBlockPairs,
+		MapBatchReads:     c.MapBatchReads,
+		GPU:               c.GPU,
+		GraphBackend:      c.GraphBackend,
+		TransitiveFuzz:    c.TransitiveFuzz,
+		IncludeSingletons: c.IncludeSingletons,
+		BreakCycles:       c.BreakCycles,
+		Obs:               c.Obs,
 	}
-	return single.Validate()
 }
 
 // backend resolves the GraphBackend knob: the empty string means greedy.
@@ -217,16 +218,9 @@ type Cluster struct {
 	cfg   Config
 	nodes []*node
 	// serial meters the reduce phase's serialized component: greedy graph
-	// building and bit-vector token forwarding (or, under the spmat
-	// backend, CSR assembly on the master).
+	// building and bit-vector token forwarding, or feeding the master's
+	// graph engine.
 	serial *costmodel.Meter
-	// spmatRed holds the master's transitive reduction between the reduce
-	// and compress phases when the spmat backend is selected; reset at the
-	// start of every reduce.
-	spmatRed *spmat.Reduction
-	// succRed is the succinct backend's analogue: the masked reduction
-	// over the master's compressed store.
-	succRed *succinct.Reduction
 
 	// FaultHook, when set, fires after a node commits a stage to its
 	// manifest, mirroring core.Pipeline.FaultHook. Returning an error
@@ -246,9 +240,9 @@ type Result struct {
 	NumReads       int
 	CandidateEdges int64
 	AcceptedEdges  int64
-	// ReducedEdges counts the transitive edges removed by the spmat
-	// backend's masked SpGEMM pass; zero under the greedy backend, which
-	// never materializes transitive edges.
+	// ReducedEdges counts the transitive edges the master's engine
+	// removed; zero under the greedy backend, which never materializes
+	// transitive edges.
 	ReducedEdges int64
 	TotalWall    time.Duration
 	TotalModeled time.Duration
@@ -651,22 +645,34 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 	}
 	res.CachedStages = runners[0].CachedStages()
 
-	// Reduce: overlap finding in parallel, then greedy graph building
-	// serialized by the bit-vector token in descending length order
-	// (Section III-E.3).
-	if err := c.reducePhase(ctx, rs, res); err != nil {
+	// Reduce: overlap finding in parallel, then graph building serialized
+	// by the bit-vector token in descending length order (Section III-E.3)
+	// or on the master. The engine holds the master's graph until Compress
+	// has walked it; it is released on every way out.
+	eng := core.NewGraphEngine(c.cfg.single(), c.masterEnv(), rs)
+	defer eng.Release()
+	if err := c.reducePhase(ctx, rs, eng, res); err != nil {
+		return res, err
+	}
+	if err := ctx.Err(); err != nil {
 		return res, err
 	}
 
-	// Compress: the master collects the disjoint edge sets and generates
-	// contigs.
+	// Compress: the master walks its graph and generates contigs.
 	err = c.runPhase(core.PhaseCompress, res, 0, func(n *node) error {
 		if n.id != 0 {
 			return nil
 		}
-		return c.compressOnMaster(rs, res)
+		return c.compressOnMaster(rs, eng, res)
 	})
 	return res, err
+}
+
+// masterEnv is node 0 as the machine the master's graph engine runs on.
+func (c *Cluster) masterEnv() core.EngineEnv {
+	m := c.nodes[0]
+	return core.EngineEnv{Device: m.dev, Meter: m.meter, HostMem: &m.hostMem,
+		Graph: &m.hostMem, Ledger: m.ledger, Scratch: m.dir}
 }
 
 // shufName / sortedName name a node's post-shuffle and post-sort partition
@@ -893,10 +899,13 @@ func runNodeTasks(workers, n int, task func(i int) error) error {
 // overlap finding and the serialized graph-building step.
 type cand struct{ u, v uint32 }
 
-// reducePhase runs overlap finding on all nodes in parallel, then applies
-// candidates to the shared greedy discipline strictly in descending
-// partition order, forwarding the out-degree bit-vector between owners.
-func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, res *Result) error {
+// reducePhase runs overlap finding on all nodes in parallel, then builds
+// the graph serially in descending partition order: under the greedy
+// backend by forwarding the out-degree bit-vector between partition
+// owners, otherwise by shipping every candidate list to the master's
+// engine, which seals (builds and reduces) its store on the master's
+// device.
+func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, eng core.GraphEngine, res *Result) error {
 	maxLen := rs.MaxLen()
 	// candidates[l][nodeID]: with length partitioning only the owner's
 	// slot fills; with fingerprint partitioning every node contributes a
@@ -946,324 +955,129 @@ func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, res *Result)
 		return err
 	}
 
-	// Serialized graph building (the t_g component). Greedy: token
-	// forwarding between owners in descending length order. Spmat:
-	// candidate lists ship to the master, which assembles the CSR matrix
-	// and runs the device transitive reduction. The wall-clock cost is
-	// tiny; the modeled cost is charged to the dedicated serial meter (and
-	// the master's device meter for the SpGEMM pass) and added to the
-	// reduce phase.
+	// Serialized graph building (the t_g component). The wall-clock cost
+	// is tiny; the modeled cost is charged to the dedicated serial meter,
+	// plus whatever sealing the engine puts on the master's own meter (its
+	// spill, sort and device reduction, overlap savings netted out). Both
+	// are added to the reduce phase.
 	serialBefore := c.serial.Snapshot()
 	serialSpan := c.cfg.Obs.Tracer().Begin(obs.Track{}, "stage", "ReduceSerial").
 		Metered(c.serial, c.cfg.profile())
+	master := c.nodes[0]
+	meterBefore := master.meter.Snapshot()
+	savedBefore := master.ledger.SavedSeconds()
 	var serialErr error
-	var trTime time.Duration
-	if c.cfg.backend() == core.BackendSpmat {
-		trTime, serialErr = c.reduceSpmatOnMaster(ctx, rs, maxLen, candidates, res)
-	} else if c.cfg.backend() == core.BackendSuccinct {
-		trTime, serialErr = c.reduceSuccinctOnMaster(ctx, rs, maxLen, candidates, res)
+	if c.cfg.backend() == core.BackendGreedy {
+		c.forwardToken(rs, candidates, res)
 	} else {
-		token := bitvec.New(2 * rs.NumReads())
-		graphs := make(map[int]*graph.Graph, len(c.nodes))
-		for _, n := range c.nodes {
-			graphs[n.id] = graph.NewWithVector(rs.NumReads(), token)
-		}
-		prevOwner := -1
 		for l := maxLen - 1; l >= c.cfg.MinOverlap; l-- {
-			slots := candidates[l]
-			if slots == nil {
-				continue
-			}
-			for nodeID, list := range slots {
-				if len(list) == 0 {
-					continue
+			for nodeID, list := range candidates[l] {
+				if nodeID != master.id {
+					// Candidate lists travel to the master: ~6 bytes per edge
+					// (4-byte vertex + overlap length, Section III-C's sizing).
+					c.serial.AddNet(int64(len(list)) * 6)
 				}
-				if prevOwner != -1 && prevOwner != nodeID {
-					// Token hop between nodes.
-					c.serial.AddNet(token.Bytes())
-				}
-				prevOwner = nodeID
-				g := graphs[nodeID]
 				for _, cd := range list {
-					// Each candidate touches ~4 cache lines of randomly-
-					// addressed host memory (two bit-vector probes, two
-					// edge-slot writes), which is what makes graph building
-					// the serialized cost the paper's t_g term captures.
-					c.serial.AddHostMem(4 * 64)
-					g.AddCandidate(cd.u, cd.v, uint16(l))
+					c.serial.AddHostMem(eng.AddHostBytes())
+					eng.Add(cd.u, cd.v, uint16(l))
 				}
 			}
 			delete(candidates, l)
 		}
-		for _, n := range c.nodes {
-			n.edges = graphs[n.id].Edges()
-			res.AcceptedEdges += int64(len(n.edges))
-		}
+		var st core.EngineStats
+		st, serialErr = core.SealEngine(ctx, eng, c.cfg.Obs.Metrics())
+		res.ReducedEdges = st.Removed
+		res.AcceptedEdges = st.NNZ - st.Removed
 	}
 	serialSpan.End()
-	serialTime := c.serial.Snapshot().Sub(serialBefore).Time(c.cfg.profile()) + trTime
+	trTime := master.meter.Snapshot().Sub(meterBefore).Time(c.cfg.profile()) -
+		time.Duration((master.ledger.SavedSeconds()-savedBefore)*float64(time.Second))
+	serialTime := c.serial.Snapshot().Sub(serialBefore).Time(c.cfg.profile()) + max(trTime, 0)
 	// Fold the serialized component into the recorded reduce phase.
 	last := &res.Phases[len(res.Phases)-1]
 	res.ReduceOverlapModeled = last.Modeled
 	res.ReduceSerialModeled = serialTime
 	last.Modeled += serialTime
 	res.TotalModeled += serialTime
+	c.cfg.Obs.Log().Debug("serialized reduce done", "modeled", serialTime, "err", serialErr)
 	return serialErr
 }
 
-// reduceSpmatOnMaster is the spmat backend's serialized component: every
-// node's candidate list ships to the master, which assembles the CSR
-// string graph and runs the masked SpGEMM transitive reduction on its
-// device. The Builder dedupes and sorts internally, so the cluster's
-// candidate arrival order cannot change the matrix — the property that
-// makes cluster output byte-identical to a single-node spmat run.
-// Returns the master's modeled device time for the reduction (overlap
-// savings already netted out), which the caller folds into the reduce
-// phase alongside the serial-meter time.
-func (c *Cluster) reduceSpmatOnMaster(ctx context.Context, rs *dna.ReadSet, maxLen int,
-	candidates map[int][][]cand, res *Result) (time.Duration, error) {
-	master := c.nodes[0]
-	b := spmat.NewBuilder(rs.NumReads())
-	for l := maxLen - 1; l >= c.cfg.MinOverlap; l-- {
-		slots := candidates[l]
-		if slots == nil {
-			continue
-		}
-		for nodeID, list := range slots {
+// forwardToken is the greedy backend's serialized reduce: candidates are
+// applied under the shared greedy discipline strictly in descending
+// partition order, the out-degree bit-vector travelling between the
+// partitions' owners as a token. Each node keeps the edges it accepted.
+func (c *Cluster) forwardToken(rs *dna.ReadSet, candidates map[int][][]cand, res *Result) {
+	token := bitvec.New(2 * rs.NumReads())
+	graphs := make(map[int]*graph.Graph, len(c.nodes))
+	for _, n := range c.nodes {
+		graphs[n.id] = graph.NewWithVector(rs.NumReads(), token)
+	}
+	prevOwner := -1
+	for l := rs.MaxLen() - 1; l >= c.cfg.MinOverlap; l-- {
+		for nodeID, list := range candidates[l] {
 			if len(list) == 0 {
 				continue
 			}
-			if nodeID != master.id {
-				// Candidate lists travel to the master: ~6 bytes per edge
-				// (4-byte vertex + overlap length, Section III-C's sizing).
-				c.serial.AddNet(int64(len(list)) * 6)
+			if prevOwner != -1 && prevOwner != nodeID {
+				// Token hop between nodes.
+				c.serial.AddNet(token.Bytes())
 			}
+			prevOwner = nodeID
+			g := graphs[nodeID]
 			for _, cd := range list {
-				// Same serialized host-memory model as greedy graph
-				// building: each candidate touches ~4 randomly-addressed
-				// cache lines.
+				// Each candidate touches ~4 cache lines of randomly-
+				// addressed host memory (two bit-vector probes, two
+				// edge-slot writes), which is what makes graph building
+				// the serialized cost the paper's t_g term captures.
 				c.serial.AddHostMem(4 * 64)
-				b.AddOverlap(cd.u, cd.v, uint16(l))
+				g.AddCandidate(cd.u, cd.v, uint16(l))
 			}
 		}
 		delete(candidates, l)
 	}
-	master.hostMem.Add(b.ApproxBytes())
-	m := b.Build()
-	master.hostMem.Release(b.ApproxBytes())
-	master.hostMem.Add(m.ApproxBytes())
-	defer master.hostMem.Release(m.ApproxBytes())
-
-	meterBefore := master.meter.Snapshot()
-	savedBefore := master.ledger.SavedSeconds()
-	red, err := m.TransitiveReduce(ctx, spmat.ReduceConfig{
-		Device:           master.dev,
-		VertexLen:        rs.VertexLen,
-		Fuzz:             c.cfg.TransitiveFuzz,
-		MaxResidentBytes: 4 * int64(c.cfg.DeviceBlockPairs) * kv.PairBytes,
-		Overlap:          master.ledger,
-	})
-	if err != nil {
-		return 0, err
+	for _, n := range c.nodes {
+		n.edges = graphs[n.id].Edges()
+		res.AcceptedEdges += int64(len(n.edges))
 	}
-	trTime := master.meter.Snapshot().Sub(meterBefore).Time(c.cfg.profile()) -
-		time.Duration((master.ledger.SavedSeconds()-savedBefore)*float64(time.Second))
-	if trTime < 0 {
-		trTime = 0
-	}
-	c.spmatRed = red
-	res.ReducedEdges = red.Removed
-	res.AcceptedEdges = m.NNZ() - red.Removed
-	mtr := c.cfg.Obs.Metrics()
-	mtr.Counter(`graph.nnz{backend="spmat"}`).Add(m.NNZ())
-	mtr.Counter(`graph.removed_edges{backend="spmat"}`).Add(red.Removed)
-	mtr.Counter(`graph.spgemm_flops{backend="spmat"}`).Add(red.Flops)
-	return trTime, nil
 }
 
-// reduceSuccinctOnMaster is the succinct backend's serialized component:
-// candidate lists ship to the master (same network model as spmat), but
-// instead of assembling a CSR matrix in memory, the master spills the
-// directed edges (with complements) to a scratch kv file, external-sorts
-// them on its device, and streams the final merge straight into the
-// compressed builder — the full edge list never materializes in the
-// master's host memory. The masked reduction then runs spmat's exact
-// predicate over the compressed store, so cluster output remains
-// byte-identical to a single-node succinct (and spmat) run.
-func (c *Cluster) reduceSuccinctOnMaster(ctx context.Context, rs *dna.ReadSet, maxLen int,
-	candidates map[int][][]cand, res *Result) (time.Duration, error) {
+// compressOnMaster walks the master's graph into paths and generates
+// contigs on node 0 — the same engine code as the single-node Compress, so
+// the FASTA bytes match it exactly. A sealed engine is walked as it stands
+// (the cluster checkpoints nothing between Reduce and Compress, so there
+// is no edges.kv to reload); under the greedy backend the nodes' disjoint
+// edge sets first travel to the master, which installs them verbatim.
+func (c *Cluster) compressOnMaster(rs *dna.ReadSet, eng core.GraphEngine, res *Result) error {
 	master := c.nodes[0]
-	meterBefore := master.meter.Snapshot()
-	savedBefore := master.ledger.SavedSeconds()
-
-	tmpDir := filepath.Join(master.dir, "sort_succinct")
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(tmpDir)
-	spillPath := filepath.Join(tmpDir, "cand.kv")
-	w, err := kvio.NewWriter(spillPath, master.meter)
-	if err != nil {
-		return 0, err
-	}
-	writeEdge := func(u, v uint32, l uint16) error {
-		return w.Write(kv.Pair{Key: kv.Key{Hi: uint64(u)<<32 | uint64(v), Lo: uint64(l)}})
-	}
-	var wErr error
-	for l := maxLen - 1; l >= c.cfg.MinOverlap; l-- {
-		slots := candidates[l]
-		if slots == nil {
-			continue
-		}
-		for nodeID, list := range slots {
-			if len(list) == 0 {
-				continue
-			}
-			if nodeID != master.id {
-				// Candidate lists travel to the master: ~6 bytes per edge
-				// (4-byte vertex + overlap length, Section III-C's sizing).
-				c.serial.AddNet(int64(len(list)) * 6)
-			}
-			for _, cd := range list {
-				// The serialized host cost here is the spill append — one
-				// sequential cache line per candidate, not spmat's four
-				// random ones.
-				c.serial.AddHostMem(64)
-				if cd.u == cd.v || cd.u == dna.ComplementVertex(cd.v) {
-					continue
-				}
-				if wErr == nil {
-					wErr = writeEdge(cd.u, cd.v, uint16(l))
-				}
-				if wErr == nil {
-					wErr = writeEdge(dna.ComplementVertex(cd.v), dna.ComplementVertex(cd.u), uint16(l))
-				}
-			}
-		}
-		delete(candidates, l)
-	}
-	if cerr := w.Close(); wErr == nil {
-		wErr = cerr
-	}
-	if wErr != nil {
-		return 0, wErr
-	}
-
-	b, err := succinct.NewBuilder(2*rs.NumReads(), &master.hostMem)
-	if err != nil {
-		return 0, err
-	}
-	_, err = extsort.SortStream(ctx, extsort.Config{
-		Device:           master.dev,
-		Meter:            master.meter,
-		HostMem:          &master.hostMem,
-		HostBlockPairs:   c.cfg.HostBlockPairs,
-		DeviceBlockPairs: c.cfg.DeviceBlockPairs,
-		TempDir:          tmpDir,
-		Obs:              c.cfg.Obs,
-		Overlap:          master.ledger,
-	}, spillPath, func(batch []kv.Pair) error {
-		for _, pr := range batch {
-			e := succinct.Edge{U: uint32(pr.Key.Hi >> 32), V: uint32(pr.Key.Hi), Len: uint16(pr.Key.Lo)}
-			if err := b.Push(e); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Abandon()
-		return 0, err
-	}
-	g, err := b.Finish()
-	if err != nil {
-		b.Abandon()
-		return 0, err
-	}
-	// The compressed store stays charged until compress consumes it.
-	red, err := g.TransitiveReduce(ctx, succinct.ReduceConfig{
-		Device:           master.dev,
-		VertexLen:        rs.VertexLen,
-		Fuzz:             c.cfg.TransitiveFuzz,
-		MaxResidentBytes: 4 * int64(c.cfg.DeviceBlockPairs) * kv.PairBytes,
-		Overlap:          master.ledger,
-	})
-	if err != nil {
-		master.hostMem.Release(g.HostBytes())
-		return 0, err
-	}
-	trTime := master.meter.Snapshot().Sub(meterBefore).Time(c.cfg.profile()) -
-		time.Duration((master.ledger.SavedSeconds()-savedBefore)*float64(time.Second))
-	if trTime < 0 {
-		trTime = 0
-	}
-	c.succRed = red
-	res.ReducedEdges = red.Removed
-	res.AcceptedEdges = g.NNZ() - red.Removed
-	mtr := c.cfg.Obs.Metrics()
-	mtr.Counter(`graph.nnz{backend="succinct"}`).Add(g.NNZ())
-	mtr.Counter(`graph.removed_edges{backend="succinct"}`).Add(red.Removed)
-	mtr.Counter(`graph.spgemm_flops{backend="succinct"}`).Add(red.Flops)
-	return trTime, nil
-}
-
-// compressOnMaster merges the disjoint per-node edge sets and generates
-// contigs on node 0. Under the spmat backend the live (post-reduction)
-// matrix entries replace the per-node greedy edge sets, and contigs are
-// spelled from unitig chains — the same rule as the single-node spmat
-// compress, so the FASTA bytes match it exactly.
-func (c *Cluster) compressOnMaster(rs *dna.ReadSet, res *Result) error {
-	master := c.nodes[0]
-	var paths []graph.Path
-	if c.cfg.backend() == core.BackendSpmat {
-		fg := sgraph.New(rs.NumReads())
-		c.spmatRed.Live(func(e spmat.Edge) {
-			fg.InstallEdge(e.U, e.V, e.Len)
-		})
-		paths = fg.Unitigs(rs.VertexLen, c.cfg.IncludeSingletons)
-	} else if c.cfg.backend() == core.BackendSuccinct {
-		// Unitigs spell directly off the masked compressed store — the
-		// live view iterates surviving edges in the same ascending order a
-		// rebuilt graph would, so the FASTA bytes match the single-node
-		// succinct (and spmat) output exactly.
-		paths = sgraph.UnitigsOf(c.succRed.LiveView(), rs.VertexLen, c.cfg.IncludeSingletons)
-		master.hostMem.Release(c.succRed.Graph().HostBytes())
-		c.succRed = nil
-	} else {
-		final := graph.New(rs.NumReads())
+	if c.cfg.backend() == core.BackendGreedy {
+		var shipped []graph.Edge
 		for _, n := range c.nodes {
 			if n.id != master.id {
-				// Edge sets travel to the master: ~6 bytes per edge (4-byte
-				// vertex + overlap length, Section III-C's sizing).
+				// ~6 bytes per edge (4-byte vertex + overlap length,
+				// Section III-C's sizing).
 				master.meter.AddNet(int64(len(n.edges)) * 6)
 			}
-			for _, e := range n.edges {
-				final.InstallEdge(e)
-			}
+			shipped = append(shipped, n.edges...)
 		}
-		paths = final.Traverse(rs.VertexLen, graph.TraverseOptions{
-			IncludeSingletons: c.cfg.IncludeSingletons,
-			BreakCycles:       c.cfg.BreakCycles,
+		err := eng.Load(func() (e graph.Edge, ok bool, _ error) {
+			if ok = len(shipped) > 0; ok {
+				e, shipped = shipped[0], shipped[1:]
+			}
+			return e, ok, nil
 		})
-	}
-	res.Contigs = contig.Generate(contig.Config{Device: master.dev}, paths, rs)
-	res.ContigStats = contig.Summarize(res.Contigs)
-
-	res.ContigPath = filepath.Join(c.cfg.Workspace, "contigs.fasta")
-	f, err := os.Create(res.ContigPath)
-	if err != nil {
-		return err
-	}
-	w := fastq.NewFastaWriter(f, 80)
-	for i, cg := range res.Contigs {
-		if err := w.Write(fastq.Record{Name: fmt.Sprintf("contig%d len=%d", i, len(cg)), Seq: cg}); err != nil {
-			f.Close()
+		if err != nil {
 			return err
 		}
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
+	paths, err := eng.Paths()
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	res.ContigPath = filepath.Join(c.cfg.Workspace, "contigs.fasta")
+	// No meter: the master's FASTA write has never been charged (see
+	// core.WriteContigs).
+	res.Contigs, err = core.WriteContigs(master.dev, nil, rs, paths, res.ContigPath)
+	res.ContigStats = contig.Summarize(res.Contigs)
+	return err
 }

@@ -1,22 +1,27 @@
 package cluster
 
 import (
-	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // TestDistributedSpmatMatchesSingleNode pins the spmat backend's
 // cluster/single-node parity: because the CSR Builder is order-
 // independent and the masked SpGEMM is deterministic, the distributed
 // run must produce byte-identical contig FASTA to a single-node run
-// under the same backend, at every node count.
+// under the same backend, at every node count — with the same edge counts
+// and two-hop totals, since the master runs the single-node engine code on
+// the same candidates — and the master must let go of its store on every
+// way out of the run.
 func TestDistributedSpmatMatchesSingleNode(t *testing.T) {
 	genome, reads := testData(t)
 	scfg := singleConfig(t)
 	scfg.GraphBackend = core.BackendSpmat
+	sreg := obs.NewRegistry()
+	scfg.Obs = obs.New(nil, nil, sreg)
 	single, err := core.New(scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -25,44 +30,14 @@ func TestDistributedSpmatMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sfasta, err := os.ReadFile(sres.ContigPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, nodes := range []int{1, 2, 4} {
-		cfg := clusterConfig(t, nodes)
-		cfg.GraphBackend = core.BackendSpmat
-		cl, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dres, err := cl.Assemble(reads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dres.AcceptedEdges != sres.AcceptedEdges || dres.ReducedEdges != sres.ReducedEdges {
-			t.Errorf("nodes=%d: accepted/reduced = %d/%d, single-node %d/%d",
-				nodes, dres.AcceptedEdges, dres.ReducedEdges,
-				sres.AcceptedEdges, sres.ReducedEdges)
-		}
-		if dres.ReducedEdges == 0 {
-			t.Errorf("nodes=%d: spmat reduction removed no transitive edges", nodes)
-		}
-		dfasta, err := os.ReadFile(dres.ContigPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(dfasta) != string(sfasta) {
-			t.Fatalf("nodes=%d: cluster spmat FASTA differs from single-node spmat FASTA", nodes)
-		}
-		gs, grc := genome.String(), genome.ReverseComplement().String()
-		for i, c := range dres.Contigs {
-			if !strings.Contains(gs, c.String()) && !strings.Contains(grc, c.String()) {
-				t.Errorf("nodes=%d: contig %d not a genome substring", nodes, i)
-			}
+	gs, grc := genome.String(), genome.ReverseComplement().String()
+	for i, c := range sres.Contigs {
+		if !strings.Contains(gs, c.String()) && !strings.Contains(grc, c.String()) {
+			t.Errorf("contig %d not a genome substring", i)
 		}
 	}
+	checkClusterEngineParity(t, reads, core.BackendSpmat, sres, sreg)
+	checkMasterReleasesOnFailure(t, reads, core.BackendSpmat)
 }
 
 // TestClusterBackendValidation mirrors the core validation surface.

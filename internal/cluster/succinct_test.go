@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // TestDistributedSuccinctMatchesSingleNode pins the succinct backend's
@@ -12,11 +13,14 @@ import (
 // streams them into the compressed store, whose contents depend only on
 // the edge set — so the distributed run must produce byte-identical
 // contig FASTA to a single-node succinct run (and, transitively, to
-// spmat) at every node count.
+// spmat) at every node count, with the same edge counts and two-hop
+// totals, and the master must let go of its store on every way out.
 func TestDistributedSuccinctMatchesSingleNode(t *testing.T) {
 	_, reads := testData(t)
 	scfg := singleConfig(t)
 	scfg.GraphBackend = core.BackendSuccinct
+	sreg := obs.NewRegistry()
+	scfg.Obs = obs.New(nil, nil, sreg)
 	single, err := core.New(scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,30 +52,8 @@ func TestDistributedSuccinctMatchesSingleNode(t *testing.T) {
 		t.Fatal("single-node succinct FASTA differs from single-node spmat FASTA")
 	}
 
-	for _, nodes := range []int{1, 2, 4} {
-		cfg := clusterConfig(t, nodes)
-		cfg.GraphBackend = core.BackendSuccinct
-		cl, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dres, err := cl.Assemble(reads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dres.AcceptedEdges != sres.AcceptedEdges || dres.ReducedEdges != sres.ReducedEdges {
-			t.Errorf("nodes=%d: accepted/reduced = %d/%d, single-node %d/%d",
-				nodes, dres.AcceptedEdges, dres.ReducedEdges,
-				sres.AcceptedEdges, sres.ReducedEdges)
-		}
-		dfasta, err := os.ReadFile(dres.ContigPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(dfasta) != string(sfasta) {
-			t.Fatalf("nodes=%d: cluster succinct FASTA differs from single-node succinct FASTA", nodes)
-		}
-	}
+	checkClusterEngineParity(t, reads, core.BackendSuccinct, sres, sreg)
+	checkMasterReleasesOnFailure(t, reads, core.BackendSuccinct)
 }
 
 // TestClusterSuccinctFingerprint keeps per-node manifests from resuming

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/costmodel"
+	"repro/internal/graph"
 	"repro/internal/kv"
 	"repro/internal/kvio"
 )
@@ -14,52 +15,35 @@ import (
 // graph from it. Routing the cold path and the resumed path through the
 // same artifact is what makes resumed output byte-identical by
 // construction rather than by careful bookkeeping: Compress cannot tell
-// whether Reduce ran five milliseconds or five days ago.
+// whether Reduce ran five milliseconds or five days ago. Edges are
+// serialized through the kvio record machinery (and so inherit its
+// metering and truncation hardening) in graph.Edge.Pair's encoding.
 const edgeFileName = "edges.kv"
 
-// persistedEdge is one directed overlap edge as stored in edges.kv. Edges
-// are serialized through the kvio record machinery (and so inherit its
-// metering and truncation hardening): u and v pack into Key.Hi, the
-// overlap length into Key.Lo, and Val is unused.
-type persistedEdge struct {
-	U, V uint32
-	Len  uint16
-}
-
-func (e persistedEdge) pair() kv.Pair {
-	return kv.Pair{Key: kv.Key{Hi: uint64(e.U)<<32 | uint64(e.V), Lo: uint64(e.Len)}}
-}
-
-func edgeFromPair(p kv.Pair) persistedEdge {
-	return persistedEdge{U: uint32(p.Key.Hi >> 32), V: uint32(p.Key.Hi), Len: uint16(p.Key.Lo)}
-}
-
-// writeEdgeFile streams edges to path in the order produced by next (which
-// returns false when exhausted). The order is preserved on reload, so any
-// insertion-order-sensitive graph construction survives a round trip.
-func writeEdgeFile(path string, meter *costmodel.Meter, next func() (persistedEdge, bool)) (int64, error) {
+// writeEdgeFile streams an engine's live edges to path in the order
+// produced. The order is preserved on reload, so any insertion-order-
+// sensitive graph construction survives a round trip. An iterator that
+// stopped on an error (a store row that failed to decode) left the file
+// short, not complete: its Err is returned.
+func writeEdgeFile(path string, meter *costmodel.Meter, live LiveEdges) error {
 	w, err := kvio.NewWriter(path, meter)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var n int64
-	for {
-		e, ok := next()
-		if !ok {
-			break
-		}
-		if err := w.Write(e.pair()); err != nil {
+	for e, ok := live.Next(); ok; e, ok = live.Next() {
+		if err := w.Write(e.Pair()); err != nil {
 			w.Close()
-			return n, err
+			return err
 		}
-		n++
 	}
-	return n, w.Close()
+	if err := w.Close(); err != nil {
+		return err
+	}
+	return live.Err()
 }
 
-// edgeFileIterator streams edges.kv pull-style for consumers that need a
-// next() interface — the spmat CSR build validates ordering as it
-// consumes, so it cannot use the push-style readEdgeFile.
+// edgeFileIterator streams edges.kv pull-style, the shape
+// GraphEngine.Load consumes.
 type edgeFileIterator struct {
 	r      *kvio.Reader
 	buf    []kv.Pair
@@ -76,44 +60,22 @@ func newEdgeFileIterator(path string, meter *costmodel.Meter) (*edgeFileIterator
 }
 
 // Next returns the next edge in file order; ok is false at end of file.
-func (it *edgeFileIterator) Next() (persistedEdge, bool, error) {
+func (it *edgeFileIterator) Next() (graph.Edge, bool, error) {
 	for it.pos >= it.n {
 		if it.eof {
-			return persistedEdge{}, false, nil
+			return graph.Edge{}, false, nil
 		}
 		n, err := it.r.ReadBatch(it.buf)
 		it.pos, it.n = 0, n
 		if err == io.EOF {
 			it.eof = true
 		} else if err != nil {
-			return persistedEdge{}, false, fmt.Errorf("core: reading edge file: %w", err)
+			return graph.Edge{}, false, fmt.Errorf("core: reading edge file: %w", err)
 		}
 	}
-	e := edgeFromPair(it.buf[it.pos])
+	e := graph.EdgeOfPair(it.buf[it.pos])
 	it.pos++
 	return e, true, nil
 }
 
 func (it *edgeFileIterator) Close() error { return it.r.Close() }
-
-// readEdgeFile streams every edge at path into apply, in file order.
-func readEdgeFile(path string, meter *costmodel.Meter, apply func(persistedEdge)) error {
-	r, err := kvio.NewReader(path, meter)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	buf := make([]kv.Pair, 4096)
-	for {
-		n, err := r.ReadBatch(buf)
-		for _, p := range buf[:n] {
-			apply(edgeFromPair(p))
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("core: reading edge file %s: %w", path, err)
-		}
-	}
-}

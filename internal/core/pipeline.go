@@ -24,10 +24,7 @@ import (
 	"repro/internal/kvio"
 	"repro/internal/obs"
 	"repro/internal/overlap"
-	"repro/internal/sgraph"
-	"repro/internal/spmat"
 	"repro/internal/stats"
-	"repro/internal/succinct"
 )
 
 // Pipeline is a single-node assembler instance.
@@ -147,21 +144,8 @@ func (p *Pipeline) HostMem() *stats.MemTracker { return &p.hostMem }
 // diagnostics).
 func (p *Pipeline) GraphMem() *stats.MemTracker { return &p.graphMem }
 
-// trackGraph charges n bytes of graph-representation memory to both the
-// host pool and the graph-attributable tracker; the returned func
-// releases both.
-func (p *Pipeline) trackGraph(n int64) func() {
-	p.hostMem.Add(n)
-	p.graphMem.Add(n)
-	return func() {
-		p.hostMem.Release(n)
-		p.graphMem.Release(n)
-	}
-}
-
-// graphSink adapts the pipeline's trackers to succinct.MemSink: the
-// succinct builder meters its own host bytes as they grow, and they
-// count against the host pool and the graph tracker alike.
+// graphSink charges graph-representation memory to both the host pool and
+// the graph-attributable tracker; it is the engines' EngineEnv.Graph.
 type graphSink struct{ p *Pipeline }
 
 func (s graphSink) Add(n int64)     { s.p.hostMem.Add(n); s.p.graphMem.Add(n) }
@@ -341,7 +325,7 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 	p.hostMem.Add(rs.ApproxBytes())
 	defer p.hostMem.Release(rs.ApproxBytes())
 
-	partDir := filepath.Join(p.cfg.Workspace, "partitions")
+	partDir := p.partDir()
 	edgePath := filepath.Join(p.cfg.Workspace, edgeFileName)
 
 	runner := NewStageRunner(p.cfg.Workspace, p.cfg.fingerprint(), InputFingerprint(rs),
@@ -656,228 +640,33 @@ func (p *Pipeline) sortPhase(ctx context.Context, partDir string, counts map[int
 	})
 }
 
-// reducePhase runs the configured reduce mode and persists the accepted
-// edge list to edgePath. In greedy mode candidates feed the paper's
-// bit-vector graph; in FullGraph mode every candidate enters the full
-// string graph and transitive edges are removed before persisting.
+// engineEnv is the single-node machine an engine runs on. Graph bytes
+// count against the host pool and the graph tracker alike.
+func (p *Pipeline) engineEnv() EngineEnv {
+	return EngineEnv{Device: p.dev, Meter: p.meter, HostMem: &p.hostMem,
+		Graph: graphSink{p}, Ledger: p.ledger, Scratch: p.partDir()}
+}
+
+// partDir is where the partition files and every sort_* scratch live.
+func (p *Pipeline) partDir() string { return filepath.Join(p.cfg.Workspace, "partitions") }
+
+// reducePhase feeds every verified candidate, in descending length order,
+// to the configured graph engine, seals it, and persists the surviving
+// edge list to edgePath.
 func (p *Pipeline) reducePhase(ctx context.Context, rs dna.ReadSource, partDir string,
 	counts map[int]int64, edgePath string, res *Result) error {
-	switch p.cfg.backend() {
-	case BackendSpmat:
-		return p.reduceSpmat(ctx, rs, partDir, counts, edgePath, res)
-	case BackendSuccinct:
-		return p.reduceSuccinct(ctx, rs, partDir, counts, edgePath, res)
-	}
-	if p.cfg.FullGraph {
-		fg := sgraph.New(rs.NumReads())
-		err := p.runReduce(ctx, rs, partDir, counts, res, func(u, v uint32, l uint16) {
-			fg.AddOverlap(u, v, l)
-		})
-		if err != nil {
-			return err
-		}
-		defer p.trackGraph(fg.ApproxBytes())()
-		res.ReducedEdges = fg.TransitiveReduce(rs.VertexLen, p.cfg.TransitiveFuzz)
-		res.AcceptedEdges = fg.NumEdges(false)
-		mtr := p.cfg.Obs.Metrics()
-		mtr.Counter(`graph.nnz{backend="greedy"}`).Add(res.AcceptedEdges + res.ReducedEdges)
-		mtr.Counter(`graph.removed_edges{backend="greedy"}`).Add(res.ReducedEdges)
-		edges := fg.DirectedEdges()
-		i := 0
-		_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool) {
-			if i >= len(edges) {
-				return persistedEdge{}, false
-			}
-			e := edges[i]
-			i++
-			return persistedEdge{U: e.U, V: e.V, Len: e.Len}, true
-		})
+	eng := NewGraphEngine(p.cfg, p.engineEnv(), rs)
+	defer eng.Release()
+	if err := p.runReduce(ctx, rs, partDir, counts, res, eng.Add); err != nil {
 		return err
 	}
-
-	// Descending length order makes the greedy graph keep the longest
-	// overlap per read (Section III-C).
-	g := graph.New(rs.NumReads())
-	defer p.trackGraph(g.ApproxBytes())()
-	err := p.runReduce(ctx, rs, partDir, counts, res, func(u, v uint32, l uint16) {
-		g.AddCandidate(u, v, l)
-	})
+	st, err := SealEngine(ctx, eng, p.cfg.Obs.Metrics())
 	if err != nil {
 		return err
 	}
-	res.AcceptedEdges = g.NumEdges()
-	p.cfg.Obs.Metrics().Counter(`graph.nnz{backend="greedy"}`).Add(res.AcceptedEdges)
-	edges := g.Edges()
-	i := 0
-	_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool) {
-		if i >= len(edges) {
-			return persistedEdge{}, false
-		}
-		e := edges[i]
-		i++
-		return persistedEdge{U: e.U, V: e.V, Len: e.Len}, true
-	})
-	return err
-}
-
-// reduceSpmat is the sparse-matrix reduce: verified candidates become
-// CSR entries, a masked SpGEMM pass removes transitive edges on the
-// device, and the surviving entries persist to edges.kv in CSR order —
-// the sorted-run order FromEdgeRuns validates on reload.
-func (p *Pipeline) reduceSpmat(ctx context.Context, rs dna.ReadSource, partDir string,
-	counts map[int]int64, edgePath string, res *Result) error {
-	b := spmat.NewBuilder(rs.NumReads())
-	err := p.runReduce(ctx, rs, partDir, counts, res, func(u, v uint32, l uint16) {
-		b.AddOverlap(u, v, l)
-	})
-	if err != nil {
-		return err
-	}
-	releaseB := p.trackGraph(b.ApproxBytes())
-	m := b.Build()
-	releaseM := p.trackGraph(m.ApproxBytes())
-	releaseB()
-	defer releaseM()
-	red, err := m.TransitiveReduce(ctx, spmat.ReduceConfig{
-		Device:    p.dev,
-		VertexLen: rs.VertexLen,
-		Fuzz:      p.cfg.TransitiveFuzz,
-		// The same device budget the sort phase works within, so the pass
-		// honors the DeviceDemandBytes lease multi-tenant admission uses.
-		MaxResidentBytes: 4 * int64(p.cfg.DeviceBlockPairs) * kv.PairBytes,
-		Overlap:          p.ledger,
-	})
-	if err != nil {
-		return err
-	}
-	res.ReducedEdges = red.Removed
-	res.AcceptedEdges = m.NNZ() - red.Removed
-	mtr := p.cfg.Obs.Metrics()
-	mtr.Counter(`graph.nnz{backend="spmat"}`).Add(m.NNZ())
-	mtr.Counter(`graph.removed_edges{backend="spmat"}`).Add(red.Removed)
-	mtr.Counter(`graph.spgemm_flops{backend="spmat"}`).Add(red.Flops)
-	next := red.LiveEdges()
-	_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool) {
-		e, ok := next()
-		return persistedEdge{U: e.U, V: e.V, Len: e.Len}, ok
-	})
-	return err
-}
-
-// reduceSuccinct is the compressed-store reduce: verified candidates
-// (and their complements) spill to a scratch kv file as they stream out
-// of the overlap reducer, the external sorter orders them by (U, V), and
-// the succinct builder consumes the final merge output directly — the
-// full edge list never materializes in host memory, on disk or off the
-// sort it exists only as sorted runs. A masked pass over the compressed
-// store then removes transitive edges with spmat's exact predicate, so
-// the surviving edge set — and the downstream contigs — is
-// byte-identical to the spmat backend's.
-func (p *Pipeline) reduceSuccinct(ctx context.Context, rs dna.ReadSource, partDir string,
-	counts map[int]int64, edgePath string, res *Result) error {
-	// The spill scratch rides the sort_* naming convention so a crashed
-	// run's leftovers are swept with the other sort debris.
-	tmpDir := filepath.Join(partDir, "sort_succinct")
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmpDir)
-	spillPath := filepath.Join(tmpDir, "cand.kv")
-	w, err := kvio.NewWriter(spillPath, p.meter)
-	if err != nil {
-		return err
-	}
-	var wErr error
-	err = p.runReduce(ctx, rs, partDir, counts, res, func(u, v uint32, l uint16) {
-		if wErr != nil {
-			return
-		}
-		// Reject self-loops and hairpins and add the complement edge,
-		// exactly as spmat.Builder.AddOverlap does.
-		if u == v || u == dna.ComplementVertex(v) {
-			return
-		}
-		if wErr = w.Write(persistedEdge{U: u, V: v, Len: l}.pair()); wErr != nil {
-			return
-		}
-		wErr = w.Write(persistedEdge{
-			U: dna.ComplementVertex(v), V: dna.ComplementVertex(u), Len: l}.pair())
-	})
-	if cerr := w.Close(); wErr == nil {
-		wErr = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if wErr != nil {
-		return wErr
-	}
-
-	b, err := succinct.NewBuilder(2*rs.NumReads(), graphSink{p})
-	if err != nil {
-		return err
-	}
-	// Sorted pairs order by (Key.Hi, Key.Lo) = (U<<32|V, Len): exactly
-	// the non-decreasing (U, V) runs the builder requires, duplicates
-	// adjacent for its keep-the-longest dedupe.
-	_, err = extsort.SortStream(ctx, extsort.Config{
-		Device:           p.dev,
-		Meter:            p.meter,
-		HostMem:          &p.hostMem,
-		HostBlockPairs:   p.cfg.HostBlockPairs,
-		DeviceBlockPairs: p.cfg.DeviceBlockPairs,
-		TempDir:          tmpDir,
-		Obs:              p.cfg.Obs,
-		Overlap:          p.ledger,
-	}, spillPath, func(batch []kv.Pair) error {
-		for _, pr := range batch {
-			e := edgeFromPair(pr)
-			if err := b.Push(succinct.Edge{U: e.U, V: e.V, Len: e.Len}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Abandon()
-		return err
-	}
-	g, err := b.Finish()
-	if err != nil {
-		b.Abandon()
-		return err
-	}
-	defer graphSink{p}.Release(g.HostBytes())
-
-	red, err := g.TransitiveReduce(ctx, succinct.ReduceConfig{
-		Device:    p.dev,
-		VertexLen: rs.VertexLen,
-		Fuzz:      p.cfg.TransitiveFuzz,
-		// The same device budget the sort phase works within, so the pass
-		// honors the DeviceDemandBytes lease multi-tenant admission uses.
-		MaxResidentBytes: 4 * int64(p.cfg.DeviceBlockPairs) * kv.PairBytes,
-		Overlap:          p.ledger,
-	})
-	if err != nil {
-		return err
-	}
-	res.ReducedEdges = red.Removed
-	res.AcceptedEdges = g.NNZ() - red.Removed
-	mtr := p.cfg.Obs.Metrics()
-	mtr.Counter(`graph.nnz{backend="succinct"}`).Add(g.NNZ())
-	mtr.Counter(`graph.removed_edges{backend="succinct"}`).Add(red.Removed)
-	mtr.Counter(`graph.spgemm_flops{backend="succinct"}`).Add(red.Flops)
-	live := red.LiveEdges()
-	_, err = writeEdgeFile(edgePath, p.meter, func() (persistedEdge, bool) {
-		e, ok := live.Next()
-		return persistedEdge{U: e.U, V: e.V, Len: e.Len}, ok
-	})
-	if err != nil {
-		return err
-	}
-	// A row that failed to decode ended the stream early: the file is
-	// short, not complete.
-	return live.Err()
+	res.ReducedEdges = st.Removed
+	res.AcceptedEdges = st.NNZ - st.Removed
+	return writeEdgeFile(edgePath, p.meter, eng.Live())
 }
 
 // edgeCand is one verified candidate overlap buffered between a reduce
@@ -1120,121 +909,62 @@ func (p *Pipeline) verifyOverlap(rs dna.ReadSource, u, v uint32, l int) bool {
 	return su[len(su)-l:].Equal(sv[:l])
 }
 
-// compressPhase rebuilds the configured graph from the persisted edge
-// list, traverses paths, and generates contigs. Loading from disk rather
-// than reusing Reduce's in-memory graph is deliberate: it is the single
-// code path shared by cold and resumed runs, so resumed output is
+// compressPhase rebuilds the configured engine's graph from the persisted
+// edge list, walks it into paths, and generates contigs. Loading from disk
+// rather than reusing Reduce's sealed engine is deliberate: it is the
+// single code path shared by cold and resumed runs, so resumed output is
 // byte-identical by construction.
 func (p *Pipeline) compressPhase(rs dna.ReadSource, edgePath string, res *Result) error {
-	if p.cfg.backend() == BackendSuccinct {
-		// Rebuild the compressed store straight off the persisted sorted
-		// runs — the builder validates ordering and ranges as it streams,
-		// so a corrupted edge file fails here — and spell contigs from
-		// unitig chains directly over the compressed adjacency: no CSR
-		// matrix or pointer-based graph is ever materialized.
-		it, err := newEdgeFileIterator(edgePath, p.meter)
-		if err != nil {
-			return err
-		}
-		sink := graphSink{p}
-		g, err := succinct.FromEdgeRunsMetered(2*rs.NumReads(), sink,
-			func() (succinct.Edge, bool, error) {
-				e, ok, err := it.Next()
-				return succinct.Edge{U: e.U, V: e.V, Len: e.Len}, ok, err
-			})
-		if cerr := it.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		defer sink.Release(g.HostBytes())
-		paths := sgraph.UnitigsOf(g, rs.VertexLen, p.cfg.IncludeSingletons)
-		return p.writeContigs(rs, paths, res)
-	}
-	if p.cfg.backend() == BackendSpmat {
-		// Rebuild the CSR matrix from the persisted sorted runs —
-		// FromEdgeRuns validates ordering and ranges, so a corrupted edge
-		// file fails here instead of spelling garbage — then spell
-		// contigs from unitig chains exactly like the full-graph path.
-		it, err := newEdgeFileIterator(edgePath, p.meter)
-		if err != nil {
-			return err
-		}
-		m, err := spmat.FromEdgeRuns(2*rs.NumReads(), func() (spmat.Edge, bool, error) {
-			e, ok, err := it.Next()
-			return spmat.Edge{U: e.U, V: e.V, Len: e.Len}, ok, err
-		})
-		if cerr := it.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		defer p.trackGraph(m.ApproxBytes())()
-		fg := sgraph.New(rs.NumReads())
-		m.Edges(func(e spmat.Edge) { fg.InstallEdge(e.U, e.V, e.Len) })
-		defer p.trackGraph(fg.ApproxBytes())()
-		paths := fg.Unitigs(rs.VertexLen, p.cfg.IncludeSingletons)
-		return p.writeContigs(rs, paths, res)
-	}
-	if p.cfg.FullGraph {
-		fg := sgraph.New(rs.NumReads())
-		err := readEdgeFile(edgePath, p.meter, func(e persistedEdge) {
-			fg.InstallEdge(e.U, e.V, e.Len)
-		})
-		if err != nil {
-			return err
-		}
-		defer p.trackGraph(fg.ApproxBytes())()
-		paths := fg.Unitigs(rs.VertexLen, p.cfg.IncludeSingletons)
-		return p.writeContigs(rs, paths, res)
-	}
-	g := graph.New(rs.NumReads())
-	defer p.trackGraph(g.ApproxBytes())()
-	err := readEdgeFile(edgePath, p.meter, func(e persistedEdge) {
-		g.InstallEdge(graph.Edge{U: e.U, V: e.V, Len: e.Len})
-	})
+	eng := NewGraphEngine(p.cfg, p.engineEnv(), rs)
+	defer eng.Release()
+	it, err := newEdgeFileIterator(edgePath, p.meter)
 	if err != nil {
 		return err
 	}
-	opts := graph.TraverseOptions{
-		IncludeSingletons: p.cfg.IncludeSingletons,
-		BreakCycles:       p.cfg.BreakCycles,
+	err = eng.Load(it.Next)
+	if cerr := it.Close(); err == nil {
+		err = cerr
 	}
-	var paths []graph.Path
-	if p.cfg.ParallelTraversal {
-		paths = g.TraverseParallel(p.dev, rs.VertexLen, opts)
-	} else {
-		paths = g.Traverse(rs.VertexLen, opts)
+	if err != nil {
+		return err
 	}
-	return p.writeContigs(rs, paths, res)
+	paths, err := eng.Paths()
+	if err != nil {
+		return err
+	}
+	res.ContigPath = filepath.Join(p.cfg.Workspace, contigFileName)
+	res.Contigs, err = WriteContigs(p.dev, p.meter, rs, paths, res.ContigPath)
+	res.ContigStats = contig.Summarize(res.Contigs)
+	return err
 }
 
-// writeContigs generates contig sequences from paths and writes the FASTA
-// output.
-func (p *Pipeline) writeContigs(rs dna.ReadSource, paths []graph.Path, res *Result) error {
-	res.Contigs = contig.Generate(contig.Config{Device: p.dev}, paths, rs)
-	res.ContigStats = contig.Summarize(res.Contigs)
-
-	res.ContigPath = filepath.Join(p.cfg.Workspace, contigFileName)
-	f, err := os.Create(res.ContigPath)
+// WriteContigs spells paths into contig sequences on dev and writes them
+// as FASTA to fastaPath, charging the sequence bytes to meter as a disk
+// write. A nil meter charges nothing: the cluster master has never metered
+// its FASTA write, and keeps not to so its modeled numbers stay comparable
+// (ROADMAP item 5 lists the re-baseline).
+func WriteContigs(dev *gpu.Device, meter *costmodel.Meter, rs dna.ReadSource,
+	paths []graph.Path, fastaPath string) ([]dna.Seq, error) {
+	contigs := contig.Generate(contig.Config{Device: dev}, paths, rs)
+	f, err := os.Create(fastaPath)
 	if err != nil {
-		return err
+		return contigs, err
 	}
 	w := fastq.NewFastaWriter(f, 80)
 	var written int64
-	for i, c := range res.Contigs {
+	for i, c := range contigs {
 		if err := w.Write(fastq.Record{Name: fmt.Sprintf("contig%d len=%d", i, len(c)), Seq: c}); err != nil {
 			f.Close()
-			return err
+			return contigs, err
 		}
 		written += int64(len(c))
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
-		return err
+		return contigs, err
 	}
-	p.meter.AddDiskWrite(written)
-	return f.Close()
+	if meter != nil {
+		meter.AddDiskWrite(written)
+	}
+	return contigs, f.Close()
 }

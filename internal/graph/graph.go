@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/dna"
+	"repro/internal/kv"
 )
 
 // NoVertex marks the absence of an out-edge.
@@ -39,10 +40,35 @@ func bset(v *bitvec.Vector, i uint32) {
 }
 
 // Edge is one directed overlap edge: the Len-suffix of U matches the
-// Len-prefix of V.
+// Len-prefix of V. It is the one edge type every graph store, the
+// pipeline and the cluster share.
 type Edge struct {
 	U, V uint32
 	Len  uint16
+}
+
+// Pair encodes the edge as an edges.kv record: U and V pack into Key.Hi,
+// the overlap length into Key.Lo, Val is unused. Records therefore sort by
+// (U, V, Len) — row-major store order, duplicates adjacent.
+func (e Edge) Pair() kv.Pair {
+	return kv.Pair{Key: kv.Key{Hi: uint64(e.U)<<32 | uint64(e.V), Lo: uint64(e.Len)}}
+}
+
+// EdgeOfPair decodes an edges.kv record.
+func EdgeOfPair(p kv.Pair) Edge {
+	return Edge{U: uint32(p.Key.Hi >> 32), V: uint32(p.Key.Hi), Len: uint16(p.Key.Lo)}
+}
+
+// OverlapEdges returns the two directed edges a candidate overlap
+// (u, v, l) stands for — itself and its complement (v', u', l) — or
+// ok=false for a self-loop (u == v) or a hairpin (u == v'), which no
+// graph store admits.
+func OverlapEdges(u, v uint32, l uint16) (e, ec Edge, ok bool) {
+	if u == v || u == dna.ComplementVertex(v) {
+		return Edge{}, Edge{}, false
+	}
+	return Edge{U: u, V: v, Len: l},
+		Edge{U: dna.ComplementVertex(v), V: dna.ComplementVertex(u), Len: l}, true
 }
 
 // Graph is the greedy string graph.
@@ -89,29 +115,17 @@ func (g *Graph) NumVertices() int { return 2 * g.numReads }
 // edges counted).
 func (g *Graph) NumEdges() int64 { return g.numEdges }
 
-// OutVector exposes the out-degree bit-vector (the distributed token).
-func (g *Graph) OutVector() *bitvec.Vector { return g.out }
-
 // AddCandidate offers the candidate edge (u, v, l) and reports whether it
 // was accepted. Self-loops (u == v) and hairpins (u == v') are rejected,
 // as is any candidate whose source u or complementary source v' already
 // has an outgoing edge.
 func (g *Graph) AddCandidate(u, v uint32, l uint16) bool {
-	if u == v || u == dna.ComplementVertex(v) {
+	e, ec, ok := OverlapEdges(u, v, l)
+	if !ok || bget(g.out, e.U) || bget(g.out, ec.U) {
 		return false
 	}
-	vc := dna.ComplementVertex(v)
-	if bget(g.out, u) || bget(g.out, vc) {
-		return false
-	}
-	uc := dna.ComplementVertex(u)
-	bset(g.out, u)
-	bset(g.out, vc)
-	g.next[u] = v
-	g.olen[u] = l
-	g.next[vc] = uc
-	g.olen[vc] = l
-	g.numEdges += 2
+	g.InstallEdge(e)
+	g.InstallEdge(ec)
 	return true
 }
 

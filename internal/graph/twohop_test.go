@@ -138,28 +138,16 @@ func TestTwoHopStoresAgreeWithOracle(t *testing.T) {
 			sawZeroOverhang = sawZeroOverhang || int(e.Len) == vertexLen(e.U)
 		}
 		for u := 0; u < m.NumVertices(); u++ {
-			cols, _ := m.Row(uint32(u))
+			cols, _, _, _ := m.Row(uint32(u), nil)
 			sawEmptyRow = sawEmptyRow || len(cols) == 0
 		}
 		stores := []struct {
 			name   string
 			bytes  int64
-			reduce func(graph.TwoHopConfig) (graph.TwoHopResult, error)
+			reduce func(context.Context, graph.TwoHopConfig) (*graph.TwoHopResult, error)
 		}{
-			{"csr", m.Bytes(), func(c graph.TwoHopConfig) (graph.TwoHopResult, error) {
-				r, err := m.TransitiveReduce(context.Background(), c)
-				if err != nil {
-					return graph.TwoHopResult{}, err
-				}
-				return r.TwoHopResult, nil
-			}},
-			{"succinct", g.Bytes(), func(c graph.TwoHopConfig) (graph.TwoHopResult, error) {
-				r, err := g.TransitiveReduce(context.Background(), c)
-				if err != nil {
-					return graph.TwoHopResult{}, err
-				}
-				return r.TwoHopResult, nil
-			}},
+			{"csr", m.Bytes(), m.TransitiveReduce},
+			{"succinct", g.Bytes(), g.TransitiveReduce},
 		}
 		fuzz := []int{0, 0, 1 + rng.Intn(6)}[trial%3]
 		for _, rowBatch := range []int{1, 7, 4096} {
@@ -173,7 +161,7 @@ func TestTwoHopStoresAgreeWithOracle(t *testing.T) {
 						name := fmt.Sprintf("trial %d rowBatch %d cap %d streams %v %s",
 							trial, rowBatch, maxResident, ledger != nil, st.name)
 						dev := gpu.NewDevice(gpu.K40, nil)
-						got, err := st.reduce(graph.TwoHopConfig{Device: dev, VertexLen: vertexLen, Fuzz: fuzz,
+						got, err := st.reduce(context.Background(), graph.TwoHopConfig{Device: dev, VertexLen: vertexLen, Fuzz: fuzz,
 							RowBatch: rowBatch, MaxResidentBytes: maxResident, Overlap: ledger})
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)

@@ -182,72 +182,6 @@ func TestWriteAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestMappedReaderRoundTrip pins the mmap read path (where available)
-// against the block reader: same pairs, same EOF behavior, and Close
-// releases the mapping without error.
-func TestMappedReaderRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "mapped.kv")
-	want := randPairs(5, 3*blockPairs/2)
-	w, err := NewWriter(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteBatch(want); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReaderMapped(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []kv.Pair
-	buf := make([]kv.Pair, 1000)
-	for {
-		m, err := r.ReadBatch(buf)
-		got = append(got, buf[:m]...)
-		if err != nil {
-			break
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("mapped read %d pairs, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("mapped pair %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMappedReaderEmptyFile pins the zero-length fallback: an empty file
-// cannot be mapped and must behave exactly like the block reader.
-func TestMappedReaderEmptyFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.kv")
-	w, err := NewWriter(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReaderMapped(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Mapped() {
-		t.Fatal("zero-length file reported as mapped")
-	}
-	if n, err := r.ReadBatch(make([]kv.Pair, 4)); n != 0 || err == nil {
-		t.Fatalf("empty file ReadBatch = (%d, %v), want (0, EOF)", n, err)
-	}
-}
-
 // TestBlockPoolConcurrentRoundTrips is the pooled-buffer contention
 // stress pass: many goroutines write and read distinct files through the
 // shared block pool. Run under -race this catches any block that is

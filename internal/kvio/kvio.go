@@ -15,10 +15,7 @@
 // block with fixed-width encodings and issues one Write syscall per
 // block; a Reader refills a block with one Read syscall and decodes pairs
 // straight out of it. Blocks are recycled through a sync.Pool across
-// files, so steady-state serialization allocates nothing. An optional
-// mmap-backed read path (NewReaderMapped, Linux only) decodes directly
-// from the page cache with zero copies; it falls back to the block reader
-// when mapping is unavailable.
+// files, so steady-state serialization allocates nothing.
 //
 // Writer.Close flushes the final block, fsyncs, and only then closes,
 // reporting — never swallowing — errors from each step, so a torn tail
@@ -186,30 +183,15 @@ type Reader struct {
 	meter  *costmodel.Meter
 	count  int64  // total pairs in the file
 	read   int64  // pairs consumed so far
-	block  []byte // pooled codec block, or the mmap when mapped
+	block  []byte // pooled codec block
 	pos    int    // next undecoded byte in block
 	lim    int    // bytes of block valid
 	eof    bool   // underlying file exhausted
-	mapped bool   // block is an mmap of the whole file
 	closed bool
 }
 
 // NewReader opens the file at path. meter may be nil.
 func NewReader(path string, meter *costmodel.Meter) (*Reader, error) {
-	return newReader(path, meter, false)
-}
-
-// NewReaderMapped opens the file at path with an mmap-backed zero-copy
-// decode path where the platform supports it, falling back to the block
-// reader otherwise. The mapped path assumes the file is not truncated
-// while the reader is open (the usual contract for kvio files, which are
-// write-once then read-only). meter may be nil; metering is identical to
-// NewReader.
-func NewReaderMapped(path string, meter *costmodel.Meter) (*Reader, error) {
-	return newReader(path, meter, true)
-}
-
-func newReader(path string, meter *costmodel.Meter, tryMap bool) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -224,15 +206,7 @@ func newReader(path string, meter *costmodel.Meter, tryMap bool) (*Reader, error
 		return nil, fmt.Errorf("kvio: %s is corrupt or truncated: size %d is not a multiple of record size %d (%d trailing bytes)",
 			path, info.Size(), kv.PairBytes, info.Size()%kv.PairBytes)
 	}
-	r := &Reader{f: f, meter: meter, count: info.Size() / kv.PairBytes}
-	if tryMap {
-		if data, ok := mapFile(f, info.Size()); ok {
-			r.block, r.lim, r.eof, r.mapped = data, len(data), true, true
-			return r, nil
-		}
-	}
-	r.block = getBlock()
-	return r, nil
+	return &Reader{f: f, meter: meter, count: info.Size() / kv.PairBytes, block: getBlock()}, nil
 }
 
 // Count returns the total number of pairs in the file.
@@ -240,9 +214,6 @@ func (r *Reader) Count() int64 { return r.count }
 
 // Remaining returns how many pairs have not yet been consumed.
 func (r *Reader) Remaining() int64 { return r.count - r.read }
-
-// Mapped reports whether the reader decodes from an mmap of the file.
-func (r *Reader) Mapped() bool { return r.mapped }
 
 // refill slides any partial record tail to the front of the block and
 // reads more bytes with (normally) one syscall.
@@ -318,23 +289,15 @@ func (r *Reader) ReadBatch(dst []kv.Pair) (int, error) {
 	return n, nil
 }
 
-// Close releases the codec block (or mapping) and closes the file.
+// Close releases the codec block and closes the file.
 func (r *Reader) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	var unmapErr error
-	if r.mapped {
-		unmapErr = unmapFile(r.block)
-	} else {
-		putBlock(r.block)
-	}
+	putBlock(r.block)
 	r.block = nil
-	if err := r.f.Close(); err != nil {
-		return err
-	}
-	return unmapErr
+	return r.f.Close()
 }
 
 // CountFile returns the number of pairs stored at path (0 if the file does

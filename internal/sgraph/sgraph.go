@@ -33,7 +33,6 @@ type Edge struct {
 type Graph struct {
 	numReads int
 	adj      [][]Edge
-	indeg    []int32 // in-degree over non-reduced edges, maintained lazily
 }
 
 // New creates an empty graph for numReads reads.
@@ -51,27 +50,26 @@ func (g *Graph) NumReads() int { return g.numReads }
 func (g *Graph) NumVertices() int { return 2 * g.numReads }
 
 // AddOverlap records the candidate overlap (u, v, l) and its complement
-// (v', u', l). Self-loops and hairpins are rejected, mirroring the greedy
-// graph's rules; duplicate edges (same u, v) keep the longest overlap.
+// (v', u', l) under graph.OverlapEdges' rule (self-loops and hairpins are
+// rejected); duplicate edges (same u, v) keep the longest overlap.
 func (g *Graph) AddOverlap(u, v uint32, l uint16) bool {
-	if u == v || u == dna.ComplementVertex(v) {
-		return false
+	e, ec, ok := graph.OverlapEdges(u, v, l)
+	if ok {
+		g.addEdge(e)
+		g.addEdge(ec)
 	}
-	g.addEdge(u, v, l)
-	g.addEdge(dna.ComplementVertex(v), dna.ComplementVertex(u), l)
-	return true
+	return ok
 }
 
-func (g *Graph) addEdge(u, v uint32, l uint16) {
-	for i := range g.adj[u] {
-		if g.adj[u][i].To == v {
-			if l > g.adj[u][i].Len {
-				g.adj[u][i].Len = l
-			}
+func (g *Graph) addEdge(e graph.Edge) {
+	row := g.adj[e.U]
+	for i := range row {
+		if row[i].To == e.V {
+			row[i].Len = max(row[i].Len, e.Len)
 			return
 		}
 	}
-	g.adj[u] = append(g.adj[u], Edge{To: v, Len: l})
+	g.adj[e.U] = append(row, Edge{To: e.V, Len: e.Len})
 }
 
 // InstallEdge appends a single directed edge verbatim, without the
@@ -81,7 +79,6 @@ func (g *Graph) addEdge(u, v uint32, l uint16) {
 // structure (and hence Unitigs output) exactly.
 func (g *Graph) InstallEdge(u, v uint32, l uint16) {
 	g.adj[u] = append(g.adj[u], Edge{To: v, Len: l})
-	g.indeg = nil
 }
 
 // DirectedEdges returns every live (non-reduced) directed edge in vertex
@@ -213,25 +210,7 @@ func (g *Graph) TransitiveReduce(vertexLen func(uint32) int, fuzz int) int64 {
 			delete(direct, es[i].To)
 		}
 	}
-	g.indeg = nil // invalidate cached degrees
 	return removed
-}
-
-// liveInDegrees computes in-degree over non-reduced edges.
-func (g *Graph) liveInDegrees() []int32 {
-	if g.indeg != nil {
-		return g.indeg
-	}
-	indeg := make([]int32, g.NumVertices())
-	for _, es := range g.adj {
-		for _, e := range es {
-			if !e.reduced {
-				indeg[e.To]++
-			}
-		}
-	}
-	g.indeg = indeg
-	return indeg
 }
 
 // EachOut calls fn for each live (non-reduced) out-edge of v in

@@ -43,17 +43,17 @@ func encodeEdgeRecords(edges []Edge) []byte {
 // the CSR structural invariants on success.
 func FuzzSpmatFromEdgeRuns(f *testing.F) {
 	// Valid sorted run with a complement pair.
-	f.Add(uint16(8), encodeEdgeRecords([]Edge{{0, 2, 50}, {3, 1, 50}, {4, 6, 30}}))
+	f.Add(uint16(8), encodeEdgeRecords([]Edge{{U: 0, V: 2, Len: 50}, {U: 3, V: 1, Len: 50}, {U: 4, V: 6, Len: 30}}))
 	// Duplicates that must dedupe keeping the max length.
-	f.Add(uint16(8), encodeEdgeRecords([]Edge{{0, 2, 30}, {0, 2, 40}, {0, 2, 20}}))
+	f.Add(uint16(8), encodeEdgeRecords([]Edge{{U: 0, V: 2, Len: 30}, {U: 0, V: 2, Len: 40}, {U: 0, V: 2, Len: 20}}))
 	// Unsorted: must error.
-	f.Add(uint16(8), encodeEdgeRecords([]Edge{{4, 2, 10}, {0, 2, 10}}))
+	f.Add(uint16(8), encodeEdgeRecords([]Edge{{U: 4, V: 2, Len: 10}, {U: 0, V: 2, Len: 10}}))
 	// Out of range, zero length, self loop: must error.
-	f.Add(uint16(4), encodeEdgeRecords([]Edge{{9, 2, 10}}))
-	f.Add(uint16(4), encodeEdgeRecords([]Edge{{0, 2, 0}}))
-	f.Add(uint16(4), encodeEdgeRecords([]Edge{{2, 2, 7}}))
+	f.Add(uint16(4), encodeEdgeRecords([]Edge{{U: 9, V: 2, Len: 10}}))
+	f.Add(uint16(4), encodeEdgeRecords([]Edge{{U: 0, V: 2, Len: 0}}))
+	f.Add(uint16(4), encodeEdgeRecords([]Edge{{U: 2, V: 2, Len: 7}}))
 	// Truncated record tail.
-	f.Add(uint16(8), append(encodeEdgeRecords([]Edge{{0, 2, 50}}), 0x01, 0x02, 0x03))
+	f.Add(uint16(8), append(encodeEdgeRecords([]Edge{{U: 0, V: 2, Len: 50}}), 0x01, 0x02, 0x03))
 
 	f.Fuzz(func(t *testing.T, numVertices uint16, data []byte) {
 		n := int(numVertices)%1024 + 1
@@ -87,7 +87,7 @@ func FuzzSpmatFromEdgeRuns(f *testing.F) {
 			if m1.rowPtr[u] > m1.rowPtr[u+1] {
 				t.Fatalf("rowPtr not monotone at %d", u)
 			}
-			cols, vals := m1.Row(uint32(u))
+			cols, vals, _, _ := m1.Row(uint32(u), nil)
 			for i, c := range cols {
 				if int(c) >= n {
 					t.Fatalf("row %d: column %d out of range", u, c)

@@ -52,7 +52,7 @@ func TestReducePreservesReachability(t *testing.T) {
 		}
 		var all, live [][2]uint32
 		m.Edges(func(e Edge) { all = append(all, [2]uint32{e.U, e.V}) })
-		red.Live(func(e Edge) { live = append(live, [2]uint32{e.U, e.V}) })
+		liveEdges(m, red, func(e Edge) { live = append(live, [2]uint32{e.U, e.V}) })
 		n := m.NumVertices()
 		before, after := closure(n, all), closure(n, live)
 		for i := range before {
@@ -96,7 +96,7 @@ func TestReduceRemovesSupersetOfSgraph(t *testing.T) {
 			sawStrict = true
 		}
 		liveSet := make(map[[2]uint32]bool)
-		red.Live(func(e Edge) { liveSet[[2]uint32{e.U, e.V}] = true })
+		liveEdges(m, red, func(e Edge) { liveSet[[2]uint32{e.U, e.V}] = true })
 		for _, e := range g.ReducedEdges() {
 			if liveSet[[2]uint32{e.U, e.V}] {
 				t.Errorf("trial %d (fuzz %d): sgraph removed %d->%d but spmat kept it",
@@ -136,7 +136,7 @@ func TestReduceAgreesWithSgraphOnChains(t *testing.T) {
 		t.Fatalf("removed: spmat %d != sgraph %d", red.Removed, sgRemoved)
 	}
 	liveSet := make(map[[2]uint32]uint16)
-	red.Live(func(e Edge) { liveSet[[2]uint32{e.U, e.V}] = e.Len })
+	liveEdges(m, red, func(e Edge) { liveSet[[2]uint32{e.U, e.V}] = e.Len })
 	sgLive := g.DirectedEdges()
 	if len(sgLive) != len(liveSet) {
 		t.Fatalf("live edges: spmat %d != sgraph %d", len(liveSet), len(sgLive))

@@ -19,18 +19,16 @@ package spmat
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 
-	"repro/internal/dna"
+	"repro/internal/graph"
 )
 
 // Edge is one directed overlap edge — a COO triple: the Len-suffix of
 // vertex U matches the Len-prefix of vertex V.
-type Edge struct {
-	U, V uint32
-	Len  uint16
-}
+type Edge = graph.Edge
 
 // Matrix is a CSR adjacency matrix over the 2*numReads string-graph
 // vertices: entry (u, v) holds the overlap length of edge u->v. Column
@@ -49,10 +47,24 @@ func (m *Matrix) NumVertices() int { return m.n }
 // NNZ returns the number of stored entries (directed edges).
 func (m *Matrix) NNZ() int64 { return int64(len(m.col)) }
 
-// Row returns the column indices and overlap lengths of row u.
-func (m *Matrix) Row(u uint32) ([]uint32, []uint16) {
+// Row implements graph.RowStore: row u's column indices and overlap
+// lengths as zero-copy slices of the CSR arrays (the scratch is unused),
+// and the entry index of the row's first column.
+func (m *Matrix) Row(u uint32, _ *graph.RowScratch) ([]uint32, []uint16, int64, error) {
 	lo, hi := m.rowPtr[u], m.rowPtr[u+1]
-	return m.col[lo:hi], m.val[lo:hi]
+	return m.col[lo:hi], m.val[lo:hi], lo, nil
+}
+
+// Degree implements graph.RowStore.
+func (m *Matrix) Degree(u uint32) (int64, error) {
+	return m.rowPtr[u+1] - m.rowPtr[u], nil
+}
+
+// TransferBytes implements graph.RowStore, pricing a tile's out-of-core
+// transfer in CSR terms: its row pointers, its entries, and every neighbor
+// entry its products read.
+func (m *Matrix) TransferBytes(_, _, rowBatch int, nnz, flops int64) (int64, error) {
+	return 8*int64(rowBatch+1) + 6*nnz + 6*flops, nil
 }
 
 // Edges streams every entry in CSR order: (u, v) ascending.
@@ -89,16 +101,14 @@ type Builder struct {
 func NewBuilder(numReads int) *Builder { return &Builder{numReads: numReads} }
 
 // AddOverlap records the candidate overlap (u, v, l) and its complement
-// (v', u', l), mirroring sgraph.Graph.AddOverlap: self-loops and
-// hairpins are rejected; duplicates are resolved at Build time.
+// under graph.OverlapEdges' rule (self-loops and hairpins are rejected);
+// duplicates are resolved at Build time.
 func (b *Builder) AddOverlap(u, v uint32, l uint16) bool {
-	if u == v || u == dna.ComplementVertex(v) {
-		return false
+	e, ec, ok := graph.OverlapEdges(u, v, l)
+	if ok {
+		b.edges = append(b.edges, e, ec)
 	}
-	b.edges = append(b.edges,
-		Edge{U: u, V: v, Len: l},
-		Edge{U: dna.ComplementVertex(v), V: dna.ComplementVertex(u), Len: l})
-	return true
+	return ok
 }
 
 // ApproxBytes estimates the builder's host-memory footprint.
@@ -184,4 +194,16 @@ func FromEdgeRuns(numVertices int, next func() (Edge, bool, error)) (*Matrix, er
 		m.rowPtr[i+1] += m.rowPtr[i]
 	}
 	return m, nil
+}
+
+// ReduceConfig parameterizes the transitive-reduction pass; it is the
+// shared two-hop reducer's config.
+type ReduceConfig = graph.TwoHopConfig
+
+// TransitiveReduce runs the shared masked two-hop reducer
+// (graph.TransitiveReduceTwoHop, which documents the predicate, tiling
+// and metering) over the CSR arrays. The result's Mask is indexed in CSR
+// entry order; graph.NewLiveView(m, Mask) walks the survivors.
+func (m *Matrix) TransitiveReduce(ctx context.Context, cfg ReduceConfig) (*graph.TwoHopResult, error) {
+	return graph.TransitiveReduceTwoHop(ctx, m, "spgemm", cfg)
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/gpu"
+	"repro/internal/graph"
 	"repro/internal/sgraph"
 )
 
@@ -50,7 +51,7 @@ func TestBuilderMirrorsSgraphRules(t *testing.T) {
 		t.Fatalf("nnz = %d, want 2 (edge + complement)", m.NNZ())
 	}
 	// Complement of 0->2 is 3->1.
-	cols, vals := m.Row(3)
+	cols, vals, _, _ := m.Row(3, nil)
 	if len(cols) != 1 || cols[0] != 1 || vals[0] != 50 {
 		t.Errorf("complement row = %v/%v", cols, vals)
 	}
@@ -62,7 +63,7 @@ func TestBuilderDuplicateKeepsLongest(t *testing.T) {
 	b.AddOverlap(0, 2, 40)
 	b.AddOverlap(0, 2, 20)
 	m := b.Build()
-	cols, vals := m.Row(0)
+	cols, vals, _, _ := m.Row(0, nil)
 	if len(cols) != 1 || vals[0] != 40 {
 		t.Errorf("row 0 = %v/%v, want single length-40 entry", cols, vals)
 	}
@@ -114,12 +115,12 @@ func TestFromEdgeRunsRoundTrip(t *testing.T) {
 
 func TestFromEdgeRunsDedupesKeepMax(t *testing.T) {
 	m, err := FromEdgeRuns(6, sliceIter([]Edge{
-		{0, 2, 30}, {0, 2, 40}, {0, 2, 20}, {1, 3, 10},
+		{U: 0, V: 2, Len: 30}, {U: 0, V: 2, Len: 40}, {U: 0, V: 2, Len: 20}, {U: 1, V: 3, Len: 10},
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, vals := m.Row(0)
+	cols, vals, _, _ := m.Row(0, nil)
 	if len(cols) != 1 || vals[0] != 40 {
 		t.Errorf("row 0 = %v/%v, want single length-40 entry", cols, vals)
 	}
@@ -134,12 +135,12 @@ func TestFromEdgeRunsErrors(t *testing.T) {
 		n     int
 		edges []Edge
 	}{
-		{"unsorted rows", 6, []Edge{{2, 0, 10}, {0, 2, 10}}},
-		{"unsorted cols", 6, []Edge{{0, 4, 10}, {0, 2, 10}}},
-		{"u out of range", 4, []Edge{{4, 0, 10}}},
-		{"v out of range", 4, []Edge{{0, 4, 10}}},
-		{"zero length", 4, []Edge{{0, 2, 0}}},
-		{"self loop", 4, []Edge{{2, 2, 10}}},
+		{"unsorted rows", 6, []Edge{{U: 2, V: 0, Len: 10}, {U: 0, V: 2, Len: 10}}},
+		{"unsorted cols", 6, []Edge{{U: 0, V: 4, Len: 10}, {U: 0, V: 2, Len: 10}}},
+		{"u out of range", 4, []Edge{{U: 4, V: 0, Len: 10}}},
+		{"v out of range", 4, []Edge{{U: 0, V: 4, Len: 10}}},
+		{"zero length", 4, []Edge{{U: 0, V: 2, Len: 0}}},
+		{"self loop", 4, []Edge{{U: 2, V: 2, Len: 10}}},
 	}
 	for _, tc := range cases {
 		if _, err := FromEdgeRuns(tc.n, sliceIter(tc.edges)); err == nil {
@@ -152,7 +153,7 @@ func TestFromEdgeRunsErrors(t *testing.T) {
 		if i++; i > 1 {
 			return Edge{}, false, wantErr
 		}
-		return Edge{0, 2, 10}, true, nil
+		return Edge{U: 0, V: 2, Len: 10}, true, nil
 	})
 	if !errors.Is(err, wantErr) {
 		t.Errorf("stream error not propagated: %v", err)
@@ -160,7 +161,7 @@ func TestFromEdgeRunsErrors(t *testing.T) {
 }
 
 // reduceAll runs TransitiveReduce with the given config defaults filled.
-func reduceAll(t *testing.T, m *Matrix, cfg ReduceConfig) *Reduction {
+func reduceAll(t *testing.T, m *Matrix, cfg ReduceConfig) *graph.TwoHopResult {
 	t.Helper()
 	if cfg.Device == nil {
 		cfg.Device = testDevice()
@@ -172,6 +173,14 @@ func reduceAll(t *testing.T, m *Matrix, cfg ReduceConfig) *Reduction {
 	return red
 }
 
+// liveEdges streams the edges of m that red left unmasked, in CSR order.
+func liveEdges(m *Matrix, red *graph.TwoHopResult, fn func(Edge)) {
+	view := graph.NewLiveView(m, red.Mask)
+	for e, ok := view.Next(); ok; e, ok = view.Next() {
+		fn(e)
+	}
+}
+
 // The sgraph_test.go triangle fixture: a->b (80), b->c (80), a->c (60)
 // over length-100 reads; a->c and its complement are transitive.
 func TestTransitiveReduceTriangleMatchesSgraph(t *testing.T) {
@@ -179,11 +188,12 @@ func TestTransitiveReduceTriangleMatchesSgraph(t *testing.T) {
 	b.AddOverlap(0, 2, 80)
 	b.AddOverlap(2, 4, 80)
 	b.AddOverlap(0, 4, 60)
-	red := reduceAll(t, b.Build(), ReduceConfig{VertexLen: lenFn(100)})
+	m := b.Build()
+	red := reduceAll(t, m, ReduceConfig{VertexLen: lenFn(100)})
 	if red.Removed != 2 {
 		t.Fatalf("removed = %d, want 2 (a->c and complement)", red.Removed)
 	}
-	red.Live(func(e Edge) {
+	liveEdges(m, red, func(e Edge) {
 		if e.U == 0 && e.V == 4 {
 			t.Error("transitive edge a->c survived")
 		}
@@ -205,28 +215,6 @@ func TestTransitiveReduceFuzzMatchesSgraph(t *testing.T) {
 	}
 	if red := reduceAll(t, build(), ReduceConfig{VertexLen: lenFn(100), Fuzz: 10}); red.Removed != 2 {
 		t.Fatalf("fuzz 10 removed = %d, want 2", red.Removed)
-	}
-}
-
-func TestLiveEdgesMatchesLive(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddOverlap(0, 2, 80)
-	b.AddOverlap(2, 4, 80)
-	b.AddOverlap(0, 4, 60)
-	red := reduceAll(t, b.Build(), ReduceConfig{VertexLen: lenFn(100)})
-	var viaLive []Edge
-	red.Live(func(e Edge) { viaLive = append(viaLive, e) })
-	var viaIter []Edge
-	next := red.LiveEdges()
-	for {
-		e, ok := next()
-		if !ok {
-			break
-		}
-		viaIter = append(viaIter, e)
-	}
-	if !reflect.DeepEqual(viaLive, viaIter) {
-		t.Errorf("Live %v != LiveEdges %v", viaLive, viaIter)
 	}
 }
 

@@ -43,19 +43,19 @@ func encodeEdgeRecords(edges []Edge) []byte {
 // rowPtr.
 func FuzzSuccinctFromEdgeRuns(f *testing.F) {
 	// Valid sorted run with a complement pair.
-	f.Add(uint16(8), encodeEdgeRecords([]Edge{{0, 2, 50}, {3, 1, 50}, {4, 6, 30}}))
+	f.Add(uint16(8), encodeEdgeRecords([]Edge{{U: 0, V: 2, Len: 50}, {U: 3, V: 1, Len: 50}, {U: 4, V: 6, Len: 30}}))
 	// Duplicates that must dedupe keeping the max length.
-	f.Add(uint16(8), encodeEdgeRecords([]Edge{{0, 2, 30}, {0, 2, 40}, {0, 2, 20}}))
+	f.Add(uint16(8), encodeEdgeRecords([]Edge{{U: 0, V: 2, Len: 30}, {U: 0, V: 2, Len: 40}, {U: 0, V: 2, Len: 20}}))
 	// Unsorted: must error.
-	f.Add(uint16(8), encodeEdgeRecords([]Edge{{4, 2, 10}, {0, 2, 10}}))
+	f.Add(uint16(8), encodeEdgeRecords([]Edge{{U: 4, V: 2, Len: 10}, {U: 0, V: 2, Len: 10}}))
 	// Out of range, zero length, self loop: must error.
-	f.Add(uint16(4), encodeEdgeRecords([]Edge{{9, 2, 10}}))
-	f.Add(uint16(4), encodeEdgeRecords([]Edge{{0, 2, 0}}))
-	f.Add(uint16(4), encodeEdgeRecords([]Edge{{2, 2, 7}}))
+	f.Add(uint16(4), encodeEdgeRecords([]Edge{{U: 9, V: 2, Len: 10}}))
+	f.Add(uint16(4), encodeEdgeRecords([]Edge{{U: 0, V: 2, Len: 0}}))
+	f.Add(uint16(4), encodeEdgeRecords([]Edge{{U: 2, V: 2, Len: 7}}))
 	// Truncated record tail.
-	f.Add(uint16(8), append(encodeEdgeRecords([]Edge{{0, 2, 50}}), 0x01, 0x02, 0x03))
+	f.Add(uint16(8), append(encodeEdgeRecords([]Edge{{U: 0, V: 2, Len: 50}}), 0x01, 0x02, 0x03))
 	// Wide column gaps stressing the varint delta encoding.
-	f.Add(uint16(1023), encodeEdgeRecords([]Edge{{0, 1, 1}, {0, 1000, 500}, {7, 9, 65535}}))
+	f.Add(uint16(1023), encodeEdgeRecords([]Edge{{U: 0, V: 1, Len: 1}, {U: 0, V: 1000, Len: 500}, {U: 7, V: 9, Len: 65535}}))
 
 	f.Fuzz(func(t *testing.T, numVertices uint16, data []byte) {
 		n := int(numVertices)%1024 + 1

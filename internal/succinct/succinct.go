@@ -22,6 +22,7 @@
 package succinct
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 
@@ -31,10 +32,7 @@ import (
 
 // Edge is one directed overlap edge: the Len-suffix of vertex U matches
 // the Len-prefix of vertex V.
-type Edge struct {
-	U, V uint32
-	Len  uint16
-}
+type Edge = graph.Edge
 
 // MemSink is the subset of stats.MemTracker the builder meters its host
 // bytes through; a nil sink disables metering.
@@ -182,30 +180,6 @@ func (g *Graph) Row(u uint32, scratch *graph.RowScratch) ([]uint32, []uint16, in
 	return cols, vals, base, nil
 }
 
-// walkRow visits row u's entries in place — no decode buffer — passing
-// each entry's CSR index, and stops early when fn returns false.
-func (g *Graph) walkRow(u uint32, fn func(k int64, to uint32, l uint16) bool) error {
-	base, deg, enc, err := g.rowSpan(u)
-	if err != nil {
-		return err
-	}
-	var col uint32
-	var l uint16
-	for i := int64(0); i < deg; i++ {
-		var ok bool
-		if enc, col, l, ok = nextEntry(enc, i == 0, col, l); !ok {
-			return errCorruptRow(u)
-		}
-		if !fn(base+i, col, l) {
-			return nil
-		}
-	}
-	if len(enc) != 0 {
-		return errCorruptRow(u)
-	}
-	return nil
-}
-
 // TransferBytes implements graph.RowStore: a tile's out-of-core transfer
 // is its two offset-sequence slices, its own compressed rows, and every
 // neighbor row its products decode, priced at the amortized compressed
@@ -226,24 +200,21 @@ func (g *Graph) TransferBytes(lo, hi, rowBatch int, _, flops int64) (int64, erro
 	return 2*int64(rowBatch+1) + int64(bHi-bLo) + bytesPerEdge*flops, nil
 }
 
-// EachOut visits the out-edges of v in ascending target order, stopping
-// early when fn returns false. It implements sgraph.Traversable over
-// the full (unmasked) edge set — the shape compressPhase rebuilds from
-// the persisted live edges. Decode errors terminate the iteration; they
-// cannot occur on a Builder-sealed graph.
+// EachOut visits the out-edges of v in ascending target order, decoding
+// the row in place (no buffer) and stopping early when fn returns false.
+// It implements sgraph.Traversable over the full (unmasked) edge set;
+// graph.NewLiveView(g, mask) is the masked, error-reporting walk. A decode
+// error ends the iteration; it cannot occur on a Builder-sealed graph.
 func (g *Graph) EachOut(v uint32, fn func(to uint32, l uint16) bool) {
-	_ = g.walkRow(v, func(_ int64, to uint32, l uint16) bool { return fn(to, l) })
-}
-
-// Edges streams every entry in CSR order: (u, v) ascending. Like EachOut
-// it stops at a decode error, which a Builder-sealed graph cannot have.
-func (g *Graph) Edges(fn func(Edge)) {
-	for u := uint32(0); int(u) < g.n; u++ {
-		err := g.walkRow(u, func(_ int64, to uint32, l uint16) bool {
-			fn(Edge{U: u, V: to, Len: l})
-			return true
-		})
-		if err != nil {
+	_, deg, enc, err := g.rowSpan(v)
+	if err != nil {
+		return
+	}
+	var col uint32
+	var l uint16
+	for i := int64(0); i < deg; i++ {
+		var ok bool
+		if enc, col, l, ok = nextEntry(enc, i == 0, col, l); !ok || !fn(col, l) {
 			return
 		}
 	}
@@ -522,4 +493,22 @@ func FromEdgeRunsMetered(numVertices int, mem MemSink, next func() (Edge, bool, 
 		return nil, err
 	}
 	return g, nil
+}
+
+// ReduceConfig parameterizes the transitive-reduction pass; it is the
+// shared two-hop reducer's config, exactly as for spmat.
+type ReduceConfig = graph.TwoHopConfig
+
+// TransitiveReduce runs the shared masked two-hop reducer
+// (graph.TransitiveReduceTwoHop, which documents the predicate, tiling
+// and metering) over the compressed store, decoding rows into pooled
+// scratch. The predicate and the compute charges are store-independent,
+// so the surviving edge set — and hence the downstream unitigs and
+// contigs — is byte-identical to the spmat backend's on the same input;
+// the H2D traffic is the compressed bytes, which is where the
+// representation's bandwidth win shows up. A row that fails to decode
+// fails the pass. The result's Mask is indexed in entry order;
+// graph.NewLiveView(g, Mask) walks the survivors.
+func (g *Graph) TransitiveReduce(ctx context.Context, cfg ReduceConfig) (*graph.TwoHopResult, error) {
+	return graph.TransitiveReduceTwoHop(ctx, g, "succinct", cfg)
 }

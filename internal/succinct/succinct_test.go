@@ -55,7 +55,10 @@ func randomSortedEdges(rng *rand.Rand, numVertices, n int) []Edge {
 
 func collect(g *Graph) []Edge {
 	var out []Edge
-	g.Edges(func(e Edge) { out = append(out, e) })
+	all := graph.NewLiveView(g, nil)
+	for e, ok := all.Next(); ok; e, ok = all.Next() {
+		out = append(out, e)
+	}
 	return out
 }
 
@@ -102,7 +105,7 @@ func TestFromEdgeRunsMatchesSpmat(t *testing.T) {
 		}
 		// Degrees via the Elias–Fano rowPtr match.
 		for u := 0; u < nv; u++ {
-			cols, _ := m.Row(uint32(u))
+			cols, _, _, _ := m.Row(uint32(u), nil)
 			d, err := g.Degree(uint32(u))
 			if err != nil {
 				t.Fatal(err)
@@ -206,9 +209,12 @@ func TestTransitiveReduceMatchesSpmat(t *testing.T) {
 				trial, gr.Removed, gr.Flops, mr.Removed, mr.Flops)
 		}
 		var wantLive []Edge
-		mr.Live(func(e spmat.Edge) { wantLive = append(wantLive, Edge{U: e.U, V: e.V, Len: e.Len}) })
+		want := graph.NewLiveView(m, mr.Mask)
+		for e, ok := want.Next(); ok; e, ok = want.Next() {
+			wantLive = append(wantLive, e)
+		}
 		var gotLive []Edge
-		live := gr.LiveEdges()
+		live := graph.NewLiveView(g, gr.Mask)
 		for e, ok := live.Next(); ok; e, ok = live.Next() {
 			gotLive = append(gotLive, e)
 		}
@@ -223,9 +229,9 @@ func TestTransitiveReduceMatchesSpmat(t *testing.T) {
 				t.Fatalf("trial %d: live %d: %+v vs %+v", trial, k, gotLive[k], wantLive[k])
 			}
 		}
-		// LiveView must agree with LiveEdges.
+		// The view's EachOut must agree with its Next.
 		var viewLive []Edge
-		lv := gr.LiveView()
+		lv := graph.NewLiveView(g, gr.Mask)
 		for u := uint32(0); u < uint32(nv); u++ {
 			lv.EachOut(u, func(to uint32, l uint16) bool {
 				viewLive = append(viewLive, Edge{U: u, V: to, Len: l})
@@ -346,19 +352,26 @@ func TestCorruptAdjacencyFailsLoudly(t *testing.T) {
 		t.Fatalf("failed pass leaked %d device bytes", dev.InUse())
 	}
 
-	live := red.LiveEdges()
+	live := graph.NewLiveView(g, red.Mask)
 	var last Edge
 	for e, ok := live.Next(); ok; e, ok = live.Next() {
 		last = e
 	}
 	if live.Err() == nil {
-		t.Fatal("LiveEdges ended without an error on a corrupt store")
+		t.Fatal("live view ended without an error on a corrupt store")
 	}
 	if last.U >= victim {
-		t.Fatalf("LiveEdges yielded %+v at or past the corrupt row %d", last, victim)
+		t.Fatalf("live view yielded %+v at or past the corrupt row %d", last, victim)
 	}
 	if _, ok := live.Next(); ok {
-		t.Fatal("LiveEdges resumed after its error")
+		t.Fatal("live view resumed after its error")
+	}
+	// The unitig walk's access path reports it too, instead of reading the
+	// row as empty.
+	walk := graph.NewLiveView(g, red.Mask)
+	walk.EachOut(victim, func(uint32, uint16) bool { return true })
+	if walk.Err() == nil {
+		t.Fatal("EachOut over the corrupt row left no error")
 	}
 }
 
@@ -372,7 +385,7 @@ func TestRowAccessAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := red.LiveView()
+	view := graph.NewLiveView(g, red.Mask)
 	var scratch graph.RowScratch
 	var sum uint64
 	visit := func(to uint32, l uint16) bool {

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint fuzz bench bench-gate cover examples evaluation trace serve-smoke clean
+.PHONY: all build vet test race lint fuzz bench bench-gate benchmark-smoke cover examples evaluation trace serve-smoke clean
 
 all: build vet lint test race
 
@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/fastq/
 	$(GO) test -run=NONE -fuzz=FuzzKVReader -fuzztime=10s ./internal/kvio/
 	$(GO) test -run=NONE -fuzz=FuzzEliasFanoPair -fuzztime=10s ./internal/bitvec/
+	$(GO) test -run=NONE -fuzz=FuzzVecBounds -fuzztime=10s ./internal/gpu/
 	$(GO) test -run=NONE -fuzz=FuzzSpmatFromEdgeRuns -fuzztime=10s ./internal/spmat/
 	$(GO) test -run=NONE -fuzz=FuzzSuccinctFromEdgeRuns -fuzztime=10s ./internal/succinct/
 
@@ -96,6 +97,16 @@ bench-gate:
 	$(GO) run ./scripts/bench_gate bench/BENCH_graph.json BENCH_graph.json
 	$(GO) run ./scripts/bench_gate bench/BENCH_mem.json BENCH_mem.json
 	$(GO) run ./scripts/bench_gate bench/BENCH_wall.json BENCH_wall.json
+
+# The repository benchmark's own tests, then one traced repetition of a
+# two-hop and a greedy workload. A traced run fails an operation when the
+# layers replayed for a stage take more than 1.3x the stage's wall
+# ("trace rejected: layers replayed for <stage>"), which is how a change
+# that speeds a stage up without its replay finds out before the driver
+# does; run.sh exits non-zero on any failed check.
+benchmark-smoke:
+	cd benchmark && $(GO) test ./...
+	bash benchmark/run.sh -workload asm_spmat,asm_onepass -reps 1 -trace 1
 
 cover:
 	$(GO) test -cover ./...

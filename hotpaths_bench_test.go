@@ -1,8 +1,9 @@
 // Wall-clock micro-benchmarks for the real hot loops of the pipeline —
 // the Rabin-Karp fingerprint scan, kvio pair serialization, the external
-// sort's device chunk sort, and one tile of the two-hop transitive
-// reducer over the succinct store — plus the BENCH_wall.json emission the
-// bench_gate wall-clock rule consumes.
+// sort's device chunk sort, one tile of the two-hop transitive reducer
+// over the succinct store, the overlap reducer's bound kernels over one
+// sorted window pair, and the spmat CSR build — plus the BENCH_wall.json
+// emission the bench_gate wall-clock rule consumes.
 //
 // Unlike the modeled-seconds benchmarks (BenchmarkTable2 etc.), these
 // measure raw host nanoseconds and allocations per operation: the cost
@@ -44,12 +45,14 @@ import (
 // every hotFileBatches operations so file open/close cost amortizes to
 // nothing and the steady-state inner loop dominates.
 const (
-	hotReadLen     = 100  // bases per read in the fingerprint scan
-	hotReadCount   = 64   // distinct reads cycled through per scan op
-	hotBatchPairs  = 1024 // pairs per kvio read/write batch
-	hotFileBatches = 512  // batches written per kvio file rotation
-	hotChunkPairs  = 2048 // m_d-sized device chunk for the sort loop
-	hotTileRows    = 4096 // rows in the two-hop reducer's tile (its default RowBatch)
+	hotReadLen     = 100     // bases per read in the fingerprint scan
+	hotReadCount   = 64      // distinct reads cycled through per scan op
+	hotBatchPairs  = 1024    // pairs per kvio read/write batch
+	hotFileBatches = 512     // batches written per kvio file rotation
+	hotChunkPairs  = 2048    // m_d-sized device chunk for the sort loop
+	hotTileRows    = 4096    // rows in the two-hop reducer's tile (its default RowBatch)
+	hotWindowPairs = 1 << 19 // pairs per reduce window: M/2 at the default m_h = 2^20
+	hotBuildReads  = 512     // reads in the spmat build: two row buckets, ~1.4 MB of garbage per op
 )
 
 // wallRow is one hot loop's measurement in BENCH_wall.json. The nsPerOp
@@ -84,6 +87,8 @@ func hotPathLoops() []wallLoop {
 		{"kvio_roundtrip", setupKVIORoundtrip},
 		{"extsort_chunk_sort", setupChunkSort},
 		{"twohop_tile", setupTwoHopTile},
+		{"overlap_bounds_sorted_window", setupSortedWindowBounds},
+		{"spmat_build", setupSpmatBuild},
 	}
 }
 
@@ -210,6 +215,34 @@ func setupChunkSort() (func() error, func(), error) {
 	return op, func() {}, nil
 }
 
+// shotgunOverlap is one forward-strand overlap of the synthetic layout
+// below.
+type shotgunOverlap struct {
+	u, v uint32
+	l    uint16
+}
+
+const shotgunReadLen = 100
+
+// shotgunOverlaps lays numReads reads of shotgunReadLen bases every ~2
+// bases along a line and returns every forward-strand overlap of at least
+// 63 bases: ~19 per read, about what the H.Genome workloads see.
+func shotgunOverlaps(numReads int) []shotgunOverlap {
+	const minOverlap = 63
+	rng := rand.New(rand.NewSource(45))
+	offsets := make([]int, numReads)
+	for i := 1; i < numReads; i++ {
+		offsets[i] = offsets[i-1] + 1 + rng.Intn(3)
+	}
+	var ovs []shotgunOverlap
+	for i := range offsets {
+		for j := i + 1; j < numReads && offsets[j]-offsets[i] <= shotgunReadLen-minOverlap; j++ {
+			ovs = append(ovs, shotgunOverlap{uint32(2 * i), uint32(2 * j), uint16(shotgunReadLen - (offsets[j] - offsets[i]))})
+		}
+	}
+	return ovs
+}
+
 // setupTwoHopTile times the shared two-hop reducer over one full tile of
 // a succinct store: hotTileRows vertices of a shotgun-like overlap graph
 // (reads every ~1.6 bases, overlaps of 63..99 of 100 bases, so ~23
@@ -218,18 +251,9 @@ func setupChunkSort() (func() error, func(), error) {
 // set-up — so its allocs/op is that set-up's constant; a decode that
 // allocates per row again shows as thousands.
 func setupTwoHopTile() (func() error, func(), error) {
-	const readLen, minOverlap = 100, 63
-	rng := rand.New(rand.NewSource(45))
-	numReads := hotTileRows / 2
-	offsets := make([]int, numReads)
-	for i := 1; i < numReads; i++ {
-		offsets[i] = offsets[i-1] + 1 + rng.Intn(3)
-	}
-	b := spmat.NewBuilder(numReads)
-	for i := range offsets {
-		for j := i + 1; j < numReads && offsets[j]-offsets[i] <= readLen-minOverlap; j++ {
-			b.AddOverlap(uint32(2*i), uint32(2*j), uint16(readLen-(offsets[j]-offsets[i])))
-		}
+	b := spmat.NewBuilder(hotTileRows / 2)
+	for _, o := range shotgunOverlaps(hotTileRows / 2) {
+		b.AddOverlap(o.u, o.v, o.l)
 	}
 	var edges []succinct.Edge
 	b.Build().Edges(func(e spmat.Edge) {
@@ -255,12 +279,70 @@ func setupTwoHopTile() (func() error, func(), error) {
 	runtime.GOMAXPROCS(procs)
 	cfg := succinct.ReduceConfig{
 		Device:    dev,
-		VertexLen: func(uint32) int { return readLen },
+		VertexLen: func(uint32) int { return shotgunReadLen },
 		RowBatch:  hotTileRows,
 	}
 	op := func() error {
 		_, err := g.TransitiveReduce(context.Background(), cfg)
 		return err
+	}
+	return op, func() {}, nil
+}
+
+// setupSortedWindowBounds times the overlap reducer's device pass over one
+// round's clipped windows: lower and upper bounds of every suffix pair of a
+// full fingerprint-sorted window among the pairs of the prefix window. A
+// quarter of the suffix keys occur in the prefix window, some more than
+// once. The output slices are reused across rounds, as overlap.Reduce does.
+func setupSortedWindowBounds() (func() error, func(), error) {
+	rng := rand.New(rand.NewSource(46))
+	dev := gpu.NewDevice(gpu.K40, nil)
+	randomKey := func() kv.Key { return kv.Key{Hi: rng.Uint64(), Lo: rng.Uint64()} }
+	prefixes := make([]kv.Pair, hotWindowPairs)
+	for i := range prefixes {
+		prefixes[i] = kv.Pair{Key: randomKey(), Val: uint32(i)}
+	}
+	suffixes := make([]kv.Pair, hotWindowPairs)
+	for i := range suffixes {
+		k := randomKey()
+		if rng.Intn(4) == 0 {
+			k = prefixes[rng.Intn(len(prefixes))].Key
+		}
+		suffixes[i] = kv.Pair{Key: k, Val: uint32(i)}
+	}
+	dev.SortPairs(prefixes)
+	dev.SortPairs(suffixes)
+	var lb, ub []int32
+	op := func() error {
+		lb = dev.VecLowerBound(suffixes, prefixes, lb)
+		ub = dev.VecUpperBound(suffixes, prefixes, ub)
+		return nil
+	}
+	return op, func() {}, nil
+}
+
+// setupSpmatBuild times the spmat engine's whole build over hotBuildReads
+// reads: every overlap offered from both strands, as the pipeline's reducer
+// does (so half the directed edges are duplicates), then Build. Its
+// allocs/op is the buckets' growth plus the CSR arrays — a constant of the
+// input; a scratch copy of the edge list shows as more. The input is kept
+// small because each collection the op's garbage triggers costs the runtime
+// an allocation or two of its own, which at 6 MB per op moved the count by
+// ±1 from run to run.
+func setupSpmatBuild() (func() error, func(), error) {
+	ovs := shotgunOverlaps(hotBuildReads)
+	var nnz int64
+	op := func() error {
+		b := spmat.NewBuilder(hotBuildReads)
+		for _, o := range ovs {
+			b.AddOverlap(o.u, o.v, o.l)
+			b.AddOverlap(o.v^1, o.u^1, o.l)
+		}
+		nnz = b.Build().NNZ()
+		if nnz != int64(2*len(ovs)) {
+			return fmt.Errorf("spmat build kept %d entries of %d overlaps", nnz, len(ovs))
+		}
+		return nil
 	}
 	return op, func() {}, nil
 }

@@ -484,6 +484,7 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 		runners[i] = core.NewStageRunner(n.dir, c.cfg.fingerprint(n.id), inputHash,
 			c.cfg.Resume, nodeStages)
 		runners[i].SetObserver(c.cfg.Obs, nodeTrack(n.id))
+		runners[i].SetWorkers(c.cfg.WorkersPerNode)
 		resumeAt = min(resumeAt, runners[i].ResumeAt())
 		maxAt = max(maxAt, runners[i].ResumeAt())
 	}

@@ -282,9 +282,10 @@ func (e *twoHopEngine) Paths() ([]graph.Path, error) {
 	return paths, view.Err()
 }
 
-// spmatEngine builds the CSR matrix in memory: candidates buffer as COO
-// triples, Seal sorts and packs them. The builder is order-independent, so
-// worker or cluster arrival order cannot change the matrix.
+// spmatEngine builds the CSR matrix in memory: candidates buffer as packed
+// keys in the builder's row buckets, Seal sorts and packs them. The builder
+// is order-independent, so worker or cluster arrival order cannot change the
+// matrix or the bytes charged for it.
 type spmatEngine struct {
 	twoHopEngine
 	b *spmat.Builder

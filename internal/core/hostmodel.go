@@ -19,8 +19,8 @@ const modeledGraphDegree = 8
 //
 //   - greedy: per-vertex arrays only (successor, overlap length, one bit
 //     of out-mask) — no per-edge term, the paper's O(reads) design.
-//   - spmat: the COO builder (10 B/entry) and the packed CSR
-//     (8 B/rowPtr + 6 B/entry) coexist at Build time, so the peak is
+//   - spmat: the builder's packed edge keys (8 B/entry) and the packed
+//     CSR (8 B/rowPtr + 6 B/entry) coexist at Build time, so the peak is
 //     their sum.
 //   - succinct: the compressed adjacency stream (~3 B/entry) plus the
 //     two Elias–Fano offset sequences (~2 B/vertex) — the builder's
@@ -33,7 +33,7 @@ func GraphHostModel(backend string, numReads, maxReadLen int) int64 {
 	var g int64
 	switch backend {
 	case BackendSpmat:
-		g = 10*nnz + 8*(n+1) + 6*nnz
+		g = 8*nnz + 8*(n+1) + 6*nnz
 	case BackendSuccinct:
 		g = 3*nnz + 2*(n+1)
 	default: // greedy (and the empty-string resolution)

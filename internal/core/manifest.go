@@ -9,6 +9,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dna"
 	"repro/internal/obs"
@@ -114,6 +116,44 @@ func describeArtifact(root, rel string) (Artifact, error) {
 		return Artifact{}, err
 	}
 	return Artifact{Path: filepath.ToSlash(rel), Bytes: n, SHA256: hex.EncodeToString(h.Sum(nil))}, nil
+}
+
+// describeArtifacts checksums a stage's artifacts on up to workers
+// goroutines. Each result lands at its artifact's index, so the record — and
+// the manifest bytes — do not depend on workers; of several failures the
+// one at the lowest index is reported.
+func describeArtifacts(root string, rels []string, workers int) ([]Artifact, error) {
+	arts := make([]Artifact, len(rels))
+	errs := make([]error, len(rels))
+	var next atomic.Int64
+	var failed atomic.Bool
+	hash := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(rels) {
+				return
+			}
+			if arts[i], errs[i] = describeArtifact(root, rels[i]); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, len(rels)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hash()
+		}()
+	}
+	hash()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return arts, nil
 }
 
 // validateArtifacts re-checksums every artifact of a committed stage and

@@ -134,3 +134,35 @@ func TestWorkersDeterminismFullGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkersDeterminismSpmatHostPeak pins that the spmat engine's graph
+// host accounting is a function of the candidate set alone: the builder's
+// bucket capacities depend on how many keys each bucket received, never on
+// arrival order, so the Reduce stage's graph peak repeats exactly from run
+// to run and across worker counts.
+func TestWorkersDeterminismSpmatHostPeak(t *testing.T) {
+	_, reads := testGenomeReads(t, 3000, 56, 10)
+	var want int64
+	for i, w := range []int{1, 2, 2} {
+		cfg := smallConfig(t)
+		cfg.Workers = w
+		cfg.GraphBackend = BackendSpmat
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Assemble(reads)
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", w, err)
+		}
+		reduce, ok := res.PhaseByName(PhaseReduce)
+		if !ok || reduce.GraphHostPeak == 0 {
+			t.Fatalf("Workers=%d: no graph host peak on Reduce", w)
+		}
+		if i == 0 {
+			want = reduce.GraphHostPeak
+		} else if reduce.GraphHostPeak != want {
+			t.Errorf("Workers=%d: Reduce graph host peak %d, Workers=1 had %d", w, reduce.GraphHostPeak, want)
+		}
+	}
+}

@@ -333,6 +333,7 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 	runner.SetObserver(p.cfg.Obs, p.track())
 	runner.SetFaultHook(p.FaultHook)
 	runner.SetProgress(p.cfg.Progress)
+	runner.SetWorkers(p.cfg.workers())
 	if runner.ResumeAt() == 0 {
 		// Starting from scratch: partitions left by an interrupted or
 		// invalidated run must not leak into this one.

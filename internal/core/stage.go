@@ -52,6 +52,7 @@ type StageRunner struct {
 	resumeAt int // stages before this index replay from the manifest
 	pos      int // next stage index to execute
 	fault    FaultHook
+	workers  int      // goroutines a commit hashes artifacts on
 	cached   []string // names of stages served from the manifest
 
 	// resumeNote records which manifest check settled the resume plan at
@@ -144,6 +145,11 @@ func (r *StageRunner) LimitResume(k int) {
 // SetFaultHook installs a post-commit fault injection hook.
 func (r *StageRunner) SetFaultHook(h FaultHook) { r.fault = h }
 
+// SetWorkers tells the runner how many workers the stages run with; a
+// commit checksums the stage's artifacts on that many goroutines. The
+// manifest is the same for every value.
+func (r *StageRunner) SetWorkers(n int) { r.workers = n }
+
 // SetProgress installs the stage-progress callback (Config.Progress); the
 // runner delivers the ProgressCached events for replayed stages, which
 // never pass through the pipeline's runPhase. May be nil.
@@ -201,14 +207,11 @@ func (r *StageRunner) Run(s Stage) error {
 	if err != nil {
 		return err
 	}
-	rec := StageRecord{Name: string(s.Name), Status: stageDone, Meta: out.Meta}
-	for _, rel := range out.Artifacts {
-		a, err := describeArtifact(r.root, rel)
-		if err != nil {
-			return fmt.Errorf("core: committing stage %s: %w", s.Name, err)
-		}
-		rec.Artifacts = append(rec.Artifacts, a)
+	arts, err := describeArtifacts(r.root, out.Artifacts, r.workers)
+	if err != nil {
+		return fmt.Errorf("core: committing stage %s: %w", s.Name, err)
 	}
+	rec := StageRecord{Name: string(s.Name), Status: stageDone, Artifacts: arts, Meta: out.Meta}
 	r.manifest.Stages = append(r.manifest.Stages, rec)
 	if m := r.obs.Metrics(); m != nil {
 		snap := m.Snapshot()

@@ -8,8 +8,9 @@ import (
 
 // VecLowerBound computes, for every query key in queries, the lower bound
 // (index of first element not less than the key) within the sorted targets
-// slice. This is the GPU_VEC_LOWER_BOUND primitive of Algorithm 2: one
-// thread per query performing a binary search.
+// slice. This is the GPU_VEC_LOWER_BOUND primitive of Algorithm 2, modeled
+// and charged as one thread per query performing a binary search; the host
+// computes the same bounds with sweepBounds.
 func (d *Device) VecLowerBound(queries, targets []kv.Pair, out []int32) []int32 {
 	out = vecLowerBoundKernel(queries, targets, out)
 	d.chargeSearch(len(queries), len(targets))
@@ -17,11 +18,7 @@ func (d *Device) VecLowerBound(queries, targets []kv.Pair, out []int32) []int32 
 }
 
 func vecLowerBoundKernel(queries, targets []kv.Pair, out []int32) []int32 {
-	out = out[:0]
-	for _, q := range queries {
-		out = append(out, int32(kv.LowerBound(targets, q.Key)))
-	}
-	return out
+	return sweepBounds(queries, targets, out, false)
 }
 
 // VecUpperBound is the upper-bound counterpart (GPU_VEC_UPPER_BOUND).
@@ -32,9 +29,54 @@ func (d *Device) VecUpperBound(queries, targets []kv.Pair, out []int32) []int32 
 }
 
 func vecUpperBoundKernel(queries, targets []kv.Pair, out []int32) []int32 {
+	return sweepBounds(queries, targets, out, true)
+}
+
+// sweepBounds is the host body of both bound kernels. A bound is monotone
+// in its key, so while the query keys do not decrease each search starts
+// where the previous one ended and gallops forward: probes at distance 1, 2,
+// 4, ... until one lands at or past the bound, then a binary search inside
+// the last gap. Over a fingerprint-sorted window (what overlap.Reduce
+// passes) consecutive bounds are a few targets apart, so the sweep costs a
+// handful of comparisons per query on cache lines it just touched, where a
+// cold binary search costs log2(len(targets)) misses. The first query, and
+// any query whose key is below its predecessor's, searches all of targets,
+// so unsorted queries get exactly kv.LowerBound/kv.UpperBound as well.
+func sweepBounds(queries, targets []kv.Pair, out []int32, upper bool) []int32 {
 	out = out[:0]
-	for _, q := range queries {
-		out = append(out, int32(kv.UpperBound(targets, q.Key)))
+	// before reports whether a target key lies before the bound of query
+	// key k: strictly below it, or for an upper bound also equal to it.
+	before := func(t, k kv.Key) bool {
+		if upper {
+			return !k.Less(t)
+		}
+		return t.Less(k)
+	}
+	at := 0 // the previous query's bound
+	for i, q := range queries {
+		k := q.Key
+		// The bound lies in [lo, hi]; targets[:lo] are before it.
+		lo, hi := 0, len(targets)
+		if i > 0 && !k.Less(queries[i-1].Key) {
+			lo = at
+			probe, step := at, 1
+			for probe < len(targets) && before(targets[probe].Key, k) {
+				lo = probe + 1
+				probe += step
+				step <<= 1
+			}
+			hi = min(probe, len(targets))
+		}
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if before(targets[mid].Key, k) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		at = lo
+		out = append(out, int32(at))
 	}
 	return out
 }

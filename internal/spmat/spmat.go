@@ -18,7 +18,6 @@
 package spmat
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -83,22 +82,55 @@ func (m *Matrix) Bytes() int64 {
 	return 8*int64(len(m.rowPtr)) + 6*int64(len(m.col))
 }
 
-// ApproxBytes estimates the host-memory footprint.
+// ApproxBytes is the host-memory footprint of the CSR arrays. A matrix out
+// of Builder.Build holds exactly 8*(n+1) + 6*nnz bytes (capacity equals
+// length); FromEdgeRuns grows its arrays by append and may hold more.
 func (m *Matrix) ApproxBytes() int64 {
 	return 8*int64(cap(m.rowPtr)) + 4*int64(cap(m.col)) + 2*int64(cap(m.val))
 }
 
-// Builder accumulates COO triples and packs them into a CSR Matrix. The
-// result depends only on the set of overlaps offered, not their order:
-// Build sorts by coordinates and dedupes with the same keep-the-longest
-// rule as sgraph.Graph.AddOverlap.
+// Builder accumulates directed edges and packs them into a CSR Matrix. The
+// result depends only on the set of overlaps offered, not their order, and
+// duplicates dedupe with the same keep-the-longest rule as
+// sgraph.Graph.AddOverlap.
+//
+// Each edge is held as one packed uint64 (Dinh & Rajasekaran,
+// arXiv:1009.3984: an exact-match overlap edge fits a machine word) in the
+// bucket of its row range, so Build never comparison-sorts the whole edge
+// list: rows are placed by bucket, as a counting CSR build does (Guidi et
+// al., arXiv:2010.10055), and each bucket's few thousand keys sort in
+// cache under plain integer order, which is (U, V, longest first). The
+// pipeline offers every overlap from both strands — the suffix of u on the
+// prefix of v, and the suffix of v' on the prefix of u', which name the
+// same two directed edges — so about half the keys are exact duplicates
+// that Build drops.
 type Builder struct {
 	numReads int
-	edges    []Edge
+	buckets  [][]uint64 // buckets[i] holds rows [i*bucketRows, (i+1)*bucketRows)
+}
+
+// A packed key is row-within-bucket<<rowShift | V<<lenBits | ^Len. The
+// complemented length makes the longest of a duplicate (U, V) run sort
+// first. V and Len fill their fields by type; the row field is what the
+// bucket width must fit.
+const (
+	bucketRows = 512
+	lenBits    = 16
+	rowShift   = lenBits + 32
+	_          = uint(1<<(64-rowShift) - bucketRows) // the in-bucket row must fit its field
+)
+
+func packKey(e Edge) uint64 {
+	return uint64(e.U%bucketRows)<<rowShift | uint64(e.V)<<lenBits | uint64(^e.Len)
 }
 
 // NewBuilder creates a builder for a graph over 2*numReads vertices.
-func NewBuilder(numReads int) *Builder { return &Builder{numReads: numReads} }
+func NewBuilder(numReads int) *Builder {
+	return &Builder{
+		numReads: numReads,
+		buckets:  make([][]uint64, (2*numReads+bucketRows-1)/bucketRows),
+	}
+}
 
 // AddOverlap records the candidate overlap (u, v, l) and its complement
 // under graph.OverlapEdges' rule (self-loops and hairpins are rejected);
@@ -106,33 +138,48 @@ func NewBuilder(numReads int) *Builder { return &Builder{numReads: numReads} }
 func (b *Builder) AddOverlap(u, v uint32, l uint16) bool {
 	e, ec, ok := graph.OverlapEdges(u, v, l)
 	if ok {
-		b.edges = append(b.edges, e, ec)
+		b.buckets[e.U/bucketRows] = append(b.buckets[e.U/bucketRows], packKey(e))
+		b.buckets[ec.U/bucketRows] = append(b.buckets[ec.U/bucketRows], packKey(ec))
 	}
 	return ok
 }
 
-// ApproxBytes estimates the builder's host-memory footprint.
-func (b *Builder) ApproxBytes() int64 { return 10 * int64(cap(b.edges)) }
+// ApproxBytes is the host memory the builder holds: every bucket's
+// capacity plus the bucket slice headers. A bucket's capacity is a function
+// of how many keys it received, so the figure does not depend on the order
+// the overlaps arrived in.
+func (b *Builder) ApproxBytes() int64 {
+	n := 24 * int64(cap(b.buckets))
+	for _, keys := range b.buckets {
+		n += 8 * int64(cap(keys))
+	}
+	return n
+}
 
-// Build sorts the accumulated triples by (U, V) and packs CSR, keeping
-// the longest overlap among duplicates. Insertion order never leaks into
-// the result.
+// Build packs CSR from the buckets, keeping the longest overlap among
+// duplicates: each bucket is sorted and deduplicated in place, which gives
+// the entry count, then the exactly-sized arrays are filled in one pass.
+// Insertion order never leaks into the result.
 func (b *Builder) Build() *Matrix {
-	slices.SortFunc(b.edges, func(a, e Edge) int {
-		ka, ke := uint64(a.U)<<32|uint64(a.V), uint64(e.U)<<32|uint64(e.V)
-		if ka != ke {
-			return cmp.Compare(ka, ke)
+	nnz := 0
+	for i, keys := range b.buckets {
+		slices.Sort(keys)
+		keys = slices.CompactFunc(keys, func(a, k uint64) bool { return a>>lenBits == k>>lenBits })
+		b.buckets[i] = keys
+		nnz += len(keys)
+	}
+	m := &Matrix{
+		n:      2 * b.numReads,
+		rowPtr: make([]int64, 2*b.numReads+1),
+		col:    make([]uint32, 0, nnz),
+		val:    make([]uint16, 0, nnz),
+	}
+	for i, keys := range b.buckets {
+		for _, k := range keys {
+			m.col = append(m.col, uint32(k>>lenBits))
+			m.val = append(m.val, ^uint16(k))
+			m.rowPtr[i*bucketRows+int(k>>rowShift)+1]++
 		}
-		return cmp.Compare(e.Len, a.Len) // longest first, so dedupe keeps it
-	})
-	m := &Matrix{n: 2 * b.numReads, rowPtr: make([]int64, 2*b.numReads+1)}
-	for i, e := range b.edges {
-		if i > 0 && e.U == b.edges[i-1].U && e.V == b.edges[i-1].V {
-			continue
-		}
-		m.col = append(m.col, e.V)
-		m.val = append(m.val, e.Len)
-		m.rowPtr[e.U+1]++
 	}
 	for i := 0; i < m.n; i++ {
 		m.rowPtr[i+1] += m.rowPtr[i]

@@ -1,10 +1,12 @@
 package spmat
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -69,32 +71,114 @@ func TestBuilderDuplicateKeepsLongest(t *testing.T) {
 	}
 }
 
-func TestBuilderOrderIndependent(t *testing.T) {
-	type ov struct {
-		u, v uint32
-		l    uint16
+// overlap is one candidate as the pipeline offers it to AddOverlap.
+type overlap struct {
+	u, v uint32
+	l    uint16
+}
+
+// referenceBuild is the build the bucketed one replaced, kept as the
+// oracle: buffer every directed edge, comparison-sort the lot by (U, V,
+// longest first), keep the first of each (U, V) run.
+func referenceBuild(ovs []overlap) []Edge {
+	var edges []Edge
+	for _, o := range ovs {
+		if e, ec, ok := graph.OverlapEdges(o.u, o.v, o.l); ok {
+			edges = append(edges, e, ec)
+		}
 	}
-	ovs := []ov{{0, 2, 50}, {2, 4, 60}, {0, 4, 20}, {4, 6, 30}, {0, 2, 45}}
+	slices.SortFunc(edges, func(a, e Edge) int {
+		return cmp.Or(cmp.Compare(a.U, e.U), cmp.Compare(a.V, e.V), cmp.Compare(e.Len, a.Len))
+	})
+	return slices.CompactFunc(edges, func(a, e Edge) bool { return a.U == e.U && a.V == e.V })
+}
+
+// TestBuilderOrderIndependent offers random multisets of overlaps — every
+// overlap from both strands, as the pipeline does, and again at other
+// lengths, so well over half the directed edges are duplicates — in several
+// orders. Every order must give the reference's matrix, exactly sized
+// arrays, the same builder footprint, and a matrix that survives the
+// edges.kv round trip.
+func TestBuilderOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var want []Edge
-	for trial := 0; trial < 10; trial++ {
-		shuffled := append([]ov(nil), ovs...)
-		rng.Shuffle(len(shuffled), func(i, j int) {
-			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-		})
-		b := NewBuilder(4)
-		for _, o := range shuffled {
-			b.AddOverlap(o.u, o.v, o.l)
+	// Vertex counts below, at and across bucket boundaries, none but the
+	// third a multiple of the bucket width.
+	for _, numReads := range []int{4, 100, bucketRows, 700, 1337} {
+		n := uint32(2 * numReads)
+		var ovs []overlap
+		for k := 0; k < 3*numReads; k++ {
+			u, v := rng.Uint32()%n, rng.Uint32()%n
+			for d := 1 + rng.Intn(3); d > 0; d-- {
+				l := uint16(1 + rng.Intn(200))
+				ovs = append(ovs, overlap{u, v, l}, overlap{v ^ 1, u ^ 1, l})
+			}
 		}
-		got := collect(b.Build())
-		if trial == 0 {
-			want = got
-			continue
+		want := referenceBuild(ovs)
+		if 2*len(want) > 2*len(ovs) {
+			t.Fatalf("numReads %d: %d unique of %d directed edges, want at least half duplicates",
+				numReads, len(want), 2*len(ovs))
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: insertion order leaked into matrix:\n%v\n%v",
-				trial, got, want)
+		var builderBytes int64
+		for trial := 0; trial < 5; trial++ {
+			rng.Shuffle(len(ovs), func(i, j int) { ovs[i], ovs[j] = ovs[j], ovs[i] })
+			b := NewBuilder(numReads)
+			for _, o := range ovs {
+				b.AddOverlap(o.u, o.v, o.l)
+			}
+			if trial == 0 {
+				builderBytes = b.ApproxBytes()
+			} else if got := b.ApproxBytes(); got != builderBytes {
+				t.Fatalf("numReads %d trial %d: builder holds %d bytes, first order held %d",
+					numReads, trial, got, builderBytes)
+			}
+			m := b.Build()
+			got := collect(m)
+			if !slices.Equal(got, want) {
+				t.Fatalf("numReads %d trial %d: matrix differs from the sort-and-dedupe reference", numReads, trial)
+			}
+			if exact := 8*int64(n+1) + 6*m.NNZ(); m.ApproxBytes() != exact {
+				t.Fatalf("numReads %d: matrix holds %d bytes, want exactly %d", numReads, m.ApproxBytes(), exact)
+			}
+			m2, err := FromEdgeRuns(m.NumVertices(), sliceIter(got))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(collect(m2), want) {
+				t.Fatalf("numReads %d trial %d: FromEdgeRuns(m.Edges) changed the matrix", numReads, trial)
+			}
 		}
+	}
+}
+
+// TestBuilderPackingLimits drives every field of the packed key to its
+// limit: the longest length (complemented to zero in the key), the last
+// vertex as row and as column, the last row of a bucket and the first of
+// the next, in a vertex range that ends part-way through a bucket.
+func TestBuilderPackingLimits(t *testing.T) {
+	const numReads = bucketRows + 3 // 2*numReads is not a multiple of bucketRows
+	top := uint32(2*numReads - 1)
+	ovs := []overlap{
+		{0, top, 0xFFFF}, {0, top, 1}, // duplicate: the 16-bit maximum must win
+		{top, 2, 0xFFFF},
+		{bucketRows - 1, bucketRows, 7}, {bucketRows, bucketRows - 1, 0xFFFE},
+		{2*bucketRows - 1, 4, 9}, {2 * bucketRows, top - 1, 0x8000},
+	}
+	b := NewBuilder(numReads)
+	for _, o := range ovs {
+		if !b.AddOverlap(o.u, o.v, o.l) {
+			t.Fatalf("overlap %+v rejected", o)
+		}
+	}
+	got := collect(b.Build())
+	if want := referenceBuild(ovs); !slices.Equal(got, want) {
+		t.Fatalf("matrix\n got %v\nwant %v", got, want)
+	}
+	// The fields are as wide as their types: a key survives the extremes
+	// of all three.
+	e := Edge{U: bucketRows - 1, V: ^uint32(0), Len: 0xFFFF}
+	k := packKey(e)
+	if back := (Edge{U: uint32(k >> rowShift), V: uint32(k >> lenBits), Len: ^uint16(k)}); back != e {
+		t.Fatalf("packKey(%+v) unpacks to %+v", e, back)
 	}
 }
 

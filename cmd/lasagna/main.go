@@ -53,7 +53,7 @@ func main() {
 		backend    = flag.String("graph-backend", "", "reduce/compress engine: greedy (default), spmat (CSR sparse matrix with masked-SpGEMM transitive reduction), or succinct (compressed rank/select adjacency built in one pass from sorted edge runs)")
 		bsp        = flag.Bool("parallel-traversal", false, "BSP pointer-jumping path traversal")
 		byFp       = flag.Bool("partition-by-fingerprint", false, "distributed shuffle by fingerprint range (with -nodes)")
-		workers    = flag.Int("workers", 0, "concurrent partition workers (0 = GOMAXPROCS, 1 = serial; output is identical)")
+		workers    = flag.Int("workers", 0, "concurrent partition workers (0 = GOMAXPROCS, or serial on each node with -nodes; 1 = serial; output is identical)")
 		streams    = flag.Bool("streams", true, "overlap async transfers with kernels on modeled streams (output is identical; modeled time only shrinks)")
 		reference  = flag.String("reference", "", "optional reference FASTA for a quality report")
 		resume     = flag.Bool("resume", false, "resume an interrupted run from the workspace's manifest")
@@ -71,6 +71,12 @@ func main() {
 	}
 	if *in == "" || *workspace == "" {
 		flag.Usage()
+		os.Exit(2)
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkModeFlags(*nodes, set); err != nil {
+		fmt.Fprintf(os.Stderr, "lasagna: %v\n", err)
 		os.Exit(2)
 	}
 	if *logFormat != "text" && *logFormat != "json" {
@@ -205,6 +211,29 @@ func main() {
 	}
 	reportModeled(res.Modeled)
 	reportQuality(*reference, res.Contigs)
+}
+
+// The flags only one of the two modes reads: the distributed path (-nodes
+// above 1) has no verification, read preprocessing, full-graph or
+// intermediate-keeping options, and only it shuffles.
+var (
+	singleNodeOnly = []string{"verify", "dedupe", "packed", "fullgraph", "parallel-traversal", "keep-intermediate"}
+	clusterOnly    = []string{"partition-by-fingerprint"}
+)
+
+// checkModeFlags refuses a command line that sets a flag the chosen mode
+// would silently ignore; set holds the flags given explicitly.
+func checkModeFlags(nodes int, set map[string]bool) error {
+	ignored, why := clusterOnly, "needs -nodes above 1"
+	if nodes > 1 {
+		ignored, why = singleNodeOnly, "is not supported with -nodes"
+	}
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("-%s %s", name, why)
+		}
+	}
+	return nil
 }
 
 // writeTrace flushes the collected span trace (nil-safe, so observability

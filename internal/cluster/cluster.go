@@ -23,13 +23,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitvec"
@@ -37,13 +32,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/dna"
-	"repro/internal/extsort"
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/kv"
 	"repro/internal/kvio"
 	"repro/internal/obs"
-	"repro/internal/overlap"
 	"repro/internal/stats"
 )
 
@@ -164,10 +157,14 @@ func (c Config) Validate() error {
 }
 
 // single is the per-node view of the configuration in core's terms: what
-// core validates, and what the master's graph engine is built from.
+// core validates and what every node's runtime (and through it the master's
+// graph engine) is built from. It is the only place a cluster field is
+// translated to a core one.
 func (c Config) single() core.Config {
 	return core.Config{
-		Workspace:         c.Workspace,
+		Workspace: c.Workspace,
+		// core resolves 0 workers to one per CPU; a node's 0 means serial.
+		Workers:           max(c.WorkersPerNode, 1),
 		MinOverlap:        c.MinOverlap,
 		HostBlockPairs:    c.HostBlockPairs,
 		DeviceBlockPairs:  c.DeviceBlockPairs,
@@ -177,6 +174,7 @@ func (c Config) single() core.Config {
 		TransitiveFuzz:    c.TransitiveFuzz,
 		IncludeSingletons: c.IncludeSingletons,
 		BreakCycles:       c.BreakCycles,
+		Streams:           c.Streams,
 		Obs:               c.Obs,
 	}
 }
@@ -199,18 +197,13 @@ func (c Config) profile() costmodel.Profile {
 // all-to-all aggregation of partitions onto their owners.
 const PhaseShuffle core.PhaseName = "Shuffle"
 
-// node is one simulated compute node.
+// node is one simulated compute node: core's node runtime on private
+// storage (its Scratch), plus what the node holds between phases.
 type node struct {
-	id      int
-	dir     string
-	dev     *gpu.Device
-	meter   *costmodel.Meter
-	hostMem stats.MemTracker
-	counts  map[int]int64 // owned-partition tuple counts after shuffle
-	edges   []graph.Edge  // accepted edges for owned partitions
-	// ledger accumulates the node's modeled overlap savings; nil when
-	// Config.Streams is off.
-	ledger *costmodel.OverlapLedger
+	*core.Node
+	id     int
+	counts map[int]int64 // owned-partition tuple counts after shuffle
+	edges  []graph.Edge  // accepted edges for owned partitions
 }
 
 // Cluster is a simulated multi-node deployment.
@@ -292,34 +285,13 @@ func New(cfg Config) (*Cluster, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-		var dev *gpu.Device
-		var meter *costmodel.Meter
+		dev := gpu.NewDevice(cfg.GPU, nil)
 		if cfg.Fleet != nil {
 			dev = cfg.Fleet.Device(i)
-			meter = dev.Meter()
-		} else {
-			meter = costmodel.NewMeter()
-			dev = gpu.NewDevice(cfg.GPU, meter)
 		}
-		if cfg.Obs != nil {
-			dev.SetHooks(obs.DeviceHooks(cfg.Obs, int64(i)+1))
-			tr := cfg.Obs.Tracer()
-			tr.NameProcess(int64(i)+1, fmt.Sprintf("node%02d", i))
-			tr.NameThread(nodeTrack(i), "stages")
-			for w := 0; w < cfg.WorkersPerNode; w++ {
-				tr.NameThread(nodeTrack(i).Worker(w), fmt.Sprintf("worker %d", w))
-			}
-		}
-		n := &node{
-			id:    i,
-			dir:   dir,
-			dev:   dev,
-			meter: meter,
-		}
-		if cfg.Streams {
-			n.ledger = costmodel.NewOverlapLedger(cfg.profile())
-		}
-		c.nodes = append(c.nodes, n)
+		cfg.Obs.Tracer().NameProcess(int64(i)+1, fmt.Sprintf("node%02d", i))
+		c.nodes = append(c.nodes, &node{id: i,
+			Node: core.NewNode(cfg.single(), dev, cfg.profile(), nodeTrack(i), dir)})
 	}
 	return c, nil
 }
@@ -328,84 +300,48 @@ func New(cfg Config) (*Cluster, error) {
 // pid 0, so node i maps to pid i+1).
 func nodeTrack(id int) obs.Track { return obs.Track{Pid: int64(id) + 1} }
 
-// owner returns the node that owns partition l (round-robin by length,
-// Section III-E.2).
-func (c *Cluster) owner(l int) *node {
-	return c.nodes[(l-c.cfg.MinOverlap)%len(c.nodes)]
-}
-
-// runPhase executes fn(node) on every node concurrently and records the
-// phase: wall time is real, modeled time is the slowest node plus the
-// extra serialized seconds, and memory peaks are per-phase maxima.
-func (c *Cluster) runPhase(name core.PhaseName, res *Result, extraSerial time.Duration,
-	fn func(*node) error) error {
-	type snap struct {
-		counters costmodel.Counters
-		saved    float64
-	}
-	before := make([]snap, len(c.nodes))
-	for i, n := range c.nodes {
-		n.hostMem.ResetPeak()
-		n.dev.MemTracker().ResetPeak()
-		before[i] = snap{n.meter.Snapshot(), n.ledger.SavedSeconds()}
-	}
+// runPhase executes fn(node) on every node concurrently, each under its
+// own Measure, and records the phase: wall time is real, modeled time is
+// the slowest node, bytes and savings are summed, and memory peaks are
+// per-phase maxima.
+func (c *Cluster) runPhase(name core.PhaseName, res *Result, fn func(*node) error) error {
 	c.cfg.Obs.Log().Debug("phase start", "phase", string(name), "nodes", len(c.nodes))
 	phaseSpan := c.cfg.Obs.Tracer().Begin(obs.Track{}, "stage", string(name))
 	timer := stats.StartTimer()
+	per := make([]stats.PhaseStats, len(c.nodes))
 	errs := make([]error, len(c.nodes))
-	walls := make([]time.Duration, len(c.nodes))
-	starts := make([]time.Time, len(c.nodes))
-	var wg sync.WaitGroup
+	// Nodes charge each other's meters (a shuffle read is metered where it
+	// is served), so no node works before every node has taken its opening
+	// snapshot or takes its closing one while another still works.
+	var opened, closing, wg sync.WaitGroup
+	opened.Add(len(c.nodes))
+	closing.Add(len(c.nodes))
 	for i, n := range c.nodes {
 		wg.Add(1)
-		go func(i int, n *node) {
+		go func() {
 			defer wg.Done()
-			starts[i] = time.Now()
-			errs[i] = fn(n)
-			walls[i] = time.Since(starts[i])
-		}(i, n)
+			per[i], errs[i] = n.Measure(name, func() error {
+				opened.Done()
+				opened.Wait()
+				err := fn(n)
+				closing.Done()
+				closing.Wait()
+				return err
+			})
+		}()
 	}
 	wg.Wait()
-	prof := c.cfg.profile()
-	ps := stats.PhaseStats{Name: string(name), Wall: timer.Elapsed()}
-	modeled := make([]time.Duration, len(c.nodes))
-	for i, n := range c.nodes {
-		delta := n.meter.Snapshot().Sub(before[i].counters)
-		// Per-node overlap hidden this phase: each node's modeled time is
-		// its own makespan before the max-over-nodes aggregation.
-		saved := time.Duration((n.ledger.SavedSeconds() - before[i].saved) * float64(time.Second))
-		modeled[i] = delta.Time(prof) - saved
-		if modeled[i] < 0 {
-			modeled[i] = 0
-		}
-		ps.OverlapSaved += saved
-		if modeled[i] > ps.Modeled {
-			ps.Modeled = modeled[i]
-		}
-		if p := n.hostMem.Peak(); p > ps.PeakHost {
-			ps.PeakHost = p
-		}
-		if p := n.dev.MemTracker().Peak(); p > ps.PeakDevice {
-			ps.PeakDevice = p
-		}
-		ps.DiskRead += delta.DiskReadBytes
-		ps.DiskWrite += delta.DiskWriteBytes
-		ps.NetBytes += delta.NetBytes
-		ps.PCIeBytes += delta.PCIeBytes
-		ps.DeviceOps += delta.DeviceOps
-		c.cfg.Obs.Tracer().Complete(nodeTrack(n.id), "stage", string(name),
-			starts[i], walls[i], map[string]any{
-				"counters": delta, "modeled": delta.Breakdown(prof),
-			})
-		c.cfg.Obs.Log().Debug("node phase done", "phase", string(name),
-			"node", n.id, "wall", walls[i], "modeled", modeled[i], "err", errs[i])
-	}
 	phaseSpan.End()
-	ps.Modeled += extraSerial
+	ps := foldPhase(per)
+	ps.Wall = timer.Elapsed()
 	if res.NodeModeled == nil {
 		res.NodeModeled = map[core.PhaseName][]time.Duration{}
 	}
-	res.NodeModeled[name] = modeled
+	for i, p := range per {
+		res.NodeModeled[name] = append(res.NodeModeled[name], p.Modeled)
+		c.cfg.Obs.Log().Debug("node phase done", "phase", string(name),
+			"node", i, "wall", p.Wall, "modeled", p.Modeled, "err", errs[i])
+	}
 	res.Phases = append(res.Phases, ps)
 	res.TotalWall += ps.Wall
 	res.TotalModeled += ps.Modeled
@@ -418,6 +354,25 @@ func (c *Cluster) runPhase(name core.PhaseName, res *Result, extraSerial time.Du
 	c.cfg.Obs.Log().Info("phase done", "phase", string(name),
 		"wall", ps.Wall, "modeled", ps.Modeled)
 	return nil
+}
+
+// foldPhase is one phase seen from the cluster: the nodes ran side by
+// side, so modeled time and the memory peaks are the worst node's while
+// traffic and overlap savings add up.
+func foldPhase(per []stats.PhaseStats) stats.PhaseStats {
+	ps := stats.PhaseStats{Name: per[0].Name}
+	for _, p := range per {
+		ps.Modeled = max(ps.Modeled, p.Modeled)
+		ps.PeakHost = max(ps.PeakHost, p.PeakHost)
+		ps.PeakDevice = max(ps.PeakDevice, p.PeakDevice)
+		ps.OverlapSaved += p.OverlapSaved
+		ps.DiskRead += p.DiskRead
+		ps.DiskWrite += p.DiskWrite
+		ps.NetBytes += p.NetBytes
+		ps.PCIeBytes += p.PCIeBytes
+		ps.DeviceOps += p.DeviceOps
+	}
+	return ps
 }
 
 // nodeStages is the per-node stage graph covered by each node's run
@@ -456,7 +411,7 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 	defer func() {
 		var total costmodel.Counters
 		for _, n := range c.nodes {
-			total = total.Add(n.meter.Snapshot())
+			total = total.Add(n.Meter.Snapshot())
 		}
 		res.Counters = total.Add(c.serial.Snapshot())
 		res.Modeled = res.Counters.Breakdown(c.cfg.profile())
@@ -481,9 +436,9 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 	resumeAt := len(nodeStages)
 	maxAt := 0
 	for i, n := range c.nodes {
-		runners[i] = core.NewStageRunner(n.dir, c.cfg.fingerprint(n.id), inputHash,
+		runners[i] = core.NewStageRunner(n.Scratch, c.cfg.fingerprint(n.id), inputHash,
 			c.cfg.Resume, nodeStages)
-		runners[i].SetObserver(c.cfg.Obs, nodeTrack(n.id))
+		runners[i].SetObserver(c.cfg.Obs, n.Track)
 		runners[i].SetWorkers(c.cfg.WorkersPerNode)
 		resumeAt = min(resumeAt, runners[i].ResumeAt())
 		maxAt = max(maxAt, runners[i].ResumeAt())
@@ -509,10 +464,10 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 		// Starting from scratch: stale files from an interrupted or
 		// invalidated run must not leak into this one.
 		for _, n := range c.nodes {
-			if err := os.RemoveAll(n.dir); err != nil {
+			if err := os.RemoveAll(n.Scratch); err != nil {
 				return res, err
 			}
-			if err := os.MkdirAll(n.dir, 0o755); err != nil {
+			if err := os.MkdirAll(n.Scratch, 0o755); err != nil {
 				return res, err
 			}
 		}
@@ -524,18 +479,11 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 	// (Section III-E.1 describes dynamic handout; with uniform blocks the
 	// static schedule has the same balance and a reproducible layout.)
 	numBlocks := (rs.NumReads() + c.cfg.InputBlockReads - 1) / c.cfg.InputBlockReads
-	err := c.runPhase(core.PhaseMap, res, 0, func(n *node) error {
+	err := c.runPhase(core.PhaseMap, res, func(n *node) error {
 		return runners[n.id].Run(core.Stage{
 			Name: core.PhaseMap,
 			Fresh: func() (core.StageOutcome, error) {
-				var out core.StageOutcome
-				sfxW := kvio.NewPartitionWriters(n.dir, kvio.Suffix, n.meter)
-				pfxW := kvio.NewPartitionWriters(n.dir, kvio.Prefix, n.meter)
-				mapper := core.NewMapper(n.dev, &n.hostMem, c.cfg.MinOverlap, c.cfg.MapBatchReads, rs.MaxLen())
-				mapper.Workers = c.cfg.WorkersPerNode
-				mapper.Obs = c.cfg.Obs
-				mapper.Track = nodeTrack(n.id)
-				mapper.Profile = c.cfg.profile()
+				var blocks []core.ReadRange
 				for b := n.id; b < numBlocks; b += len(c.nodes) {
 					start := b * c.cfg.InputBlockReads
 					end := min(start+c.cfg.InputBlockReads, rs.NumReads())
@@ -545,24 +493,11 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 					for r := start; r < end; r++ {
 						blockBases += int64(rs.Len(uint32(r)))
 					}
-					n.meter.AddDiskRead(2 * blockBases)
-					if err := mapper.MapRange(ctx, rs, start, end, sfxW, pfxW); err != nil {
-						return out, err
-					}
+					n.Meter.AddDiskRead(2 * blockBases)
+					blocks = append(blocks, core.ReadRange{Start: start, End: end})
 				}
-				counts := sfxW.Counts()
-				if err := sfxW.Close(); err != nil {
-					return out, err
-				}
-				if err := pfxW.Close(); err != nil {
-					return out, err
-				}
-				for _, l := range sortedLengths(counts) {
-					out.Artifacts = append(out.Artifacts,
-						filepath.Base(kvio.PartitionPath(n.dir, kvio.Suffix, l)),
-						filepath.Base(kvio.PartitionPath(n.dir, kvio.Prefix, l)))
-				}
-				return out, nil
+				counts, err := n.MapBlocks(ctx, rs, blocks)
+				return core.StageOutcome{Artifacts: core.PartitionFiles(counts, core.RawPartition)}, err
 			},
 			// Map leaves no in-memory state: the shuffle discovers peer
 			// partitions from the (validated) files themselves.
@@ -575,36 +510,19 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 
 	// Shuffle: every node aggregates its owned partitions from all peers
 	// (Section III-E.2). Cross-node reads are charged to the network.
-	err = c.runPhase(PhaseShuffle, res, 0, func(n *node) error {
+	err = c.runPhase(PhaseShuffle, res, func(n *node) error {
 		return runners[n.id].Run(core.Stage{
 			Name: PhaseShuffle,
 			Fresh: func() (core.StageOutcome, error) {
-				var out core.StageOutcome
 				if err := ctx.Err(); err != nil {
-					return out, err
+					return core.StageOutcome{}, err
 				}
-				var err error
-				if c.cfg.PartitionByFingerprint {
-					err = c.shuffleNodeByFingerprint(rs.MaxLen(), n)
-				} else {
-					err = c.shuffleNode(rs, n)
-				}
-				if err != nil {
-					return out, err
-				}
-				for _, l := range sortedLengths(n.counts) {
-					out.Artifacts = append(out.Artifacts,
-						shufName(kvio.Suffix, l), shufName(kvio.Prefix, l))
-				}
-				return out, nil
+				err := c.shuffleNode(rs.MaxLen(), n)
+				return core.StageOutcome{Artifacts: core.PartitionFiles(n.counts, shufName)}, err
 			},
-			Cached: func(rec core.StageRecord) error {
-				counts, err := shuffleCountsFromRecord(rec)
-				if err != nil {
-					return err
-				}
-				n.counts = counts
-				return nil
+			Cached: func(rec core.StageRecord) (err error) {
+				n.counts, err = core.PartitionCounts(rec, "shuf_"+kvio.Suffix.String()+"_")
+				return err
 			},
 		})
 	})
@@ -614,29 +532,15 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 
 	// Sort: each node externally sorts its owned partitions, deleting the
 	// shuffled inputs only after the stage commits.
-	err = c.runPhase(core.PhaseSort, res, 0, func(n *node) error {
+	err = c.runPhase(core.PhaseSort, res, func(n *node) error {
 		return runners[n.id].Run(core.Stage{
 			Name: core.PhaseSort,
 			Fresh: func() (core.StageOutcome, error) {
-				var out core.StageOutcome
-				if err := c.sortNode(ctx, n); err != nil {
-					return out, err
-				}
-				for _, l := range sortedLengths(n.counts) {
-					out.Artifacts = append(out.Artifacts,
-						sortedName(kvio.Suffix, l), sortedName(kvio.Prefix, l))
-				}
-				out.Cleanup = func() error {
-					for l := range n.counts {
-						for _, kind := range []kvio.Kind{kvio.Suffix, kvio.Prefix} {
-							if err := os.Remove(filepath.Join(n.dir, shufName(kind, l))); err != nil && !os.IsNotExist(err) {
-								return err
-							}
-						}
-					}
-					return nil
-				}
-				return out, nil
+				_, err := n.SortPartitions(ctx, n.counts, shufName, sortedName)
+				return core.StageOutcome{
+					Artifacts: core.PartitionFiles(n.counts, sortedName),
+					Cleanup:   func() error { return n.RemovePartitions(n.counts, shufName) },
+				}, err
 			},
 			Cached: func(core.StageRecord) error { return nil },
 		})
@@ -650,7 +554,7 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 	// by the bit-vector token in descending length order (Section III-E.3)
 	// or on the master. The engine holds the master's graph until Compress
 	// has walked it; it is released on every way out.
-	eng := core.NewGraphEngine(c.cfg.single(), c.masterEnv(), rs)
+	eng := c.nodes[0].NewGraphEngine(rs)
 	defer eng.Release()
 	if err := c.reducePhase(ctx, rs, eng, res); err != nil {
 		return res, err
@@ -660,7 +564,7 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 	}
 
 	// Compress: the master walks its graph and generates contigs.
-	err = c.runPhase(core.PhaseCompress, res, 0, func(n *node) error {
+	err = c.runPhase(core.PhaseCompress, res, func(n *node) error {
 		if n.id != 0 {
 			return nil
 		}
@@ -669,236 +573,103 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 	return res, err
 }
 
-// masterEnv is node 0 as the machine the master's graph engine runs on.
-func (c *Cluster) masterEnv() core.EngineEnv {
-	m := c.nodes[0]
-	return core.EngineEnv{Device: m.dev, Meter: m.meter, HostMem: &m.hostMem,
-		Graph: &m.hostMem, Ledger: m.ledger, Scratch: m.dir}
-}
-
 // shufName / sortedName name a node's post-shuffle and post-sort partition
 // files (relative to the node dir).
-func shufName(k kvio.Kind, l int) string {
-	return fmt.Sprintf("shuf_%s_%04d.kv", k, l)
-}
+func shufName(k kvio.Kind, l int) string { return "shuf_" + core.RawPartition(k, l) }
 
-func sortedName(k kvio.Kind, l int) string {
-	return fmt.Sprintf("sorted_%s_%04d.kv", k, l)
-}
+func sortedName(k kvio.Kind, l int) string { return "sorted_" + core.RawPartition(k, l) }
 
-// shuffleCountsFromRecord rebuilds a node's owned-partition counts from a
-// committed Shuffle record: each suffix artifact holds exactly its
-// partition's pairs, so the counts (zero-sized partitions included) fall
-// out of the recorded sizes.
-func shuffleCountsFromRecord(rec core.StageRecord) (map[int]int64, error) {
-	counts := map[int]int64{}
-	prefix := "shuf_" + kvio.Suffix.String() + "_"
-	for _, a := range rec.Artifacts {
-		base := path.Base(a.Path)
-		if !strings.HasPrefix(base, prefix) || !strings.HasSuffix(base, ".kv") {
-			continue
-		}
-		l, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(base, prefix), ".kv"))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: manifest shuffle artifact %q: %w", a.Path, err)
-		}
-		counts[l] = a.Bytes / kv.PairBytes
-	}
-	return counts, nil
-}
-
-// sortedLengths returns the map's keys in ascending order.
-func sortedLengths(counts map[int]int64) []int {
-	lengths := make([]int, 0, len(counts))
-	for l := range counts {
-		lengths = append(lengths, l)
-	}
-	sort.Ints(lengths)
-	return lengths
-}
-
-// shuffleNode pulls every peer's copy of the partitions n owns into n's
-// local storage.
-func (c *Cluster) shuffleNode(rs *dna.ReadSet, n *node) error {
+// shuffleNode pulls everything n owns of every length partition below
+// maxLen from all peers into n's local storage. Each peer meters the read
+// of the file it serves (the paper's active-message handler reads the
+// requested partition and responds with a chunk); what crosses between
+// nodes is charged to n's network.
+func (c *Cluster) shuffleNode(maxLen int, n *node) error {
 	n.counts = map[int]int64{}
-	for l := c.cfg.MinOverlap; l < rs.MaxLen(); l++ {
-		if c.owner(l) != n {
+	whole := !c.cfg.PartitionByFingerprint // a length partition moves whole
+	buf := make([]kv.Pair, 4096)
+	// pull streams what n owns of peer's (kind, l) partition file — which
+	// may be absent — into w and returns the pairs moved.
+	pull := func(w *kvio.Writer, peer *node, kind kvio.Kind, l int) (int64, error) {
+		r, err := kvio.NewReader(kvio.PartitionPath(peer.Scratch, kind, l), peer.Meter)
+		if os.IsNotExist(err) {
+			return 0, nil
+		}
+		if err != nil {
+			return 0, err
+		}
+		defer r.Close()
+		var moved int64
+		for {
+			m, rerr := r.ReadBatch(buf)
+			kept := buf[:0]
+			for _, pair := range buf[:m] {
+				if c.owns(n.id, l, pair.Key) {
+					kept = append(kept, pair)
+				}
+			}
+			if err := w.WriteBatch(kept); err != nil {
+				return moved, err
+			}
+			moved += int64(len(kept))
+			if rerr == io.EOF {
+				return moved, nil
+			}
+			if rerr != nil {
+				return moved, rerr
+			}
+		}
+	}
+	for l := c.cfg.MinOverlap; l < maxLen; l++ {
+		if whole && !c.owns(n.id, l, kv.Key{}) {
 			continue
 		}
-		if len(c.nodes) == 1 {
-			// Single node: every partition is already local and whole, so
-			// the shuffle degenerates to a rename — matching the paper,
-			// where the all-to-all transfer only appears when scaling out
-			// from one node.
-			for _, kind := range []kvio.Kind{kvio.Suffix, kvio.Prefix} {
-				src := kvio.PartitionPath(n.dir, kind, l)
-				dst := filepath.Join(n.dir, fmt.Sprintf("shuf_%s_%04d.kv", kind, l))
-				count, err := kvio.CountFile(src)
-				if err != nil {
+		for _, kind := range []kvio.Kind{kvio.Suffix, kvio.Prefix} {
+			dst := filepath.Join(n.Scratch, shufName(kind, l))
+			var total int64
+			if whole && len(c.nodes) == 1 {
+				// Single node: every partition is already local and whole, so
+				// the shuffle degenerates to a rename — matching the paper,
+				// where the all-to-all transfer only appears when scaling out
+				// from one node.
+				src := kvio.PartitionPath(n.Scratch, kind, l)
+				var err error
+				if total, err = kvio.CountFile(src); err != nil {
 					return err
 				}
-				if count == 0 {
+				if total == 0 {
 					continue
 				}
 				if err := os.Rename(src, dst); err != nil {
 					return err
 				}
-				if kind == kvio.Suffix {
-					n.counts[l] = count
-				}
-			}
-			continue
-		}
-		for _, kind := range []kvio.Kind{kvio.Suffix, kvio.Prefix} {
-			outPath := filepath.Join(n.dir, fmt.Sprintf("shuf_%s_%04d.kv", kind, l))
-			w, err := kvio.NewWriter(outPath, n.meter)
-			if err != nil {
-				return err
-			}
-			var total int64
-			for _, peer := range c.nodes {
-				in := kvio.PartitionPath(peer.dir, kind, l)
-				moved, err := copyPairs(w, in, peer.meter)
+			} else {
+				w, err := kvio.NewWriter(dst, n.Meter)
 				if err != nil {
-					w.Close()
 					return err
 				}
-				if peer != n {
-					// Active-message response crossing the network.
-					n.meter.AddNet(moved * kv.PairBytes)
+				for _, peer := range c.nodes {
+					moved, err := pull(w, peer, kind, l)
+					if err != nil {
+						w.Close()
+						return err
+					}
+					if peer != n {
+						n.Meter.AddNet(moved * kv.PairBytes)
+					}
+					total += moved
 				}
-				total += moved
+				if err := w.Close(); err != nil {
+					return err
+				}
 			}
-			if kind == kvio.Suffix {
+			if kind == kvio.Suffix && total > 0 {
 				n.counts[l] = total
-			}
-			if err := w.Close(); err != nil {
-				return err
 			}
 		}
 	}
 	return nil
 }
-
-// copyPairs streams a partition file (which may be absent) into w,
-// metering the read on the serving peer's meter. Returns pairs moved.
-func copyPairs(w *kvio.Writer, path string, serveMeter *costmodel.Meter) (int64, error) {
-	r, err := kvio.NewReader(path, serveMeter)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	buf := make([]kv.Pair, 4096)
-	var moved int64
-	for {
-		m, err := r.ReadBatch(buf)
-		if m > 0 {
-			if werr := w.WriteBatch(buf[:m]); werr != nil {
-				return moved, werr
-			}
-			moved += int64(m)
-		}
-		if err == io.EOF {
-			return moved, nil
-		}
-		if err != nil {
-			return moved, err
-		}
-	}
-}
-
-func (c *Cluster) sortNode(ctx context.Context, n *node) error {
-	type task struct {
-		l    int
-		kind kvio.Kind
-	}
-	var tasks []task
-	for l := range n.counts {
-		tasks = append(tasks, task{l, kvio.Suffix}, task{l, kvio.Prefix})
-	}
-	return runNodeTasks(c.cfg.WorkersPerNode, len(tasks), func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		t := tasks[i]
-		// Private scratch per concurrent sort: run/merge file names repeat
-		// across SortFile calls, so parallel sorts must not share TempDir.
-		tmpDir := filepath.Join(n.dir, fmt.Sprintf("sort_%s_%04d", t.kind, t.l))
-		if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmpDir)
-		cfg := extsort.Config{
-			Device:           n.dev,
-			Meter:            n.meter,
-			HostMem:          &n.hostMem,
-			HostBlockPairs:   c.cfg.HostBlockPairs,
-			DeviceBlockPairs: c.cfg.DeviceBlockPairs,
-			TempDir:          tmpDir,
-			Obs:              c.cfg.Obs,
-			Overlap:          n.ledger,
-		}
-		in := filepath.Join(n.dir, shufName(t.kind, t.l))
-		out := filepath.Join(n.dir, sortedName(t.kind, t.l))
-		if _, err := extsort.SortFile(ctx, cfg, in, out); err != nil {
-			return fmt.Errorf("cluster: node %d sorting partition %d (%s): %w",
-				n.id, t.l, t.kind, err)
-		}
-		return nil
-	})
-}
-
-// runNodeTasks runs n independent tasks on up to workers goroutines
-// (workers <= 1 runs them inline) and returns the first error.
-func runNodeTasks(workers, n int, task func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := task(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	jobs := make(chan int)
-	errs := make(chan error, workers)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if failed.Load() {
-					continue
-				}
-				if err := task(i); err != nil {
-					failed.Store(true)
-					select {
-					case errs <- err:
-					default:
-					}
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	close(errs)
-	return <-errs
-}
-
-// cand is one verified candidate overlap buffered between a node's
-// overlap finding and the serialized graph-building step.
-type cand struct{ u, v uint32 }
 
 // reducePhase runs overlap finding on all nodes in parallel, then builds
 // the graph serially in descending partition order: under the greedy
@@ -907,49 +678,23 @@ type cand struct{ u, v uint32 }
 // engine, which seals (builds and reduces) its store on the master's
 // device.
 func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, eng core.GraphEngine, res *Result) error {
-	maxLen := rs.MaxLen()
 	// candidates[l][nodeID]: with length partitioning only the owner's
 	// slot fills; with fingerprint partitioning every node contributes a
 	// fingerprint-ordered slice, and node-ID order re-assembles the
 	// global fingerprint order of the single-node reduce.
-	candidates := make(map[int][][]cand)
+	candidates := make(map[int][][]core.Candidate)
 	var candMu sync.Mutex
 
 	// Parallel overlap finding (the t_o component).
-	err := c.runPhase(core.PhaseReduce, res, 0, func(n *node) error {
-		cfg := overlap.Config{
-			Device:      n.dev,
-			Meter:       n.meter,
-			HostMem:     &n.hostMem,
-			WindowPairs: max(c.cfg.HostBlockPairs/2, 1),
-			Obs:         c.cfg.Obs,
-			Overlap:     n.ledger,
-		}
-		lengths := make([]int, 0, len(n.counts))
-		for l := range n.counts {
-			lengths = append(lengths, l)
-		}
-		sort.Ints(lengths)
-		return runNodeTasks(c.cfg.WorkersPerNode, len(lengths), func(i int) error {
-			l := lengths[i]
-			sfx := filepath.Join(n.dir, sortedName(kvio.Suffix, l))
-			pfx := filepath.Join(n.dir, sortedName(kvio.Prefix, l))
-			var list []cand
-			err := overlap.ReducePaths(ctx, cfg, sfx, pfx, func(u, v uint32) error {
-				list = append(list, cand{u, v})
-				return nil
-			})
-			if err != nil {
-				return err
-			}
+	err := c.runPhase(core.PhaseReduce, res, func(n *node) error {
+		return n.FindOverlaps(ctx, n.counts, sortedName, nil, func(o core.Overlaps) {
 			candMu.Lock()
-			if candidates[l] == nil {
-				candidates[l] = make([][]cand, len(c.nodes))
+			if candidates[o.Length] == nil {
+				candidates[o.Length] = make([][]core.Candidate, len(c.nodes))
 			}
-			candidates[l][n.id] = list
-			res.CandidateEdges += int64(len(list))
+			candidates[o.Length][n.id] = o.Edges
+			res.CandidateEdges += o.Candidates
 			candMu.Unlock()
-			return nil
 		})
 	})
 	if err != nil {
@@ -965,13 +710,12 @@ func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, eng core.Gra
 	serialSpan := c.cfg.Obs.Tracer().Begin(obs.Track{}, "stage", "ReduceSerial").
 		Metered(c.serial, c.cfg.profile())
 	master := c.nodes[0]
-	meterBefore := master.meter.Snapshot()
-	savedBefore := master.ledger.SavedSeconds()
-	var serialErr error
-	if c.cfg.backend() == core.BackendGreedy {
-		c.forwardToken(rs, candidates, res)
-	} else {
-		for l := maxLen - 1; l >= c.cfg.MinOverlap; l-- {
+	sealed, serialErr := master.Measure("ReduceSerial", func() error {
+		if c.cfg.backend() == core.BackendGreedy {
+			c.forwardToken(rs, candidates, res)
+			return nil
+		}
+		for l := rs.MaxLen() - 1; l >= c.cfg.MinOverlap; l-- {
 			for nodeID, list := range candidates[l] {
 				if nodeID != master.id {
 					// Candidate lists travel to the master: ~6 bytes per edge
@@ -980,20 +724,18 @@ func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, eng core.Gra
 				}
 				for _, cd := range list {
 					c.serial.AddHostMem(eng.AddHostBytes())
-					eng.Add(cd.u, cd.v, uint16(l))
+					eng.Add(cd.U, cd.V, uint16(l))
 				}
 			}
 			delete(candidates, l)
 		}
-		var st core.EngineStats
-		st, serialErr = core.SealEngine(ctx, eng, c.cfg.Obs.Metrics())
+		st, err := core.SealEngine(ctx, eng, c.cfg.Obs.Metrics())
 		res.ReducedEdges = st.Removed
 		res.AcceptedEdges = st.NNZ - st.Removed
-	}
+		return err
+	})
 	serialSpan.End()
-	trTime := master.meter.Snapshot().Sub(meterBefore).Time(c.cfg.profile()) -
-		time.Duration((master.ledger.SavedSeconds()-savedBefore)*float64(time.Second))
-	serialTime := c.serial.Snapshot().Sub(serialBefore).Time(c.cfg.profile()) + max(trTime, 0)
+	serialTime := c.serial.Snapshot().Sub(serialBefore).Time(c.cfg.profile()) + sealed.Modeled
 	// Fold the serialized component into the recorded reduce phase.
 	last := &res.Phases[len(res.Phases)-1]
 	res.ReduceOverlapModeled = last.Modeled
@@ -1008,7 +750,7 @@ func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, eng core.Gra
 // applied under the shared greedy discipline strictly in descending
 // partition order, the out-degree bit-vector travelling between the
 // partitions' owners as a token. Each node keeps the edges it accepted.
-func (c *Cluster) forwardToken(rs *dna.ReadSet, candidates map[int][][]cand, res *Result) {
+func (c *Cluster) forwardToken(rs *dna.ReadSet, candidates map[int][][]core.Candidate, res *Result) {
 	token := bitvec.New(2 * rs.NumReads())
 	graphs := make(map[int]*graph.Graph, len(c.nodes))
 	for _, n := range c.nodes {
@@ -1032,7 +774,7 @@ func (c *Cluster) forwardToken(rs *dna.ReadSet, candidates map[int][][]cand, res
 				// edge-slot writes), which is what makes graph building
 				// the serialized cost the paper's t_g term captures.
 				c.serial.AddHostMem(4 * 64)
-				g.AddCandidate(cd.u, cd.v, uint16(l))
+				g.AddCandidate(cd.U, cd.V, uint16(l))
 			}
 		}
 		delete(candidates, l)
@@ -1057,7 +799,7 @@ func (c *Cluster) compressOnMaster(rs *dna.ReadSet, eng core.GraphEngine, res *R
 			if n.id != master.id {
 				// ~6 bytes per edge (4-byte vertex + overlap length,
 				// Section III-C's sizing).
-				master.meter.AddNet(int64(len(n.edges)) * 6)
+				master.Meter.AddNet(int64(len(n.edges)) * 6)
 			}
 			shipped = append(shipped, n.edges...)
 		}
@@ -1078,7 +820,7 @@ func (c *Cluster) compressOnMaster(rs *dna.ReadSet, eng core.GraphEngine, res *R
 	res.ContigPath = filepath.Join(c.cfg.Workspace, "contigs.fasta")
 	// No meter: the master's FASTA write has never been charged (see
 	// core.WriteContigs).
-	res.Contigs, err = core.WriteContigs(master.dev, nil, rs, paths, res.ContigPath)
+	res.Contigs, err = core.WriteContigs(master.Device, nil, rs, paths, res.ContigPath)
 	res.ContigStats = contig.Summarize(res.Contigs)
 	return err
 }

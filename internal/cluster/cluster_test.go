@@ -3,8 +3,10 @@ package cluster
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/dna"
 	"repro/internal/readsim"
 )
@@ -125,7 +127,7 @@ func TestShuffleChargesNetworkOnlyAcrossNodes(t *testing.T) {
 	}
 	var net1 int64
 	for _, n := range cl1.nodes {
-		net1 += n.meter.Snapshot().NetBytes
+		net1 += n.Meter.Snapshot().NetBytes
 	}
 	if net1 != 0 {
 		t.Errorf("1-node cluster moved %d network bytes; want 0", net1)
@@ -140,7 +142,7 @@ func TestShuffleChargesNetworkOnlyAcrossNodes(t *testing.T) {
 	}
 	var net4 int64
 	for _, n := range cl4.nodes {
-		net4 += n.meter.Snapshot().NetBytes
+		net4 += n.Meter.Snapshot().NetBytes
 	}
 	if net4 == 0 {
 		t.Error("4-node cluster moved no network bytes")
@@ -213,12 +215,10 @@ func TestClusterErrors(t *testing.T) {
 }
 
 // TestWorkersPerNodeDeterminism asserts that per-node partition
-// concurrency does not change the distributed output. Modeled cost is
-// deliberately NOT compared: the map phase hands out input blocks by
-// dynamic load balancing (Section III-E.1), so which node maps which
-// block — and therefore the per-node meter maxima — depends on
-// scheduling even without per-node workers. Output does not, because the
-// shuffle reassembles the same partitions wherever the tuples landed.
+// concurrency changes neither the distributed output nor its modeled cost:
+// input blocks are assigned statically, every charge is a byte count, and
+// overlap savings aggregate per unit of work, so the counters and the
+// modeled total are the same numbers at every worker count.
 func TestWorkersPerNodeDeterminism(t *testing.T) {
 	_, reads := testData(t)
 	var base *Result
@@ -241,6 +241,10 @@ func TestWorkersPerNodeDeterminism(t *testing.T) {
 			t.Errorf("WorkersPerNode=%d: edges %d/%d, want %d/%d",
 				w, res.CandidateEdges, res.AcceptedEdges, base.CandidateEdges, base.AcceptedEdges)
 		}
+		if res.TotalModeled != base.TotalModeled || res.Counters != base.Counters {
+			t.Errorf("WorkersPerNode=%d: modeled %v counters %+v, want %v %+v",
+				w, res.TotalModeled, res.Counters, base.TotalModeled, base.Counters)
+		}
 		if len(res.Contigs) != len(base.Contigs) {
 			t.Fatalf("WorkersPerNode=%d: %d contigs, want %d", w, len(res.Contigs), len(base.Contigs))
 		}
@@ -249,5 +253,42 @@ func TestWorkersPerNodeDeterminism(t *testing.T) {
 				t.Fatalf("WorkersPerNode=%d: contig %d differs", w, i)
 			}
 		}
+	}
+}
+
+// TestRunPhaseFoldsNodeMeasures: a phase in which two nodes do different
+// amounts of metered work records the slower node's modeled time, the sum
+// of both nodes' bytes, and each node's own modeled time in NodeModeled.
+func TestRunPhaseFoldsNodeMeasures(t *testing.T) {
+	cl, err := New(clusterConfig(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{}
+	err = cl.runPhase("Probe", res, func(n *node) error {
+		n.Meter.AddDiskRead(int64(n.id+1) << 20)
+		n.Meter.AddNet(int64(n.id+1) << 10)
+		n.HostMem.Add(int64(n.id+1) * 100)
+		n.HostMem.Release(int64(n.id+1) * 100)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := cl.cfg.profile()
+	want := [2]time.Duration{}
+	for id := range want {
+		want[id] = costmodel.Counters{DiskReadBytes: int64(id+1) << 20, NetBytes: int64(id+1) << 10}.Time(prof)
+	}
+	ps := res.Phases[0]
+	if ps.Name != "Probe" || ps.Modeled != want[1] || res.TotalModeled != want[1] {
+		t.Errorf("phase %q modeled %v (total %v), want the slower node's %v", ps.Name, ps.Modeled, res.TotalModeled, want[1])
+	}
+	if ps.DiskRead != 3<<20 || ps.NetBytes != 3<<10 || ps.PeakHost != 200 {
+		t.Errorf("disk %d net %d peak host %d, want the sums %d and %d and the larger peak 200",
+			ps.DiskRead, ps.NetBytes, ps.PeakHost, 3<<20, 3<<10)
+	}
+	if per := res.NodeModeled["Probe"]; len(per) != 2 || per[0] != want[0] || per[1] != want[1] {
+		t.Errorf("NodeModeled = %v, want %v", per, want)
 	}
 }

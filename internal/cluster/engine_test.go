@@ -30,12 +30,12 @@ func engineTotals(reg *obs.Registry, backend string) (tot [4]int64) {
 func assembleWatchingMaster(ctx context.Context, cl *Cluster, reads *dna.ReadSet) (res *Result, before, after int64, err error) {
 	cl.FaultHook = func(nodeID int, stage core.PhaseName) error {
 		if nodeID == 0 && stage == core.PhaseSort {
-			before = cl.nodes[0].hostMem.Current()
+			before = cl.nodes[0].HostMem.Current()
 		}
 		return nil
 	}
 	res, err = cl.AssembleContext(ctx, reads)
-	return res, before, cl.nodes[0].hostMem.Current(), err
+	return res, before, cl.nodes[0].HostMem.Current(), err
 }
 
 // checkClusterEngineParity runs the backend on 1, 2 and 4 nodes and holds
@@ -146,7 +146,7 @@ func checkMasterReleasesOnFailure(t *testing.T, reads *dna.ReadSet, backend stri
 			t.Errorf("%s cancelled at %q: master holds %d host bytes, %d before Reduce",
 				backend, at.msg, after, before)
 		}
-		if left, _ := filepath.Glob(filepath.Join(cl.nodes[0].dir, "sort_*")); len(left) != 0 {
+		if left, _ := filepath.Glob(filepath.Join(cl.nodes[0].Scratch, "sort_*")); len(left) != 0 {
 			t.Errorf("%s cancelled at %q: scratch left behind: %v", backend, at.msg, left)
 		}
 	}

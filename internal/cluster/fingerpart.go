@@ -1,14 +1,8 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-
 	"repro/internal/fingerprint"
 	"repro/internal/kv"
-	"repro/internal/kvio"
 )
 
 // keySpace is the size of the high fingerprint component's value space:
@@ -30,90 +24,15 @@ const keySpace = fingerprint.KeySpaceHi
 // re-assembled in fingerprint order — which is exactly the order the
 // single-node reduce emits, so the greedy result stays bit-identical.
 
-// rangeOwner returns the node owning a fingerprint: the high hash
-// component is uniform in [0, keySpace), so equal slices of that range
-// balance the load.
-func (c *Cluster) rangeOwner(k kv.Key) *node {
-	n := len(c.nodes)
-	idx := int(k.Hi / (keySpace/uint64(n) + 1))
-	if idx >= n {
-		idx = n - 1
+// owns reports whether node id keeps key k of length partition l — the one
+// place partition ownership is decided. By length (Section III-E.2) the
+// partitions go round the nodes and the key is ignored; by fingerprint
+// (fingerpart.go) the high hash component, uniform in [0, keySpace), is cut
+// into equal slices, so higher fingerprints land on higher node IDs.
+func (c *Cluster) owns(id, l int, k kv.Key) bool {
+	if !c.cfg.PartitionByFingerprint {
+		return (l-c.cfg.MinOverlap)%len(c.nodes) == id
 	}
-	return c.nodes[idx]
-}
-
-// shuffleNodeByFingerprint pulls n's fingerprint slice of every length
-// partition from all peers.
-func (c *Cluster) shuffleNodeByFingerprint(maxLen int, n *node) error {
-	nNodes := uint64(len(c.nodes))
-	stride := keySpace/nNodes + 1
-	lo := uint64(n.id) * stride
-	hi := lo + stride // exclusive
-	last := n.id == len(c.nodes)-1
-
-	inRange := func(k kv.Key) bool {
-		if last {
-			return k.Hi >= lo
-		}
-		return k.Hi >= lo && k.Hi < hi
-	}
-
-	n.counts = map[int]int64{}
-	buf := make([]kv.Pair, 4096)
-	for l := c.cfg.MinOverlap; l < maxLen; l++ {
-		for _, kind := range []kvio.Kind{kvio.Suffix, kvio.Prefix} {
-			outPath := filepath.Join(n.dir, fmt.Sprintf("shuf_%s_%04d.kv", kind, l))
-			w, err := kvio.NewWriter(outPath, n.meter)
-			if err != nil {
-				return err
-			}
-			var total int64
-			for _, peer := range c.nodes {
-				in := kvio.PartitionPath(peer.dir, kind, l)
-				r, err := kvio.NewReader(in, peer.meter)
-				if os.IsNotExist(err) {
-					continue
-				}
-				if err != nil {
-					w.Close()
-					return err
-				}
-				var moved int64
-				for {
-					m, rerr := r.ReadBatch(buf)
-					for _, pair := range buf[:m] {
-						if !inRange(pair.Key) {
-							continue
-						}
-						if werr := w.Write(pair); werr != nil {
-							r.Close()
-							w.Close()
-							return werr
-						}
-						moved++
-					}
-					if rerr == io.EOF {
-						break
-					}
-					if rerr != nil {
-						r.Close()
-						w.Close()
-						return rerr
-					}
-				}
-				r.Close()
-				if peer != n {
-					n.meter.AddNet(moved * kv.PairBytes)
-				}
-				total += moved
-			}
-			if err := w.Close(); err != nil {
-				return err
-			}
-			if kind == kvio.Suffix && total > 0 {
-				n.counts[l] = total
-			}
-		}
-	}
-	return nil
+	stride := keySpace/uint64(len(c.nodes)) + 1
+	return min(int(k.Hi/stride), len(c.nodes)-1) == id
 }

@@ -83,25 +83,54 @@ func TestFingerprintPartitioningBalancesNarrowLengthRange(t *testing.T) {
 	}
 }
 
-func TestRangeOwnerCoversSpace(t *testing.T) {
-	cl, err := New(clusterConfig(t, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	const ks = keySpace
-	for _, hi := range []uint64{0, ks / 4, ks / 2, 3 * (ks / 4), ks - 1} {
-		n := cl.rangeOwner(kv.Key{Hi: hi})
-		if n == nil {
-			t.Fatalf("no owner for %x", hi)
+// TestOwnsCoversSpace holds the shuffle's ownership predicate to the
+// partition property: under either partitioning, for 1-9 nodes, every
+// (length, key) has exactly one owner, and fingerprint ownership is
+// monotone with slice boundaries at k*stride.
+func TestOwnsCoversSpace(t *testing.T) {
+	for nodes := 1; nodes <= 9; nodes++ {
+		for _, byFP := range []bool{false, true} {
+			cfg := clusterConfig(t, nodes)
+			cfg.PartitionByFingerprint = byFP
+			cl, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner := func(l int, hi uint64) int {
+				found := -1
+				for id := 0; id < nodes; id++ {
+					if cl.owns(id, l, kv.Key{Hi: hi}) {
+						if found != -1 {
+							t.Fatalf("nodes=%d byFP=%t: l=%d hi=%x owned by %d and %d", nodes, byFP, l, hi, found, id)
+						}
+						found = id
+					}
+				}
+				if found == -1 {
+					t.Fatalf("nodes=%d byFP=%t: l=%d hi=%x has no owner", nodes, byFP, l, hi)
+				}
+				return found
+			}
+			stride := keySpace/uint64(nodes) + 1
+			his := []uint64{0, keySpace / 2, keySpace - 1}
+			for k := 1; k < nodes; k++ {
+				his = append(his, uint64(k)*stride-1, uint64(k)*stride)
+			}
+			for l := cfg.MinOverlap; l < cfg.MinOverlap+2*nodes; l++ {
+				for _, hi := range his {
+					got := owner(l, hi)
+					want := (l - cfg.MinOverlap) % nodes
+					if byFP {
+						want = int(hi / stride)
+					}
+					if got != want {
+						t.Errorf("nodes=%d byFP=%t: l=%d hi=%x owned by %d, want %d", nodes, byFP, l, hi, got, want)
+					}
+				}
+			}
+			if byFP && (owner(cfg.MinOverlap, 0) != 0 || owner(cfg.MinOverlap, keySpace-1) != nodes-1) {
+				t.Errorf("nodes=%d: fingerprint ownership does not span node 0 to node %d", nodes, nodes-1)
+			}
 		}
-		seen[n.id] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("range owners hit %d nodes, want 4", len(seen))
-	}
-	// Ordering: higher fingerprints map to higher node IDs.
-	if cl.rangeOwner(kv.Key{Hi: 0}).id != 0 || cl.rangeOwner(kv.Key{Hi: ks - 1}).id != 3 {
-		t.Error("range ownership is not monotone")
 	}
 }

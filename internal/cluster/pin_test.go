@@ -1,0 +1,165 @@
+package cluster
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/costmodel"
+	"repro/internal/stats"
+)
+
+var updatePins = flag.Bool("update-pins", false,
+	"rewrite testdata/pins.json from this run instead of comparing against it")
+
+// pinPhase is the modeled, worker-count-independent part of a PhaseStats.
+type pinPhase struct {
+	Name                         string
+	Modeled                      time.Duration
+	DiskRead, DiskWrite, NetByte int64
+}
+
+// pin is everything about a run that must not depend on how it was
+// scheduled: counters, modeled time per phase and per node, edge counts
+// and the FASTA bytes.
+type pin struct {
+	Counters                           costmodel.Counters
+	TotalModeled                       time.Duration
+	Phases                             []pinPhase
+	NodeModeled                        map[string][]time.Duration `json:",omitempty"`
+	ReduceOverlapModeled, ReduceSerial time.Duration
+	Candidate, Accepted, Reduced       int64
+	FastaSHA256                        string
+}
+
+func pinPhases(phases []stats.PhaseStats) []pinPhase {
+	out := make([]pinPhase, len(phases))
+	for i, p := range phases {
+		out[i] = pinPhase{p.Name, p.Modeled, p.DiskRead, p.DiskWrite, p.NetBytes}
+	}
+	return out
+}
+
+func fastaSum(t *testing.T, path string) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
+}
+
+func pinCluster(t *testing.T, res *Result) pin {
+	p := pin{
+		Counters: res.Counters, TotalModeled: res.TotalModeled, Phases: pinPhases(res.Phases),
+		NodeModeled:          map[string][]time.Duration{},
+		ReduceOverlapModeled: res.ReduceOverlapModeled, ReduceSerial: res.ReduceSerialModeled,
+		Candidate: res.CandidateEdges, Accepted: res.AcceptedEdges, Reduced: res.ReducedEdges,
+		FastaSHA256: fastaSum(t, res.ContigPath),
+	}
+	for name, per := range res.NodeModeled {
+		p.NodeModeled[string(name)] = per
+	}
+	return p
+}
+
+func pinSingle(t *testing.T, res *core.Result) pin {
+	return pin{
+		Counters: res.Counters, TotalModeled: res.TotalModeled, Phases: pinPhases(res.Phases),
+		Candidate: res.CandidateEdges, Accepted: res.AcceptedEdges, Reduced: res.ReducedEdges,
+		FastaSHA256: fastaSum(t, res.ContigPath),
+	}
+}
+
+// TestModeledPins holds every modeled number of the cluster and the
+// single-node pipeline on testData to the values recorded in
+// testdata/pins.json, for {1, 3} nodes x three backends x both
+// partitionings at WorkersPerNode 0 and 4, and the single-node pipeline at
+// Workers 1 and 4. The file was recorded before the node runtime moved
+// into core (go test ./internal/cluster -run TestModeledPins -update-pins
+// rewrites it): a worker count is not part of a cell's key, so the table
+// also asserts modeled cost is worker-independent.
+func TestModeledPins(t *testing.T) {
+	_, reads := testData(t)
+	path := filepath.Join("testdata", "pins.json")
+	want := map[string]pin{}
+	if raw, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+	} else if !*updatePins {
+		t.Fatal(err)
+	}
+	got := map[string]pin{}
+	check := func(key, variant string, p pin) {
+		// Through JSON, so a recorded and a fresh pin compare alike (nil
+		// versus empty maps).
+		raw, _ := json.Marshal(p)
+		var norm pin
+		json.Unmarshal(raw, &norm)
+		if first, ok := got[key]; ok && !reflect.DeepEqual(first, norm) {
+			t.Errorf("%s: %s differs from the cell's first variant:\n got %+v\nwant %+v", key, variant, norm, first)
+		}
+		got[key] = norm
+		if w, ok := want[key]; !*updatePins && (!ok || !reflect.DeepEqual(w, norm)) {
+			t.Errorf("%s (%s):\n got %+v\nwant %+v", key, variant, norm, w)
+		}
+	}
+	for _, backend := range core.Backends {
+		for _, workers := range []int{1, 4} {
+			cfg := singleConfig(t)
+			cfg.GraphBackend = backend
+			cfg.Workers = workers
+			p, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Assemble(reads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("single/"+backend, fmt.Sprintf("Workers=%d", workers), pinSingle(t, res))
+		}
+		for _, nodes := range []int{1, 3} {
+			for _, byFP := range []bool{false, true} {
+				for _, workers := range []int{0, 4} {
+					cfg := clusterConfig(t, nodes)
+					cfg.GraphBackend = backend
+					cfg.PartitionByFingerprint = byFP
+					cfg.WorkersPerNode = workers
+					cl, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := cl.Assemble(reads)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("nodes=%d/%s/fingerprint=%t", nodes, backend, byFP),
+						fmt.Sprintf("WorkersPerNode=%d", workers), pinCluster(t, res))
+				}
+			}
+		}
+	}
+	if *updatePins {
+		raw, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

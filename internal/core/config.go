@@ -12,7 +12,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/gpu"
@@ -319,6 +318,3 @@ const (
 	PhaseReduce   PhaseName = "Reduce"
 	PhaseCompress PhaseName = "Compress"
 )
-
-// Durations keyed by phase, used by results and the bench harness.
-type PhaseTimes map[PhaseName]time.Duration

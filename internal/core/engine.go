@@ -6,17 +6,14 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/costmodel"
 	"repro/internal/dna"
 	"repro/internal/extsort"
-	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/kv"
 	"repro/internal/kvio"
 	"repro/internal/obs"
 	"repro/internal/sgraph"
 	"repro/internal/spmat"
-	"repro/internal/stats"
 	"repro/internal/succinct"
 )
 
@@ -24,7 +21,7 @@ import (
 // (DESIGN.md, "Graph engines"). Reduce feeds it verified candidates and
 // seals it; Compress — or the cluster master, which keeps the sealed
 // engine — asks it for paths. The single-node pipeline and the cluster
-// master are handed an engine by NewGraphEngine and never ask which one.
+// master are handed an engine by Node.NewGraphEngine and never ask which one.
 //
 // Lifecycle: either Add* then Seal (Reduce), or Load (Compress); then
 // Live, Stats and Paths in any order; Release exactly once on every path,
@@ -76,31 +73,18 @@ type EngineStats struct {
 	Tiles               int
 }
 
-// EngineEnv is the machine an engine runs on: the node's device, meter and
-// trackers, and a directory for spill scratch.
-type EngineEnv struct {
-	Device  *gpu.Device
-	Meter   *costmodel.Meter
-	HostMem *stats.MemTracker // the host pool an external sort's blocks count against
-	// Graph is charged with the bytes of the graph representation itself
-	// (builders and sealed stores).
-	Graph  succinct.MemSink
-	Ledger *costmodel.OverlapLedger
-	// Scratch is where a spilling engine keeps its sort_* directory, so a
-	// crashed run's leftovers are swept with the other sort debris.
-	Scratch string
-}
-
-// NewGraphEngine is the one place a backend is selected: it resolves
-// cfg.GraphBackend and cfg.FullGraph to the engine that implements them.
-func NewGraphEngine(cfg Config, env EngineEnv, rs dna.ReadSource) GraphEngine {
-	base := engineBase{cfg: cfg, env: env, rs: rs}
+// NewGraphEngine is the one place a backend is selected: it resolves the
+// node's GraphBackend and FullGraph to the engine that implements them,
+// running on the node (a spilling engine keeps its sort_* directory in the
+// node's Scratch, swept with the other sort debris after a crash).
+func (n *Node) NewGraphEngine(rs dna.ReadSource) GraphEngine {
+	base := engineBase{env: n, rs: rs}
 	switch {
-	case cfg.backend() == BackendSpmat:
+	case n.cfg.backend() == BackendSpmat:
 		return &spmatEngine{twoHopEngine{engineBase: base}, spmat.NewBuilder(rs.NumReads())}
-	case cfg.backend() == BackendSuccinct:
+	case n.cfg.backend() == BackendSuccinct:
 		return &succinctEngine{twoHopEngine: twoHopEngine{engineBase: base}}
-	case cfg.FullGraph:
+	case n.cfg.FullGraph:
 		return &fullEngine{engineBase: base, g: sgraph.New(rs.NumReads())}
 	}
 	e := &greedyEngine{base, graph.New(rs.NumReads())}
@@ -127,16 +111,16 @@ func SealEngine(ctx context.Context, eng GraphEngine, reg *obs.Registry) (Engine
 	return st, nil
 }
 
-// engineBase is what every engine shares: its configuration and the
-// account of graph host bytes it still holds.
+// engineBase is what every engine shares: the node it runs on (whose
+// configuration it follows) and the account of graph host bytes it still
+// holds.
 type engineBase struct {
-	cfg  Config
-	env  EngineEnv
+	env  *Node
 	rs   dna.ReadSource
 	held int64
 }
 
-func (b *engineBase) Name() string { return b.cfg.backend() }
+func (b *engineBase) Name() string { return b.env.cfg.backend() }
 
 func (b *engineBase) AddHostBytes() int64 { return 4 * 64 }
 
@@ -197,10 +181,10 @@ func (e *greedyEngine) Load(next func() (graph.Edge, bool, error)) error {
 
 func (e *greedyEngine) Paths() ([]graph.Path, error) {
 	opts := graph.TraverseOptions{
-		IncludeSingletons: e.cfg.IncludeSingletons,
-		BreakCycles:       e.cfg.BreakCycles,
+		IncludeSingletons: e.env.cfg.IncludeSingletons,
+		BreakCycles:       e.env.cfg.BreakCycles,
 	}
-	if e.cfg.ParallelTraversal {
+	if e.env.cfg.ParallelTraversal {
 		return e.g.TraverseParallel(e.env.Device, e.rs.VertexLen, opts), nil
 	}
 	return e.g.Traverse(e.rs.VertexLen, opts), nil
@@ -219,7 +203,7 @@ func (e *fullEngine) Add(u, v uint32, l uint16) { e.g.AddOverlap(u, v, l) }
 
 func (e *fullEngine) Seal(context.Context) error {
 	e.hold(e.g.ApproxBytes())
-	e.removed = e.g.TransitiveReduce(e.rs.VertexLen, e.cfg.TransitiveFuzz)
+	e.removed = e.g.TransitiveReduce(e.rs.VertexLen, e.env.cfg.TransitiveFuzz)
 	return nil
 }
 
@@ -238,7 +222,7 @@ func (e *fullEngine) Stats() EngineStats {
 }
 
 func (e *fullEngine) Paths() ([]graph.Path, error) {
-	return e.g.Unitigs(e.rs.VertexLen, e.cfg.IncludeSingletons), nil
+	return e.g.Unitigs(e.rs.VertexLen, e.env.cfg.IncludeSingletons), nil
 }
 
 // twoHopEngine is everything the row-store backends share once a store
@@ -257,10 +241,10 @@ func (e *twoHopEngine) reduce(ctx context.Context,
 	red, err := run(ctx, graph.TwoHopConfig{
 		Device:    e.env.Device,
 		VertexLen: e.rs.VertexLen,
-		Fuzz:      e.cfg.TransitiveFuzz,
+		Fuzz:      e.env.cfg.TransitiveFuzz,
 		// The same device budget the sort phase works within, so the pass
 		// honors the DeviceDemandBytes lease multi-tenant admission uses.
-		MaxResidentBytes: 4 * int64(e.cfg.DeviceBlockPairs) * kv.PairBytes,
+		MaxResidentBytes: 4 * int64(e.env.cfg.DeviceBlockPairs) * kv.PairBytes,
 		Overlap:          e.env.Ledger,
 	})
 	if err != nil {
@@ -278,7 +262,7 @@ func (e *twoHopEngine) Stats() EngineStats {
 
 func (e *twoHopEngine) Paths() ([]graph.Path, error) {
 	view := graph.NewLiveView(e.store, e.red.Mask)
-	paths := sgraph.UnitigsOf(view, e.rs.VertexLen, e.cfg.IncludeSingletons)
+	paths := sgraph.UnitigsOf(view, e.rs.VertexLen, e.env.cfg.IncludeSingletons)
 	return paths, view.Err()
 }
 
@@ -330,7 +314,7 @@ func (e *spmatEngine) Paths() ([]graph.Path, error) {
 		fg.InstallEdge(ed.U, ed.V, ed.Len)
 	}
 	e.hold(fg.ApproxBytes())
-	return fg.Unitigs(e.rs.VertexLen, e.cfg.IncludeSingletons), view.Err()
+	return fg.Unitigs(e.rs.VertexLen, e.env.cfg.IncludeSingletons), view.Err()
 }
 
 // succinctEngine builds the compressed store out of core: candidates (and
@@ -403,10 +387,10 @@ func (e *succinctEngine) Seal(ctx context.Context) error {
 		Device:           e.env.Device,
 		Meter:            e.env.Meter,
 		HostMem:          e.env.HostMem,
-		HostBlockPairs:   e.cfg.HostBlockPairs,
-		DeviceBlockPairs: e.cfg.DeviceBlockPairs,
+		HostBlockPairs:   e.env.cfg.HostBlockPairs,
+		DeviceBlockPairs: e.env.cfg.DeviceBlockPairs,
 		TempDir:          e.dir,
-		Obs:              e.cfg.Obs,
+		Obs:              e.env.cfg.Obs,
 		Overlap:          e.env.Ledger,
 	}, e.spillPath(), func(batch []kv.Pair) error {
 		for _, pr := range batch {

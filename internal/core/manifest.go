@@ -9,8 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dna"
 	"repro/internal/obs"
@@ -124,34 +122,12 @@ func describeArtifact(root, rel string) (Artifact, error) {
 // one at the lowest index is reported.
 func describeArtifacts(root string, rels []string, workers int) ([]Artifact, error) {
 	arts := make([]Artifact, len(rels))
-	errs := make([]error, len(rels))
-	var next atomic.Int64
-	var failed atomic.Bool
-	hash := func() {
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= len(rels) {
-				return
-			}
-			if arts[i], errs[i] = describeArtifact(root, rels[i]); errs[i] != nil {
-				failed.Store(true)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, len(rels)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			hash()
-		}()
-	}
-	hash()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := runTasks(workers, len(rels), func(_, i int) (err error) {
+		arts[i], err = describeArtifact(root, rels[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return arts, nil
 }

@@ -1,0 +1,448 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"path"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/costmodel"
+	"repro/internal/dna"
+	"repro/internal/extsort"
+	"repro/internal/gpu"
+	"repro/internal/kv"
+	"repro/internal/kvio"
+	"repro/internal/obs"
+	"repro/internal/overlap"
+	"repro/internal/stats"
+	"repro/internal/succinct"
+)
+
+// Node is one machine of the assembler (DESIGN.md, "Node runtime"): a
+// device with its meter, a host-memory pool, an overlap ledger, a scratch
+// directory and a lane group in the trace, plus the bodies every machine
+// runs on them — phase accounting (Measure), the Map stage (MapBlocks),
+// the external sorts (SortPartitions) and overlap finding (FindOverlaps).
+// The single-node Pipeline drives one Node; the cluster wraps one per
+// simulated machine and adds only what Section III-E adds (block
+// assignment, shuffle, token forwarding). Graph engines run on a Node too.
+type Node struct {
+	Device  *gpu.Device
+	Meter   *costmodel.Meter
+	HostMem *stats.MemTracker // the host pool sort blocks and buffered tuples count against
+	// Graph is charged with the bytes of the graph representation itself
+	// (builders and sealed stores); HostMem unless the owner widens it.
+	Graph succinct.MemSink
+	// Ledger accumulates modeled overlap savings from the streamed sort and
+	// reduce paths; nil when Config.Streams is off (every streamed call
+	// site degrades to the serial path on a nil ledger).
+	Ledger *costmodel.OverlapLedger
+	// Scratch holds the node's partition files and every sort_* spill
+	// directory, so a crashed run's leftovers are swept in one place.
+	Scratch string
+	// Track is the node's stage-driver lane; worker lanes hang off it.
+	Track obs.Track
+	// Profile prices the node's counters; a cluster's carries NetBps.
+	Profile costmodel.Profile
+
+	cfg Config
+}
+
+// NewNode builds the machine around dev, metering on dev's meter. cfg
+// supplies the block sizes, l_min, the worker count and the observer; the
+// node's trace process is track.Pid.
+func NewNode(cfg Config, dev *gpu.Device, prof costmodel.Profile, track obs.Track, scratch string) *Node {
+	n := &Node{Device: dev, Meter: dev.Meter(), HostMem: new(stats.MemTracker),
+		Scratch: scratch, Track: track, Profile: prof, cfg: cfg}
+	n.Graph = n.HostMem
+	if cfg.Streams {
+		n.Ledger = costmodel.NewOverlapLedger(prof)
+	}
+	if cfg.Obs != nil {
+		dev.SetHooks(obs.DeviceHooks(cfg.Obs, track.Pid))
+		tr := cfg.Obs.Tracer()
+		tr.NameThread(track, "stages")
+		for w := 0; w < cfg.workers(); w++ {
+			tr.NameThread(track.Worker(w), fmt.Sprintf("worker %d", w))
+		}
+	}
+	return n
+}
+
+// Measure runs fn as one phase on this node and reports what it cost: the
+// meter delta priced under the node's profile, minus the overlap the
+// phase's streamed units hid (they commit their timelines before the phase
+// returns, so the ledger delta is attributable to this phase alone), with
+// the host and device peaks reset at entry. The stage span on the node's
+// driver lane carries the same counter delta; phases run serially on a
+// node, so those deltas sum exactly to its final meter snapshot.
+func (n *Node) Measure(name PhaseName, fn func() error) (stats.PhaseStats, error) {
+	n.HostMem.ResetPeak()
+	n.Device.MemTracker().ResetPeak()
+	span := n.cfg.Obs.Tracer().Begin(n.Track, "stage", string(name)).Metered(n.Meter, n.Profile)
+	if name == PhaseReduce || name == PhaseCompress {
+		span.Arg("graph.backend", n.cfg.backend())
+	}
+	before := n.Meter.Snapshot()
+	savedBefore := n.Ledger.SavedSeconds()
+	timer := stats.StartTimer()
+	err := fn()
+	span.End()
+	delta := n.Meter.Snapshot().Sub(before)
+	saved := time.Duration((n.Ledger.SavedSeconds() - savedBefore) * float64(time.Second))
+	return stats.PhaseStats{
+		Name:         string(name),
+		Wall:         timer.Elapsed(),
+		Modeled:      max(delta.Time(n.Profile)-saved, 0),
+		PeakHost:     n.HostMem.Peak(),
+		PeakDevice:   n.Device.MemTracker().Peak(),
+		DiskRead:     delta.DiskReadBytes,
+		DiskWrite:    delta.DiskWriteBytes,
+		NetBytes:     delta.NetBytes,
+		PCIeBytes:    delta.PCIeBytes,
+		DeviceOps:    delta.DeviceOps,
+		OverlapSaved: saved,
+	}, err
+}
+
+// ReadRange is the half-open range [Start, End) of read indices.
+type ReadRange struct{ Start, End int }
+
+// MapBlocks fingerprints the given blocks of rs, in order, into the raw
+// length partitions under Scratch (RawPartition names them) and returns the
+// tuple count per length.
+func (n *Node) MapBlocks(ctx context.Context, rs dna.ReadSource, blocks []ReadRange) (map[int]int64, error) {
+	sfxW := kvio.NewPartitionWriters(n.Scratch, kvio.Suffix, n.Meter)
+	pfxW := kvio.NewPartitionWriters(n.Scratch, kvio.Prefix, n.Meter)
+	mapper := NewMapper(n.Device, n.HostMem, n.cfg.MinOverlap, n.cfg.MapBatchReads, rs.MaxLen())
+	mapper.NaiveKernel = n.cfg.NaiveMapKernel
+	mapper.Workers = n.cfg.workers()
+	mapper.Obs = n.cfg.Obs
+	mapper.Track = n.Track
+	mapper.Profile = n.Profile
+	for _, b := range blocks {
+		if err := mapper.MapRange(ctx, rs, b.Start, b.End, sfxW, pfxW); err != nil {
+			return nil, err
+		}
+	}
+	counts := sfxW.Counts()
+	if err := sfxW.Close(); err != nil {
+		return nil, err
+	}
+	if err := pfxW.Close(); err != nil {
+		return nil, err
+	}
+	return counts, nil
+}
+
+// A PartitionNamer names the file holding one side of one length
+// partition, relative to the directory the caller keeps it in.
+type PartitionNamer func(kind kvio.Kind, length int) string
+
+// RawPartition names the files MapBlocks leaves in Scratch.
+func RawPartition(kind kvio.Kind, length int) string {
+	return filepath.Base(kvio.PartitionPath("", kind, length))
+}
+
+// PartitionFiles lists both sides of every partition in counts, longest
+// first — the schedule the sort and reduce bodies follow.
+func PartitionFiles(counts map[int]int64, name PartitionNamer) []string {
+	files := make([]string, 0, 2*len(counts))
+	for _, l := range sortedLengthsDesc(counts) {
+		files = append(files, name(kvio.Suffix, l), name(kvio.Prefix, l))
+	}
+	return files
+}
+
+// PartitionCounts rebuilds per-length tuple counts from a committed stage
+// record whose suffix-side artifacts are named <prefix><length>.kv: each
+// holds exactly its partition's pairs, so the counts fall out of the
+// recorded sizes. Disk listings are never consulted — the record is
+// authoritative even after a later stage consumed the files.
+func PartitionCounts(rec StageRecord, prefix string) (map[int]int64, error) {
+	counts := make(map[int]int64)
+	for _, a := range rec.Artifacts {
+		base := path.Base(a.Path)
+		if !strings.HasPrefix(base, prefix) || !strings.HasSuffix(base, ".kv") {
+			continue
+		}
+		l, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(base, prefix), ".kv"))
+		if err != nil {
+			return nil, fmt.Errorf("core: manifest %s artifact %q: %w", rec.Name, a.Path, err)
+		}
+		counts[l] = a.Bytes / kv.PairBytes
+	}
+	return counts, nil
+}
+
+// RemovePartitions deletes both sides of every partition in counts from
+// Scratch: how a stage drops the inputs it consumed once it has committed.
+func (n *Node) RemovePartitions(counts map[int]int64, name PartitionNamer) error {
+	for _, f := range PartitionFiles(counts, name) {
+		if err := os.Remove(filepath.Join(n.Scratch, f)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// SortPartitions externally sorts both sides of every partition in counts
+// from Scratch/in(...) to Scratch/out(...), on up to Workers goroutines,
+// and returns the most disk passes any sort took. Of several failures the
+// one earliest in the schedule is reported.
+func (n *Node) SortPartitions(ctx context.Context, counts map[int]int64, in, out PartitionNamer) (int, error) {
+	type task struct {
+		kind   kvio.Kind
+		length int
+	}
+	var tasks []task
+	for _, l := range sortedLengthsDesc(counts) {
+		tasks = append(tasks, task{kvio.Suffix, l}, task{kvio.Prefix, l})
+	}
+	var mu sync.Mutex // guards passes
+	passes := 0
+	err := runTasks(n.cfg.workers(), len(tasks), func(worker, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		t := tasks[i]
+		defer n.cfg.Obs.Tracer().Begin(n.Track.Worker(worker), "partition",
+			fmt.Sprintf("sort %s len=%d", t.kind, t.length)).
+			Metered(n.Meter, n.Profile).End()
+		// Every concurrent sort gets a private scratch directory: run and
+		// merge files are named per sort, and partitions must not see each
+		// other's spills.
+		tmpDir := filepath.Join(n.Scratch, fmt.Sprintf("sort_%s_%04d", t.kind, t.length))
+		if err := os.MkdirAll(tmpDir, 0o755); err != nil {
+			return err
+		}
+		defer os.RemoveAll(tmpDir)
+		st, err := extsort.SortFile(ctx, extsort.Config{
+			Device:           n.Device,
+			Meter:            n.Meter,
+			HostMem:          n.HostMem,
+			HostBlockPairs:   n.cfg.HostBlockPairs,
+			DeviceBlockPairs: n.cfg.DeviceBlockPairs,
+			TempDir:          tmpDir,
+			Obs:              n.cfg.Obs,
+			Overlap:          n.Ledger,
+		}, filepath.Join(n.Scratch, in(t.kind, t.length)), filepath.Join(n.Scratch, out(t.kind, t.length)))
+		if err != nil {
+			return fmt.Errorf("core: sorting partition %d (%s): %w", t.length, t.kind, err)
+		}
+		mu.Lock()
+		passes = max(passes, st.DiskPasses)
+		mu.Unlock()
+		return nil
+	})
+	return passes, err
+}
+
+// Candidate is one candidate overlap: the Length-suffix of vertex U equals
+// the Length-prefix of vertex V (the length is its partition's).
+type Candidate struct{ U, V uint32 }
+
+// candidateBytes is the in-memory footprint of one buffered candidate.
+const candidateBytes = 8
+
+// Overlaps is one partition's overlap-finding output.
+type Overlaps struct {
+	Length int
+	// Edges are the candidates that passed verify, in fingerprint order.
+	Edges []Candidate
+	// Candidates counts every fingerprint match, FalsePositives the ones
+	// verify rejected.
+	Candidates, FalsePositives int64
+}
+
+// FindOverlaps streams every sorted partition in counts through the
+// overlap reducer and hands each partition's surviving candidates to
+// apply. Partitions are reduced by up to Workers goroutines concurrently —
+// each holding its own device window allocation — but apply always runs on
+// the calling goroutine in strict descending-length order, so whatever it
+// builds is identical to the serial run's. verify, when not nil, filters
+// candidates inside the workers (it must be a pure function). Candidates
+// buffered between a worker and apply count against HostMem. Cancellation
+// surfaces as an error from within a worker's job (via the reducer's ctx
+// checks), preserving the one-result-per-job invariant that keeps the pool
+// deadlock-free.
+func (n *Node) FindOverlaps(ctx context.Context, counts map[int]int64, sorted PartitionNamer,
+	verify func(u, v uint32, l int) bool, apply func(Overlaps)) error {
+	cfg := overlap.Config{
+		Device:      n.Device,
+		Meter:       n.Meter,
+		HostMem:     n.HostMem,
+		WindowPairs: max(n.cfg.HostBlockPairs/2, 1),
+		Obs:         n.cfg.Obs,
+		Overlap:     n.Ledger,
+	}
+	lengths := sortedLengthsDesc(counts)
+	reduceOne := func(worker, l int) (Overlaps, error) {
+		defer n.cfg.Obs.Tracer().Begin(n.Track.Worker(worker), "partition",
+			fmt.Sprintf("reduce len=%d", l)).
+			Metered(n.Meter, n.Profile).End()
+		out := Overlaps{Length: l}
+		err := overlap.ReducePaths(ctx, cfg,
+			filepath.Join(n.Scratch, sorted(kvio.Suffix, l)), filepath.Join(n.Scratch, sorted(kvio.Prefix, l)),
+			func(u, v uint32) error {
+				out.Candidates++
+				if verify != nil && !verify(u, v, l) {
+					out.FalsePositives++
+					return nil
+				}
+				out.Edges = append(out.Edges, Candidate{u, v})
+				return nil
+			})
+		if err != nil {
+			err = fmt.Errorf("core: reducing partition %d: %w", l, err)
+		}
+		return out, err
+	}
+
+	workers := min(n.cfg.workers(), len(lengths))
+	if workers <= 1 {
+		for _, l := range lengths {
+			r, err := reduceOne(0, l)
+			if err != nil {
+				return err
+			}
+			apply(r)
+		}
+		return nil
+	}
+
+	held := func(r Overlaps) int64 { return int64(len(r.Edges)) * candidateBytes }
+	type result struct {
+		idx int
+		Overlaps
+		err error
+	}
+	jobs := make(chan int)
+	results := make(chan result, workers)
+	abort := make(chan struct{})
+	var wg sync.WaitGroup
+	n.cfg.Obs.Log().Debug("reduce worker pool start", "workers", workers,
+		"partitions", len(lengths))
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for idx := range jobs {
+				r := result{idx: idx}
+				r.Overlaps, r.err = reduceOne(w, lengths[idx])
+				n.HostMem.Add(held(r.Overlaps))
+				select {
+				case results <- r:
+				case <-abort:
+					n.HostMem.Release(held(r.Overlaps))
+					return
+				}
+			}
+		}(w)
+	}
+	go func() {
+		defer close(jobs)
+		for i := range lengths {
+			select {
+			case jobs <- i:
+			case <-abort:
+				return
+			}
+		}
+	}()
+
+	pending := make(map[int]Overlaps)
+	var firstErr error
+	next, received := 0, 0
+	for received < len(lengths) && firstErr == nil {
+		r := <-results
+		received++
+		if r.err != nil {
+			n.HostMem.Release(held(r.Overlaps))
+			firstErr = r.err
+			break
+		}
+		pending[r.idx] = r.Overlaps
+		for {
+			cur, ok := pending[next]
+			if !ok {
+				break
+			}
+			delete(pending, next)
+			apply(cur)
+			n.HostMem.Release(held(cur))
+			next++
+		}
+	}
+	close(abort)
+	wg.Wait()
+	close(results)
+	for r := range results {
+		n.HostMem.Release(held(r.Overlaps))
+	}
+	for _, r := range pending {
+		n.HostMem.Release(held(r))
+	}
+	n.cfg.Obs.Log().Debug("reduce worker pool drained", "err", firstErr)
+	return firstErr
+}
+
+// sortedLengthsDesc returns the partition lengths in descending order,
+// the deterministic schedule shared by the sort and reduce bodies.
+func sortedLengthsDesc(counts map[int]int64) []int {
+	lengths := make([]int, 0, len(counts))
+	for l := range counts {
+		lengths = append(lengths, l)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(lengths)))
+	return lengths
+}
+
+// runTasks runs n independent tasks on up to workers goroutines. Tasks are
+// claimed in index order and, once one fails, only tasks after it are
+// skipped — so of several failures the lowest-indexed is the one returned,
+// whatever the scheduling. Each task receives the index of the worker
+// running it, so callers can attribute work to per-worker trace lanes.
+func runTasks(workers, n int, task func(worker, i int) error) error {
+	errs := make([]error, n)
+	var next, failedAt atomic.Int64
+	failedAt.Store(int64(n))
+	run := func(worker int) {
+		for {
+			i := next.Add(1) - 1
+			if i >= int64(n) || i > failedAt.Load() {
+				return
+			}
+			if errs[i] = task(worker, int(i)); errs[i] != nil {
+				for cur := failedAt.Load(); i < cur; cur = failedAt.Load() {
+					if failedAt.CompareAndSwap(cur, i) {
+						break
+					}
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			run(w)
+		}(w)
+	}
+	run(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

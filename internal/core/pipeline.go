@@ -6,46 +6,35 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/contig"
 	"repro/internal/costmodel"
 	"repro/internal/dna"
-	"repro/internal/extsort"
 	"repro/internal/fastq"
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/kv"
 	"repro/internal/kvio"
 	"repro/internal/obs"
-	"repro/internal/overlap"
 	"repro/internal/stats"
 )
 
-// Pipeline is a single-node assembler instance.
+// Pipeline is a single-node assembler instance: one Node driven through
+// the stage graph, with run-level reporting on top.
 type Pipeline struct {
-	cfg     Config
-	dev     *gpu.Device
-	meter   *costmodel.Meter
-	hostMem stats.MemTracker
+	cfg  Config
+	node *Node
 	// graphMem tracks the host bytes attributable to the graph
 	// representation itself (builders plus sealed adjacency structures).
-	// Every graph charge also lands in hostMem; this tracker is the
-	// backend-comparable subset reported as PhaseStats.GraphHostPeak and
-	// the graph.host_peak_bytes gauge.
+	// Every graph charge also lands in the node's host pool; this tracker
+	// is the backend-comparable subset reported as PhaseStats.GraphHostPeak
+	// and the graph.host_peak_bytes gauge.
 	graphMem stats.MemTracker
 	// graphPeakSeen is the run-level high water of per-phase graph peaks,
 	// published to the gauge (graphMem's own peak resets per phase).
 	graphPeakSeen int64
-	// ledger accumulates modeled overlap savings from the streamed sort
-	// and reduce paths; nil when Config.Streams is off (every streamed
-	// call site degrades to the serial path on a nil ledger).
-	ledger *costmodel.OverlapLedger
 
 	// FaultHook, when set, fires after every stage commit (manifest
 	// written, consumed inputs cleaned up). Returning an error aborts the
@@ -104,96 +93,51 @@ func (r *Result) PhaseByName(name PhaseName) (stats.PhaseStats, bool) {
 	return stats.PhaseStats{}, false
 }
 
-// New creates a pipeline with a fresh device and meter.
+// New creates a pipeline on a fresh device and meter. In the trace the
+// single-node pipeline is pid 0; cluster nodes take pids 1..N.
 func New(cfg Config) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	meter := costmodel.NewMeter()
-	dev := gpu.NewDevice(cfg.GPU, meter)
-	if cfg.Obs != nil {
-		// The single-node pipeline is pid 0 in the trace; cluster nodes
-		// take pids 1..N.
-		dev.SetHooks(obs.DeviceHooks(cfg.Obs, 0))
-	}
-	p := &Pipeline{cfg: cfg, dev: dev, meter: meter}
-	if cfg.Streams {
-		p.ledger = costmodel.NewOverlapLedger(cfg.Profile())
-	}
+	p := &Pipeline{cfg: cfg}
+	p.node = NewNode(cfg, gpu.NewDevice(cfg.GPU, nil), cfg.Profile(), obs.Track{},
+		filepath.Join(cfg.Workspace, "partitions"))
+	p.node.Graph = graphSink{p}
 	return p, nil
 }
 
 // OverlapLedger exposes the run's overlap accounting (nil when
 // Config.Streams is off), for tests and diagnostics.
-func (p *Pipeline) OverlapLedger() *costmodel.OverlapLedger { return p.ledger }
-
-// track is the pipeline's stage-driver trace lane; worker lanes hang off
-// it via track.Worker.
-func (p *Pipeline) track() obs.Track { return obs.Track{} }
+func (p *Pipeline) OverlapLedger() *costmodel.OverlapLedger { return p.node.Ledger }
 
 // Device exposes the simulated device (for tests and diagnostics).
-func (p *Pipeline) Device() *gpu.Device { return p.dev }
+func (p *Pipeline) Device() *gpu.Device { return p.node.Device }
 
 // Meter exposes the cost meter.
-func (p *Pipeline) Meter() *costmodel.Meter { return p.meter }
+func (p *Pipeline) Meter() *costmodel.Meter { return p.node.Meter }
 
 // HostMem exposes the host-memory tracker.
-func (p *Pipeline) HostMem() *stats.MemTracker { return &p.hostMem }
+func (p *Pipeline) HostMem() *stats.MemTracker { return p.node.HostMem }
 
 // GraphMem exposes the graph-representation host tracker (for tests and
 // diagnostics).
 func (p *Pipeline) GraphMem() *stats.MemTracker { return &p.graphMem }
 
 // graphSink charges graph-representation memory to both the host pool and
-// the graph-attributable tracker; it is the engines' EngineEnv.Graph.
+// the graph-attributable tracker; it is the pipeline node's Graph.
 type graphSink struct{ p *Pipeline }
 
-func (s graphSink) Add(n int64)     { s.p.hostMem.Add(n); s.p.graphMem.Add(n) }
-func (s graphSink) Release(n int64) { s.p.hostMem.Release(n); s.p.graphMem.Release(n) }
+func (s graphSink) Add(n int64)     { s.p.node.HostMem.Add(n); s.p.graphMem.Add(n) }
+func (s graphSink) Release(n int64) { s.p.node.HostMem.Release(n); s.p.graphMem.Release(n) }
 
-// runPhase measures fn as one pipeline phase. Stage spans run serially on
-// the driver lane, so their counter deltas sum exactly to the run's final
-// meter snapshot — the invariant the trace integration test asserts.
+// runPhase measures fn as one pipeline phase on the node and adds what is
+// run-level: progress callbacks, the graph peak and Result accumulation.
 func (p *Pipeline) runPhase(name PhaseName, res *Result, fn func() error) error {
-	p.hostMem.ResetPeak()
 	p.graphMem.ResetPeak()
-	p.dev.MemTracker().ResetPeak()
 	p.progress(string(name), ProgressStart)
 	p.cfg.Obs.Log().Debug("stage start", "stage", string(name))
-	span := p.cfg.Obs.Tracer().Begin(p.track(), "stage", string(name)).
-		Metered(p.meter, p.cfg.Profile())
-	if name == PhaseReduce || name == PhaseCompress {
-		span.Arg("graph.backend", p.cfg.backend())
-	}
-	before := p.meter.Snapshot()
-	savedBefore := p.ledger.SavedSeconds()
-	timer := stats.StartTimer()
-	err := fn()
-	span.End()
-	delta := p.meter.Snapshot().Sub(before)
-	// Overlap hidden by this phase's streamed work: subtracting it from
-	// the additive model turns Modeled into the phase's makespan. Streamed
-	// units commit their timelines before their phase returns, so the
-	// ledger delta is attributable to this phase alone.
-	saved := time.Duration((p.ledger.SavedSeconds() - savedBefore) * float64(time.Second))
-	modeled := delta.Time(p.cfg.Profile()) - saved
-	if modeled < 0 {
-		modeled = 0
-	}
-	ps := stats.PhaseStats{
-		Name:          string(name),
-		Wall:          timer.Elapsed(),
-		Modeled:       modeled,
-		PeakHost:      p.hostMem.Peak(),
-		PeakDevice:    p.dev.MemTracker().Peak(),
-		DiskRead:      delta.DiskReadBytes,
-		DiskWrite:     delta.DiskWriteBytes,
-		NetBytes:      delta.NetBytes,
-		PCIeBytes:     delta.PCIeBytes,
-		DeviceOps:     delta.DeviceOps,
-		GraphHostPeak: p.graphMem.Peak(),
-		OverlapSaved:  saved,
-	}
+	ps, err := p.node.Measure(name, fn)
+	ps.GraphHostPeak = p.graphMem.Peak()
 	if ps.GraphHostPeak > p.graphPeakSeen {
 		p.graphPeakSeen = ps.GraphHostPeak
 	}
@@ -228,18 +172,14 @@ func (p *Pipeline) AssembleFile(path string) (*Result, error) {
 	return p.AssembleFileContext(context.Background(), path)
 }
 
-// beginRun names the trace tracks and opens the root run span; the
+// beginRun names the trace process and opens the root run span; the
 // returned func ends it. Called once per assembly entry point.
 func (p *Pipeline) beginRun() func() {
 	tr := p.cfg.Obs.Tracer()
 	tr.NameProcess(0, "lasagna")
-	tr.NameThread(p.track(), "stages")
-	for w := 0; w < p.cfg.workers(); w++ {
-		tr.NameThread(p.track().Worker(w), fmt.Sprintf("worker %d", w))
-	}
 	p.cfg.Obs.Log().Info("run start", "workers", p.cfg.workers(),
 		"gpu", p.cfg.GPU.Name)
-	span := tr.Begin(p.track(), "run", "assemble").Metered(p.meter, p.cfg.Profile())
+	span := tr.Begin(p.node.Track, "run", "assemble").Metered(p.node.Meter, p.node.Profile)
 	return span.End
 }
 
@@ -257,7 +197,7 @@ func (p *Pipeline) AssembleFileContext(ctx context.Context, path string) (*Resul
 		if err != nil {
 			return err
 		}
-		p.meter.AddDiskRead(info.Size())
+		p.node.Meter.AddDiskRead(info.Size())
 		return nil
 	})
 	if err != nil {
@@ -289,11 +229,11 @@ func (p *Pipeline) AssembleContext(ctx context.Context, rs dna.ReadSource) (*Res
 // byte-identical to a cold one.
 func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSource) (*Result, error) {
 	defer func() {
-		res.Counters = p.meter.Snapshot()
-		res.Modeled = res.Counters.Breakdown(p.cfg.Profile())
-		res.OverlapSaved = time.Duration(p.ledger.SavedSeconds() * float64(time.Second))
-		res.OverlapRatio = p.ledger.OverlapRatio()
-		if p.ledger != nil {
+		res.Counters = p.node.Meter.Snapshot()
+		res.Modeled = res.Counters.Breakdown(p.node.Profile)
+		res.OverlapSaved = time.Duration(p.node.Ledger.SavedSeconds() * float64(time.Second))
+		res.OverlapRatio = p.node.Ledger.OverlapRatio()
+		if p.node.Ledger != nil {
 			m := p.cfg.Obs.Metrics()
 			m.Gauge("core.overlap_saved_us").Set(res.OverlapSaved.Microseconds())
 			m.Gauge("core.overlap_ratio_pct").Set(int64(res.OverlapRatio * 100))
@@ -322,15 +262,15 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 		return res, fmt.Errorf("core: DedupeReads/PackedReads need an unpacked ReadSet input")
 	}
 	res.NumReads = rs.NumReads()
-	p.hostMem.Add(rs.ApproxBytes())
-	defer p.hostMem.Release(rs.ApproxBytes())
+	p.node.HostMem.Add(rs.ApproxBytes())
+	defer p.node.HostMem.Release(rs.ApproxBytes())
 
-	partDir := p.partDir()
+	partDir := p.node.Scratch
 	edgePath := filepath.Join(p.cfg.Workspace, edgeFileName)
 
 	runner := NewStageRunner(p.cfg.Workspace, p.cfg.fingerprint(), InputFingerprint(rs),
 		p.cfg.Resume, pipelineStages)
-	runner.SetObserver(p.cfg.Obs, p.track())
+	runner.SetObserver(p.cfg.Obs, p.node.Track)
 	runner.SetFaultHook(p.FaultHook)
 	runner.SetProgress(p.cfg.Progress)
 	runner.SetWorkers(p.cfg.workers())
@@ -359,22 +299,21 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 			var out StageOutcome
 			err := p.runPhase(PhaseMap, res, func() error {
 				var err error
-				counts, err = p.mapPhase(ctx, rs, partDir)
+				counts, err = p.node.MapBlocks(ctx, rs, []ReadRange{{0, rs.NumReads()}})
 				return err
 			})
 			if err != nil {
 				return out, err
 			}
-			for _, l := range sortedLengthsDesc(counts) {
-				out.Artifacts = append(out.Artifacts,
-					relPartitionPath(kvio.Suffix, l, false),
-					relPartitionPath(kvio.Prefix, l, false))
-			}
+			out.Artifacts = PartitionFiles(counts, inWorkspace(RawPartition))
 			return out, nil
 		},
 		Cached: func(rec StageRecord) error {
 			var err error
-			counts, err = partitionCountsFromRecord(rec)
+			counts, err = PartitionCounts(rec, kvio.Suffix.String()+"_")
+			if err == nil && len(counts) == 0 {
+				err = fmt.Errorf("core: manifest Map record lists no partitions")
+			}
 			return err
 		},
 	})
@@ -397,29 +336,16 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 		Name: PhaseSort,
 		Fresh: func() (StageOutcome, error) {
 			var out StageOutcome
-			err := p.runPhase(PhaseSort, res, func() error {
-				return p.sortPhase(ctx, partDir, counts, res)
+			err := p.runPhase(PhaseSort, res, func() (err error) {
+				res.SortDiskPasses, err = p.node.SortPartitions(ctx, counts, RawPartition, sortedPartition)
+				return err
 			})
 			if err != nil {
 				return out, err
 			}
-			for _, l := range sortedLengthsDesc(counts) {
-				out.Artifacts = append(out.Artifacts,
-					relPartitionPath(kvio.Suffix, l, true),
-					relPartitionPath(kvio.Prefix, l, true))
-			}
+			out.Artifacts = PartitionFiles(counts, inWorkspace(sortedPartition))
 			out.Meta = map[string]int64{metaSortDiskPasses: int64(res.SortDiskPasses)}
-			out.Cleanup = func() error {
-				for l := range counts {
-					if err := os.Remove(kvio.PartitionPath(partDir, kvio.Suffix, l)); err != nil {
-						return err
-					}
-					if err := os.Remove(kvio.PartitionPath(partDir, kvio.Prefix, l)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
+			out.Cleanup = func() error { return p.node.RemovePartitions(counts, RawPartition) }
 			return out, nil
 		},
 		Cached: func(rec StageRecord) error {
@@ -439,7 +365,7 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 		Fresh: func() (StageOutcome, error) {
 			var out StageOutcome
 			err := p.runPhase(PhaseReduce, res, func() error {
-				return p.reducePhase(ctx, rs, partDir, counts, edgePath, res)
+				return p.reducePhase(ctx, rs, counts, edgePath, res)
 			})
 			if err != nil {
 				return out, err
@@ -522,38 +448,14 @@ const (
 // contigFileName is the Compress stage's artifact (workspace-relative).
 const contigFileName = "contigs.fasta"
 
-// relPartitionPath names a partition file relative to the workspace.
-func relPartitionPath(k kvio.Kind, length int, sorted bool) string {
-	name := filepath.Base(kvio.PartitionPath("", k, length))
-	if sorted {
-		name += ".sorted"
-	}
-	return path.Join("partitions", name)
-}
+// sortedPartition names a sorted partition file inside the node's scratch
+// directory (RawPartition names the raw one).
+func sortedPartition(k kvio.Kind, length int) string { return RawPartition(k, length) + ".sorted" }
 
-// partitionCountsFromRecord rebuilds the per-length tuple counts from a
-// committed Map record: each suffix artifact holds exactly its partition's
-// pairs, so the counts fall out of the recorded sizes. Disk listings are
-// never consulted — the record is authoritative even after the files were
-// consumed by Sort.
-func partitionCountsFromRecord(rec StageRecord) (map[int]int64, error) {
-	prefix := kvio.Suffix.String() + "_"
-	counts := make(map[int]int64)
-	for _, a := range rec.Artifacts {
-		base := path.Base(a.Path)
-		if !strings.HasPrefix(base, prefix) || !strings.HasSuffix(base, ".kv") {
-			continue
-		}
-		l, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(base, prefix), ".kv"))
-		if err != nil {
-			return nil, fmt.Errorf("core: manifest Map artifact %q: %w", a.Path, err)
-		}
-		counts[l] = a.Bytes / kv.PairBytes
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("core: manifest Map record lists no partitions")
-	}
-	return counts, nil
+// inWorkspace re-bases a scratch-relative namer on the workspace, which is
+// what the run manifest's artifact paths are relative to.
+func inWorkspace(name PartitionNamer) PartitionNamer {
+	return func(k kvio.Kind, length int) string { return path.Join("partitions", name(k, length)) }
 }
 
 // mapTuple is one (length, side, fingerprint, vertex) emission from the
@@ -566,99 +468,29 @@ type mapTuple struct {
 
 const mapTupleBytes = 32
 
-func (p *Pipeline) mapPhase(ctx context.Context, rs dna.ReadSource, partDir string) (map[int]int64, error) {
-	sfxW := kvio.NewPartitionWriters(partDir, kvio.Suffix, p.meter)
-	pfxW := kvio.NewPartitionWriters(partDir, kvio.Prefix, p.meter)
-	mapper := NewMapper(p.dev, &p.hostMem, p.cfg.MinOverlap, p.cfg.MapBatchReads, rs.MaxLen())
-	mapper.NaiveKernel = p.cfg.NaiveMapKernel
-	mapper.Workers = p.cfg.workers()
-	mapper.Obs = p.cfg.Obs
-	mapper.Track = p.track()
-	mapper.Profile = p.cfg.Profile()
-	if err := mapper.MapRange(ctx, rs, 0, rs.NumReads(), sfxW, pfxW); err != nil {
-		return nil, err
-	}
-	counts := sfxW.Counts()
-	if err := sfxW.Close(); err != nil {
-		return nil, err
-	}
-	if err := pfxW.Close(); err != nil {
-		return nil, err
-	}
-	return counts, nil
-}
-
-// sortTask names one partition file to sort.
-type sortTask struct {
-	length int
-	kind   kvio.Kind
-}
-
-func (p *Pipeline) sortPhase(ctx context.Context, partDir string, counts map[int]int64, res *Result) error {
-	var tasks []sortTask
-	for _, l := range sortedLengthsDesc(counts) {
-		tasks = append(tasks, sortTask{l, kvio.Suffix}, sortTask{l, kvio.Prefix})
-	}
-	var mu sync.Mutex // guards res.SortDiskPasses
-	return runTasks(p.cfg.workers(), len(tasks), func(worker, i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		t := tasks[i]
-		defer p.cfg.Obs.Tracer().Begin(p.track().Worker(worker), "partition",
-			fmt.Sprintf("sort %s len=%d", t.kind, t.length)).
-			Metered(p.meter, p.cfg.Profile()).End()
-		// Every concurrent sort gets a private scratch directory: run and
-		// merge files are named per sort, and partitions must not see each
-		// other's spills.
-		tmpDir := filepath.Join(partDir, fmt.Sprintf("sort_%s_%04d", t.kind, t.length))
-		if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmpDir)
-		cfg := extsort.Config{
-			Device:           p.dev,
-			Meter:            p.meter,
-			HostMem:          &p.hostMem,
-			HostBlockPairs:   p.cfg.HostBlockPairs,
-			DeviceBlockPairs: p.cfg.DeviceBlockPairs,
-			TempDir:          tmpDir,
-			Obs:              p.cfg.Obs,
-			Overlap:          p.ledger,
-		}
-		in := kvio.PartitionPath(partDir, t.kind, t.length)
-		out := in + ".sorted"
-		st, err := extsort.SortFile(ctx, cfg, in, out)
-		if err != nil {
-			return fmt.Errorf("core: sorting partition %d (%s): %w", t.length, t.kind, err)
-		}
-		mu.Lock()
-		if st.DiskPasses > res.SortDiskPasses {
-			res.SortDiskPasses = st.DiskPasses
-		}
-		mu.Unlock()
-		return nil
-	})
-}
-
-// engineEnv is the single-node machine an engine runs on. Graph bytes
-// count against the host pool and the graph tracker alike.
-func (p *Pipeline) engineEnv() EngineEnv {
-	return EngineEnv{Device: p.dev, Meter: p.meter, HostMem: &p.hostMem,
-		Graph: graphSink{p}, Ledger: p.ledger, Scratch: p.partDir()}
-}
-
-// partDir is where the partition files and every sort_* scratch live.
-func (p *Pipeline) partDir() string { return filepath.Join(p.cfg.Workspace, "partitions") }
-
 // reducePhase feeds every verified candidate, in descending length order,
 // to the configured graph engine, seals it, and persists the surviving
-// edge list to edgePath.
-func (p *Pipeline) reducePhase(ctx context.Context, rs dna.ReadSource, partDir string,
+// edge list to edgePath. VerifyOverlaps filtering is a pure function of the
+// read set, so it runs inside the overlap workers.
+func (p *Pipeline) reducePhase(ctx context.Context, rs dna.ReadSource,
 	counts map[int]int64, edgePath string, res *Result) error {
-	eng := NewGraphEngine(p.cfg, p.engineEnv(), rs)
+	eng := p.node.NewGraphEngine(rs)
 	defer eng.Release()
-	if err := p.runReduce(ctx, rs, partDir, counts, res, eng.Add); err != nil {
+	var verify func(u, v uint32, l int) bool
+	if p.cfg.VerifyOverlaps {
+		verify = func(u, v uint32, l int) bool { return verifyOverlap(rs, u, v, l) }
+	}
+	lenHist := p.cfg.Obs.Metrics().Histogram("overlap.length",
+		64, 96, 128, 192, 256, 512, 1024)
+	err := p.node.FindOverlaps(ctx, counts, sortedPartition, verify, func(o Overlaps) {
+		res.CandidateEdges += o.Candidates
+		res.FalsePositives += o.FalsePositives
+		for _, e := range o.Edges {
+			lenHist.Observe(float64(o.Length))
+			eng.Add(e.U, e.V, uint16(o.Length))
+		}
+	})
+	if err != nil {
 		return err
 	}
 	st, err := SealEngine(ctx, eng, p.cfg.Obs.Metrics())
@@ -667,159 +499,7 @@ func (p *Pipeline) reducePhase(ctx context.Context, rs dna.ReadSource, partDir s
 	}
 	res.ReducedEdges = st.Removed
 	res.AcceptedEdges = st.NNZ - st.Removed
-	return writeEdgeFile(edgePath, p.meter, eng.Live())
-}
-
-// edgeCand is one verified candidate overlap buffered between a reduce
-// worker and the sequential graph builder.
-type edgeCand struct{ u, v uint32 }
-
-// edgeCandBytes is the in-memory footprint of one buffered candidate.
-const edgeCandBytes = 8
-
-// partReduction is one partition's reduce output, buffered until the
-// graph builder reaches its turn in the descending-length order.
-type partReduction struct {
-	idx        int
-	edges      []edgeCand
-	candidates int64
-	falsePos   int64
-	err        error
-}
-
-// runReduce streams every sorted partition (descending length) through the
-// overlap reducer and hands the surviving candidates to apply. Partitions
-// are reduced by up to Workers goroutines concurrently — each holding its
-// own device window allocation — but apply always runs on the calling
-// goroutine in strict descending-length order, so graph construction is
-// identical to the serial pipeline's. VerifyOverlaps filtering is a pure
-// function of the read set and is performed inside the workers.
-// Cancellation surfaces as an error from within a worker's job (via the
-// reducer's ctx checks), preserving the one-result-per-job invariant that
-// keeps the pool deadlock-free.
-func (p *Pipeline) runReduce(ctx context.Context, rs dna.ReadSource, partDir string,
-	counts map[int]int64, res *Result, apply func(u, v uint32, l uint16)) error {
-	cfg := overlap.Config{
-		Device:      p.dev,
-		Meter:       p.meter,
-		HostMem:     &p.hostMem,
-		WindowPairs: max(p.cfg.HostBlockPairs/2, 1),
-		Obs:         p.cfg.Obs,
-		Overlap:     p.ledger,
-	}
-	lengths := sortedLengthsDesc(counts)
-	lenHist := p.cfg.Obs.Metrics().Histogram("overlap.length",
-		64, 96, 128, 192, 256, 512, 1024)
-	reduceOne := func(worker, l int) partReduction {
-		defer p.cfg.Obs.Tracer().Begin(p.track().Worker(worker), "partition",
-			fmt.Sprintf("reduce len=%d", l)).
-			Metered(p.meter, p.cfg.Profile()).End()
-		sfx := kvio.PartitionPath(partDir, kvio.Suffix, l) + ".sorted"
-		pfx := kvio.PartitionPath(partDir, kvio.Prefix, l) + ".sorted"
-		var out partReduction
-		err := overlap.ReducePaths(ctx, cfg, sfx, pfx, func(u, v uint32) error {
-			out.candidates++
-			if p.cfg.VerifyOverlaps && !p.verifyOverlap(rs, u, v, l) {
-				out.falsePos++
-				return nil
-			}
-			out.edges = append(out.edges, edgeCand{u, v})
-			return nil
-		})
-		if err != nil {
-			out.err = fmt.Errorf("core: reducing partition %d: %w", l, err)
-		}
-		return out
-	}
-	applyOne := func(l int, r partReduction) {
-		res.CandidateEdges += r.candidates
-		res.FalsePositives += r.falsePos
-		for _, e := range r.edges {
-			lenHist.Observe(float64(l))
-			apply(e.u, e.v, uint16(l))
-		}
-	}
-
-	workers := min(p.cfg.workers(), len(lengths))
-	if workers <= 1 {
-		for _, l := range lengths {
-			r := reduceOne(0, l)
-			if r.err != nil {
-				return r.err
-			}
-			applyOne(l, r)
-		}
-		return nil
-	}
-
-	jobs := make(chan int)
-	results := make(chan partReduction, workers)
-	abort := make(chan struct{})
-	var wg sync.WaitGroup
-	p.cfg.Obs.Log().Debug("reduce worker pool start", "workers", workers,
-		"partitions", len(lengths))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for idx := range jobs {
-				r := reduceOne(w, lengths[idx])
-				r.idx = idx
-				p.hostMem.Add(int64(len(r.edges)) * edgeCandBytes)
-				select {
-				case results <- r:
-				case <-abort:
-					p.hostMem.Release(int64(len(r.edges)) * edgeCandBytes)
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		defer close(jobs)
-		for i := range lengths {
-			select {
-			case jobs <- i:
-			case <-abort:
-				return
-			}
-		}
-	}()
-
-	pending := make(map[int]partReduction)
-	var firstErr error
-	next, received := 0, 0
-	for received < len(lengths) && firstErr == nil {
-		r := <-results
-		received++
-		if r.err != nil {
-			p.hostMem.Release(int64(len(r.edges)) * edgeCandBytes)
-			firstErr = r.err
-			break
-		}
-		pending[r.idx] = r
-		for {
-			cur, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			applyOne(lengths[next], cur)
-			p.hostMem.Release(int64(len(cur.edges)) * edgeCandBytes)
-			next++
-		}
-	}
-	close(abort)
-	wg.Wait()
-	close(results)
-	for r := range results {
-		p.hostMem.Release(int64(len(r.edges)) * edgeCandBytes)
-	}
-	for _, r := range pending {
-		p.hostMem.Release(int64(len(r.edges)) * edgeCandBytes)
-	}
-	p.cfg.Obs.Log().Debug("reduce worker pool drained", "err", firstErr)
-	return firstErr
+	return writeEdgeFile(edgePath, p.node.Meter, eng.Live())
 }
 
 // sweepSortScratch removes the per-sort spill directories (sort_<kind>_<len>)
@@ -841,67 +521,9 @@ func sweepSortScratch(partDir string) error {
 	return nil
 }
 
-// sortedLengthsDesc returns the partition lengths in descending order,
-// the deterministic schedule shared by the sort and reduce phases.
-func sortedLengthsDesc(counts map[int]int64) []int {
-	lengths := make([]int, 0, len(counts))
-	for l := range counts {
-		lengths = append(lengths, l)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(lengths)))
-	return lengths
-}
-
-// runTasks runs n independent tasks on up to workers goroutines and
-// returns the first error. Remaining tasks are skipped after an error.
-// Each task receives the index of the worker running it, so callers can
-// attribute work to per-worker trace lanes.
-func runTasks(workers, n int, task func(worker, i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := task(0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	jobs := make(chan int)
-	errs := make(chan error, workers)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				if failed.Load() {
-					continue
-				}
-				if err := task(w, i); err != nil {
-					failed.Store(true)
-					select {
-					case errs <- err:
-					default:
-					}
-				}
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	close(errs)
-	return <-errs
-}
-
 // verifyOverlap checks that the l-suffix of vertex u equals the l-prefix
 // of vertex v by comparing the underlying sequences.
-func (p *Pipeline) verifyOverlap(rs dna.ReadSource, u, v uint32, l int) bool {
+func verifyOverlap(rs dna.ReadSource, u, v uint32, l int) bool {
 	su := rs.VertexSeq(u)
 	sv := rs.VertexSeq(v)
 	if l > len(su) || l > len(sv) {
@@ -916,9 +538,9 @@ func (p *Pipeline) verifyOverlap(rs dna.ReadSource, u, v uint32, l int) bool {
 // single code path shared by cold and resumed runs, so resumed output is
 // byte-identical by construction.
 func (p *Pipeline) compressPhase(rs dna.ReadSource, edgePath string, res *Result) error {
-	eng := NewGraphEngine(p.cfg, p.engineEnv(), rs)
+	eng := p.node.NewGraphEngine(rs)
 	defer eng.Release()
-	it, err := newEdgeFileIterator(edgePath, p.meter)
+	it, err := newEdgeFileIterator(edgePath, p.node.Meter)
 	if err != nil {
 		return err
 	}
@@ -934,7 +556,7 @@ func (p *Pipeline) compressPhase(rs dna.ReadSource, edgePath string, res *Result
 		return err
 	}
 	res.ContigPath = filepath.Join(p.cfg.Workspace, contigFileName)
-	res.Contigs, err = WriteContigs(p.dev, p.meter, rs, paths, res.ContigPath)
+	res.Contigs, err = WriteContigs(p.node.Device, p.node.Meter, rs, paths, res.ContigPath)
 	res.ContigStats = contig.Summarize(res.Contigs)
 	return err
 }

@@ -369,7 +369,14 @@ func drainRun(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, path string
 		return err
 	}
 	defer r.Close()
+	// The wait is only enqueued on an async stream, while the reads below
+	// are charged from this goroutine: without the barrier a charge can
+	// land on the modeled line ahead of the wait and the sort hides the
+	// read behind compute it depends on.
 	ioS.WaitModeled(cmp.ModeledCursor())
+	if err := ioS.Sync(); err != nil {
+		return err
+	}
 	capPairs := clampPairs(cfg.HostBlockPairs, r.Count())
 	if cfg.HostMem != nil {
 		hostBytes := int64(capPairs) * hostPairBytes

@@ -120,3 +120,31 @@ func TestSortFileStreamsMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// A spill that fits one run ends in drainRun, which charges its reads from
+// the calling goroutine. Those charges must land after the modeled wait on
+// the compute stream however the async I/O executor is scheduled: every
+// repetition hides the same seconds (ROADMAP 3(d) was this flipping
+// between two values).
+func TestSortStreamSingleRunSavedSecondsStable(t *testing.T) {
+	dir := t.TempDir()
+	inPath := filepath.Join(dir, "in.kv")
+	writePairs(t, inPath, randomPairs(rand.New(rand.NewSource(7)), 50, 200))
+	seen := map[float64]int{}
+	for rep := 0; rep < 300; rep++ {
+		lg := costmodel.NewOverlapLedger(overlapProfile())
+		cfg := Config{Device: bigDevice(), Meter: costmodel.NewMeter(), TempDir: dir,
+			HostBlockPairs: 64, DeviceBlockPairs: 8, Overlap: lg}
+		st, err := SortStream(context.Background(), cfg, inPath, func([]kv.Pair) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Runs != 1 {
+			t.Fatalf("want a single run, got %d", st.Runs)
+		}
+		seen[lg.SavedSeconds()]++
+	}
+	if len(seen) != 1 {
+		t.Errorf("SavedSeconds took %d values over 300 single-run sorts: %v", len(seen), seen)
+	}
+}

@@ -61,7 +61,6 @@ type Device struct {
 	mu      sync.Mutex
 	freed   *sync.Cond // signaled whenever memory is released
 	inUse   int64
-	waiters int // AllocWait callers currently parked for capacity
 	workers int
 	hooks   Hooks
 }
@@ -158,17 +157,12 @@ func (d *Device) AllocWait(ctx context.Context, n int64) (*Allocation, error) {
 	for d.inUse+n > d.spec.MemBytes {
 		if waitStart.IsZero() {
 			waitStart = time.Now()
-			d.waiters++
 		}
 		if err := ctx.Err(); err != nil {
-			d.waiters--
 			d.mu.Unlock()
 			return nil, err
 		}
 		d.freed.Wait()
-	}
-	if !waitStart.IsZero() {
-		d.waiters--
 	}
 	d.inUse += n
 	// Record the claim in the peak tracker before dropping the lock, the
@@ -232,14 +226,6 @@ func (d *Device) Available() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.spec.MemBytes - d.inUse
-}
-
-// Waiters returns how many AllocWait callers are currently parked waiting
-// for capacity — the device's admission backlog.
-func (d *Device) Waiters() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.waiters
 }
 
 // Capacity returns the device memory capacity in bytes.

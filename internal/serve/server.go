@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/cluster"
+	"repro/internal/contig"
 	"repro/internal/core"
 	"repro/internal/dna"
 	"repro/internal/fastq"
@@ -334,33 +335,48 @@ func (s *Server) runJob(ctx context.Context, j *Job) error {
 		return err
 	}
 	p.FaultHook = func(stage core.PhaseName) error {
-		s.flight.Emit(j, EventStageCommit, map[string]any{"stage": string(stage)})
-		if err := s.checkPreempt(j); err != nil {
-			return err
-		}
-		if s.cfg.StageCommitHook != nil {
-			return s.cfg.StageCommitHook(ctx, rec.ID, stage)
-		}
-		return nil
+		return s.stageCommitted(ctx, j, stage, map[string]any{"stage": string(stage)})
 	}
 	res, err := p.AssembleContext(ctx, reads)
 	if err != nil {
 		return err
 	}
-	if err := s.store.InstallResult(rec.ID); err != nil {
+	return s.finishJob(j, res.CachedStages, res.ContigStats,
+		res.CandidateEdges, res.AcceptedEdges, res.TotalWall, res.TotalModeled)
+}
+
+// stageCommitted is what both run paths do once a stage (or one node's
+// share of it) has committed: record the event, honour a pending
+// preemption, then run the configured hook.
+func (s *Server) stageCommitted(ctx context.Context, j *Job, stage core.PhaseName, fields map[string]any) error {
+	s.flight.Emit(j, EventStageCommit, fields)
+	if err := s.checkPreempt(j); err != nil {
+		return err
+	}
+	if s.cfg.StageCommitHook != nil {
+		return s.cfg.StageCommitHook(ctx, j.Record().ID, stage)
+	}
+	return nil
+}
+
+// finishJob installs a completed run's FASTA as the job result and records
+// its summary.
+func (s *Server) finishJob(j *Job, cached []string, cs contig.Stats,
+	candidates, accepted int64, wall, modeled time.Duration) error {
+	if err := s.store.InstallResult(j.Record().ID); err != nil {
 		return err
 	}
 	j.Update(func(r *Record) {
-		r.CachedStages = append([]string(nil), res.CachedStages...)
+		r.CachedStages = append([]string(nil), cached...)
 		r.Result = &ResultSummary{
-			NumContigs:     res.ContigStats.NumContigs,
-			TotalBases:     res.ContigStats.TotalBases,
-			MaxContigLen:   res.ContigStats.MaxLen,
-			N50:            res.ContigStats.N50,
-			CandidateEdges: res.CandidateEdges,
-			AcceptedEdges:  res.AcceptedEdges,
-			WallMillis:     res.TotalWall.Milliseconds(),
-			ModeledMillis:  res.TotalModeled.Milliseconds(),
+			NumContigs:     cs.NumContigs,
+			TotalBases:     cs.TotalBases,
+			MaxContigLen:   cs.MaxLen,
+			N50:            cs.N50,
+			CandidateEdges: candidates,
+			AcceptedEdges:  accepted,
+			WallMillis:     wall.Milliseconds(),
+			ModeledMillis:  modeled.Milliseconds(),
 		}
 	})
 	return nil
@@ -424,37 +440,14 @@ func (s *Server) runShardedJob(ctx context.Context, j *Job, reads *dna.ReadSet, 
 		return err
 	}
 	cl.FaultHook = func(nodeID int, stage core.PhaseName) error {
-		s.flight.Emit(j, EventStageCommit, map[string]any{
-			"stage": string(stage), "node": nodeID})
-		if err := s.checkPreempt(j); err != nil {
-			return err
-		}
-		if s.cfg.StageCommitHook != nil {
-			return s.cfg.StageCommitHook(ctx, rec.ID, stage)
-		}
-		return nil
+		return s.stageCommitted(ctx, j, stage, map[string]any{"stage": string(stage), "node": nodeID})
 	}
 	res, err := cl.AssembleContext(ctx, reads)
 	if err != nil {
 		return err
 	}
-	if err := s.store.InstallResult(rec.ID); err != nil {
-		return err
-	}
-	j.Update(func(r *Record) {
-		r.CachedStages = append([]string(nil), res.CachedStages...)
-		r.Result = &ResultSummary{
-			NumContigs:     res.ContigStats.NumContigs,
-			TotalBases:     res.ContigStats.TotalBases,
-			MaxContigLen:   res.ContigStats.MaxLen,
-			N50:            res.ContigStats.N50,
-			CandidateEdges: res.CandidateEdges,
-			AcceptedEdges:  res.AcceptedEdges,
-			WallMillis:     res.TotalWall.Milliseconds(),
-			ModeledMillis:  res.TotalModeled.Milliseconds(),
-		}
-	})
-	return nil
+	return s.finishJob(j, res.CachedStages, res.ContigStats,
+		res.CandidateEdges, res.AcceptedEdges, res.TotalWall, res.TotalModeled)
 }
 
 // buildMux wires the HTTP API.

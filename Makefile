@@ -26,12 +26,14 @@ test:
 # detector is part of the default verification gate. The stream stress
 # test gets an explicit high-count pass: the async executor/enqueuer
 # handoff and the allocator's lock-ordering fixes are the raciest code in
-# the tree.
+# the tree. The fsync-ledger tests ride the last pass: they swap kvio's
+# package-level fsync hook while sorts and a two-worker pipeline run
+# under them.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestStreamStress|TestAllocPeakNeverExceedsCapacity|TestAllocationConcurrentFreeIdempotent' ./internal/gpu/
 	$(GO) test -race -count=3 -run 'TestFleetSchedulerStress|TestSchedulerWorkStealing|TestSchedulerPreemptionDrain' ./internal/serve/
-	$(GO) test -race -count=3 -run 'TestPooledBufferConcurrentSorts|TestBlockPoolConcurrentRoundTrips' ./internal/extsort/ ./internal/kvio/
+	$(GO) test -race -count=3 -run 'TestPooledBufferConcurrentSorts|TestBlockPoolConcurrentRoundTrips|TestFsyncLedger' ./internal/extsort/ ./internal/kvio/
 
 # Short fuzz passes over the parsers and the packed encoding; the seed
 # corpora live under testdata/fuzz/.
@@ -92,16 +94,15 @@ bench-gate:
 	$(GO) run ./scripts/bench_gate bench/BENCH_mem.json BENCH_mem.json
 	$(GO) run ./scripts/bench_gate bench/BENCH_wall.json BENCH_wall.json
 
-# The repository benchmark's own tests, then one traced repetition of a
-# two-hop, a greedy and the distributed workload. A traced run fails an
-# operation when the layers replayed for a stage take more than 1.3x the
-# stage's wall
+# The repository benchmark's own tests, then one traced repetition of
+# every declared workload. A traced run fails an operation when the layers
+# replayed for a stage take more than 1.3x the stage's wall
 # ("trace rejected: layers replayed for <stage>"), which is how a change
 # that speeds a stage up without its replay finds out before the driver
 # does; run.sh exits non-zero on any failed check.
 benchmark-smoke:
 	cd benchmark && $(GO) test ./...
-	bash benchmark/run.sh -workload asm_spmat,asm_onepass,cluster_4node -reps 1 -trace 1
+	bash benchmark/run.sh -workload asm_spmat,asm_onepass,asm_multipass,asm_succinct,cluster_4node -reps 1 -trace 1
 
 cover:
 	$(GO) test -cover ./...

@@ -342,7 +342,7 @@ func (e *succinctEngine) openSpill() {
 	}
 	e.dir = filepath.Join(e.env.Scratch, "sort_succinct")
 	if e.err = os.MkdirAll(e.dir, 0o755); e.err == nil {
-		e.spill, e.err = kvio.NewWriter(e.spillPath(), e.env.Meter)
+		e.spill, e.err = kvio.NewScratchWriter(e.spillPath(), e.env.Meter)
 	}
 }
 

@@ -1,17 +1,34 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dna"
+	"repro/internal/kv"
 )
 
 // errInjectedCrash simulates the process dying right after a stage commit.
 var errInjectedCrash = errors.New("injected crash")
+
+// crashAfter is the FaultHook of a process that dies right after stage
+// commits.
+func crashAfter(stage PhaseName) FaultHook {
+	return func(s PhaseName) error {
+		if s == stage {
+			return errInjectedCrash
+		}
+		return nil
+	}
+}
 
 // coldContigs runs the pipeline cold in its own workspace and returns the
 // reference FASTA bytes a resumed run must reproduce exactly.
@@ -47,21 +64,16 @@ func TestResumeAfterEachStage(t *testing.T) {
 	reads := testResumeReads(t)
 
 	stages := []PhaseName{PhaseMap, PhaseSort, PhaseReduce, PhaseCompress}
-	for i, crashAfter := range stages {
-		t.Run(fmt.Sprintf("crash_after_%s", crashAfter), func(t *testing.T) {
+	for i, crashed := range stages {
+		t.Run(fmt.Sprintf("crash_after_%s", crashed), func(t *testing.T) {
 			cfg := smallConfig(t)
 
-			// First run: crash immediately after crashAfter commits.
+			// First run: crash immediately after the stage commits.
 			p, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.FaultHook = func(stage PhaseName) error {
-				if stage == crashAfter {
-					return errInjectedCrash
-				}
-				return nil
-			}
+			p.FaultHook = crashAfter(crashed)
 			if _, err := p.Assemble(reads); !errors.Is(err, errInjectedCrash) {
 				t.Fatalf("interrupted run error = %v, want injected crash", err)
 			}
@@ -198,12 +210,7 @@ func TestResumeInvalidatedByCorruptArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.FaultHook = func(stage PhaseName) error {
-		if stage == PhaseSort {
-			return errInjectedCrash
-		}
-		return nil
-	}
+	p.FaultHook = crashAfter(PhaseSort)
 	if _, err := p.Assemble(reads); !errors.Is(err, errInjectedCrash) {
 		t.Fatalf("interrupted run error = %v", err)
 	}
@@ -277,5 +284,223 @@ func TestResumeWithoutManifestRunsCold(t *testing.T) {
 	}
 	if len(res.Contigs) == 0 {
 		t.Fatal("no contigs produced")
+	}
+}
+
+// sortScratchSnapshot is a device hook that photographs the sort_* scratch
+// directories the first time a kernel is charged while a file matching
+// inFlight exists under partDir — some sort is then in the middle of a
+// merge round, with runs and a half-written merge on disk — and then calls
+// stop, if set. The photograph is what a killed process would leave: a
+// cancelled run removes its scratch on the way out, a dead one cannot.
+type sortScratchSnapshot struct {
+	partDir, snapDir string
+	inFlight         string // glob under partDir
+	stop             func()
+
+	taken atomic.Bool
+	err   error // read after the run returns
+}
+
+func (h *sortScratchSnapshot) KernelLaunch(int, time.Time, time.Duration)  {}
+func (h *sortScratchSnapshot) AllocWaited(int64, time.Time, time.Duration) {}
+func (h *sortScratchSnapshot) KernelCharge(int64, int64) {
+	if h.taken.Load() {
+		return
+	}
+	if m, _ := filepath.Glob(filepath.Join(h.partDir, h.inFlight)); len(m) == 0 {
+		return
+	}
+	if !h.taken.CompareAndSwap(false, true) {
+		return // the other worker got here first
+	}
+	h.err = h.snapshot()
+	if h.stop != nil {
+		h.stop()
+	}
+}
+
+func (h *sortScratchSnapshot) snapshot() error {
+	dirs, err := filepath.Glob(filepath.Join(h.partDir, "sort_*"))
+	if err != nil {
+		return err
+	}
+	for _, d := range dirs {
+		ents, err := os.ReadDir(d)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(h.snapDir, filepath.Base(d))
+		if err := os.MkdirAll(dst, 0o755); err != nil {
+			return err
+		}
+		for _, e := range ents {
+			data, err := os.ReadFile(filepath.Join(d, e.Name()))
+			if errors.Is(err, fs.ErrNotExist) {
+				continue // the other worker's sort unlinked it meanwhile
+			}
+			if err != nil {
+				return err
+			}
+			if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// restoreGarbled puts the photographed scratch back under partDir the way a
+// crash that lost the page cache would have left it — no scratch file is
+// ever fsynced — with every file cut short mid-record and its surviving
+// bytes flipped. It returns the restored file names.
+func (h *sortScratchSnapshot) restoreGarbled(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	err := filepath.WalkDir(h.snapDir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		keep := len(data) / 2 / kv.PairBytes * kv.PairBytes
+		if keep+7 <= len(data) {
+			keep += 7 // end mid-record
+		}
+		data = data[:keep]
+		for i := range data {
+			data[i] ^= 0xa5
+		}
+		rel, _ := filepath.Rel(h.snapDir, path)
+		dst := filepath.Join(h.partDir, rel)
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		names = append(names, rel)
+		return os.WriteFile(dst, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestResumeIgnoresUnsyncedSortScratch kills multi-pass runs in the middle
+// of a merge round — by cancellation, and by a crash right after the stage
+// that owned the scratch commits (its unlinks are no more durable than its
+// writes) — restores the sort_* leftovers with torn, garbled contents, and
+// resumes. Nothing may change: FASTA byte-identical to a cold run, counters
+// and modeled time identical to resuming the same crash from a clean
+// workspace, no sort_* left. This held before scratch writes stopped being
+// fsynced and is the reason they could: resume sweeps those directories and
+// re-sorts from committed partitions, it never reads them.
+func TestResumeIgnoresUnsyncedSortScratch(t *testing.T) {
+	reads := testResumeReads(t)
+	cases := []struct {
+		name      string
+		backend   string
+		inFlight  string
+		cancel    bool      // kill by cancellation at the snapshot, else by FaultHook
+		committed PhaseName // last stage the killed run committed
+		leftovers []string  // file-name prefixes the scratch must hold
+	}{
+		{"greedy/cancel-mid-sort", BackendGreedy, "sort_?fx_*/merge_*.kv", true, PhaseMap,
+			[]string{"run_", "merge_"}},
+		{"greedy/crash-after-sort", BackendGreedy, "sort_?fx_*/merge_*.kv", false, PhaseSort,
+			[]string{"run_", "merge_"}},
+		{"succinct/cancel-mid-reduce", BackendSuccinct, "sort_succinct/merge_*.kv", true, PhaseSort,
+			[]string{"cand.kv", "run_", "merge_"}},
+		{"succinct/crash-after-reduce", BackendSuccinct, "sort_succinct/merge_*.kv", false, PhaseReduce,
+			[]string{"cand.kv", "run_", "merge_"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			multiPass := func(cfg *Config) {
+				cfg.GraphBackend = tc.backend
+				cfg.HostBlockPairs, cfg.DeviceBlockPairs = 128, 32 // ~7 runs per partition
+				cfg.Workers = 2
+			}
+			resume := func(cfg Config) *Result {
+				t.Helper()
+				cfg.Resume = true
+				p, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := p.Assemble(reads)
+				if err != nil {
+					t.Fatalf("resume: %v", err)
+				}
+				return res
+			}
+			want := coldContigs(t, multiPass)
+
+			// Reference: the same crash point, resumed from a clean workspace.
+			refCfg := smallConfig(t)
+			multiPass(&refCfg)
+			p, err := New(refCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.FaultHook = crashAfter(tc.committed)
+			if _, err := p.Assemble(reads); !errors.Is(err, errInjectedCrash) {
+				t.Fatalf("reference run error = %v, want injected crash", err)
+			}
+			ref := resume(refCfg)
+
+			cfg := smallConfig(t)
+			multiPass(&cfg)
+			if p, err = New(cfg); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			snap := &sortScratchSnapshot{partDir: filepath.Join(cfg.Workspace, "partitions"),
+				snapDir: t.TempDir(), inFlight: tc.inFlight}
+			wantErr := errInjectedCrash
+			if tc.cancel {
+				snap.stop, wantErr = cancel, context.Canceled
+			} else {
+				p.FaultHook = crashAfter(tc.committed)
+			}
+			p.Device().SetHooks(snap)
+			if _, err := p.AssembleContext(ctx, reads); !errors.Is(err, wantErr) {
+				t.Fatalf("killed run error = %v, want %v", err, wantErr)
+			}
+			if !snap.taken.Load() || snap.err != nil {
+				t.Fatalf("no scratch photographed mid-merge (err %v)", snap.err)
+			}
+			left := snap.restoreGarbled(t)
+			for _, prefix := range tc.leftovers {
+				found := false
+				for _, name := range left {
+					found = found || strings.HasPrefix(filepath.Base(name), prefix)
+				}
+				if !found {
+					t.Fatalf("leftovers %v hold no %s* file", left, prefix)
+				}
+			}
+
+			res := resume(cfg)
+			if fmt.Sprint(res.CachedStages) != fmt.Sprint(ref.CachedStages) {
+				t.Fatalf("CachedStages = %v, the clean resume's %v", res.CachedStages, ref.CachedStages)
+			}
+			got, err := os.ReadFile(res.ContigPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Error("resumed output differs from cold run")
+			}
+			if res.Counters != ref.Counters || res.TotalModeled != ref.TotalModeled {
+				t.Errorf("resume over stale scratch cost %+v / %v, over a clean workspace %+v / %v",
+					res.Counters, res.TotalModeled, ref.Counters, ref.TotalModeled)
+			}
+			if stale, _ := filepath.Glob(filepath.Join(snap.partDir, "sort_*")); len(stale) != 0 {
+				t.Errorf("resume left scratch behind: %v", stale)
+			}
+		})
 	}
 }

@@ -2,10 +2,15 @@ package extsort
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"repro/internal/costmodel"
 	"repro/internal/kv"
 )
 
@@ -50,6 +55,64 @@ func TestSortFileInvalidConfig(t *testing.T) {
 	cfg := Config{Device: nil, HostBlockPairs: 64, DeviceBlockPairs: 8, TempDir: dir}
 	if _, err := SortFile(context.Background(), cfg, "x", "y"); err == nil {
 		t.Error("invalid config should fail before touching files")
+	}
+}
+
+// cancelInMerge is a device hook that cancels a sort from inside the merge
+// writing the watched file: the first kernel charged while that file
+// exists is one of that merge's.
+type cancelInMerge struct {
+	watch  string
+	cancel context.CancelFunc
+}
+
+func (h cancelInMerge) KernelLaunch(int, time.Time, time.Duration)  {}
+func (h cancelInMerge) AllocWaited(int64, time.Time, time.Duration) {}
+func (h cancelInMerge) KernelCharge(int64, int64) {
+	if _, err := os.Stat(h.watch); err == nil {
+		h.cancel()
+	}
+}
+
+// A sort cancelled in any merge round publishes nothing and removes the
+// merge file it was half-way through, so a caller that owns TempDir (the
+// benchmark's replay, these tests) is not left a torn merge_*.kv.
+func TestSortFileCancelMidMergeRemovesPartialOutput(t *testing.T) {
+	// 8 runs merge as 4 + 2 + 1: merge files 1, 5 and 7 are the first of
+	// rounds 1, 2 and 3.
+	for _, gen := range []int{1, 5, 7} {
+		for _, streams := range []bool{false, true} {
+			t.Run(fmt.Sprintf("merge=%d/streams=%v", gen, streams), func(t *testing.T) {
+				dir := t.TempDir()
+				in := filepath.Join(dir, "in.kv")
+				out := filepath.Join(dir, "out.kv")
+				tmp := filepath.Join(dir, "tmp")
+				if err := os.Mkdir(tmp, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				// Random keys, so every pair of runs interleaves and merges
+				// through the device.
+				writePairs(t, in, randomPairs(rand.New(rand.NewSource(int64(gen))), 8*64, 1<<40))
+				doomed := filepath.Join(tmp, fmt.Sprintf("merge_%06d.kv", gen))
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				dev := bigDevice()
+				dev.SetHooks(cancelInMerge{watch: doomed, cancel: cancel})
+				cfg := Config{Device: dev, HostBlockPairs: 64, DeviceBlockPairs: 8, TempDir: tmp}
+				if streams {
+					cfg.Overlap = costmodel.NewOverlapLedger(overlapProfile())
+				}
+				if _, err := SortFile(ctx, cfg, in, out); !errors.Is(err, context.Canceled) {
+					t.Fatalf("SortFile error = %v, want context.Canceled", err)
+				}
+				if _, err := os.Lstat(out); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("cancelled sort published an output (lstat: %v)", err)
+				}
+				if _, err := os.Lstat(doomed); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("cancelled sort left its unfinished %s behind (lstat: %v)", filepath.Base(doomed), err)
+				}
+			})
+		}
 	}
 }
 

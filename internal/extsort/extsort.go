@@ -125,14 +125,12 @@ func SortFile(ctx context.Context, cfg Config, inPath, outPath string) (Stats, e
 	st.Runs = len(runs)
 
 	if len(runs) == 0 {
-		// Empty input: still produce an (empty) output file.
-		w, err := kvio.NewWriter(outPath, cfg.Meter)
-		if err != nil {
+		// Empty input: the output is an empty run, published like any other.
+		empty := filepath.Join(cfg.TempDir, "run_000000.kv")
+		if err := writeRun(empty, nil, cfg.Meter); err != nil {
 			return st, err
 		}
-		st.DiskPasses = 1
-		cfg.recordStats(st)
-		return st, w.Close()
+		runs = []string{empty}
 	}
 
 	// Pass 2..k: pairwise merge runs until one remains (Algorithm 1).
@@ -161,6 +159,11 @@ func SortFile(ctx context.Context, cfg Config, inPath, outPath string) (Stats, e
 		runs = next
 	}
 	st.DiskPasses = 1 + st.MergeRounds
+	// Of everything this sort wrote, only the surviving run outlives the
+	// call, so it alone is fsynced — before the rename that publishes it.
+	if err := kvio.Sync(runs[0]); err != nil {
+		return st, fmt.Errorf("extsort: publishing %s: %w", outPath, err)
+	}
 	if err := os.Rename(runs[0], outPath); err != nil {
 		return st, err
 	}
@@ -435,8 +438,10 @@ func readFull(r *kvio.Reader, dst []kv.Pair) (int, error) {
 	return total, nil
 }
 
+// writeRun writes one sorted run as scratch: runs are unlinked by the
+// sort that wrote them (SortFile syncs the one it publishes).
 func writeRun(path string, ps []kv.Pair, meter *costmodel.Meter) error {
-	w, err := kvio.NewWriter(path, meter)
+	w, err := kvio.NewScratchWriter(path, meter)
 	if err != nil {
 		return err
 	}
@@ -641,9 +646,11 @@ func window(ps []kv.Pair, n int) []kv.Pair {
 
 // mergeRunFiles merges two sorted run files into one (Algorithm 1 at the
 // disk level, M = m_h): mergeRuns streaming into a kvio.Writer, with the
-// disk write charged on the compute stream.
+// disk write charged on the compute stream. The output is scratch like the
+// runs it replaces; a merge that fails or is cancelled removes its partial
+// output rather than leaving it to whoever owns TempDir.
 func mergeRunFiles(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, pathA, pathB, outPath string) error {
-	w, err := kvio.NewWriter(outPath, cfg.Meter)
+	w, err := kvio.NewScratchWriter(outPath, cfg.Meter)
 	if err != nil {
 		return err
 	}
@@ -654,11 +661,14 @@ func mergeRunFiles(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, pathA,
 		cmp.Charge(costmodel.TierDiskWrite, int64(len(ps))*kv.PairBytes)
 		return nil
 	}
-	if err := mergeRuns(ctx, cfg, ioS, cmp, pathA, pathB, emit); err != nil {
-		w.Close()
-		return err
+	err = mergeRuns(ctx, cfg, ioS, cmp, pathA, pathB, emit)
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
-	return w.Close()
+	if err != nil {
+		os.Remove(outPath) // best effort: err is the failure to report
+	}
+	return err
 }
 
 // mergeRuns merges two sorted run files into emit. Windows of m_h/2

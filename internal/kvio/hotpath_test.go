@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/costmodel"
 	"repro/internal/kv"
 )
 
@@ -142,24 +143,100 @@ func TestWriterCloseReportsSyncError(t *testing.T) {
 }
 
 // TestWriterCloseReportsFlushError pins that a failing final-block flush
-// is reported descriptively. The underlying descriptor is closed out from
-// under the writer so the flush write fails.
+// is reported descriptively, by the durable and the scratch writer alike
+// (skipping the fsync skips nothing else). The underlying descriptor is
+// closed out from under the writer so the flush write fails.
 func TestWriterCloseReportsFlushError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "flusherr.kv")
-	w, err := NewWriter(path, nil)
+	for name, open := range map[string]func(string, *costmodel.Meter) (*Writer, error){
+		"durable": NewWriter, "scratch": NewScratchWriter,
+	} {
+		path := filepath.Join(t.TempDir(), "flusherr.kv")
+		w, err := open(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(kv.Pair{Val: 7}); err != nil {
+			t.Fatal(err)
+		}
+		w.f.Close() // sabotage: the buffered pair can no longer be written
+		err = w.Close()
+		if err == nil {
+			t.Fatalf("%s: Close swallowed the flush error", name)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s: flush error %q does not name the file", name, err)
+		}
+	}
+}
+
+// TestScratchWriterCloseSkipsSync pins the second lifetime: a scratch
+// writer's Close flushes and closes — the file is complete and readable —
+// but never reaches the fsync hook, and stays idempotent.
+func TestScratchWriterCloseSkipsSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scratch.kv")
+	w, err := NewScratchWriter(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write(kv.Pair{Val: 7}); err != nil {
+	want := randPairs(2, blockPairs+3)
+	if err := w.WriteBatch(want); err != nil {
 		t.Fatal(err)
 	}
-	w.f.Close() // sabotage: the buffered pair can no longer be written
-	err = w.Close()
-	if err == nil {
-		t.Fatal("Close swallowed the flush error")
+	orig := fileSync
+	defer func() { fileSync = orig }()
+	fileSync = func(f *os.File) error {
+		t.Errorf("scratch Close fsynced %s", f.Name())
+		return orig(f)
 	}
-	if !strings.Contains(err.Error(), path) {
-		t.Fatalf("flush error %q does not name the file", err)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if n, err := CountFile(path); err != nil || n != int64(len(want)) {
+		t.Fatalf("scratch file holds %d pairs (err %v), want %d", n, err, len(want))
+	}
+}
+
+// TestSyncMakesScratchFileDurable pins Sync: it reaches the hook with the
+// file at path and reports a failure with the path.
+func TestSyncMakesScratchFileDurable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "promoted.kv")
+	w, err := NewScratchWriter(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteBatch(randPairs(3, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	orig := fileSync
+	defer func() { fileSync = orig }()
+	var syncedBytes int64 = -1
+	fileSync = func(f *os.File) error {
+		info, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		syncedBytes = info.Size()
+		return orig(f)
+	}
+	if err := Sync(path); err != nil {
+		t.Fatal(err)
+	}
+	if syncedBytes != 5*kv.PairBytes {
+		t.Fatalf("Sync saw %d bytes, want %d", syncedBytes, 5*kv.PairBytes)
+	}
+	injected := errors.New("device lost power")
+	fileSync = func(*os.File) error { return injected }
+	if err := Sync(path); !errors.Is(err, injected) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Sync error = %v, want the injected failure naming %s", err, path)
+	}
+	if err := Sync(path + ".missing"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Sync of a missing file = %v, want not-exist", err)
 	}
 }
 

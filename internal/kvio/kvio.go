@@ -20,6 +20,18 @@
 // Writer.Close flushes the final block, fsyncs, and only then closes,
 // reporting — never swallowing — errors from each step, so a torn tail
 // write surfaces at close time rather than as a silently short file.
+//
+// # Two lifetimes
+//
+// A file is fsynced iff it outlives the function that creates it — it
+// can be named by a manifest artifact or read after a crash. NewWriter
+// opens such a file. NewScratchWriter opens working storage (an external
+// sort's run and merge files, an engine's spill): the same Writer, codec,
+// metering and flush/close error reporting, but Close skips the fsync,
+// because the creator unlinks the file itself and resume sweeps, never
+// reads, whatever a crash leaves of it. A scratch file that turns out to
+// be the result (the last run of a sort) is made durable with Sync before
+// the rename that publishes it.
 package kvio
 
 import (
@@ -60,27 +72,54 @@ func putBlock(b []byte) {
 	blockPool.Put(&b)
 }
 
-// fileSync is the fsync hook Writer.Close goes through; a variable so the
-// tests can observe ordering and inject failures.
+// fileSync is the fsync hook Writer.Close and Sync go through; a variable
+// so the tests can observe ordering and inject failures.
 var fileSync = (*os.File).Sync
 
 // Writer appends pairs to a file sequentially.
 type Writer struct {
-	f      *os.File
-	meter  *costmodel.Meter
-	count  int64
-	block  []byte // pooled codec block
-	off    int    // bytes of block filled
-	closed bool
+	f       *os.File
+	meter   *costmodel.Meter
+	count   int64
+	block   []byte // pooled codec block
+	off     int    // bytes of block filled
+	scratch bool   // Close skips the fsync
+	closed  bool
 }
 
-// NewWriter creates (truncating) the file at path. meter may be nil.
+// NewWriter creates (truncating) the durable file at path: Close fsyncs
+// it. meter may be nil.
 func NewWriter(path string, meter *costmodel.Meter) (*Writer, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
 	return &Writer{f: f, meter: meter, block: getBlock()}, nil
+}
+
+// NewScratchWriter creates (truncating) a file its creator deletes before
+// returning and nothing reads after a crash: Close flushes and closes but
+// does not fsync. meter may be nil.
+func NewScratchWriter(path string, meter *costmodel.Meter) (*Writer, error) {
+	w, err := NewWriter(path, meter)
+	if err == nil {
+		w.scratch = true
+	}
+	return w, err
+}
+
+// Sync fsyncs the closed file at path: the step that turns a file written
+// through a scratch writer into one that may be published.
+func Sync(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := fileSync(f); err != nil {
+		return fmt.Errorf("kvio: fsync %s: %w", path, err)
+	}
+	return nil
 }
 
 // Write appends one pair.
@@ -149,12 +188,12 @@ func (w *Writer) flush() error {
 // Count returns the number of pairs written so far.
 func (w *Writer) Count() int64 { return w.count }
 
-// Close flushes the final block, fsyncs, and closes the file. Each step's
-// error is checked and reported with the path: a flush or sync failure
-// means the tail of the file may be torn, and silently returning success
-// there is exactly the corruption the reader would later misreport as a
-// short file. Close is idempotent; after the first call the writer
-// rejects further writes.
+// Close flushes the final block, fsyncs (a scratch writer does not), and
+// closes the file. Each step's error is checked and reported with the
+// path: a flush or sync failure means the tail of the file may be torn,
+// and silently returning success there is exactly the corruption the
+// reader would later misreport as a short file. Close is idempotent; after
+// the first call the writer rejects further writes.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
@@ -167,9 +206,11 @@ func (w *Writer) Close() error {
 		w.f.Close()
 		return flushErr
 	}
-	if err := fileSync(w.f); err != nil {
-		w.f.Close()
-		return fmt.Errorf("kvio: fsync %s: %w", w.f.Name(), err)
+	if !w.scratch {
+		if err := fileSync(w.f); err != nil {
+			w.f.Close()
+			return fmt.Errorf("kvio: fsync %s: %w", w.f.Name(), err)
+		}
 	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("kvio: close %s: %w", w.f.Name(), err)

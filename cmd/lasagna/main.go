@@ -53,7 +53,7 @@ func main() {
 		backend    = flag.String("graph-backend", "", "reduce/compress engine: greedy (default), spmat (CSR sparse matrix with masked-SpGEMM transitive reduction), or succinct (compressed rank/select adjacency built in one pass from sorted edge runs)")
 		bsp        = flag.Bool("parallel-traversal", false, "BSP pointer-jumping path traversal")
 		byFp       = flag.Bool("partition-by-fingerprint", false, "distributed shuffle by fingerprint range (with -nodes)")
-		workers    = flag.Int("workers", 0, "concurrent partition workers (0 = GOMAXPROCS, or serial on each node with -nodes; 1 = serial; output is identical)")
+		workers    = flag.Int("workers", 0, "concurrent partition workers, per node with -nodes (0 = GOMAXPROCS, 1 = serial; output is identical)")
 		streams    = flag.Bool("streams", true, "overlap async transfers with kernels on modeled streams (output is identical; modeled time only shrinks)")
 		reference  = flag.String("reference", "", "optional reference FASTA for a quality report")
 		resume     = flag.Bool("resume", false, "resume an interrupted run from the workspace's manifest")
@@ -132,39 +132,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *nodes > 1 {
-		cfg := lasagna.DefaultClusterConfig(*workspace, *nodes)
-		cfg.MinOverlap = *lmin
-		cfg.GPU = spec
-		cfg.HostBlockPairs = *hostBlock
-		cfg.DeviceBlockPairs = *devBlock
-		cfg.IncludeSingletons = *singletons
-		cfg.PartitionByFingerprint = *byFp
-		cfg.GraphBackend = *backend
-		cfg.WorkersPerNode = *workers
-		cfg.Streams = *streams
-		cfg.Resume = *resume
-		cfg.Obs = observer
-		res, err := lasagna.AssembleDistributedContext(ctx, cfg, reads)
-		writeTrace(tracer, *traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		reportResumed(res.CachedStages)
-		fmt.Printf("distributed assembly on %d simulated %s nodes\n", *nodes, spec.Name)
-		for _, ps := range res.Phases {
-			fmt.Println("  " + ps.String())
-		}
-		fmt.Printf("edges: %d candidates, %d accepted\n", res.CandidateEdges, res.AcceptedEdges)
-		fmt.Printf("assembly: %s\n", res.ContigStats)
-		fmt.Printf("contigs written to %s\n", res.ContigPath)
-		fmt.Printf("total: wall %s, modeled %s\n",
-			stats.FormatDuration(res.TotalWall), stats.FormatDuration(res.TotalModeled))
-		reportModeled(res.Modeled)
-		reportQuality(*reference, res.Contigs)
-		return
-	}
-
 	cfg := lasagna.DefaultConfig(*workspace)
 	cfg.MinOverlap = *lmin
 	cfg.GPU = spec
@@ -184,13 +151,17 @@ func main() {
 		cfg.Workers = *workers
 	}
 	cfg.Obs = observer
-	res, err := lasagna.AssembleContext(ctx, cfg, reads)
+	res, err := assemble(ctx, cfg, *nodes, *byFp, reads)
 	writeTrace(tracer, *traceOut)
 	if err != nil {
 		fatal(err)
 	}
 	reportResumed(res.CachedStages)
-	fmt.Printf("single-node assembly on simulated %s\n", spec.Name)
+	if *nodes > 1 {
+		fmt.Printf("distributed assembly on %d simulated %s nodes\n", *nodes, spec.Name)
+	} else {
+		fmt.Printf("single-node assembly on simulated %s\n", spec.Name)
+	}
 	for _, ps := range res.Phases {
 		fmt.Println("  " + ps.String())
 	}
@@ -213,25 +184,27 @@ func main() {
 	reportQuality(*reference, res.Contigs)
 }
 
-// The flags only one of the two modes reads: the distributed path (-nodes
-// above 1) has no verification, read preprocessing, full-graph or
-// intermediate-keeping options, and only it shuffles.
-var (
-	singleNodeOnly = []string{"verify", "dedupe", "packed", "fullgraph", "parallel-traversal", "keep-intermediate"}
-	clusterOnly    = []string{"partition-by-fingerprint"}
-)
+// assemble runs cfg on one node, or on nodes simulated cluster nodes.
+func assemble(ctx context.Context, cfg lasagna.Config, nodes int, byFp bool,
+	reads *lasagna.ReadSet) (*lasagna.Result, error) {
+	if nodes <= 1 {
+		return lasagna.AssembleContext(ctx, cfg, reads)
+	}
+	res, err := lasagna.AssembleDistributedContext(ctx,
+		lasagna.ClusterConfig{Config: cfg, Nodes: nodes, PartitionByFingerprint: byFp}, reads)
+	if res == nil {
+		return nil, err
+	}
+	return &res.Result, err
+}
 
 // checkModeFlags refuses a command line that sets a flag the chosen mode
-// would silently ignore; set holds the flags given explicitly.
+// would silently ignore; set holds the flags given explicitly. Every
+// assembly flag works on any node count; only the shuffle's partitioning
+// needs a cluster.
 func checkModeFlags(nodes int, set map[string]bool) error {
-	ignored, why := clusterOnly, "needs -nodes above 1"
-	if nodes > 1 {
-		ignored, why = singleNodeOnly, "is not supported with -nodes"
-	}
-	for _, name := range ignored {
-		if set[name] {
-			return fmt.Errorf("-%s %s", name, why)
-		}
+	if nodes <= 1 && set["partition-by-fingerprint"] {
+		return fmt.Errorf("-partition-by-fingerprint needs -nodes above 1")
 	}
 	return nil
 }

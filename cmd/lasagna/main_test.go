@@ -5,22 +5,22 @@ import (
 	"testing"
 )
 
+// Every assembly flag is accepted on one node and on a cluster; the only
+// refusal left is a shuffle option without a shuffle.
 func TestCheckModeFlags(t *testing.T) {
+	assembly := []string{"verify", "dedupe", "packed", "fullgraph", "parallel-traversal",
+		"keep-intermediate", "workers", "graph-backend", "resume", "lmin", "streams"}
 	cases := []struct {
 		nodes int
 		set   []string
 		want  string // substring of the error, "" for none
 	}{
 		{1, nil, ""},
-		{1, []string{"verify", "dedupe", "packed", "fullgraph", "parallel-traversal", "keep-intermediate", "workers"}, ""},
-		{1, []string{"partition-by-fingerprint"}, "-partition-by-fingerprint needs -nodes"},
-		{4, []string{"partition-by-fingerprint", "graph-backend", "workers", "resume"}, ""},
-		{4, []string{"verify"}, "-verify is not supported with -nodes"},
-		{4, []string{"dedupe"}, "-dedupe"},
-		{4, []string{"packed"}, "-packed"},
-		{4, []string{"fullgraph"}, "-fullgraph"},
-		{4, []string{"parallel-traversal"}, "-parallel-traversal"},
-		{2, []string{"lmin", "keep-intermediate"}, "-keep-intermediate"},
+		{1, assembly, ""},
+		{4, assembly, ""},
+		{2, append([]string{"partition-by-fingerprint"}, assembly...), ""},
+		{1, []string{"partition-by-fingerprint"}, "-partition-by-fingerprint needs -nodes above 1"},
+		{1, []string{"verify", "partition-by-fingerprint"}, "-partition-by-fingerprint"},
 	}
 	for _, tc := range cases {
 		set := map[string]bool{}

@@ -5,15 +5,18 @@
 // the out-degree bit-vector from the node owning partition l+1 to the
 // node owning partition l.
 //
-// Nodes are simulated in-process: each runs its phase work in its own
-// goroutine against its own storage directory, device, and cost meter.
-// The original system's GASNet active messages become direct metered
-// reads of the peer's partition file (the paper's message handler does
-// exactly that: read the requested partition, respond with a chunk), with
-// cross-node bytes charged to the network. Per-phase modeled time is the
-// maximum over nodes for the parallel phases, plus the serialized
-// graph-building and token-forwarding component in the reduce phase —
-// reproducing the paper's t_o*p/n + t_g*p scalability bound.
+// A cluster run is a core run on n nodes: it is configured by core.Config
+// (per node) and reports a core.Result, and every node runs core's Map,
+// Sort and overlap-finding bodies. Nodes are simulated in-process: each
+// runs its phase work in its own goroutine against its own storage
+// directory, device, and cost meter. The original system's GASNet active
+// messages become direct metered reads of the peer's partition file (the
+// paper's message handler does exactly that: read the requested partition,
+// respond with a chunk), with cross-node bytes charged to the network.
+// Per-phase modeled time is the maximum over nodes for the parallel
+// phases, plus the serialized graph-building and token-forwarding
+// component in the reduce phase — reproducing the paper's t_o*p/n + t_g*p
+// scalability bound.
 package cluster
 
 import (
@@ -24,6 +27,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,26 +44,22 @@ import (
 	"repro/internal/stats"
 )
 
-// Config parameterizes a cluster run. Block sizes have the same meaning
-// as in core.Config but apply per node.
+// Config parameterizes a cluster run: the core configuration every node
+// follows (block sizes and Workers apply per node; the cost profile adds
+// InfiniBand links) plus what Section III-E adds.
 type Config struct {
-	Nodes            int
-	Workspace        string
-	MinOverlap       int
-	HostBlockPairs   int
-	DeviceBlockPairs int
-	MapBatchReads    int
+	core.Config
+	// Nodes is the number of simulated machines.
+	Nodes int
 	// InputBlockReads is the size of the input blocks the master hands
-	// out during the map phase.
+	// out during the map phase; 0 means 2048.
 	InputBlockReads int
-	// WorkersPerNode bounds each node's partition-level concurrency (map
-	// batches in flight, partitions sorted/reduced at once), on top of the
-	// node-level parallelism the cluster already provides. 0 or 1 keeps
-	// each node serial; each in-flight unit holds its own allocation on
-	// the node's device, so per-node device capacity still bounds it.
-	// Output is identical for every value.
-	WorkersPerNode int
-	GPU            gpu.Spec
+	// PartitionByFingerprint switches the shuffle from length-based to
+	// fingerprint-range-based ownership (the paper's future work,
+	// Section IV-D): every node reduces a slice of every partition, so
+	// the reduce parallelism no longer caps at the number of length
+	// partitions, at the cost of a finer-grained shuffle.
+	PartitionByFingerprint bool
 	// Fleet, when set, supplies the nodes' devices instead of fresh
 	// per-node cards: node i runs on Fleet.Device(i) and meters on that
 	// device's meter, so a serving layer that leased fleet devices to a
@@ -67,72 +67,16 @@ type Config struct {
 	// on. Requires Fleet.Size() >= Nodes. GPU must still describe the
 	// per-node card for cost modeling and manifest fingerprints; callers
 	// hand the cluster a fleet whose devices match it.
-	Fleet        *gpu.Fleet
-	DiskReadBps  float64
-	DiskWriteBps float64
-	NetBps       float64
-	// PartitionByFingerprint switches the shuffle from length-based to
-	// fingerprint-range-based ownership (the paper's future work,
-	// Section IV-D): every node reduces a slice of every partition, so
-	// the reduce parallelism no longer caps at the number of length
-	// partitions, at the cost of a finer-grained shuffle.
-	PartitionByFingerprint bool
-	IncludeSingletons      bool
-	BreakCycles            bool
-	// GraphBackend selects the reduce/compress engine, mirroring
-	// core.Config.GraphBackend: "" or core.BackendGreedy runs the paper's
-	// serialized greedy graph with bit-vector token forwarding; any other
-	// backend ships every node's candidate list to the master, which feeds
-	// them to the same core.GraphEngine the single-node pipeline uses and
-	// seals it on the master's device (DESIGN.md, "Graph engines"). Engine
-	// stores are order-independent, so the cluster's arrival order cannot
-	// change them and contig output is byte-identical to a single-node run
-	// under the same backend.
-	// Output-relevant: part of the per-node manifest fingerprints.
-	GraphBackend string
-	// TransitiveFuzz is the overhang slack for the engines' transitive
-	// reduction, mirroring core.Config.TransitiveFuzz.
-	TransitiveFuzz int
-	// Resume re-enters an interrupted run from the nodes' private storage
-	// directories, mirroring core.Config.Resume: each node keeps a run
-	// manifest in its own dir, and a per-node stage (Map, Shuffle, Sort)
-	// is skipped only when every node committed and can still validate it
-	// (lockstep resume — the cluster never runs with nodes in inconsistent
-	// stages). Reduce and compress always re-run: their state is the
-	// cross-node token and in-memory candidate lists, which the paper's
-	// design never checkpoints.
-	Resume bool
-	// Streams enables overlapped execution modeling on every node,
-	// mirroring core.Config.Streams: per-node sort and reduce work runs on
-	// gpu.Streams and each node's modeled phase time becomes the
-	// overlap-aware makespan before the max-over-nodes aggregation.
-	// Output and counters are identical either way. Execution knob:
-	// excluded from the per-node manifest fingerprints.
-	Streams bool
-	// Obs is the observability sink shared by the coordinator and every
-	// node. In the trace the coordinator is pid 0 and node i is pid i+1.
-	// Nil disables all instrumentation.
-	Obs *obs.Observer
+	Fleet *gpu.Fleet
 }
 
-// DefaultConfig mirrors core.DefaultConfig for an n-node SuperMic-style
-// cluster (K20X nodes on 56 Gb/s InfiniBand).
+// DefaultConfig is core.DefaultConfig for an n-node SuperMic-style
+// cluster: K20X nodes on 56 Gb/s InfiniBand, each node serial.
 func DefaultConfig(workspace string, nodes int) Config {
-	return Config{
-		Nodes:            nodes,
-		Workspace:        workspace,
-		MinOverlap:       63,
-		HostBlockPairs:   1 << 20,
-		DeviceBlockPairs: 1 << 16,
-		MapBatchReads:    4096,
-		InputBlockReads:  2048,
-		GPU:              gpu.K20X,
-		DiskReadBps:      costmodel.DefaultDisk.ReadBps,
-		DiskWriteBps:     costmodel.DefaultDisk.WriteBps,
-		NetBps:           costmodel.InfiniBand56G,
-		BreakCycles:      true,
-		Streams:          true,
-	}
+	cfg := core.DefaultConfig(workspace)
+	cfg.GPU = gpu.K20X
+	cfg.Workers = 1
+	return Config{Config: cfg, Nodes: nodes}
 }
 
 // Validate checks the configuration.
@@ -140,57 +84,33 @@ func (c Config) Validate() error {
 	if c.Nodes < 1 {
 		return fmt.Errorf("cluster: need at least one node, got %d", c.Nodes)
 	}
-	if c.Workspace == "" {
-		return fmt.Errorf("cluster: empty workspace")
-	}
-	if c.InputBlockReads <= 0 {
-		return fmt.Errorf("cluster: InputBlockReads must be positive")
-	}
-	if c.WorkersPerNode < 0 {
-		return fmt.Errorf("cluster: WorkersPerNode must be >= 0, got %d", c.WorkersPerNode)
+	if c.InputBlockReads < 0 {
+		return fmt.Errorf("cluster: InputBlockReads must be >= 0, got %d", c.InputBlockReads)
 	}
 	if c.Fleet != nil && c.Fleet.Size() < c.Nodes {
 		return fmt.Errorf("cluster: %d nodes need %d fleet devices, fleet has %d",
 			c.Nodes, c.Nodes, c.Fleet.Size())
 	}
-	return c.single().Validate()
+	return c.Config.Validate()
 }
 
-// single is the per-node view of the configuration in core's terms: what
-// core validates and what every node's runtime (and through it the master's
-// graph engine) is built from. It is the only place a cluster field is
-// translated to a core one.
-func (c Config) single() core.Config {
-	return core.Config{
-		Workspace: c.Workspace,
-		// core resolves 0 workers to one per CPU; a node's 0 means serial.
-		Workers:           max(c.WorkersPerNode, 1),
-		MinOverlap:        c.MinOverlap,
-		HostBlockPairs:    c.HostBlockPairs,
-		DeviceBlockPairs:  c.DeviceBlockPairs,
-		MapBatchReads:     c.MapBatchReads,
-		GPU:               c.GPU,
-		GraphBackend:      c.GraphBackend,
-		TransitiveFuzz:    c.TransitiveFuzz,
-		IncludeSingletons: c.IncludeSingletons,
-		BreakCycles:       c.BreakCycles,
-		Streams:           c.Streams,
-		Obs:               c.Obs,
+// blockReads resolves InputBlockReads.
+func (c Config) blockReads() int {
+	if c.InputBlockReads == 0 {
+		return 2048
 	}
+	return c.InputBlockReads
 }
 
-// backend resolves the GraphBackend knob: the empty string means greedy.
-func (c Config) backend() string {
-	if c.GraphBackend == "" {
-		return core.BackendGreedy
-	}
-	return c.GraphBackend
-}
-
-func (c Config) profile() costmodel.Profile {
-	p := c.GPU.CostProfile(c.DiskReadBps, c.DiskWriteBps)
-	p.NetBps = c.NetBps
-	return p
+// Fingerprint hashes what one node's manifest is valid for: core's
+// output-relevant configuration plus the cluster geometry. The node count
+// and identity are folded in because both change what any single node's
+// storage holds.
+func (c Config) Fingerprint(nodeID int) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s|nodes=%d|node=%d|blk=%d|fpart=%t", c.Config.Fingerprint(),
+		c.Nodes, nodeID, c.blockReads(), c.PartitionByFingerprint)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // PhaseShuffle is the cluster-only phase between map and sort: the
@@ -198,12 +118,14 @@ func (c Config) profile() costmodel.Profile {
 const PhaseShuffle core.PhaseName = "Shuffle"
 
 // node is one simulated compute node: core's node runtime on private
-// storage (its Scratch), plus what the node holds between phases.
+// storage (its Scratch), plus what the node holds during a run.
 type node struct {
 	*core.Node
 	id     int
-	counts map[int]int64 // owned-partition tuple counts after shuffle
-	edges  []graph.Edge  // accepted edges for owned partitions
+	runner *core.StageRunner // the node's manifest over nodeStages
+	counts map[int]int64     // owned-partition tuple counts after shuffle
+	passes int               // most disk passes any of its sorts took
+	edges  []graph.Edge      // accepted edges for owned partitions
 }
 
 // Cluster is a simulated multi-node deployment.
@@ -222,36 +144,12 @@ type Cluster struct {
 	FaultHook func(nodeID int, stage core.PhaseName) error
 }
 
-// Result reports a distributed assembly.
+// Result reports a distributed assembly as core's Result — Phases include
+// Shuffle, Counters sum every node meter and the serialized-reduce meter,
+// and SortDiskPasses is the worst node's — plus the per-node view.
 type Result struct {
-	Phases      []stats.PhaseStats
+	core.Result
 	NodeModeled map[core.PhaseName][]time.Duration // per-node modeled time per phase
-	Contigs     []dna.Seq
-	ContigStats contig.Stats
-	ContigPath  string
-
-	NumReads       int
-	CandidateEdges int64
-	AcceptedEdges  int64
-	// ReducedEdges counts the transitive edges the master's engine
-	// removed; zero under the greedy backend, which never materializes
-	// transitive edges.
-	ReducedEdges int64
-	TotalWall    time.Duration
-	TotalModeled time.Duration
-
-	// Counters sums every node meter plus the serialized-reduce meter at
-	// the end of the run; Modeled is its per-tier breakdown under the
-	// cluster's GPU profile. Note TotalModeled is a max-over-nodes per
-	// phase, so Modeled.Total() (aggregate work) exceeds it whenever the
-	// cluster ran in parallel.
-	Counters costmodel.Counters
-	Modeled  costmodel.Breakdown
-
-	// CachedStages lists the per-node stages a resumed run (Config.Resume)
-	// replayed from the node manifests instead of executing, in pipeline
-	// order. Lockstep resume keeps it identical across nodes.
-	CachedStages []string
 
 	// ReduceOverlapModeled (t_o) is the slowest node's modeled time for
 	// the parallel overlap-finding part of the reduce phase, and
@@ -259,18 +157,7 @@ type Result struct {
 	// token-forwarding component — the two terms of the paper's
 	// t_o*p/n + t_g*p scalability bound (Section III-E.3). Their ratio
 	// bounds useful cluster size at n_max = t_o/t_g.
-	ReduceOverlapModeled time.Duration
-	ReduceSerialModeled  time.Duration
-}
-
-// PhaseByName returns the stats for the named phase.
-func (r *Result) PhaseByName(name core.PhaseName) (stats.PhaseStats, bool) {
-	for _, p := range r.Phases {
-		if p.Name == string(name) {
-			return p, true
-		}
-	}
-	return stats.PhaseStats{}, false
+	ReduceOverlapModeled, ReduceSerialModeled time.Duration
 }
 
 // New creates the cluster and its per-node scratch directories.
@@ -291,7 +178,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		cfg.Obs.Tracer().NameProcess(int64(i)+1, fmt.Sprintf("node%02d", i))
 		c.nodes = append(c.nodes, &node{id: i,
-			Node: core.NewNode(cfg.single(), dev, cfg.profile(), nodeTrack(i), dir)})
+			Node: core.NewNode(cfg.Config, dev, nodeTrack(i), dir)})
 	}
 	return c, nil
 }
@@ -299,6 +186,22 @@ func New(cfg Config) (*Cluster, error) {
 // track returns node n's stage lane in the trace (the coordinator owns
 // pid 0, so node i maps to pid i+1).
 func nodeTrack(id int) obs.Track { return obs.Track{Pid: int64(id) + 1} }
+
+// tracked runs fn, one whole cluster phase, between its Config.Progress
+// events.
+func (c *Cluster) tracked(name core.PhaseName, fn func() error) error {
+	if c.cfg.Progress == nil {
+		return fn()
+	}
+	c.cfg.Progress(string(name), core.ProgressStart)
+	err := fn()
+	if err != nil {
+		c.cfg.Progress(string(name), core.ProgressFailed)
+	} else {
+		c.cfg.Progress(string(name), core.ProgressDone)
+	}
+	return err
+}
 
 // runPhase executes fn(node) on every node concurrently, each under its
 // own Measure, and records the phase: wall time is real, modeled time is
@@ -380,21 +283,74 @@ func foldPhase(per []stats.PhaseStats) stats.PhaseStats {
 // (their state is cross-node and in-memory).
 var nodeStages = []core.PhaseName{core.PhaseMap, PhaseShuffle, core.PhaseSort}
 
-// fingerprint hashes the output-relevant cluster configuration for the
-// per-node manifests; execution knobs (WorkersPerNode, Workspace,
-// bandwidths, Resume, Streams) are excluded. The node count and identity are
-// folded in because both change what any single node's storage holds.
-func (c Config) fingerprint(nodeID int) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "cluster|nodes=%d|node=%d|min=%d|mh=%d|md=%d|mb=%d|blk=%d|gpu=%s/%d",
-		c.Nodes, nodeID, c.MinOverlap, c.HostBlockPairs, c.DeviceBlockPairs,
-		c.MapBatchReads, c.InputBlockReads, c.GPU.Name, c.GPU.MemBytes)
-	fmt.Fprintf(h, "|fpart=%t|sing=%t|cyc=%t",
-		c.PartitionByFingerprint, c.IncludeSingletons, c.BreakCycles)
-	// The resolved backend, matching core.Config.fingerprint: "" and
-	// "greedy" must fingerprint identically.
-	fmt.Fprintf(h, "|backend=%s|fuzz=%d", c.backend(), c.TransitiveFuzz)
-	return hex.EncodeToString(h.Sum(nil))
+// runStage runs one checkpointed per-node stage on every node: as one
+// measured phase, or — when the lockstep resume point is past it —
+// replayed from every node's manifest, reported only as cached.
+func (c *Cluster) runStage(res *Result, name core.PhaseName,
+	fresh func(*node) (core.StageOutcome, error), replay func(*node, core.StageRecord) error) error {
+	run := func(n *node) error {
+		return n.runner.Run(core.Stage{
+			Name:   name,
+			Fresh:  func() (core.StageOutcome, error) { return fresh(n) },
+			Cached: func(rec core.StageRecord) error { return replay(n, rec) },
+		})
+	}
+	if slices.Index(nodeStages, name) >= c.nodes[0].runner.ResumeAt() {
+		return c.tracked(name, func() error { return c.runPhase(name, res, run) })
+	}
+	for _, n := range c.nodes {
+		if err := run(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// openRunners gives every node its stage runner over its private storage,
+// with lockstep resume: every node must have committed (and still
+// validate) a stage for any node to skip it, so nodes never run in
+// inconsistent stages. Node 0's runner reports the replayed stages to
+// Config.Progress, once for the cluster.
+func (c *Cluster) openRunners(rs dna.ReadSource) error {
+	inputHash := core.InputFingerprint(rs)
+	resumeAt, maxAt := len(nodeStages), 0
+	for _, n := range c.nodes {
+		n.runner = core.NewStageRunner(n.Scratch, c.cfg.Fingerprint(n.id), inputHash,
+			c.cfg.Resume, nodeStages)
+		n.runner.SetObserver(c.cfg.Obs, n.Track)
+		n.runner.SetWorkers(n.Workers())
+		resumeAt = min(resumeAt, n.runner.ResumeAt())
+		maxAt = max(maxAt, n.runner.ResumeAt())
+	}
+	if resumeAt != maxAt {
+		// The nodes crashed mid-stage and diverged: a node that already
+		// committed the stage has cleaned up its inputs (Sort deletes the
+		// shuffled partitions), so it cannot re-run it in lockstep with the
+		// stragglers. Fall back to a full re-run rather than trust a state
+		// no node can recover from.
+		resumeAt = 0
+	}
+	c.nodes[0].runner.SetProgress(c.cfg.Progress)
+	for _, n := range c.nodes {
+		n.runner.LimitResume(resumeAt)
+		if c.FaultHook != nil {
+			id := n.id
+			n.runner.SetFaultHook(func(stage core.PhaseName) error {
+				return c.FaultHook(id, stage)
+			})
+		}
+		if resumeAt == 0 {
+			// Starting from scratch: stale files from an interrupted or
+			// invalidated run must not leak into this one.
+			if err := os.RemoveAll(n.Scratch); err != nil {
+				return err
+			}
+			if err := os.MkdirAll(n.Scratch, 0o755); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Assemble runs the distributed pipeline over the read set, which plays
@@ -406,125 +362,76 @@ func (c *Cluster) Assemble(rs *dna.ReadSet) (*Result, error) {
 // AssembleContext is Assemble under a cancellation context: cancelling
 // ctx aborts every node's phase work between device batches with
 // ctx.Err(), draining all node goroutines.
-func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result, error) {
-	res := &Result{NumReads: rs.NumReads()}
+func (c *Cluster) AssembleContext(ctx context.Context, reads *dna.ReadSet) (*Result, error) {
+	res := &Result{}
 	defer func() {
 		var total costmodel.Counters
 		for _, n := range c.nodes {
 			total = total.Add(n.Meter.Snapshot())
 		}
 		res.Counters = total.Add(c.serial.Snapshot())
-		res.Modeled = res.Counters.Breakdown(c.cfg.profile())
+		res.Modeled = res.Counters.Breakdown(c.cfg.Profile())
 	}()
-	if rs.NumReads() == 0 {
+	if reads.NumReads() == 0 {
 		return res, fmt.Errorf("cluster: empty read set")
 	}
-	if rs.MaxLen() <= c.cfg.MinOverlap {
+	if reads.MaxLen() <= c.cfg.MinOverlap {
 		return res, fmt.Errorf("cluster: MinOverlap %d is not below the longest read length %d",
-			c.cfg.MinOverlap, rs.MaxLen())
+			c.cfg.MinOverlap, reads.MaxLen())
 	}
+	rs, removed, err := c.cfg.PrepareReads(reads)
+	if err != nil {
+		return res, err
+	}
+	res.NumReads, res.DuplicatesRemoved = rs.NumReads(), removed
 	c.cfg.Obs.Log().Info("cluster run start", "nodes", len(c.nodes),
 		"reads", rs.NumReads(), "gpu", c.cfg.GPU.Name)
 	defer c.cfg.Obs.Tracer().Begin(obs.Track{}, "run", "cluster assemble").End()
-
-	// Per-node stage runners over each node's private storage, with
-	// lockstep resume: every node must have committed (and still validate)
-	// a stage for any node to skip it, so nodes never run in inconsistent
-	// stages.
-	inputHash := core.InputFingerprint(rs)
-	runners := make([]*core.StageRunner, len(c.nodes))
-	resumeAt := len(nodeStages)
-	maxAt := 0
-	for i, n := range c.nodes {
-		runners[i] = core.NewStageRunner(n.Scratch, c.cfg.fingerprint(n.id), inputHash,
-			c.cfg.Resume, nodeStages)
-		runners[i].SetObserver(c.cfg.Obs, n.Track)
-		runners[i].SetWorkers(c.cfg.WorkersPerNode)
-		resumeAt = min(resumeAt, runners[i].ResumeAt())
-		maxAt = max(maxAt, runners[i].ResumeAt())
-	}
-	if resumeAt != maxAt {
-		// The nodes crashed mid-stage and diverged: a node that already
-		// committed the stage has cleaned up its inputs (Sort deletes the
-		// shuffled partitions), so it cannot re-run it in lockstep with the
-		// stragglers. Fall back to a full re-run rather than trust a state
-		// no node can recover from.
-		resumeAt = 0
-	}
-	for i, n := range c.nodes {
-		runners[i].LimitResume(resumeAt)
-		if c.FaultHook != nil {
-			id := n.id
-			runners[i].SetFaultHook(func(stage core.PhaseName) error {
-				return c.FaultHook(id, stage)
-			})
-		}
-	}
-	if resumeAt == 0 {
-		// Starting from scratch: stale files from an interrupted or
-		// invalidated run must not leak into this one.
-		for _, n := range c.nodes {
-			if err := os.RemoveAll(n.Scratch); err != nil {
-				return res, err
-			}
-			if err := os.MkdirAll(n.Scratch, 0o755); err != nil {
-				return res, err
-			}
-		}
+	if err := c.openRunners(rs); err != nil {
+		return res, err
 	}
 
 	// Map: the master's block list is assigned statically round-robin, so
 	// each node's partition files are a deterministic function of (input,
 	// config, node ID) — the property per-node resume checksums rely on.
 	// (Section III-E.1 describes dynamic handout; with uniform blocks the
-	// static schedule has the same balance and a reproducible layout.)
-	numBlocks := (rs.NumReads() + c.cfg.InputBlockReads - 1) / c.cfg.InputBlockReads
-	err := c.runPhase(core.PhaseMap, res, func(n *node) error {
-		return runners[n.id].Run(core.Stage{
-			Name: core.PhaseMap,
-			Fresh: func() (core.StageOutcome, error) {
-				var blocks []core.ReadRange
-				for b := n.id; b < numBlocks; b += len(c.nodes) {
-					start := b * c.cfg.InputBlockReads
-					end := min(start+c.cfg.InputBlockReads, rs.NumReads())
-					// The block is read from the shared distributed file
-					// system (~2 bytes per base in FASTQ form).
-					var blockBases int64
-					for r := start; r < end; r++ {
-						blockBases += int64(rs.Len(uint32(r)))
-					}
-					n.Meter.AddDiskRead(2 * blockBases)
-					blocks = append(blocks, core.ReadRange{Start: start, End: end})
-				}
-				counts, err := n.MapBlocks(ctx, rs, blocks)
-				return core.StageOutcome{Artifacts: core.PartitionFiles(counts, core.RawPartition)}, err
-			},
-			// Map leaves no in-memory state: the shuffle discovers peer
-			// partitions from the (validated) files themselves.
-			Cached: func(core.StageRecord) error { return nil },
-		})
-	})
+	// static schedule has the same balance and a reproducible layout.) Map
+	// leaves no in-memory state: the shuffle discovers peer partitions from
+	// the (validated) files themselves.
+	blk := c.cfg.blockReads()
+	numBlocks := (rs.NumReads() + blk - 1) / blk
+	err = c.runStage(res, core.PhaseMap, func(n *node) (core.StageOutcome, error) {
+		var blocks []core.ReadRange
+		for b := n.id; b < numBlocks; b += len(c.nodes) {
+			start := b * blk
+			end := min(start+blk, rs.NumReads())
+			// The block is read from the shared distributed file system
+			// (~2 bytes per base in FASTQ form).
+			var blockBases int64
+			for r := start; r < end; r++ {
+				blockBases += int64(rs.Len(uint32(r)))
+			}
+			n.Meter.AddDiskRead(2 * blockBases)
+			blocks = append(blocks, core.ReadRange{Start: start, End: end})
+		}
+		counts, err := n.MapBlocks(ctx, rs, blocks)
+		return core.StageOutcome{Artifacts: core.PartitionFiles(counts, core.RawPartition)}, err
+	}, func(*node, core.StageRecord) error { return nil })
 	if err != nil {
 		return res, err
 	}
 
 	// Shuffle: every node aggregates its owned partitions from all peers
 	// (Section III-E.2). Cross-node reads are charged to the network.
-	err = c.runPhase(PhaseShuffle, res, func(n *node) error {
-		return runners[n.id].Run(core.Stage{
-			Name: PhaseShuffle,
-			Fresh: func() (core.StageOutcome, error) {
-				if err := ctx.Err(); err != nil {
-					return core.StageOutcome{}, err
-				}
-				err := c.shuffleNode(rs.MaxLen(), n)
-				return core.StageOutcome{Artifacts: core.PartitionFiles(n.counts, shufName)}, err
-			},
-			Cached: func(rec core.StageRecord) (err error) {
-				n.counts, err = core.PartitionCounts(rec, "shuf_"+kvio.Suffix.String()+"_")
-				return err
-			},
-		})
+	err = c.runStage(res, PhaseShuffle, func(n *node) (core.StageOutcome, error) {
+		if err := ctx.Err(); err != nil {
+			return core.StageOutcome{}, err
+		}
+		err := c.shuffleNode(rs.MaxLen(), n)
+		return core.StageOutcome{Artifacts: core.PartitionFiles(n.counts, shufName)}, err
+	}, func(n *node, rec core.StageRecord) (err error) {
+		n.counts, err = core.PartitionCounts(rec, "shuf_"+kvio.Suffix.String()+"_")
+		return err
 	})
 	if err != nil {
 		return res, err
@@ -532,23 +439,31 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 
 	// Sort: each node externally sorts its owned partitions, deleting the
 	// shuffled inputs only after the stage commits.
-	err = c.runPhase(core.PhaseSort, res, func(n *node) error {
-		return runners[n.id].Run(core.Stage{
-			Name: core.PhaseSort,
-			Fresh: func() (core.StageOutcome, error) {
-				_, err := n.SortPartitions(ctx, n.counts, shufName, sortedName)
-				return core.StageOutcome{
-					Artifacts: core.PartitionFiles(n.counts, sortedName),
-					Cleanup:   func() error { return n.RemovePartitions(n.counts, shufName) },
-				}, err
-			},
-			Cached: func(core.StageRecord) error { return nil },
-		})
+	err = c.runStage(res, core.PhaseSort, func(n *node) (core.StageOutcome, error) {
+		var err error
+		n.passes, err = n.SortPartitions(ctx, n.counts, shufName, sortedName)
+		return core.StageOutcome{
+			Artifacts: core.PartitionFiles(n.counts, sortedName),
+			Meta:      map[string]int64{core.MetaSortDiskPasses: int64(n.passes)},
+			Cleanup:   func() error { return n.RemovePartitions(n.counts, shufName) },
+		}, err
+	}, func(n *node, rec core.StageRecord) error {
+		n.passes = int(rec.Meta[core.MetaSortDiskPasses])
+		return nil
 	})
 	if err != nil {
 		return res, err
 	}
-	res.CachedStages = runners[0].CachedStages()
+	res.CachedStages = c.nodes[0].runner.CachedStages()
+	lengths := map[int]bool{}
+	for _, n := range c.nodes {
+		res.SortDiskPasses = max(res.SortDiskPasses, n.passes)
+		for l, pairs := range n.counts {
+			lengths[l] = true
+			res.PairsGenerated += 2 * pairs // as many suffix as prefix tuples
+		}
+	}
+	res.Partitions = len(lengths)
 
 	// Reduce: overlap finding in parallel, then graph building serialized
 	// by the bit-vector token in descending length order (Section III-E.3)
@@ -556,7 +471,8 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 	// has walked it; it is released on every way out.
 	eng := c.nodes[0].NewGraphEngine(rs)
 	defer eng.Release()
-	if err := c.reducePhase(ctx, rs, eng, res); err != nil {
+	err = c.tracked(core.PhaseReduce, func() error { return c.reducePhase(ctx, rs, eng, res) })
+	if err != nil {
 		return res, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -564,13 +480,25 @@ func (c *Cluster) AssembleContext(ctx context.Context, rs *dna.ReadSet) (*Result
 	}
 
 	// Compress: the master walks its graph and generates contigs.
-	err = c.runPhase(core.PhaseCompress, res, func(n *node) error {
-		if n.id != 0 {
-			return nil
-		}
-		return c.compressOnMaster(rs, eng, res)
+	err = c.tracked(core.PhaseCompress, func() error {
+		return c.runPhase(core.PhaseCompress, res, func(n *node) error {
+			if n.id != 0 {
+				return nil
+			}
+			return c.compressOnMaster(rs, eng, res)
+		})
 	})
-	return res, err
+	if err != nil || c.cfg.KeepIntermediate {
+		return res, err
+	}
+	// As a single node drops its partitions, the nodes drop their
+	// directories: partition files, and manifests that would name them.
+	for _, n := range c.nodes {
+		if err := os.RemoveAll(n.Scratch); err != nil {
+			return res, err
+		}
+	}
+	return res, nil
 }
 
 // shufName / sortedName name a node's post-shuffle and post-sort partition
@@ -673,11 +601,10 @@ func (c *Cluster) shuffleNode(maxLen int, n *node) error {
 
 // reducePhase runs overlap finding on all nodes in parallel, then builds
 // the graph serially in descending partition order: under the greedy
-// backend by forwarding the out-degree bit-vector between partition
-// owners, otherwise by shipping every candidate list to the master's
-// engine, which seals (builds and reduces) its store on the master's
-// device.
-func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, eng core.GraphEngine, res *Result) error {
+// engine by forwarding the out-degree bit-vector between partition owners,
+// otherwise by shipping every candidate list to the master's engine, which
+// seals (builds and reduces) its store on the master's device.
+func (c *Cluster) reducePhase(ctx context.Context, rs dna.ReadSource, eng core.GraphEngine, res *Result) error {
 	// candidates[l][nodeID]: with length partitioning only the owner's
 	// slot fills; with fingerprint partitioning every node contributes a
 	// fingerprint-ordered slice, and node-ID order re-assembles the
@@ -687,13 +614,14 @@ func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, eng core.Gra
 
 	// Parallel overlap finding (the t_o component).
 	err := c.runPhase(core.PhaseReduce, res, func(n *node) error {
-		return n.FindOverlaps(ctx, n.counts, sortedName, nil, func(o core.Overlaps) {
+		return n.FindOverlaps(ctx, rs, n.counts, sortedName, func(o core.Overlaps) {
 			candMu.Lock()
 			if candidates[o.Length] == nil {
 				candidates[o.Length] = make([][]core.Candidate, len(c.nodes))
 			}
 			candidates[o.Length][n.id] = o.Edges
 			res.CandidateEdges += o.Candidates
+			res.FalsePositives += o.FalsePositives
 			candMu.Unlock()
 		})
 	})
@@ -701,17 +629,18 @@ func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, eng core.Gra
 		return err
 	}
 
-	// Serialized graph building (the t_g component). The wall-clock cost
-	// is tiny; the modeled cost is charged to the dedicated serial meter,
-	// plus whatever sealing the engine puts on the master's own meter (its
-	// spill, sort and device reduction, overlap savings netted out). Both
-	// are added to the reduce phase.
+	// Serialized graph building (the t_g component). The modeled cost is
+	// charged to the dedicated serial meter, plus whatever sealing the
+	// engine puts on the master's own meter (its spill, sort and device
+	// reduction, overlap savings netted out). Both, and the wall time of
+	// feeding and sealing, are added to the reduce phase.
+	prof := c.cfg.Profile()
 	serialBefore := c.serial.Snapshot()
 	serialSpan := c.cfg.Obs.Tracer().Begin(obs.Track{}, "stage", "ReduceSerial").
-		Metered(c.serial, c.cfg.profile())
+		Metered(c.serial, prof)
 	master := c.nodes[0]
 	sealed, serialErr := master.Measure("ReduceSerial", func() error {
-		if c.cfg.backend() == core.BackendGreedy {
+		if c.cfg.GreedyGraph() {
 			c.forwardToken(rs, candidates, res)
 			return nil
 		}
@@ -735,22 +664,24 @@ func (c *Cluster) reducePhase(ctx context.Context, rs *dna.ReadSet, eng core.Gra
 		return err
 	})
 	serialSpan.End()
-	serialTime := c.serial.Snapshot().Sub(serialBefore).Time(c.cfg.profile()) + sealed.Modeled
+	serialTime := c.serial.Snapshot().Sub(serialBefore).Time(prof) + sealed.Modeled
 	// Fold the serialized component into the recorded reduce phase.
 	last := &res.Phases[len(res.Phases)-1]
 	res.ReduceOverlapModeled = last.Modeled
 	res.ReduceSerialModeled = serialTime
 	last.Modeled += serialTime
+	last.Wall += sealed.Wall
 	res.TotalModeled += serialTime
+	res.TotalWall += sealed.Wall
 	c.cfg.Obs.Log().Debug("serialized reduce done", "modeled", serialTime, "err", serialErr)
 	return serialErr
 }
 
-// forwardToken is the greedy backend's serialized reduce: candidates are
+// forwardToken is the greedy engine's serialized reduce: candidates are
 // applied under the shared greedy discipline strictly in descending
 // partition order, the out-degree bit-vector travelling between the
 // partitions' owners as a token. Each node keeps the edges it accepted.
-func (c *Cluster) forwardToken(rs *dna.ReadSet, candidates map[int][][]core.Candidate, res *Result) {
+func (c *Cluster) forwardToken(rs dna.ReadSource, candidates map[int][][]core.Candidate, res *Result) {
 	token := bitvec.New(2 * rs.NumReads())
 	graphs := make(map[int]*graph.Graph, len(c.nodes))
 	for _, n := range c.nodes {
@@ -789,11 +720,11 @@ func (c *Cluster) forwardToken(rs *dna.ReadSet, candidates map[int][][]core.Cand
 // contigs on node 0 — the same engine code as the single-node Compress, so
 // the FASTA bytes match it exactly. A sealed engine is walked as it stands
 // (the cluster checkpoints nothing between Reduce and Compress, so there
-// is no edges.kv to reload); under the greedy backend the nodes' disjoint
+// is no edges.kv to reload); under the greedy engine the nodes' disjoint
 // edge sets first travel to the master, which installs them verbatim.
-func (c *Cluster) compressOnMaster(rs *dna.ReadSet, eng core.GraphEngine, res *Result) error {
+func (c *Cluster) compressOnMaster(rs dna.ReadSource, eng core.GraphEngine, res *Result) error {
 	master := c.nodes[0]
-	if c.cfg.backend() == core.BackendGreedy {
+	if c.cfg.GreedyGraph() {
 		var shipped []graph.Edge
 		for _, n := range c.nodes {
 			if n.id != master.id {

@@ -188,9 +188,9 @@ func TestClusterValidate(t *testing.T) {
 		t.Error("zero nodes should fail")
 	}
 	bad = good
-	bad.InputBlockReads = 0
+	bad.InputBlockReads = -1
 	if err := bad.Validate(); err == nil {
-		t.Error("zero block size should fail")
+		t.Error("negative block size should fail")
 	}
 	bad = good
 	bad.Workspace = ""
@@ -214,43 +214,43 @@ func TestClusterErrors(t *testing.T) {
 	}
 }
 
-// TestWorkersPerNodeDeterminism asserts that per-node partition
-// concurrency changes neither the distributed output nor its modeled cost:
+// TestNodeWorkersDeterminism asserts that per-node partition concurrency
+// (Config.Workers on every node) changes neither the distributed output nor its modeled cost:
 // input blocks are assigned statically, every charge is a byte count, and
 // overlap savings aggregate per unit of work, so the counters and the
 // modeled total are the same numbers at every worker count.
-func TestWorkersPerNodeDeterminism(t *testing.T) {
+func TestNodeWorkersDeterminism(t *testing.T) {
 	_, reads := testData(t)
 	var base *Result
 	for _, w := range []int{1, 4} {
 		cfg := clusterConfig(t, 3)
-		cfg.WorkersPerNode = w
+		cfg.Workers = w
 		cl, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := cl.Assemble(reads)
 		if err != nil {
-			t.Fatalf("WorkersPerNode=%d: %v", w, err)
+			t.Fatalf("Workers=%d: %v", w, err)
 		}
 		if base == nil {
 			base = res
 			continue
 		}
 		if res.CandidateEdges != base.CandidateEdges || res.AcceptedEdges != base.AcceptedEdges {
-			t.Errorf("WorkersPerNode=%d: edges %d/%d, want %d/%d",
+			t.Errorf("Workers=%d: edges %d/%d, want %d/%d",
 				w, res.CandidateEdges, res.AcceptedEdges, base.CandidateEdges, base.AcceptedEdges)
 		}
 		if res.TotalModeled != base.TotalModeled || res.Counters != base.Counters {
-			t.Errorf("WorkersPerNode=%d: modeled %v counters %+v, want %v %+v",
+			t.Errorf("Workers=%d: modeled %v counters %+v, want %v %+v",
 				w, res.TotalModeled, res.Counters, base.TotalModeled, base.Counters)
 		}
 		if len(res.Contigs) != len(base.Contigs) {
-			t.Fatalf("WorkersPerNode=%d: %d contigs, want %d", w, len(res.Contigs), len(base.Contigs))
+			t.Fatalf("Workers=%d: %d contigs, want %d", w, len(res.Contigs), len(base.Contigs))
 		}
 		for i := range base.Contigs {
 			if !res.Contigs[i].Equal(base.Contigs[i]) {
-				t.Fatalf("WorkersPerNode=%d: contig %d differs", w, i)
+				t.Fatalf("Workers=%d: contig %d differs", w, i)
 			}
 		}
 	}
@@ -275,7 +275,7 @@ func TestRunPhaseFoldsNodeMeasures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := cl.cfg.profile()
+	prof := cl.cfg.Profile()
 	want := [2]time.Duration{}
 	for id := range want {
 		want[id] = costmodel.Counters{DiskReadBytes: int64(id+1) << 20, NetBytes: int64(id+1) << 10}.Time(prof)

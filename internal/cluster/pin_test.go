@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,12 +83,13 @@ func pinSingle(t *testing.T, res *core.Result) pin {
 
 // TestModeledPins holds every modeled number of the cluster and the
 // single-node pipeline on testData to the values recorded in
-// testdata/pins.json, for {1, 3} nodes x three backends x both
-// partitionings at WorkersPerNode 0 and 4, and the single-node pipeline at
-// Workers 1 and 4. The file was recorded before the node runtime moved
-// into core (go test ./internal/cluster -run TestModeledPins -update-pins
-// rewrites it): a worker count is not part of a cell's key, so the table
-// also asserts modeled cost is worker-independent.
+// testdata/pins.json, for {1, 3} nodes x every graph engine (the three
+// backends and the full string graph) x both partitionings at Workers 1 and
+// 4, and the single-node pipeline at Workers 1 and 4. The file was recorded
+// before the node runtime moved into core (go test ./internal/cluster -run
+// TestModeledPins -update-pins rewrites it; the full-graph cells were added
+// when the cluster learned FullGraph): a worker count is not part of a
+// cell's key, so the table also asserts modeled cost is worker-independent.
 func TestModeledPins(t *testing.T) {
 	_, reads := testData(t)
 	path := filepath.Join("testdata", "pins.json")
@@ -114,10 +116,15 @@ func TestModeledPins(t *testing.T) {
 			t.Errorf("%s (%s):\n got %+v\nwant %+v", key, variant, norm, w)
 		}
 	}
-	for _, backend := range core.Backends {
+	for _, engine := range append(slices.Clone(core.Backends), "fullgraph") {
+		use := func(cfg *core.Config) {
+			if cfg.FullGraph = engine == "fullgraph"; !cfg.FullGraph {
+				cfg.GraphBackend = engine
+			}
+		}
 		for _, workers := range []int{1, 4} {
 			cfg := singleConfig(t)
-			cfg.GraphBackend = backend
+			use(&cfg)
 			cfg.Workers = workers
 			p, err := core.New(cfg)
 			if err != nil {
@@ -127,15 +134,15 @@ func TestModeledPins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("single/"+backend, fmt.Sprintf("Workers=%d", workers), pinSingle(t, res))
+			check("single/"+engine, fmt.Sprintf("Workers=%d", workers), pinSingle(t, res))
 		}
 		for _, nodes := range []int{1, 3} {
 			for _, byFP := range []bool{false, true} {
-				for _, workers := range []int{0, 4} {
+				for _, workers := range []int{1, 4} {
 					cfg := clusterConfig(t, nodes)
-					cfg.GraphBackend = backend
+					use(&cfg.Config)
 					cfg.PartitionByFingerprint = byFP
-					cfg.WorkersPerNode = workers
+					cfg.Workers = workers
 					cl, err := New(cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -144,8 +151,8 @@ func TestModeledPins(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					check(fmt.Sprintf("nodes=%d/%s/fingerprint=%t", nodes, backend, byFP),
-						fmt.Sprintf("WorkersPerNode=%d", workers), pinCluster(t, res))
+					check(fmt.Sprintf("nodes=%d/%s/fingerprint=%t", nodes, engine, byFP),
+						fmt.Sprintf("Workers=%d", workers), pinCluster(t, res))
 				}
 			}
 		}

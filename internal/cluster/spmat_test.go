@@ -55,12 +55,12 @@ func TestClusterBackendChangesFingerprint(t *testing.T) {
 	base := clusterConfig(t, 2)
 	greedy := base
 	greedy.GraphBackend = core.BackendGreedy
-	if base.fingerprint(0) != greedy.fingerprint(0) {
+	if base.Fingerprint(0) != greedy.Fingerprint(0) {
 		t.Error("empty backend and explicit greedy must fingerprint identically")
 	}
 	sp := base
 	sp.GraphBackend = core.BackendSpmat
-	if base.fingerprint(0) == sp.fingerprint(0) {
+	if base.Fingerprint(0) == sp.Fingerprint(0) {
 		t.Error("spmat backend must change the node fingerprint")
 	}
 }

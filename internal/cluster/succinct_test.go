@@ -62,12 +62,12 @@ func TestClusterSuccinctFingerprint(t *testing.T) {
 	base := clusterConfig(t, 2)
 	succ := base
 	succ.GraphBackend = core.BackendSuccinct
-	if base.fingerprint(0) == succ.fingerprint(0) {
+	if base.Fingerprint(0) == succ.Fingerprint(0) {
 		t.Error("succinct backend must change the node fingerprint")
 	}
 	sp := base
 	sp.GraphBackend = core.BackendSpmat
-	if sp.fingerprint(0) == succ.fingerprint(0) {
+	if sp.Fingerprint(0) == succ.Fingerprint(0) {
 		t.Error("spmat and succinct must fingerprint differently")
 	}
 }

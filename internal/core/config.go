@@ -28,8 +28,8 @@ type Config struct {
 	// batches in flight, partitions sorted at once, and partitions reduced
 	// at once. Each in-flight unit holds its own device batch allocation,
 	// so device-memory capacity still bounds effective concurrency
-	// whatever the setting. 0 means runtime.GOMAXPROCS(0); 1 reproduces
-	// the serial pipeline exactly. Output and modeled cost are byte-
+	// whatever the setting. 0 means runtime.GOMAXPROCS(0) (on every node,
+	// for a cluster); 1 reproduces the serial pipeline exactly. Output and modeled cost are byte-
 	// identical for every value (see DESIGN.md, "Concurrency model").
 	Workers int
 	// MinOverlap is l_min: candidate overlaps shorter than this are
@@ -46,15 +46,13 @@ type Config struct {
 	MapBatchReads int
 	// GPU selects the modeled card.
 	GPU gpu.Spec
-	// DiskReadBps/DiskWriteBps set the modeled disk bandwidth.
-	DiskReadBps  float64
-	DiskWriteBps float64
 	// IncludeSingletons emits single-read contigs for reads that joined
 	// no path.
 	IncludeSingletons bool
 	// BreakCycles walks residual cycles during traversal.
 	BreakCycles bool
-	// KeepIntermediate retains partition and sorted files after the run.
+	// KeepIntermediate retains partition and sorted files after the run
+	// (on a cluster, every node's directory).
 	KeepIntermediate bool
 	// Resume re-enters an interrupted run mid-pipeline: when the workspace
 	// holds a run manifest whose config fingerprint, input hash, and
@@ -124,19 +122,6 @@ type Config struct {
 	// positives into hard errors. The paper reports zero false positives
 	// with 128-bit fingerprints; this switch proves it per run.
 	VerifyOverlaps bool
-	// Shards asks the fleet-capable layers (internal/serve, the CLI) to
-	// split this run across K fleet devices via the cluster layer instead
-	// of executing it on one card. 0 or 1 keeps the single-device
-	// pipeline. The core pipeline itself ignores the knob beyond
-	// validation — output is byte-identical at every shard count, so it is
-	// excluded from the resume fingerprint.
-	Shards int
-	// Priority is the serving-layer admission lane this run should join
-	// ("" or "batch", or "interactive" to jump the batch backlog and
-	// preempt running batch jobs when no device has room). Pure
-	// scheduling metadata: the pipeline ignores it and it never affects
-	// output or the resume fingerprint.
-	Priority string
 	// Obs is the observability sink: span tracing, structured logging,
 	// and the metrics registry. Nil (the default) disables all
 	// instrumentation; runs are byte-identical either way. Like the other
@@ -145,7 +130,8 @@ type Config struct {
 	// Progress, when set, receives one callback per stage lifecycle
 	// transition: ProgressStart/ProgressDone/ProgressFailed around fresh
 	// execution and ProgressCached when a resumed run replays the stage
-	// from the manifest. Callbacks run on the stage-driver goroutine, so
+	// from the manifest (a cluster reports each of its phases once, not
+	// once per node). Callbacks run on the stage-driver goroutine, so
 	// implementations must be fast and must not call back into the
 	// pipeline. The serve layer uses it to publish per-job progress over
 	// HTTP. Execution knob: excluded from the resume fingerprint.
@@ -172,18 +158,6 @@ const (
 // Backends lists the valid GraphBackend values, for CLI/API validation.
 var Backends = []string{BackendGreedy, BackendSpmat, BackendSuccinct}
 
-// The Config.Priority admission lanes, in descending scheduling priority.
-const (
-	// PriorityInteractive jobs are dispatched before any batch job and may
-	// preempt running batch jobs when no device has room.
-	PriorityInteractive = "interactive"
-	// PriorityBatch is the default lane (also the resolution of "").
-	PriorityBatch = "batch"
-)
-
-// Priorities lists the valid Priority values, for CLI/API validation.
-var Priorities = []string{PriorityInteractive, PriorityBatch}
-
 // Progress events delivered to Config.Progress.
 const (
 	ProgressStart  = "start"
@@ -204,8 +178,6 @@ func DefaultConfig(workspace string) Config {
 		DeviceBlockPairs:  1 << 16,
 		MapBatchReads:     4096,
 		GPU:               gpu.K40,
-		DiskReadBps:       costmodel.DefaultDisk.ReadBps,
-		DiskWriteBps:      costmodel.DefaultDisk.WriteBps,
 		IncludeSingletons: false,
 		BreakCycles:       true,
 		Streams:           true,
@@ -237,15 +209,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: device block needs %d bytes, %s has %d",
 			need, c.GPU.Name, c.GPU.MemBytes)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: Shards must be >= 0, got %d", c.Shards)
-	}
-	switch c.Priority {
-	case "", PriorityBatch, PriorityInteractive:
-	default:
-		return fmt.Errorf("core: unknown Priority %q (want %q or %q)",
-			c.Priority, PriorityBatch, PriorityInteractive)
-	}
 	switch c.GraphBackend {
 	case "", BackendGreedy:
 	case BackendSpmat, BackendSuccinct:
@@ -268,9 +231,16 @@ func (c Config) backend() string {
 	return c.GraphBackend
 }
 
-// Profile returns the cost-model profile for the configured hardware.
+// GreedyGraph reports whether Reduce builds the paper's greedy bit-vector
+// graph: the one engine whose result depends on candidates arriving in
+// descending length, which a cluster serializes by forwarding the
+// bit-vector between partition owners.
+func (c Config) GreedyGraph() bool { return c.backend() == BackendGreedy && !c.FullGraph }
+
+// Profile returns the cost-model profile for the configured card on the
+// default disk (and, for clusters, InfiniBand links).
 func (c Config) Profile() costmodel.Profile {
-	return c.GPU.CostProfile(c.DiskReadBps, c.DiskWriteBps)
+	return c.GPU.CostProfile(costmodel.DefaultDisk.ReadBps, costmodel.DefaultDisk.WriteBps)
 }
 
 // workers resolves the Workers knob: 0 means one worker per CPU.

@@ -147,12 +147,12 @@ func validateArtifacts(root string, rec StageRecord) error {
 	return nil
 }
 
-// fingerprint hashes the output-relevant configuration: every knob that
+// Fingerprint hashes the output-relevant configuration: every knob that
 // changes the bytes any stage writes. Execution knobs (Workers, Workspace,
-// KeepIntermediate, Resume, Streams, disk bandwidths) are deliberately
+// KeepIntermediate, Resume, Streams, Obs, Progress) are deliberately
 // excluded — they may differ between the interrupted run and the resumed
-// one.
-func (c Config) fingerprint() string {
+// one. A cluster node's manifest hashes this plus its cluster geometry.
+func (c Config) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d|min=%d|mh=%d|md=%d|mb=%d|gpu=%s/%d",
 		manifestVersion, c.MinOverlap, c.HostBlockPairs, c.DeviceBlockPairs,

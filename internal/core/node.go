@@ -49,21 +49,21 @@ type Node struct {
 	Scratch string
 	// Track is the node's stage-driver lane; worker lanes hang off it.
 	Track obs.Track
-	// Profile prices the node's counters; a cluster's carries NetBps.
+	// Profile prices the node's counters: Config.Profile().
 	Profile costmodel.Profile
 
 	cfg Config
 }
 
 // NewNode builds the machine around dev, metering on dev's meter. cfg
-// supplies the block sizes, l_min, the worker count and the observer; the
-// node's trace process is track.Pid.
-func NewNode(cfg Config, dev *gpu.Device, prof costmodel.Profile, track obs.Track, scratch string) *Node {
+// supplies the block sizes, l_min, the worker count, the verify and map
+// kernel switches and the observer; the node's trace process is track.Pid.
+func NewNode(cfg Config, dev *gpu.Device, track obs.Track, scratch string) *Node {
 	n := &Node{Device: dev, Meter: dev.Meter(), HostMem: new(stats.MemTracker),
-		Scratch: scratch, Track: track, Profile: prof, cfg: cfg}
+		Scratch: scratch, Track: track, Profile: cfg.Profile(), cfg: cfg}
 	n.Graph = n.HostMem
 	if cfg.Streams {
-		n.Ledger = costmodel.NewOverlapLedger(prof)
+		n.Ledger = costmodel.NewOverlapLedger(n.Profile)
 	}
 	if cfg.Obs != nil {
 		dev.SetHooks(obs.DeviceHooks(cfg.Obs, track.Pid))
@@ -75,6 +75,9 @@ func NewNode(cfg Config, dev *gpu.Device, prof costmodel.Profile, track obs.Trac
 	}
 	return n
 }
+
+// Workers is the node's resolved partition-level concurrency.
+func (n *Node) Workers() int { return n.cfg.workers() }
 
 // Measure runs fn as one phase on this node and reports what it cost: the
 // meter delta priced under the node's profile, minus the overlap the
@@ -255,10 +258,11 @@ const candidateBytes = 8
 // Overlaps is one partition's overlap-finding output.
 type Overlaps struct {
 	Length int
-	// Edges are the candidates that passed verify, in fingerprint order.
+	// Edges are the candidates that passed verification, in fingerprint
+	// order.
 	Edges []Candidate
 	// Candidates counts every fingerprint match, FalsePositives the ones
-	// verify rejected.
+	// Config.VerifyOverlaps rejected.
 	Candidates, FalsePositives int64
 }
 
@@ -267,14 +271,14 @@ type Overlaps struct {
 // apply. Partitions are reduced by up to Workers goroutines concurrently —
 // each holding its own device window allocation — but apply always runs on
 // the calling goroutine in strict descending-length order, so whatever it
-// builds is identical to the serial run's. verify, when not nil, filters
-// candidates inside the workers (it must be a pure function). Candidates
+// builds is identical to the serial run's. With Config.VerifyOverlaps the
+// workers check every candidate against the sequences of rs. Candidates
 // buffered between a worker and apply count against HostMem. Cancellation
 // surfaces as an error from within a worker's job (via the reducer's ctx
 // checks), preserving the one-result-per-job invariant that keeps the pool
 // deadlock-free.
-func (n *Node) FindOverlaps(ctx context.Context, counts map[int]int64, sorted PartitionNamer,
-	verify func(u, v uint32, l int) bool, apply func(Overlaps)) error {
+func (n *Node) FindOverlaps(ctx context.Context, rs dna.ReadSource, counts map[int]int64,
+	sorted PartitionNamer, apply func(Overlaps)) error {
 	cfg := overlap.Config{
 		Device:      n.Device,
 		Meter:       n.Meter,
@@ -293,7 +297,7 @@ func (n *Node) FindOverlaps(ctx context.Context, counts map[int]int64, sorted Pa
 			filepath.Join(n.Scratch, sorted(kvio.Suffix, l)), filepath.Join(n.Scratch, sorted(kvio.Prefix, l)),
 			func(u, v uint32) error {
 				out.Candidates++
-				if verify != nil && !verify(u, v, l) {
+				if n.cfg.VerifyOverlaps && !verifyOverlap(rs, u, v, l) {
 					out.FalsePositives++
 					return nil
 				}
@@ -392,6 +396,17 @@ func (n *Node) FindOverlaps(ctx context.Context, counts map[int]int64, sorted Pa
 	}
 	n.cfg.Obs.Log().Debug("reduce worker pool drained", "err", firstErr)
 	return firstErr
+}
+
+// verifyOverlap checks that the l-suffix of vertex u equals the l-prefix
+// of vertex v by comparing the underlying sequences.
+func verifyOverlap(rs dna.ReadSource, u, v uint32, l int) bool {
+	su := rs.VertexSeq(u)
+	sv := rs.VertexSeq(v)
+	if l > len(su) || l > len(sv) {
+		return false
+	}
+	return su[len(su)-l:].Equal(sv[:l])
 }
 
 // sortedLengthsDesc returns the partition lengths in descending order,

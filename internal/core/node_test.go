@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dna"
 	"repro/internal/gpu"
@@ -23,7 +24,7 @@ func mappedNode(t *testing.T, reads *dna.ReadSet, workers int) (*Node, map[int]i
 	t.Helper()
 	cfg := smallConfig(t)
 	cfg.Workers = workers
-	n := NewNode(cfg, gpu.NewDevice(cfg.GPU, nil), cfg.Profile(), obs.Track{}, cfg.Workspace)
+	n := NewNode(cfg, gpu.NewDevice(cfg.GPU, nil), obs.Track{}, cfg.Workspace)
 	counts, err := n.MapBlocks(context.Background(), reads, []ReadRange{{0, reads.NumReads()}})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestFindOverlapsAppliesInDescendingOrder(t *testing.T) {
 		start := n.HostMem.Current()
 		var lengths []int
 		var got []string
-		err := n.FindOverlaps(context.Background(), counts, sortedPartition, nil, func(o Overlaps) {
+		err := n.FindOverlaps(context.Background(), reads, counts, sortedPartition, func(o Overlaps) {
 			lengths = append(lengths, o.Length)
 			got = append(got, fmt.Sprint(o.Length, o.Candidates, o.Edges))
 		})
@@ -110,7 +111,7 @@ func TestFindOverlapsDrainsOnErrorAndCancel(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := n.HostMem.Current()
-		err := n.FindOverlaps(context.Background(), counts, sortedPartition, nil, func(o Overlaps) {
+		err := n.FindOverlaps(context.Background(), reads, counts, sortedPartition, func(o Overlaps) {
 			if o.Length <= k {
 				t.Errorf("partition %d applied although partition %d failed", o.Length, k)
 			}
@@ -130,10 +131,10 @@ func TestFindOverlapsDrainsOnErrorAndCancel(t *testing.T) {
 		start := n.HostMem.Current()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		// The first candidate any worker sees cancels the run; the
+		// The first device charge any worker makes cancels the run; the
 		// partitions dispatched after that fail inside their jobs.
-		verify := func(u, v uint32, l int) bool { cancel(); return true }
-		err := n.FindOverlaps(ctx, counts, sortedPartition, verify, func(Overlaps) {})
+		n.Device.SetHooks(cancelOnCharge(cancel))
+		err := n.FindOverlaps(ctx, reads, counts, sortedPartition, func(Overlaps) {})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("error = %v, want context.Canceled", err)
 		}
@@ -143,3 +144,11 @@ func TestFindOverlapsDrainsOnErrorAndCancel(t *testing.T) {
 		waitForGoroutines(t, baseline)
 	})
 }
+
+// cancelOnCharge is a device hook that cancels a context on every kernel
+// charge.
+type cancelOnCharge context.CancelFunc
+
+func (c cancelOnCharge) KernelCharge(int64, int64)                 { c() }
+func (cancelOnCharge) KernelLaunch(int, time.Time, time.Duration)  {}
+func (cancelOnCharge) AllocWaited(int64, time.Time, time.Duration) {}

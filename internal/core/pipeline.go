@@ -43,7 +43,8 @@ type Pipeline struct {
 	FaultHook FaultHook
 }
 
-// Result reports one assembly run.
+// Result reports one assembly run, single-node or (embedded in
+// cluster.Result) distributed; a field a cluster cannot compute says so.
 type Result struct {
 	Phases      []stats.PhaseStats
 	Contigs     []dna.Seq
@@ -71,14 +72,19 @@ type Result struct {
 	// OverlapSaved is the modeled time hidden by stream overlap across the
 	// run (always zero with Config.Streams off); TotalModeled already has
 	// it subtracted. OverlapRatio is the fraction of streamed modeled work
-	// hidden by overlap, in [0, 1).
+	// hidden by overlap, in [0, 1). A cluster leaves both zero: its
+	// TotalModeled is a max over nodes per phase, which no run-wide saving
+	// reconciles with; each of its Phases carries the nodes' summed saving.
 	OverlapSaved time.Duration
 	OverlapRatio float64
 
 	// Counters is the run's final cost-meter snapshot and Modeled its
 	// per-tier modeled-seconds breakdown under the configured GPU profile;
 	// Modeled.Total() reconciles with TotalModeled's derivation, so report
-	// printers never recompute tier shares from raw bytes.
+	// printers never recompute tier shares from raw bytes. On a cluster
+	// Counters sums every node meter and the serialized-reduce meter, so
+	// Modeled.Total() (aggregate work) exceeds TotalModeled whenever the
+	// nodes ran in parallel.
 	Counters costmodel.Counters
 	Modeled  costmodel.Breakdown
 }
@@ -100,7 +106,7 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{cfg: cfg}
-	p.node = NewNode(cfg, gpu.NewDevice(cfg.GPU, nil), cfg.Profile(), obs.Track{},
+	p.node = NewNode(cfg, gpu.NewDevice(cfg.GPU, nil), obs.Track{},
 		filepath.Join(cfg.Workspace, "partitions"))
 	p.node.Graph = graphSink{p}
 	return p, nil
@@ -246,34 +252,23 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 		return res, fmt.Errorf("core: MinOverlap %d is not below the longest read length %d",
 			p.cfg.MinOverlap, rs.MaxLen())
 	}
-	if concrete, ok := rs.(*dna.ReadSet); ok {
-		if p.cfg.DedupeReads {
-			deduped, removed := dna.Deduplicate(concrete)
-			concrete = deduped
-			rs = deduped
-			res.DuplicatesRemoved = removed
-		}
-		if p.cfg.PackedReads {
-			// Store bulk reads 2-bit packed, the encoding the paper's
-			// host-memory budgets assume.
-			rs = dna.PackSource(concrete)
-		}
-	} else if p.cfg.DedupeReads || p.cfg.PackedReads {
-		return res, fmt.Errorf("core: DedupeReads/PackedReads need an unpacked ReadSet input")
+	rs, removed, err := p.cfg.PrepareReads(rs)
+	if err != nil {
+		return res, err
 	}
-	res.NumReads = rs.NumReads()
+	res.NumReads, res.DuplicatesRemoved = rs.NumReads(), removed
 	p.node.HostMem.Add(rs.ApproxBytes())
 	defer p.node.HostMem.Release(rs.ApproxBytes())
 
 	partDir := p.node.Scratch
 	edgePath := filepath.Join(p.cfg.Workspace, edgeFileName)
 
-	runner := NewStageRunner(p.cfg.Workspace, p.cfg.fingerprint(), InputFingerprint(rs),
+	runner := NewStageRunner(p.cfg.Workspace, p.cfg.Fingerprint(), InputFingerprint(rs),
 		p.cfg.Resume, pipelineStages)
 	runner.SetObserver(p.cfg.Obs, p.node.Track)
 	runner.SetFaultHook(p.FaultHook)
 	runner.SetProgress(p.cfg.Progress)
-	runner.SetWorkers(p.cfg.workers())
+	runner.SetWorkers(p.node.Workers())
 	if runner.ResumeAt() == 0 {
 		// Starting from scratch: partitions left by an interrupted or
 		// invalidated run must not leak into this one.
@@ -293,7 +288,7 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 
 	// Map: fingerprints + partitioning.
 	var counts map[int]int64
-	err := runner.Run(Stage{
+	err = runner.Run(Stage{
 		Name: PhaseMap,
 		Fresh: func() (StageOutcome, error) {
 			var out StageOutcome
@@ -344,12 +339,12 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 				return out, err
 			}
 			out.Artifacts = PartitionFiles(counts, inWorkspace(sortedPartition))
-			out.Meta = map[string]int64{metaSortDiskPasses: int64(res.SortDiskPasses)}
+			out.Meta = map[string]int64{MetaSortDiskPasses: int64(res.SortDiskPasses)}
 			out.Cleanup = func() error { return p.node.RemovePartitions(counts, RawPartition) }
 			return out, nil
 		},
 		Cached: func(rec StageRecord) error {
-			res.SortDiskPasses = int(rec.Meta[metaSortDiskPasses])
+			res.SortDiskPasses = int(rec.Meta[MetaSortDiskPasses])
 			return nil
 		},
 	})
@@ -433,12 +428,36 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 	return res, nil
 }
 
+// PrepareReads applies the read-preparation knobs every driver honours
+// before fingerprinting its input: DedupeReads drops duplicate reads
+// (returning how many), then PackedReads stores the rest 2-bit packed, the
+// encoding the paper's host-memory budgets assume. Both need an unpacked
+// ReadSet.
+func (c Config) PrepareReads(rs dna.ReadSource) (dna.ReadSource, int, error) {
+	if !c.DedupeReads && !c.PackedReads {
+		return rs, 0, nil
+	}
+	concrete, ok := rs.(*dna.ReadSet)
+	if !ok {
+		return rs, 0, fmt.Errorf("core: DedupeReads/PackedReads need an unpacked ReadSet input")
+	}
+	removed := 0
+	if c.DedupeReads {
+		concrete, removed = dna.Deduplicate(concrete)
+	}
+	if c.PackedReads {
+		return dna.PackSource(concrete), removed, nil
+	}
+	return concrete, removed, nil
+}
+
 // pipelineStages is the single-node stage graph, in execution order.
 var pipelineStages = []PhaseName{PhaseMap, PhaseSort, PhaseReduce, PhaseCompress}
 
-// Manifest meta keys for the counters a resumed run restores.
+// Manifest meta keys for the counters a resumed run restores (a cluster
+// node's Sort record carries MetaSortDiskPasses too).
 const (
-	metaSortDiskPasses = "sortDiskPasses"
+	MetaSortDiskPasses = "sortDiskPasses"
 	metaCandidateEdges = "candidateEdges"
 	metaFalsePositives = "falsePositives"
 	metaAcceptedEdges  = "acceptedEdges"
@@ -470,19 +489,14 @@ const mapTupleBytes = 32
 
 // reducePhase feeds every verified candidate, in descending length order,
 // to the configured graph engine, seals it, and persists the surviving
-// edge list to edgePath. VerifyOverlaps filtering is a pure function of the
-// read set, so it runs inside the overlap workers.
+// edge list to edgePath.
 func (p *Pipeline) reducePhase(ctx context.Context, rs dna.ReadSource,
 	counts map[int]int64, edgePath string, res *Result) error {
 	eng := p.node.NewGraphEngine(rs)
 	defer eng.Release()
-	var verify func(u, v uint32, l int) bool
-	if p.cfg.VerifyOverlaps {
-		verify = func(u, v uint32, l int) bool { return verifyOverlap(rs, u, v, l) }
-	}
 	lenHist := p.cfg.Obs.Metrics().Histogram("overlap.length",
 		64, 96, 128, 192, 256, 512, 1024)
-	err := p.node.FindOverlaps(ctx, counts, sortedPartition, verify, func(o Overlaps) {
+	err := p.node.FindOverlaps(ctx, rs, counts, sortedPartition, func(o Overlaps) {
 		res.CandidateEdges += o.Candidates
 		res.FalsePositives += o.FalsePositives
 		for _, e := range o.Edges {
@@ -519,17 +533,6 @@ func sweepSortScratch(partDir string) error {
 		}
 	}
 	return nil
-}
-
-// verifyOverlap checks that the l-suffix of vertex u equals the l-prefix
-// of vertex v by comparing the underlying sequences.
-func verifyOverlap(rs dna.ReadSource, u, v uint32, l int) bool {
-	su := rs.VertexSeq(u)
-	sv := rs.VertexSeq(v)
-	if l > len(su) || l > len(sv) {
-		return false
-	}
-	return su[len(su)-l:].Equal(sv[:l])
 }
 
 // compressPhase rebuilds the configured engine's graph from the persisted

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -288,16 +289,21 @@ func TestResumeWithoutManifestRunsCold(t *testing.T) {
 }
 
 // sortScratchSnapshot is a device hook that photographs the sort_* scratch
-// directories the first time a kernel is charged while a file matching
-// inFlight exists under partDir — some sort is then in the middle of a
-// merge round, with runs and a half-written merge on disk — and then calls
-// stop, if set. The photograph is what a killed process would leave: a
-// cancelled run removes its scratch on the way out, a dead one cannot.
+// directories at a kernel charge while a file matching inFlight exists
+// under partDir — some sort is then in the middle of a merge round, with
+// runs and a half-written merge on disk — and then calls stop, if set. A
+// sort can finish, or a merge round consume its runs, while the photograph
+// is taken; one that lost a file with any of the leftovers prefixes is
+// retaken at a later charge.
+// The photograph is what a killed process would leave: a cancelled run
+// removes its scratch on the way out, a dead one cannot.
 type sortScratchSnapshot struct {
 	partDir, snapDir string
-	inFlight         string // glob under partDir
+	inFlight         string   // glob under partDir
+	leftovers        []string // file-name prefixes a photograph must hold
 	stop             func()
 
+	mu    sync.Mutex // held while photographing
 	taken atomic.Bool
 	err   error // read after the run returns
 }
@@ -305,28 +311,40 @@ type sortScratchSnapshot struct {
 func (h *sortScratchSnapshot) KernelLaunch(int, time.Time, time.Duration)  {}
 func (h *sortScratchSnapshot) AllocWaited(int64, time.Time, time.Duration) {}
 func (h *sortScratchSnapshot) KernelCharge(int64, int64) {
-	if h.taken.Load() {
-		return
+	if h.taken.Load() || !h.mu.TryLock() {
+		return // photographed, or the other worker is at it
 	}
+	defer h.mu.Unlock()
 	if m, _ := filepath.Glob(filepath.Join(h.partDir, h.inFlight)); len(m) == 0 {
 		return
 	}
-	if !h.taken.CompareAndSwap(false, true) {
-		return // the other worker got here first
+	if h.err = h.snapshot(); h.err != nil {
+		return
 	}
-	h.err = h.snapshot()
+	for _, prefix := range h.leftovers {
+		if m, _ := filepath.Glob(filepath.Join(h.snapDir, "*", prefix+"*")); len(m) == 0 {
+			return
+		}
+	}
+	h.taken.Store(true)
 	if h.stop != nil {
 		h.stop()
 	}
 }
 
 func (h *sortScratchSnapshot) snapshot() error {
+	if err := os.RemoveAll(h.snapDir); err != nil {
+		return err
+	}
 	dirs, err := filepath.Glob(filepath.Join(h.partDir, "sort_*"))
 	if err != nil {
 		return err
 	}
 	for _, d := range dirs {
 		ents, err := os.ReadDir(d)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // the other worker's sort finished and removed it
+		}
 		if err != nil {
 			return err
 		}
@@ -458,7 +476,7 @@ func TestResumeIgnoresUnsyncedSortScratch(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			snap := &sortScratchSnapshot{partDir: filepath.Join(cfg.Workspace, "partitions"),
-				snapDir: t.TempDir(), inFlight: tc.inFlight}
+				snapDir: t.TempDir(), inFlight: tc.inFlight, leftovers: tc.leftovers}
 			wantErr := errInjectedCrash
 			if tc.cancel {
 				snap.stop, wantErr = cancel, context.Canceled

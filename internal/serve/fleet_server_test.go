@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -289,8 +290,7 @@ func TestServerFleetEndpoints(t *testing.T) {
 		t.Errorf("job listing embeds %d fleet devices, want 2", len(listing.Fleet.Devices))
 	}
 
-	// Fleet-shape validation: bad lane 400s, impossible shard counts 422,
-	// sharded-incompatible knobs 400.
+	// Fleet-shape validation: bad lane 400s, impossible shard counts 422.
 	post := func(query string) int {
 		t.Helper()
 		body := "@r1\nACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT\n+\nIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII\n"
@@ -308,8 +308,43 @@ func TestServerFleetEndpoints(t *testing.T) {
 	if got := post("?lmin=31&shards=3"); got != http.StatusUnprocessableEntity {
 		t.Errorf("shards beyond fleet size: status %d, want 422", got)
 	}
-	if got := post("?lmin=31&shards=2&dedupe=true"); got != http.StatusBadRequest {
-		t.Errorf("shards with dedupe: status %d, want 400", got)
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardedJobTakesEveryKnob: a sharded job runs the job's whole
+// configuration on its nodes — read deduplication and overlap verification
+// included — and assembles exactly what the unsharded job does, reporting
+// the cluster's Shuffle stage as it goes. Every read is submitted twice, so
+// deduplication has work to do.
+func TestShardedJobTakesEveryKnob(t *testing.T) {
+	scfg := testServerConfig(t.TempDir())
+	scfg.Devices = 2
+	srv, err := New(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	fq, _ := testFastq(t, 6607)
+	body := append(append([]byte(nil), fq...), fq...)
+	const knobs = "?lmin=31&workers=1&verify=true&dedupe=true"
+	var fastas [][]byte
+	for _, query := range []string{knobs + "&name=plain", knobs + "&name=sharded&shards=2"} {
+		final := pollJob(t, ts.URL, submitJob(t, ts.URL, body, query).ID)
+		if final.State != StateSucceeded {
+			t.Fatalf("job %s finished %s: %s", final.Name, final.State, final.Error)
+		}
+		if sharded := final.Params.ShardCount() > 1; sharded != slices.Contains(final.StagesDone, "Shuffle") {
+			t.Errorf("job %s reported stages %v", final.Name, final.StagesDone)
+		}
+		fastas = append(fastas, fetchResult(t, ts.URL, final.ID))
+	}
+	if !bytes.Equal(fastas[0], fastas[1]) {
+		t.Errorf("sharded FASTA differs from the unsharded job's (%d vs %d bytes)",
+			len(fastas[1]), len(fastas[0]))
 	}
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)

@@ -28,15 +28,20 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// The admission lanes, re-exported from core for the HTTP layer.
+// The Params.Priority admission lanes, in descending scheduling priority.
 const (
-	PriorityInteractive = core.PriorityInteractive
-	PriorityBatch       = core.PriorityBatch
+	// PriorityInteractive jobs are dispatched before any batch job and may
+	// preempt running batch jobs when no device has room.
+	PriorityInteractive = "interactive"
+	// PriorityBatch is the default lane (also the resolution of "").
+	PriorityBatch = "batch"
 )
+
+// Priorities lists the valid Priority values, for API validation.
+var Priorities = []string{PriorityInteractive, PriorityBatch}
 
 // State is one point in a job's lifecycle. The transitions are:
 //

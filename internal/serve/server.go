@@ -19,9 +19,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/cluster"
-	"repro/internal/contig"
 	"repro/internal/core"
-	"repro/internal/dna"
 	"repro/internal/fastq"
 	"repro/internal/gpu"
 	"repro/internal/obs"
@@ -254,10 +252,11 @@ func (s *Server) onTransition(j *Job) {
 	}
 }
 
-// jobConfig builds the core configuration a job runs under. The job's
-// device is a private handle whose capacity equals the job's lease, so a
-// job can never use more device memory than admission granted it; the
-// demand is persisted in the record, which keeps the config fingerprint —
+// jobConfig builds the core configuration a job runs under (on every node,
+// when sharded). The job's device is a private handle whose capacity
+// equals the job's lease, so a job can never use more device memory than
+// admission granted it; the demand is persisted in the record, which
+// keeps the config fingerprint —
 // and therefore manifest resume — stable across server restarts and
 // across whichever fleet device the attempt lands on.
 func (s *Server) jobConfig(rec Record) core.Config {
@@ -286,11 +285,15 @@ func (s *Server) jobConfig(rec Record) core.Config {
 	return cfg
 }
 
-// runJob executes one job, single-device through the core pipeline or
-// sharded across its leased devices through the cluster layer. Reads come
-// from the persisted input, and the job's private metrics registry is
-// mounted on the server registry under a job="<id>" label for the
-// lifetime of the run.
+// runJob executes one job under jobConfig: on one device through the core
+// pipeline, or with Shards > 1 as the same configuration on that many
+// cluster nodes, node i bound to a private device whose capacity equals
+// the per-shard lease admission granted on fleet device Devices[i]. Reads
+// come from the persisted input, and the job's private metrics registry is
+// mounted on the server registry under a job="<id>" label for the lifetime
+// of the run. The cluster's lockstep manifests make a sharded job exactly
+// as preemptible and crash-resumable as a single-device one, and its
+// contig output is byte-identical to the unsharded job's.
 func (s *Server) runJob(ctx context.Context, j *Job) error {
 	rec := j.Record()
 	reads, _, err := fastq.ReadFile(s.store.InputPath(rec.ID))
@@ -303,17 +306,12 @@ func (s *Server) runJob(ctx context.Context, j *Job) error {
 	label := `job="` + rec.ID + `"`
 	parent.AttachChild(label, jobReg)
 	defer parent.DetachChild(label)
+
+	cfg := s.jobConfig(rec)
 	// With the flight recorder on, the job's tracer (already carrying its
 	// scheduler lifecycle spans) also collects the run's pipeline spans,
 	// so /v1/jobs/{id}/trace shows both in one Perfetto view.
-	jobObs := obs.New(s.log.With("job", rec.ID), j.Tracer(), jobReg)
-
-	if rec.Params.ShardCount() > 1 {
-		return s.runShardedJob(ctx, j, reads, jobObs)
-	}
-
-	cfg := s.jobConfig(rec)
-	cfg.Obs = jobObs
+	cfg.Obs = obs.New(s.log.With("job", rec.ID), j.Tracer(), jobReg)
 	cfg.Progress = func(stage, event string) {
 		j.Update(func(r *Record) {
 			r.Stage = stage
@@ -330,24 +328,62 @@ func (s *Server) runJob(ctx context.Context, j *Job) error {
 		}
 	}
 
-	p, err := core.New(cfg)
-	if err != nil {
+	var res *core.Result
+	if k := rec.Params.ShardCount(); k > 1 {
+		specs := make([]gpu.Spec, k)
+		for i := range specs {
+			specs[i] = cfg.GPU
+		}
+		jobFleet, err := gpu.NewFleet(specs)
+		if err != nil {
+			return err
+		}
+		cl, err := cluster.New(cluster.Config{Config: cfg, Nodes: k, Fleet: jobFleet})
+		if err != nil {
+			return err
+		}
+		cl.FaultHook = func(nodeID int, stage core.PhaseName) error {
+			return s.stageCommitted(ctx, j, stage, map[string]any{"stage": string(stage), "node": nodeID})
+		}
+		cres, err := cl.AssembleContext(ctx, reads)
+		if err != nil {
+			return err
+		}
+		res = &cres.Result
+	} else {
+		p, err := core.New(cfg)
+		if err != nil {
+			return err
+		}
+		p.FaultHook = func(stage core.PhaseName) error {
+			return s.stageCommitted(ctx, j, stage, map[string]any{"stage": string(stage)})
+		}
+		if res, err = p.AssembleContext(ctx, reads); err != nil {
+			return err
+		}
+	}
+	if err := s.store.InstallResult(rec.ID); err != nil {
 		return err
 	}
-	p.FaultHook = func(stage core.PhaseName) error {
-		return s.stageCommitted(ctx, j, stage, map[string]any{"stage": string(stage)})
-	}
-	res, err := p.AssembleContext(ctx, reads)
-	if err != nil {
-		return err
-	}
-	return s.finishJob(j, res.CachedStages, res.ContigStats,
-		res.CandidateEdges, res.AcceptedEdges, res.TotalWall, res.TotalModeled)
+	j.Update(func(r *Record) {
+		r.CachedStages = append([]string(nil), res.CachedStages...)
+		r.Result = &ResultSummary{
+			NumContigs:     res.ContigStats.NumContigs,
+			TotalBases:     res.ContigStats.TotalBases,
+			MaxContigLen:   res.ContigStats.MaxLen,
+			N50:            res.ContigStats.N50,
+			CandidateEdges: res.CandidateEdges,
+			AcceptedEdges:  res.AcceptedEdges,
+			WallMillis:     res.TotalWall.Milliseconds(),
+			ModeledMillis:  res.TotalModeled.Milliseconds(),
+		}
+	})
+	return nil
 }
 
-// stageCommitted is what both run paths do once a stage (or one node's
-// share of it) has committed: record the event, honour a pending
-// preemption, then run the configured hook.
+// stageCommitted is what a run does once a stage (or one node's share of
+// it) has committed: record the event, honour a pending preemption, then
+// run the configured hook.
 func (s *Server) stageCommitted(ctx context.Context, j *Job, stage core.PhaseName, fields map[string]any) error {
 	s.flight.Emit(j, EventStageCommit, fields)
 	if err := s.checkPreempt(j); err != nil {
@@ -356,29 +392,6 @@ func (s *Server) stageCommitted(ctx context.Context, j *Job, stage core.PhaseNam
 	if s.cfg.StageCommitHook != nil {
 		return s.cfg.StageCommitHook(ctx, j.Record().ID, stage)
 	}
-	return nil
-}
-
-// finishJob installs a completed run's FASTA as the job result and records
-// its summary.
-func (s *Server) finishJob(j *Job, cached []string, cs contig.Stats,
-	candidates, accepted int64, wall, modeled time.Duration) error {
-	if err := s.store.InstallResult(j.Record().ID); err != nil {
-		return err
-	}
-	j.Update(func(r *Record) {
-		r.CachedStages = append([]string(nil), cached...)
-		r.Result = &ResultSummary{
-			NumContigs:     cs.NumContigs,
-			TotalBases:     cs.TotalBases,
-			MaxContigLen:   cs.MaxLen,
-			N50:            cs.N50,
-			CandidateEdges: candidates,
-			AcceptedEdges:  accepted,
-			WallMillis:     wall.Milliseconds(),
-			ModeledMillis:  modeled.Milliseconds(),
-		}
-	})
 	return nil
 }
 
@@ -391,63 +404,6 @@ func (s *Server) checkPreempt(j *Job) error {
 	default:
 		return nil
 	}
-}
-
-// runShardedJob executes a Shards>1 job through the cluster layer: one
-// simulated node per shard, node i bound to a private device whose
-// capacity equals the per-shard lease admission granted on fleet device
-// Devices[i]. The cluster's lockstep manifests make the sharded job
-// exactly as preemptible and crash-resumable as a single-device one, and
-// its contig output is byte-identical to the unsharded pipeline under the
-// same parameters.
-func (s *Server) runShardedJob(ctx context.Context, j *Job, reads *dna.ReadSet, jobObs *obs.Observer) error {
-	rec := j.Record()
-	k := rec.Params.ShardCount()
-	base := s.cfg.GPU
-	if rec.DeviceDemandBytes > 0 {
-		base.MemBytes = rec.DeviceDemandBytes
-	}
-	specs := make([]gpu.Spec, k)
-	for i := range specs {
-		specs[i] = base
-	}
-	jobFleet, err := gpu.NewFleet(specs)
-	if err != nil {
-		return err
-	}
-
-	ccfg := cluster.DefaultConfig(s.store.WorkDir(rec.ID), k)
-	if s.cfg.HostBlockPairs > 0 {
-		ccfg.HostBlockPairs = s.cfg.HostBlockPairs
-	}
-	if s.cfg.DeviceBlockPairs > 0 {
-		ccfg.DeviceBlockPairs = s.cfg.DeviceBlockPairs
-	}
-	if s.cfg.MapBatchReads > 0 {
-		ccfg.MapBatchReads = s.cfg.MapBatchReads
-	}
-	ccfg.MinOverlap = rec.Params.MinOverlap
-	ccfg.WorkersPerNode = rec.Params.Workers
-	ccfg.IncludeSingletons = rec.Params.IncludeSingletons
-	ccfg.GraphBackend = rec.Params.GraphBackend
-	ccfg.GPU = base
-	ccfg.Fleet = jobFleet
-	ccfg.Resume = true
-	ccfg.Obs = jobObs
-
-	cl, err := cluster.New(ccfg)
-	if err != nil {
-		return err
-	}
-	cl.FaultHook = func(nodeID int, stage core.PhaseName) error {
-		return s.stageCommitted(ctx, j, stage, map[string]any{"stage": string(stage), "node": nodeID})
-	}
-	res, err := cl.AssembleContext(ctx, reads)
-	if err != nil {
-		return err
-	}
-	return s.finishJob(j, res.CachedStages, res.ContigStats,
-		res.CandidateEdges, res.AcceptedEdges, res.TotalWall, res.TotalModeled)
 }
 
 // buildMux wires the HTTP API.
@@ -578,17 +534,12 @@ func parseParams(r *http.Request) (Params, error) {
 		return p, fmt.Errorf("graph-backend %q and fullgraph are mutually exclusive", p.GraphBackend)
 	}
 	if v := q.Get("priority"); v != "" {
-		if !slices.Contains(core.Priorities, v) {
-			return p, fmt.Errorf("invalid priority %q (want one of %v)", v, core.Priorities)
+		if !slices.Contains(Priorities, v) {
+			return p, fmt.Errorf("invalid priority %q (want one of %v)", v, Priorities)
 		}
 		p.Priority = v
 	}
 	p.Tenant = q.Get("tenant")
-	if p.ShardCount() > 1 {
-		if p.FullGraph || p.DedupeReads || p.VerifyOverlaps {
-			return p, fmt.Errorf("shards > 1 does not support fullgraph, dedupe, or verify")
-		}
-	}
 	return p, nil
 }
 

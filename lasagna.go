@@ -18,10 +18,17 @@
 //	res, err := lasagna.Assemble(cfg, reads)
 //	// res.Contigs, res.ContigStats, res.Phases ...
 //
-// Distributed assembly over a simulated cluster:
+// Distributed assembly over a simulated cluster is the same run on n nodes:
+// a ClusterConfig is a Config (followed by every node) plus the node count
+// and the shuffle's partitioning, and a ClusterResult is a Result plus the
+// per-node modeled times. Every Config knob works on a cluster.
 //
-//	ccfg := lasagna.DefaultClusterConfig(workspaceDir, 8)
-//	cres, err := lasagna.AssembleDistributed(ccfg, reads)
+//	cres, err := lasagna.AssembleDistributed(
+//		lasagna.ClusterConfig{Config: cfg, Nodes: 8}, reads)
+//	// cres.Contigs, cres.Phases (with Shuffle), cres.NodeModeled ...
+//
+// DefaultClusterConfig is DefaultConfig on the paper's K20X cluster nodes,
+// each node serial.
 package lasagna
 
 import (
@@ -44,9 +51,11 @@ type (
 	// Result reports a single-node assembly: contigs, per-phase stats,
 	// edge counts.
 	Result = core.Result
-	// ClusterConfig parameterizes a simulated multi-node assembly.
+	// ClusterConfig parameterizes a simulated multi-node assembly: a
+	// Config plus Nodes, InputBlockReads, PartitionByFingerprint, Fleet.
 	ClusterConfig = cluster.Config
-	// ClusterResult reports a distributed assembly.
+	// ClusterResult reports a distributed assembly: a Result plus the
+	// per-node and t_o/t_g modeled times.
 	ClusterResult = cluster.Result
 	// ReadSet is an in-memory short-read collection.
 	ReadSet = dna.ReadSet
@@ -82,7 +91,7 @@ var Datasets = readsim.Profiles
 // sizes for the scaled datasets.
 func DefaultConfig(workspace string) Config { return core.DefaultConfig(workspace) }
 
-// DefaultClusterConfig returns an n-node cluster configuration.
+// DefaultClusterConfig returns DefaultConfig for n serial K20X nodes.
 func DefaultClusterConfig(workspace string, nodes int) ClusterConfig {
 	return cluster.DefaultConfig(workspace, nodes)
 }

@@ -28,11 +28,12 @@ test:
 # handoff and the allocator's lock-ordering fixes are the raciest code in
 # the tree. The fsync-ledger tests ride the last pass: they swap kvio's
 # package-level fsync hook while sorts and a two-worker pipeline run
-# under them.
+# under them. The serve line gets ten passes: every HTTP, run and cancel
+# goroutine reaches the scheduler's state through one placement pass.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestStreamStress|TestAllocPeakNeverExceedsCapacity|TestAllocationConcurrentFreeIdempotent' ./internal/gpu/
-	$(GO) test -race -count=3 -run 'TestFleetSchedulerStress|TestSchedulerWorkStealing|TestSchedulerPreemptionDrain' ./internal/serve/
+	$(GO) test -race -count=10 -run 'TestFleetSchedulerStress|TestSchedulerWorkStealing|TestSchedulerPreemptionDrain|TestFlightRecorderLifecycle|TestSchedulerPreemptsOnlyWhatArrivalNeeds' ./internal/serve/
 	$(GO) test -race -count=3 -run 'TestPooledBufferConcurrentSorts|TestBlockPoolConcurrentRoundTrips|TestFsyncLedger' ./internal/extsort/ ./internal/kvio/
 
 # Short fuzz passes over the parsers and the packed encoding; the seed

@@ -58,7 +58,7 @@ func main() {
 		reference  = flag.String("reference", "", "optional reference FASTA for a quality report")
 		resume     = flag.Bool("resume", false, "resume an interrupted run from the workspace's manifest")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
-		debugAddr  = flag.String("debug-addr", "", "serve expvar, metrics, and pprof debug endpoints on this address (e.g. localhost:6060)")
+		debugAddr  = flag.String("debug-addr", "", "serve Prometheus metrics and pprof debug endpoints on this address (e.g. localhost:6060)")
 		verbose    = flag.Bool("v", false, "verbose logging: debug-level stage, resume, and worker-pool events")
 		quiet      = flag.Bool("quiet", false, "log errors only")
 		logFormat  = flag.String("log-format", "text", "structured log format: text or json")
@@ -118,7 +118,7 @@ func main() {
 			fatal(err)
 		}
 		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "lasagna: debug endpoint on http://%s/debug/ (vars, metrics, pprof)\n", dbg.Addr())
+		fmt.Fprintf(os.Stderr, "lasagna: debug endpoint on http://%s (/metrics, /debug/pprof/)\n", dbg.Addr())
 	}
 
 	inputs := strings.Split(*in, ",")

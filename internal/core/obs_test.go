@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -282,8 +283,8 @@ func TestResumeTraceCachedMarkers(t *testing.T) {
 }
 
 // TestDebugServerMidRun starts the debug endpoint, then probes it from a
-// stage-commit hook while the pipeline is mid-run: expvar, the metrics
-// snapshot, and pprof must all answer.
+// stage-commit hook while the pipeline is mid-run: the Prometheus
+// exposition and pprof must both answer.
 func TestDebugServerMidRun(t *testing.T) {
 	_, reads := testGenomeReads(t, 2000, 48, 10)
 	cfg := smallConfig(t)
@@ -309,7 +310,7 @@ func TestDebugServerMidRun(t *testing.T) {
 		if stage != PhaseMap {
 			return nil
 		}
-		for _, path := range []string{"/debug/vars", "/debug/metrics", "/debug/pprof/cmdline"} {
+		for _, path := range []string{"/metrics", "/debug/pprof/cmdline"} {
 			resp, err := http.Get("http://" + srv.Addr() + path)
 			if err != nil {
 				t.Errorf("GET %s mid-run: %v", path, err)
@@ -324,19 +325,16 @@ func TestDebugServerMidRun(t *testing.T) {
 	if _, err := p.AssembleContext(context.Background(), reads); err != nil {
 		t.Fatal(err)
 	}
-	if len(probes) != 3 {
-		t.Fatalf("made %d probes, want 3", len(probes))
+	if len(probes) != 2 {
+		t.Fatalf("made %d probes, want 2", len(probes))
 	}
 	for _, pr := range probes {
 		if pr.code != http.StatusOK {
 			t.Errorf("%s mid-run status %d", pr.path, pr.code)
 		}
 	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(probes[1].body, &snap); err != nil {
-		t.Fatalf("/debug/metrics mid-run not a snapshot: %v", err)
-	}
-	if snap.Counters["gpu.kernel_launches"] == 0 {
-		t.Error("mid-run metrics snapshot shows no kernel launches after Map")
+	launches := regexp.MustCompile(`(?m)^gpu_kernel_launches ([0-9]+)$`).FindSubmatch(probes[0].body)
+	if launches == nil || string(launches[1]) == "0" {
+		t.Errorf("mid-run /metrics shows no kernel launches after Map:\n%s", probes[0].body)
 	}
 }

@@ -1,47 +1,23 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 )
 
 // DebugServer is the live debugging endpoint behind the CLI's -debug-addr
-// flag: expvar at /debug/vars, the metrics snapshot at /debug/metrics,
-// Prometheus text exposition at /metrics, and net/http/pprof under
-// /debug/pprof/.
-//
-// Each server is scoped to its own registry. An earlier revision
-// published one process-global expvar var backed by a swap-on-construct
-// pointer, so two live DebugServers silently cross-wired /debug/vars:
-// both reported whichever registry was registered last. The vars handler
-// now renders the expvar globals itself and scopes the "metrics" var to
-// the owning server's registry.
+// flag: its own registry in Prometheus text exposition at /metrics, and
+// net/http/pprof under /debug/pprof/.
 type DebugServer struct {
 	ln  net.Listener
 	srv *http.Server
-	reg *Registry
 }
 
 // NewDebugServer binds addr (":0" picks a free port) and starts serving in
-// the background. The registry may be nil (the snapshot is then empty).
+// the background. The registry may be nil (the exposition is then empty).
 func NewDebugServer(addr string, reg *Registry) (*DebugServer, error) {
-	if reg == nil {
-		reg = NewRegistry()
-	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		writeVars(w, reg)
-	})
-	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(reg.Snapshot())
-	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", ContentTypePrometheus)
 		WritePrometheus(w, reg.Snapshot())
@@ -56,28 +32,9 @@ func NewDebugServer(addr string, reg *Registry) (*DebugServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}, reg: reg}
+	s := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}}
 	go s.srv.Serve(ln)
 	return s, nil
-}
-
-// writeVars renders the expvar JSON object (same shape expvar.Handler
-// produces) with this server's own registry as the "metrics" var, keeping
-// concurrent DebugServers independent.
-func writeVars(w http.ResponseWriter, reg *Registry) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	expvar.Do(func(kv expvar.KeyValue) {
-		if kv.Key == "metrics" {
-			return // scoped per server below
-		}
-		fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value.String())
-	})
-	snap, err := json.Marshal(reg.Snapshot())
-	if err != nil {
-		snap = []byte("{}")
-	}
-	fmt.Fprintf(w, "%q: %s\n}\n", "metrics", snap)
 }
 
 // Addr returns the bound address (useful with ":0").

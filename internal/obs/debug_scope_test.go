@@ -1,68 +1,12 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 )
-
-// TestDebugServerVarsScopedPerServer is the regression test for the
-// last-writer-wins debugRegistry global: with two live DebugServers on
-// distinct registries, each /debug/vars must report its own counters.
-// Before the fix, both reported whichever registry was registered last.
-func TestDebugServerVarsScopedPerServer(t *testing.T) {
-	regA := NewRegistry()
-	regA.Counter("scope.a").Add(11)
-	regB := NewRegistry()
-	regB.Counter("scope.b").Add(22)
-
-	srvA, err := NewDebugServer("127.0.0.1:0", regA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvA.Close()
-	srvB, err := NewDebugServer("127.0.0.1:0", regB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvB.Close()
-
-	counters := func(addr string) map[string]int64 {
-		resp, err := http.Get(fmt.Sprintf("http://%s/debug/vars", addr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		var vars struct {
-			Metrics Snapshot `json:"metrics"`
-		}
-		if err := json.Unmarshal(body, &vars); err != nil {
-			t.Fatalf("/debug/vars on %s is not valid JSON: %v\n%s", addr, err, body)
-		}
-		return vars.Metrics.Counters
-	}
-
-	// Query A after B was constructed — the old global would have been
-	// overwritten by B's registration at this point.
-	a := counters(srvA.Addr())
-	if a["scope.a"] != 11 {
-		t.Errorf("server A /debug/vars counters = %v, want scope.a=11", a)
-	}
-	if _, leaked := a["scope.b"]; leaked {
-		t.Errorf("server A /debug/vars leaked server B's registry: %v", a)
-	}
-	b := counters(srvB.Addr())
-	if b["scope.b"] != 22 {
-		t.Errorf("server B /debug/vars counters = %v, want scope.b=22", b)
-	}
-	if _, leaked := b["scope.a"]; leaked {
-		t.Errorf("server B /debug/vars leaked server A's registry: %v", b)
-	}
-}
 
 // TestDebugServerPrometheusEndpoint: /metrics serves the text exposition
 // with the documented content type and parses back.

@@ -2,7 +2,7 @@
 // Chrome trace-event format (loadable in Perfetto / chrome://tracing),
 // structured logging via log/slog, and a registry of named counters,
 // gauges, and fixed-bucket histograms, plus a live debug HTTP endpoint
-// (expvar + metrics snapshot + net/http/pprof).
+// (Prometheus exposition + net/http/pprof).
 //
 // Everything is opt-in and nil-safe: a nil *Observer (the default for
 // every Config in the pipeline) short-circuits all instrumentation, so

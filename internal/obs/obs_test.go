@@ -376,28 +376,18 @@ func TestDebugServerEndpoints(t *testing.T) {
 		return resp.StatusCode, body
 	}
 
-	code, body := get("/debug/metrics")
+	code, body := get("/metrics")
 	if code != http.StatusOK {
-		t.Fatalf("/debug/metrics status %d", code)
+		t.Fatalf("/metrics status %d", code)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("/debug/metrics body is not a snapshot: %v (%s)", err, body)
+	if !strings.Contains(string(body), "\ntest_hits 41\n") {
+		t.Errorf("/metrics does not serve test_hits 41:\n%s", body)
 	}
-	if snap.Counters["test.hits"] != 41 {
-		t.Errorf("served counter = %d, want 41", snap.Counters["test.hits"])
-	}
-
-	code, body = get("/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if _, ok := vars["metrics"]; !ok {
-		t.Error("/debug/vars missing published metrics var")
+	// /metrics is the registry's only rendering.
+	for _, path := range []string{"/debug/vars", "/debug/metrics"} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Errorf("%s status %d, want 404", path, code)
+		}
 	}
 
 	code, _ = get("/debug/pprof/cmdline")
@@ -405,8 +395,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 		t.Errorf("/debug/pprof/cmdline status %d", code)
 	}
 
-	// A second server (fresh registry) must not panic on expvar re-publish
-	// and must serve the new registry's values.
+	// A second live server serves its own registry, not the first one's.
 	reg2 := NewRegistry()
 	reg2.Counter("test.hits").Add(7)
 	srv2, err := NewDebugServer("127.0.0.1:0", reg2)
@@ -414,17 +403,13 @@ func TestDebugServerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	resp, err := http.Get(fmt.Sprintf("http://%s/debug/metrics", srv2.Addr()))
+	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", srv2.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var snap2 Snapshot
-	if err := json.Unmarshal(body, &snap2); err != nil {
-		t.Fatal(err)
-	}
-	if snap2.Counters["test.hits"] != 7 {
-		t.Errorf("second server served counter = %d, want 7", snap2.Counters["test.hits"])
+	if !strings.Contains(string(body), "\ntest_hits 7\n") {
+		t.Errorf("second server does not serve test_hits 7:\n%s", body)
 	}
 }

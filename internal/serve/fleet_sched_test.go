@@ -581,3 +581,161 @@ func TestFleetSchedulerStress(t *testing.T) {
 		t.Errorf("queue depth %d after all jobs finished, want 0", s.QueueDepth())
 	}
 }
+
+// TestSchedulerPreemptsOnlyWhatArrivalNeeds: one interactive arrival asks
+// exactly as many batch jobs to drain as its demand needs, however many
+// placement passes run while the drain is pending. Three 300-byte batch
+// jobs run on a 1000-byte card with a fourth slot free; a 350-byte
+// interactive arrival needs one of them drained (100 free + 300 >= 350).
+// The drain commits only when the test releases it, and a second arrival
+// runs another pass in the meantime.
+func TestSchedulerPreemptsOnlyWhatArrivalNeeds(t *testing.T) {
+	drain, finish := make(chan struct{}), make(chan struct{})
+	reg := obs.NewRegistry()
+	s, err := NewScheduler(SchedulerConfig{
+		Fleet:         testFleet(1000),
+		QueueCap:      8,
+		MaxConcurrent: 4,
+		Run: func(ctx context.Context, j *Job) error {
+			if rec := j.Record(); rec.Params.Lane() == PriorityInteractive || rec.Attempts > 1 {
+				return nil
+			}
+			select {
+			case <-j.Preempted():
+				select {
+				case <-drain:
+					return ErrPreempted
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			case <-finish:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		},
+		Obs: obs.New(nil, nil, reg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kill()
+
+	preemptions := func() int64 { return reg.Snapshot().Counters["fleet.preemptions"] }
+	batch := make([]*Job, 3)
+	for i := range batch {
+		batch[i] = testJob(fmt.Sprintf("b%d", i), 300)
+		if err := s.Submit(batch[i]); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, batch[i], StateRunning)
+	}
+	fg := testJobP("fg", 350, Params{Priority: PriorityInteractive})
+	if err := s.Submit(fg); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for preemptions() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	// Another event while the drain is pending: a batch job that does not
+	// fit either.
+	extra := testJob("extra", 300)
+	if err := s.Submit(extra); err != nil {
+		t.Fatal(err)
+	}
+	// Settle: a trigger that fired off the submitting goroutine would ask
+	// for its drain within this window.
+	time.Sleep(50 * time.Millisecond)
+	if got := preemptions(); got != 1 {
+		t.Fatalf("fleet.preemptions = %d before the drain committed, want 1", got)
+	}
+
+	close(drain)
+	waitState(t, fg, StateSucceeded)
+	close(finish)
+	drained := 0
+	for _, j := range append(batch, extra) {
+		waitState(t, j, StateSucceeded)
+		drained += j.Record().Preemptions
+	}
+	if drained != 1 || preemptions() != 1 {
+		t.Errorf("%d batch jobs drained, fleet.preemptions = %d; want 1 and 1", drained, preemptions())
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("tenant over its share", testPreemptSkipsTenantOverShare)
+}
+
+// testPreemptSkipsTenantOverShare: an interactive arrival whose tenant is
+// at its share cannot claim, so it drains nothing however many passes run.
+// On a 1000-byte card capped at 500 bytes per tenant, alice runs one
+// 300-byte interactive job and two other tenants run 300-byte batch jobs;
+// alice's second 300-byte interactive job waits for her first, not for a
+// drain.
+func testPreemptSkipsTenantOverShare(t *testing.T) {
+	finish := make(chan struct{})
+	reg := obs.NewRegistry()
+	s, err := NewScheduler(SchedulerConfig{
+		Fleet:         testFleet(1000),
+		QueueCap:      8,
+		MaxConcurrent: 4,
+		TenantShare:   0.5,
+		Run: func(ctx context.Context, j *Job) error {
+			select {
+			case <-j.Preempted():
+				return ErrPreempted
+			case <-finish:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		},
+		Obs: obs.New(nil, nil, reg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kill()
+
+	jobs := []*Job{
+		testJobP("a1", 300, Params{Priority: PriorityInteractive, Tenant: "alice"}),
+		testJobP("b0", 300, Params{Tenant: "t0"}),
+		testJobP("b1", 300, Params{Tenant: "t1"}),
+	}
+	for _, j := range jobs {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, j, StateRunning)
+	}
+	a2 := testJobP("a2", 300, Params{Priority: PriorityInteractive, Tenant: "alice"})
+	if err := s.Submit(a2); err != nil {
+		t.Fatal(err)
+	}
+	// Another event runs another pass.
+	extra := testJob("extra", 300)
+	if err := s.Submit(extra); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := reg.Snapshot().Counters["fleet.preemptions"]; got != 0 {
+		t.Fatalf("fleet.preemptions = %d for an arrival over its tenant's share, want 0", got)
+	}
+	if got := a2.State(); got != StateQueued {
+		t.Fatalf("a2 state = %s while alice is at her share, want queued", got)
+	}
+
+	close(finish)
+	for _, j := range append(jobs, a2, extra) {
+		waitState(t, j, StateSucceeded)
+	}
+	if got := reg.Snapshot().Counters["fleet.preemptions"]; got != 0 {
+		t.Errorf("fleet.preemptions = %d, want 0", got)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}

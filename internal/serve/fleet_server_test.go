@@ -222,7 +222,7 @@ func TestServerPreemptResume(t *testing.T) {
 		t.Errorf("preempted-and-resumed FASTA differs from direct assembly (%d vs %d bytes)",
 			len(got), len(want))
 	}
-	if got := debugMetrics(t, ts.URL).Counters["fleet.preemptions"]; got != 1 {
+	if got := scfg.Obs.Metrics().Snapshot().Counters["fleet.preemptions"]; got != 1 {
 		t.Errorf("fleet.preemptions = %d, want 1", got)
 	}
 	if err := srv.Drain(context.Background()); err != nil {
@@ -362,9 +362,7 @@ func TestStoreSweepScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := Record{ID: "j1", State: StateQueued, Attempts: 1, SubmittedAt: time.Now().UTC()}
-	if err := st.CreateJob(rec, []byte("@r\nACGT\n+\nIIII\n")); err != nil {
-		t.Fatal(err)
-	}
+	createJob(t, st, rec, "@r\nACGT\n+\nIIII\n")
 	work := st.WorkDir("j1")
 	keep := []string{
 		filepath.Join(work, "manifest.json"),

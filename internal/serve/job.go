@@ -12,13 +12,14 @@
 // leases (Config.DeviceDemandBytes claimed against specific fleet
 // devices) bound how many jobs run concurrently — the sum of admitted
 // leases can never exceed any card, so concurrent jobs never
-// oversubscribe device memory. Each device runs its own dispatcher:
-// idle cards steal queued work from loaded ones, interactive jobs go
-// ahead of batch jobs and may preempt them (drain at the next stage
-// commit, requeue resumable), tenants are capped at a share of in-flight
-// fleet bytes, and a Shards=K job runs across K devices via the cluster
-// layer. A job's FASTA output is byte-identical regardless of which
-// devices ran it, how often it was preempted, or its shard count.
+// oversubscribe device memory. One placement pass under the scheduler
+// lock makes every decision: idle cards steal queued work from loaded
+// ones, interactive jobs go ahead of batch jobs and may preempt them
+// (drain at the next stage commit, requeue resumable), tenants are capped
+// at a share of in-flight fleet bytes, and a Shards=K job runs across K
+// devices via the cluster layer. A job's FASTA output is byte-identical
+// regardless of which devices ran it, how often it was preempted, or its
+// shard count.
 package serve
 
 import (
@@ -178,23 +179,17 @@ type Record struct {
 
 // Job is the scheduler's runtime handle on one record: the record itself
 // plus the cancellation and preemption plumbing that never touches disk.
+// Per-attempt scheduling state (lane time, requeue reason, drain request
+// time) is the scheduler's, held under its lock.
 type Job struct {
 	mu              sync.Mutex
 	rec             Record
-	cancel          context.CancelFunc // run context; set at dispatch
+	cancel          context.CancelFunc // run context; set when a claim starts
 	cancelRequested bool
-	enqueuedAt      time.Time
 	// preemptCh is closed when the scheduler asks the running attempt to
 	// drain at its next stage commit; replaced with a fresh channel on
-	// every requeue so a resumed attempt starts unpreempted.
+	// every preemption requeue so a resumed attempt starts unpreempted.
 	preemptCh chan struct{}
-	// preemptRequestedAt stamps the current attempt's drain request, for
-	// the preempt-drain latency histogram; zero when none is pending.
-	preemptRequestedAt time.Time
-	// requeueReason records why the job most recently left a device
-	// ("preempt" or "drain"), so the claim that resumes it can name the
-	// gap span it just closed. Consumed at claim time.
-	requeueReason string
 	// tracer collects the job's flight trace (lifecycle spans from the
 	// scheduler plus the run's own pipeline spans); nil unless the
 	// scheduler's flight recorder is enabled.
@@ -215,54 +210,19 @@ func (j *Job) Preempted() <-chan struct{} {
 	return j.preemptCh
 }
 
-// requestPreempt asks the current attempt to drain. Idempotent per
-// attempt. Reports whether this call delivered a new request.
-func (j *Job) requestPreempt() bool {
+// requestPreempt asks the current attempt to drain; the scheduler calls
+// it at most once per attempt.
+func (j *Job) requestPreempt() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	select {
-	case <-j.preemptCh:
-		return false // already requested for this attempt
-	default:
-		close(j.preemptCh)
-		j.preemptRequestedAt = time.Now()
-		return true
-	}
+	close(j.preemptCh)
 }
 
-// preemptLatency returns how long ago the pending drain request was
-// delivered, or 0 when none is pending.
-func (j *Job) preemptLatency() time.Duration {
+// resetPreempt arms a fresh preemption channel for the next attempt.
+func (j *Job) resetPreempt() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.preemptRequestedAt.IsZero() {
-		return 0
-	}
-	return time.Since(j.preemptRequestedAt)
-}
-
-// setRequeueReason records why the job is about to leave its devices.
-func (j *Job) setRequeueReason(reason string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.requeueReason = reason
-}
-
-// peekRequeueReason reads the pending requeue reason without consuming.
-func (j *Job) peekRequeueReason() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.requeueReason
-}
-
-// takeRequeueReason consumes the pending requeue reason: the claim that
-// resumes the job uses it once to name the gap span it closes.
-func (j *Job) takeRequeueReason() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	r := j.requeueReason
-	j.requeueReason = ""
-	return r
+	j.preemptCh = make(chan struct{})
 }
 
 // Tracer returns the job's flight trace collector; nil unless the
@@ -279,31 +239,6 @@ func (j *Job) ID() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.rec.ID
-}
-
-// preemptRequested reports whether the current attempt has been asked to
-// drain.
-func (j *Job) preemptRequested() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	select {
-	case <-j.preemptCh:
-		return true
-	default:
-		return false
-	}
-}
-
-// resetPreempt arms a fresh preemption channel for the next attempt.
-func (j *Job) resetPreempt() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.preemptRequestedAt = time.Time{}
-	select {
-	case <-j.preemptCh:
-		j.preemptCh = make(chan struct{})
-	default:
-	}
 }
 
 // Record returns a consistent deep copy of the job's record.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,8 +62,8 @@ type SchedulerConfig struct {
 	// inject controllable stand-ins.
 	Run RunFunc
 	// OnTransition fires after every persistent state change, outside the
-	// job lock; the server persists the record (and cleans terminal
-	// workspaces) here. On a preemption or drain requeue it fires before
+	// scheduler and job locks; the server persists the record (and cleans
+	// terminal workspaces) here. On a preemption requeue it fires before
 	// the job re-enters the lanes, so the server can sweep scratch state
 	// while the job is provably not running. May be nil.
 	OnTransition func(j *Job)
@@ -75,48 +76,47 @@ type SchedulerConfig struct {
 	Recorder *FlightRecorder
 }
 
-// Scheduler is the fleet-wide admission-controlled job runner. Each
-// device runs its own dispatcher goroutine pulling from that device's
-// two priority lanes (interactive before batch, FIFO within a lane).
-// Placement, lease accounting, and tenant fairness all happen under one
-// scheduler lock, so device-memory grants are race-free by construction:
-// a dispatcher only claims a job when its device has the free bytes, and
-// the matching gpu.Device allocation can then never fail.
+// Scheduler is the fleet-wide admission-controlled job runner. Every
+// placement decision is made by one pass over the lanes and the lease
+// ledger under the scheduler lock (placeLocked), run after each event
+// that changes them: an enqueue or requeue, a lease release, and a cancel
+// that drops a queued job. Each device has two priority lanes
+// (interactive before batch, FIFO within a lane); a device with a free
+// concurrency slot claims from its own lanes, then steals from its peers'
+// (most-loaded peer first). A claim reserves its device bytes in the
+// ledger before the lock is released, so the gpu.Device allocations that
+// follow can never fail and multi-device (sharded) leases can never
+// deadlock.
 //
-// An idle dispatcher with free memory steals eligible work from its
-// peers' lanes (most-loaded peer first). When an interactive job fits a
-// device's capacity but not its current free bytes, the dispatcher asks
-// running batch jobs on that device to drain at their next stage commit
-// (preemption); the drained job requeues with its committed stages
-// resumable and the interactive job takes the freed lease.
+// When an interactive job fits a device's capacity but not its free
+// bytes, the pass asks running batch jobs on that device to drain at
+// their next stage commit (preemption); the drained job requeues with its
+// committed stages resumable and the interactive job takes the freed
+// lease. No scheduler goroutine runs between events: each claimed attempt
+// runs on its own goroutine, which hands its lease back when it returns.
 type Scheduler struct {
 	cfg    SchedulerConfig
 	ctx    context.Context
 	stop   context.CancelFunc
-	wg     sync.WaitGroup // dispatchers + running jobs
+	wg     sync.WaitGroup // claimed attempts
 	killed atomic.Bool
 	drain  atomic.Bool
 
-	// qmu guards the lanes, per-device lease ledgers, tenant accounting,
-	// and the running-job index; qcond wakes dispatchers when any of them
-	// change.
-	qmu         sync.Mutex
-	qcond       *sync.Cond
+	// mu guards the lanes, the per-device lease ledgers and concurrency
+	// slots, tenant accounting, the claimed attempts, the job index and
+	// the service-time window.
+	mu          sync.Mutex
 	lanes       []deviceLanes // per device
 	queuedTotal int
 	leased      []int64            // per device: bytes claimed by admitted jobs
+	slots       []int              // per device: concurrency slots in use
 	tenantInUse map[string]int64   // in-flight leased bytes per tenant
-	runningByID map[string]*runRef // running jobs, for preemption targeting
-
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []string // registration order, for listing
-
-	// service-time window for the adaptive Retry-After estimate.
-	svcMu    sync.Mutex
-	svcTimes []time.Duration // ring buffer of recent run durations
-	svcNext  int
-	svcFull  bool
+	runningByID map[string]*runRef // claimed attempts, for preemption targeting
+	jobs        map[string]*Job
+	order       []string        // registration order, for listing
+	svcTimes    []time.Duration // ring buffer of recent run durations (Retry-After)
+	svcNext     int
+	svcFull     bool
 
 	queueDepth   *obs.Gauge
 	runningG     *obs.Gauge
@@ -131,11 +131,10 @@ type Scheduler struct {
 	stealsC      *obs.Counter
 	preemptionsC *obs.Counter
 	queueWaitMs  *obs.Histogram
-	running      atomic.Int64
 }
 
 // laneCount and the lane indices: lane 0 is served strictly before
-// lane 1 on every dispatch decision.
+// lane 1 on every placement decision.
 const (
 	laneInteractive = 0
 	laneBatch       = 1
@@ -143,7 +142,7 @@ const (
 )
 
 // deviceLanes holds one device's queued jobs, highest priority first.
-type deviceLanes [laneCount][]*Job
+type deviceLanes [laneCount][]waiting
 
 func laneIndex(priority string) int {
 	if priority == PriorityInteractive {
@@ -152,19 +151,33 @@ func laneIndex(priority string) int {
 	return laneBatch
 }
 
-// runRef tracks one running attempt for preemption targeting and lease
-// release.
-type runRef struct {
-	j       *Job
-	devices []int
-	demand  int64 // per-device lease
-	lane    int
-	started time.Time
-	leases  []*gpu.Allocation
+// waiting is one lane entry: a queued job with the shape the scheduler
+// places it by (fixed at submit time) and the state of its current wait.
+type waiting struct {
+	j      *Job
+	demand int64 // per-device lease
+	shards int
+	tenant string
+	lane   int
+	since  time.Time // when the job entered the lane
+	// preempted marks a job requeued after draining for a higher-priority
+	// job, so the claim that resumes it names the gap it closes.
+	preempted bool
 }
 
-// NewScheduler builds a scheduler and starts one dispatcher per fleet
-// device.
+// runRef is one claimed attempt: made by placeLocked, started outside the
+// lock, and released when its run returns.
+type runRef struct {
+	waiting
+	dev       int   // the claiming device, whose concurrency slot the attempt holds
+	src       int   // the device whose lane the job came from
+	devices   []int // lease targets, one per shard
+	started   time.Time
+	preemptAt time.Time // when a drain was requested; zero while none is
+}
+
+// NewScheduler builds a scheduler. It starts no goroutine: placement runs
+// on the goroutine of whichever event triggers it.
 func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if cfg.Fleet == nil || cfg.Fleet.Size() == 0 {
 		return nil, fmt.Errorf("serve: scheduler needs a device fleet")
@@ -190,6 +203,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		stop:         stop,
 		lanes:        make([]deviceLanes, n),
 		leased:       make([]int64, n),
+		slots:        make([]int, n),
 		tenantInUse:  make(map[string]int64),
 		runningByID:  make(map[string]*runRef),
 		jobs:         make(map[string]*Job),
@@ -206,16 +220,11 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		preemptionsC: m.Counter("fleet.preemptions"),
 		queueWaitMs:  m.Histogram("serve.queue_wait_ms", 1, 10, 100, 1e3, 10e3, 60e3),
 	}
-	s.qcond = sync.NewCond(&s.qmu)
 	s.devInUse = make([]*obs.Gauge, n)
 	s.devQueued = make([]*obs.Gauge, n)
 	for d := 0; d < n; d++ {
 		s.devInUse[d] = m.Gauge(fmt.Sprintf("fleet.device_inuse_bytes{device=%q}", fmt.Sprint(d)))
 		s.devQueued[d] = m.Gauge(fmt.Sprintf("fleet.device_queued{device=%q}", fmt.Sprint(d)))
-	}
-	for d := 0; d < n; d++ {
-		s.wg.Add(1)
-		go s.dispatch(d)
 	}
 	return s, nil
 }
@@ -228,7 +237,11 @@ func (s *Scheduler) Fleet() *gpu.Fleet { return s.cfg.Fleet }
 func (s *Scheduler) Register(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := j.Record().ID
+	s.registerLocked(j)
+}
+
+func (s *Scheduler) registerLocked(j *Job) {
+	id := j.ID()
 	if _, ok := s.jobs[id]; !ok {
 		s.jobs[id] = j
 		s.order = append(s.order, id)
@@ -257,32 +270,39 @@ func (s *Scheduler) Submit(j *Job) error {
 	if s.drain.Load() {
 		return ErrDraining
 	}
-	rec := j.Record()
-	if err := s.placeable(rec); err != nil {
+	if err := s.placeable(j.Record()); err != nil {
 		return err
 	}
-	s.attachFlight(j)
-	s.Register(j)
-	j.Update(func(r *Record) { r.State = StateQueued })
-	if err := s.enqueue(j, false); err != nil {
-		s.unregister(rec.ID)
+	if err := s.admit(j, false); err != nil {
 		s.rejected.Add(1)
 		return err
 	}
 	s.admitted.Add(1)
-	s.notify(j)
 	return nil
 }
 
 // Recover force-queues a job reloaded from disk at startup, bypassing the
 // queue bound — recovered jobs were admitted by a previous server
 // incarnation and must not be dropped.
-func (s *Scheduler) Recover(j *Job) {
+func (s *Scheduler) Recover(j *Job) { s.admit(j, true) }
+
+// admit registers the job and queues it; the queue bound is checked in
+// the same critical section, so a rejected job is never registered.
+// force bypasses the bound.
+func (s *Scheduler) admit(j *Job, force bool) error {
+	s.mu.Lock()
+	if !force && s.queuedTotal >= s.cfg.QueueCap {
+		s.mu.Unlock()
+		return ErrQueueFull
+	}
 	s.attachFlight(j)
-	s.Register(j)
+	s.registerLocked(j)
 	j.Update(func(r *Record) { r.State = StateQueued })
-	s.enqueue(j, true)
+	runs := s.enqueueLocked(j, false)
+	s.mu.Unlock()
 	s.notify(j)
+	s.start(runs)
+	return nil
 }
 
 // attachFlight arms the job's flight trace when the recorder is on: a
@@ -306,88 +326,32 @@ func (s *Scheduler) attachFlight(j *Job) {
 	j.tracer = tr
 }
 
-// enqueue places the job on its home device's lane: the device with the
-// smallest committed load (leased bytes plus already-queued demand) among
-// those large enough. force bypasses the queue cap (crash recovery).
-func (s *Scheduler) enqueue(j *Job, force bool) error {
+// enqueueLocked puts the job on its home device's lane — at the tail for
+// an arrival, at the head for a preempted job (front), so it resumes as
+// soon as capacity frees without losing its place to later arrivals — and
+// runs the placement pass. It returns the attempts the pass claimed. The
+// caller has already set the job queued; a job cancelled since then stays
+// cancelled and out of the lanes.
+func (s *Scheduler) enqueueLocked(j *Job, front bool) []*runRef {
 	rec := j.Record()
-	demand := rec.DeviceDemandBytes
-	lane := laneIndex(rec.Params.Lane())
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	if !force && s.queuedTotal >= s.cfg.QueueCap {
-		return ErrQueueFull
+	if rec.State != StateQueued {
+		return nil
 	}
-	home := s.pickHomeLocked(demand)
-	j.mu.Lock()
-	j.enqueuedAt = time.Now()
-	j.mu.Unlock()
+	w := waiting{j: j, demand: rec.DeviceDemandBytes, shards: rec.Params.ShardCount(),
+		tenant: rec.Params.Tenant, lane: laneIndex(rec.Params.Lane()), since: time.Now(), preempted: front}
+	home := s.pickHomeLocked(w.demand)
 	j.Update(func(r *Record) { r.Devices = nil })
-	s.lanes[home][lane] = append(s.lanes[home][lane], j)
+	q := &s.lanes[home][w.lane]
+	if front {
+		*q = append([]waiting{w}, *q...)
+		s.cfg.Recorder.Emit(j, EventRequeue, map[string]any{"device": home, "reason": "preempt"})
+	} else {
+		*q = append(*q, w)
+		s.cfg.Recorder.Emit(j, EventEnqueue, map[string]any{
+			"device": home, "lane": rec.Params.Lane(), "tenant": w.tenant, "demandBytes": w.demand})
+	}
 	s.queuedTotal++
-	s.cfg.Recorder.Emit(j, EventEnqueue, map[string]any{
-		"device": home, "lane": rec.Params.Lane(), "tenant": rec.Params.Tenant,
-		"demandBytes": demand})
-	s.preemptScanLocked(j)
-	s.publishQueueGaugesLocked()
-	s.qcond.Broadcast()
-	return nil
-}
-
-// requeueFront puts a preempted or drained job back at the head of its
-// lane on a freshly chosen home device, so it resumes as soon as capacity
-// frees without losing its place to later arrivals.
-func (s *Scheduler) requeueFront(j *Job) {
-	demand := j.Record().DeviceDemandBytes
-	lane := laneIndex(j.Record().Params.Lane())
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	home := s.pickHomeLocked(demand)
-	j.mu.Lock()
-	j.enqueuedAt = time.Now()
-	j.mu.Unlock()
-	j.Update(func(r *Record) { r.Devices = nil })
-	s.lanes[home][lane] = append([]*Job{j}, s.lanes[home][lane]...)
-	s.queuedTotal++
-	s.cfg.Recorder.Emit(j, EventRequeue, map[string]any{
-		"device": home, "reason": j.peekRequeueReason()})
-	s.preemptScanLocked(j)
-	s.publishQueueGaugesLocked()
-	s.qcond.Broadcast()
-}
-
-// preemptScanLocked fires when a job enters a lane: if it is interactive
-// and no set of devices can currently host it (free-bytes-wise) even
-// though the fleet could capacity-wise, running batch jobs on the
-// candidate devices are asked to drain. This is the trigger that works
-// even when every dispatcher slot is occupied — a dispatcher parked on
-// its concurrency semaphore never scans the queue, so the enqueue itself
-// must start the drain that will eventually free its slot.
-func (s *Scheduler) preemptScanLocked(j *Job) {
-	rec := j.Record()
-	if laneIndex(rec.Params.Lane()) != laneInteractive {
-		return
-	}
-	demand := rec.DeviceDemandBytes
-	shards := rec.Params.ShardCount()
-	freeNow := 0
-	for d := 0; d < s.cfg.Fleet.Size(); d++ {
-		if c := s.cfg.Fleet.Device(d).Capacity(); c >= demand && c-s.leased[d] >= demand {
-			freeNow++
-		}
-	}
-	if freeNow >= shards {
-		return // placeable already; a dispatcher will pick it up
-	}
-	need := shards - freeNow
-	for d := 0; d < s.cfg.Fleet.Size() && need > 0; d++ {
-		c := s.cfg.Fleet.Device(d).Capacity()
-		if c < demand || c-s.leased[d] >= demand {
-			continue
-		}
-		s.preemptForLocked(d, demand)
-		need--
-	}
+	return s.placeLocked()
 }
 
 // pickHomeLocked returns the least-loaded device that can ever fit a
@@ -396,16 +360,11 @@ func (s *Scheduler) preemptScanLocked(j *Job) {
 // small jobs off them when smaller cards are idle.
 func (s *Scheduler) pickHomeLocked(demand int64) int {
 	best, bestLoad := -1, int64(0)
-	for d := 0; d < s.cfg.Fleet.Size(); d++ {
+	for d := range s.lanes {
 		if s.cfg.Fleet.Device(d).Capacity() < demand {
 			continue
 		}
-		load := s.leased[d]
-		for lane := 0; lane < laneCount; lane++ {
-			for _, q := range s.lanes[d][lane] {
-				load += q.Record().DeviceDemandBytes
-			}
-		}
+		load := s.leased[d] + s.queuedBytesLocked(d)
 		if best == -1 || load < bestLoad {
 			best, bestLoad = d, load
 		}
@@ -416,29 +375,231 @@ func (s *Scheduler) pickHomeLocked(demand int64) int {
 	return best
 }
 
+// queuedBytesLocked sums the demand queued on device d's lanes.
+func (s *Scheduler) queuedBytesLocked(d int) int64 {
+	var b int64
+	for _, q := range s.lanes[d] {
+		for _, w := range q {
+			b += w.demand
+		}
+	}
+	return b
+}
+
+// freeLocked returns device d's unleased bytes.
+func (s *Scheduler) freeLocked(d int) int64 {
+	return s.cfg.Fleet.Device(d).Capacity() - s.leased[d]
+}
+
+// placeLocked is the scheduler's one placement pass. Devices are visited
+// in index order; while a device has a free concurrency slot it claims
+// from its own lanes and then, unless NoSteal is set, steals from its
+// peers'. A sharded claim holds a concurrency slot only on the claiming
+// device; its other shards lease bytes, not slots. Every interactive job
+// still queued afterwards may then preempt batch work. The claims are
+// returned for the caller to start once it has released the lock.
+func (s *Scheduler) placeLocked() []*runRef {
+	if s.ctx.Err() != nil {
+		return nil
+	}
+	var claims []*runRef
+	for d := range s.lanes {
+		for s.slots[d] < s.cfg.MaxConcurrent {
+			ref := s.claimFromLocked(d, d)
+			if ref == nil && !s.cfg.NoSteal {
+				for _, peer := range s.stealOrderLocked(d) {
+					if ref = s.claimFromLocked(d, peer); ref != nil {
+						break
+					}
+				}
+			}
+			if ref == nil {
+				break
+			}
+			claims = append(claims, ref)
+		}
+	}
+	for d := range s.lanes {
+		for _, w := range s.lanes[d][laneInteractive] {
+			if w.j.State() == StateQueued && s.tenantEligibleLocked(w.tenant, w.demand*int64(w.shards)) {
+				s.preemptScanLocked(w)
+			}
+		}
+	}
+	s.publishQueueGaugesLocked()
+	return claims
+}
+
 // publishQueueGaugesLocked refreshes the queue-depth gauges.
 func (s *Scheduler) publishQueueGaugesLocked() {
 	s.queueDepth.Set(int64(s.queuedTotal))
-	for d := range s.lanes {
-		n := 0
-		for lane := 0; lane < laneCount; lane++ {
-			n += len(s.lanes[d][lane])
-		}
-		s.devQueued[d].Set(int64(n))
+	for d, lanes := range s.lanes {
+		s.devQueued[d].Set(int64(len(lanes[laneInteractive]) + len(lanes[laneBatch])))
 	}
 }
 
-// unregister drops a job that was never admitted (queue-full rejection).
-func (s *Scheduler) unregister(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, id)
-	for i, x := range s.order {
-		if x == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
+// stealOrderLocked lists the other devices with queued work,
+// most-queued-bytes first, so an idle card relieves the most loaded peer.
+func (s *Scheduler) stealOrderLocked(d int) []int {
+	var peers []int
+	queued := make([]int64, len(s.lanes))
+	for p := range s.lanes {
+		if queued[p] = s.queuedBytesLocked(p); p != d && queued[p] > 0 {
+			peers = append(peers, p)
 		}
 	}
+	sort.SliceStable(peers, func(i, k int) bool { return queued[peers[i]] > queued[peers[k]] })
+	return peers
+}
+
+// claimFromLocked claims, for device d, the first eligible job queued on
+// device src: interactive lane first, FIFO within a lane, skipping jobs
+// over their tenant's share or that cannot start right now, and dropping
+// jobs cancelled while queued. The claim reserves the leases, d's
+// concurrency slot and the tenant's bytes before it returns.
+func (s *Scheduler) claimFromLocked(d, src int) *runRef {
+	for lane := range s.lanes[src] {
+		q := s.lanes[src][lane]
+		for i := 0; i < len(q); i++ {
+			w := q[i]
+			if w.j.State() != StateQueued {
+				q = slices.Delete(q, i, i+1)
+				s.lanes[src][lane] = q
+				s.queuedTotal--
+				i--
+				continue
+			}
+			if !s.tenantEligibleLocked(w.tenant, w.demand*int64(w.shards)) {
+				continue
+			}
+			devices := s.placementLocked(d, w.demand, w.shards)
+			if devices == nil {
+				continue
+			}
+			s.lanes[src][lane] = slices.Delete(q, i, i+1)
+			s.queuedTotal--
+			for _, dev := range devices {
+				s.leased[dev] += w.demand
+				s.devInUse[dev].Set(s.leased[dev])
+			}
+			s.slots[d]++
+			s.tenantInUse[w.tenant] += w.demand * int64(w.shards)
+			if src != d {
+				s.stealsC.Add(1)
+			}
+			ref := &runRef{waiting: w, dev: d, src: src, devices: devices, started: time.Now()}
+			s.runningByID[w.j.ID()] = ref
+			s.runningG.Set(int64(len(s.runningByID)))
+			s.wg.Add(1) // under the lock, so Drain's Wait sees every claim
+			return ref
+		}
+	}
+	return nil
+}
+
+// tenantEligibleLocked enforces the per-tenant share of in-flight leased
+// bytes. A tenant with nothing running may always start one job.
+func (s *Scheduler) tenantEligibleLocked(tenant string, bytes int64) bool {
+	if s.cfg.TenantShare <= 0 {
+		return true
+	}
+	used := s.tenantInUse[tenant]
+	if used == 0 {
+		return true
+	}
+	limit := int64(s.cfg.TenantShare * float64(s.cfg.Fleet.TotalCapacity()))
+	return used+bytes <= limit
+}
+
+// placementLocked picks the devices a claim by device d leases: d itself
+// for an unsharded job; for a sharded one, shards distinct devices with
+// the free bytes, d first when it has them, then the freest peers.
+// Returns nil when the job cannot start right now.
+func (s *Scheduler) placementLocked(d int, demand int64, shards int) []int {
+	if shards == 1 {
+		if s.freeLocked(d) < demand {
+			return nil
+		}
+		return []int{d}
+	}
+	var candidates []int
+	for p := range s.lanes {
+		if s.freeLocked(p) >= demand {
+			candidates = append(candidates, p)
+		}
+	}
+	if len(candidates) < shards {
+		return nil
+	}
+	sort.SliceStable(candidates, func(i, k int) bool {
+		a, b := candidates[i], candidates[k]
+		if a == d || b == d {
+			return a == d
+		}
+		return s.freeLocked(a) > s.freeLocked(b)
+	})
+	return candidates[:shards]
+}
+
+// preemptScanLocked handles a queued interactive job that no set of
+// devices can host right now although the fleet could by capacity: on
+// each device it needs that is large enough but short of free bytes, it
+// asks batch work to drain.
+func (s *Scheduler) preemptScanLocked(w waiting) {
+	need := w.shards
+	for d := range s.lanes {
+		if s.freeLocked(d) >= w.demand {
+			need--
+		}
+	}
+	for d := 0; d < len(s.lanes) && need > 0; d++ {
+		if s.cfg.Fleet.Device(d).Capacity() < w.demand || s.freeLocked(d) >= w.demand {
+			continue
+		}
+		s.preemptForLocked(d, w.demand)
+		need--
+	}
+}
+
+// preemptForLocked asks enough running batch jobs on device d to drain at
+// their next stage commit to eventually free `need` bytes for a blocked
+// interactive job. Youngest batch jobs drain first (they have the least
+// committed work to redo). Interactive jobs are never preempted. Bytes
+// held by attempts already asked to drain count as free: they are on
+// their way back, and the pass runs again on every event while a drain is
+// pending.
+func (s *Scheduler) preemptForLocked(d int, need int64) {
+	avail := s.freeLocked(d)
+	var targets []*runRef
+	for _, ref := range s.runningByID {
+		switch {
+		case !slices.Contains(ref.devices, d):
+		case !ref.preemptAt.IsZero():
+			avail += ref.demand
+		case ref.lane == laneBatch:
+			targets = append(targets, ref)
+		}
+	}
+	sort.Slice(targets, func(i, k int) bool { return targets[i].started.After(targets[k].started) })
+	for _, ref := range targets {
+		if avail >= need {
+			return
+		}
+		s.requestPreemptLocked(ref, map[string]any{"device": d, "needBytes": need})
+		avail += ref.demand
+	}
+}
+
+// requestPreemptLocked asks a claimed attempt to drain at its next stage
+// commit, once per attempt.
+func (s *Scheduler) requestPreemptLocked(ref *runRef, attrs map[string]any) {
+	if !ref.preemptAt.IsZero() {
+		return
+	}
+	ref.preemptAt = time.Now()
+	ref.j.requestPreempt()
+	s.preemptionsC.Add(1)
+	s.cfg.Recorder.Emit(ref.j, EventPreemptRequest, attrs)
 }
 
 // Get returns the job with the given ID.
@@ -462,44 +623,22 @@ func (s *Scheduler) Jobs() []*Job {
 
 // QueueDepth returns how many jobs are waiting across all lanes.
 func (s *Scheduler) QueueDepth() int {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.queuedTotal
 }
-
-// Running returns how many jobs are currently executing.
-func (s *Scheduler) Running() int { return int(s.running.Load()) }
 
 // recordServiceTime folds a finished run's duration into the adaptive
 // Retry-After window.
 func (s *Scheduler) recordServiceTime(d time.Duration) {
-	s.svcMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.svcTimes[s.svcNext] = d
 	s.svcNext++
 	if s.svcNext == len(s.svcTimes) {
 		s.svcNext = 0
 		s.svcFull = true
 	}
-	s.svcMu.Unlock()
-}
-
-// meanServiceTime returns the mean of the recent-service window, or 0
-// when no job has finished yet.
-func (s *Scheduler) meanServiceTime() time.Duration {
-	s.svcMu.Lock()
-	defer s.svcMu.Unlock()
-	n := s.svcNext
-	if s.svcFull {
-		n = len(s.svcTimes)
-	}
-	if n == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for i := 0; i < n; i++ {
-		sum += s.svcTimes[i]
-	}
-	return sum / time.Duration(n)
 }
 
 // EstimateRetryAfter predicts how long a rejected submission should wait
@@ -509,15 +648,22 @@ func (s *Scheduler) meanServiceTime() time.Duration {
 // never below it. The estimate is published on the serve.retry_after_ms
 // gauge.
 func (s *Scheduler) EstimateRetryAfter(floor time.Duration) time.Duration {
-	mean := s.meanServiceTime()
+	s.mu.Lock()
+	n := s.svcNext
+	if s.svcFull {
+		n = len(s.svcTimes)
+	}
+	var sum time.Duration
+	for _, d := range s.svcTimes[:n] {
+		sum += d
+	}
+	depth := s.queuedTotal
+	s.mu.Unlock()
 	est := floor
-	if mean > 0 {
+	if n > 0 {
 		slots := s.cfg.Fleet.Size() * s.cfg.MaxConcurrent
-		waves := (s.QueueDepth() + 1 + slots - 1) / slots
-		est = time.Duration(waves) * mean
-		if est < floor {
-			est = floor
-		}
+		waves := (depth + 1 + slots - 1) / slots
+		est = max(time.Duration(waves)*(sum/time.Duration(n)), floor)
 	}
 	s.retryAfterG.Set(est.Milliseconds())
 	return est
@@ -547,7 +693,7 @@ func (s *Scheduler) Cancel(id string) (Record, error) {
 			cancel()
 		}
 		return rec, nil
-	default: // submitted or queued (possibly mid-dispatch)
+	default: // submitted or queued (possibly claimed but not yet started)
 		j.cancelRequested = true
 		now := time.Now()
 		j.rec.State = StateCanceled
@@ -572,50 +718,50 @@ func (s *Scheduler) Cancel(id string) (Record, error) {
 // The job requeues with its committed stages resumable. Exposed for
 // operators and tests; scheduling-policy preemptions use the same path.
 func (s *Scheduler) Preempt(id string) error {
-	s.qmu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	ref, ok := s.runningByID[id]
-	s.qmu.Unlock()
 	if !ok {
 		return fmt.Errorf("serve: job %s is not running", id)
 	}
-	if ref.j.requestPreempt() {
-		s.preemptionsC.Add(1)
-		s.cfg.Recorder.Emit(ref.j, EventPreemptRequest, map[string]any{"operator": true})
-	}
+	s.requestPreemptLocked(ref, map[string]any{"operator": true})
 	return nil
 }
 
-// dropQueued removes a job from whatever lane it waits in (no-op when it
-// is not queued, e.g. already claimed by a dispatcher).
+// dropQueued removes a job from whatever lane it waits in and places what
+// that changes (no-op when it is not queued, e.g. already claimed).
 func (s *Scheduler) dropQueued(j *Job) {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
+	s.mu.Lock()
+	var runs []*runRef
+	if s.removeQueuedLocked(j) {
+		runs = s.placeLocked()
+	}
+	s.mu.Unlock()
+	s.start(runs)
+}
+
+// removeQueuedLocked takes the job out of the lane it waits in, reporting
+// whether it was there.
+func (s *Scheduler) removeQueuedLocked(j *Job) bool {
 	for d := range s.lanes {
-		for lane := 0; lane < laneCount; lane++ {
-			q := s.lanes[d][lane]
-			for i, x := range q {
-				if x == j {
-					s.lanes[d][lane] = append(q[:i], q[i+1:]...)
-					s.queuedTotal--
-					s.publishQueueGaugesLocked()
-					return
-				}
+		for lane, q := range s.lanes[d] {
+			if i := slices.IndexFunc(q, func(w waiting) bool { return w.j == j }); i >= 0 {
+				s.lanes[d][lane] = slices.Delete(q, i, i+1)
+				s.queuedTotal--
+				return true
 			}
 		}
 	}
+	return false
 }
 
-// Drain begins a graceful shutdown: new submissions are rejected, the
-// dispatchers stop starting jobs, running jobs are cancelled (their
-// committed stages stay resumable) and persisted back to queued, and
-// queued jobs simply stay queued on disk. Returns when every job
-// goroutine has unwound or ctx expires.
+// Drain begins a graceful shutdown: new submissions are rejected, no job
+// is placed any more, running jobs are cancelled (their committed stages
+// stay resumable) and persisted back to queued, and queued jobs simply
+// stay queued on disk. Returns when every job goroutine has unwound or
+// ctx expires.
 func (s *Scheduler) Drain(ctx context.Context) error {
-	s.drain.Store(true)
-	s.stop() // cancels the dispatchers and every running job's context
-	s.qmu.Lock()
-	s.qcond.Broadcast()
-	s.qmu.Unlock()
+	s.shutdown()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -635,382 +781,136 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 // unwind so tests can immediately restart a server on the same root.
 func (s *Scheduler) Kill() {
 	s.killed.Store(true)
-	s.drain.Store(true)
-	s.stop()
-	s.qmu.Lock()
-	s.qcond.Broadcast()
-	s.qmu.Unlock()
+	s.shutdown()
 	s.wg.Wait()
 }
 
-// claim is a dispatcher's successful placement decision, made atomically
-// under qmu.
-type claim struct {
-	j       *Job
-	devices []int // lease targets; devices[0] is the dispatching device
-	lane    int
-	src     int // device whose lane the job came from
-	stolen  bool
-	wait    time.Duration
-	queued  time.Time // when the claimed job entered its lane
+// shutdown rejects new submissions and cancels the scheduler context under
+// the lock, so no attempt is claimed after it returns.
+func (s *Scheduler) shutdown() {
+	s.drain.Store(true)
+	s.mu.Lock()
+	s.stop()
+	s.mu.Unlock()
 }
 
-// dispatch is device d's scheduling loop: claim an eligible job (own
-// lanes first, then steal), take the pre-accounted device leases, and
-// start it. Claims happen entirely under the scheduler lock, so the
-// gpu.Device allocations that follow can never fail and multi-device
-// (sharded) leases can never deadlock.
-func (s *Scheduler) dispatch(d int) {
+// start runs each claimed attempt on its own goroutine; called without
+// the scheduler lock.
+func (s *Scheduler) start(refs []*runRef) {
+	for _, ref := range refs {
+		go s.run(ref)
+	}
+}
+
+// run takes the device allocations the claim reserved and executes the
+// attempt, then hands its leases and concurrency slot back — placing
+// whatever they free — and settles the outcome. An attempt whose job was
+// cancelled between the lane pop and the lease grant is released without
+// running.
+func (s *Scheduler) run(ref *runRef) {
 	defer s.wg.Done()
-	sem := make(chan struct{}, s.cfg.MaxConcurrent)
-	for {
-		select {
-		case sem <- struct{}{}:
-		case <-s.ctx.Done():
-			return
+	j := ref.j
+	leases := make([]*gpu.Allocation, len(ref.devices))
+	for i, dev := range ref.devices {
+		a, err := s.cfg.Fleet.Device(dev).Alloc(ref.demand)
+		if err != nil {
+			// Unreachable by construction: the claim reserved the bytes
+			// under the scheduler lock and nothing else allocates on fleet
+			// devices.
+			panic(fmt.Sprintf("serve: claimed lease failed on device %d: %v", dev, err))
 		}
-		c, ok := s.nextClaim(d)
-		if !ok {
-			return
-		}
-		if c.stolen {
-			s.stealsC.Add(1)
-			s.cfg.Recorder.CountSteal(c.src, d)
-			s.cfg.Recorder.Emit(c.j, EventSteal, map[string]any{"src": c.src, "dst": d})
-		}
-		leases := make([]*gpu.Allocation, len(c.devices))
-		demand := c.j.Record().DeviceDemandBytes
-		for i, dev := range c.devices {
-			a, err := s.cfg.Fleet.Device(dev).Alloc(demand)
-			if err != nil {
-				// Unreachable by construction: the claim reserved the bytes
-				// under qmu and nothing else allocates on fleet devices.
-				panic(fmt.Sprintf("serve: claimed lease failed on device %d: %v", dev, err))
-			}
-			leases[i] = a
-		}
-		jobCtx, cancel := context.WithCancel(s.ctx)
-		c.j.mu.Lock()
-		c.j.cancel = cancel
-		c.j.mu.Unlock()
-		if c.j.CancelRequested() {
-			// Cancelled between the lane pop and the lease grant.
-			s.releaseLeases(c, leases)
-			cancel()
-			<-sem
-			continue
-		}
-		s.queueWaitMs.Observe(float64(c.wait.Milliseconds()))
-		s.recordClaim(c)
-		s.startJob(c, jobCtx, cancel, leases, sem)
+		leases[i] = a
 	}
-}
-
-// nextClaim blocks until device d can claim an eligible job or the
-// scheduler stops. Own lanes are tried before stealing; within a source,
-// the interactive lane is drained before batch and FIFO order holds
-// inside a lane (skipping only jobs the device cannot take yet).
-func (s *Scheduler) nextClaim(d int) (claim, bool) {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	for {
-		if s.ctx.Err() != nil {
-			return claim{}, false
-		}
-		if c, ok := s.claimFromLocked(d, d, false); ok {
-			return c, true
-		}
-		if !s.cfg.NoSteal {
-			for _, peer := range s.stealOrderLocked(d) {
-				if c, ok := s.claimFromLocked(d, peer, true); ok {
-					return c, true
-				}
-			}
-		}
-		s.qcond.Wait()
-	}
-}
-
-// stealOrderLocked lists the other devices, most-queued-bytes first, so
-// an idle card relieves the most loaded peer.
-func (s *Scheduler) stealOrderLocked(d int) []int {
-	type loaded struct {
-		dev   int
-		bytes int64
-	}
-	peers := make([]loaded, 0, s.cfg.Fleet.Size()-1)
-	for p := 0; p < s.cfg.Fleet.Size(); p++ {
-		if p == d {
-			continue
-		}
-		var qb int64
-		for lane := 0; lane < laneCount; lane++ {
-			for _, j := range s.lanes[p][lane] {
-				qb += j.Record().DeviceDemandBytes
-			}
-		}
-		if qb > 0 {
-			peers = append(peers, loaded{p, qb})
-		}
-	}
-	sort.Slice(peers, func(i, k int) bool {
-		if peers[i].bytes != peers[k].bytes {
-			return peers[i].bytes > peers[k].bytes
-		}
-		return peers[i].dev < peers[k].dev
-	})
-	order := make([]int, len(peers))
-	for i, p := range peers {
-		order[i] = p.dev
-	}
-	return order
-}
-
-// claimFromLocked tries to claim, for dispatcher d, the first eligible
-// job queued on device src. It removes terminal (cancelled) jobs it
-// walks past, and triggers batch preemption on d when an interactive job
-// fits d's capacity but not its free bytes.
-func (s *Scheduler) claimFromLocked(d, src int, stolen bool) (claim, bool) {
-	for lane := 0; lane < laneCount; lane++ {
-		q := s.lanes[src][lane]
-		for i := 0; i < len(q); i++ {
-			j := q[i]
-			if j.State() != StateQueued {
-				// Cancelled while queued; drop it and keep scanning.
-				q = append(q[:i], q[i+1:]...)
-				s.lanes[src][lane] = q
-				s.queuedTotal--
-				i--
-				continue
-			}
-			rec := j.Record()
-			demand := rec.DeviceDemandBytes
-			shards := rec.Params.ShardCount()
-			if !s.tenantEligibleLocked(rec.Params.Tenant, demand*int64(shards)) {
-				continue
-			}
-			var devices []int
-			if shards == 1 {
-				if s.cfg.Fleet.Device(d).Capacity() < demand {
-					continue
-				}
-				if s.leased[d]+demand > s.cfg.Fleet.Device(d).Capacity() {
-					if lane == laneInteractive {
-						s.preemptForLocked(d, demand)
-					}
-					continue
-				}
-				devices = []int{d}
-			} else {
-				devices = s.shardPlacementLocked(d, demand, shards)
-				if devices == nil {
-					if lane == laneInteractive {
-						s.preemptForLocked(d, demand)
-					}
-					continue
-				}
-			}
-			// Claim: reserve the bytes and take the job off its lane.
-			s.lanes[src][lane] = append(q[:i], q[i+1:]...)
-			s.queuedTotal--
-			for _, dev := range devices {
-				s.leased[dev] += demand
-				s.devInUse[dev].Set(s.leased[dev])
-			}
-			s.tenantInUse[rec.Params.Tenant] += demand * int64(shards)
-			j.mu.Lock()
-			queued := j.enqueuedAt
-			j.mu.Unlock()
-			s.publishQueueGaugesLocked()
-			return claim{j: j, devices: devices, lane: lane, src: src, stolen: stolen,
-				wait: time.Since(queued), queued: queued}, true
-		}
-	}
-	return claim{}, false
-}
-
-// tenantEligibleLocked enforces the per-tenant share of in-flight leased
-// bytes. A tenant with nothing running may always start one job.
-func (s *Scheduler) tenantEligibleLocked(tenant string, bytes int64) bool {
-	if s.cfg.TenantShare <= 0 {
-		return true
-	}
-	used := s.tenantInUse[tenant]
-	if used == 0 {
-		return true
-	}
-	limit := int64(s.cfg.TenantShare * float64(s.cfg.Fleet.TotalCapacity()))
-	return used+bytes <= limit
-}
-
-// shardPlacementLocked picks shard-count distinct devices with free
-// bytes for the per-shard demand, preferring the dispatching device and
-// then the freest peers. Returns nil when the fleet cannot host all
-// shards right now.
-func (s *Scheduler) shardPlacementLocked(d int, demand int64, shards int) []int {
-	type free struct {
-		dev   int
-		bytes int64
-	}
-	var candidates []free
-	for p := 0; p < s.cfg.Fleet.Size(); p++ {
-		avail := s.cfg.Fleet.Device(p).Capacity() - s.leased[p]
-		if avail >= demand {
-			candidates = append(candidates, free{p, avail})
-		}
-	}
-	if len(candidates) < shards {
-		return nil
-	}
-	sort.Slice(candidates, func(i, k int) bool {
-		// The dispatching device always sorts first so the claim stays
-		// anchored to the dispatcher that made it.
-		if candidates[i].dev == d {
-			return true
-		}
-		if candidates[k].dev == d {
-			return false
-		}
-		if candidates[i].bytes != candidates[k].bytes {
-			return candidates[i].bytes > candidates[k].bytes
-		}
-		return candidates[i].dev < candidates[k].dev
-	})
-	devices := make([]int, shards)
-	for i := 0; i < shards; i++ {
-		devices[i] = candidates[i].dev
-	}
-	return devices
-}
-
-// preemptForLocked asks enough running batch jobs on device d to drain at
-// their next stage commit to eventually free `need` bytes for a blocked
-// interactive job. Youngest batch jobs drain first (they have the least
-// committed work to redo). Interactive jobs are never preempted.
-func (s *Scheduler) preemptForLocked(d int, need int64) {
-	avail := s.cfg.Fleet.Device(d).Capacity() - s.leased[d]
-	if avail >= need {
+	ctx, cancel := context.WithCancel(s.ctx)
+	defer cancel()
+	j.mu.Lock()
+	j.cancel = cancel
+	canceled := j.cancelRequested
+	j.mu.Unlock()
+	if canceled {
+		s.start(s.release(ref, leases))
 		return
 	}
-	var targets []*runRef
-	for _, ref := range s.runningByID {
-		if ref.lane != laneBatch || ref.j.preemptRequested() {
-			continue
-		}
-		for _, dev := range ref.devices {
-			if dev == d {
-				targets = append(targets, ref)
-				break
-			}
-		}
-	}
-	sort.Slice(targets, func(i, k int) bool { return targets[i].started.After(targets[k].started) })
-	for _, ref := range targets {
-		if avail >= need {
-			return
-		}
-		if ref.j.requestPreempt() {
-			s.preemptionsC.Add(1)
-			s.cfg.Recorder.Emit(ref.j, EventPreemptRequest, map[string]any{
-				"device": d, "needBytes": need})
-			avail += ref.demand
-		}
-	}
+	s.queueWaitMs.Observe(float64(ref.started.Sub(ref.since).Milliseconds()))
+	s.recordClaim(ref)
+	started := ref.started
+	j.Update(func(r *Record) {
+		r.State = StateRunning
+		r.StartedAt = &started
+		r.Attempts++
+		r.Error = ""
+		r.Devices = append([]int(nil), ref.devices...)
+	})
+	s.notify(j)
+	err := s.cfg.Run(ctx, j)
+	runWall := time.Since(started)
+	s.start(s.release(ref, leases))
+	s.traceRun(ref, runWall, err)
+	s.finish(ref, runWall, err)
 }
 
-// releaseLeases returns a claim's reserved bytes and allocations.
-func (s *Scheduler) releaseLeases(c claim, leases []*gpu.Allocation) {
-	demand := c.j.Record().DeviceDemandBytes
-	shards := int64(len(c.devices))
+// release returns an attempt's allocations, ledger bytes, concurrency slot
+// and tenant bytes, and runs the placement pass over what they free.
+func (s *Scheduler) release(ref *runRef, leases []*gpu.Allocation) []*runRef {
 	for _, a := range leases {
 		a.Free()
 	}
-	s.qmu.Lock()
-	for _, dev := range c.devices {
-		s.leased[dev] -= demand
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, dev := range ref.devices {
+		s.leased[dev] -= ref.demand
 		s.devInUse[dev].Set(s.leased[dev])
 	}
-	tenant := c.j.Record().Params.Tenant
-	s.tenantInUse[tenant] -= demand * shards
-	if s.tenantInUse[tenant] <= 0 {
-		delete(s.tenantInUse, tenant)
+	s.slots[ref.dev]--
+	s.tenantInUse[ref.tenant] -= ref.demand * int64(len(ref.devices))
+	if s.tenantInUse[ref.tenant] <= 0 {
+		delete(s.tenantInUse, ref.tenant)
 	}
-	delete(s.runningByID, c.j.Record().ID)
-	s.qcond.Broadcast()
-	s.qmu.Unlock()
+	delete(s.runningByID, ref.j.ID())
+	s.runningG.Set(int64(len(s.runningByID)))
+	return s.placeLocked()
 }
 
-// recordClaim emits the flight-recorder view of one successful claim: a
-// span on the job trace's scheduler track closing the lane time (named
-// for why the job was waiting), the claim (and shard-place) events, and
-// the per-lane/tenant queue-wait observation.
-func (s *Scheduler) recordClaim(c claim) {
+// recordClaim emits the flight-recorder view of one started claim: the
+// steal (when the job crossed devices), a span on the job trace's
+// scheduler track closing the lane time (named for why the job was
+// waiting), the claim (and shard-place) events, and the per-lane/tenant
+// queue-wait observation.
+func (s *Scheduler) recordClaim(ref *runRef) {
 	if s.cfg.Recorder == nil {
 		return
 	}
-	rec := c.j.Record()
+	rec := ref.j.Record()
+	wait := ref.started.Sub(ref.since)
+	stolen := ref.src != ref.dev
+	if stolen {
+		s.cfg.Recorder.CountSteal(ref.src, ref.dev)
+		s.cfg.Recorder.Emit(ref.j, EventSteal, map[string]any{"src": ref.src, "dst": ref.dev})
+	}
 	gap := "queued"
-	switch c.j.takeRequeueReason() {
-	case "preempt":
+	if ref.preempted {
 		gap = "preempted gap"
-	case "drain":
-		gap = "drain gap"
 	}
-	c.j.Tracer().Complete(obs.Track{Pid: flightSchedulerPid}, "sched", gap,
-		c.queued, c.wait, map[string]any{"devices": c.devices, "stolen": c.stolen})
-	s.cfg.Recorder.Emit(c.j, EventClaim, map[string]any{
-		"devices": append([]int(nil), c.devices...), "waitMs": c.wait.Milliseconds(),
-		"lane": rec.Params.Lane(), "stolen": c.stolen, "attempt": rec.Attempts + 1})
-	if len(c.devices) > 1 {
-		s.cfg.Recorder.Emit(c.j, EventShardPlace, map[string]any{
-			"devices": append([]int(nil), c.devices...)})
+	ref.j.Tracer().Complete(obs.Track{Pid: flightSchedulerPid}, "sched", gap,
+		ref.since, wait, map[string]any{"devices": ref.devices, "stolen": stolen})
+	s.cfg.Recorder.Emit(ref.j, EventClaim, map[string]any{
+		"devices": append([]int(nil), ref.devices...), "waitMs": wait.Milliseconds(),
+		"lane": rec.Params.Lane(), "stolen": stolen, "attempt": rec.Attempts + 1})
+	if len(ref.devices) > 1 {
+		s.cfg.Recorder.Emit(ref.j, EventShardPlace, map[string]any{
+			"devices": append([]int(nil), ref.devices...)})
 	}
-	s.cfg.Recorder.ObserveQueueWait(rec.Params.Lane(), rec.Params.Tenant, c.wait)
+	s.cfg.Recorder.ObserveQueueWait(rec.Params.Lane(), ref.tenant, wait)
 }
 
-// startJob transitions the job to running and executes it on its own
-// goroutine, returning the concurrency slot and the device leases when it
-// finishes.
-func (s *Scheduler) startJob(c claim, ctx context.Context, cancel context.CancelFunc,
-	leases []*gpu.Allocation, sem chan struct{}) {
-	j := c.j
-	now := time.Now()
-	devices := append([]int(nil), c.devices...)
-	j.Update(func(r *Record) {
-		r.State = StateRunning
-		r.StartedAt = &now
-		r.Attempts++
-		r.Error = ""
-		r.Devices = devices
-	})
-	ref := &runRef{j: j, devices: c.devices, demand: j.Record().DeviceDemandBytes,
-		lane: c.lane, started: now, leases: leases}
-	s.qmu.Lock()
-	s.runningByID[j.Record().ID] = ref
-	s.qmu.Unlock()
-	s.running.Add(1)
-	s.runningG.Set(s.running.Load())
-	s.notify(j)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer func() { <-sem }()
-		defer cancel()
-		err := s.cfg.Run(ctx, j)
-		runWall := time.Since(now)
-		s.releaseLeases(c, leases)
-		s.running.Add(-1)
-		s.runningG.Set(s.running.Load())
-		s.traceRun(j, c.devices, now, runWall, err)
-		s.finish(j, c.wait, runWall, err)
-	}()
-}
-
-// traceRun drops a per-device span for the finished attempt on the
-// fleet's trace tracks (device i is pid i+1; the scheduler is pid 0).
-func (s *Scheduler) traceRun(j *Job, devices []int, start time.Time, wall time.Duration, err error) {
-	tr := s.cfg.Obs.Tracer()
-	rec := j.Record()
+// traceRun draws the finished attempt on the job's flight trace, one span
+// per leased device track, so a migrated job shows its attempts on
+// different device rows of a single Perfetto view.
+func (s *Scheduler) traceRun(ref *runRef, wall time.Duration, err error) {
+	jt := ref.j.Tracer()
+	if jt == nil {
+		return
+	}
 	outcome := "ok"
 	switch {
 	case errors.Is(err, ErrPreempted):
@@ -1018,26 +918,16 @@ func (s *Scheduler) traceRun(j *Job, devices []int, start time.Time, wall time.D
 	case err != nil:
 		outcome = "interrupted"
 	}
-	for _, d := range devices {
-		tr.Complete(obs.Track{Pid: int64(d) + 1}, "job", rec.ID, start, wall,
-			map[string]any{"tenant": rec.Params.Tenant, "lane": rec.Params.Lane(),
-				"leaseBytes": rec.DeviceDemandBytes, "outcome": outcome})
-	}
-	// Mirror the attempt onto the job's own flight trace, one span per
-	// leased device track, so a migrated job shows its attempts on
-	// different device rows of a single Perfetto view.
-	if jt := j.Tracer(); jt != nil {
-		name := fmt.Sprintf("run attempt %d", rec.Attempts)
-		for _, d := range devices {
-			jt.Complete(obs.Track{Pid: int64(flightDevicePidBase + d)}, "sched", name,
-				start, wall, map[string]any{"device": d, "outcome": outcome,
-					"leaseBytes": rec.DeviceDemandBytes})
-		}
+	name := fmt.Sprintf("run attempt %d", ref.j.Record().Attempts)
+	for _, d := range ref.devices {
+		jt.Complete(obs.Track{Pid: int64(flightDevicePidBase + d)}, "sched", name,
+			ref.started, wall, map[string]any{"device": d, "outcome": outcome, "leaseBytes": ref.demand})
 	}
 }
 
-// finish settles a run's outcome into the job record.
-func (s *Scheduler) finish(j *Job, wait, runWall time.Duration, err error) {
+// finish settles a released attempt's outcome into the job record.
+func (s *Scheduler) finish(ref *runRef, runWall time.Duration, err error) {
+	j := ref.j
 	canceledByUser := j.CancelRequested()
 	interrupted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 	now := time.Now()
@@ -1048,7 +938,7 @@ func (s *Scheduler) finish(j *Job, wait, runWall time.Duration, err error) {
 			r.State = StateSucceeded
 			r.FinishedAt = &now
 			if r.Result != nil {
-				r.Result.QueueWaitMs = float64(wait.Milliseconds())
+				r.Result.QueueWaitMs = float64(ref.started.Sub(ref.since).Milliseconds())
 			}
 		})
 		s.succeeded.Add(1)
@@ -1064,19 +954,25 @@ func (s *Scheduler) finish(j *Job, wait, runWall time.Duration, err error) {
 		// higher-priority claim: back to the head of the queue, committed
 		// stages resumable. The transition notifies (and the server sweeps
 		// scratch) BEFORE the job re-enters the lanes, so no new attempt
-		// can be racing the cleanup.
-		drainLatency := j.preemptLatency()
+		// can be racing the cleanup. preemptAt is final: release removed
+		// the attempt under the lock.
+		var drainLatency time.Duration
+		if !ref.preemptAt.IsZero() {
+			drainLatency = now.Sub(ref.preemptAt)
+		}
 		s.cfg.Recorder.Emit(j, EventDrain, map[string]any{
 			"reason": "preempt", "drainMs": drainLatency.Milliseconds()})
 		s.cfg.Recorder.ObserveDrain(drainLatency)
-		j.setRequeueReason("preempt")
 		j.resetPreempt()
 		j.Update(func(r *Record) {
 			r.State = StateQueued
 			r.Preemptions++
 		})
 		s.notify(j)
-		s.requeueFront(j)
+		s.mu.Lock()
+		runs := s.enqueueLocked(j, true)
+		s.mu.Unlock()
+		s.start(runs)
 	case canceledByUser && (interrupted || errors.Is(err, ErrPreempted)):
 		j.Update(func(r *Record) {
 			r.State = StateCanceled
@@ -1094,8 +990,6 @@ func (s *Scheduler) finish(j *Job, wait, runWall time.Duration, err error) {
 		// Drain: the job goes back to queued on disk; the next server
 		// start resumes it through the run manifest.
 		s.cfg.Recorder.Emit(j, EventDrain, map[string]any{"reason": "shutdown"})
-		j.setRequeueReason("drain")
-		j.resetPreempt()
 		j.Update(func(r *Record) { r.State = StateQueued })
 		s.notify(j)
 	default:
@@ -1143,11 +1037,11 @@ type FleetSnapshot struct {
 
 // Snapshot reports the fleet's current admission state.
 func (s *Scheduler) Snapshot() FleetSnapshot {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	snap := FleetSnapshot{
 		QueueDepth:  s.queuedTotal,
-		JobsRunning: int(s.running.Load()),
+		JobsRunning: len(s.runningByID),
 		Steals:      s.stealsC.Value(),
 		Preemptions: s.preemptionsC.Value(),
 	}
@@ -1158,16 +1052,11 @@ func (s *Scheduler) Snapshot() FleetSnapshot {
 			Card:          dev.Spec().Name,
 			CapacityBytes: dev.Capacity(),
 			LeasedBytes:   s.leased[d],
-		}
-		for lane := 0; lane < laneCount; lane++ {
-			ds.Queued += len(s.lanes[d][lane])
+			Queued:        len(s.lanes[d][laneInteractive]) + len(s.lanes[d][laneBatch]),
 		}
 		for id, ref := range s.runningByID {
-			for _, rd := range ref.devices {
-				if rd == d {
-					ds.Running = append(ds.Running, id)
-					break
-				}
+			if slices.Contains(ref.devices, d) {
+				ds.Running = append(ds.Running, id)
 			}
 		}
 		sort.Strings(ds.Running)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -302,6 +303,77 @@ func TestSchedulerCancelWhileRunning(t *testing.T) {
 	}
 }
 
+// TestSchedulerCancelDuringPreemptRequeue cancels a preempted batch job
+// from the transition hook of its requeue, after the record says queued
+// and before the job re-enters a lane. The cancel must stand: the job ends
+// canceled, never runs again, and leaves no lane entry behind.
+func TestSchedulerCancelDuringPreemptRequeue(t *testing.T) {
+	var s *Scheduler
+	var once sync.Once
+	var bgAttempts atomic.Int32
+	bgStarted := make(chan struct{})
+	reg := obs.NewRegistry()
+	s, err := NewScheduler(SchedulerConfig{
+		Fleet:         testFleet(100),
+		QueueCap:      8,
+		MaxConcurrent: 1,
+		Run: func(ctx context.Context, j *Job) error {
+			if j.Record().ID != "bg" {
+				return nil
+			}
+			if bgAttempts.Add(1) == 1 {
+				close(bgStarted)
+			}
+			select {
+			case <-j.Preempted():
+				return ErrPreempted
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		},
+		OnTransition: func(j *Job) {
+			if rec := j.Record(); rec.ID == "bg" && rec.State == StateQueued && rec.Preemptions == 1 {
+				once.Do(func() {
+					if _, err := s.Cancel("bg"); err != nil {
+						t.Errorf("cancel from the requeue hook: %v", err)
+					}
+				})
+			}
+		},
+		Obs: obs.New(nil, nil, reg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kill()
+
+	bg := testJob("bg", 100)
+	if err := s.Submit(bg); err != nil {
+		t.Fatal(err)
+	}
+	<-bgStarted
+	fg := testJobP("fg", 100, Params{Priority: PriorityInteractive})
+	if err := s.Submit(fg); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, fg, StateSucceeded)
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := bg.State(); got != StateCanceled {
+		t.Errorf("bg state = %s, want canceled", got)
+	}
+	if got := bgAttempts.Load(); got != 1 {
+		t.Errorf("bg ran %d attempts, want 1", got)
+	}
+	if got := s.QueueDepth(); got != 0 {
+		t.Errorf("queue depth %d, want 0", got)
+	}
+	if got := reg.Snapshot().Counters["serve.jobs_canceled"]; got != 1 {
+		t.Errorf("serve.jobs_canceled = %d, want 1", got)
+	}
+}
+
 // TestSchedulerDrainRequeues checks graceful shutdown: a running job goes
 // back to queued (resumable), and submissions during the drain bounce.
 func TestSchedulerDrainRequeues(t *testing.T) {
@@ -342,5 +414,54 @@ func TestSchedulerDrainRequeues(t *testing.T) {
 	}
 	if err := s.Submit(testJob("late", 1)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit during drain = %v, want ErrDraining", err)
+	}
+}
+
+// TestSchedulerStartsNoGoroutine: placement runs on the goroutine of the
+// event that triggers it, so a scheduler owns no goroutine of its own,
+// and Drain and Kill leave none of the run goroutines behind.
+func TestSchedulerStartsNoGoroutine(t *testing.T) {
+	for _, stop := range []string{"drain", "kill"} {
+		base := runtime.NumGoroutine()
+		rel := newReleaseMap("held")
+		s, err := NewScheduler(SchedulerConfig{
+			Fleet:         testFleet(100, 100),
+			QueueCap:      8,
+			MaxConcurrent: 2,
+			Run:           rel.run,
+			Obs:           obs.New(nil, nil, obs.NewRegistry()),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s: NewScheduler left %d goroutines running, baseline %d", stop, n, base)
+		}
+		held := testJob("held", 50)
+		if err := s.Submit(held); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			j := testJob(fmt.Sprintf("j%d", i), 50)
+			if err := s.Submit(j); err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, j, StateSucceeded)
+		}
+		waitState(t, held, StateRunning)
+		if stop == "drain" {
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			s.Kill()
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("after %s: %d goroutines, baseline %d", stop, n, base)
+		}
 	}
 }

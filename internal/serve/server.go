@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"bytes"
+	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -150,11 +150,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FlightRecorderEvents > 0 {
 		s.flight = NewFlightRecorder(cfg.FlightRecorderEvents, cfg.Obs.Metrics())
 	}
-	tr := cfg.Obs.Tracer()
-	tr.NameProcess(0, "scheduler")
-	for d := 0; d < fleet.Size(); d++ {
-		tr.NameProcess(int64(d)+1, fmt.Sprintf("device%02d %s", d, fleet.Device(d).Spec().Name))
-	}
 	s.sched, err = NewScheduler(SchedulerConfig{
 		Fleet:         fleet,
 		QueueCap:      cfg.QueueCap,
@@ -207,9 +202,6 @@ func (s *Server) recover() error {
 // Handler returns the server's HTTP handler: the API mux wrapped in the
 // request-logging middleware.
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// FlightRecorder exposes the flight recorder; nil when disabled.
-func (s *Server) FlightRecorder() *FlightRecorder { return s.flight }
 
 // Fleet exposes the device inventory (admission accounting, tests).
 func (s *Server) Fleet() *gpu.Fleet { return s.fleet }
@@ -418,7 +410,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
-	mux.HandleFunc("GET /debug/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/events", s.handleDebugEvents)
 	return mux
 }
@@ -544,7 +535,9 @@ func parseParams(r *http.Request) (Params, error) {
 }
 
 // handleSubmit accepts a FASTQ/FASTA body plus query-string knobs,
-// persists the job, and queues it. Responses: 201 with the job record,
+// persists the job, and queues it. The body is parsed as it streams into
+// the job's input.fastq, so it is never held whole; every rejection
+// removes the job directory again. Responses: 201 with the job record,
 // 400 on bad input, 413 when the body exceeds the limit, 422 when the job
 // can never fit on the fleet, 429 (+ adaptive Retry-After) when the run
 // queue is full, 503 while draining.
@@ -554,39 +547,57 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		return
-	}
-	reads, _, err := fastq.ReadAll(bytes.NewReader(body))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parsing reads: %v", err)
-		return
-	}
-	if reads.NumReads() == 0 {
-		writeError(w, http.StatusBadRequest, "no reads in body")
-		return
-	}
-	if reads.MaxLen() <= params.MinOverlap {
-		writeError(w, http.StatusUnprocessableEntity,
-			"lmin %d is not below the longest read length %d", params.MinOverlap, reads.MaxLen())
-		return
-	}
-
 	rec := Record{
 		ID:          NewJobID(),
 		Name:        r.URL.Query().Get("name"),
 		State:       StateSubmitted,
 		Params:      params,
-		NumReads:    reads.NumReads(),
-		MaxReadLen:  reads.MaxLen(),
 		SubmittedAt: time.Now().UTC(),
 	}
+	in, err := s.store.CreateJob(rec.ID)
+	admitted := false
+	defer func() {
+		if !admitted {
+			if err := s.store.Remove(rec.ID); err != nil {
+				s.log.Error("removing rejected job", "job", rec.ID, "err", err)
+			}
+		}
+	}()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "persisting job: %v", err)
+		return
+	}
+	body := &io.LimitedReader{R: r.Body, N: s.cfg.MaxBodyBytes + 1}
+	out := bufio.NewWriter(in)
+	reads, _, err := fastq.ReadAll(io.TeeReader(body, out))
+	rest := io.Writer(out) // the input is kept verbatim past where parsing stops
+	if err != nil {
+		rest = io.Discard // read on only so an oversized body answers 413, not 400
+	}
+	if _, cerr := io.Copy(rest, body); err == nil {
+		err = cerr
+	}
+	werr := errors.Join(out.Flush(), in.Close())
+	switch {
+	case body.N == 0:
+		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.cfg.MaxBodyBytes)
+		return
+	case werr != nil:
+		writeError(w, http.StatusInternalServerError, "persisting job input: %v", werr)
+		return
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "parsing reads: %v", err)
+		return
+	case reads.NumReads() == 0:
+		writeError(w, http.StatusBadRequest, "no reads in body")
+		return
+	case reads.MaxLen() <= params.MinOverlap:
+		writeError(w, http.StatusUnprocessableEntity,
+			"lmin %d is not below the longest read length %d", params.MinOverlap, reads.MaxLen())
+		return
+	}
+
+	rec.NumReads, rec.MaxReadLen = reads.NumReads(), reads.MaxLen()
 	rec.DeviceDemandBytes = s.jobConfig(rec).DeviceDemandBytes(reads.MaxLen())
 	if fit := s.fleet.FitCount(rec.DeviceDemandBytes); fit < params.ShardCount() {
 		writeError(w, http.StatusUnprocessableEntity,
@@ -605,15 +616,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			core.MaxReadsForHostBudget(backend, s.cfg.HostMemBytes, reads.MaxLen()), reads.MaxLen())
 		return
 	}
-	if err := s.store.CreateJob(rec, body); err != nil {
+	if err := s.store.Save(rec); err != nil {
 		writeError(w, http.StatusInternalServerError, "persisting job: %v", err)
 		return
 	}
 	j := NewJob(rec)
 	if err := s.sched.Submit(j); err != nil {
-		if rmErr := s.store.Remove(rec.ID); rmErr != nil {
-			s.log.Error("removing rejected job", "job", rec.ID, "err", rmErr)
-		}
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			retry := s.sched.EstimateRetryAfter(s.cfg.RetryAfter)
@@ -626,6 +634,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	admitted = true
 	w.Header().Set("Location", "/v1/jobs/"+rec.ID)
 	writeJSON(w, http.StatusCreated, j.Record())
 }
@@ -721,10 +730,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"maxReadsPerBackend": maxReads,
 		},
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.cfg.Obs.Metrics().Snapshot())
 }
 
 // handlePrometheus renders the metrics registry — scheduler instruments,

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -310,8 +311,8 @@ func TestServerKillAndRestart(t *testing.T) {
 
 // TestServerBackpressureAndMetrics fills the queue behind a deliberately
 // stalled job, checks overflow submissions bounce with 429 + Retry-After,
-// cancels a queued job over HTTP, and cross-checks /debug/metrics against
-// every observed response.
+// cancels a queued job over HTTP, and cross-checks the server's metrics
+// registry against every observed response.
 func TestServerBackpressureAndMetrics(t *testing.T) {
 	scfg := testServerConfig(t.TempDir())
 	scfg.QueueCap = 1
@@ -362,7 +363,7 @@ func TestServerBackpressureAndMetrics(t *testing.T) {
 		rejected++
 	}
 
-	snap := debugMetrics(t, ts.URL)
+	snap := scfg.Obs.Metrics().Snapshot()
 	if got := snap.Counters["serve.jobs_rejected"]; got != int64(rejected) {
 		t.Errorf("serve.jobs_rejected = %d, want %d (the observed 429s)", got, rejected)
 	}
@@ -399,26 +400,33 @@ func TestServerBackpressureAndMetrics(t *testing.T) {
 	}
 }
 
-// debugMetrics fetches and parses the /debug/metrics snapshot.
-func debugMetrics(t *testing.T, baseURL string) obs.Snapshot {
+// createJob lays a job directory out the way an admitted submission
+// leaves it: workspace, input, then the record.
+func createJob(t *testing.T, st *Store, rec Record, input string) {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/debug/metrics")
+	in, err := st.CreateJob(rec.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if _, err := in.WriteString(input); err != nil {
 		t.Fatal(err)
 	}
-	return snap
+	if err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(rec); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestServerRejectsBadSubmissions covers the submit-time validation
-// errors: garbage bodies, empty datasets, and overlap thresholds no read
-// can meet.
+// errors: garbage, malformed, and oversized bodies, empty datasets, and
+// overlap thresholds no read can meet. No rejection leaves a job
+// directory behind.
 func TestServerRejectsBadSubmissions(t *testing.T) {
-	srv, err := New(testServerConfig(t.TempDir()))
+	scfg := testServerConfig(t.TempDir())
+	scfg.MaxBodyBytes = 1 << 17 // above the parser's 64 KiB read buffer
+	srv, err := New(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,6 +452,33 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	if got := post("@r1\nACGT\n+\nIIII\n", "?lmin=notanumber"); got != http.StatusBadRequest {
 		t.Errorf("bad lmin: status %d, want 400", got)
 	}
+	noJobDirs := func(what string) {
+		t.Helper()
+		ents, err := os.ReadDir(srv.Store().JobsDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 0 {
+			t.Errorf("%s: %d job directories left behind, want 0", what, len(ents))
+		}
+	}
+	if got := post("@r1\nACGT\nIIII\n", "?lmin=3"); got != http.StatusBadRequest {
+		t.Errorf("malformed body: status %d, want 400", got)
+	}
+	noJobDirs("malformed body")
+	var big strings.Builder
+	for big.Len() <= int(scfg.MaxBodyBytes) {
+		fmt.Fprintf(&big, "@r%d\nACGTACGTACGTACGT\n+\nIIIIIIIIIIIIIIII\n", big.Len())
+	}
+	if got := post(big.String(), "?lmin=3"); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", got)
+	}
+	noJobDirs("oversized body")
+	// Size wins over a parse error the parser hits long before the limit.
+	if got := post("@r1\nACGT\nIIII\n"+big.String(), "?lmin=3"); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body malformed early: status %d, want 413", got)
+	}
+	noJobDirs("oversized body malformed early")
 	// Unknown jobs 404 on every per-job route.
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/result"} {
 		resp, err := http.Get(ts.URL + path)
@@ -457,13 +492,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		}
 	}
 	// No orphan directories linger from the rejected submissions.
-	ents, err := os.ReadDir(srv.Store().JobsDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Errorf("%d job directories after rejected submissions, want 0", len(ents))
-	}
+	noJobDirs("rejected submissions")
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -486,9 +515,7 @@ func TestStoreSweep(t *testing.T) {
 	}
 	// A terminal job whose workspace cleanup never ran.
 	done := Record{ID: "done", State: StateSucceeded, SubmittedAt: time.Now().UTC()}
-	if err := st.CreateJob(done, []byte("@r\nACGT\n+\nIIII\n")); err != nil {
-		t.Fatal(err)
-	}
+	createJob(t, st, done, "@r\nACGT\n+\nIIII\n")
 
 	swept, err := st.Sweep(obs.New(nil, nil, nil).Log())
 	if err != nil {

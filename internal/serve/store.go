@@ -37,9 +37,6 @@ func NewStore(root string) (*Store, error) {
 	return st, nil
 }
 
-// Root returns the data directory.
-func (st *Store) Root() string { return st.root }
-
 // JobsDir returns the directory holding all job directories.
 func (st *Store) JobsDir() string { return filepath.Join(st.root, "jobs") }
 
@@ -58,22 +55,16 @@ func (st *Store) ResultPath(id string) string { return filepath.Join(st.JobDir(i
 // recordPath returns the job's record file.
 func (st *Store) recordPath(id string) string { return filepath.Join(st.JobDir(id), recordFile) }
 
-// CreateJob materializes a new job directory: the input reads, the
-// pipeline workspace, and the initial record, in that order — the record
-// lands last so a crash mid-create leaves an orphan directory (swept on
-// the next start), never a record pointing at missing input.
-func (st *Store) CreateJob(rec Record, input []byte) error {
-	dir := st.JobDir(rec.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+// CreateJob materializes a new job directory — the pipeline workspace
+// and an empty input file — and returns the input file for the submission
+// to stream into. The record is saved last (Save), once the input is
+// complete, so a crash mid-create leaves an orphan directory (swept on the
+// next start), never a record pointing at missing input.
+func (st *Store) CreateJob(id string) (*os.File, error) {
+	if err := os.MkdirAll(st.WorkDir(id), 0o755); err != nil {
+		return nil, err
 	}
-	if err := os.WriteFile(st.InputPath(rec.ID), input, 0o644); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(st.WorkDir(rec.ID), 0o755); err != nil {
-		return err
-	}
-	return st.Save(rec)
+	return os.Create(st.InputPath(id))
 }
 
 // Save writes the record atomically (unique tmp + rename), so concurrent

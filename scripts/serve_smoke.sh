@@ -79,14 +79,10 @@ if ! cmp -s "$golden" "$work/served.fasta"; then
 fi
 echo "   byte-identical to direct assembly ($(wc -c < "$golden") bytes)"
 
-echo "== metrics sanity"
-metrics=$(curl -sf "$base/debug/metrics")
-printf '%s' "$metrics" | grep -q '"serve.jobs_admitted": *1' || { echo "metrics missing admitted=1: $metrics"; exit 1; }
-printf '%s' "$metrics" | grep -q '"serve.jobs_succeeded": *1' || { echo "metrics missing succeeded=1: $metrics"; exit 1; }
-
-echo "== prometheus exposition"
+echo "== metrics sanity (prometheus exposition)"
 prom=$(curl -sf "$base/metrics")
 [ -n "$prom" ] || { echo "/metrics returned an empty body"; exit 1; }
+printf '%s\n' "$prom" | grep -q '^serve_jobs_admitted 1$' || { echo "/metrics missing serve_jobs_admitted 1"; exit 1; }
 printf '%s\n' "$prom" | grep -q '^# TYPE serve_jobs_succeeded counter$' || { echo "/metrics missing TYPE line for serve_jobs_succeeded"; exit 1; }
 printf '%s\n' "$prom" | grep -q '^serve_jobs_succeeded 1$' || { echo "/metrics missing serve_jobs_succeeded 1"; exit 1; }
 printf '%s\n' "$prom" | grep -q 'serve_e2e_seconds_bucket{.*le="+Inf"' || { echo "/metrics missing +Inf bucket for serve_e2e_seconds"; exit 1; }

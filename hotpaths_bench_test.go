@@ -50,6 +50,7 @@ const (
 	hotBatchPairs  = 1024    // pairs per kvio read/write batch
 	hotFileBatches = 512     // batches written per kvio file rotation
 	hotChunkPairs  = 2048    // m_d-sized device chunk for the sort loop
+	hotSortReads   = 62400   // reads in the H.Genome ×0.5 input: the sort loop's vertex range
 	hotTileRows    = 4096    // rows in the two-hop reducer's tile (its default RowBatch)
 	hotWindowPairs = 1 << 19 // pairs per reduce window: M/2 at the default m_h = 2^20
 	hotBuildReads  = 512     // reads in the spmat build: two row buckets, ~1.4 MB of garbage per op
@@ -196,14 +197,18 @@ func setupKVIORoundtrip() (func() error, func(), error) {
 }
 
 // setupChunkSort times the device radix sort of one m_d-sized chunk,
-// the innermost kernel of the external sort's run-formation pass. Each
-// op re-copies the chunk from a pristine shuffle so every sort does the
-// same work.
+// the innermost kernel of the external sort's run-formation pass. Keys
+// are drawn in a partition's ranges — Hi below the fingerprint modulus,
+// Val a vertex of a hotSortReads-read input — so the chunk has the 19
+// non-uniform digit columns real partitions have (Val's top byte is
+// uniform). Each op re-copies the chunk from a pristine shuffle so every
+// sort does the same work.
 func setupChunkSort() (func() error, func(), error) {
 	rng := rand.New(rand.NewSource(44))
 	pristine := make([]kv.Pair, hotChunkPairs)
 	for i := range pristine {
-		pristine[i] = kv.Pair{Key: kv.Key{Hi: rng.Uint64(), Lo: rng.Uint64()}, Val: rng.Uint32()}
+		pristine[i] = kv.Pair{Key: kv.Key{Hi: rng.Uint64() % fingerprint.KeySpaceHi, Lo: rng.Uint64()},
+			Val: uint32(rng.Intn(2 * hotSortReads))}
 	}
 	work := make([]kv.Pair, hotChunkPairs)
 	dev := gpu.NewDevice(gpu.K40, nil)

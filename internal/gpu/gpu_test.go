@@ -165,6 +165,56 @@ func TestMergePairs(t *testing.T) {
 	}
 }
 
+// TestMergePairsIntoGrowsDst pins MergePairsInto's dst contract on both
+// entry points: a nil or short dst is grown, one with capacity for both
+// inputs is filled in place, and the merge and its charge are the same.
+func TestMergePairsIntoGrowsDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	a := randomPairs(rng, 300, 1<<20)
+	b := randomPairs(rng, 211, 1<<20)
+	testDevice().SortPairs(a)
+	testDevice().SortPairs(b)
+	want := testDevice().MergePairs(a, b)
+
+	merges := map[string]func(d *Device, dst []kv.Pair) []kv.Pair{
+		"Device": func(d *Device, dst []kv.Pair) []kv.Pair { return d.MergePairsInto(dst, a, b) },
+		"Stream": func(d *Device, dst []kv.Pair) []kv.Pair {
+			s := d.NewStream("merge", nil, true)
+			defer s.Close()
+			return s.MergePairsInto(dst, a, b)
+		},
+	}
+	for name, merge := range merges {
+		for _, dst := range []struct {
+			name string
+			buf  []kv.Pair
+		}{
+			{"nil", nil},
+			{"short", make([]kv.Pair, 7, 100)},
+			{"exact", make([]kv.Pair, 0, len(a)+len(b))},
+		} {
+			d := testDevice()
+			got := merge(d, dst.buf)
+			if len(got) != len(want) {
+				t.Fatalf("%s/%s: merged %d pairs, want %d", name, dst.name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s/%s: pair %d = %v, want %v", name, dst.name, i, got[i], want[i])
+				}
+			}
+			if dst.name == "exact" && &got[0] != &dst.buf[:1][0] {
+				t.Errorf("%s/exact: result does not reuse dst", name)
+			}
+			wantMem := 2 * int64(len(want)) * kv.PairBytes
+			if c := d.Meter().Snapshot(); c.DeviceMemBytes != wantMem || c.DeviceOps != int64(len(want)) {
+				t.Errorf("%s/%s: charged %d bytes %d ops, want %d and %d",
+					name, dst.name, c.DeviceMemBytes, c.DeviceOps, wantMem, len(want))
+			}
+		}
+	}
+}
+
 func TestMergePairsEmptySides(t *testing.T) {
 	d := testDevice()
 	a := []kv.Pair{{Key: kv.Key{Lo: 1}}, {Key: kv.Key{Lo: 2}}}

@@ -6,18 +6,20 @@ import (
 	"repro/internal/kv"
 )
 
-// SortPairs sorts ps in place by (128-bit key, 32-bit value) using an LSD
-// radix sort, the algorithm class the paper adopts from Merrill & Grimshaw
-// for GPU radix sorting. The value participates as the lowest-order digits
-// so that the order of equal-fingerprint runs is canonical — independent
-// of how tuples were laid out on disk — which keeps single-node and
-// distributed runs bit-identical. Passes whose digit column is constant
-// are skipped, matching the early-exit optimization of production GPU
-// sorts.
+// SortPairs sorts ps in place by (128-bit key, 32-bit value). The modeled
+// device runs an LSD radix sort over the 160-bit composite, the algorithm
+// class the paper adopts from Merrill & Grimshaw for GPU radix sorting, and
+// skips passes whose 8-bit digit column is constant, matching the
+// early-exit optimization of production GPU sorts. The value participates
+// as the lowest-order digits so that the order of equal-fingerprint runs
+// is canonical — independent of how tuples were laid out on disk — which
+// keeps single-node and distributed runs bit-identical.
 //
-// The cost model charges the bytes each executed pass streams through
+// The cost model charges the bytes each executed LSD pass streams through
 // device memory (one read plus one write of the whole buffer) plus one
-// scalar op per element per pass.
+// scalar op per element per pass. The host reaches the same order
+// MSD-first (see sortPairsKernel); which columns are non-uniform, and so
+// the charge, comes from one XOR-diff sweep.
 func (d *Device) SortPairs(ps []kv.Pair) {
 	d.SortPairsCost(ps)
 }
@@ -56,108 +58,129 @@ func getSortScratch(n int) *[]kv.Pair {
 	return &s
 }
 
-// sortPairsKernel executes the radix sort and returns the device-memory
-// bytes and scalar ops it cost, so both the direct Device entry point and
+// sortPairsKernel sorts ps (len ≥ 2) and returns the device-memory bytes
+// and scalar ops the modeled LSD sort spends on it, so both the Device and
 // the Stream entry point charge the meter and the modeled timeline from
-// the same actual pass count (passes vary with the skip-uniform-digit
-// optimization, so the cost is only known after execution).
+// the same pass count.
 //
-// All 20 digit histograms are built in one sweep over the input before
-// any scatter pass: histograms are permutation-invariant, so counting up
-// front over the original order yields byte-for-byte the same counts —
-// and the same uniform-column skips, and therefore the same executed pass
-// count and modeled charge — as recounting the current permutation before
-// each pass, while touching the array once instead of twenty times. The
-// scatter itself dispatches on which word holds the column's byte rather
-// than calling a per-element extractor closure.
+// The charge needs only to know which columns are uniform, and a column is
+// uniform exactly when its byte agrees with the first pair's in every pair.
+// One sweep ORs each pair's XOR with the first pair into a mask; a non-zero
+// mask byte is an executed LSD pass. The host then sorts MSD-first on the
+// non-uniform columns, which reaches the same total order on (Hi, Lo, Val)
+// — equal elements are identical, so the output bytes are the LSD sort's —
+// after touching most elements once or twice instead of once per column.
 func sortPairsKernel(ps []kv.Pair) (memBytes, ops int64) {
 	n := len(ps)
-	scratchPtr := getSortScratch(n)
-	scratch := *scratchPtr
-
-	var counts [radixCols][256]int
-	for i := range ps {
+	first := ps[0]
+	var diff kv.Pair
+	for i := 1; i < n; i++ {
 		p := &ps[i]
-		v, lo, hi := p.Val, p.Key.Lo, p.Key.Hi
-		counts[0][byte(v)]++
-		counts[1][byte(v>>8)]++
-		counts[2][byte(v>>16)]++
-		counts[3][byte(v>>24)]++
-		counts[4][byte(lo)]++
-		counts[5][byte(lo>>8)]++
-		counts[6][byte(lo>>16)]++
-		counts[7][byte(lo>>24)]++
-		counts[8][byte(lo>>32)]++
-		counts[9][byte(lo>>40)]++
-		counts[10][byte(lo>>48)]++
-		counts[11][byte(lo>>56)]++
-		counts[12][byte(hi)]++
-		counts[13][byte(hi>>8)]++
-		counts[14][byte(hi>>16)]++
-		counts[15][byte(hi>>24)]++
-		counts[16][byte(hi>>32)]++
-		counts[17][byte(hi>>40)]++
-		counts[18][byte(hi>>48)]++
-		counts[19][byte(hi>>56)]++
+		diff.Key.Hi |= p.Key.Hi ^ first.Key.Hi
+		diff.Key.Lo |= p.Key.Lo ^ first.Key.Lo
+		diff.Val |= p.Val ^ first.Val
 	}
-
-	src, dst := ps, scratch
+	var live [radixCols]uint8
 	passes := 0
-	for col := 0; col < radixCols; col++ {
-		c := &counts[col]
-		// A column whose first nonzero bucket holds every element is
-		// uniform; the pass is skipped (early-exit optimization).
-		uniform := false
-		for _, cnt := range c {
-			if cnt != 0 {
-				uniform = cnt == n
-				break
-			}
+	for col := radixCols - 1; col >= 0; col-- {
+		if colByte(&diff, col) != 0 {
+			live[passes] = uint8(col)
+			passes++
 		}
-		if uniform {
-			continue
-		}
-		passes++
-		// Exclusive prefix sum over digit counts (the scatter offsets).
-		sum := 0
-		for i := range c {
-			cnt := c[i]
-			c[i] = sum
-			sum += cnt
-		}
-		switch {
-		case col < 4:
-			shift := uint(col * 8)
-			for i := range src {
-				p := src[i]
-				dg := byte(p.Val >> shift)
-				dst[c[dg]] = p
-				c[dg]++
-			}
-		case col < 12:
-			shift := uint((col - 4) * 8)
-			for i := range src {
-				p := src[i]
-				dg := byte(p.Key.Lo >> shift)
-				dst[c[dg]] = p
-				c[dg]++
-			}
-		default:
-			shift := uint((col - 12) * 8)
-			for i := range src {
-				p := src[i]
-				dg := byte(p.Key.Hi >> shift)
-				dst[c[dg]] = p
-				c[dg]++
-			}
-		}
-		src, dst = dst, src
 	}
-	if &src[0] != &ps[0] {
-		copy(ps, src)
+	if passes == 0 {
+		return 0, 0
 	}
-	sortScratchPool.Put(scratchPtr)
+	if n <= msdCutoff {
+		insertionSortInto(ps, ps)
+	} else {
+		scratchPtr := getSortScratch(n)
+		msdSort(ps, *scratchPtr, live[:passes], true)
+		sortScratchPool.Put(scratchPtr)
+	}
 	return int64(passes) * 2 * int64(n) * kv.PairBytes, int64(passes) * int64(n)
+}
+
+// msdCutoff is the bucket size at or below which msdSort finishes with an
+// insertion sort instead of another counting scatter over 256 digits.
+const msdCutoff = 32
+
+// colByte returns digit column col of p: column 0 is the least significant
+// byte of Val, column 19 the most significant byte of Key.Hi.
+func colByte(p *kv.Pair, col int) byte {
+	switch {
+	case col >= 12:
+		return byte(p.Key.Hi >> (8 * (col - 12)))
+	case col >= 4:
+		return byte(p.Key.Lo >> (8 * (col - 4)))
+	}
+	return byte(p.Val >> (8 * col))
+}
+
+// msdSort sorts src (more than msdCutoff pairs) on the digit columns cols,
+// most significant first, using dst (same length, contents free) as the
+// scatter target. The result ends in src when inSrc is set and in dst
+// otherwise, so buckets alternate between the two buffers level by level
+// without copying back.
+func msdSort(src, dst []kv.Pair, cols []uint8, inSrc bool) {
+	n := len(src)
+	for ; len(cols) > 0; cols = cols[1:] {
+		col := int(cols[0])
+		var next [256]int
+		for i := range src {
+			next[colByte(&src[i], col)]++
+		}
+		if next[colByte(&src[0], col)] == n {
+			continue // uniform within this bucket
+		}
+		sum := 0
+		for d, c := range next {
+			next[d] = sum
+			sum += c
+		}
+		for i := range src {
+			d := colByte(&src[i], col)
+			dst[next[d]] = src[i]
+			next[d]++
+		}
+		// next[d] is now the end of bucket d.
+		start := 0
+		for _, end := range next {
+			switch m := end - start; {
+			case m == 1:
+				if inSrc {
+					src[start] = dst[start]
+				}
+			case m > msdCutoff:
+				msdSort(dst[start:end], src[start:end], cols[1:], !inSrc)
+			case m > 1:
+				if inSrc {
+					insertionSortInto(src[start:end], dst[start:end])
+				} else {
+					insertionSortInto(dst[start:end], dst[start:end])
+				}
+			}
+			start = end
+		}
+		return
+	}
+	// Every remaining column is uniform: the pairs are identical.
+	if !inSrc {
+		copy(dst, src)
+	}
+}
+
+// insertionSortInto writes src sorted by kv.Pair.Less into dst, which may
+// be src itself.
+func insertionSortInto(dst, src []kv.Pair) {
+	for i := range src {
+		x := src[i]
+		j := i
+		for ; j > 0 && x.Less(dst[j-1]); j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = x
+	}
 }
 
 // MergePairs merges two key-sorted slices into a single sorted output,
@@ -182,8 +205,10 @@ func (d *Device) MergePairs(a, b []kv.Pair) []kv.Pair {
 	return out
 }
 
-// MergePairsInto merges a and b into dst (which must have capacity for
-// both) and returns the filled slice, avoiding allocation in hot loops.
+// MergePairsInto merges a and b into dst[:0] and returns the filled slice.
+// A dst with capacity for both is reused without allocation, as hot loops
+// do; a nil or short dst is grown as append grows it, so the result need
+// not share dst's array.
 func (d *Device) MergePairsInto(dst, a, b []kv.Pair) []kv.Pair {
 	out, mem, ops := mergePairsIntoKernel(dst, a, b)
 	d.ChargeKernel(mem, ops)

@@ -233,10 +233,10 @@ func (s *Stream) chargeKernel(memBytes, ops int64) {
 	s.line.Charge(costmodel.TierDeviceOps, ops)
 }
 
-// SortPairs runs the radix-sort kernel with metering identical to
-// Device.SortPairs plus modeled placement on this stream. Value-producing
-// kernels execute synchronously (the caller needs the result), so the
-// stream is drained first.
+// SortPairs is Device.SortPairs on this stream: the same host sort and
+// the same LSD pass charge, metered identically and also placed on the
+// stream's modeled line. Value-producing kernels execute synchronously
+// (the caller needs the result), so the stream is drained first.
 func (s *Stream) SortPairs(ps []kv.Pair) {
 	s.Sync()
 	if len(ps) <= 1 {

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,6 +21,8 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/extsort"
 	"repro/internal/gpu"
+	"repro/internal/graph"
+	"repro/internal/kv"
 	"repro/internal/kvio"
 	"repro/internal/readsim"
 	"repro/internal/sga"
@@ -226,12 +229,7 @@ func BenchmarkGraphBackends(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					cfg := benchConfig(b, gpu.K40, p.MinOverlap)
-					switch backend {
-					case "full":
-						cfg.FullGraph = true
-					case "spmat":
-						cfg.GraphBackend = core.BackendSpmat
-					}
+					cfg.GraphBackend = backend
 					b.StartTimer()
 					var err error
 					res, err = Assemble(cfg, rs)
@@ -562,32 +560,46 @@ func BenchmarkFig9(b *testing.B) {
 
 // BenchmarkAblationMapKernel compares the paper's block-per-read
 // Hillis-Steele map kernel against the rejected per-read-thread scheme
-// (Section III-A): the modeled device time of the naive kernel is worse
-// because its memory accesses are uncoalesced, even when its host
+// (Section III-A) on a Mapper: the modeled Map time of the naive kernel is
+// worse because its memory accesses are uncoalesced, even when its host
 // wall-clock is competitive.
 func BenchmarkAblationMapKernel(b *testing.B) {
 	p, rs := benchReads(b, 0)
+	cfg := benchConfig(b, gpu.K40, p.MinOverlap)
+	modeled := map[bool]float64{}
 	for _, naive := range []bool{false, true} {
 		name := "hillis-steele"
 		if naive {
 			name = "naive-per-read"
 		}
 		b.Run(name, func(b *testing.B) {
-			var modeledMap float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cfg := benchConfig(b, gpu.K40, p.MinOverlap)
-				cfg.NaiveMapKernel = naive
+				dir := b.TempDir()
+				dev := gpu.NewDevice(cfg.GPU, nil)
+				m := core.NewMapper(dev, nil, cfg.MinOverlap, cfg.MapBatchReads, rs.MaxLen())
+				m.Workers = cfg.Workers
+				m.NaiveKernel = naive
+				sfxW := kvio.NewPartitionWriters(dir, kvio.Suffix, dev.Meter())
+				pfxW := kvio.NewPartitionWriters(dir, kvio.Prefix, dev.Meter())
 				b.StartTimer()
-				res, err := Assemble(cfg, rs)
+				err := m.MapRange(context.Background(), rs, 0, rs.NumReads(), sfxW, pfxW)
+				if err == nil {
+					err = sfxW.Close()
+				}
+				if err == nil {
+					err = pfxW.Close()
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				ps, _ := res.PhaseByName(core.PhaseMap)
-				modeledMap = ps.Modeled.Seconds()
+				modeled[naive] = dev.Meter().Snapshot().Time(cfg.Profile()).Seconds()
 			}
-			b.ReportMetric(modeledMap*1000, "modeled-map-ms")
+			b.ReportMetric(modeled[naive]*1000, "modeled-map-ms")
 		})
+	}
+	if scan, naive := modeled[false], modeled[true]; scan > 0 && naive <= scan {
+		b.Errorf("naive kernel modeled Map %.3f ms, scan kernel %.3f ms", naive*1000, scan*1000)
 	}
 }
 
@@ -655,24 +667,46 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 }
 
 // BenchmarkAblationTraversal compares the sequential path walk against
-// the BSP pointer-jumping traversal (the paper's future-work parallel
-// graph processing) inside the compress phase.
+// the BSP pointer-jumping traversal (the paper's future-work parallel graph
+// processing) on one run's greedy graph, rebuilt from its edges.kv.
 func BenchmarkAblationTraversal(b *testing.B) {
 	p, rs := benchReads(b, 3)
+	cfg := benchConfig(b, gpu.K40, p.MinOverlap)
+	cfg.KeepIntermediate = true
+	if _, err := Assemble(cfg, rs); err != nil {
+		b.Fatal(err)
+	}
+	g := graph.New(rs.NumReads())
+	r, err := kvio.NewReader(filepath.Join(cfg.Workspace, "edges.kv"), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]kv.Pair, 4096)
+	for {
+		n, err := r.ReadBatch(buf)
+		for _, pr := range buf[:n] {
+			g.InstallEdge(graph.EdgeOfPair(pr))
+		}
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			b.Fatal(err)
+		}
+	}
+	r.Close()
 	for _, parallel := range []bool{false, true} {
 		name := "sequential"
 		if parallel {
 			name = "bsp-pointer-jumping"
 		}
 		b.Run(name, func(b *testing.B) {
+			opts := graph.TraverseOptions{BreakCycles: !parallel}
+			dev := gpu.NewDevice(cfg.GPU, nil)
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := benchConfig(b, gpu.K40, p.MinOverlap)
-				cfg.ParallelTraversal = parallel
-				cfg.BreakCycles = !parallel
-				b.StartTimer()
-				if _, err := Assemble(cfg, rs); err != nil {
-					b.Fatal(err)
+				if parallel {
+					g.TraverseParallel(dev, rs.VertexLen, opts)
+				} else {
+					g.Traverse(rs.VertexLen, opts)
 				}
 			}
 		})

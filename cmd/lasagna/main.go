@@ -6,7 +6,7 @@
 //
 //	lasagna -in reads.fastq -workspace ./work -lmin 63
 //	lasagna -in reads.fastq -workspace ./work -lmin 63 -nodes 8 -gpu K20X
-//	lasagna -in a.fastq.gz,b.fastq.gz -workspace ./work -dedupe -fullgraph -reference genome.fasta
+//	lasagna -in a.fastq.gz,b.fastq.gz -workspace ./work -dedupe -graph-backend full -reference genome.fasta
 //	lasagna -in reads.fastq -workspace ./work -resume   # re-enter an interrupted run
 //
 // Observability (composes with every mode above, including -resume):
@@ -49,9 +49,7 @@ func main() {
 		keepFiles  = flag.Bool("keep-intermediate", false, "retain partition/sort files")
 		dedupe     = flag.Bool("dedupe", false, "remove duplicate reads before assembly")
 		packed     = flag.Bool("packed", false, "store bulk reads 2-bit packed in host memory")
-		fullGraph  = flag.Bool("fullgraph", false, "full string graph with transitive reduction instead of greedy")
-		backend    = flag.String("graph-backend", "", "reduce/compress engine: greedy (default), spmat (CSR sparse matrix with masked-SpGEMM transitive reduction), or succinct (compressed rank/select adjacency built in one pass from sorted edge runs)")
-		bsp        = flag.Bool("parallel-traversal", false, "BSP pointer-jumping path traversal")
+		backend    = flag.String("graph-backend", "", "reduce/compress engine: greedy (default; the paper's bit-vector graph), full (full string graph with Myers transitive reduction), spmat (CSR sparse matrix with masked-SpGEMM transitive reduction), or succinct (compressed rank/select adjacency built in one pass from sorted edge runs)")
 		byFp       = flag.Bool("partition-by-fingerprint", false, "distributed shuffle by fingerprint range (with -nodes)")
 		workers    = flag.Int("workers", 0, "concurrent partition workers, per node with -nodes (0 = GOMAXPROCS, 1 = serial; output is identical)")
 		streams    = flag.Bool("streams", true, "overlap async transfers with kernels on modeled streams (output is identical; modeled time only shrinks)")
@@ -59,7 +57,7 @@ func main() {
 		resume     = flag.Bool("resume", false, "resume an interrupted run from the workspace's manifest")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
 		debugAddr  = flag.String("debug-addr", "", "serve Prometheus metrics and pprof debug endpoints on this address (e.g. localhost:6060)")
-		verbose    = flag.Bool("v", false, "verbose logging: debug-level stage, resume, and worker-pool events")
+		verbose    = flag.Bool("v", false, "verbose logging: debug-level stage and resume events")
 		quiet      = flag.Bool("quiet", false, "log errors only")
 		logFormat  = flag.String("log-format", "text", "structured log format: text or json")
 		version    = flag.Bool("version", false, "print version and exit")
@@ -142,9 +140,7 @@ func main() {
 	cfg.KeepIntermediate = *keepFiles
 	cfg.DedupeReads = *dedupe
 	cfg.PackedReads = *packed
-	cfg.FullGraph = *fullGraph
 	cfg.GraphBackend = *backend
-	cfg.ParallelTraversal = *bsp
 	cfg.Streams = *streams
 	cfg.Resume = *resume
 	if *workers != 0 {

@@ -1,8 +1,16 @@
 package lasagna
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/gpu"
+	"repro/internal/kvio"
 	"repro/internal/quality"
 	"repro/internal/readsim"
 )
@@ -39,30 +47,50 @@ func TestIntegrationFullCoverageWithDedupe(t *testing.T) {
 
 func TestIntegrationNaiveKernelIdenticalOutput(t *testing.T) {
 	// The rejected per-read-thread kernel computes the same fingerprints,
-	// so the whole assembly must be bit-identical; only modeled device
-	// cost differs.
+	// so a Mapper on it writes byte-identical raw partitions, on which
+	// every later stage is a function; only the modeled device cost differs.
 	_, reads := GenerateDataset(Datasets[0].Scaled(0.05))
-	run := func(naive bool) *Result {
-		cfg := DefaultConfig(t.TempDir())
-		cfg.MinOverlap = Datasets[0].MinOverlap
-		cfg.HostBlockPairs = 1 << 13
-		cfg.DeviceBlockPairs = 1 << 10
-		cfg.NaiveMapKernel = naive
-		res, err := Assemble(cfg, reads)
+	cfg := DefaultConfig(t.TempDir())
+	cfg.MinOverlap = Datasets[0].MinOverlap
+	run := func(naive bool) (map[string][]byte, int64) {
+		dir := t.TempDir()
+		dev := gpu.NewDevice(cfg.GPU, nil)
+		m := core.NewMapper(dev, nil, cfg.MinOverlap, cfg.MapBatchReads, reads.MaxLen())
+		m.Workers = cfg.Workers
+		m.NaiveKernel = naive
+		sfxW := kvio.NewPartitionWriters(dir, kvio.Suffix, dev.Meter())
+		pfxW := kvio.NewPartitionWriters(dir, kvio.Prefix, dev.Meter())
+		err := m.MapRange(context.Background(), reads, 0, reads.NumReads(), sfxW, pfxW)
+		if err == nil {
+			err = errors.Join(sfxW.Close(), pfxW.Close())
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	a, b := run(false), run(true)
-	if a.AcceptedEdges != b.AcceptedEdges || len(a.Contigs) != len(b.Contigs) {
-		t.Fatalf("kernel choice changed the assembly: %d/%d edges, %d/%d contigs",
-			a.AcceptedEdges, b.AcceptedEdges, len(a.Contigs), len(b.Contigs))
-	}
-	for i := range a.Contigs {
-		if !a.Contigs[i].Equal(b.Contigs[i]) {
-			t.Fatalf("contig %d differs between kernels", i)
+		files := map[string][]byte{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, e := range entries {
+			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return files, dev.Meter().Snapshot().DeviceMemBytes
+	}
+	scanFiles, scanBytes := run(false)
+	naiveFiles, naiveBytes := run(true)
+	if len(scanFiles) == 0 || len(naiveFiles) != len(scanFiles) {
+		t.Fatalf("kernel choice changed the partition set: %d vs %d files", len(naiveFiles), len(scanFiles))
+	}
+	for name, data := range scanFiles {
+		if !bytes.Equal(naiveFiles[name], data) {
+			t.Fatalf("%s differs between kernels", name)
+		}
+	}
+	if naiveBytes <= scanBytes {
+		t.Errorf("naive kernel device bytes %d, scan kernel %d: want more", naiveBytes, scanBytes)
 	}
 }
 

@@ -44,9 +44,7 @@ func TestClusterRunsEveryKnob(t *testing.T) {
 		{"VerifyOverlaps", func(c *core.Config) { c.VerifyOverlaps = true }},
 		{"DedupeReads", func(c *core.Config) { c.DedupeReads = true }},
 		{"PackedReads", func(c *core.Config) { c.PackedReads = true }},
-		{"FullGraph", func(c *core.Config) { c.FullGraph = true }},
-		{"ParallelTraversal", func(c *core.Config) { c.ParallelTraversal = true }},
-		{"NaiveMapKernel", func(c *core.Config) { c.NaiveMapKernel = true }},
+		{"GraphBackend=full", func(c *core.Config) { c.GraphBackend = core.BackendFull }},
 		{"KeepIntermediate", func(c *core.Config) { c.KeepIntermediate = true }},
 	}
 	for _, knob := range knobs {

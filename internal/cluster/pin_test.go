@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -83,13 +82,13 @@ func pinSingle(t *testing.T, res *core.Result) pin {
 
 // TestModeledPins holds every modeled number of the cluster and the
 // single-node pipeline on testData to the values recorded in
-// testdata/pins.json, for {1, 3} nodes x every graph engine (the three
-// backends and the full string graph) x both partitionings at Workers 1 and
-// 4, and the single-node pipeline at Workers 1 and 4. The file was recorded
-// before the node runtime moved into core (go test ./internal/cluster -run
-// TestModeledPins -update-pins rewrites it; the full-graph cells were added
-// when the cluster learned FullGraph): a worker count is not part of a
-// cell's key, so the table also asserts modeled cost is worker-independent.
+// testdata/pins.json, for {1, 3} nodes x every graph backend x both
+// partitionings at Workers 1 and 4, and the single-node pipeline at Workers
+// 1 and 4. The file was recorded before the node runtime moved into core
+// (go test ./internal/cluster -run TestModeledPins -update-pins rewrites it;
+// the "fullgraph" cells were added when the cluster learned the full graph,
+// then a flag of its own): a worker count is not part of a cell's key, so
+// the table also asserts modeled cost is worker-independent.
 func TestModeledPins(t *testing.T) {
 	_, reads := testData(t)
 	path := filepath.Join("testdata", "pins.json")
@@ -116,12 +115,13 @@ func TestModeledPins(t *testing.T) {
 			t.Errorf("%s (%s):\n got %+v\nwant %+v", key, variant, norm, w)
 		}
 	}
-	for _, engine := range append(slices.Clone(core.Backends), "fullgraph") {
-		use := func(cfg *core.Config) {
-			if cfg.FullGraph = engine == "fullgraph"; !cfg.FullGraph {
-				cfg.GraphBackend = engine
-			}
+	for _, backend := range core.Backends {
+		// The full graph's cells keep the name they were recorded under.
+		engine := backend
+		if backend == core.BackendFull {
+			engine = "fullgraph"
 		}
+		use := func(cfg *core.Config) { cfg.GraphBackend = backend }
 		for _, workers := range []int{1, 4} {
 			cfg := singleConfig(t)
 			use(&cfg)

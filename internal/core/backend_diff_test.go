@@ -103,7 +103,7 @@ func runBackendShape(t *testing.T, shape backendShape, engine string) (*Result, 
 	switch engine {
 	case "greedy":
 	case "full":
-		cfg.FullGraph = true
+		cfg.GraphBackend = BackendFull
 	case "spmat":
 		cfg.GraphBackend = BackendSpmat
 	case "succinct":

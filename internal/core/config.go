@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/costmodel"
 	"repro/internal/gpu"
@@ -19,7 +20,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Config parameterizes an assembly run.
+// Config parameterizes an assembly run: the knobs that change the answer
+// (or the machine it is computed on) plus the execution knobs the resume
+// fingerprint leaves out. Ablations configure the layer they ablate — a
+// Mapper's NaiveKernel, graph.TraverseParallel — not this struct.
 type Config struct {
 	// Workspace is the scratch directory for partition files, sort runs,
 	// and outputs. It must exist.
@@ -63,38 +67,29 @@ type Config struct {
 	// full re-run; stale state is never trusted. See DESIGN.md, "Stage
 	// graph and resume".
 	Resume bool
-	// FullGraph switches the reduce phase from the paper's greedy graph
-	// to the full string graph of Section II-A.2: every candidate overlap
-	// becomes an edge, transitive edges are removed (Myers 2005), and
-	// contigs are spelled from unitig chains. Costs memory proportional
-	// to the number of overlaps instead of the number of reads.
-	FullGraph bool
 	// TransitiveFuzz is the overhang slack allowed when identifying
-	// transitive edges in FullGraph and spmat modes (0 suits exact,
-	// error-free overlaps).
+	// transitive edges under the full, spmat and succinct engines (0 suits
+	// exact, error-free overlaps).
 	TransitiveFuzz int
 	// GraphBackend selects the engine behind the Reduce and Compress
-	// stages. "" or BackendGreedy is the paper's pipeline: the greedy
-	// bit-vector graph (or the sgraph full graph when FullGraph is set).
-	// BackendSpmat stores the string graph as a CSR sparse matrix and
-	// removes transitive edges with a masked SpGEMM pass metered as
-	// batched, tiled device kernels (see internal/spmat). spmat removes a
-	// superset of the Myers sweep's transitive edges while preserving
-	// reachability; contigs are spelled from the same unitig rule as
-	// FullGraph (see DESIGN.md, "Sparse-matrix graph backend").
-	// BackendSuccinct runs the same reduction predicate over a
+	// stages (DESIGN.md, "Graph engines"); it is the one field that does.
+	// "" or BackendGreedy is the paper's greedy bit-vector graph.
+	// BackendFull is the full string graph of Section II-A.2: every
+	// candidate overlap becomes an edge, transitive edges are removed
+	// (Myers 2005), and contigs are spelled from unitig chains, at a memory
+	// cost proportional to the overlaps instead of the reads. BackendSpmat
+	// stores the string graph as a CSR sparse matrix and removes transitive
+	// edges with a masked SpGEMM pass metered as batched, tiled device
+	// kernels (see internal/spmat); it removes a superset of the Myers
+	// sweep's transitive edges while preserving reachability, and spells
+	// contigs by the same unitig rule (see DESIGN.md, "Sparse-matrix graph
+	// backend"). BackendSuccinct runs the same reduction predicate over a
 	// delta-compressed adjacency store built streaming off the sorted
 	// candidate runs, trading decode work for a host peak several times
-	// below the CSR and edge-list layouts (see DESIGN.md, "Succinct
-	// overlap-graph store"). spmat and succinct produce byte-identical
-	// contigs. Output-relevant: part of the resume fingerprint. spmat and
-	// succinct are mutually exclusive with FullGraph.
+	// below the CSR and edge-list layouts (see DESIGN.md, "Succinct overlap-
+	// graph store"). spmat and succinct produce byte-identical contigs.
+	// Output-relevant: part of the resume fingerprint.
 	GraphBackend string
-	// ParallelTraversal extracts paths with the BSP pointer-jumping
-	// traversal (the paper's future-work parallel graph processing)
-	// instead of the sequential walk. Outputs are identical on shotgun
-	// data; residual cycles are skipped rather than broken.
-	ParallelTraversal bool
 	// PackedReads stores the bulk reads 2-bit packed (a quarter of the
 	// byte-per-base footprint), matching the encoding the paper's
 	// host-memory accounting assumes; reads are unpacked per access.
@@ -113,10 +108,6 @@ type Config struct {
 	// and overlap accounting"). Execution knob: excluded from the resume
 	// fingerprint.
 	Streams bool
-	// NaiveMapKernel switches the map phase to the per-read-thread
-	// fingerprint kernel the paper rejects (Section III-A); exposed for
-	// the ablation benchmarks.
-	NaiveMapKernel bool
 	// VerifyOverlaps cross-checks every candidate edge against the actual
 	// read sequences before inserting it, turning fingerprint false
 	// positives into hard errors. The paper reports zero false positives
@@ -143,6 +134,10 @@ const (
 	// BackendGreedy is the paper's reduce/compress engine (also the
 	// resolution of the empty string).
 	BackendGreedy = "greedy"
+	// BackendFull is the full string graph: adjacency lists holding every
+	// candidate edge, Myers' transitive-reduction sweep, unitig compression
+	// (see internal/sgraph).
+	BackendFull = "full"
 	// BackendSpmat is the sparse-matrix engine: CSR adjacency, masked
 	// SpGEMM transitive reduction, unitig compression.
 	BackendSpmat = "spmat"
@@ -156,7 +151,7 @@ const (
 )
 
 // Backends lists the valid GraphBackend values, for CLI/API validation.
-var Backends = []string{BackendGreedy, BackendSpmat, BackendSuccinct}
+var Backends = []string{BackendGreedy, BackendFull, BackendSpmat, BackendSuccinct}
 
 // Progress events delivered to Config.Progress.
 const (
@@ -209,16 +204,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: device block needs %d bytes, %s has %d",
 			need, c.GPU.Name, c.GPU.MemBytes)
 	}
-	switch c.GraphBackend {
-	case "", BackendGreedy:
-	case BackendSpmat, BackendSuccinct:
-		if c.FullGraph {
-			return fmt.Errorf("core: GraphBackend %q and FullGraph are mutually exclusive graph engines",
-				c.GraphBackend)
-		}
-	default:
-		return fmt.Errorf("core: unknown GraphBackend %q (want %q, %q, or %q)",
-			c.GraphBackend, BackendGreedy, BackendSpmat, BackendSuccinct)
+	if c.GraphBackend != "" && !slices.Contains(Backends, c.GraphBackend) {
+		return fmt.Errorf("core: unknown GraphBackend %q (want one of %v)", c.GraphBackend, Backends)
 	}
 	return nil
 }
@@ -235,7 +222,7 @@ func (c Config) backend() string {
 // graph: the one engine whose result depends on candidates arriving in
 // descending length, which a cluster serializes by forwarding the
 // bit-vector between partition owners.
-func (c Config) GreedyGraph() bool { return c.backend() == BackendGreedy && !c.FullGraph }
+func (c Config) GreedyGraph() bool { return c.backend() == BackendGreedy }
 
 // Profile returns the cost-model profile for the configured card on the
 // default disk (and, for clusters, InfiniBand links).

@@ -74,18 +74,17 @@ type EngineStats struct {
 }
 
 // NewGraphEngine is the one place a backend is selected: it resolves the
-// node's GraphBackend and FullGraph to the engine that implements them,
-// running on the node (a spilling engine keeps its sort_* directory in the
+// node's GraphBackend to the engine that implements it, running on the node (a spilling engine keeps its sort_* directory in the
 // node's Scratch, swept with the other sort debris after a crash).
 func (n *Node) NewGraphEngine(rs dna.ReadSource) GraphEngine {
 	base := engineBase{env: n, rs: rs}
-	switch {
-	case n.cfg.backend() == BackendSpmat:
-		return &spmatEngine{twoHopEngine{engineBase: base}, spmat.NewBuilder(rs.NumReads())}
-	case n.cfg.backend() == BackendSuccinct:
-		return &succinctEngine{twoHopEngine: twoHopEngine{engineBase: base}}
-	case n.cfg.FullGraph:
+	switch n.cfg.backend() {
+	case BackendFull:
 		return &fullEngine{engineBase: base, g: sgraph.New(rs.NumReads())}
+	case BackendSpmat:
+		return &spmatEngine{twoHopEngine{engineBase: base}, spmat.NewBuilder(rs.NumReads())}
+	case BackendSuccinct:
+		return &succinctEngine{twoHopEngine: twoHopEngine{engineBase: base}}
 	}
 	e := &greedyEngine{base, graph.New(rs.NumReads())}
 	e.hold(e.g.ApproxBytes())
@@ -180,17 +179,13 @@ func (e *greedyEngine) Load(next func() (graph.Edge, bool, error)) error {
 }
 
 func (e *greedyEngine) Paths() ([]graph.Path, error) {
-	opts := graph.TraverseOptions{
+	return e.g.Traverse(e.rs.VertexLen, graph.TraverseOptions{
 		IncludeSingletons: e.env.cfg.IncludeSingletons,
 		BreakCycles:       e.env.cfg.BreakCycles,
-	}
-	if e.env.cfg.ParallelTraversal {
-		return e.g.TraverseParallel(e.env.Device, e.rs.VertexLen, opts), nil
-	}
-	return e.g.Traverse(e.rs.VertexLen, opts), nil
+	}), nil
 }
 
-// fullEngine is Config.FullGraph: every candidate enters the
+// fullEngine is BackendFull: every candidate enters the
 // adjacency-list string graph and Myers' sweep marks the transitive ones.
 // Its host bytes are known only once the adjacency lists stop growing.
 type fullEngine struct {

@@ -12,7 +12,7 @@ func TestFullGraphModeAssembles(t *testing.T) {
 	genome := readsim.Genome(readsim.GenomeParams{Length: 5000, Seed: 501})
 	reads := readsim.Simulate(genome, readsim.ReadParams{ReadLen: 64, Coverage: 14, Seed: 502})
 	cfg := smallConfig(t)
-	cfg.FullGraph = true
+	cfg.GraphBackend = BackendFull
 	cfg.DedupeReads = true
 	cfg.VerifyOverlaps = true
 	p, err := New(cfg)
@@ -46,9 +46,9 @@ func TestFullGraphAtLeastAsContiguousAsGreedy(t *testing.T) {
 	// error-free data its N50 must be at least the greedy N50.
 	genome := readsim.Genome(readsim.GenomeParams{Length: 6000, Seed: 503})
 	reads := readsim.Simulate(genome, readsim.ReadParams{ReadLen: 64, Coverage: 18, Seed: 504})
-	run := func(full bool) int {
+	run := func(backend string) int {
 		cfg := smallConfig(t)
-		cfg.FullGraph = full
+		cfg.GraphBackend = backend
 		cfg.DedupeReads = true
 		p, err := New(cfg)
 		if err != nil {
@@ -61,13 +61,13 @@ func TestFullGraphAtLeastAsContiguousAsGreedy(t *testing.T) {
 		for i, c := range res.Contigs {
 			if !strings.Contains(genome.String(), c.String()) &&
 				!strings.Contains(genome.ReverseComplement().String(), c.String()) {
-				t.Fatalf("full=%v: contig %d not a genome substring", full, i)
+				t.Fatalf("%s: contig %d not a genome substring", backend, i)
 			}
 		}
 		return res.ContigStats.N50
 	}
-	greedy := run(false)
-	full := run(true)
+	greedy := run(BackendGreedy)
+	full := run(BackendFull)
 	if full < greedy {
 		t.Errorf("full-graph N50 %d < greedy N50 %d", full, greedy)
 	}
@@ -76,7 +76,7 @@ func TestFullGraphAtLeastAsContiguousAsGreedy(t *testing.T) {
 func TestFullGraphContigsWrittenToFasta(t *testing.T) {
 	_, reads := testGenomeReads(t, 1500, 50, 10)
 	cfg := smallConfig(t)
-	cfg.FullGraph = true
+	cfg.GraphBackend = BackendFull
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -157,12 +157,21 @@ func (c Config) Fingerprint() string {
 	fmt.Fprintf(h, "v%d|min=%d|mh=%d|md=%d|mb=%d|gpu=%s/%d",
 		manifestVersion, c.MinOverlap, c.HostBlockPairs, c.DeviceBlockPairs,
 		c.MapBatchReads, c.GPU.Name, c.GPU.MemBytes)
-	fmt.Fprintf(h, "|sing=%t|cyc=%t|fg=%t|fuzz=%d|ptrav=%t|pack=%t|dedupe=%t|naive=%t|verify=%t",
-		c.IncludeSingletons, c.BreakCycles, c.FullGraph, c.TransitiveFuzz,
-		c.ParallelTraversal, c.PackedReads, c.DedupeReads, c.NaiveMapKernel, c.VerifyOverlaps)
+	// The spelling predates BackendFull, when the full graph was a flag of
+	// its own beside a greedy GraphBackend and two ablation switches sat in
+	// Config: it is kept byte for byte (fg=, backend=greedy for full, and
+	// the constant ptrav/naive terms) so existing manifests still resume.
+	full := c.backend() == BackendFull
+	fmt.Fprintf(h, "|sing=%t|cyc=%t|fg=%t|fuzz=%d|ptrav=false|pack=%t|dedupe=%t|naive=false|verify=%t",
+		c.IncludeSingletons, c.BreakCycles, full, c.TransitiveFuzz,
+		c.PackedReads, c.DedupeReads, c.VerifyOverlaps)
 	// The resolved backend, not the raw knob: "" and "greedy" must
 	// fingerprint identically because they produce identical bytes.
-	fmt.Fprintf(h, "|backend=%s", c.backend())
+	backend := c.backend()
+	if full {
+		backend = BackendGreedy
+	}
+	fmt.Fprintf(h, "|backend=%s", backend)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

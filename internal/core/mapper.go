@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/costmodel"
 	"repro/internal/dna"
@@ -60,124 +59,34 @@ func NewMapper(dev *gpu.Device, hostMem *stats.MemTracker, minOverlap, batchRead
 // MapRange maps reads [start, end) of rs into the partition writers.
 // Batches are fingerprinted by up to Workers concurrent goroutines, but
 // their tuples are written strictly in batch order by the calling
-// goroutine, so the partition files do not depend on Workers. Cancelling
-// ctx aborts between batches with ctx.Err(); cancellation surfaces as an
-// error from within a batch job, so every dispatched job still delivers
-// exactly one result and the pool drains without leaking goroutines.
+// goroutine (runOrdered), so the partition files do not depend on Workers.
+// Cancelling ctx aborts between batches with ctx.Err(); the tuple bytes of
+// every batch mapped but never written are released from HostMem.
 func (m *Mapper) MapRange(ctx context.Context, rs dna.ReadSource, start, end int,
 	sfxW, pfxW *kvio.PartitionWriters) error {
 	if end <= start {
 		return nil
 	}
-	numBatches := (end - start + m.BatchReads - 1) / m.BatchReads
-	workers := m.Workers
-	if workers > numBatches {
-		workers = numBatches
-	}
-	if workers <= 1 {
-		for i := 0; i < numBatches; i++ {
-			lo, hi := m.batchBounds(start, end, i)
-			tuples, bytes, err := m.mapBatchSpan(ctx, rs, 0, i, lo, hi)
-			if err != nil {
-				return err
-			}
-			err = m.writeBatch(tuples, sfxW, pfxW)
-			if m.HostMem != nil {
-				m.HostMem.Release(bytes)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	type batchResult struct {
-		idx    int
+	type batch struct {
 		tuples []mapTuple
 		bytes  int64
-		err    error
 	}
-	jobs := make(chan int)
-	results := make(chan batchResult, workers)
-	abort := make(chan struct{})
-	var wg sync.WaitGroup
-	m.Obs.Log().Debug("map worker pool start", "workers", workers, "batches", numBatches)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for idx := range jobs {
-				lo, hi := m.batchBounds(start, end, idx)
-				tuples, bytes, err := m.mapBatchSpan(ctx, rs, w, idx, lo, hi)
-				select {
-				case results <- batchResult{idx, tuples, bytes, err}:
-				case <-abort:
-					if m.HostMem != nil {
-						m.HostMem.Release(bytes)
-					}
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		defer close(jobs)
-		for i := 0; i < numBatches; i++ {
-			select {
-			case jobs <- i:
-			case <-abort:
-				return
-			}
-		}
-	}()
-
-	// The calling goroutine is the single writer: it reorders completed
-	// batches and streams their tuples to the shared partition writers in
-	// exactly the serial pipeline's order.
-	pending := make(map[int]batchResult)
-	var firstErr error
-	next, received := 0, 0
-	for received < numBatches && firstErr == nil {
-		r := <-results
-		received++
-		if r.err != nil {
-			firstErr = r.err
-			break
-		}
-		pending[r.idx] = r
-		for {
-			cur, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			err := m.writeBatch(cur.tuples, sfxW, pfxW)
-			if m.HostMem != nil {
-				m.HostMem.Release(cur.bytes)
-			}
-			if err != nil {
-				firstErr = err
-				break
-			}
-			next++
-		}
-	}
-	close(abort)
-	wg.Wait()
-	close(results)
-	for r := range results {
+	release := func(b batch) {
 		if m.HostMem != nil {
-			m.HostMem.Release(r.bytes)
+			m.HostMem.Release(b.bytes)
 		}
 	}
-	for _, r := range pending {
-		if m.HostMem != nil {
-			m.HostMem.Release(r.bytes)
-		}
-	}
-	m.Obs.Log().Debug("map worker pool drained", "err", firstErr)
-	return firstErr
+	numBatches := (end - start + m.BatchReads - 1) / m.BatchReads
+	return runOrdered(m.Workers, numBatches,
+		func(worker, i int) (batch, error) {
+			lo, hi := m.batchBounds(start, end, i)
+			tuples, bytes, err := m.mapBatchSpan(ctx, rs, worker, i, lo, hi)
+			return batch{tuples, bytes}, err
+		},
+		func(b batch) error {
+			defer release(b)
+			return m.writeBatch(b.tuples, sfxW, pfxW)
+		}, release)
 }
 
 // mapBatchSpan wraps mapBatch in a per-batch trace span on the worker's

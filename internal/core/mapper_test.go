@@ -3,15 +3,19 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/dna"
 	"repro/internal/gpu"
 	"repro/internal/kvio"
+	"repro/internal/stats"
 )
 
 // TestMapperPartitionsIndependentOfBatching maps reads of mixed lengths,
@@ -35,31 +39,9 @@ func TestMapperPartitionsIndependentOfBatching(t *testing.T) {
 	}
 
 	mapFiles := func(workers, batchReads int) map[string][]byte {
-		dir := t.TempDir()
-		sfxW := kvio.NewPartitionWriters(dir, kvio.Suffix, nil)
-		pfxW := kvio.NewPartitionWriters(dir, kvio.Prefix, nil)
 		m := NewMapper(gpu.NewDevice(gpu.K40, nil), nil, lmin, batchReads, rs.MaxLen())
 		m.Workers = workers
-		if err := m.MapRange(context.Background(), rs, 0, rs.NumReads(), sfxW, pfxW); err != nil {
-			t.Fatal(err)
-		}
-		if err := sfxW.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := pfxW.Close(); err != nil {
-			t.Fatal(err)
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := map[string][]byte{}
-		for _, e := range entries {
-			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return files
+		return mapPartitionFiles(t, m, rs)
 	}
 	want := mapFiles(1, 1)
 	if len(want) == 0 {
@@ -80,4 +62,108 @@ func TestMapperPartitionsIndependentOfBatching(t *testing.T) {
 			})
 		}
 	}
+}
+
+// A writer error and a cancellation mid-Map both drain the ordered pool at
+// Workers=4: the error surfaces, the tuple bytes of every batch mapped but
+// never written are off the host tracker again and no worker goroutine is
+// left. TestFindOverlapsDrainsOnErrorAndCancel is the Reduce-side twin.
+func TestMapRangeDrainsOnErrorAndCancel(t *testing.T) {
+	const lmin, batchReads = 31, 16
+	_, base := testGenomeReads(t, 2000, 48, 10)
+	// One longer read halfway through is the only source of the lengths
+	// [48, 56), so a partition among them first opens mid-Map.
+	long := make(dna.Seq, 56)
+	copy(long, base.Read(0))
+	copy(long[48:], base.Read(1))
+	half := base.NumReads() / 2
+	reads := dna.NewReadSet(base.NumReads()+1, 48*(base.NumReads()+1)+8)
+	for i := 0; i < base.NumReads(); i++ {
+		if i == half {
+			reads.Append(long)
+		}
+		reads.Append(base.Read(uint32(i)))
+	}
+	newMapper := func() *Mapper {
+		m := NewMapper(gpu.NewDevice(gpu.K40, nil), new(stats.MemTracker), lmin, batchReads, reads.MaxLen())
+		m.Workers = 4
+		return m
+	}
+
+	t.Run("writer error", func(t *testing.T) {
+		dir := t.TempDir()
+		blocked := kvio.PartitionPath(dir, kvio.Suffix, 50)
+		if err := os.Mkdir(blocked, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		m := newMapper()
+		sfxW := kvio.NewPartitionWriters(dir, kvio.Suffix, nil)
+		pfxW := kvio.NewPartitionWriters(dir, kvio.Prefix, nil)
+		defer sfxW.Close()
+		defer pfxW.Close()
+		baseline := runtime.NumGoroutine()
+		err := m.MapRange(context.Background(), reads, 0, reads.NumReads(), sfxW, pfxW)
+		if err == nil || !strings.Contains(err.Error(), filepath.Base(blocked)) {
+			t.Fatalf("error = %v, want the failure to open %s", err, blocked)
+		}
+		if n := sfxW.Counts()[lmin]; n <= 0 || n >= 2*int64(reads.NumReads()) {
+			t.Errorf("%d suffix tuples of length %d written, want a mid-Map failure", n, lmin)
+		}
+		if cur := m.HostMem.Current(); cur != 0 {
+			t.Errorf("host tracker at %d after the failure, want 0", cur)
+		}
+		waitForGoroutines(t, baseline)
+	})
+
+	t.Run("cancellation", func(t *testing.T) {
+		dir := t.TempDir()
+		m := newMapper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// The first device charge any worker makes cancels the run; the
+		// batches claimed after that fail before they fingerprint.
+		m.Dev.SetHooks(cancelOnCharge(cancel))
+		sfxW := kvio.NewPartitionWriters(dir, kvio.Suffix, nil)
+		pfxW := kvio.NewPartitionWriters(dir, kvio.Prefix, nil)
+		defer sfxW.Close()
+		defer pfxW.Close()
+		baseline := runtime.NumGoroutine()
+		err := m.MapRange(ctx, reads, 0, reads.NumReads(), sfxW, pfxW)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("error = %v, want context.Canceled", err)
+		}
+		if cur := m.HostMem.Current(); cur != 0 {
+			t.Errorf("host tracker at %d after the cancellation, want 0", cur)
+		}
+		waitForGoroutines(t, baseline)
+	})
+}
+
+// mapPartitionFiles maps every read of rs with m into fresh partition
+// writers and returns the raw partition files' bytes by name.
+func mapPartitionFiles(t *testing.T, m *Mapper, rs dna.ReadSource) map[string][]byte {
+	t.Helper()
+	dir := t.TempDir()
+	sfxW := kvio.NewPartitionWriters(dir, kvio.Suffix, nil)
+	pfxW := kvio.NewPartitionWriters(dir, kvio.Prefix, nil)
+	if err := m.MapRange(context.Background(), rs, 0, rs.NumReads(), sfxW, pfxW); err != nil {
+		t.Fatal(err)
+	}
+	if err := sfxW.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pfxW.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }

@@ -56,8 +56,8 @@ type Node struct {
 }
 
 // NewNode builds the machine around dev, metering on dev's meter. cfg
-// supplies the block sizes, l_min, the worker count, the verify and map
-// kernel switches and the observer; the node's trace process is track.Pid.
+// supplies the block sizes, l_min, the worker count, the verify switch and
+// the observer; the node's trace process is track.Pid.
 func NewNode(cfg Config, dev *gpu.Device, track obs.Track, scratch string) *Node {
 	n := &Node{Device: dev, Meter: dev.Meter(), HostMem: new(stats.MemTracker),
 		Scratch: scratch, Track: track, Profile: cfg.Profile(), cfg: cfg}
@@ -125,7 +125,6 @@ func (n *Node) MapBlocks(ctx context.Context, rs dna.ReadSource, blocks []ReadRa
 	sfxW := kvio.NewPartitionWriters(n.Scratch, kvio.Suffix, n.Meter)
 	pfxW := kvio.NewPartitionWriters(n.Scratch, kvio.Prefix, n.Meter)
 	mapper := NewMapper(n.Device, n.HostMem, n.cfg.MinOverlap, n.cfg.MapBatchReads, rs.MaxLen())
-	mapper.NaiveKernel = n.cfg.NaiveMapKernel
 	mapper.Workers = n.cfg.workers()
 	mapper.Obs = n.cfg.Obs
 	mapper.Track = n.Track
@@ -270,13 +269,12 @@ type Overlaps struct {
 // overlap reducer and hands each partition's surviving candidates to
 // apply. Partitions are reduced by up to Workers goroutines concurrently —
 // each holding its own device window allocation — but apply always runs on
-// the calling goroutine in strict descending-length order, so whatever it
-// builds is identical to the serial run's. With Config.VerifyOverlaps the
-// workers check every candidate against the sequences of rs. Candidates
-// buffered between a worker and apply count against HostMem. Cancellation
-// surfaces as an error from within a worker's job (via the reducer's ctx
-// checks), preserving the one-result-per-job invariant that keeps the pool
-// deadlock-free.
+// the calling goroutine in strict descending-length order (runOrdered), so
+// whatever it builds is identical to the serial run's. With
+// Config.VerifyOverlaps the workers check every candidate against the
+// sequences of rs. Candidates buffered between a worker and apply count
+// against HostMem. Cancellation surfaces as an error from the reducer's ctx
+// checks.
 func (n *Node) FindOverlaps(ctx context.Context, rs dna.ReadSource, counts map[int]int64,
 	sorted PartitionNamer, apply func(Overlaps)) error {
 	cfg := overlap.Config{
@@ -288,7 +286,16 @@ func (n *Node) FindOverlaps(ctx context.Context, rs dna.ReadSource, counts map[i
 		Overlap:     n.Ledger,
 	}
 	lengths := sortedLengthsDesc(counts)
-	reduceOne := func(worker, l int) (Overlaps, error) {
+	workers := min(n.cfg.workers(), len(lengths))
+	// Serially no candidate waits for apply, so none is charged.
+	held := func(r Overlaps) int64 {
+		if workers <= 1 {
+			return 0
+		}
+		return int64(len(r.Edges)) * candidateBytes
+	}
+	reduceOne := func(worker, i int) (Overlaps, error) {
+		l := lengths[i]
 		defer n.cfg.Obs.Tracer().Begin(n.Track.Worker(worker), "partition",
 			fmt.Sprintf("reduce len=%d", l)).
 			Metered(n.Meter, n.Profile).End()
@@ -305,97 +312,17 @@ func (n *Node) FindOverlaps(ctx context.Context, rs dna.ReadSource, counts map[i
 				return nil
 			})
 		if err != nil {
-			err = fmt.Errorf("core: reducing partition %d: %w", l, err)
+			return out, fmt.Errorf("core: reducing partition %d: %w", l, err)
 		}
-		return out, err
+		n.HostMem.Add(held(out))
+		return out, nil
 	}
-
-	workers := min(n.cfg.workers(), len(lengths))
-	if workers <= 1 {
-		for _, l := range lengths {
-			r, err := reduceOne(0, l)
-			if err != nil {
-				return err
-			}
-			apply(r)
-		}
+	release := func(r Overlaps) { n.HostMem.Release(held(r)) }
+	return runOrdered(workers, len(lengths), reduceOne, func(r Overlaps) error {
+		apply(r)
+		release(r)
 		return nil
-	}
-
-	held := func(r Overlaps) int64 { return int64(len(r.Edges)) * candidateBytes }
-	type result struct {
-		idx int
-		Overlaps
-		err error
-	}
-	jobs := make(chan int)
-	results := make(chan result, workers)
-	abort := make(chan struct{})
-	var wg sync.WaitGroup
-	n.cfg.Obs.Log().Debug("reduce worker pool start", "workers", workers,
-		"partitions", len(lengths))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for idx := range jobs {
-				r := result{idx: idx}
-				r.Overlaps, r.err = reduceOne(w, lengths[idx])
-				n.HostMem.Add(held(r.Overlaps))
-				select {
-				case results <- r:
-				case <-abort:
-					n.HostMem.Release(held(r.Overlaps))
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		defer close(jobs)
-		for i := range lengths {
-			select {
-			case jobs <- i:
-			case <-abort:
-				return
-			}
-		}
-	}()
-
-	pending := make(map[int]Overlaps)
-	var firstErr error
-	next, received := 0, 0
-	for received < len(lengths) && firstErr == nil {
-		r := <-results
-		received++
-		if r.err != nil {
-			n.HostMem.Release(held(r.Overlaps))
-			firstErr = r.err
-			break
-		}
-		pending[r.idx] = r.Overlaps
-		for {
-			cur, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			apply(cur)
-			n.HostMem.Release(held(cur))
-			next++
-		}
-	}
-	close(abort)
-	wg.Wait()
-	close(results)
-	for r := range results {
-		n.HostMem.Release(held(r.Overlaps))
-	}
-	for _, r := range pending {
-		n.HostMem.Release(held(r))
-	}
-	n.cfg.Obs.Log().Debug("reduce worker pool drained", "err", firstErr)
-	return firstErr
+	}, release)
 }
 
 // verifyOverlap checks that the l-suffix of vertex u equals the l-prefix
@@ -460,4 +387,86 @@ func runTasks(workers, n int, task func(worker, i int) error) error {
 		}
 	}
 	return nil
+}
+
+// runOrdered produces n values on up to workers goroutines and consumes
+// them on the calling goroutine in index order, so whatever consume builds
+// is identical to the serial run's. Values are claimed in index order and,
+// once a produce or consume fails, no further index is claimed; of several
+// failures the lowest-indexed one is returned. Every produced value that is
+// never consumed — it follows a failure — is handed to release, and no
+// goroutine outlives the call. A failed produce owns its partial value.
+// With one worker (or one value) each value is produced and consumed on the
+// caller in turn.
+func runOrdered[T any](workers, n int, produce func(worker, i int) (T, error),
+	consume func(T) error, release func(T)) error {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			v, err := produce(0, i)
+			if err != nil {
+				return err
+			}
+			if err := consume(v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	type slot struct {
+		v    T
+		err  error
+		done chan struct{}
+	}
+	slots := make([]slot, n)
+	for i := range slots {
+		slots[i].done = make(chan struct{})
+	}
+	var next atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for !stop.Load() {
+				i := next.Add(1) - 1
+				if i >= int64(n) {
+					return
+				}
+				s := &slots[i]
+				if s.v, s.err = produce(w, int(i)); s.err != nil {
+					stop.Store(true)
+				}
+				close(s.done)
+			}
+		}(w)
+	}
+	// Index i is always claimed before the consumer waits on it: claims are
+	// in index order, and producers stop only after a failure at some index
+	// k, which was claimed after every index below it; the consumer never
+	// waits past k.
+	var err error
+	consumed := 0
+	for ; consumed < n && err == nil; consumed++ {
+		s := &slots[consumed]
+		<-s.done
+		if err = s.err; err == nil {
+			err = consume(s.v)
+		}
+		var zero T
+		s.v = zero // consumed values are the caller's to drop
+	}
+	stop.Store(true)
+	wg.Wait()
+	for i := consumed; i < n; i++ {
+		select {
+		case <-slots[i].done:
+			if slots[i].err == nil {
+				release(slots[i].v)
+			}
+		default: // never claimed
+		}
+	}
+	return err
 }

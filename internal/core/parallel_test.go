@@ -96,7 +96,7 @@ func TestWorkersDeterminism(t *testing.T) {
 }
 
 // TestWorkersDeterminismFullGraph repeats the worker-count contract for
-// the FullGraph tail, whose transitive reduction consumes the candidate
+// the full-graph tail, whose transitive reduction consumes the candidate
 // edges in insertion order.
 func TestWorkersDeterminismFullGraph(t *testing.T) {
 	_, reads := testGenomeReads(t, 2000, 48, 8)
@@ -104,7 +104,7 @@ func TestWorkersDeterminismFullGraph(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		cfg := smallConfig(t)
 		cfg.Workers = w
-		cfg.FullGraph = true
+		cfg.GraphBackend = BackendFull
 		p, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -71,7 +71,7 @@ func TestAssembleVariableLengthFullGraph(t *testing.T) {
 	}
 	cfg := smallConfig(t)
 	cfg.MinOverlap = 28
-	cfg.FullGraph = true
+	cfg.GraphBackend = BackendFull
 	cfg.DedupeReads = true
 	p, err := New(cfg)
 	if err != nil {

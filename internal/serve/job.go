@@ -26,9 +26,11 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -74,13 +76,11 @@ func (s State) Terminal() bool {
 type Params struct {
 	MinOverlap        int  `json:"minOverlap"`
 	Workers           int  `json:"workers"`
-	FullGraph         bool `json:"fullGraph,omitempty"`
 	DedupeReads       bool `json:"dedupeReads,omitempty"`
 	IncludeSingletons bool `json:"includeSingletons,omitempty"`
 	VerifyOverlaps    bool `json:"verifyOverlaps,omitempty"`
-	// GraphBackend selects the reduce/compress engine ("" or "greedy",
-	// or "spmat" for the sparse-matrix backend); see
-	// core.Config.GraphBackend. Mutually exclusive with FullGraph.
+	// GraphBackend selects the reduce/compress engine: "" or one of
+	// core.Backends; see core.Config.GraphBackend.
 	GraphBackend string `json:"graphBackend,omitempty"`
 	// Priority selects the admission lane: "" or "batch", or
 	// "interactive" for jobs dispatched ahead of every batch job (and
@@ -94,6 +94,25 @@ type Params struct {
 	// cluster layer (0 or 1 = single-device pipeline). Output is
 	// byte-identical at every shard count.
 	Shards int `json:"shards,omitempty"`
+}
+
+// UnmarshalJSON also reads a record written while the full string graph
+// was a flag of its own: "fullGraph": true loads as graphBackend "full",
+// whose config fingerprint is the one that record's manifests carry.
+func (p *Params) UnmarshalJSON(data []byte) error {
+	type plain Params // without this method
+	var rec struct {
+		plain
+		FullGraph bool `json:"fullGraph"`
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return err
+	}
+	*p = Params(rec.plain)
+	if rec.FullGraph && p.GraphBackend == "" {
+		p.GraphBackend = core.BackendFull
+	}
+	return nil
 }
 
 // Lane returns the resolved priority lane ("" means batch).

@@ -264,7 +264,6 @@ func (s *Server) jobConfig(rec Record) core.Config {
 	}
 	cfg.MinOverlap = rec.Params.MinOverlap
 	cfg.Workers = rec.Params.Workers
-	cfg.FullGraph = rec.Params.FullGraph
 	cfg.DedupeReads = rec.Params.DedupeReads
 	cfg.IncludeSingletons = rec.Params.IncludeSingletons
 	cfg.VerifyOverlaps = rec.Params.VerifyOverlaps
@@ -468,10 +467,20 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// submitKeys are the query keys a submit reads; parseParams refuses any
+// other, so a misspelt or retired knob never silently runs the default.
+var submitKeys = []string{"lmin", "workers", "shards", "dedupe", "singletons", "verify",
+	"graph-backend", "priority", "tenant", "name"}
+
 // parseParams reads the per-job knobs from the submit query string.
 func parseParams(r *http.Request) (Params, error) {
 	q := r.URL.Query()
 	p := Params{MinOverlap: 63, Workers: 1}
+	for key := range q {
+		if !slices.Contains(submitKeys, key) {
+			return p, fmt.Errorf("unknown query key %q (want one of %v)", key, submitKeys)
+		}
+	}
 	if v := q.Get("lmin"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
@@ -506,7 +515,6 @@ func parseParams(r *http.Request) (Params, error) {
 		return nil
 	}
 	for key, dst := range map[string]*bool{
-		"fullgraph":  &p.FullGraph,
 		"dedupe":     &p.DedupeReads,
 		"singletons": &p.IncludeSingletons,
 		"verify":     &p.VerifyOverlaps,
@@ -520,9 +528,6 @@ func parseParams(r *http.Request) (Params, error) {
 			return p, fmt.Errorf("invalid graph-backend %q (want one of %v)", v, core.Backends)
 		}
 		p.GraphBackend = v
-	}
-	if (p.GraphBackend == core.BackendSpmat || p.GraphBackend == core.BackendSuccinct) && p.FullGraph {
-		return p, fmt.Errorf("graph-backend %q and fullgraph are mutually exclusive", p.GraphBackend)
 	}
 	if v := q.Get("priority"); v != "" {
 		if !slices.Contains(Priorities, v) {

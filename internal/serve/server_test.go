@@ -69,6 +69,7 @@ func directFasta(t *testing.T, scfg Config, params Params, reads *dna.ReadSet) [
 	cfg.MapBatchReads = scfg.MapBatchReads
 	cfg.MinOverlap = params.MinOverlap
 	cfg.Workers = params.Workers
+	cfg.GraphBackend = params.GraphBackend
 	cfg.GPU = scfg.GPU
 	p, err := core.New(cfg)
 	if err != nil {
@@ -420,9 +421,9 @@ func createJob(t *testing.T, st *Store, rec Record, input string) {
 }
 
 // TestServerRejectsBadSubmissions covers the submit-time validation
-// errors: garbage, malformed, and oversized bodies, empty datasets, and
-// overlap thresholds no read can meet. No rejection leaves a job
-// directory behind.
+// errors: garbage, malformed, and oversized bodies, empty datasets,
+// overlap thresholds no read can meet, and query keys submit does not read.
+// No rejection leaves a job directory behind.
 func TestServerRejectsBadSubmissions(t *testing.T) {
 	scfg := testServerConfig(t.TempDir())
 	scfg.MaxBodyBytes = 1 << 17 // above the parser's 64 KiB read buffer
@@ -479,6 +480,21 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		t.Errorf("oversized body malformed early: status %d, want 413", got)
 	}
 	noJobDirs("oversized body malformed early")
+	// A retired or misspelt knob is refused by name instead of silently
+	// assembling greedy.
+	for _, key := range []string{"fullgraph", "graph_backend"} {
+		resp, err := http.Post(ts.URL+"/v1/jobs?lmin=3&"+key+"=spmat", "application/octet-stream",
+			strings.NewReader("@r1\nACGTACGT\n+\nIIIIIIII\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte(key)) {
+			t.Errorf("unknown key %s: status %d, want 400 naming it: %s", key, resp.StatusCode, msg)
+		}
+	}
+	noJobDirs("unknown query keys")
 	// Unknown jobs 404 on every per-job route.
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/result"} {
 		resp, err := http.Get(ts.URL + path)

@@ -7,7 +7,7 @@
 // vertex, longest overlap wins) because it updates a single bit-vector
 // instead of a general graph; this package provides the textbook
 // alternative the paper's background section describes, wired into the
-// pipeline as core.Config.FullGraph. On clean data both modes spell the
+// pipeline as GraphBackend "full" (core.BackendFull). On clean data both modes spell the
 // same genome; the full graph additionally survives orderings where the
 // greedy rule commits to a repeat-induced edge first.
 package sgraph

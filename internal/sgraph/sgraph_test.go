@@ -151,7 +151,7 @@ func TestUnitigsCycle(t *testing.T) {
 
 // TestFullGraphAssemblesGenome builds the full string graph from exact
 // FM-index overlaps, reduces it, and checks the unitigs spell genome
-// substrings — the end-to-end behaviour core.Config.FullGraph relies on.
+// substrings — the end-to-end behaviour core.BackendFull relies on.
 func TestFullGraphAssemblesGenome(t *testing.T) {
 	genome := readsim.Genome(readsim.GenomeParams{Length: 3000, Seed: 41})
 	rs := readsim.Simulate(genome, readsim.ReadParams{ReadLen: 60, Coverage: 12, Seed: 42})

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/dna"
 	"repro/internal/readsim"
 )
@@ -80,9 +81,9 @@ func TestPropertyPipelineMatchesBruteForce(t *testing.T) {
 // TestPropertyContigsAlwaysSubstrings asserts the pipeline's core safety
 // property across random configurations: error-free input never produces
 // a contig that is not an exact genome substring, regardless of graph
-// mode, traversal mode, or packing.
+// engine, packing or deduplication.
 func TestPropertyContigsAlwaysSubstrings(t *testing.T) {
-	f := func(seed int64, fullGraph, packed, bsp, dedupe bool) bool {
+	f := func(seed int64, fullGraph, packed, dedupe bool) bool {
 		genome := readsim.Genome(readsim.GenomeParams{Length: 1200, Seed: seed})
 		reads := readsim.Simulate(genome, readsim.ReadParams{
 			ReadLen: 40, Coverage: 8, Seed: seed + 1,
@@ -92,10 +93,11 @@ func TestPropertyContigsAlwaysSubstrings(t *testing.T) {
 		cfg.HostBlockPairs = 1 << 12
 		cfg.DeviceBlockPairs = 1 << 9
 		cfg.MapBatchReads = 128
-		cfg.FullGraph = fullGraph
-		cfg.PackedReads = packed && !dedupe || packed // packed composes with dedupe
+		if fullGraph {
+			cfg.GraphBackend = core.BackendFull
+		}
+		cfg.PackedReads = packed // packed composes with dedupe
 		cfg.DedupeReads = dedupe
-		cfg.ParallelTraversal = bsp && !fullGraph
 		res, err := Assemble(cfg, reads)
 		if err != nil {
 			t.Log(err)
@@ -106,8 +108,8 @@ func TestPropertyContigsAlwaysSubstrings(t *testing.T) {
 		for _, c := range res.Contigs {
 			s := c.String()
 			if !containsStr(gs, s) && !containsStr(grc, s) {
-				t.Logf("seed %d (full=%v packed=%v bsp=%v dedupe=%v): bad contig",
-					seed, fullGraph, packed, bsp, dedupe)
+				t.Logf("seed %d (full=%v packed=%v dedupe=%v): bad contig",
+					seed, fullGraph, packed, dedupe)
 				return false
 			}
 		}

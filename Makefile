@@ -48,10 +48,10 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSpmatFromEdgeRuns -fuzztime=10s ./internal/spmat/
 	$(GO) test -run=NONE -fuzz=FuzzSuccinctFromEdgeRuns -fuzztime=10s ./internal/succinct/
 
-# One benchmark per paper table/figure plus the ablations, then the job
-# service's end-to-end throughput (BENCH_serve.json: jobs/sec, queue
-# latency), the fleet scaling sweep (BENCH_fleet.json: jobs/sec and
-# p50/p99 queue latency at 1/2/4 devices, steal on/off), the
+# Every benchmark (worker scaling, streams, graph backends, ablations, hot
+# paths), then the job service's end-to-end throughput (BENCH_serve.json:
+# jobs/sec, queue latency), the fleet scaling sweep (BENCH_fleet.json:
+# jobs/sec and p50/p99 queue latency at 1/2/4 devices, steal on/off), the
 # serial-vs-overlapped stream comparison (BENCH_streams.json: modeled and
 # wall seconds per phase), the graph-backend comparison
 # (BENCH_graph.json: modeled seconds and edge counts per engine), and the
@@ -111,11 +111,10 @@ cover:
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/bacterial
-	$(GO) run ./examples/distributed
-	$(GO) run ./examples/sweep
 	$(GO) run ./examples/errortolerance
 
-# Regenerate every table and figure of the paper's evaluation.
+# Regenerate every table and figure of the paper's evaluation (their shape
+# claims are asserted at scale 0.1 by cmd/lasagna-bench's TestPaperShapes).
 evaluation:
 	$(GO) run ./cmd/lasagna-bench -exp all -scale 1.0
 

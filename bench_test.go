@@ -1,8 +1,9 @@
-// Benchmarks regenerating the paper's evaluation artifacts, one per table
-// and figure (Section IV). Each benchmark runs a reduced-scale instance of
-// the corresponding experiment and reports the modeled metric the paper
-// plots alongside Go's usual wall-clock measurement; run the full-size
-// study with cmd/lasagna-bench.
+// Benchmarks of the pipeline's configurations beyond the paper's tables:
+// worker scaling, modeled streams, the graph backends and their host
+// memory, and the ablations. Each runs at a reduced scale and reports
+// modeled seconds alongside Go's wall-clock measurement; several write
+// the JSON baselines `make bench-gate` compares. The paper's tables and
+// figures are cmd/lasagna-bench's, asserted by its TestPaperShapes.
 //
 //	go test -bench=. -benchmem
 package lasagna
@@ -18,18 +19,14 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/costmodel"
-	"repro/internal/extsort"
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/kv"
 	"repro/internal/kvio"
 	"repro/internal/readsim"
-	"repro/internal/sga"
 )
 
-// benchScale keeps `go test -bench=.` quick; cmd/lasagna-bench runs the
-// full scaled profiles.
+// benchScale keeps `go test -bench=.` quick.
 const benchScale = 0.1
 
 func benchReads(b *testing.B, idx int) (readsim.Profile, *ReadSet) {
@@ -39,42 +36,13 @@ func benchReads(b *testing.B, idx int) (readsim.Profile, *ReadSet) {
 	return p, rs
 }
 
-func benchConfig(b *testing.B, m gpu.Spec, lmin int) Config {
+func benchConfig(b *testing.B, lmin int) Config {
 	b.Helper()
 	cfg := DefaultConfig(b.TempDir())
 	cfg.MinOverlap = lmin
-	cfg.GPU = m
 	cfg.HostBlockPairs = 1 << 14
 	cfg.DeviceBlockPairs = 1 << 11
 	return cfg
-}
-
-// runPipeline assembles once per iteration and reports modeled seconds.
-func runPipeline(b *testing.B, m gpu.Spec, datasetIdx int) {
-	b.Helper()
-	p, rs := benchReads(b, datasetIdx)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var modeled float64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := benchConfig(b, m, p.MinOverlap)
-		b.StartTimer()
-		res, err := Assemble(cfg, rs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		modeled = res.TotalModeled.Seconds()
-	}
-	b.ReportMetric(modeled, "modeled-s")
-}
-
-// BenchmarkTable2 reproduces Table II (phase times, 128 GB + K40) per
-// dataset at bench scale.
-func BenchmarkTable2(b *testing.B) {
-	for i, p := range readsim.Profiles {
-		b.Run(p.Name, func(b *testing.B) { runPipeline(b, gpu.K40, i) })
-	}
 }
 
 // BenchmarkPipelineWorkers measures the wall-clock effect of the
@@ -89,7 +57,7 @@ func BenchmarkPipelineWorkers(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cfg := benchConfig(b, gpu.K40, p.MinOverlap)
+				cfg := benchConfig(b, p.MinOverlap)
 				cfg.Workers = workers
 				b.StartTimer()
 				if _, err := Assemble(cfg, rs); err != nil {
@@ -138,7 +106,7 @@ func BenchmarkPipelineStreams(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cfg := benchConfig(b, gpu.K40, p.MinOverlap)
+				cfg := benchConfig(b, p.MinOverlap)
 				cfg.Streams = streams
 				b.StartTimer()
 				var err error
@@ -228,7 +196,7 @@ func BenchmarkGraphBackends(b *testing.B) {
 				var res *core.Result
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					cfg := benchConfig(b, gpu.K40, p.MinOverlap)
+					cfg := benchConfig(b, p.MinOverlap)
 					cfg.GraphBackend = backend
 					b.StartTimer()
 					var err error
@@ -340,7 +308,7 @@ func BenchmarkGraphBackendMemory(b *testing.B) {
 				var res *core.Result
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					cfg := benchConfig(b, gpu.K40, p.MinOverlap)
+					cfg := benchConfig(b, p.MinOverlap)
 					cfg.GraphBackend = backend
 					// Total host peak grows with the sort blocks concurrent
 					// workers hold; one worker keeps the gated hostPeakB
@@ -397,167 +365,6 @@ func BenchmarkGraphBackendMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3 reproduces Table III (phase times, 64 GB + K20X).
-func BenchmarkTable3(b *testing.B) {
-	for i, p := range readsim.Profiles {
-		b.Run(p.Name, func(b *testing.B) { runPipeline(b, gpu.K20X, i) })
-	}
-}
-
-// BenchmarkTable4 reproduces Tables IV/V (peak memory): it reports peak
-// host and device bytes for the largest dataset on both machines.
-func BenchmarkTable4(b *testing.B) {
-	for _, m := range []gpu.Spec{gpu.K40, gpu.K20X} {
-		b.Run(m.Name, func(b *testing.B) {
-			p, rs := benchReads(b, 3)
-			var host, dev float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := benchConfig(b, m, p.MinOverlap)
-				pipe, err := core.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				res, err := pipe.Assemble(rs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				host, dev = 0, 0
-				for _, ps := range res.Phases {
-					if float64(ps.PeakHost) > host {
-						host = float64(ps.PeakHost)
-					}
-					if float64(ps.PeakDevice) > dev {
-						dev = float64(ps.PeakDevice)
-					}
-				}
-			}
-			b.ReportMetric(host, "peak-host-B")
-			b.ReportMetric(dev, "peak-dev-B")
-		})
-	}
-}
-
-// BenchmarkTable6 reproduces Table VI: the SGA-style FM-index baseline
-// against LaSAGNA's map+sort+reduce on the same dataset.
-func BenchmarkTable6(b *testing.B) {
-	p, rs := benchReads(b, 0) // H.Chr14-like
-	b.Run("SGA", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			a, err := sga.NewAssembler(sga.Config{MinOverlap: p.MinOverlap})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, res := a.Overlaps(rs); res.Edges == 0 {
-				b.Fatal("baseline found no overlaps")
-			}
-		}
-	})
-	b.Run("LaSAGNA", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			cfg := benchConfig(b, gpu.K40, p.MinOverlap)
-			b.StartTimer()
-			if _, err := Assemble(cfg, rs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// benchPartition materializes one partition's pair file for the sorting
-// studies (Figs. 8 and 9).
-func benchPartition(b *testing.B) (string, int64) {
-	b.Helper()
-	p, rs := benchReads(b, 3)
-	dir := b.TempDir()
-	dev := gpu.NewDevice(gpu.K40, nil)
-	sfxW := kvio.NewPartitionWriters(dir, kvio.Suffix, nil)
-	pfxW := kvio.NewPartitionWriters(dir, kvio.Prefix, nil)
-	mapper := core.NewMapper(dev, nil, p.MinOverlap, 2048, rs.MaxLen())
-	if err := mapper.MapRange(context.Background(), rs, 0, rs.NumReads(), sfxW, pfxW); err != nil {
-		b.Fatal(err)
-	}
-	counts := sfxW.Counts()
-	if err := sfxW.Close(); err != nil {
-		b.Fatal(err)
-	}
-	if err := pfxW.Close(); err != nil {
-		b.Fatal(err)
-	}
-	bestL, bestN := -1, int64(-1)
-	for l, n := range counts {
-		if n > bestN {
-			bestL, bestN = l, n
-		}
-	}
-	return kvio.PartitionPath(dir, kvio.Suffix, bestL), bestN
-}
-
-func sortPartition(b *testing.B, path string, mh, md int, card gpu.Spec) float64 {
-	b.Helper()
-	meter := costmodel.NewMeter()
-	dev := gpu.NewDevice(card, meter)
-	dir, err := os.MkdirTemp(b.TempDir(), "s-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := extsort.Config{Device: dev, Meter: meter,
-		HostBlockPairs: mh, DeviceBlockPairs: md, TempDir: dir}
-	if _, err := extsort.SortFile(context.Background(), cfg, path, filepath.Join(dir, "out.kv")); err != nil {
-		b.Fatal(err)
-	}
-	prof := card.CostProfile(costmodel.SSDDisk.ReadBps, costmodel.SSDDisk.WriteBps)
-	return meter.Snapshot().Time(prof).Seconds()
-}
-
-// BenchmarkFig8 reproduces Fig. 8: sorting one partition under different
-// host and device block-sizes.
-func BenchmarkFig8(b *testing.B) {
-	path, n := benchPartition(b)
-	for _, hostFrac := range []int{8, 2, 1} {
-		for _, devFrac := range []int{64, 16} {
-			name := fmt.Sprintf("mh=n|%d/md=n|%d", hostFrac, devFrac)
-			b.Run(name, func(b *testing.B) {
-				mh, md := int(n)/hostFrac, int(n)/devFrac
-				if md < 2 {
-					md = 2
-				}
-				if mh < md {
-					mh = md
-				}
-				var modeled float64
-				for i := 0; i < b.N; i++ {
-					modeled = sortPartition(b, path, mh, md, gpu.K40)
-				}
-				b.ReportMetric(modeled*1000, "modeled-ms")
-			})
-		}
-	}
-}
-
-// BenchmarkFig9 reproduces Fig. 9: sorting one partition on each modeled
-// GPU card.
-func BenchmarkFig9(b *testing.B) {
-	path, n := benchPartition(b)
-	md := int(n) / 128
-	if md < 2 {
-		md = 2
-	}
-	for _, card := range []gpu.Spec{gpu.K40, gpu.P40, gpu.P100, gpu.V100} {
-		b.Run(card.Name, func(b *testing.B) {
-			var modeled float64
-			for i := 0; i < b.N; i++ {
-				modeled = sortPartition(b, path, int(n), md, card)
-			}
-			b.ReportMetric(modeled*1000, "modeled-ms")
-		})
-	}
-}
-
 // BenchmarkAblationMapKernel compares the paper's block-per-read
 // Hillis-Steele map kernel against the rejected per-read-thread scheme
 // (Section III-A) on a Mapper: the modeled Map time of the naive kernel is
@@ -565,7 +372,7 @@ func BenchmarkFig9(b *testing.B) {
 // wall-clock is competitive.
 func BenchmarkAblationMapKernel(b *testing.B) {
 	p, rs := benchReads(b, 0)
-	cfg := benchConfig(b, gpu.K40, p.MinOverlap)
+	cfg := benchConfig(b, p.MinOverlap)
 	modeled := map[bool]float64{}
 	for _, naive := range []bool{false, true} {
 		name := "hillis-steele"
@@ -600,33 +407,6 @@ func BenchmarkAblationMapKernel(b *testing.B) {
 	}
 	if scan, naive := modeled[false], modeled[true]; scan > 0 && naive <= scan {
 		b.Errorf("naive kernel modeled Map %.3f ms, scan kernel %.3f ms", naive*1000, scan*1000)
-	}
-}
-
-// BenchmarkAblationTwoLevelSort compares the two-level hybrid sort
-// against a degenerate single-level configuration where the host block
-// equals the device block (no host-memory buffering): the paper's
-// two-level model cuts disk passes by log2(m_h/m_d).
-func BenchmarkAblationTwoLevelSort(b *testing.B) {
-	path, n := benchPartition(b)
-	md := int(n) / 64
-	if md < 2 {
-		md = 2
-	}
-	for _, cfgCase := range []struct {
-		name string
-		mh   int
-	}{
-		{"two-level(mh=n)", int(n)},
-		{"single-level(mh=md)", md},
-	} {
-		b.Run(cfgCase.name, func(b *testing.B) {
-			var modeled float64
-			for i := 0; i < b.N; i++ {
-				modeled = sortPartition(b, path, cfgCase.mh, md, gpu.K40)
-			}
-			b.ReportMetric(modeled*1000, "modeled-ms")
-		})
 	}
 }
 
@@ -671,7 +451,7 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 // processing) on one run's greedy graph, rebuilt from its edges.kv.
 func BenchmarkAblationTraversal(b *testing.B) {
 	p, rs := benchReads(b, 3)
-	cfg := benchConfig(b, gpu.K40, p.MinOverlap)
+	cfg := benchConfig(b, p.MinOverlap)
 	cfg.KeepIntermediate = true
 	if _, err := Assemble(cfg, rs); err != nil {
 		b.Fatal(err)
@@ -709,36 +489,6 @@ func BenchmarkAblationTraversal(b *testing.B) {
 					g.Traverse(rs.VertexLen, opts)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkFig10 reproduces Fig. 10: the distributed pipeline on 1-8
-// simulated nodes, reporting modeled total seconds.
-func BenchmarkFig10(b *testing.B) {
-	p, rs := benchReads(b, 3)
-	for _, nodes := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			var modeled float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := cluster.DefaultConfig(b.TempDir(), nodes)
-				cfg.MinOverlap = p.MinOverlap
-				cfg.HostBlockPairs = 1 << 14
-				cfg.DeviceBlockPairs = 1 << 11
-				cfg.InputBlockReads = 512
-				b.StartTimer()
-				cl, err := cluster.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := cl.Assemble(rs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				modeled = res.TotalModeled.Seconds()
-			}
-			b.ReportMetric(modeled, "modeled-s")
 		})
 	}
 }

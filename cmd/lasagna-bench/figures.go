@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -68,22 +69,30 @@ func (h *harness) partitionFile() (string, int64, error) {
 	return path, bestN, nil
 }
 
-// sortOnce sorts the partition file under the given block sizes and GPU,
-// returning the per-tier modeled-time breakdown under the given disk
-// bandwidths plus the modeled seconds hidden by stream overlap. Callers
-// take Total() for the serial headline, Total()-saved for the overlapped
-// figure, and read the tier fields directly for attribution — the shares
-// are never recomputed from raw byte counts here.
-func (h *harness) sortOnce(partPath string, mh, md int, card gpu.Spec,
-	diskRead, diskWrite float64) (costmodel.Breakdown, float64, extsort.Stats, error) {
+// sortCell is one partition sort of Figs. 8 and 9.
+type sortCell struct {
+	// Modeled is the overlapped modeled seconds: the serial per-tier
+	// Tiers.Total() less the time stream overlap hides.
+	Modeled    float64
+	Tiers      costmodel.Breakdown
+	DiskPasses int
+}
+
+// disk is a scratch-disk bandwidth pair (costmodel.DefaultDisk, SSDDisk).
+type disk = struct{ ReadBps, WriteBps float64 }
+
+// sortOnce sorts the partition file under the given block sizes, GPU and
+// scratch disk. The tier shares are read from the breakdown, never
+// recomputed from raw byte counts here.
+func (h *harness) sortOnce(partPath string, mh, md int, card gpu.Spec, d disk) (sortCell, error) {
 	meter := costmodel.NewMeter()
 	dev := gpu.NewDevice(card, meter)
 	dir, err := os.MkdirTemp(h.workspace, "sort-*")
 	if err != nil {
-		return costmodel.Breakdown{}, 0, extsort.Stats{}, err
+		return sortCell{}, err
 	}
 	defer os.RemoveAll(dir)
-	prof := card.CostProfile(diskRead, diskWrite)
+	prof := card.CostProfile(d.ReadBps, d.WriteBps)
 	lg := costmodel.NewOverlapLedger(prof)
 	cfg := extsort.Config{
 		Device:           dev,
@@ -96,117 +105,162 @@ func (h *harness) sortOnce(partPath string, mh, md int, card gpu.Spec,
 	out := filepath.Join(dir, "sorted.kv")
 	st, err := extsort.SortFile(context.Background(), cfg, partPath, out)
 	if err != nil {
-		return costmodel.Breakdown{}, 0, st, err
+		return sortCell{}, err
 	}
-	return meter.Snapshot().Breakdown(prof), lg.SavedSeconds(), st, nil
+	tiers := meter.Snapshot().Breakdown(prof)
+	return sortCell{Modeled: tiers.Total() - lg.SavedSeconds(), Tiers: tiers, DiskPasses: st.DiskPasses}, nil
+}
+
+// hostFracs are the m_h = n/frac columns of Figs. 8 and 9.
+var hostFracs = []int{16, 8, 4, 2, 1}
+
+// sortGrid is Fig. 8 or 9: one partition of Pairs pairs sorted at every
+// hostFracs column, one row per m_d (Fig. 8) or per GPU (Fig. 9).
+type sortGrid struct {
+	Pairs int64
+	Rows  []string
+	Cells [][]sortCell
+}
+
+// sortRow sorts the partition at every hostFracs column for one m_d.
+func (h *harness) sortRow(part string, n int64, md int, card gpu.Spec, d disk) ([]sortCell, error) {
+	var row []sortCell
+	for _, hf := range hostFracs {
+		c, err := h.sortOnce(part, max(int(n)/hf, md), md, card, d)
+		if err != nil {
+			return nil, err
+		}
+		row = append(row, c)
+	}
+	return row, nil
+}
+
+// fig8Data is Fig. 8 plus the two-level ablation: the same sort with the
+// host block shrunk to the device block, so host memory buffers nothing.
+type fig8Data struct {
+	sortGrid
+	SingleLevel sortCell
+}
+
+// fig8DevFracs are Fig. 8's m_d = n/frac rows; the single-level sort
+// shares the m_d of row ablationRow (n/64).
+var fig8DevFracs = []int{256, 128, 64, 32}
+
+const ablationRow = 2
+
+// twoLevel is the m_h = n cell the single-level sort is compared with.
+func (f fig8Data) twoLevel() sortCell {
+	row := f.Cells[ablationRow]
+	return row[len(row)-1]
 }
 
 // fig8 sweeps host and device block-sizes on a K40 (Fig. 8: the host
 // block-size dominates because it sets the disk pass count).
-func (h *harness) fig8() error {
-	partPath, n, err := h.partitionFile()
+func (h *harness) fig8() (fig8Data, error) {
+	part, n, err := h.partitionFile()
 	if err != nil {
-		return err
+		return fig8Data{}, err
 	}
-	fmt.Printf("\nFig. 8: sort time per partition (%s pairs) vs block sizes on K40\n",
-		stats.FormatCount(n))
-	hostFracs := []int{16, 8, 4, 2, 1} // m_h = n/frac
-	devFracs := []int{256, 128, 64, 32}
-	fmt.Printf("%-14s", "dev \\ host")
-	for _, hf := range hostFracs {
-		fmt.Printf(" %11s", fmt.Sprintf("n/%d", hf))
-	}
-	fmt.Println()
-	for _, df := range devFracs {
-		md := int(n) / df
-		if md < 2 {
-			md = 2
+	f := fig8Data{sortGrid: sortGrid{Pairs: n}}
+	for _, df := range fig8DevFracs {
+		row, err := h.sortRow(part, n, max(int(n)/df, 2), gpu.K40, costmodel.DefaultDisk)
+		if err != nil {
+			return f, err
 		}
-		fmt.Printf("%-14s", fmt.Sprintf("m_d=n/%d", df))
-		for _, hf := range hostFracs {
-			mh := int(n) / hf
-			if mh < md {
-				mh = md
-			}
-			bd, saved, st, err := h.sortOnce(partPath, mh, md, gpu.K40,
-				costmodel.DefaultDisk.ReadBps, costmodel.DefaultDisk.WriteBps)
-			if err != nil {
-				return err
-			}
-			fmt.Printf(" %8.3fs/%d", bd.Total()-saved, st.DiskPasses)
+		f.Rows = append(f.Rows, fmt.Sprintf("m_d=n/%d", df))
+		f.Cells = append(f.Cells, row)
+	}
+	md := max(int(n)/fig8DevFracs[ablationRow], 2)
+	f.SingleLevel, err = h.sortOnce(part, md, md, gpu.K40, costmodel.DefaultDisk)
+	return f, err
+}
+
+func printFig8(f fig8Data) {
+	fmt.Printf("\nFig. 8: sort time per partition (%s pairs) vs block sizes on K40\n",
+		stats.FormatCount(f.Pairs))
+	printGridHeader("dev \\ host", 14)
+	for i, row := range f.Cells {
+		fmt.Printf("%-14s", f.Rows[i])
+		for _, c := range row {
+			fmt.Printf(" %8.3fs/%d", c.Modeled, c.DiskPasses)
 		}
 		fmt.Println()
 	}
 	fmt.Println("(overlapped modeled seconds / disk passes; larger host blocks cut passes, device blocks are secondary)")
-	return nil
+	two, one := f.twoLevel(), f.SingleLevel
+	fmt.Printf("single-level sort (%s, m_h = m_d): %.3fs/%d, %.2fx the two-level m_h = n cell\n",
+		f.Rows[ablationRow], one.Modeled, one.DiskPasses, one.Modeled/two.Modeled)
+}
+
+func printGridHeader(corner string, width int) {
+	fmt.Printf("%-*s", width, corner)
+	for _, hf := range hostFracs {
+		fmt.Printf(" %11s", fmt.Sprintf("n/%d", hf))
+	}
+	fmt.Println()
 }
 
 // fig9 fixes the device block and sweeps host block-sizes per GPU card
 // (Fig. 9: ranking follows memory bandwidth and converges as the sort
 // becomes I/O bound).
-func (h *harness) fig9() error {
-	partPath, n, err := h.partitionFile()
+func (h *harness) fig9() (sortGrid, error) {
+	part, n, err := h.partitionFile()
 	if err != nil {
-		return err
+		return sortGrid{}, err
 	}
-	md := int(n) / 128 // mirrors the paper's fixed 20M of 2.56B pairs
-	if md < 2 {
-		md = 2
+	md := max(int(n)/128, 2) // mirrors the paper's fixed 20M of 2.56B pairs
+	g := sortGrid{Pairs: n}
+	for _, card := range []gpu.Spec{gpu.K40, gpu.P40, gpu.P100, gpu.V100} {
+		row, err := h.sortRow(part, n, md, card, costmodel.SSDDisk)
+		if err != nil {
+			return g, err
+		}
+		g.Rows = append(g.Rows, card.Name)
+		g.Cells = append(g.Cells, row)
 	}
+	return g, nil
+}
+
+func printFig9(g sortGrid) {
 	fmt.Printf("\nFig. 9: sort time per partition (%s pairs) vs GPU, fixed m_d=n/128, SSD scratch (PSG)\n",
-		stats.FormatCount(n))
-	cards := []gpu.Spec{gpu.K40, gpu.P40, gpu.P100, gpu.V100}
-	hostFracs := []int{16, 8, 4, 2, 1}
-	fmt.Printf("%-8s", "GPU")
-	for _, hf := range hostFracs {
-		fmt.Printf(" %11s", fmt.Sprintf("n/%d", hf))
-	}
-	fmt.Println()
-	for _, card := range cards {
-		fmt.Printf("%-8s", card.Name)
-		var last costmodel.Breakdown
-		for _, hf := range hostFracs {
-			mh := int(n) / hf
-			if mh < md {
-				mh = md
-			}
-			bd, saved, _, err := h.sortOnce(partPath, mh, md, card,
-				costmodel.SSDDisk.ReadBps, costmodel.SSDDisk.WriteBps)
-			if err != nil {
-				return err
-			}
-			fmt.Printf(" %10.3fs", bd.Total()-saved)
-			last = bd
+		stats.FormatCount(g.Pairs))
+	printGridHeader("GPU", 8)
+	for i, row := range g.Cells {
+		fmt.Printf("%-8s", g.Rows[i])
+		for _, c := range row {
+			fmt.Printf(" %10.3fs", c.Modeled)
 		}
 		// The convergence claim made quantitative: at the largest host
 		// block, how much of the modeled time is disk I/O vs the GPU.
+		last := row[len(row)-1].Tiers
 		ioSec := last.DiskReadSec + last.DiskWriteSec
 		devSec := last.DeviceMemSec + last.DeviceOpsSec + last.PCIeSec
 		fmt.Printf("  (n/1: disk %4.0f%%, device %4.0f%%)\n",
 			100*ioSec/last.Total(), 100*devSec/last.Total())
 	}
 	fmt.Println("(overlapped modeled seconds; V100 < P100 < P40 < K40 at large host blocks, converging when I/O bound)")
-	return nil
+}
+
+// nodeRow is one cluster size of Fig. 10.
+type nodeRow struct {
+	Nodes int
+	runRow
+	// ReduceOverlap and ReduceSerial are t_o and t_g, whose ratio bounds
+	// useful cluster size at n_max = t_o/t_g.
+	ReduceOverlap, ReduceSerial time.Duration
 }
 
 // fig10 runs the H.Genome-like dataset on 1-8 simulated SuperMic nodes
 // (Fig. 10: map/sort scale with nodes, shuffle appears beyond one node,
 // reduce is limited by the serialized graph building).
-func (h *harness) fig10() error {
+func (h *harness) fig10() ([]nodeRow, error) {
 	p := h.profiles[3]
 	rs := h.reads(p)
-	fmt.Printf("\nFig. 10: distributed execution of %s on SuperMic-like nodes (modeled)\n", p.Name)
-	phases := []core.PhaseName{core.PhaseMap, cluster.PhaseShuffle, core.PhaseSort,
-		core.PhaseReduce, core.PhaseCompress}
-	fmt.Printf("%-6s", "Nodes")
-	for _, ph := range phases {
-		fmt.Printf(" %10s", ph)
-	}
-	fmt.Printf(" %10s\n", "Total")
+	var rows []nodeRow
 	for _, nodes := range []int{1, 2, 4, 8} {
 		dir := filepath.Join(h.workspace, fmt.Sprintf("fig10_n%d", nodes))
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
+			return nil, err
 		}
 		cfg := cluster.DefaultConfig(dir, nodes)
 		cfg.MinOverlap = p.MinOverlap
@@ -216,28 +270,43 @@ func (h *harness) fig10() error {
 		fmt.Fprintf(os.Stderr, "[fig10] %d nodes ...\n", nodes)
 		cl, err := cluster.New(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := cl.Assemble(rs)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Printf("%-6d", nodes)
-		for _, ph := range phases {
-			ps, _ := res.PhaseByName(ph)
-			fmt.Printf(" %9.3fs", ps.Modeled.Seconds())
-		}
-		fmt.Printf(" %9.3fs", res.TotalModeled.Seconds())
-		if nodes == 1 && res.ReduceSerialModeled > 0 {
-			fmt.Printf("   [t_o=%.3fs t_g=%.3fs -> n_max=t_o/t_g=%.0f]",
-				res.ReduceOverlapModeled.Seconds(), res.ReduceSerialModeled.Seconds(),
-				res.ReduceOverlapModeled.Seconds()/res.ReduceSerialModeled.Seconds())
-		}
-		fmt.Println()
+		rows = append(rows, nodeRow{Nodes: nodes, runRow: newRunRow(p.Name, &res.Result),
+			ReduceOverlap: res.ReduceOverlapModeled, ReduceSerial: res.ReduceSerialModeled})
 		if err := os.RemoveAll(dir); err != nil {
-			return err
+			return nil, err
 		}
 	}
+	return rows, nil
+}
+
+var fig10Phases = []core.PhaseName{core.PhaseMap, cluster.PhaseShuffle, core.PhaseSort,
+	core.PhaseReduce, core.PhaseCompress}
+
+func printFig10(rows []nodeRow) {
+	fmt.Printf("\nFig. 10: distributed execution of %s on SuperMic-like nodes (modeled)\n", rows[0].Dataset)
+	fmt.Printf("%-6s", "Nodes")
+	for _, ph := range fig10Phases {
+		fmt.Printf(" %10s", ph)
+	}
+	fmt.Printf(" %10s\n", "Total")
+	for _, r := range rows {
+		fmt.Printf("%-6d", r.Nodes)
+		for _, ph := range fig10Phases {
+			fmt.Printf(" %9.3fs", r.Phases[ph].Modeled.Seconds())
+		}
+		fmt.Printf(" %9.3fs", r.TotalModeled.Seconds())
+		if r.Nodes == 1 && r.ReduceSerial > 0 {
+			fmt.Printf("   [t_o=%.3fs t_g=%.3fs -> n_max=t_o/t_g=%.0f]",
+				r.ReduceOverlap.Seconds(), r.ReduceSerial.Seconds(),
+				r.ReduceOverlap.Seconds()/r.ReduceSerial.Seconds())
+		}
+		fmt.Println()
+	}
 	fmt.Println("(shuffle cost appears when scaling beyond one node; reduce scalability is bounded by n_max = t_o/t_g)")
-	return nil
 }

@@ -19,8 +19,8 @@ type machine struct {
 	// holds ~250k pairs.
 	hostBlockPairs int
 	devBlockPairs  int
-	// hostBudgetBytes emulates total host memory for the SGA baseline's
-	// out-of-memory behaviour (Table VI).
+	// hostBudgetBytes emulates total host memory at scale 1.0 for the SGA
+	// baseline's out-of-memory behaviour (Table VI).
 	hostBudgetBytes int64
 }
 
@@ -53,6 +53,10 @@ func (m machine) config(workspace string, lmin int, scale float64) core.Config {
 	cfg.HostBlockPairs = scaleBlock(m.hostBlockPairs, scale)
 	cfg.DeviceBlockPairs = scaleBlock(m.devBlockPairs, scale)
 	cfg.BreakCycles = true
+	// One partition at a time on the device, as in the paper. With more
+	// workers the device peaks sum however many partitions' claims happen
+	// to overlap, so they vary between runs and with the core count.
+	cfg.Workers = 1
 	return cfg
 }
 

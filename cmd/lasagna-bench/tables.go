@@ -23,7 +23,6 @@ type harness struct {
 	readsets  map[string]*dna.ReadSet
 	runs      map[string]*core.Result
 	sgaRuns   map[string]*sga.Result
-	sgaOOM    map[string]bool
 }
 
 func newHarness(workspace string, scale float64) *harness {
@@ -33,7 +32,6 @@ func newHarness(workspace string, scale float64) *harness {
 		readsets:  map[string]*dna.ReadSet{},
 		runs:      map[string]*core.Result{},
 		sgaRuns:   map[string]*sga.Result{},
-		sgaOOM:    map[string]bool{},
 	}
 	for _, p := range readsim.Profiles {
 		h.profiles = append(h.profiles, p.Scaled(scale))
@@ -97,113 +95,171 @@ func sanitize(s string) string {
 
 // --- Table I ---------------------------------------------------------
 
-func (h *harness) table1() error {
-	fmt.Printf("\nTable I: scaled datasets (scale %.3g; paper ratios 1 : 7.4 : 20 : 27.4)\n", h.scale)
-	fmt.Printf("%-11s %7s %10s %14s %10s %6s\n", "Dataset", "Length", "Reads", "Bases", "FASTQ", "lmin")
-	base := int64(0)
-	for i, p := range h.profiles {
-		rs := h.reads(p)
-		fastqBytes := rs.TotalBases()*2 + int64(rs.NumReads())*14
-		if i == 0 {
-			base = rs.TotalBases()
-		}
-		fmt.Printf("%-11s %7d %10s %14s %10s %6d   (%.1fx)\n",
-			p.Name, p.ReadLen, stats.FormatCount(int64(rs.NumReads())),
-			stats.FormatCount(rs.TotalBases()), stats.FormatBytes(fastqBytes),
-			p.MinOverlap, float64(rs.TotalBases())/float64(base))
-	}
-	return nil
+// datasetRow is one scaled dataset of Table I.
+type datasetRow struct {
+	Name                string
+	ReadLen, MinOverlap int
+	Reads               int
+	Bases, FastqBytes   int64
 }
 
-// --- Tables II and III ------------------------------------------------
+func (h *harness) table1() []datasetRow {
+	var rows []datasetRow
+	for _, p := range h.profiles {
+		rs := h.reads(p)
+		rows = append(rows, datasetRow{
+			Name: p.Name, ReadLen: p.ReadLen, MinOverlap: p.MinOverlap,
+			Reads: rs.NumReads(), Bases: rs.TotalBases(),
+			FastqBytes: rs.TotalBases()*2 + int64(rs.NumReads())*14,
+		})
+	}
+	return rows
+}
+
+func printTable1(scale float64, rows []datasetRow) {
+	fmt.Printf("\nTable I: scaled datasets (scale %.3g; paper ratios 1 : 7.4 : 20 : 27.4)\n", scale)
+	fmt.Printf("%-11s %7s %10s %14s %10s %6s\n", "Dataset", "Length", "Reads", "Bases", "FASTQ", "lmin")
+	for _, r := range rows {
+		fmt.Printf("%-11s %7d %10s %14s %10s %6d   (%.1fx)\n",
+			r.Name, r.ReadLen, stats.FormatCount(int64(r.Reads)),
+			stats.FormatCount(r.Bases), stats.FormatBytes(r.FastqBytes),
+			r.MinOverlap, float64(r.Bases)/float64(rows[0].Bases))
+	}
+}
+
+// --- Tables II to V ---------------------------------------------------
+
+// runRow is one pipeline run's per-phase statistics: Tables II and IV
+// read the QB2 rows, III and V the SuperMic ones, Fig. 10 one row per
+// cluster size.
+type runRow struct {
+	Dataset                 string
+	Phases                  map[core.PhaseName]stats.PhaseStats
+	TotalModeled, TotalWall time.Duration
+	SortDiskPasses          int
+	// PartitionPairs is the mean suffix-partition size, a lower bound on
+	// the largest partition (readsim reads share one length, so every
+	// partition holds the same count).
+	PartitionPairs int64
+}
+
+func newRunRow(dataset string, res *core.Result) runRow {
+	row := runRow{
+		Dataset:        dataset,
+		Phases:         map[core.PhaseName]stats.PhaseStats{},
+		TotalModeled:   res.TotalModeled,
+		TotalWall:      res.TotalWall,
+		SortDiskPasses: res.SortDiskPasses,
+	}
+	for _, ps := range res.Phases {
+		row.Phases[core.PhaseName(ps.Name)] = ps
+	}
+	if res.Partitions > 0 {
+		row.PartitionPairs = res.PairsGenerated / int64(2*res.Partitions)
+	}
+	return row
+}
+
+// machineRuns returns every dataset's pipeline run on m, in Table I order.
+func (h *harness) machineRuns(m machine) ([]runRow, error) {
+	var rows []runRow
+	for _, p := range h.profiles {
+		res, err := h.run(p, m)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, newRunRow(p.Name, res))
+	}
+	return rows, nil
+}
+
+func printRuns(h *harness, m machine, table string, print func(string, machine, []runRow)) error {
+	rows, err := h.machineRuns(m)
+	if err == nil {
+		print(table, m, rows)
+	}
+	return err
+}
 
 var phaseRows = []core.PhaseName{core.PhaseMap, core.PhaseSort, core.PhaseReduce,
 	core.PhaseCompress, core.PhaseLoad}
 
-func (h *harness) phaseTable(title string, m machine) error {
-	fmt.Printf("\n%s\n", title)
+func printPhaseTable(table string, m machine, rows []runRow) {
+	fmt.Printf("\n%s: assembly times on %s\n", table, m.name)
 	fmt.Printf("%-9s", "")
-	for _, p := range h.profiles {
-		fmt.Printf(" %22s", p.Name)
+	for _, r := range rows {
+		fmt.Printf(" %22s", r.Dataset)
 	}
 	fmt.Println()
-	results := make([]*core.Result, len(h.profiles))
-	for i, p := range h.profiles {
-		res, err := h.run(p, m)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-	}
-	for _, row := range phaseRows {
-		fmt.Printf("%-9s", row)
-		for _, res := range results {
-			ps, _ := res.PhaseByName(row)
+	for _, name := range phaseRows {
+		fmt.Printf("%-9s", name)
+		for _, r := range rows {
+			ps := r.Phases[name]
 			fmt.Printf(" %12s/%9s", stats.FormatDuration(ps.Modeled), stats.FormatDuration(ps.Wall))
 		}
 		fmt.Println()
 	}
 	fmt.Printf("%-9s", "Total")
-	for _, res := range results {
-		fmt.Printf(" %12s/%9s", stats.FormatDuration(res.TotalModeled), stats.FormatDuration(res.TotalWall))
+	for _, r := range rows {
+		fmt.Printf(" %12s/%9s", stats.FormatDuration(r.TotalModeled), stats.FormatDuration(r.TotalWall))
 	}
 	fmt.Println("\n(values are modeled/wall)")
-	return nil
 }
 
-func (h *harness) table2() error {
-	return h.phaseTable(fmt.Sprintf("Table II: assembly times on %s", qb2.name), qb2)
-}
-
-func (h *harness) table3() error {
-	return h.phaseTable(fmt.Sprintf("Table III: assembly times on %s", supermic.name), supermic)
-}
-
-// --- Tables IV and V --------------------------------------------------
-
-func (h *harness) memoryTable(title string, m machine) error {
-	fmt.Printf("\n%s\n", title)
+func printMemoryTable(table string, m machine, rows []runRow) {
+	fmt.Printf("\n%s: peak memory on %s\n", table, m.name)
 	fmt.Printf("%-11s | %10s %10s %10s %10s | %10s %10s %10s\n",
 		"Dataset", "Map(h)", "Sort(h)", "Red.(h)", "Contig(h)", "Map(d)", "Sort(d)", "Red.(d)")
-	for _, p := range h.profiles {
-		res, err := h.run(p, m)
-		if err != nil {
-			return err
-		}
-		get := func(name core.PhaseName) (int64, int64) {
-			ps, _ := res.PhaseByName(name)
-			return ps.PeakHost, ps.PeakDevice
-		}
-		mh, md := get(core.PhaseMap)
-		sh, sd := get(core.PhaseSort)
-		rh, rd := get(core.PhaseReduce)
-		ch, _ := get(core.PhaseCompress)
+	for _, r := range rows {
+		mp, so, re := r.Phases[core.PhaseMap], r.Phases[core.PhaseSort], r.Phases[core.PhaseReduce]
 		fmt.Printf("%-11s | %10s %10s %10s %10s | %10s %10s %10s\n",
-			p.Name,
-			stats.FormatBytes(mh), stats.FormatBytes(sh), stats.FormatBytes(rh), stats.FormatBytes(ch),
-			stats.FormatBytes(md), stats.FormatBytes(sd), stats.FormatBytes(rd))
+			r.Dataset,
+			stats.FormatBytes(mp.PeakHost), stats.FormatBytes(so.PeakHost), stats.FormatBytes(re.PeakHost),
+			stats.FormatBytes(r.Phases[core.PhaseCompress].PeakHost),
+			stats.FormatBytes(mp.PeakDevice), stats.FormatBytes(so.PeakDevice), stats.FormatBytes(re.PeakDevice))
 	}
 	fmt.Println("(h = peak host memory, d = peak device memory)")
-	return nil
-}
-
-func (h *harness) table4() error {
-	return h.memoryTable(fmt.Sprintf("Table IV: peak memory on %s", qb2.name), qb2)
-}
-
-func (h *harness) table5() error {
-	return h.memoryTable(fmt.Sprintf("Table V: peak memory on %s", supermic.name), supermic)
 }
 
 // --- Table VI ---------------------------------------------------------
 
+// tableVIMachines are Table VI's two columns. Both ratios divide by the
+// LaSAGNA run on tableVIMachines[ratioColumn].
+var tableVIMachines = [2]machine{supermic, qb2}
+
+const ratioColumn = 1
+
+// table6Row is one dataset of Table VI.
+type table6Row struct {
+	Dataset string
+	// SGAWall is the baseline's index+overlap wall time (it does not
+	// depend on the machine); SGAOOM marks the columns whose host budget
+	// its FM-index estimate exceeds.
+	SGAWall time.Duration
+	SGAOOM  [2]bool
+	// LaSAGNAWall and LaSAGNAModeled sum map+sort+reduce per column: the
+	// paper excludes SGA's error correction and our compress/load alike.
+	LaSAGNAWall, LaSAGNAModeled [2]time.Duration
+	// RatioMachine names the run WallRatio and GPUModelRatio divide by;
+	// both ratios are 0 when SGA is OOM in every column.
+	RatioMachine             string
+	WallRatio, GPUModelRatio float64
+}
+
+// dbgRow contrasts the resident de Bruijn structure with LaSAGNA's
+// block-bounded sort buffers on SuperMic (the Table VI footer).
+type dbgRow struct {
+	Dataset               string
+	Resident, SortBuffers int64
+}
+
 // sgaRun executes (or returns the cached) baseline run, honouring the
 // machine's host-memory budget the way the paper reports SGA going
-// out-of-memory on H.Genome with 64 GB.
+// out-of-memory on H.Genome with 64 GB. The budget scales with the
+// datasets, as the block sizes do, so the OOM cell holds at every scale.
 func (h *harness) sgaRun(p readsim.Profile, m machine) (*sga.Result, bool, error) {
 	rs := h.reads(p)
-	if sga.EstimateIndexBytes(rs) > m.hostBudgetBytes {
-		h.sgaOOM[p.Name+"|"+m.name] = true
+	if sga.EstimateIndexBytes(rs) > int64(float64(m.hostBudgetBytes)*h.scale) {
 		return nil, true, nil
 	}
 	if res, ok := h.sgaRuns[p.Name]; ok {
@@ -214,79 +270,92 @@ func (h *harness) sgaRun(p readsim.Profile, m machine) (*sga.Result, bool, error
 	if err != nil {
 		return nil, false, err
 	}
-	edges, res := a.Overlaps(rs)
-	_ = edges
+	_, res := a.Overlaps(rs)
 	h.sgaRuns[p.Name] = res
 	return res, false, nil
 }
 
-func (h *harness) table6() error {
+func (h *harness) table6() ([]table6Row, error) {
+	var rows []table6Row
+	for _, p := range h.profiles {
+		row := table6Row{Dataset: p.Name, RatioMachine: tableVIMachines[ratioColumn].name}
+		for i, m := range tableVIMachines {
+			sres, oom, err := h.sgaRun(p, m)
+			if err != nil {
+				return nil, err
+			}
+			row.SGAOOM[i] = oom
+			if !oom {
+				row.SGAWall = sres.TotalTime
+			}
+			res, err := h.run(p, m)
+			if err != nil {
+				return nil, err
+			}
+			for _, name := range []core.PhaseName{core.PhaseMap, core.PhaseSort, core.PhaseReduce} {
+				ps, _ := res.PhaseByName(name)
+				row.LaSAGNAWall[i] += ps.Wall
+				row.LaSAGNAModeled[i] += ps.Modeled
+			}
+		}
+		if row.SGAWall > 0 && row.LaSAGNAWall[ratioColumn] > 0 {
+			row.WallRatio = row.SGAWall.Seconds() / row.LaSAGNAWall[ratioColumn].Seconds()
+			row.GPUModelRatio = row.SGAWall.Seconds() / row.LaSAGNAModeled[ratioColumn].Seconds()
+		}
+		rows = append(rows, row)
+	}
+
+	return rows, nil
+}
+
+// debruijn is the Table VI footer. The paper excludes de Bruijn
+// assemblers from Table VI because they hold the whole k-mer structure in
+// memory and fail on large inputs. Reproduce the structural contrast:
+// resident de Bruijn memory grows with the dataset, LaSAGNA's sort
+// working set is block-bounded.
+func (h *harness) debruijn() ([]dbgRow, error) {
+	var rows []dbgRow
+	buffers := int64(2*scaleBlock(supermic.hostBlockPairs, h.scale)) * 24
+	for _, p := range h.profiles {
+		g, err := debruijn.Build(debruijn.Config{K: 25, MinCount: 1}, h.reads(p))
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, dbgRow{Dataset: p.Name, Resident: g.ApproxBytes(), SortBuffers: buffers})
+	}
+	return rows, nil
+}
+
+func printTable6(rows []table6Row, dbg []dbgRow) {
 	fmt.Printf("\nTable VI: SGA baseline vs LaSAGNA (index+overlap vs map+sort+reduce)\n")
 	fmt.Printf("%-11s %24s %24s %12s %12s\n",
 		"Dataset", "SGA 64GB / 128GB", "LaSAGNA 64GB / 128GB", "wall ratio", "GPU-model")
-	for _, p := range h.profiles {
+	for _, r := range rows {
 		var sgaT [2]string
-		var sgaWall time.Duration
-		var oomAll = true
-		for i, m := range []machine{supermic, qb2} {
-			res, oom, err := h.sgaRun(p, m)
-			if err != nil {
-				return err
-			}
+		for i, oom := range r.SGAOOM {
+			sgaT[i] = stats.FormatDuration(r.SGAWall)
 			if oom {
 				sgaT[i] = "OOM"
-				continue
 			}
-			oomAll = false
-			sgaT[i] = stats.FormatDuration(res.TotalTime)
-			sgaWall = res.TotalTime
 		}
-		var lasT [2]string
-		var lasWall, lasModeled time.Duration
-		for i, m := range []machine{supermic, qb2} {
-			res, err := h.run(p, m)
-			if err != nil {
-				return err
-			}
-			// Comparable work: map + sort + reduce (the paper excludes
-			// SGA's error-correction and our compress/load likewise).
-			var wall, modeled time.Duration
-			for _, name := range []core.PhaseName{core.PhaseMap, core.PhaseSort, core.PhaseReduce} {
-				ps, _ := res.PhaseByName(name)
-				wall += ps.Wall
-				modeled += ps.Modeled
-			}
-			lasT[i] = stats.FormatDuration(wall)
-			lasWall, lasModeled = wall, modeled
-		}
-		ratio := "-"
-		gpuRatio := "-"
-		if !oomAll && lasWall > 0 {
-			ratio = fmt.Sprintf("%.2fx", sgaWall.Seconds()/lasWall.Seconds())
-			gpuRatio = fmt.Sprintf("%.2fx", sgaWall.Seconds()/lasModeled.Seconds())
+		ratio, gpuRatio := "-", "-"
+		if r.WallRatio > 0 {
+			ratio = fmt.Sprintf("%.2fx", r.WallRatio)
+			gpuRatio = fmt.Sprintf("%.2fx", r.GPUModelRatio)
 		}
 		fmt.Printf("%-11s %11s / %10s %11s / %10s %12s %12s\n",
-			p.Name, sgaT[0], sgaT[1], lasT[0], lasT[1], ratio, gpuRatio)
+			r.Dataset, sgaT[0], sgaT[1], stats.FormatDuration(r.LaSAGNAWall[0]),
+			stats.FormatDuration(r.LaSAGNAWall[1]), ratio, gpuRatio)
 	}
-	fmt.Println("(wall ratio = SGA wall / LaSAGNA wall on this CPU; GPU-model = SGA wall / LaSAGNA modeled K20 time)")
+	fmt.Printf("(wall ratio = SGA wall / LaSAGNA wall on this CPU; GPU-model = SGA wall / LaSAGNA modeled time; both on %s)\n",
+		tableVIMachines[ratioColumn].name)
 
-	// The paper excludes de Bruijn assemblers from Table VI because they
-	// hold the whole k-mer structure in memory and fail on large inputs.
-	// Reproduce the structural contrast: resident de Bruijn memory grows
-	// with the dataset, LaSAGNA's sort working set is block-bounded.
 	fmt.Printf("\nde Bruijn baseline (k=25): resident k-mer memory vs LaSAGNA's block-bounded sort buffers (%s)\n",
 		supermic.name)
-	lasagnaBuffers := int64(2*scaleBlock(supermic.hostBlockPairs, h.scale)) * 24
-	for _, p := range h.profiles {
-		rs := h.reads(p)
-		g, err := debruijn.Build(debruijn.Config{K: 25, MinCount: 1}, rs)
-		if err != nil {
-			return err
-		}
+	for _, r := range dbg {
 		fmt.Printf("%-11s dBG resident: %10s   LaSAGNA sort buffers: %10s (fixed)\n",
-			p.Name, stats.FormatBytes(g.ApproxBytes()), stats.FormatBytes(lasagnaBuffers))
+			r.Dataset, stats.FormatBytes(r.Resident), stats.FormatBytes(r.SortBuffers))
 	}
 	fmt.Println("(the de Bruijn structure must stay resident and grows with the dataset — the")
 	fmt.Println(" paper's stated reason for excluding dBG assemblers, which went OOM on Table VI)")
-	return nil
 }

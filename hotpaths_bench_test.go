@@ -5,7 +5,7 @@
 // sorted window pair, and the spmat CSR build — plus the BENCH_wall.json
 // emission the bench_gate wall-clock rule consumes.
 //
-// Unlike the modeled-seconds benchmarks (BenchmarkTable2 etc.), these
+// Unlike the modeled-seconds benchmarks (BenchmarkPipelineStreams etc.), these
 // measure raw host nanoseconds and allocations per operation: the cost
 // model is deliberately identical before and after any hot-path rework,
 // so wall time is the only signal that the loops actually got faster.

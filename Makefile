@@ -36,8 +36,10 @@ race:
 	$(GO) test -race -count=10 -run 'TestFleetSchedulerStress|TestSchedulerWorkStealing|TestSchedulerPreemptionDrain|TestFlightRecorderLifecycle|TestSchedulerPreemptsOnlyWhatArrivalNeeds' ./internal/serve/
 	$(GO) test -race -count=3 -run 'TestPooledBufferConcurrentSorts|TestBlockPoolConcurrentRoundTrips|TestFsyncLedger' ./internal/extsort/ ./internal/kvio/
 
-# Short fuzz passes over the parsers and the packed encoding; the seed
-# corpora live under testdata/fuzz/.
+# Short fuzz passes over the parsers, the packed encoding, the graph
+# stores and the fingerprint kernel (held to the reference hash and to
+# the Hillis-Steele scan's charges); the seed corpora live under
+# testdata/fuzz/ or in the targets' f.Add calls.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/dna/
 	$(GO) test -run=NONE -fuzz=FuzzParseSeq -fuzztime=10s ./internal/dna/
@@ -47,6 +49,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzVecBounds -fuzztime=10s ./internal/gpu/
 	$(GO) test -run=NONE -fuzz=FuzzSpmatFromEdgeRuns -fuzztime=10s ./internal/spmat/
 	$(GO) test -run=NONE -fuzz=FuzzSuccinctFromEdgeRuns -fuzztime=10s ./internal/succinct/
+	$(GO) test -run=NONE -fuzz=FuzzScanRead -fuzztime=10s ./internal/fingerprint/
 
 # Every benchmark (worker scaling, streams, graph backends, ablations, hot
 # paths), then the job service's end-to-end throughput (BENCH_serve.json:

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -290,5 +291,51 @@ func TestRunPhaseFoldsNodeMeasures(t *testing.T) {
 	}
 	if per := res.NodeModeled["Probe"]; len(per) != 2 || per[0] != want[0] || per[1] != want[1] {
 		t.Errorf("NodeModeled = %v, want %v", per, want)
+	}
+}
+
+// TestEmptyReadAssemblesAsIfAbsent is core's empty-record cell on the
+// cluster path: a zero-length read mapped on one node leaves the FASTA
+// and the Map modeled time of the same input without it.
+func TestEmptyReadAssemblesAsIfAbsent(t *testing.T) {
+	_, reads := testData(t)
+	withEmpty := dna.NewReadSet(reads.NumReads()+1, int(reads.TotalBases()))
+	for i := 0; i < reads.NumReads(); i++ {
+		withEmpty.Append(reads.Read(uint32(i)))
+		if i == 70 { // inside the second input block
+			withEmpty.Append(dna.Seq{})
+		}
+	}
+	run := func(rs *dna.ReadSet) (*Result, []byte) {
+		cl, err := New(clusterConfig(t, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Assemble(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fasta, err := os.ReadFile(res.ContigPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, fasta
+	}
+	want, wantFASTA := run(reads)
+	got, gotFASTA := run(withEmpty)
+	if string(gotFASTA) != string(wantFASTA) {
+		t.Errorf("FASTA with an empty read differs (%d vs %d bytes)", len(gotFASTA), len(wantFASTA))
+	}
+	gotMap, _ := got.PhaseByName(core.PhaseMap)
+	wantMap, _ := want.PhaseByName(core.PhaseMap)
+	if gotMap.Modeled != wantMap.Modeled || gotMap.DeviceOps != wantMap.DeviceOps {
+		t.Errorf("Map modeled %v (%d ops) with an empty read, %v (%d ops) without",
+			gotMap.Modeled, gotMap.DeviceOps, wantMap.Modeled, wantMap.DeviceOps)
+	}
+	// The read's two vertices still occupy a slot in vertex-indexed
+	// structures, which moves the total by nanoseconds on the matrix
+	// backends.
+	if d := got.TotalModeled - want.TotalModeled; d < 0 || d > time.Microsecond {
+		t.Errorf("modeled %v with an empty read, %v without", got.TotalModeled, want.TotalModeled)
 	}
 }

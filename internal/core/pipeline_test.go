@@ -4,6 +4,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dna"
 	"repro/internal/fastq"
@@ -292,5 +293,65 @@ func TestSingletonsCoverAllReads(t *testing.T) {
 	}
 	if count == 0 {
 		t.Log("no exact read-length contigs; acceptable if every read overlapped")
+	}
+}
+
+// withEmptyRead returns a copy of rs with a zero-length read inserted
+// after read at, the shape a FASTQ record with an empty sequence line
+// parses to.
+func withEmptyRead(rs *dna.ReadSet, at int) *dna.ReadSet {
+	out := dna.NewReadSet(rs.NumReads()+1, int(rs.TotalBases()))
+	for i := 0; i < rs.NumReads(); i++ {
+		out.Append(rs.Read(uint32(i)))
+		if i == at {
+			out.Append(dna.Seq{})
+		}
+	}
+	return out
+}
+
+// TestEmptyReadAssemblesAsIfAbsent: a zero-length read has no overlaps
+// and no fingerprints to charge, so on every backend the FASTA and the
+// Map stage's modeled time equal those of the same input without it.
+func TestEmptyReadAssemblesAsIfAbsent(t *testing.T) {
+	_, reads := testGenomeReads(t, 4000, 64, 8)
+	withEmpty := withEmptyRead(reads, 5)
+	for _, backend := range Backends {
+		t.Run(backend, func(t *testing.T) {
+			run := func(rs *dna.ReadSet) (*Result, []byte) {
+				cfg := smallConfig(t)
+				cfg.GraphBackend = backend
+				p, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := p.Assemble(rs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fasta, err := os.ReadFile(res.ContigPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, fasta
+			}
+			want, wantFASTA := run(reads)
+			got, gotFASTA := run(withEmpty)
+			if string(gotFASTA) != string(wantFASTA) {
+				t.Errorf("FASTA with an empty read differs (%d vs %d bytes)", len(gotFASTA), len(wantFASTA))
+			}
+			gotMap, _ := got.PhaseByName(PhaseMap)
+			wantMap, _ := want.PhaseByName(PhaseMap)
+			if gotMap.Modeled != wantMap.Modeled || gotMap.DeviceOps != wantMap.DeviceOps {
+				t.Errorf("Map modeled %v (%d ops) with an empty read, %v (%d ops) without",
+					gotMap.Modeled, gotMap.DeviceOps, wantMap.Modeled, wantMap.DeviceOps)
+			}
+			// The read's two vertices still occupy a slot in vertex-indexed
+			// structures, which moves the total by nanoseconds on the matrix
+			// backends.
+			if d := got.TotalModeled - want.TotalModeled; d < 0 || d > time.Microsecond {
+				t.Errorf("modeled %v with an empty read, %v without", got.TotalModeled, want.TotalModeled)
+			}
+		})
 	}
 }

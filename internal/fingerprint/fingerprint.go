@@ -4,36 +4,45 @@
 // Each fingerprint is 128 bits wide: two independent rolling hashes with
 // different radixes and prime moduli, exactly as Section IV-B specifies,
 // because a single hash yields false-positive overlap edges on
-// high-coverage data. Prefix fingerprints of a read are computed with a
-// Hillis-Steele inclusive scan (Fig. 5): starting from the per-base
-// encodings, each step combines an element with the element `offset`
-// positions to its left using precomputed place values, doubling the
-// offset until it exceeds the read length. Suffix fingerprints are then
-// derived arithmetically from the prefix fingerprints and place values
-// (Fig. 6) without rescanning the read:
+// high-coverage data. Suffix fingerprints are derived arithmetically from
+// the prefix fingerprints and place values (Fig. 6) without rescanning
+// the read:
 //
 //	S[i] = (P[n-1] - P[i-1]*sigma^(n-i)) mod q
 //
 // Both moduli are large primes; base codes are offset by one so that the
 // all-A prefix family does not collapse to a single fingerprint value.
 //
+// # Device charge versus host execution
+//
+// On the GPU the prefix fingerprints are a Hillis-Steele inclusive scan
+// (Fig. 5): one thread block per read, ceil(log2 n) doubling steps per
+// hash component, each touching every element once. That is what the
+// kernels charge to the device. The host computes the same values with
+// the sequential Horner recurrence P[i] = P[i-1]*sigma + d[i], one pass
+// over the read for both components, because a simulated lock-step scan
+// does log2(n) times the arithmetic for an identical answer. The same
+// split holds for gpu.SortPairs, which charges LSD radix passes and
+// sorts MSD-first on the host. The scan itself is kept as the test
+// oracle the kernels' values and charges are pinned against.
+//
 // # Hot-path arithmetic
 //
-// The scan kernels run once per base per doubling step for every read in
-// the dataset, so the modular multiply is the single hottest operation in
-// the map phase. Both primes were chosen (by the paper, conveniently) to
-// admit division-free reduction, and the kernels exploit that instead of
-// the generic 128/64 hardware divide:
+// The recurrence runs once per base for every read in the dataset, so
+// the modular multiply-add is the hottest operation in the map phase.
+// Both primes were chosen (by the paper, conveniently) to admit
+// division-free reduction:
 //
-//   - PrimeA = 2^61-1 is Mersenne: 2^64 ≡ 8 and 2^61 ≡ 1, so a 128-bit
-//     product folds into the 61-bit residue with shifts and adds
-//     (mulmodA).
-//   - PrimeB = 2^64-59: 2^64 ≡ 59, so the high product word folds in via
-//     one extra 64x64 multiply by 59 (mulmodB).
+//   - PrimeA = 2^61-1 is Mersenne and the radix is 5, so acc*5 + d fits
+//     in 64 bits and folds with one shift, mask and add (2^61 ≡ 1).
+//   - PrimeB = 2^64-59: 2^64 ≡ 59, so the high product word of acc*7
+//     folds in via one extra 64x64 multiply by 59 (mulmodB).
 //
-// The generic division-based mulmod is kept as the reference the tests
-// compare against. Base digits are 1..4, strictly below both primes, so
-// the per-base encode needs no reduction at all.
+// The suffix derivation multiplies by arbitrary place values and uses
+// the general folds (mulmodA, mulmodB). The generic division-based
+// mulmod builds the place-value table and is the reference the tests
+// compare the folds against. Base digits are 1..4, strictly below both
+// primes, so the per-base encode needs no reduction at all.
 package fingerprint
 
 import (
@@ -110,15 +119,6 @@ func mulmodB(a, b uint64) uint64 {
 	return t
 }
 
-// addmod returns a+b mod m for a,b < m.
-func addmod(a, b, m uint64) uint64 {
-	s, carry := bits.Add64(a, b, 0)
-	if carry != 0 || s >= m {
-		s -= m
-	}
-	return s
-}
-
 // submod returns a-b mod m for a,b < m.
 func submod(a, b, m uint64) uint64 {
 	if a >= b {
@@ -159,52 +159,84 @@ func NewTable(maxLen int) *Table {
 // MaxLen returns the longest read length the table supports.
 func (t *Table) MaxLen() int { return t.maxLen }
 
-// Fingerprint computes the 128-bit fingerprint of an entire sequence with
-// a sequential Horner evaluation. It is the reference implementation that
-// the scan kernels are tested against, and is also used by substrates that
-// hash one string at a time.
-func (t *Table) Fingerprint(s dna.Seq) kv.Key {
-	// Component A: acc < 2^61-1, so acc*5 + digit fits in 64 bits and
-	// folds shift-free (2^61 ≡ 1 mod p).
-	var a uint64
-	for _, c := range s {
-		v := a*5 + encode(c)
+// horner runs the Horner recurrence acc = acc*radix + digit over s for
+// both hash components at once and returns the fingerprint of all of s.
+// When out is non-nil it also stores the fingerprint of s[0:i+1] in
+// out[i]; it must then hold len(s) keys.
+//
+// Component A's acc*5 + digit fits in 64 bits (acc < 2^61-1) and folds
+// shift-free (2^61 ≡ 1 mod p). Component B's acc*7 overflows 64 bits, so
+// it folds through mulmodB; the digit add cannot carry (acc ≤ p-1 =
+// 2^64-60, digit ≤ 4).
+func horner(s dna.Seq, out []kv.Key) kv.Key {
+	var a, b uint64
+	for i, c := range s {
+		d := encode(c)
+		v := a*5 + d
 		a = (v & mersenne61) + (v >> 61)
 		if a >= mersenne61 {
 			a -= mersenne61
 		}
-	}
-	// Component B: acc*7 overflows 64 bits, so fold through mulmodB. The
-	// digit add cannot carry (acc ≤ p-1 = 2^64-60, digit ≤ 4).
-	var b uint64
-	for _, c := range s {
-		b = mulmodB(b, 7) + encode(c)
+		b = mulmodB(b, 7) + d
 		if b >= primeB {
 			b -= primeB
+		}
+		if out != nil {
+			out[i] = kv.Key{Hi: a, Lo: b}
 		}
 	}
 	return kv.Key{Hi: a, Lo: b}
 }
 
-// Kernel computes prefix and suffix fingerprints for one read at a time
-// using the Hillis-Steele scan. A Kernel owns scratch buffers sized to the
-// table's maximum read length and is not safe for concurrent use: create
-// one Kernel per worker goroutine (one per simulated thread block).
+// Fingerprint computes the 128-bit fingerprint of an entire sequence with
+// a sequential Horner evaluation. It is the reference the kernels are
+// tested against, and is also used by substrates that hash one string at
+// a time.
+func (t *Table) Fingerprint(s dna.Seq) kv.Key { return horner(s, nil) }
+
+// prefixes fills out with the prefix fingerprints of s: one pass of the
+// Horner recurrence over both components. It is the host computation
+// behind every kernel's Prefixes; the kernels differ only in what they
+// charge.
+func (t *Table) prefixes(s dna.Seq, out []kv.Key) []kv.Key {
+	if len(s) > t.maxLen {
+		panic("fingerprint: read longer than table maxLen")
+	}
+	out = sizedKeys(out, len(s))
+	horner(s, out)
+	return out
+}
+
+// suffixDerive fills out with the suffix fingerprints derived from the prefix
+// fingerprints (Fig. 6). An empty read has no suffixes.
+func (t *Table) suffixDerive(prefixes []kv.Key, out []kv.Key) []kv.Key {
+	n := len(prefixes)
+	out = sizedKeys(out, n)
+	if n == 0 {
+		return out
+	}
+	placeA, placeB := t.place[0], t.place[1]
+	wholeA := prefixes[n-1].Hi
+	wholeB := prefixes[n-1].Lo
+	out[0].Hi = wholeA
+	out[0].Lo = wholeB
+	for i := 1; i < n; i++ {
+		out[i].Hi = submod(wholeA, mulmodA(prefixes[i-1].Hi, placeA[n-i]), mersenne61)
+		out[i].Lo = submod(wholeB, mulmodB(prefixes[i-1].Lo, placeB[n-i]), primeB)
+	}
+	return out
+}
+
+// Kernel is the block-per-read kernel pair of Section III-A: prefix
+// fingerprints charged as the Hillis-Steele scan of Fig. 5, suffix
+// fingerprints derived as in Fig. 6. It holds no mutable state, so
+// goroutines may share one.
 type Kernel struct {
 	table *Table
-	cur   [2][]uint64 // scan double-buffer, current step
-	next  [2][]uint64 // scan double-buffer, next step
 }
 
 // NewKernel returns a kernel bound to the given place-value table.
-func NewKernel(t *Table) *Kernel {
-	k := &Kernel{table: t}
-	for h := 0; h < 2; h++ {
-		k.cur[h] = make([]uint64, t.maxLen)
-		k.next[h] = make([]uint64, t.maxLen)
-	}
-	return k
-}
+func NewKernel(t *Table) *Kernel { return &Kernel{table: t} }
 
 // sizedKeys returns out resized to n, allocating only when out (nil or
 // short) cannot hold n keys. This is the out-slice contract of every
@@ -217,119 +249,43 @@ func sizedKeys(out []kv.Key, n int) []kv.Key {
 	return out[:n]
 }
 
-// scanStepA is one Hillis-Steele doubling step of the PrimeA component:
-// next[i] = cur[i-offset]*m + cur[i] mod 2^61-1 for i in [offset, n).
-func scanStepA(next, cur []uint64, offset int, m uint64) {
-	for i := offset; i < len(cur); i++ {
-		hi, lo := bits.Mul64(cur[i-offset], m)
-		t := (hi<<3 | lo>>61) + (lo & mersenne61)
-		if t >= mersenne61 {
-			t -= mersenne61
-		}
-		t += cur[i] // both < 2^61: no overflow
-		if t >= mersenne61 {
-			t -= mersenne61
-		}
-		next[i] = t
+// scanSteps is the number of Hillis-Steele doubling steps for an n-base
+// read, ceil(log2 n): offsets 1, 2, 4, ... while below n. A read of zero
+// or one base needs none.
+func scanSteps(n int) int64 {
+	if n <= 1 {
+		return 0
 	}
+	return int64(bits.Len(uint(n - 1)))
 }
 
-// scanStepB is the same step for the PrimeB component, with the 2^64-59
-// fold and a carry-aware add.
-func scanStepB(next, cur []uint64, offset int, m uint64) {
-	for i := offset; i < len(cur); i++ {
-		v := mulmodB(cur[i-offset], m)
-		s, carry := bits.Add64(v, cur[i], 0)
-		if carry != 0 {
-			s += primeBFold
-		} else if s >= primeB {
-			s -= primeB
-		}
-		next[i] = s
-	}
-}
-
-// scanComponent runs the full doubling scan for hash component h over s,
-// leaving the prefix values in the returned slice (one of the kernel's
-// double buffers). It returns the number of doubling steps executed.
-func (k *Kernel) scanComponent(h int, s dna.Seq) ([]uint64, int) {
-	n := len(s)
-	place := k.table.place[h]
-	cur, next := k.cur[h][:n], k.next[h][:n]
-	// Each thread encodes its base (array E in the paper). Digits are
-	// 1..4 < prime, so no reduction.
-	for i, c := range s {
-		cur[i] = encode(c)
-	}
-	steps := 0
-	// Iterative doubling with a barrier between steps.
-	for offset := 1; offset < n; offset *= 2 {
-		steps++
-		m := place[offset]
-		copy(next[:offset], cur[:offset])
-		if h == 0 {
-			scanStepA(next, cur, offset, m)
-		} else {
-			scanStepB(next, cur, offset, m)
-		}
-		cur, next = next, cur
-	}
-	return cur, steps
-}
-
-// prefixScan fills out with the prefix fingerprints of s and returns the
-// scan's step count (for the caller to charge).
-func (k *Kernel) prefixScan(s dna.Seq, out []kv.Key) ([]kv.Key, int) {
-	n := len(s)
-	if n > k.table.maxLen {
-		panic("fingerprint: read longer than table maxLen")
-	}
-	out = sizedKeys(out, n)
-	a, steps := k.scanComponent(0, s)
-	for i, v := range a {
-		out[i].Hi = v
-	}
-	b, stepsB := k.scanComponent(1, s)
-	for i, v := range b {
-		out[i].Lo = v
-	}
-	return out, steps + stepsB
-}
-
-// suffixDerive fills out with the suffix fingerprints derived from the
-// prefix fingerprints (Fig. 6), without charging.
-func (k *Kernel) suffixDerive(prefixes []kv.Key, out []kv.Key) []kv.Key {
-	n := len(prefixes)
-	out = sizedKeys(out, n)
-	placeA, placeB := k.table.place[0], k.table.place[1]
-	wholeA := prefixes[n-1].Hi
-	wholeB := prefixes[n-1].Lo
-	out[0].Hi = wholeA
-	out[0].Lo = wholeB
-	for i := 1; i < n; i++ {
-		out[i].Hi = submod(wholeA, mulmodA(prefixes[i-1].Hi, placeA[n-i]), mersenne61)
-		out[i].Lo = submod(wholeB, mulmodB(prefixes[i-1].Lo, placeB[n-i]), primeB)
-	}
-	return out
-}
-
-// Prefixes fills out[i] with the fingerprint of s[0:i+1] for every i,
-// using the Hillis-Steele scan of Fig. 5. When cap(out) >= len(s) the
-// result aliases out; a nil or shorter slice is grown. The filled prefix
-// is returned.
-//
-// Each doubling step reads the previous step's values and writes fresh
-// ones (double buffering), which is the lock-step barrier semantics of a
-// CUDA thread block: thread i computes
+// scanCharge is the device charge of the prefix scan of an n-base read:
+// per hash component, every doubling step reads and writes each thread's
+// element once. Thread i of a step computes
 //
 //	P[i] = P[i-offset]*M[offset] + P[i]
 //
-// where M is the place-value array.
+// where M is the place-value array, behind a barrier between steps.
+func scanCharge(n int) (memBytes, ops int64) {
+	steps := 2 * scanSteps(n)
+	return steps * int64(n) * 16, steps * int64(n)
+}
+
+// deriveCharge is the device charge of the Fig. 6 suffix derivation of an
+// n-base read: one element read and written per hash component.
+func deriveCharge(n int) (memBytes, ops int64) {
+	return int64(n) * 2 * 16, int64(n) * 2
+}
+
+// Prefixes fills out[i] with the fingerprint of s[0:i+1] for every i and
+// charges the Hillis-Steele scan of Fig. 5. When cap(out) >= len(s) the
+// result aliases out; a nil or shorter slice is grown. The filled prefix
+// is returned. An empty read yields an empty slice and charges nothing.
 func (k *Kernel) Prefixes(dev *gpu.Device, s dna.Seq, out []kv.Key) []kv.Key {
-	out, steps := k.prefixScan(s, out)
-	n := len(s)
-	// Each step touches every thread's element once (read + write).
-	dev.ChargeKernel(int64(steps)*int64(n)*16, int64(steps)*int64(n))
+	out = k.table.prefixes(s, out)
+	if len(s) > 0 {
+		dev.ChargeKernel(scanCharge(len(s)))
+	}
 	return out
 }
 
@@ -338,9 +294,10 @@ func (k *Kernel) Prefixes(dev *gpu.Device, s dna.Seq, out []kv.Key) []kv.Key {
 // of Prefixes for the same read. When cap(out) >= len(prefixes) the
 // result aliases out; a nil or shorter slice is grown.
 func (k *Kernel) Suffixes(dev *gpu.Device, prefixes []kv.Key, out []kv.Key) []kv.Key {
-	out = k.suffixDerive(prefixes, out)
-	n := len(prefixes)
-	dev.ChargeKernel(int64(n)*2*16, int64(n)*2)
+	out = k.table.suffixDerive(prefixes, out)
+	if n := len(prefixes); n > 0 {
+		dev.ChargeKernel(deriveCharge(n))
+	}
 	return out
 }
 
@@ -351,16 +308,12 @@ func (k *Kernel) Suffixes(dev *gpu.Device, prefixes []kv.Key, out []kv.Key) []kv
 // modeled counters are identical either way; only the number of meter
 // updates shrinks. The out-slice contract matches Prefixes/Suffixes.
 func (k *Kernel) ScanRead(dev *gpu.Device, s dna.Seq, pout, sout []kv.Key) (pf, sf []kv.Key) {
-	pf, steps := k.prefixScan(s, pout)
-	sf = k.suffixDerive(pf, sout)
-	n := int64(len(s))
-	dev.ChargeKernel(int64(steps)*n*16+n*2*16, int64(steps)*n+n*2)
-	return pf, sf
-}
-
-func componentOf(key kv.Key, h int) uint64 {
-	if h == 0 {
-		return key.Hi
+	pf = k.table.prefixes(s, pout)
+	sf = k.table.suffixDerive(pf, sout)
+	if n := len(s); n > 0 {
+		scanMem, scanOps := scanCharge(n)
+		derMem, derOps := deriveCharge(n)
+		dev.ChargeKernel(scanMem+derMem, scanOps+derOps)
 	}
-	return key.Lo
+	return pf, sf
 }

@@ -1,10 +1,12 @@
 package fingerprint
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/costmodel"
 	"repro/internal/dna"
 	"repro/internal/gpu"
 	"repro/internal/kv"
@@ -16,6 +18,15 @@ func randomSeq(rng *rand.Rand, n int) dna.Seq {
 	s := make(dna.Seq, n)
 	for i := range s {
 		s[i] = byte(rng.Intn(4))
+	}
+	return s
+}
+
+// addmod returns a+b mod m for a,b < m.
+func addmod(a, b, m uint64) uint64 {
+	s, carry := bits.Add64(a, b, 0)
+	if carry != 0 || s >= m {
+		s -= m
 	}
 	return s
 }
@@ -217,5 +228,25 @@ func BenchmarkSuffixes101(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k.Suffixes(dev, prefixes, out)
+	}
+}
+
+// TestEmptyReadYieldsNothing pins the empty-record guard: a read of zero
+// bases has no prefixes or suffixes and charges the device nothing, on
+// both kernels.
+func TestEmptyReadYieldsNothing(t *testing.T) {
+	table := NewTable(10)
+	kernels := map[string]interface {
+		ScanRead(dev *gpu.Device, s dna.Seq, pout, sout []kv.Key) (pf, sf []kv.Key)
+	}{"scan": NewKernel(table), "naive": NewNaiveKernel(table)}
+	for name, kern := range kernels {
+		meter := costmodel.NewMeter()
+		pf, sf := kern.ScanRead(gpu.NewDevice(gpu.K40, meter), dna.Seq{}, make([]kv.Key, 4), nil)
+		if len(pf) != 0 || len(sf) != 0 {
+			t.Fatalf("%s: empty read gave %d prefixes, %d suffixes", name, len(pf), len(sf))
+		}
+		if got := meter.Snapshot(); got != (costmodel.Counters{}) {
+			t.Fatalf("%s: empty read charged %+v", name, got)
+		}
 	}
 }

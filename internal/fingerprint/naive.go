@@ -15,6 +15,9 @@ import (
 // cost model captures that with a warp-width (32x) memory amplification,
 // which is what makes this kernel lose to the Hillis-Steele scan in the
 // ablation benchmark even though it does asymptotically less arithmetic.
+//
+// The host values come from the same recurrence and derivation as
+// Kernel's; the two kernels differ only in what they charge.
 type NaiveKernel struct {
 	table *Table
 }
@@ -28,68 +31,41 @@ func NewNaiveKernel(t *Table) *NaiveKernel {
 	return &NaiveKernel{table: t}
 }
 
-// Prefixes fills out[i] with the fingerprint of s[0:i+1] using a
-// sequential Horner evaluation.
+// naiveCharge is one naive kernel launch over an n-base read: one
+// uncoalesced read and write per element per hash component.
+func naiveCharge(n int) (memBytes, ops int64) {
+	return int64(n) * 2 * 16 * warpWidth, int64(n) * 2
+}
+
+// Prefixes fills out[i] with the fingerprint of s[0:i+1], charged as a
+// per-thread sequential Horner evaluation.
 func (k *NaiveKernel) Prefixes(dev *gpu.Device, s dna.Seq, out []kv.Key) []kv.Key {
-	n := len(s)
-	if n > k.table.maxLen {
-		panic("fingerprint: read longer than table maxLen")
+	out = k.table.prefixes(s, out)
+	if len(s) > 0 {
+		dev.ChargeKernel(naiveCharge(len(s)))
 	}
-	out = sizedKeys(out, n)
-	for h := 0; h < 2; h++ {
-		p := k.table.params[h]
-		var acc uint64
-		for i, c := range s {
-			acc = addmod(mulmod(acc, p.Radix, p.Prime), encode(c)%p.Prime, p.Prime)
-			if h == 0 {
-				out[i].Hi = acc
-			} else {
-				out[i].Lo = acc
-			}
-		}
-	}
-	// One uncoalesced read and write per element per hash component.
-	dev.ChargeKernel(int64(n)*2*16*warpWidth, int64(n)*2)
 	return out
 }
 
 // ScanRead computes both fingerprint arrays of one read. The naive kernel
 // has no metering to amortize — its two kernel launches stay separate
-// charges, exactly as before — so this is just the two calls in sequence,
-// provided so both kernels satisfy the mapper's interface.
+// charges — so this is just the two calls in sequence, provided so both
+// kernels satisfy the mapper's interface.
 func (k *NaiveKernel) ScanRead(dev *gpu.Device, s dna.Seq, pout, sout []kv.Key) (pf, sf []kv.Key) {
 	pf = k.Prefixes(dev, s, pout)
 	sf = k.Suffixes(dev, pf, sout)
 	return pf, sf
 }
 
-// Suffixes fills out[i] with the fingerprint of s[i:], recomputing each
-// hash from scratch per position the way a per-thread kernel without the
-// prefix-derivation trick would; the arithmetic is O(n) per suffix start
-// only if derived, so the naive kernel derives too but pays uncoalesced
-// traffic for the scattered writes (the paper notes the scan approach
-// "avoids scattered writes during suffix fingerprint generation").
+// Suffixes fills out[i] with the fingerprint of s[i:], derived from the
+// prefix fingerprints as the scan kernel does, but charged for the
+// uncoalesced scattered writes of a per-thread kernel (the paper notes
+// the scan approach "avoids scattered writes during suffix fingerprint
+// generation").
 func (k *NaiveKernel) Suffixes(dev *gpu.Device, prefixes []kv.Key, out []kv.Key) []kv.Key {
-	n := len(prefixes)
-	out = sizedKeys(out, n)
-	for h := 0; h < 2; h++ {
-		p := k.table.params[h]
-		place := k.table.place[h]
-		whole := componentOf(prefixes[n-1], h)
-		for i := 0; i < n; i++ {
-			var v uint64
-			if i == 0 {
-				v = whole
-			} else {
-				v = submod(whole, mulmod(componentOf(prefixes[i-1], h), place[n-i], p.Prime), p.Prime)
-			}
-			if h == 0 {
-				out[i].Hi = v
-			} else {
-				out[i].Lo = v
-			}
-		}
+	out = k.table.suffixDerive(prefixes, out)
+	if n := len(prefixes); n > 0 {
+		dev.ChargeKernel(naiveCharge(n))
 	}
-	dev.ChargeKernel(int64(n)*2*16*warpWidth, int64(n)*2)
 	return out
 }

@@ -250,9 +250,9 @@ func (d *Device) ChargeKernel(memBytes, ops int64) {
 
 // LaunchBlocks emulates a grid launch of numBlocks thread blocks, running
 // kernel(block) for each. Blocks are distributed over host worker
-// goroutines; within a block the kernel itself is responsible for
-// respecting step-barrier (Hillis-Steele) semantics, which the fingerprint
-// kernels do by double-buffering each scan step.
+// goroutines; a block runs on one goroutine, so a kernel whose device
+// form is a lock-step scan (the fingerprint kernels' Hillis-Steele steps)
+// may compute the same values sequentially and charge the steps.
 func (d *Device) LaunchBlocks(numBlocks int, kernel func(block int)) {
 	if numBlocks <= 0 {
 		return

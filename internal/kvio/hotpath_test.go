@@ -325,3 +325,55 @@ func TestBlockPoolConcurrentRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriterMetersPerFlushedBlock pins when the disk meter moves: once
+// per flushed block with that block's bytes, never per record, and the
+// tail at Close, so the closed file's total is exact whichever entry
+// point wrote it.
+func TestWriterMetersPerFlushedBlock(t *testing.T) {
+	ps := randPairs(41, blockPairs+3)
+	for _, batch := range []bool{false, true} {
+		meter := costmodel.NewMeter()
+		w, err := NewWriter(filepath.Join(t.TempDir(), "m.kv"), meter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written := func() int64 { return meter.Snapshot().DiskWriteBytes }
+		if batch {
+			err = w.WriteBatch(ps[:blockPairs])
+		} else {
+			for _, p := range ps[:blockPairs] {
+				if err = w.Write(p); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := written(); got != 0 {
+			t.Fatalf("batch=%v: %d bytes metered before any block was flushed", batch, got)
+		}
+		if batch {
+			err = w.WriteBatch(ps[blockPairs:])
+		} else {
+			for _, p := range ps[blockPairs:] {
+				if err = w.Write(p); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := written(); got != blockBytes {
+			t.Fatalf("batch=%v: %d bytes metered after the first flush, want one block (%d)", batch, got, blockBytes)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := written(), int64(len(ps))*kv.PairBytes; got != want {
+			t.Fatalf("batch=%v: %d bytes metered after Close, want %d", batch, got, want)
+		}
+	}
+}

@@ -17,6 +17,13 @@
 // straight out of it. Blocks are recycled through a sync.Pool across
 // files, so steady-state serialization allocates nothing.
 //
+// The disk meter is charged once per flushed block, with the bytes the
+// block's Write syscall moved, not once per record: the meter is shared
+// with the concurrently running map kernels, and one atomic add per pair
+// was millions of contended updates per assembly. Close flushes, so a
+// writer's total, and the per-phase deltas of a phase that closes its
+// writers, are exactly what per-record charging gave.
+//
 // Writer.Close flushes the final block, fsyncs, and only then closes,
 // reporting — never swallowing — errors from each step, so a torn tail
 // write surfaces at close time rather than as a silently short file.
@@ -135,9 +142,6 @@ func (w *Writer) Write(p kv.Pair) error {
 	p.Encode(w.block[w.off : w.off+kv.PairBytes])
 	w.off += kv.PairBytes
 	w.count++
-	if w.meter != nil {
-		w.meter.AddDiskWrite(kv.PairBytes)
-	}
 	return nil
 }
 
@@ -146,7 +150,6 @@ func (w *Writer) WriteBatch(ps []kv.Pair) error {
 	if w.closed {
 		return fmt.Errorf("kvio: write to closed writer %s", w.f.Name())
 	}
-	total := len(ps)
 	for len(ps) > 0 {
 		space := (len(w.block) - w.off) / kv.PairBytes
 		if space == 0 {
@@ -167,19 +170,20 @@ func (w *Writer) WriteBatch(ps []kv.Pair) error {
 		w.count += int64(n)
 		ps = ps[n:]
 	}
-	if w.meter != nil {
-		w.meter.AddDiskWrite(int64(total) * kv.PairBytes)
-	}
 	return nil
 }
 
-// flush writes the filled part of the block with a single syscall.
+// flush writes the filled part of the block with a single syscall and
+// charges its bytes to the meter.
 func (w *Writer) flush() error {
 	if w.off == 0 {
 		return nil
 	}
 	if _, err := w.f.Write(w.block[:w.off]); err != nil {
 		return fmt.Errorf("kvio: flush %s: %w", w.f.Name(), err)
+	}
+	if w.meter != nil {
+		w.meter.AddDiskWrite(int64(w.off))
 	}
 	w.off = 0
 	return nil
@@ -389,18 +393,21 @@ type PartitionWriters struct {
 	dir     string
 	kind    Kind
 	meter   *costmodel.Meter
-	writers map[int]*Writer
+	writers []*Writer // indexed by length; nil until that length's first tuple
 }
 
 // NewPartitionWriters returns a writer fan-out rooted at dir.
 func NewPartitionWriters(dir string, kind Kind, meter *costmodel.Meter) *PartitionWriters {
-	return &PartitionWriters{dir: dir, kind: kind, meter: meter, writers: map[int]*Writer{}}
+	return &PartitionWriters{dir: dir, kind: kind, meter: meter}
 }
 
 // Write appends a tuple to the partition for the given length.
 func (pw *PartitionWriters) Write(length int, p kv.Pair) error {
-	w, ok := pw.writers[length]
-	if !ok {
+	if length >= len(pw.writers) {
+		pw.writers = append(pw.writers, make([]*Writer, length+1-len(pw.writers))...)
+	}
+	w := pw.writers[length]
+	if w == nil {
 		var err error
 		w, err = NewWriter(PartitionPath(pw.dir, pw.kind, length), pw.meter)
 		if err != nil {
@@ -413,9 +420,11 @@ func (pw *PartitionWriters) Write(length int, p kv.Pair) error {
 
 // Counts returns the tuple count per length written so far.
 func (pw *PartitionWriters) Counts() map[int]int64 {
-	out := make(map[int]int64, len(pw.writers))
+	out := make(map[int]int64)
 	for l, w := range pw.writers {
-		out[l] = w.Count()
+		if w != nil {
+			out[l] = w.Count()
+		}
 	}
 	return out
 }
@@ -424,11 +433,14 @@ func (pw *PartitionWriters) Counts() map[int]int64 {
 func (pw *PartitionWriters) Close() error {
 	var first error
 	for _, w := range pw.writers {
+		if w == nil {
+			continue
+		}
 		if err := w.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	pw.writers = map[int]*Writer{}
+	pw.writers = nil
 	return first
 }
 

@@ -266,6 +266,19 @@ func TestPartitionWritersAndList(t *testing.T) {
 	if len(lengths) != 3 || lengths[0] != 63 || lengths[1] != 80 || lengths[2] != 100 {
 		t.Errorf("lengths = %v", lengths)
 	}
+	// Lengths arrive in any order, the longest first here.
+	if err := pw.Write(120, randomPairs(rng, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := pw.Write(40, randomPairs(rng, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if lengths, _ = ListPartitions(dir, Suffix); len(lengths) != 5 || lengths[0] != 40 || lengths[4] != 120 {
+		t.Errorf("lengths after a second fan-out = %v", lengths)
+	}
 	// No prefix partitions were written.
 	pfx, err := ListPartitions(dir, Prefix)
 	if err != nil {

@@ -550,3 +550,58 @@ func TestStoreSweep(t *testing.T) {
 		t.Errorf("terminal record lost by the sweep: %v", err)
 	}
 }
+
+// TestServerSurvivesEmptyRecord submits a FASTQ with one empty sequence
+// line. Map runs in the server's process, so a kernel panic on the empty
+// read would take every job down with it; instead the job assembles to
+// the FASTA of the same reads without the record, and the server keeps
+// answering and running jobs afterwards.
+func TestServerSurvivesEmptyRecord(t *testing.T) {
+	scfg := testServerConfig(t.TempDir())
+	srv, err := New(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	fq, reads := testFastq(t, 1301)
+	params := Params{MinOverlap: 31, Workers: 1}
+	want := directFasta(t, scfg, params, reads)
+
+	// Insert the empty record after the third record (four lines each).
+	lines := bytes.SplitAfter(fq, []byte("\n"))
+	var withEmpty []byte
+	for i, line := range lines {
+		if i == 12 {
+			withEmpty = append(withEmpty, "@empty\n\n+\n\n"...)
+		}
+		withEmpty = append(withEmpty, line...)
+	}
+
+	rec := submitJob(t, ts.URL, withEmpty, "?lmin=31&workers=1&name=empty-record")
+	final := pollJob(t, ts.URL, rec.ID)
+	if final.State != StateSucceeded {
+		t.Fatalf("job with an empty record finished %s: %s", final.State, final.Error)
+	}
+	if got := fetchResult(t, ts.URL, final.ID); !bytes.Equal(got, want) {
+		t.Errorf("FASTA with an empty record differs from the reads without it (%d vs %d bytes)",
+			len(got), len(want))
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the empty-record job: status %d", resp.StatusCode)
+	}
+	next := pollJob(t, ts.URL, submitJob(t, ts.URL, fq, "?lmin=31&workers=1&name=after").ID)
+	if next.State != StateSucceeded {
+		t.Fatalf("job after the empty-record job finished %s: %s", next.State, next.Error)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -7,11 +7,14 @@ GO ?= go
 all: build vet lint test race
 
 # Fails when any file is not gofmt-formatted (listing the offenders) or
-# when go vet flags anything.
+# when go vet flags anything, here or in the benchmark module: benchmark/
+# imports internal packages, so an API change that breaks it fails this
+# target, not only the benchmark job.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

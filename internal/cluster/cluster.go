@@ -318,7 +318,6 @@ func (c *Cluster) openRunners(rs dna.ReadSource) error {
 		n.runner = core.NewStageRunner(n.Scratch, c.cfg.Fingerprint(n.id), inputHash,
 			c.cfg.Resume, nodeStages)
 		n.runner.SetObserver(c.cfg.Obs, n.Track)
-		n.runner.SetWorkers(n.Workers())
 		resumeAt = min(resumeAt, n.runner.ResumeAt())
 		maxAt = max(maxAt, n.runner.ResumeAt())
 	}
@@ -414,8 +413,8 @@ func (c *Cluster) AssembleContext(ctx context.Context, reads *dna.ReadSet) (*Res
 			n.Meter.AddDiskRead(2 * blockBases)
 			blocks = append(blocks, core.ReadRange{Start: start, End: end})
 		}
-		counts, err := n.MapBlocks(ctx, rs, blocks)
-		return core.StageOutcome{Artifacts: core.PartitionFiles(counts, core.RawPartition)}, err
+		counts, sums, err := n.MapBlocks(ctx, rs, blocks)
+		return core.StageOutcome{Artifacts: sums.Artifacts(counts, core.RawPartition)}, err
 	}, func(*node, core.StageRecord) error { return nil })
 	if err != nil {
 		return res, err
@@ -427,8 +426,8 @@ func (c *Cluster) AssembleContext(ctx context.Context, reads *dna.ReadSet) (*Res
 		if err := ctx.Err(); err != nil {
 			return core.StageOutcome{}, err
 		}
-		err := c.shuffleNode(rs.MaxLen(), n)
-		return core.StageOutcome{Artifacts: core.PartitionFiles(n.counts, shufName)}, err
+		sums, err := c.shuffleNode(rs.MaxLen(), n)
+		return core.StageOutcome{Artifacts: sums.Artifacts(n.counts, shufName)}, err
 	}, func(n *node, rec core.StageRecord) (err error) {
 		n.counts, err = core.PartitionCounts(rec, "shuf_"+kvio.Suffix.String()+"_")
 		return err
@@ -441,9 +440,10 @@ func (c *Cluster) AssembleContext(ctx context.Context, reads *dna.ReadSet) (*Res
 	// shuffled inputs only after the stage commits.
 	err = c.runStage(res, core.PhaseSort, func(n *node) (core.StageOutcome, error) {
 		var err error
-		n.passes, err = n.SortPartitions(ctx, n.counts, shufName, sortedName)
+		var sums core.PartitionSums
+		n.passes, sums, err = n.SortPartitions(ctx, n.counts, shufName, sortedName)
 		return core.StageOutcome{
-			Artifacts: core.PartitionFiles(n.counts, sortedName),
+			Artifacts: sums.Artifacts(n.counts, sortedName),
 			Meta:      map[string]int64{core.MetaSortDiskPasses: int64(n.passes)},
 			Cleanup:   func() error { return n.RemovePartitions(n.counts, shufName) },
 		}, err
@@ -508,12 +508,22 @@ func shufName(k kvio.Kind, l int) string { return "shuf_" + core.RawPartition(k,
 func sortedName(k kvio.Kind, l int) string { return "sorted_" + core.RawPartition(k, l) }
 
 // shuffleNode pulls everything n owns of every length partition below
-// maxLen from all peers into n's local storage. Each peer meters the read
-// of the file it serves (the paper's active-message handler reads the
-// requested partition and responds with a chunk); what crosses between
-// nodes is charged to n's network.
-func (c *Cluster) shuffleNode(maxLen int, n *node) error {
+// maxLen from all peers into n's local storage and returns the shuffled
+// files' sums. Each peer meters the read of the file it serves (the
+// paper's active-message handler reads the requested partition and
+// responds with a chunk); what crosses between nodes is charged to n's
+// network.
+func (c *Cluster) shuffleNode(maxLen int, n *node) (core.PartitionSums, error) {
 	n.counts = map[int]int64{}
+	sums := core.PartitionSums{{}, {}}
+	// A rename moves no byte: the file keeps the sum Map's writer folded,
+	// which n's Map record holds whether Map ran in this process or was
+	// replayed from the manifest.
+	mapRec, _ := n.runner.Record(core.PhaseMap)
+	mapped := make(map[string]kvio.Sum, len(mapRec.Artifacts))
+	for _, a := range mapRec.Artifacts {
+		mapped[a.Path] = a.Sum()
+	}
 	whole := !c.cfg.PartitionByFingerprint // a length partition moves whole
 	buf := make([]kv.Pair, 4096)
 	// pull streams what n owns of peer's (kind, l) partition file — which
@@ -563,24 +573,25 @@ func (c *Cluster) shuffleNode(maxLen int, n *node) error {
 				src := kvio.PartitionPath(n.Scratch, kind, l)
 				var err error
 				if total, err = kvio.CountFile(src); err != nil {
-					return err
+					return sums, err
 				}
 				if total == 0 {
 					continue
 				}
 				if err := os.Rename(src, dst); err != nil {
-					return err
+					return sums, err
 				}
+				sums[kind][l] = mapped[core.RawPartition(kind, l)]
 			} else {
 				w, err := kvio.NewWriter(dst, n.Meter)
 				if err != nil {
-					return err
+					return sums, err
 				}
 				for _, peer := range c.nodes {
 					moved, err := pull(w, peer, kind, l)
 					if err != nil {
 						w.Close()
-						return err
+						return sums, err
 					}
 					if peer != n {
 						n.Meter.AddNet(moved * kv.PairBytes)
@@ -588,15 +599,16 @@ func (c *Cluster) shuffleNode(maxLen int, n *node) error {
 					total += moved
 				}
 				if err := w.Close(); err != nil {
-					return err
+					return sums, err
 				}
+				sums[kind][l] = w.Sum()
 			}
 			if kind == kvio.Suffix && total > 0 {
 				n.counts[l] = total
 			}
 		}
 	}
-	return nil
+	return sums, nil
 }
 
 // reducePhase runs overlap finding on all nodes in parallel, then builds
@@ -751,7 +763,7 @@ func (c *Cluster) compressOnMaster(rs dna.ReadSource, eng core.GraphEngine, res 
 	res.ContigPath = filepath.Join(c.cfg.Workspace, "contigs.fasta")
 	// No meter: the master's FASTA write has never been charged (see
 	// core.WriteContigs).
-	res.Contigs, err = core.WriteContigs(master.Device, nil, rs, paths, res.ContigPath)
+	res.Contigs, _, err = core.WriteContigs(master.Device, nil, rs, paths, res.ContigPath)
 	res.ContigStats = contig.Summarize(res.Contigs)
 	return err
 }

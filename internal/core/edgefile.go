@@ -22,24 +22,24 @@ const edgeFileName = "edges.kv"
 
 // writeEdgeFile streams an engine's live edges to path in the order
 // produced. The order is preserved on reload, so any insertion-order-
-// sensitive graph construction survives a round trip. An iterator that
-// stopped on an error (a store row that failed to decode) left the file
-// short, not complete: its Err is returned.
-func writeEdgeFile(path string, meter *costmodel.Meter, live LiveEdges) error {
+// sensitive graph construction survives a round trip. The file's sum is
+// returned. An iterator that stopped on an error (a store row that failed
+// to decode) left the file short, not complete: its Err is returned.
+func writeEdgeFile(path string, meter *costmodel.Meter, live LiveEdges) (kvio.Sum, error) {
 	w, err := kvio.NewWriter(path, meter)
 	if err != nil {
-		return err
+		return kvio.Sum{}, err
 	}
 	for e, ok := live.Next(); ok; e, ok = live.Next() {
 		if err := w.Write(e.Pair()); err != nil {
 			w.Close()
-			return err
+			return kvio.Sum{}, err
 		}
 	}
 	if err := w.Close(); err != nil {
-		return err
+		return kvio.Sum{}, err
 	}
-	return live.Err()
+	return w.Sum(), live.Err()
 }
 
 // edgeFileIterator streams edges.kv pull-style, the shape

@@ -301,7 +301,7 @@ func (e *spmatEngine) Load(next func() (graph.Edge, bool, error)) error {
 // FromEdgeRuns + this copy + Unitigs as the Compress stage's
 // sgraph.unitigs layer and rejects a trace whose stage runs more than 30%
 // under its replay, which the direct walk does. The copy goes when the
-// benchmark's replay does (ROADMAP item 4(ii)).
+// benchmark's replay does (ROADMAP item 1(ii)).
 func (e *spmatEngine) Paths() ([]graph.Path, error) {
 	fg := sgraph.New(e.rs.NumReads())
 	view := graph.NewLiveView(e.store, e.red.Mask)

@@ -6,17 +6,19 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"repro/internal/dna"
+	"repro/internal/kvio"
 	"repro/internal/obs"
 )
 
 // manifestVersion guards the on-disk schema: a manifest written by an
-// incompatible build never validates, forcing a clean re-run.
-const manifestVersion = 1
+// incompatible build never validates, forcing a clean re-run. Version 1
+// recorded a SHA-256 per artifact, version 2 the writer's CRC-32C.
+const manifestVersion = 2
 
 // ManifestName is the run-manifest file name within a workspace (or a
 // cluster node's private storage directory).
@@ -52,11 +54,38 @@ type StageRecord struct {
 	Meta map[string]int64 `json:"meta,omitempty"`
 }
 
-// Artifact describes one output file at commit time.
+// Artifact describes one output file as the code that wrote it left it:
+// the length and CRC-32C its writer folded (kvio.Sum), so a commit reads
+// nothing back.
 type Artifact struct {
-	Path   string `json:"path"` // relative to the manifest's root dir
-	Bytes  int64  `json:"bytes"`
-	SHA256 string `json:"sha256"`
+	Path   string   `json:"path"` // relative to the manifest's root dir
+	Bytes  int64    `json:"bytes"`
+	CRC32C Checksum `json:"crc32c"`
+}
+
+// NewArtifact records the file at rel, relative to the manifest's root
+// dir, with the sum its writer folded.
+func NewArtifact(rel string, s kvio.Sum) Artifact {
+	return Artifact{Path: filepath.ToSlash(rel), Bytes: s.Bytes, CRC32C: Checksum(s.CRC32C)}
+}
+
+// Sum is the recorded length and CRC-32C.
+func (a Artifact) Sum() kvio.Sum { return kvio.Sum{Bytes: a.Bytes, CRC32C: uint32(a.CRC32C)} }
+
+// Checksum is a CRC-32C, spelt in a manifest as 8 hex digits.
+type Checksum uint32
+
+// MarshalText spells c as 8 lower-case hex digits.
+func (c Checksum) MarshalText() ([]byte, error) { return fmt.Appendf(nil, "%08x", uint32(c)), nil }
+
+// UnmarshalText reads c from 8 hex digits.
+func (c *Checksum) UnmarshalText(b []byte) error {
+	if len(b) != 8 {
+		return fmt.Errorf("core: checksum %q is not 8 hex digits", b)
+	}
+	v, err := strconv.ParseUint(string(b), 16, 32)
+	*c = Checksum(v)
+	return err
 }
 
 const stageDone = "done"
@@ -99,48 +128,17 @@ func loadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// describeArtifact stats and checksums one artifact file. rel must be
-// relative to root.
-func describeArtifact(root, rel string) (Artifact, error) {
-	full := filepath.Join(root, rel)
-	f, err := os.Open(full)
-	if err != nil {
-		return Artifact{}, err
-	}
-	defer f.Close()
-	h := sha256.New()
-	n, err := io.Copy(h, f)
-	if err != nil {
-		return Artifact{}, err
-	}
-	return Artifact{Path: filepath.ToSlash(rel), Bytes: n, SHA256: hex.EncodeToString(h.Sum(nil))}, nil
-}
-
-// describeArtifacts checksums a stage's artifacts on up to workers
-// goroutines. Each result lands at its artifact's index, so the record — and
-// the manifest bytes — do not depend on workers; of several failures the
-// one at the lowest index is reported.
-func describeArtifacts(root string, rels []string, workers int) ([]Artifact, error) {
-	arts := make([]Artifact, len(rels))
-	err := runTasks(workers, len(rels), func(_, i int) (err error) {
-		arts[i], err = describeArtifact(root, rels[i])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return arts, nil
-}
-
-// validateArtifacts re-checksums every artifact of a committed stage and
-// reports the first mismatch (missing file, size drift, content drift).
+// validateArtifacts re-reads every artifact of a committed stage and
+// reports the first that is missing or whose length or CRC-32C differs
+// from the one recorded at commit. It is the only code that reads an
+// artifact to check it.
 func validateArtifacts(root string, rec StageRecord) error {
 	for _, a := range rec.Artifacts {
-		got, err := describeArtifact(root, filepath.FromSlash(a.Path))
+		got, err := kvio.SumFile(filepath.Join(root, filepath.FromSlash(a.Path)))
 		if err != nil {
 			return fmt.Errorf("core: stage %s artifact %s: %w", rec.Name, a.Path, err)
 		}
-		if got.Bytes != a.Bytes || got.SHA256 != a.SHA256 {
+		if got != a.Sum() {
 			return fmt.Errorf("core: stage %s artifact %s changed since commit", rec.Name, a.Path)
 		}
 	}
@@ -154,8 +152,11 @@ func validateArtifacts(root string, rec StageRecord) error {
 // one. A cluster node's manifest hashes this plus its cluster geometry.
 func (c Config) Fingerprint() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v%d|min=%d|mh=%d|md=%d|mb=%d|gpu=%s/%d",
-		manifestVersion, c.MinOverlap, c.HostBlockPairs, c.DeviceBlockPairs,
+	// "v1" is the manifest version this spelling was introduced with; it
+	// stays when the version moves, as fg= and ptrav= stay below, because a
+	// schema change is the version check's business, not the config's.
+	fmt.Fprintf(h, "v1|min=%d|mh=%d|md=%d|mb=%d|gpu=%s/%d",
+		c.MinOverlap, c.HostBlockPairs, c.DeviceBlockPairs,
 		c.MapBatchReads, c.GPU.Name, c.GPU.MemBytes)
 	// The spelling predates BackendFull, when the full graph was a flag of
 	// its own beside a greedy GraphBackend and two ablation switches sat in

@@ -76,9 +76,6 @@ func NewNode(cfg Config, dev *gpu.Device, track obs.Track, scratch string) *Node
 	return n
 }
 
-// Workers is the node's resolved partition-level concurrency.
-func (n *Node) Workers() int { return n.cfg.workers() }
-
 // Measure runs fn as one phase on this node and reports what it cost: the
 // meter delta priced under the node's profile, minus the overlap the
 // phase's streamed units hid (they commit their timelines before the phase
@@ -120,8 +117,8 @@ type ReadRange struct{ Start, End int }
 
 // MapBlocks fingerprints the given blocks of rs, in order, into the raw
 // length partitions under Scratch (RawPartition names them) and returns the
-// tuple count per length.
-func (n *Node) MapBlocks(ctx context.Context, rs dna.ReadSource, blocks []ReadRange) (map[int]int64, error) {
+// tuple count per length and the files' sums.
+func (n *Node) MapBlocks(ctx context.Context, rs dna.ReadSource, blocks []ReadRange) (map[int]int64, PartitionSums, error) {
 	sfxW := kvio.NewPartitionWriters(n.Scratch, kvio.Suffix, n.Meter)
 	pfxW := kvio.NewPartitionWriters(n.Scratch, kvio.Prefix, n.Meter)
 	mapper := NewMapper(n.Device, n.HostMem, n.cfg.MinOverlap, n.cfg.MapBatchReads, rs.MaxLen())
@@ -131,17 +128,16 @@ func (n *Node) MapBlocks(ctx context.Context, rs dna.ReadSource, blocks []ReadRa
 	mapper.Profile = n.Profile
 	for _, b := range blocks {
 		if err := mapper.MapRange(ctx, rs, b.Start, b.End, sfxW, pfxW); err != nil {
-			return nil, err
+			return nil, PartitionSums{}, err
 		}
 	}
-	counts := sfxW.Counts()
 	if err := sfxW.Close(); err != nil {
-		return nil, err
+		return nil, PartitionSums{}, err
 	}
 	if err := pfxW.Close(); err != nil {
-		return nil, err
+		return nil, PartitionSums{}, err
 	}
-	return counts, nil
+	return sfxW.Counts(), PartitionSums{sfxW.Sums(), pfxW.Sums()}, nil
 }
 
 // A PartitionNamer names the file holding one side of one length
@@ -161,6 +157,23 @@ func PartitionFiles(counts map[int]int64, name PartitionNamer) []string {
 		files = append(files, name(kvio.Suffix, l), name(kvio.Prefix, l))
 	}
 	return files
+}
+
+// PartitionSums holds the sum each partition file's writer folded, by
+// side (kvio.Kind) and length: what a stage that wrote partitions commits.
+type PartitionSums [2]map[int]kvio.Sum
+
+// Artifacts lists both sides of every partition in counts as manifest
+// artifacts, in PartitionFiles order, named by name and carrying the
+// writers' sums.
+func (s PartitionSums) Artifacts(counts map[int]int64, name PartitionNamer) []Artifact {
+	arts := make([]Artifact, 0, 2*len(counts))
+	for _, l := range sortedLengthsDesc(counts) {
+		for _, k := range []kvio.Kind{kvio.Suffix, kvio.Prefix} {
+			arts = append(arts, NewArtifact(name(k, l), s[k][l]))
+		}
+	}
+	return arts
 }
 
 // PartitionCounts rebuilds per-length tuple counts from a committed stage
@@ -197,9 +210,9 @@ func (n *Node) RemovePartitions(counts map[int]int64, name PartitionNamer) error
 
 // SortPartitions externally sorts both sides of every partition in counts
 // from Scratch/in(...) to Scratch/out(...), on up to Workers goroutines,
-// and returns the most disk passes any sort took. Of several failures the
-// one earliest in the schedule is reported.
-func (n *Node) SortPartitions(ctx context.Context, counts map[int]int64, in, out PartitionNamer) (int, error) {
+// and returns the most disk passes any sort took and the sorted files'
+// sums. Of several failures the one earliest in the schedule is reported.
+func (n *Node) SortPartitions(ctx context.Context, counts map[int]int64, in, out PartitionNamer) (int, PartitionSums, error) {
 	type task struct {
 		kind   kvio.Kind
 		length int
@@ -208,8 +221,7 @@ func (n *Node) SortPartitions(ctx context.Context, counts map[int]int64, in, out
 	for _, l := range sortedLengthsDesc(counts) {
 		tasks = append(tasks, task{kvio.Suffix, l}, task{kvio.Prefix, l})
 	}
-	var mu sync.Mutex // guards passes
-	passes := 0
+	stats := make([]extsort.Stats, len(tasks))
 	err := runTasks(n.cfg.workers(), len(tasks), func(worker, i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -239,12 +251,19 @@ func (n *Node) SortPartitions(ctx context.Context, counts map[int]int64, in, out
 		if err != nil {
 			return fmt.Errorf("core: sorting partition %d (%s): %w", t.length, t.kind, err)
 		}
-		mu.Lock()
-		passes = max(passes, st.DiskPasses)
-		mu.Unlock()
+		stats[i] = st
 		return nil
 	})
-	return passes, err
+	if err != nil {
+		return 0, PartitionSums{}, err
+	}
+	passes := 0
+	sums := PartitionSums{{}, {}}
+	for i, t := range tasks {
+		passes = max(passes, stats[i].DiskPasses)
+		sums[t.kind][t.length] = stats[i].Output
+	}
+	return passes, sums, nil
 }
 
 // Candidate is one candidate overlap: the Length-suffix of vertex U equals

@@ -25,7 +25,7 @@ func mappedNode(t *testing.T, reads *dna.ReadSet, workers int) (*Node, map[int]i
 	cfg := smallConfig(t)
 	cfg.Workers = workers
 	n := NewNode(cfg, gpu.NewDevice(cfg.GPU, nil), obs.Track{}, cfg.Workspace)
-	counts, err := n.MapBlocks(context.Background(), reads, []ReadRange{{0, reads.NumReads()}})
+	counts, _, err := n.MapBlocks(context.Background(), reads, []ReadRange{{0, reads.NumReads()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func mappedNode(t *testing.T, reads *dna.ReadSet, workers int) (*Node, map[int]i
 func sortedNode(t *testing.T, reads *dna.ReadSet, workers int) (*Node, map[int]int64) {
 	t.Helper()
 	n, counts := mappedNode(t, reads, workers)
-	if _, err := n.SortPartitions(context.Background(), counts, RawPartition, sortedPartition); err != nil {
+	if _, _, err := n.SortPartitions(context.Background(), counts, RawPartition, sortedPartition); err != nil {
 		t.Fatal(err)
 	}
 	return n, counts
@@ -55,7 +55,7 @@ func TestSortPartitionsReportsEarliestFailure(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, err := n.SortPartitions(context.Background(), counts, RawPartition, sortedPartition)
+		_, _, err := n.SortPartitions(context.Background(), counts, RawPartition, sortedPartition)
 		if err == nil || !strings.Contains(err.Error(), "sorting partition 40 (pfx)") {
 			t.Fatalf("rep %d: error = %v, want the failure of partition 40 (pfx)", rep, err)
 		}

@@ -268,7 +268,6 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 	runner.SetObserver(p.cfg.Obs, p.node.Track)
 	runner.SetFaultHook(p.FaultHook)
 	runner.SetProgress(p.cfg.Progress)
-	runner.SetWorkers(p.node.Workers())
 	if runner.ResumeAt() == 0 {
 		// Starting from scratch: partitions left by an interrupted or
 		// invalidated run must not leak into this one.
@@ -292,15 +291,15 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 		Name: PhaseMap,
 		Fresh: func() (StageOutcome, error) {
 			var out StageOutcome
-			err := p.runPhase(PhaseMap, res, func() error {
-				var err error
-				counts, err = p.node.MapBlocks(ctx, rs, []ReadRange{{0, rs.NumReads()}})
+			var sums PartitionSums
+			err := p.runPhase(PhaseMap, res, func() (err error) {
+				counts, sums, err = p.node.MapBlocks(ctx, rs, []ReadRange{{0, rs.NumReads()}})
 				return err
 			})
 			if err != nil {
 				return out, err
 			}
-			out.Artifacts = PartitionFiles(counts, inWorkspace(RawPartition))
+			out.Artifacts = sums.Artifacts(counts, inWorkspace(RawPartition))
 			return out, nil
 		},
 		Cached: func(rec StageRecord) error {
@@ -331,14 +330,15 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 		Name: PhaseSort,
 		Fresh: func() (StageOutcome, error) {
 			var out StageOutcome
+			var sums PartitionSums
 			err := p.runPhase(PhaseSort, res, func() (err error) {
-				res.SortDiskPasses, err = p.node.SortPartitions(ctx, counts, RawPartition, sortedPartition)
+				res.SortDiskPasses, sums, err = p.node.SortPartitions(ctx, counts, RawPartition, sortedPartition)
 				return err
 			})
 			if err != nil {
 				return out, err
 			}
-			out.Artifacts = PartitionFiles(counts, inWorkspace(sortedPartition))
+			out.Artifacts = sums.Artifacts(counts, inWorkspace(sortedPartition))
 			out.Meta = map[string]int64{MetaSortDiskPasses: int64(res.SortDiskPasses)}
 			out.Cleanup = func() error { return p.node.RemovePartitions(counts, RawPartition) }
 			return out, nil
@@ -359,13 +359,15 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 		Name: PhaseReduce,
 		Fresh: func() (StageOutcome, error) {
 			var out StageOutcome
-			err := p.runPhase(PhaseReduce, res, func() error {
-				return p.reducePhase(ctx, rs, counts, edgePath, res)
+			var sum kvio.Sum
+			err := p.runPhase(PhaseReduce, res, func() (err error) {
+				sum, err = p.reducePhase(ctx, rs, counts, edgePath, res)
+				return err
 			})
 			if err != nil {
 				return out, err
 			}
-			out.Artifacts = []string{edgeFileName}
+			out.Artifacts = []Artifact{NewArtifact(edgeFileName, sum)}
 			out.Meta = map[string]int64{
 				metaCandidateEdges: res.CandidateEdges,
 				metaFalsePositives: res.FalsePositives,
@@ -392,13 +394,15 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 		Name: PhaseCompress,
 		Fresh: func() (StageOutcome, error) {
 			var out StageOutcome
-			err := p.runPhase(PhaseCompress, res, func() error {
-				return p.compressPhase(rs, edgePath, res)
+			var sum kvio.Sum
+			err := p.runPhase(PhaseCompress, res, func() (err error) {
+				sum, err = p.compressPhase(rs, edgePath, res)
+				return err
 			})
 			if err != nil {
 				return out, err
 			}
-			out.Artifacts = []string{contigFileName}
+			out.Artifacts = []Artifact{NewArtifact(contigFileName, sum)}
 			return out, nil
 		},
 		Cached: func(rec StageRecord) error {
@@ -489,9 +493,9 @@ const mapTupleBytes = 32
 
 // reducePhase feeds every verified candidate, in descending length order,
 // to the configured graph engine, seals it, and persists the surviving
-// edge list to edgePath.
+// edge list to edgePath, returning the file's sum.
 func (p *Pipeline) reducePhase(ctx context.Context, rs dna.ReadSource,
-	counts map[int]int64, edgePath string, res *Result) error {
+	counts map[int]int64, edgePath string, res *Result) (kvio.Sum, error) {
 	eng := p.node.NewGraphEngine(rs)
 	defer eng.Release()
 	lenHist := p.cfg.Obs.Metrics().Histogram("overlap.length",
@@ -505,11 +509,11 @@ func (p *Pipeline) reducePhase(ctx context.Context, rs dna.ReadSource,
 		}
 	})
 	if err != nil {
-		return err
+		return kvio.Sum{}, err
 	}
 	st, err := SealEngine(ctx, eng, p.cfg.Obs.Metrics())
 	if err != nil {
-		return err
+		return kvio.Sum{}, err
 	}
 	res.ReducedEdges = st.Removed
 	res.AcceptedEdges = st.NNZ - st.Removed
@@ -536,61 +540,65 @@ func sweepSortScratch(partDir string) error {
 }
 
 // compressPhase rebuilds the configured engine's graph from the persisted
-// edge list, walks it into paths, and generates contigs. Loading from disk
+// edge list, walks it into paths, and generates contigs, returning the
+// FASTA's sum. Loading from disk
 // rather than reusing Reduce's sealed engine is deliberate: it is the
 // single code path shared by cold and resumed runs, so resumed output is
 // byte-identical by construction.
-func (p *Pipeline) compressPhase(rs dna.ReadSource, edgePath string, res *Result) error {
+func (p *Pipeline) compressPhase(rs dna.ReadSource, edgePath string, res *Result) (kvio.Sum, error) {
 	eng := p.node.NewGraphEngine(rs)
 	defer eng.Release()
 	it, err := newEdgeFileIterator(edgePath, p.node.Meter)
 	if err != nil {
-		return err
+		return kvio.Sum{}, err
 	}
 	err = eng.Load(it.Next)
 	if cerr := it.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return err
+		return kvio.Sum{}, err
 	}
 	paths, err := eng.Paths()
 	if err != nil {
-		return err
+		return kvio.Sum{}, err
 	}
 	res.ContigPath = filepath.Join(p.cfg.Workspace, contigFileName)
-	res.Contigs, err = WriteContigs(p.node.Device, p.node.Meter, rs, paths, res.ContigPath)
+	var sum kvio.Sum
+	res.Contigs, sum, err = WriteContigs(p.node.Device, p.node.Meter, rs, paths, res.ContigPath)
 	res.ContigStats = contig.Summarize(res.Contigs)
-	return err
+	return sum, err
 }
 
-// WriteContigs spells paths into contig sequences on dev and writes them
-// as FASTA to fastaPath, charging the sequence bytes to meter as a disk
-// write. A nil meter charges nothing: the cluster master has never metered
-// its FASTA write, and keeps not to so its modeled numbers stay comparable
+// WriteContigs spells paths into contig sequences on dev, writes them as
+// FASTA to fastaPath, and returns them with the file's sum, folded as it
+// was written. It charges the sequence bytes to meter as a disk write; a
+// nil meter charges nothing: the cluster master has never metered its
+// FASTA write, and keeps not to so its modeled numbers stay comparable
 // (ROADMAP item 5 lists the re-baseline).
 func WriteContigs(dev *gpu.Device, meter *costmodel.Meter, rs dna.ReadSource,
-	paths []graph.Path, fastaPath string) ([]dna.Seq, error) {
+	paths []graph.Path, fastaPath string) ([]dna.Seq, kvio.Sum, error) {
 	contigs := contig.Generate(contig.Config{Device: dev}, paths, rs)
 	f, err := os.Create(fastaPath)
 	if err != nil {
-		return contigs, err
+		return contigs, kvio.Sum{}, err
 	}
-	w := fastq.NewFastaWriter(f, 80)
+	sw := &kvio.SumWriter{W: f}
+	w := fastq.NewFastaWriter(sw, 80)
 	var written int64
 	for i, c := range contigs {
 		if err := w.Write(fastq.Record{Name: fmt.Sprintf("contig%d len=%d", i, len(c)), Seq: c}); err != nil {
 			f.Close()
-			return contigs, err
+			return contigs, sw.Sum, err
 		}
 		written += int64(len(c))
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
-		return contigs, err
+		return contigs, sw.Sum, err
 	}
 	if meter != nil {
 		meter.AddDiskWrite(written)
 	}
-	return contigs, f.Close()
+	return contigs, sw.Sum, f.Close()
 }

@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -202,11 +206,91 @@ func TestResumeInvalidatedByInputChange(t *testing.T) {
 	}
 }
 
+// TestResumeInvalidatedByCorruptArtifact corrupts one committed sorted
+// partition without changing its length — its first byte, or one bit in
+// its middle — so only the recorded CRC-32C can tell: resume must fall back
+// to a full, correct re-run.
 func TestResumeInvalidatedByCorruptArtifact(t *testing.T) {
 	want := coldContigs(t, nil)
 	reads := testResumeReads(t)
-	cfg := smallConfig(t)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(data []byte)
+	}{
+		{"first-byte", func(data []byte) { data[0] ^= 0xff }},
+		{"one-bit-mid-file", func(data []byte) { data[len(data)/2] ^= 0x10 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig(t)
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.FaultHook = crashAfter(PhaseSort)
+			if _, err := p.Assemble(reads); !errors.Is(err, errInjectedCrash) {
+				t.Fatalf("interrupted run error = %v", err)
+			}
 
+			partDir := filepath.Join(cfg.Workspace, "partitions")
+			entries, err := os.ReadDir(partDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corrupted := false
+			for _, e := range entries {
+				if filepath.Ext(e.Name()) != ".sorted" {
+					continue
+				}
+				path := filepath.Join(partDir, e.Name())
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(data) == 0 {
+					continue
+				}
+				tc.corrupt(data)
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				corrupted = true
+				break
+			}
+			if !corrupted {
+				t.Fatal("no sorted partition found to corrupt")
+			}
+
+			cfg.Resume = true
+			p2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p2.Assemble(reads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.CachedStages) != 0 {
+				t.Fatalf("corrupted artifact still replayed stages %v", res.CachedStages)
+			}
+			got, err := os.ReadFile(res.ContigPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatal("re-run after corruption differs from cold run")
+			}
+		})
+	}
+}
+
+// TestResumeRerunsVersion1Manifest rewrites a committed manifest the way
+// the previous schema spelt it — version 1, a SHA-256 per artifact, no
+// CRC-32C — over artifacts that are intact: resume refuses it as an
+// unknown version and the clean rerun writes the cold run's FASTA.
+func TestResumeRerunsVersion1Manifest(t *testing.T) {
+	want := coldContigs(t, nil)
+	reads := testResumeReads(t)
+	cfg := smallConfig(t)
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -216,37 +300,43 @@ func TestResumeInvalidatedByCorruptArtifact(t *testing.T) {
 		t.Fatalf("interrupted run error = %v", err)
 	}
 
-	// Flip a byte in one committed sorted partition: the checksum no longer
-	// matches, so resume must fall back to a full, correct re-run.
-	partDir := filepath.Join(cfg.Workspace, "partitions")
-	entries, err := os.ReadDir(partDir)
+	path := filepath.Join(cfg.Workspace, ManifestName)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupted := false
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) != ".sorted" {
-			continue
-		}
-		path := filepath.Join(partDir, e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) == 0 {
-			continue
-		}
-		data[0] ^= 0xff
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		corrupted = true
-		break
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
 	}
-	if !corrupted {
-		t.Fatal("no sorted partition found to corrupt")
+	doc["version"] = 1
+	for _, st := range doc["stages"].([]any) {
+		for _, a := range st.(map[string]any)["artifacts"].([]any) {
+			art := a.(map[string]any)
+			delete(art, "crc32c")
+			data, err := os.ReadFile(filepath.Join(cfg.Workspace, art["path"].(string)))
+			if errors.Is(err, fs.ErrNotExist) {
+				continue // consumed by the next stage
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			art["sha256"] = hex.EncodeToString(sum[:])
+		}
+	}
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
+	r := NewStageRunner(cfg.Workspace, cfg.Fingerprint(), InputFingerprint(reads), true, pipelineStages)
+	if r.ResumeAt() != 0 || !strings.Contains(r.resumeNote, "unknown manifest version") {
+		t.Fatalf("version-1 manifest planned resume at %d (%q), want a clean rerun for an unknown version",
+			r.ResumeAt(), r.resumeNote)
+	}
 	cfg.Resume = true
 	p2, err := New(cfg)
 	if err != nil {
@@ -257,14 +347,78 @@ func TestResumeInvalidatedByCorruptArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.CachedStages) != 0 {
-		t.Fatalf("corrupted artifact still replayed stages %v", res.CachedStages)
+		t.Fatalf("version-1 manifest replayed stages %v", res.CachedStages)
 	}
 	got, err := os.ReadFile(res.ContigPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Fatal("re-run after corruption differs from cold run")
+		t.Fatal("rerun over a version-1 manifest differs from cold run")
+	}
+}
+
+// checkManifestCRCs recomputes, from disk and with hash/crc32 alone, the
+// CRC-32C and length of every artifact the manifest at dir records for
+// stage, and reports any that differs from the record.
+func checkManifestCRCs(dir string, stage PhaseName) error {
+	m, err := loadManifest(filepath.Join(dir, ManifestName))
+	if err != nil {
+		return err
+	}
+	rec, ok := m.stageRecordByName(string(stage))
+	if !ok || len(rec.Artifacts) == 0 {
+		return fmt.Errorf("manifest has no artifacts for %s", stage)
+	}
+	for _, a := range rec.Artifacts {
+		data, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(a.Path)))
+		if err != nil {
+			return err
+		}
+		crc := crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
+		if a.Bytes != int64(len(data)) || a.CRC32C != Checksum(crc) {
+			return fmt.Errorf("%s artifact %s recorded %d bytes crc %08x, disk has %d bytes crc %08x",
+				stage, a.Path, a.Bytes, uint32(a.CRC32C), len(data), crc)
+		}
+	}
+	return nil
+}
+
+// TestManifestCRCMatchesArtifactBytes stops every backend's run after each
+// stage commit, at one and at four workers, and holds each recorded
+// artifact's length and CRC-32C — folded by its writer, never read back —
+// to the bytes on disk: partitions written by Map's fan-out, the sorted
+// partitions renamed out of extsort (its last run at one pass, its last
+// merge at several), edges.kv and the FASTA.
+func TestManifestCRCMatchesArtifactBytes(t *testing.T) {
+	reads := testResumeReads(t)
+	for _, backend := range Backends {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", backend, workers), func(t *testing.T) {
+				cfg := smallConfig(t)
+				cfg.GraphBackend = backend
+				cfg.Workers = workers
+				if workers > 1 {
+					cfg.HostBlockPairs, cfg.DeviceBlockPairs = 128, 32 // several passes
+				}
+				cfg.KeepIntermediate = true
+				p, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var checked []PhaseName
+				p.FaultHook = func(stage PhaseName) error {
+					checked = append(checked, stage)
+					return checkManifestCRCs(cfg.Workspace, stage)
+				}
+				if _, err := p.Assemble(reads); err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(checked) != fmt.Sprint(pipelineStages) {
+					t.Fatalf("checked stages %v, want %v", checked, pipelineStages)
+				}
+			})
+		}
 	}
 }
 

@@ -25,8 +25,10 @@ type Stage struct {
 // StageOutcome is what a freshly-run stage commits to the manifest.
 type StageOutcome struct {
 	// Artifacts lists the stage's output files, relative to the runner's
-	// root directory. They are checksummed at commit time.
-	Artifacts []string
+	// root directory, each with the length and CRC-32C its writer folded
+	// (NewArtifact). The commit records them as given: it opens no
+	// artifact.
+	Artifacts []Artifact
 	// Meta carries counters a resumed run needs to restore Result fields.
 	Meta map[string]int64
 	// Cleanup runs after the manifest commits; it is where a stage deletes
@@ -46,13 +48,11 @@ type FaultHook func(stage PhaseName) error
 // manifest after each commit and skipping the stages a validated manifest
 // already covers.
 type StageRunner struct {
-	root     string // artifact paths are relative to this directory
 	path     string // manifest file
 	manifest *Manifest
 	resumeAt int // stages before this index replay from the manifest
 	pos      int // next stage index to execute
 	fault    FaultHook
-	workers  int      // goroutines a commit hashes artifacts on
 	cached   []string // names of stages served from the manifest
 
 	// resumeNote records which manifest check settled the resume plan at
@@ -68,12 +68,12 @@ type StageRunner struct {
 // dir holds a manifest whose version, config hash, and input hash all
 // match, the runner plans to skip the manifest's contiguous prefix of
 // committed stages — provided the artifacts of the last committed stage
-// (the ones the next stage will consume) still checksum-validate. Any
-// mismatch, including a corrupted or missing artifact, falls back to a
-// full re-run; stale state is never trusted.
+// (the ones the next stage will consume), re-read from disk, still match
+// their recorded lengths and CRC-32Cs. Any mismatch, including a corrupted
+// or missing artifact, falls back to a full re-run; stale state is never
+// trusted.
 func NewStageRunner(dir, cfgHash, inputHash string, resume bool, names []PhaseName) *StageRunner {
 	r := &StageRunner{
-		root: dir,
 		path: filepath.Join(dir, ManifestName),
 		manifest: &Manifest{
 			Version:    manifestVersion,
@@ -91,7 +91,7 @@ func NewStageRunner(dir, cfgHash, inputHash string, resume bool, names []PhaseNa
 		r.resumeNote = fmt.Sprintf("no usable manifest: %v", err)
 		return r
 	case m.Version != manifestVersion:
-		r.resumeNote = fmt.Sprintf("manifest version %d != %d", m.Version, manifestVersion)
+		r.resumeNote = fmt.Sprintf("unknown manifest version %d (this build writes %d)", m.Version, manifestVersion)
 		return r
 	case m.ConfigHash != cfgHash:
 		r.resumeNote = "config fingerprint changed"
@@ -144,11 +144,6 @@ func (r *StageRunner) LimitResume(k int) {
 
 // SetFaultHook installs a post-commit fault injection hook.
 func (r *StageRunner) SetFaultHook(h FaultHook) { r.fault = h }
-
-// SetWorkers tells the runner how many workers the stages run with; a
-// commit checksums the stage's artifacts on that many goroutines. The
-// manifest is the same for every value.
-func (r *StageRunner) SetWorkers(n int) { r.workers = n }
 
 // SetProgress installs the stage-progress callback (Config.Progress); the
 // runner delivers the ProgressCached events for replayed stages, which
@@ -207,11 +202,7 @@ func (r *StageRunner) Run(s Stage) error {
 	if err != nil {
 		return err
 	}
-	arts, err := describeArtifacts(r.root, out.Artifacts, r.workers)
-	if err != nil {
-		return fmt.Errorf("core: committing stage %s: %w", s.Name, err)
-	}
-	rec := StageRecord{Name: string(s.Name), Status: stageDone, Artifacts: arts, Meta: out.Meta}
+	rec := StageRecord{Name: string(s.Name), Status: stageDone, Artifacts: out.Artifacts, Meta: out.Meta}
 	r.manifest.Stages = append(r.manifest.Stages, rec)
 	if m := r.obs.Metrics(); m != nil {
 		snap := m.Snapshot()

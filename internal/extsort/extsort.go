@@ -87,6 +87,10 @@ type Stats struct {
 	Runs        int // sorted runs produced by the first pass
 	MergeRounds int // pairwise merge rounds over the runs
 	DiskPasses  int // total passes over the data (1 + MergeRounds)
+	// Output is SortFile's output file as its writer summed it (the last
+	// run or merge, renamed); SortStream writes no output and leaves it
+	// zero.
+	Output kvio.Sum
 }
 
 // SortFile externally sorts the pairs in inPath into outPath. The sort
@@ -127,48 +131,69 @@ func SortFile(ctx context.Context, cfg Config, inPath, outPath string) (Stats, e
 	if len(runs) == 0 {
 		// Empty input: the output is an empty run, published like any other.
 		empty := filepath.Join(cfg.TempDir, "run_000000.kv")
-		if err := writeRun(empty, nil, cfg.Meter); err != nil {
+		sum, err := writeRun(empty, nil, cfg.Meter)
+		if err != nil {
 			return st, err
 		}
-		runs = []string{empty}
+		runs = []run{{empty, sum}}
 	}
 
 	// Pass 2..k: pairwise merge runs until one remains (Algorithm 1).
+	if runs, err = mergeDownTo(ctx, cfg, ioS, cmp, runs, 1, &st); err != nil {
+		return st, err
+	}
+	st.DiskPasses = 1 + st.MergeRounds
+	// Of everything this sort wrote, only the surviving run outlives the
+	// call, so it alone is fsynced — before the rename that publishes it.
+	// The rename moves no byte, so the run's writer-side sum is the
+	// output's.
+	if err := kvio.Sync(runs[0].path); err != nil {
+		return st, fmt.Errorf("extsort: publishing %s: %w", outPath, err)
+	}
+	if err := os.Rename(runs[0].path, outPath); err != nil {
+		return st, err
+	}
+	st.Output = runs[0].sum
+	cfg.recordStats(st)
+	return st, nil
+}
+
+// A run is one sorted run file and the sum its writer folded.
+type run struct {
+	path string
+	sum  kvio.Sum
+}
+
+// mergeDownTo pairwise merges runs, a round at a time, until at most keep
+// remain, counting the rounds in st. Merged inputs are removed as soon as
+// their merge is written.
+func mergeDownTo(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, runs []run, keep int, st *Stats) ([]run, error) {
 	gen := 0
-	for len(runs) > 1 {
+	for len(runs) > keep {
 		st.MergeRounds++
-		var next []string
+		var next []run
 		for i := 0; i < len(runs); i += 2 {
 			if i+1 == len(runs) {
 				next = append(next, runs[i])
 				continue
 			}
 			gen++
-			merged := filepath.Join(cfg.TempDir, fmt.Sprintf("merge_%06d.kv", gen))
-			if err := mergeRunFiles(ctx, cfg, ioS, cmp, runs[i], runs[i+1], merged); err != nil {
-				return st, err
+			merged := run{path: filepath.Join(cfg.TempDir, fmt.Sprintf("merge_%06d.kv", gen))}
+			var err error
+			if merged.sum, err = mergeRunFiles(ctx, cfg, ioS, cmp, runs[i].path, runs[i+1].path, merged.path); err != nil {
+				return nil, err
 			}
-			if err := os.Remove(runs[i]); err != nil {
-				return st, err
+			if err := os.Remove(runs[i].path); err != nil {
+				return nil, err
 			}
-			if err := os.Remove(runs[i+1]); err != nil {
-				return st, err
+			if err := os.Remove(runs[i+1].path); err != nil {
+				return nil, err
 			}
 			next = append(next, merged)
 		}
 		runs = next
 	}
-	st.DiskPasses = 1 + st.MergeRounds
-	// Of everything this sort wrote, only the surviving run outlives the
-	// call, so it alone is fsynced — before the rename that publishes it.
-	if err := kvio.Sync(runs[0]); err != nil {
-		return st, fmt.Errorf("extsort: publishing %s: %w", outPath, err)
-	}
-	if err := os.Rename(runs[0], outPath); err != nil {
-		return st, err
-	}
-	cfg.recordStats(st)
-	return st, nil
+	return runs, nil
 }
 
 // sortRuns is the shared first pass: form sorted runs of up to m_h
@@ -178,7 +203,7 @@ func SortFile(ctx context.Context, cfg Config, inPath, outPath string) (Stats, e
 // double-buffer the block so the next read overlaps the current sort.
 // Host buffers charged to cfg.HostMem are released by the returned
 // func, which is non-nil even on error.
-func sortRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, in *kvio.Reader) ([]string, func(), error) {
+func sortRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, in *kvio.Reader) ([]run, func(), error) {
 	streams := ioS.Async()
 	blockPairs := clampPairs(cfg.HostBlockPairs, in.Count())
 	nbufs := 1
@@ -229,7 +254,7 @@ func sortRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, in *kvio.Re
 		})
 	}
 
-	var runs []string
+	var runs []run
 	cur := 0
 	readInto(blocks[cur], 0)
 	for {
@@ -260,12 +285,13 @@ func sortRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, in *kvio.Re
 		if serr != nil {
 			return runs, release, serr
 		}
-		runPath := filepath.Join(cfg.TempDir, fmt.Sprintf("run_%06d.kv", len(runs)))
-		if err := writeRun(runPath, sorted, cfg.Meter); err != nil {
+		r := run{path: filepath.Join(cfg.TempDir, fmt.Sprintf("run_%06d.kv", len(runs)))}
+		var err error
+		if r.sum, err = writeRun(r.path, sorted, cfg.Meter); err != nil {
 			return runs, release, err
 		}
 		cmp.Charge(costmodel.TierDiskWrite, int64(len(sorted))*kv.PairBytes)
-		runs = append(runs, runPath)
+		runs = append(runs, r)
 		if !more {
 			break
 		}
@@ -317,45 +343,24 @@ func SortStream(ctx context.Context, cfg Config, inPath string, emit func([]kv.P
 	}
 
 	// Merge pairwise until at most two runs remain.
-	gen := 0
-	for len(runs) > 2 {
-		st.MergeRounds++
-		var next []string
-		for i := 0; i < len(runs); i += 2 {
-			if i+1 == len(runs) {
-				next = append(next, runs[i])
-				continue
-			}
-			gen++
-			merged := filepath.Join(cfg.TempDir, fmt.Sprintf("merge_%06d.kv", gen))
-			if err := mergeRunFiles(ctx, cfg, ioS, cmp, runs[i], runs[i+1], merged); err != nil {
-				return st, err
-			}
-			if err := os.Remove(runs[i]); err != nil {
-				return st, err
-			}
-			if err := os.Remove(runs[i+1]); err != nil {
-				return st, err
-			}
-			next = append(next, merged)
-		}
-		runs = next
+	if runs, err = mergeDownTo(ctx, cfg, ioS, cmp, runs, 2, &st); err != nil {
+		return st, err
 	}
 
 	// Final pass streams into the caller: a two-run merge through the
 	// device, or a plain sequential drain of the lone run.
 	st.MergeRounds++
 	if len(runs) == 2 {
-		if err := mergeRuns(ctx, cfg, ioS, cmp, runs[0], runs[1], emit); err != nil {
+		if err := mergeRuns(ctx, cfg, ioS, cmp, runs[0].path, runs[1].path, emit); err != nil {
 			return st, err
 		}
 	} else {
-		if err := drainRun(ctx, cfg, ioS, cmp, runs[0], emit); err != nil {
+		if err := drainRun(ctx, cfg, ioS, cmp, runs[0].path, emit); err != nil {
 			return st, err
 		}
 	}
 	for _, r := range runs {
-		if err := os.Remove(r); err != nil {
+		if err := os.Remove(r.path); err != nil {
 			return st, err
 		}
 	}
@@ -438,18 +443,20 @@ func readFull(r *kvio.Reader, dst []kv.Pair) (int, error) {
 	return total, nil
 }
 
-// writeRun writes one sorted run as scratch: runs are unlinked by the
-// sort that wrote them (SortFile syncs the one it publishes).
-func writeRun(path string, ps []kv.Pair, meter *costmodel.Meter) error {
+// writeRun writes one sorted run as scratch and returns its sum: runs are
+// unlinked by the sort that wrote them (SortFile syncs the one it
+// publishes).
+func writeRun(path string, ps []kv.Pair, meter *costmodel.Meter) (kvio.Sum, error) {
 	w, err := kvio.NewScratchWriter(path, meter)
 	if err != nil {
-		return err
+		return kvio.Sum{}, err
 	}
 	if err := w.WriteBatch(ps); err != nil {
 		w.Close()
-		return err
+		return kvio.Sum{}, err
 	}
-	return w.Close()
+	err = w.Close()
+	return w.Sum(), err
 }
 
 // sortHostBlock sorts one host block using device chunks of m_d pairs:
@@ -646,13 +653,14 @@ func window(ps []kv.Pair, n int) []kv.Pair {
 
 // mergeRunFiles merges two sorted run files into one (Algorithm 1 at the
 // disk level, M = m_h): mergeRuns streaming into a kvio.Writer, with the
-// disk write charged on the compute stream. The output is scratch like the
-// runs it replaces; a merge that fails or is cancelled removes its partial
-// output rather than leaving it to whoever owns TempDir.
-func mergeRunFiles(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, pathA, pathB, outPath string) error {
+// disk write charged on the compute stream, and returns the output's sum.
+// The output is scratch like the runs it replaces; a merge that fails or
+// is cancelled removes its partial output rather than leaving it to
+// whoever owns TempDir.
+func mergeRunFiles(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, pathA, pathB, outPath string) (kvio.Sum, error) {
 	w, err := kvio.NewScratchWriter(outPath, cfg.Meter)
 	if err != nil {
-		return err
+		return kvio.Sum{}, err
 	}
 	emit := func(ps []kv.Pair) error {
 		if err := w.WriteBatch(ps); err != nil {
@@ -668,7 +676,7 @@ func mergeRunFiles(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, pathA,
 	if err != nil {
 		os.Remove(outPath) // best effort: err is the failure to report
 	}
-	return err
+	return w.Sum(), err
 }
 
 // mergeRuns merges two sorted run files into emit. Windows of m_h/2

@@ -83,6 +83,10 @@ func runSort(t *testing.T, cfg Config, input []kv.Pair) ([]kv.Pair, Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The output's sum is the one its writer folded before the rename.
+	if sum, err := kvio.SumFile(out); err != nil || sum != st.Output {
+		t.Fatalf("output sums to %+v (%v) on disk, SortFile reported %+v", sum, err, st.Output)
+	}
 	return readPairs(t, out), st
 }
 

@@ -207,8 +207,8 @@ func (d *Device) MergePairs(a, b []kv.Pair) []kv.Pair {
 
 // MergePairsInto merges a and b into dst[:0] and returns the filled slice.
 // A dst with capacity for both is reused without allocation, as hot loops
-// do; a nil or short dst is grown as append grows it, so the result need
-// not share dst's array.
+// do; a nil or short dst is replaced by a new slice of exactly that size,
+// so the result need not share dst's array.
 func (d *Device) MergePairsInto(dst, a, b []kv.Pair) []kv.Pair {
 	out, mem, ops := mergePairsIntoKernel(dst, a, b)
 	d.ChargeKernel(mem, ops)
@@ -216,19 +216,24 @@ func (d *Device) MergePairsInto(dst, a, b []kv.Pair) []kv.Pair {
 }
 
 func mergePairsIntoKernel(dst, a, b []kv.Pair) ([]kv.Pair, int64, int64) {
-	dst = dst[:0]
-	i, j := 0, 0
+	total := len(a) + len(b)
+	if cap(dst) < total {
+		dst = make([]kv.Pair, total)
+	}
+	dst = dst[:total]
+	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		if b[j].Less(a[i]) {
-			dst = append(dst, b[j])
+			dst[k] = b[j]
 			j++
 		} else {
-			dst = append(dst, a[i])
+			dst[k] = a[i]
 			i++
 		}
+		k++
 	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 	n := int64(len(dst))
 	return dst, 2 * n * kv.PairBytes, n
 }

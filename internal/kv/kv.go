@@ -69,10 +69,14 @@ type Pair struct {
 }
 
 // Less orders pairs by key, breaking ties by value so that sorting is total
-// and deterministic.
+// and deterministic. It compares the fields directly rather than through
+// Key.Cmp: it is the comparison inside the sort and merge kernels.
 func (p Pair) Less(o Pair) bool {
-	if c := p.Key.Cmp(o.Key); c != 0 {
-		return c < 0
+	if p.Key.Hi != o.Key.Hi {
+		return p.Key.Hi < o.Key.Hi
+	}
+	if p.Key.Lo != o.Key.Lo {
+		return p.Key.Lo < o.Key.Lo
 	}
 	return p.Val < o.Val
 }

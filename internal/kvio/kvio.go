@@ -39,10 +39,25 @@
 // reads, whatever a crash leaves of it. A scratch file that turns out to
 // be the result (the last run of a sort) is made durable with Sync before
 // the rename that publishes it.
+//
+// # Checksums
+//
+// Every Writer folds each block it flushes into a running CRC-32C
+// (Castagnoli, through hash/crc32, which uses the CPU's CRC instruction
+// where there is one): one crc32.Update per block, over bytes already in
+// cache. After Close, Writer.Sum is the file's length and CRC-32C, so the
+// stage that published the file can record both without reading it back.
+// A sum travels with its file: across the rename that publishes a sort's
+// last run, and across a shuffle that is only a rename. SumWriter applies
+// the same fold to files written through other encoders (the FASTA).
+// SumFile reads a file back and sums it: resume uses it to check the files
+// it is about to consume against what their writers recorded, and nothing
+// else reads a file to sum it.
 package kvio
 
 import (
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -83,11 +98,53 @@ func putBlock(b []byte) {
 // so the tests can observe ordering and inject failures.
 var fileSync = (*os.File).Sync
 
+// castagnoli is the CRC-32C polynomial table every Sum folds with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Sum is a file's length in bytes and its CRC-32C, as the code that wrote
+// it folded them.
+type Sum struct {
+	Bytes  int64
+	CRC32C uint32
+}
+
+// fold extends s over p, the next bytes of the file.
+func (s *Sum) fold(p []byte) {
+	s.Bytes += int64(len(p))
+	s.CRC32C = crc32.Update(s.CRC32C, castagnoli, p)
+}
+
+// SumWriter passes writes through to W and folds the bytes W accepted
+// into Sum: the Writer's checksum for a file another encoder writes.
+type SumWriter struct {
+	W   io.Writer
+	Sum Sum
+}
+
+func (s *SumWriter) Write(p []byte) (int, error) {
+	n, err := s.W.Write(p)
+	s.Sum.fold(p[:n])
+	return n, err
+}
+
+// SumFile reads the file at path and returns its Sum.
+func SumFile(path string) (Sum, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Sum{}, err
+	}
+	defer f.Close()
+	w := SumWriter{W: io.Discard}
+	_, err = io.Copy(&w, f)
+	return w.Sum, err
+}
+
 // Writer appends pairs to a file sequentially.
 type Writer struct {
 	f       *os.File
 	meter   *costmodel.Meter
 	count   int64
+	sum     Sum    // of the blocks flushed so far
 	block   []byte // pooled codec block
 	off     int    // bytes of block filled
 	scratch bool   // Close skips the fsync
@@ -173,8 +230,8 @@ func (w *Writer) WriteBatch(ps []kv.Pair) error {
 	return nil
 }
 
-// flush writes the filled part of the block with a single syscall and
-// charges its bytes to the meter.
+// flush writes the filled part of the block with a single syscall, folds
+// it into the writer's Sum and charges its bytes to the meter.
 func (w *Writer) flush() error {
 	if w.off == 0 {
 		return nil
@@ -182,6 +239,7 @@ func (w *Writer) flush() error {
 	if _, err := w.f.Write(w.block[:w.off]); err != nil {
 		return fmt.Errorf("kvio: flush %s: %w", w.f.Name(), err)
 	}
+	w.sum.fold(w.block[:w.off])
 	if w.meter != nil {
 		w.meter.AddDiskWrite(int64(w.off))
 	}
@@ -191,6 +249,10 @@ func (w *Writer) flush() error {
 
 // Count returns the number of pairs written so far.
 func (w *Writer) Count() int64 { return w.count }
+
+// Sum returns the length and CRC-32C of the blocks flushed so far: after
+// Close, of the whole file.
+func (w *Writer) Sum() Sum { return w.sum }
 
 // Close flushes the final block, fsyncs (a scratch writer does not), and
 // closes the file. Each step's error is checked and reported with the
@@ -429,7 +491,20 @@ func (pw *PartitionWriters) Counts() map[int]int64 {
 	return out
 }
 
-// Close closes every partition file, reporting the first error.
+// Sums returns each partition file's Sum per length: after Close, of the
+// whole files.
+func (pw *PartitionWriters) Sums() map[int]Sum {
+	out := make(map[int]Sum)
+	for l, w := range pw.writers {
+		if w != nil {
+			out[l] = w.Sum()
+		}
+	}
+	return out
+}
+
+// Close closes every partition file, reporting the first error. The
+// writers stay, closed, so Counts and Sums still answer for them.
 func (pw *PartitionWriters) Close() error {
 	var first error
 	for _, w := range pw.writers {
@@ -440,7 +515,6 @@ func (pw *PartitionWriters) Close() error {
 			first = err
 		}
 	}
-	pw.writers = nil
 	return first
 }
 

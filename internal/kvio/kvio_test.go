@@ -1,6 +1,8 @@
 package kvio
 
 import (
+	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -310,5 +312,58 @@ func TestPartitionPathNames(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if Suffix.String() != "sfx" || Prefix.String() != "pfx" {
 		t.Error("Kind strings wrong")
+	}
+}
+
+// TestWriterSumMatchesFile pins the fold: after Close, a Writer's Sum —
+// through Write and WriteBatch, across block boundaries, empty or not —
+// and a SumWriter's are the length and CRC-32C of the bytes on disk, which
+// SumFile reads back, and one flipped bit changes the CRC.
+func TestWriterSumMatchesFile(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(9))
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	for _, n := range []int{0, 1, blockPairs, 2*blockPairs + 17} {
+		path := filepath.Join(dir, fmt.Sprintf("n%d.kv", n))
+		ps := randomPairs(rng, n)
+		w, err := NewScratchWriter(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := n / 2
+		for _, p := range ps[:half] {
+			if err := w.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.WriteBatch(ps[half:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Sum{Bytes: int64(len(data)), CRC32C: crc32.Checksum(data, tab)}
+		if w.Sum() != want || want.Bytes != int64(n)*kv.PairBytes {
+			t.Errorf("n=%d: writer summed %+v, file is %+v", n, w.Sum(), want)
+		}
+		if got, err := SumFile(path); err != nil || got != want {
+			t.Errorf("n=%d: SumFile = %+v, %v; want %+v", n, got, err, want)
+		}
+		sw := SumWriter{W: io.Discard}
+		sw.Write(data[:len(data)/3])
+		sw.Write(data[len(data)/3:])
+		if sw.Sum != want {
+			t.Errorf("n=%d: SumWriter summed %+v, want %+v", n, sw.Sum, want)
+		}
+		if n > 0 {
+			data[len(data)-1] ^= 1
+			if crc32.Checksum(data, tab) == want.CRC32C {
+				t.Errorf("n=%d: a flipped bit kept the CRC", n)
+			}
+		}
 	}
 }

@@ -40,14 +40,16 @@ race:
 	$(GO) test -race -count=3 -run 'TestPooledBufferConcurrentSorts|TestBlockPoolConcurrentRoundTrips|TestFsyncLedger' ./internal/extsort/ ./internal/kvio/
 
 # Short fuzz passes over the parsers, the packed encoding, the graph
-# stores and the fingerprint kernel (held to the reference hash and to
-# the Hillis-Steele scan's charges); the seed corpora live under
+# stores, the fingerprint kernel (held to the reference hash and to the
+# Hillis-Steele scan's charges) and the prefetching window (Advance +
+# Adopt held to Consume + Fill); the seed corpora live under
 # testdata/fuzz/ or in the targets' f.Add calls.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/dna/
 	$(GO) test -run=NONE -fuzz=FuzzParseSeq -fuzztime=10s ./internal/dna/
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/fastq/
 	$(GO) test -run=NONE -fuzz=FuzzKVReader -fuzztime=10s ./internal/kvio/
+	$(GO) test -run=NONE -fuzz=FuzzWindow -fuzztime=10s ./internal/kvio/
 	$(GO) test -run=NONE -fuzz=FuzzEliasFanoPair -fuzztime=10s ./internal/bitvec/
 	$(GO) test -run=NONE -fuzz=FuzzVecBounds -fuzztime=10s ./internal/gpu/
 	$(GO) test -run=NONE -fuzz=FuzzSpmatFromEdgeRuns -fuzztime=10s ./internal/spmat/
@@ -58,8 +60,9 @@ fuzz:
 # paths), then the job service's end-to-end throughput (BENCH_serve.json:
 # jobs/sec, queue latency), the fleet scaling sweep (BENCH_fleet.json:
 # jobs/sec and p50/p99 queue latency at 1/2/4 devices, steal on/off), the
-# serial-vs-overlapped stream comparison (BENCH_streams.json: modeled and
-# wall seconds per phase), the graph-backend comparison
+# stream overlap of one run (BENCH_streams.json: per phase, the overlapped
+# modeled seconds, the additive figure its counters price to, and wall
+# seconds), the graph-backend comparison
 # (BENCH_graph.json: modeled seconds and edge counts per engine), and the
 # backend host-memory comparison (BENCH_mem.json: measured graph/host
 # peaks and modeled seconds per engine at two scales).

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/debruijn"
 	"repro/internal/dna"
+	"repro/internal/extsort"
 	"repro/internal/readsim"
 	"repro/internal/sga"
 	"repro/internal/stats"
@@ -315,7 +316,7 @@ func (h *harness) table6() ([]table6Row, error) {
 // working set is block-bounded.
 func (h *harness) debruijn() ([]dbgRow, error) {
 	var rows []dbgRow
-	buffers := int64(2*scaleBlock(supermic.hostBlockPairs, h.scale)) * 24
+	buffers := extsort.HostBytes(scaleBlock(supermic.hostBlockPairs, h.scale))
 	for _, p := range h.profiles {
 		g, err := debruijn.Build(debruijn.Config{K: 25, MinCount: 1}, h.reads(p))
 		if err != nil {

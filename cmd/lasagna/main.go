@@ -52,7 +52,6 @@ func main() {
 		backend    = flag.String("graph-backend", "", "reduce/compress engine: greedy (default; the paper's bit-vector graph), full (full string graph with Myers transitive reduction), spmat (CSR sparse matrix with masked-SpGEMM transitive reduction), or succinct (compressed rank/select adjacency built in one pass from sorted edge runs)")
 		byFp       = flag.Bool("partition-by-fingerprint", false, "distributed shuffle by fingerprint range (with -nodes)")
 		workers    = flag.Int("workers", 0, "concurrent partition workers, per node with -nodes (0 = GOMAXPROCS, 1 = serial; output is identical)")
-		streams    = flag.Bool("streams", true, "overlap async transfers with kernels on modeled streams (output is identical; modeled time only shrinks)")
 		reference  = flag.String("reference", "", "optional reference FASTA for a quality report")
 		resume     = flag.Bool("resume", false, "resume an interrupted run from the workspace's manifest")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
@@ -141,7 +140,6 @@ func main() {
 	cfg.DedupeReads = *dedupe
 	cfg.PackedReads = *packed
 	cfg.GraphBackend = *backend
-	cfg.Streams = *streams
 	cfg.Resume = *resume
 	if *workers != 0 {
 		cfg.Workers = *workers

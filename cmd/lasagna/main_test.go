@@ -8,7 +8,7 @@ import (
 // Every assembly flag is accepted on one node and on a cluster; the only
 // refusal left is a shuffle option without a shuffle.
 func TestCheckModeFlags(t *testing.T) {
-	assembly := []string{"verify", "dedupe", "packed", "keep-intermediate", "workers", "graph-backend", "resume", "lmin", "streams"}
+	assembly := []string{"verify", "dedupe", "packed", "keep-intermediate", "workers", "graph-backend", "resume", "lmin"}
 	cases := []struct {
 		nodes int
 		set   []string

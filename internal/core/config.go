@@ -99,15 +99,6 @@ type Config struct {
 	// high-coverage data forms greedy 2-cycles between duplicate reads
 	// that fragment contigs; see dna.Deduplicate.
 	DedupeReads bool
-	// Streams enables overlapped execution modeling: the sort and reduce
-	// phases run their disk prefetch and device work on gpu.Streams backed
-	// by per-unit costmodel Timelines, and each phase's modeled time
-	// becomes the overlap-aware makespan instead of the additive tier sum.
-	// Output bytes and all cost counters are identical either way — only
-	// modeled seconds change, and only downward (see DESIGN.md, "Streams
-	// and overlap accounting"). Execution knob: excluded from the resume
-	// fingerprint.
-	Streams bool
 	// VerifyOverlaps cross-checks every candidate edge against the actual
 	// read sequences before inserting it, turning fingerprint false
 	// positives into hard errors. The paper reports zero false positives
@@ -175,7 +166,6 @@ func DefaultConfig(workspace string) Config {
 		GPU:               gpu.K40,
 		IncludeSingletons: false,
 		BreakCycles:       true,
-		Streams:           true,
 	}
 }
 

@@ -26,7 +26,7 @@ func TestConfigFingerprintStable(t *testing.T) {
 			"5aec6b3910fbf07031425ba02e54b88a2b5d44922f7925f6f4d0a6334902cded"},
 		{"every-bool", func(c *Config) {
 			c.IncludeSingletons, c.BreakCycles, c.KeepIntermediate, c.Resume = true, true, true, true
-			c.PackedReads, c.DedupeReads, c.Streams, c.VerifyOverlaps = true, true, true, true
+			c.PackedReads, c.DedupeReads, c.VerifyOverlaps = true, true, true
 		}, "d856749d5f87bd097d36be0a06fa0b74847d98e749da77a34210aa6ba85d5190"},
 	}
 	for _, cell := range cells {

@@ -147,7 +147,7 @@ func validateArtifacts(root string, rec StageRecord) error {
 
 // Fingerprint hashes the output-relevant configuration: every knob that
 // changes the bytes any stage writes. Execution knobs (Workers, Workspace,
-// KeepIntermediate, Resume, Streams, Obs, Progress) are deliberately
+// KeepIntermediate, Resume, Obs, Progress) are deliberately
 // excluded — they may differ between the interrupted run and the resumed
 // one. A cluster node's manifest hashes this plus its cluster geometry.
 func (c Config) Fingerprint() string {

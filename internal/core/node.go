@@ -40,9 +40,9 @@ type Node struct {
 	// Graph is charged with the bytes of the graph representation itself
 	// (builders and sealed stores); HostMem unless the owner widens it.
 	Graph succinct.MemSink
-	// Ledger accumulates modeled overlap savings from the streamed sort and
-	// reduce paths; nil when Config.Streams is off (every streamed call
-	// site degrades to the serial path on a nil ledger).
+	// Ledger accumulates the modeled overlap savings of the sort, reduce
+	// and two-hop passes, whose prefetching I/O streams overlap their
+	// compute (DESIGN.md, "Streams and overlap accounting").
 	Ledger *costmodel.OverlapLedger
 	// Scratch holds the node's partition files and every sort_* spill
 	// directory, so a crashed run's leftovers are swept in one place.
@@ -62,9 +62,7 @@ func NewNode(cfg Config, dev *gpu.Device, track obs.Track, scratch string) *Node
 	n := &Node{Device: dev, Meter: dev.Meter(), HostMem: new(stats.MemTracker),
 		Scratch: scratch, Track: track, Profile: cfg.Profile(), cfg: cfg}
 	n.Graph = n.HostMem
-	if cfg.Streams {
-		n.Ledger = costmodel.NewOverlapLedger(n.Profile)
-	}
+	n.Ledger = costmodel.NewOverlapLedger(n.Profile)
 	if cfg.Obs != nil {
 		dev.SetHooks(obs.DeviceHooks(cfg.Obs, track.Pid))
 		tr := cfg.Obs.Tracer()

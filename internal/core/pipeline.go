@@ -70,11 +70,11 @@ type Result struct {
 	TotalModeled time.Duration
 
 	// OverlapSaved is the modeled time hidden by stream overlap across the
-	// run (always zero with Config.Streams off); TotalModeled already has
-	// it subtracted. OverlapRatio is the fraction of streamed modeled work
-	// hidden by overlap, in [0, 1). A cluster leaves both zero: its
-	// TotalModeled is a max over nodes per phase, which no run-wide saving
-	// reconciles with; each of its Phases carries the nodes' summed saving.
+	// run; TotalModeled already has it subtracted. OverlapRatio is the
+	// fraction of streamed modeled work hidden by overlap, in [0, 1). A
+	// cluster leaves both zero: its TotalModeled is a max over nodes per
+	// phase, which no run-wide saving reconciles with; each of its Phases
+	// carries the nodes' summed saving.
 	OverlapSaved time.Duration
 	OverlapRatio float64
 
@@ -112,8 +112,8 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// OverlapLedger exposes the run's overlap accounting (nil when
-// Config.Streams is off), for tests and diagnostics.
+// OverlapLedger exposes the run's overlap accounting, for tests and
+// diagnostics.
 func (p *Pipeline) OverlapLedger() *costmodel.OverlapLedger { return p.node.Ledger }
 
 // Device exposes the simulated device (for tests and diagnostics).
@@ -239,11 +239,9 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 		res.Modeled = res.Counters.Breakdown(p.node.Profile)
 		res.OverlapSaved = time.Duration(p.node.Ledger.SavedSeconds() * float64(time.Second))
 		res.OverlapRatio = p.node.Ledger.OverlapRatio()
-		if p.node.Ledger != nil {
-			m := p.cfg.Obs.Metrics()
-			m.Gauge("core.overlap_saved_us").Set(res.OverlapSaved.Microseconds())
-			m.Gauge("core.overlap_ratio_pct").Set(int64(res.OverlapRatio * 100))
-		}
+		m := p.cfg.Obs.Metrics()
+		m.Gauge("core.overlap_saved_us").Set(res.OverlapSaved.Microseconds())
+		m.Gauge("core.overlap_ratio_pct").Set(int64(res.OverlapRatio * 100))
 	}()
 	if rs.NumReads() == 0 {
 		return res, fmt.Errorf("core: empty read set")

@@ -20,10 +20,16 @@
 //     placement depends only on program order on its own line plus
 //     explicit Wait dependencies, so modeled time is independent of
 //     goroutine scheduling — the same determinism contract the meter has.
+//     The sums are too, to the bit: floating-point addition is not
+//     associative, so each line keeps its own serial and per-tier busy
+//     totals, added in the program order of the one goroutine that
+//     charges it, and a timeline adds its lines in creation order rather
+//     than in the order an async executor's charges and its caller's
+//     happen to arrive.
 //
 // Everything is nil-safe: a nil *OverlapLedger yields nil Timelines and
-// Lines whose methods no-op, so the serial path (Streams=off) pays nothing
-// and models exactly the additive sum.
+// Lines whose methods no-op, so code that models no placement runs the
+// same streams and pays nothing for the model.
 package costmodel
 
 import "sync"
@@ -209,8 +215,6 @@ type Timeline struct {
 	mu        sync.Mutex
 	tierAvail [numTiers]float64
 	lines     []*Line
-	serial    float64
-	busy      [numTiers]float64
 	committed bool
 }
 
@@ -248,6 +252,19 @@ func (tl *Timeline) makespanLocked() float64 {
 	return m
 }
 
+// totalsLocked sums the lines' serial seconds and per-tier busy seconds
+// in line creation order, so the sums do not depend on which goroutine
+// charged first.
+func (tl *Timeline) totalsLocked() (serial float64, busy [numTiers]float64) {
+	for _, l := range tl.lines {
+		serial += l.serial
+		for i := range busy {
+			busy[i] += l.busy[i]
+		}
+	}
+	return serial, busy
+}
+
 // SerialSeconds returns the additive sum of every charge on the timeline.
 func (tl *Timeline) SerialSeconds() float64 {
 	if tl == nil {
@@ -255,7 +272,8 @@ func (tl *Timeline) SerialSeconds() float64 {
 	}
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	return tl.serial
+	serial, _ := tl.totalsLocked()
+	return serial
 }
 
 // SavedSeconds returns serial minus makespan for this unit so far.
@@ -265,7 +283,8 @@ func (tl *Timeline) SavedSeconds() float64 {
 	}
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	return tl.serial - tl.makespanLocked()
+	serial, _ := tl.totalsLocked()
+	return serial - tl.makespanLocked()
 }
 
 // Commit folds the unit into its ledger. Idempotent; nil-safe. Call it
@@ -280,7 +299,8 @@ func (tl *Timeline) Commit() {
 		return
 	}
 	tl.committed = true
-	serial, makespan, busy := tl.serial, tl.makespanLocked(), tl.busy
+	serial, busy := tl.totalsLocked()
+	makespan := tl.makespanLocked()
 	tl.mu.Unlock()
 	tl.ledger.commit(serial, makespan, busy)
 }
@@ -293,12 +313,15 @@ type Span struct {
 
 // Line is one modeled stream within a Timeline: an ordered sequence of
 // charges, each starting no earlier than the previous charge on the line
-// and no earlier than the tier's previous release.
+// and no earlier than the tier's previous release. One goroutine at a
+// time charges a line, in program order.
 type Line struct {
 	tl     *Timeline
 	name   string
 	cursor float64
 	spans  []Span
+	serial float64           // summed duration of the line's charges
+	busy   [numTiers]float64 // the same, per tier
 }
 
 // Name returns the line's label.
@@ -330,9 +353,9 @@ func (l *Line) Charge(t Tier, amount int64) (start, end float64) {
 	l.cursor = end
 	if t >= 0 && t < numTiers {
 		tl.tierAvail[t] = end
-		tl.busy[t] += dur
+		l.busy[t] += dur
 	}
-	tl.serial += dur
+	l.serial += dur
 	if dur > 0 {
 		l.spans = append(l.spans, Span{Tier: t, Start: start, End: end})
 	}

@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/kv"
+	"repro/internal/kvio"
 )
 
 func TestSortFileMissingInput(t *testing.T) {
@@ -81,8 +83,9 @@ func TestSortFileCancelMidMergeRemovesPartialOutput(t *testing.T) {
 	// 8 runs merge as 4 + 2 + 1: merge files 1, 5 and 7 are the first of
 	// rounds 1, 2 and 3.
 	for _, gen := range []int{1, 5, 7} {
-		for _, streams := range []bool{false, true} {
-			t.Run(fmt.Sprintf("merge=%d/streams=%v", gen, streams), func(t *testing.T) {
+		// The streams= label names whether a ledger is attached.
+		for _, ledger := range []bool{false, true} {
+			t.Run(fmt.Sprintf("merge=%d/streams=%v", gen, ledger), func(t *testing.T) {
 				dir := t.TempDir()
 				in := filepath.Join(dir, "in.kv")
 				out := filepath.Join(dir, "out.kv")
@@ -99,7 +102,7 @@ func TestSortFileCancelMidMergeRemovesPartialOutput(t *testing.T) {
 				dev := bigDevice()
 				dev.SetHooks(cancelInMerge{watch: doomed, cancel: cancel})
 				cfg := Config{Device: dev, HostBlockPairs: 64, DeviceBlockPairs: 8, TempDir: tmp}
-				if streams {
+				if ledger {
 					cfg.Overlap = costmodel.NewOverlapLedger(overlapProfile())
 				}
 				if _, err := SortFile(ctx, cfg, in, out); !errors.Is(err, context.Canceled) {
@@ -122,4 +125,30 @@ func randomPairsForErr(n int) []kv.Pair {
 		ps[i] = kv.Pair{Key: kv.Key{Hi: uint64(i * 7919), Lo: uint64(i)}, Val: uint32(i)}
 	}
 	return ps
+}
+
+// A block read that fails before yielding a pair — here the input was cut
+// mid-record after the sort opened it, right behind the first host block —
+// fails the sort instead of ending run formation as if the input were
+// exhausted.
+func TestSortRunsReportsReadErrorAtBlockBoundary(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.kv")
+	writePairs(t, in, randomPairsForErr(100))
+	r, err := kvio.NewReader(in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := os.Truncate(in, 64*kv.PairBytes+5); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Device: bigDevice(), HostBlockPairs: 64, DeviceBlockPairs: 8, TempDir: dir}
+	ioS, cmp, done := cfg.streams()
+	defer done()
+	runs, release, err := sortRuns(context.Background(), cfg, ioS, cmp, r)
+	release()
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("sortRuns formed %d runs with error %v, want the truncation error", len(runs), err)
+	}
 }

@@ -46,18 +46,20 @@ type Config struct {
 	TempDir          string            // scratch directory for run files
 	Obs              *obs.Observer     // observability sink; may be nil
 
-	// Overlap, when non-nil, enables streamed execution: pass 1 prefetches
-	// the next host block on an async I/O stream while the current block
-	// sorts on-device, merge passes prefetch the next run windows while the
-	// current windows merge, and every charge lands on an overlap-aware
-	// modeled timeline committed to this ledger. Counters and output bytes
-	// are identical to the serial path; only modeled seconds shrink.
+	// Overlap receives the modeled placement of the sort's charges: each
+	// call commits one timeline, on which the prefetching I/O stream and
+	// the compute stream overlap. Nil models nothing; the sort executes
+	// the same way, with the same output and counters, either way.
 	Overlap *costmodel.OverlapLedger
 }
 
-// hostPairBytes is the in-host-memory footprint of one pair (padded
-// struct), used for host-memory accounting.
-const hostPairBytes = 24
+// HostBytes is the host memory a sort with host blocks of blockPairs
+// pairs holds while it forms runs: two block buffers, so the next block
+// reads while the current one sorts, and the merge scratch. The merge
+// passes hold less (four half-block windows).
+func HostBytes(blockPairs int) int64 {
+	return 3 * int64(blockPairs) * kvio.HostPairBytes
+}
 
 // Validate checks the configuration against the device capacity: device
 // merges need two m_d windows resident (input and output).
@@ -108,18 +110,8 @@ func SortFile(ctx context.Context, cfg Config, inPath, outPath string) (Stats, e
 	defer in.Close()
 	st := Stats{Pairs: in.Count()}
 
-	// One modeled timeline per sort: the I/O stream and the compute stream
-	// are its two long-lived lines, so every sub-phase (run formation,
-	// merge rounds) serializes naturally on them and only genuine
-	// cross-stream concurrency shrinks the makespan. With Overlap nil the
-	// timeline, lines, and async executor all collapse to no-ops and the
-	// code below is today's serial path.
-	tl := cfg.Overlap.NewTimeline()
-	defer tl.Commit()
-	streams := tl != nil
-	ioS := cfg.Device.NewStream("sort-io", tl.Line("io"), streams)
-	defer ioS.Close()
-	cmp := cfg.Device.NewStream("sort-compute", tl.Line("compute"), false)
+	ioS, cmp, done := cfg.streams()
+	defer done()
 
 	runs, release, err := sortRuns(ctx, cfg, ioS, cmp, in)
 	defer release()
@@ -156,6 +148,22 @@ func SortFile(ctx context.Context, cfg Config, inPath, outPath string) (Stats, e
 	st.Output = runs[0].sum
 	cfg.recordStats(st)
 	return st, nil
+}
+
+// streams opens one sort's two streams on one modeled timeline: the async
+// I/O stream that prefetches and the inline compute stream. They are the
+// timeline's two long-lived lines, so every sub-phase (run formation,
+// merge rounds) serializes naturally on them and only genuine
+// cross-stream concurrency shrinks the makespan. done closes the I/O
+// stream and commits the timeline.
+func (c Config) streams() (ioS, cmp *gpu.Stream, done func()) {
+	tl := c.Overlap.NewTimeline()
+	ioS = c.Device.NewStream("sort-io", tl.Line("io"), true)
+	cmp = c.Device.NewStream("sort-compute", tl.Line("compute"), false)
+	return ioS, cmp, func() {
+		ioS.Close()
+		tl.Commit()
+	}
 }
 
 // A run is one sorted run file and the sum its writer folded.
@@ -199,27 +207,19 @@ func mergeDownTo(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, runs []r
 // sortRuns is the shared first pass: form sorted runs of up to m_h
 // pairs each. Small partitions get correspondingly small buffers — the
 // run structure is identical, but concurrent sorts of many tiny
-// partitions must not each pin a full host block. Streamed sorts
-// double-buffer the block so the next read overlaps the current sort.
-// Host buffers charged to cfg.HostMem are released by the returned
-// func, which is non-nil even on error.
+// partitions must not each pin a full host block. The block is
+// double-buffered so the next read overlaps the current sort. Host
+// buffers charged to cfg.HostMem are released by the returned func, which
+// is non-nil even on error.
 func sortRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, in *kvio.Reader) ([]run, func(), error) {
-	streams := ioS.Async()
-	blockPairs := clampPairs(cfg.HostBlockPairs, in.Count())
-	nbufs := 1
-	if streams {
-		nbufs = 2
-	}
-	hostBytes := int64((nbufs+1)*blockPairs) * hostPairBytes // block buffer(s) + merge scratch
+	blockPairs := kvio.ClampPairs(cfg.HostBlockPairs, in.Count())
+	hostBytes := HostBytes(blockPairs)
 	memRelease := func() {}
 	if cfg.HostMem != nil {
 		cfg.HostMem.Add(hostBytes)
 		memRelease = func() { cfg.HostMem.Release(hostBytes) }
 	}
-	blocks := make([][]kv.Pair, nbufs)
-	for i := range blocks {
-		blocks[i] = getPairs(blockPairs)
-	}
+	blocks := [2][]kv.Pair{getPairs(blockPairs), getPairs(blockPairs)}
 	scratch := getPairs(blockPairs)
 	release := func() {
 		// An early return can leave a block read in flight on the async
@@ -227,9 +227,8 @@ func sortRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, in *kvio.Re
 		// or a concurrent sort could be handed a buffer the executor is
 		// still filling.
 		ioS.Sync()
-		for _, b := range blocks {
-			putPairs(b)
-		}
+		putPairs(blocks[0])
+		putPairs(blocks[1])
 		putPairs(scratch)
 		memRelease()
 	}
@@ -261,18 +260,17 @@ func sortRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, in *kvio.Re
 		if err := ctx.Err(); err != nil {
 			return runs, release, err
 		}
-		syncErr := ioS.Sync()
+		if err := ioS.Sync(); err != nil {
+			return runs, release, err
+		}
 		res := pending
 		if res.n == 0 {
 			break
 		}
-		if syncErr != nil {
-			return runs, release, syncErr
-		}
 		readEnd := ioS.ModeledCursor()
 		data := blocks[cur][:res.n]
 		more := res.err != io.EOF
-		if streams && more {
+		if more {
 			// Prefetch the next block into the other buffer while this one
 			// sorts. That buffer held the block written two iterations ago,
 			// so in the model its read starts no earlier than the compute
@@ -294,9 +292,6 @@ func sortRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, in *kvio.Re
 		runs = append(runs, r)
 		if !more {
 			break
-		}
-		if !streams {
-			readInto(blocks[cur], 0)
 		}
 	}
 	return runs, release, nil
@@ -322,12 +317,8 @@ func SortStream(ctx context.Context, cfg Config, inPath string, emit func([]kv.P
 	defer in.Close()
 	st := Stats{Pairs: in.Count()}
 
-	tl := cfg.Overlap.NewTimeline()
-	defer tl.Commit()
-	streams := tl != nil
-	ioS := cfg.Device.NewStream("sort-io", tl.Line("io"), streams)
-	defer ioS.Close()
-	cmp := cfg.Device.NewStream("sort-compute", tl.Line("compute"), false)
+	ioS, cmp, done := cfg.streams()
+	defer done()
 
 	runs, release, err := sortRuns(ctx, cfg, ioS, cmp, in)
 	defer release()
@@ -370,14 +361,15 @@ func SortStream(ctx context.Context, cfg Config, inPath string, emit func([]kv.P
 }
 
 // drainRun streams a single sorted run file through emit in host-block
-// windows.
+// batches. Nothing is in flight on the I/O stream after the barrier, so
+// the reads run on the caller.
 func drainRun(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, path string, emit func([]kv.Pair) error) error {
 	r, err := kvio.NewReader(path, cfg.Meter)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	// The wait is only enqueued on an async stream, while the reads below
+	// The wait is only enqueued on the async stream, while the reads below
 	// are charged from this goroutine: without the barrier a charge can
 	// land on the modeled line ahead of the wait and the sort hides the
 	// read behind compute it depends on.
@@ -385,29 +377,29 @@ func drainRun(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, path string
 	if err := ioS.Sync(); err != nil {
 		return err
 	}
-	capPairs := clampPairs(cfg.HostBlockPairs, r.Count())
+	capPairs := kvio.ClampPairs(cfg.HostBlockPairs, r.Count())
 	if cfg.HostMem != nil {
-		hostBytes := int64(capPairs) * hostPairBytes
+		hostBytes := int64(capPairs) * kvio.HostPairBytes
 		cfg.HostMem.Add(hostBytes)
 		defer cfg.HostMem.Release(hostBytes)
 	}
-	ws := newWindowStream(r, capPairs, false)
-	defer ws.release()
+	buf := getPairs(capPairs)
+	defer putPairs(buf)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := ws.fill(); err != nil {
+		n, err := readFull(r, buf)
+		if err != nil && err != io.EOF {
 			return err
 		}
-		if len(ws.buf) == 0 {
+		if n == 0 {
 			return nil
 		}
-		ioS.Charge(costmodel.TierDiskRead, int64(len(ws.buf))*kv.PairBytes)
-		if err := emit(ws.buf); err != nil {
+		ioS.Charge(costmodel.TierDiskRead, int64(n)*kv.PairBytes)
+		if err := emit(buf[:n]); err != nil {
 			return err
 		}
-		ws.consume(len(ws.buf))
 	}
 }
 
@@ -500,21 +492,22 @@ func sortHostBlock(ctx context.Context, cfg Config, cmp *gpu.Stream, block, scra
 // concurrent partition sorts share the device: capacity, not caller
 // count, bounds how many chunks are resident at once.
 //
-// When the block is modeled on a timeline and two chunk slots fit on the
+// When the block spans several chunks and two chunk slots fit on the
 // device, the chunk loop is modeled as a classic CUDA double-buffered
 // pipeline: chunk i+1's H2D transfer overlaps chunk i's kernel, with
 // transfers serialized on the PCIe tier and kernels on the device tiers.
 // Execution stays sequential on the host (the simulation computes real
 // results either way); only the modeled placement — and therefore the
-// overlap saving — changes. The double residency is honestly accounted:
-// one allocation of two slots (4·m_d·PairBytes, the same bound
-// core.DeviceDemandBytes admits) is held for the whole loop.
+// overlap saving — differs from a chunk-at-a-time loop. The double
+// residency is honestly accounted: one allocation of two slots
+// (4·m_d·PairBytes, the same bound core.DeviceDemandBytes admits) is held
+// for the whole loop.
 func sortChunks(ctx context.Context, cfg Config, cmp *gpu.Stream, block []kv.Pair) error {
 	dev := cfg.Device
 	md := cfg.DeviceBlockPairs
 	ln := cmp.Line()
 	pipeBytes := 4 * int64(md) * kv.PairBytes
-	if ln != nil && len(block) > md && pipeBytes <= dev.Capacity() {
+	if len(block) > md && pipeBytes <= dev.Capacity() {
 		alloc, err := dev.AllocWait(ctx, pipeBytes)
 		if err != nil {
 			return err
@@ -681,12 +674,12 @@ func mergeRunFiles(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, pathA,
 
 // mergeRuns merges two sorted run files into emit. Windows of m_h/2
 // pairs stream from each run into host memory; equalized windows are
-// merged through the device via mergeInMemory. With streaming enabled,
-// each consumed window's replacement is prefetched into a spare buffer
-// on the async I/O stream while the current windows merge, so disk
-// reads hide behind device work in the modeled timeline and in wall
-// time. emit receives the merged output in sorted batches that are only
-// valid for the duration of the call.
+// merged through the device via mergeInMemory. Each consumed window's
+// replacement is prefetched into the side's spare buffer on the async I/O
+// stream while the current windows merge, so disk reads hide behind
+// device work in the modeled timeline and in wall time. emit receives the
+// merged output in sorted batches that are only valid for the duration of
+// the call.
 func mergeRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, pathA, pathB string, emit func([]kv.Pair) error) error {
 	ra, err := kvio.NewReader(pathA, cfg.Meter)
 	if err != nil {
@@ -699,62 +692,48 @@ func mergeRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, pathA, pat
 	}
 	defer rb.Close()
 
-	streams := cfg.Overlap != nil
 	// This merge's reads depend on its input runs, which the compute
 	// stream finished writing at its current modeled position.
 	ioS.WaitModeled(cmp.ModeledCursor())
 
-	half := cfg.HostBlockPairs / 2
-	if half < 1 {
-		half = 1
-	}
+	half := max(cfg.HostBlockPairs/2, 1)
 	// A run shorter than a half-window never fills past its own length,
-	// so its buffer can be run-sized; the windows streamed are identical.
-	aCap := clampPairs(half, ra.Count())
-	bCap := clampPairs(half, rb.Count())
-	bufs := 1
-	if streams {
-		bufs = 2 // window + prefetch spare per side
-	}
+	// so its buffers can be run-sized; the windows streamed are identical.
+	aCap := kvio.ClampPairs(half, ra.Count())
+	bCap := kvio.ClampPairs(half, rb.Count())
 	if cfg.HostMem != nil {
-		hostBytes := int64(bufs) * int64(aCap+bCap) * hostPairBytes
+		hostBytes := 2 * int64(aCap+bCap) * kvio.HostPairBytes // window + spare per side
 		cfg.HostMem.Add(hostBytes)
 		defer cfg.HostMem.Release(hostBytes)
 	}
-	wa := newWindowStream(ra, aCap, streams)
-	wb := newWindowStream(rb, bCap, streams)
+	bufs := [4][]kv.Pair{getPairs(aCap), getPairs(aCap), getPairs(bCap), getPairs(bCap)}
+	wa := kvio.NewWindow(ra, bufs[0], bufs[1])
+	wb := kvio.NewWindow(rb, bufs[2], bufs[3])
 	defer func() {
 		// An early return can leave prefetch ops in flight; barrier the
 		// I/O stream before the window buffers go back to the pool.
 		ioS.Sync()
-		wa.release()
-		wb.release()
+		for _, b := range bufs {
+			putPairs(b)
+		}
 	}()
 
-	if streams {
-		wa.advance(ioS, 0)
-		wb.advance(ioS, 0)
-	}
+	wa.Advance(ioS, 0)
+	wb.Advance(ioS, 0)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		syncErr := ioS.Sync()
-		wa.adopt()
-		wb.adopt()
+		wa.Adopt()
+		wb.Adopt()
 		if syncErr != nil {
 			return syncErr
 		}
 		// Merging a window consumes data the I/O stream produced: the
 		// compute stream starts no earlier than the prefetch finished.
 		cmp.WaitModeled(ioS.ModeledCursor())
-		if err := wa.fill(); err != nil {
-			return err
-		}
-		if err := wb.fill(); err != nil {
-			return err
-		}
-		a, b := wa.buf, wb.buf
+		a, b := wa.Pairs(), wb.Pairs()
 		if len(a) == 0 || len(b) == 0 {
 			break
 		}
@@ -770,181 +749,42 @@ func mergeRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, pathA, pat
 				}
 			}
 			// Prefetch both replacements before merging: the advance ops
-			// read buf[consumed:] and the reader, never the windows the
-			// merge is consuming.
-			if streams {
-				wa.advance(ioS, len(a))
-				wb.advance(ioS, len(b))
-			}
+			// read the windows' unconsumed tails and the readers, never
+			// the prefixes the merge is consuming.
+			wa.Advance(ioS, len(a))
+			wb.Advance(ioS, len(b))
 			if err := mergeInMemory(ctx, cfg, cmp, a, b, emit); err != nil {
 				return err
-			}
-			if !streams {
-				wa.consume(len(a))
-				wb.consume(len(b))
 			}
 			continue
 		}
 		// Disjoint windows: append the smaller one wholesale.
+		w, out := wb, b
 		if a[len(a)-1].Key.Less(b[0].Key) {
-			if streams {
-				wa.advance(ioS, len(a))
-			}
-			if err := emit(a); err != nil {
-				return err
-			}
-			if !streams {
-				wa.consume(len(a))
-			}
-		} else {
-			if streams {
-				wb.advance(ioS, len(b))
-			}
-			if err := emit(b); err != nil {
-				return err
-			}
-			if !streams {
-				wb.consume(len(b))
-			}
+			w, out = wa, a
+		}
+		w.Advance(ioS, len(out))
+		if err := emit(out); err != nil {
+			return err
 		}
 	}
 	// One side is exhausted: stream the remainder of the other (line 19).
 	// No advances are pending here (the loop top adopted them all), so the
 	// plain synchronous fill/consume drain is race-free.
-	for _, ws := range []*windowStream{wa, wb} {
+	for _, w := range []*kvio.Window{wa, wb} {
 		for {
-			if err := ws.fill(); err != nil {
+			if err := w.Fill(); err != nil {
 				return err
 			}
-			if len(ws.buf) == 0 {
+			rest := w.Pairs()
+			if len(rest) == 0 {
 				break
 			}
-			if err := emit(ws.buf); err != nil {
+			if err := emit(rest); err != nil {
 				return err
 			}
-			ws.consume(len(ws.buf))
+			w.Consume(len(rest))
 		}
 	}
 	return nil
-}
-
-// clampPairs caps a buffer size at the number of pairs actually present,
-// keeping at least one slot so fill can detect EOF.
-func clampPairs(window int, count int64) int {
-	if count < int64(window) {
-		window = int(count)
-		if window < 1 {
-			window = 1
-		}
-	}
-	return window
-}
-
-// windowStream maintains a sliding window of unconsumed pairs over a
-// sequential reader. With a spare buffer it also supports asynchronous
-// advancement: an op enqueued on an I/O stream builds the next window
-// (leftover tail + fresh reads) in the spare while the caller is still
-// reading the current buffer, and adopt swaps the two after the stream
-// syncs. The window contents are identical to the synchronous
-// consume-then-fill sequence.
-type windowStream struct {
-	r     *kvio.Reader
-	buf   []kv.Pair
-	spare []kv.Pair // second buffer; non-nil enables advance
-	cap   int
-	done  bool
-
-	pending     bool // an advance op is enqueued (or adopted-awaiting)
-	pendingBuf  []kv.Pair
-	pendingDone bool
-}
-
-func newWindowStream(r *kvio.Reader, capPairs int, spare bool) *windowStream {
-	ws := &windowStream{r: r, buf: getPairs(capPairs)[:0], cap: capPairs}
-	if spare {
-		ws.spare = getPairs(capPairs)[:0]
-	}
-	return ws
-}
-
-// release returns the stream's buffers to the pool. buf and spare are
-// always distinct arrays (adopt swaps, never merges them), and pendingBuf
-// only ever aliases spare, so each backing array is recycled exactly once.
-func (ws *windowStream) release() {
-	putPairs(ws.buf)
-	if ws.spare != nil {
-		putPairs(ws.spare)
-	}
-	ws.buf, ws.spare, ws.pendingBuf = nil, nil, nil
-}
-
-// fill tops the window up to capacity.
-func (ws *windowStream) fill() error {
-	for len(ws.buf) < ws.cap && !ws.done {
-		n := len(ws.buf)
-		m, err := ws.r.ReadBatch(ws.buf[n:ws.cap])
-		ws.buf = ws.buf[:n+m]
-		if err == io.EOF {
-			ws.done = true
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// consume drops the first n pairs from the window.
-func (ws *windowStream) consume(n int) {
-	remaining := copy(ws.buf, ws.buf[n:])
-	ws.buf = ws.buf[:remaining]
-}
-
-// advance enqueues the window's next state on the I/O stream: drop the
-// first consumeN pairs, then top up from the reader into the spare
-// buffer. The op reads buf[consumeN:] and never mutates buf, so the
-// caller may keep reading buf[:consumeN] concurrently. Call adopt after
-// the stream syncs to swap the new window in. The disk bytes are charged
-// to the stream's modeled timeline (the meter is fed by the reader
-// itself, exactly as in the synchronous path).
-func (ws *windowStream) advance(ioS *gpu.Stream, consumeN int) {
-	ws.pending = true
-	ioS.Enqueue("advance-window", func() error {
-		nb := ws.spare[:0]
-		nb = append(nb, ws.buf[consumeN:]...)
-		done := ws.done
-		read := 0
-		for len(nb) < ws.cap && !done {
-			n := len(nb)
-			m, err := ws.r.ReadBatch(nb[n:ws.cap])
-			nb = nb[:n+m]
-			read += m
-			if err == io.EOF {
-				done = true
-				break
-			}
-			if err != nil {
-				ws.pendingBuf, ws.pendingDone = nb, done
-				return err
-			}
-		}
-		ws.pendingBuf, ws.pendingDone = nb, done
-		ioS.Charge(costmodel.TierDiskRead, int64(read)*kv.PairBytes)
-		return nil
-	})
-}
-
-// adopt installs the most recent advance's result as the current window.
-// Only call it after the I/O stream has synced.
-func (ws *windowStream) adopt() {
-	if !ws.pending {
-		return
-	}
-	ws.pending = false
-	old := ws.buf
-	ws.buf = ws.pendingBuf
-	ws.spare = old[:0]
-	ws.done = ws.pendingDone
-	ws.pendingBuf = nil
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // pairPool recycles host-side pair buffers — run-formation blocks, the
-// merge scratch, window-stream buffers, and the in-memory merge output —
+// merge scratch, window buffers, and the in-memory merge output —
 // across partitions and merge passes, so a long sort of many partitions
 // allocates its host blocks once instead of once per partition. The pool
 // only recycles backing arrays: HostMem accounting is unchanged, because

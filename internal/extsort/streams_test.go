@@ -2,12 +2,14 @@ package extsort
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/gpu"
 	"repro/internal/kv"
 )
 
@@ -44,9 +46,10 @@ func sortOnce(t *testing.T, cfg Config, input []kv.Pair) ([]byte, costmodel.Coun
 	return raw, cfg.Meter.Snapshot(), st
 }
 
-// The streamed sort must be observably identical to the serial sort —
-// byte-identical output, identical cost counters, identical pass counts —
-// with only the modeled seconds shrinking.
+// A sort executes the same way whether or not a ledger models its
+// placement: a run with a ledger and a run without one give byte-identical
+// output, identical cost counters and identical pass counts, and only the
+// ledger run reports overlap.
 func TestSortFileStreamsIdenticalToSerial(t *testing.T) {
 	cases := []struct {
 		n, mh, md int
@@ -65,24 +68,24 @@ func TestSortFileStreamsIdenticalToSerial(t *testing.T) {
 		input := randomPairs(rng, tc.n, 200)
 
 		base := Config{Device: bigDevice(), HostBlockPairs: tc.mh, DeviceBlockPairs: tc.md}
-		serialOut, serialCtr, serialSt := sortOnce(t, base, input)
+		bareOut, bareCtr, bareSt := sortOnce(t, base, input)
 
 		lg := costmodel.NewOverlapLedger(overlapProfile())
-		streamed := base
-		streamed.Overlap = lg
-		streamOut, streamCtr, streamSt := sortOnce(t, streamed, input)
+		modeled := base
+		modeled.Overlap = lg
+		out, ctr, st := sortOnce(t, modeled, input)
 
-		if string(streamOut) != string(serialOut) {
-			t.Errorf("n=%d mh=%d md=%d: streamed output differs from serial (%d vs %d bytes)",
-				tc.n, tc.mh, tc.md, len(streamOut), len(serialOut))
+		if string(out) != string(bareOut) {
+			t.Errorf("n=%d mh=%d md=%d: output with a ledger differs from without (%d vs %d bytes)",
+				tc.n, tc.mh, tc.md, len(out), len(bareOut))
 		}
-		if streamCtr != serialCtr {
-			t.Errorf("n=%d mh=%d md=%d: streamed counters %+v != serial %+v",
-				tc.n, tc.mh, tc.md, streamCtr, serialCtr)
+		if ctr != bareCtr {
+			t.Errorf("n=%d mh=%d md=%d: counters with a ledger %+v != without %+v",
+				tc.n, tc.mh, tc.md, ctr, bareCtr)
 		}
-		if streamSt != serialSt {
-			t.Errorf("n=%d mh=%d md=%d: streamed stats %+v != serial %+v",
-				tc.n, tc.mh, tc.md, streamSt, serialSt)
+		if st != bareSt {
+			t.Errorf("n=%d mh=%d md=%d: stats with a ledger %+v != without %+v",
+				tc.n, tc.mh, tc.md, st, bareSt)
 		}
 
 		saved := lg.SavedSeconds()
@@ -99,7 +102,7 @@ func TestSortFileStreamsIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// Sorted order itself must also match the reference, streamed or not.
+// Sorted order itself must also match the reference with a ledger attached.
 func TestSortFileStreamsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	input := randomPairs(rng, 1200, 150)
@@ -146,5 +149,47 @@ func TestSortStreamSingleRunSavedSecondsStable(t *testing.T) {
 	}
 	if len(seen) != 1 {
 		t.Errorf("SavedSeconds took %d values over 300 single-run sorts: %v", len(seen), seen)
+	}
+}
+
+// A multi-pass sort charges its I/O stream from the async executor and
+// from the caller, and its device-chunk pipeline on forked lines. However
+// those goroutines interleave, repeating the sort must reproduce the
+// ledger bit for bit, for SortFile and SortStream alike.
+func TestMultiPassSortLedgerBitReproducible(t *testing.T) {
+	dir := t.TempDir()
+	inPath := filepath.Join(dir, "in.kv")
+	writePairs(t, inPath, randomPairs(rand.New(rand.NewSource(11)), 40000, 1<<40))
+	prof := gpu.K40.CostProfile(costmodel.DefaultDisk.ReadBps, costmodel.DefaultDisk.WriteBps)
+	sorts := map[string]func(Config) (Stats, error){
+		"SortFile": func(cfg Config) (Stats, error) {
+			return SortFile(context.Background(), cfg, inPath, filepath.Join(dir, "out.kv"))
+		},
+		"SortStream": func(cfg Config) (Stats, error) {
+			return SortStream(context.Background(), cfg, inPath, func([]kv.Pair) error { return nil })
+		},
+	}
+	for name, sort := range sorts {
+		t.Run(name, func(t *testing.T) {
+			type bitsOf struct{ saved, serial, overlapped uint64 }
+			seen := map[bitsOf]int{}
+			for rep := 0; rep < 40; rep++ {
+				lg := costmodel.NewOverlapLedger(prof)
+				cfg := Config{Device: gpu.NewDevice(gpu.K40, nil), TempDir: dir,
+					HostBlockPairs: 4096, DeviceBlockPairs: 512, Overlap: lg}
+				st, err := sort(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.MergeRounds < 2 {
+					t.Fatalf("%d merge rounds, want a multi-pass sort", st.MergeRounds)
+				}
+				seen[bitsOf{math.Float64bits(lg.SavedSeconds()), math.Float64bits(lg.SerialSeconds()),
+					math.Float64bits(lg.OverlappedSeconds())}]++
+			}
+			if len(seen) != 1 {
+				t.Errorf("the ledger took %d distinct bit patterns over 40 identical sorts: %v", len(seen), seen)
+			}
+		})
 	}
 }

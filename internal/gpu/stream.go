@@ -30,11 +30,13 @@ type streamOp struct {
 // and Sync blocks until everything enqueued so far has completed.
 //
 // A stream carries an optional modeled timeline line: every op charges
-// its tier traffic both to the device meter (counters, identical to the
-// serial path) and to the line (modeled placement, where overlap across
-// streams is what shrinks the makespan). A nil line disables modeling and
-// an inline (async=false) stream executes ops immediately on the caller,
-// so Streams=off reduces to exactly today's serial path.
+// its tier traffic both to the device meter (counters, the same whatever
+// the placement) and to the line (modeled placement, where overlap across
+// streams is what shrinks the makespan). A nil line disables modeling
+// without changing how the ops execute. An async stream runs its ops on a
+// background executor (the I/O streams that prefetch); an inline
+// (async=false) stream executes them immediately on the caller (the
+// compute streams, whose kernels produce values the caller needs).
 //
 // One goroutine owns a stream's enqueue side (the pipeline's per-unit
 // orchestrator); Sync/Close create the happens-before edges that make the
@@ -73,10 +75,6 @@ func (s *Stream) Device() *Device { return s.dev }
 
 // Line returns the stream's modeled timeline line (nil when unmodeled).
 func (s *Stream) Line() *costmodel.Line { return s.line }
-
-// Async reports whether the stream runs a background executor (versus
-// executing ops inline on the caller).
-func (s *Stream) Async() bool { return s.async }
 
 func (s *Stream) ensureStarted() {
 	s.mu.Lock()

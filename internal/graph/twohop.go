@@ -69,8 +69,9 @@ type TwoHopConfig struct {
 	// (out-of-core). 0 means the whole store is resident.
 	MaxResidentBytes int64
 	// Overlap, when set, accounts the H2D prefetch against the compute
-	// on a modeled timeline so streamed runs report makespan instead of
-	// the additive sum. Counters are identical either way.
+	// on a modeled timeline so the pass reports makespan instead of the
+	// additive sum. The pass executes the same way, with the same
+	// counters, either way.
 	Overlap *costmodel.OverlapLedger
 }
 
@@ -171,7 +172,8 @@ func reduceRow(st RowStore, cfg *TwoHopConfig, u uint32, sc *blockScratch, mask 
 // reduce phase's window streaming. All charges are pure functions of the
 // structure and config — the compute charge is in decoded terms, so it is
 // the same for every store; only the transfers price the representation —
-// and modeled cost is deterministic and identical with streams on or off.
+// and the counters are deterministic and identical with or without a
+// ledger.
 //
 // streams names the pass's device streams (streams+"-io",
 // streams+"-compute"). A row the store cannot produce fails the pass with
@@ -213,7 +215,7 @@ func TransitiveReduceTwoHop(ctx context.Context, st RowStore, streams string, cf
 
 	tl := cfg.Overlap.NewTimeline()
 	defer tl.Commit()
-	ioS := dev.NewStream(streams+"-io", tl.Line("prefetch"), tl != nil)
+	ioS := dev.NewStream(streams+"-io", tl.Line("prefetch"), true)
 	defer ioS.Close()
 	cmp := dev.NewStream(streams+"-compute", tl.Line("compute"), false)
 	defer cmp.Close()

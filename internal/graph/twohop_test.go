@@ -158,7 +158,7 @@ func TestTwoHopStoresAgreeWithOracle(t *testing.T) {
 				for _, st := range stores {
 					var plain costmodel.Counters
 					for _, ledger := range []*costmodel.OverlapLedger{nil, costmodel.NewOverlapLedger(profile)} {
-						name := fmt.Sprintf("trial %d rowBatch %d cap %d streams %v %s",
+						name := fmt.Sprintf("trial %d rowBatch %d cap %d ledger %v %s",
 							trial, rowBatch, maxResident, ledger != nil, st.name)
 						dev := gpu.NewDevice(gpu.K40, nil)
 						got, err := st.reduce(context.Background(), graph.TwoHopConfig{Device: dev, VertexLen: vertexLen, Fuzz: fuzz,

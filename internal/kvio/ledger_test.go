@@ -33,9 +33,10 @@ const (
 
 var ledgerRuns = []int{0, 1, 2, 3, 8}
 
-// ledgerSortConfig returns a sort configuration (streamed when streams is
-// set) and an input file forming exactly runs sorted runs.
-func ledgerSortConfig(t *testing.T, runs int, streams bool) (cfg extsort.Config, inPath string, pairs int) {
+// ledgerSortConfig returns a sort configuration (with an overlap ledger
+// attached when modeled is set) and an input file forming exactly runs
+// sorted runs.
+func ledgerSortConfig(t *testing.T, runs int, modeled bool) (cfg extsort.Config, inPath string, pairs int) {
 	t.Helper()
 	dir := t.TempDir()
 	pairs = runs * ledgerHostBlock
@@ -65,7 +66,7 @@ func ledgerSortConfig(t *testing.T, runs int, streams bool) (cfg extsort.Config,
 		DeviceBlockPairs: ledgerDeviceBlock,
 		TempDir:          filepath.Join(dir, "sort_tmp"),
 	}
-	if streams {
+	if modeled {
 		cfg.Overlap = costmodel.NewOverlapLedger(costmodel.Profile{
 			DiskReadBps: 1 << 20, DiskWriteBps: 1 << 20, NetBps: 1 << 20, HostMemBps: 1 << 22,
 			DeviceMemBps: 1 << 24, DeviceOpsPerSec: 1 << 22, PCIeBps: 1 << 21,
@@ -77,19 +78,23 @@ func ledgerSortConfig(t *testing.T, runs int, streams bool) (cfg extsort.Config,
 	return cfg, inPath, pairs
 }
 
-func forEachLedgerCase(t *testing.T, fn func(t *testing.T, runs int, streams bool)) {
+// forEachLedgerCase runs fn for every run count, with a nil overlap ledger
+// and with one (the subtest label's streams= names which). The sort
+// executes the same way in both; the axis checks that modeling placement
+// changes nothing on disk.
+func forEachLedgerCase(t *testing.T, fn func(t *testing.T, runs int, modeled bool)) {
 	for _, runs := range ledgerRuns {
-		for _, streams := range []bool{false, true} {
-			t.Run(fmt.Sprintf("runs=%d/streams=%v", runs, streams), func(t *testing.T) {
-				fn(t, runs, streams)
+		for _, modeled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("runs=%d/streams=%v", runs, modeled), func(t *testing.T) {
+				fn(t, runs, modeled)
 			})
 		}
 	}
 }
 
 func TestFsyncLedgerSortFileSyncsOnlyItsOutput(t *testing.T) {
-	forEachLedgerCase(t, func(t *testing.T, runs int, streams bool) {
-		cfg, inPath, pairs := ledgerSortConfig(t, runs, streams)
+	forEachLedgerCase(t, func(t *testing.T, runs int, modeled bool) {
+		cfg, inPath, pairs := ledgerSortConfig(t, runs, modeled)
 		outPath := filepath.Join(filepath.Dir(inPath), "out.kv")
 
 		var synced []os.FileInfo
@@ -132,8 +137,8 @@ func TestFsyncLedgerSortFileSyncsOnlyItsOutput(t *testing.T) {
 }
 
 func TestFsyncLedgerSortStreamSyncsNothing(t *testing.T) {
-	forEachLedgerCase(t, func(t *testing.T, runs int, streams bool) {
-		cfg, inPath, pairs := ledgerSortConfig(t, runs, streams)
+	forEachLedgerCase(t, func(t *testing.T, runs int, modeled bool) {
+		cfg, inPath, pairs := ledgerSortConfig(t, runs, modeled)
 		calls := 0
 		restore := kvio.SwapFileSync(func(f *os.File) error {
 			calls++

@@ -24,7 +24,6 @@ package overlap
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/costmodel"
 	"repro/internal/gpu"
@@ -42,16 +41,12 @@ type Config struct {
 	WindowPairs int               // M/2: pairs per window
 	Obs         *obs.Observer     // observability sink; may be nil
 
-	// Overlap, when non-nil, enables streamed execution: the next
-	// suffix/prefix windows are prefetched on an async I/O stream while
-	// the current windows' bounds kernels run, and every charge lands on
-	// an overlap-aware modeled timeline committed to this ledger. Emitted
-	// edges and counters are identical to the serial path.
+	// Overlap receives the modeled placement of the reduce's charges:
+	// each reduce commits one timeline, on which the window prefetch
+	// overlaps the bounds kernels. Nil models nothing; the reduce executes
+	// the same way, with the same edges and counters, either way.
 	Overlap *costmodel.OverlapLedger
 }
-
-// hostPairBytes is the in-memory footprint of one pair.
-const hostPairBytes = 24
 
 // Emit receives one candidate edge: the read strand whose suffix matched
 // (u) and the read strand whose prefix matched (v). Returning an error
@@ -94,54 +89,49 @@ func Reduce(ctx context.Context, cfg Config, sfxReader, pfxReader *kvio.Reader, 
 	// One modeled timeline per reduce: a single async I/O stream
 	// prefetches both windows (one disk engine, charges serialized on the
 	// disk-read tier) while the inline compute stream carries the device
-	// pass. With Overlap nil everything collapses to the serial path.
+	// pass.
 	tl := cfg.Overlap.NewTimeline()
 	defer tl.Commit()
-	streams := tl != nil
-	ioS := dev.NewStream("reduce-io", tl.Line("prefetch"), streams)
+	ioS := dev.NewStream("reduce-io", tl.Line("prefetch"), true)
 	defer ioS.Close()
 	cmp := dev.NewStream("reduce-compute", tl.Line("compute"), false)
-	// A partition smaller than a window needs only a partition-sized
-	// buffer; the windows seen by the device are identical either way.
-	// Streamed reduces double the buffers for the prefetch spares.
-	sCap := clampPairs(cfg.WindowPairs, sfxReader.Count())
-	pCap := clampPairs(cfg.WindowPairs, pfxReader.Count())
-	bufs := 1
-	if streams {
-		bufs = 2
-	}
+	// A partition smaller than a window needs only partition-sized
+	// buffers; the windows seen by the device are identical either way.
+	// Each side holds its window and the spare its prefetch builds.
+	sCap := kvio.ClampPairs(cfg.WindowPairs, sfxReader.Count())
+	pCap := kvio.ClampPairs(cfg.WindowPairs, pfxReader.Count())
 	if cfg.HostMem != nil {
-		hostBytes := int64(bufs) * int64(sCap+pCap) * hostPairBytes
+		hostBytes := 2 * int64(sCap+pCap) * kvio.HostPairBytes
 		cfg.HostMem.Add(hostBytes)
 		defer cfg.HostMem.Release(hostBytes)
 	}
-	ws := newWindowStream(sfxReader, sCap, streams)
-	wp := newWindowStream(pfxReader, pCap, streams)
+	ws := kvio.NewWindow(sfxReader, make([]kv.Pair, sCap), make([]kv.Pair, sCap))
+	wp := kvio.NewWindow(pfxReader, make([]kv.Pair, pCap), make([]kv.Pair, pCap))
 
-	if streams {
-		ws.advance(ioS, 0)
-		wp.advance(ioS, 0)
-	}
+	ws.Advance(ioS, 0)
+	wp.Advance(ioS, 0)
 	var lb, ub, diff []int32
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		syncErr := ioS.Sync()
-		ws.adopt()
-		wp.adopt()
+		ws.Adopt()
+		wp.Adopt()
 		if syncErr != nil {
 			return syncErr
 		}
-		// The round consumes data the I/O stream produced.
+		// The round consumes data the I/O stream produced. The fills read
+		// only after a synchronous consume (the boundary branch and
+		// drainKey); an adopted window is already full.
 		cmp.WaitModeled(ioS.ModeledCursor())
-		if err := ws.fill(); err != nil {
+		if err := ws.Fill(); err != nil {
 			return err
 		}
-		if err := wp.fill(); err != nil {
+		if err := wp.Fill(); err != nil {
 			return err
 		}
-		s, p := ws.buf, wp.buf
+		s, p := ws.Pairs(), wp.Pairs()
 		if len(s) == 0 || len(p) == 0 {
 			break
 		}
@@ -164,18 +154,16 @@ func Reduce(ctx context.Context, cfg Config, sfxReader, pfxReader *kvio.Reader, 
 		} else if len(cs) == 0 || len(cp) == 0 {
 			// One side holds only boundary-key pairs; the other side's
 			// clipped portion cannot match them, so consume it alone.
-			ws.consume(len(cs))
-			wp.consume(len(cp))
+			ws.Consume(len(cs))
+			wp.Consume(len(cp))
 			continue
 		}
 
 		// Prefetch the next windows before the device pass: the advance
-		// ops read buf[consumed:] and the readers, never the clipped
-		// windows the kernels and the emission loop are using.
-		if streams {
-			ws.advance(ioS, len(cs))
-			wp.advance(ioS, len(cp))
-		}
+		// ops read the windows' unconsumed tails and the readers, never
+		// the clipped prefixes the kernels and the emission loop are using.
+		ws.Advance(ioS, len(cs))
+		wp.Advance(ioS, len(cp))
 
 		// Device pass: vectorized bounds and counts (lines 8-10).
 		// AllocWait lets concurrent partition reducers share the device;
@@ -202,10 +190,6 @@ func Reduce(ctx context.Context, cfg Config, sfxReader, pfxReader *kvio.Reader, 
 				}
 			}
 		}
-		if !streams {
-			ws.consume(len(cs))
-			wp.consume(len(cp))
-		}
 	}
 	return nil
 }
@@ -218,12 +202,13 @@ func Reduce(ctx context.Context, cfg Config, sfxReader, pfxReader *kvio.Reader, 
 // the one place the implementation deliberately exceeds the paper's M,
 // because Algorithm 2 as published stalls or drops matches on runs longer
 // than a window (see package comment).
-func drainKey(ws, wp *windowStream, emit Emit) error {
-	k := kv.Min(ws.buf[0].Key, wp.buf[0].Key)
-	if k != ws.buf[0].Key || k != wp.buf[0].Key {
+func drainKey(ws, wp *kvio.Window, emit Emit) error {
+	sk, pk := ws.Pairs()[0].Key, wp.Pairs()[0].Key
+	k := kv.Min(sk, pk)
+	if k != sk || k != pk {
 		// Only one stream holds k: drain its run without emitting.
 		side := ws
-		if k == wp.buf[0].Key {
+		if k == pk {
 			side = wp
 		}
 		_, err := collectRun(side, k)
@@ -234,11 +219,12 @@ func drainKey(ws, wp *windowStream, emit Emit) error {
 		return err
 	}
 	for {
-		if err := ws.fill(); err != nil {
+		if err := ws.Fill(); err != nil {
 			return err
 		}
+		buf := ws.Pairs()
 		n := 0
-		for n < len(ws.buf) && ws.buf[n].Key == k {
+		for n < len(buf) && buf[n].Key == k {
 			n++
 		}
 		if n == 0 {
@@ -246,13 +232,13 @@ func drainKey(ws, wp *windowStream, emit Emit) error {
 		}
 		for i := 0; i < n; i++ {
 			for _, v := range pvals {
-				if err := emit(ws.buf[i].Val, v); err != nil {
+				if err := emit(buf[i].Val, v); err != nil {
 					return err
 				}
 			}
 		}
-		ws.consume(n)
-		if len(ws.buf) > 0 {
+		ws.Consume(n)
+		if len(ws.Pairs()) > 0 {
 			return nil // a key beyond k surfaced: run finished
 		}
 	}
@@ -260,134 +246,21 @@ func drainKey(ws, wp *windowStream, emit Emit) error {
 
 // collectRun consumes and returns every value carrying key k from the
 // stream, refilling the window as needed.
-func collectRun(ws *windowStream, k kv.Key) ([]uint32, error) {
+func collectRun(ws *kvio.Window, k kv.Key) ([]uint32, error) {
 	var vals []uint32
 	for {
-		if err := ws.fill(); err != nil {
+		if err := ws.Fill(); err != nil {
 			return nil, err
 		}
+		buf := ws.Pairs()
 		n := 0
-		for n < len(ws.buf) && ws.buf[n].Key == k {
-			vals = append(vals, ws.buf[n].Val)
+		for n < len(buf) && buf[n].Key == k {
+			vals = append(vals, buf[n].Val)
 			n++
 		}
-		ws.consume(n)
-		if len(ws.buf) > 0 || n == 0 {
+		ws.Consume(n)
+		if len(ws.Pairs()) > 0 || n == 0 {
 			return vals, nil // a later key surfaced, or the stream ended
 		}
 	}
 }
-
-// clampPairs caps a window size at the number of pairs actually present,
-// keeping at least one slot so fill can detect EOF.
-func clampPairs(window int, count int64) int {
-	if count < int64(window) {
-		window = int(count)
-		if window < 1 {
-			window = 1
-		}
-	}
-	return window
-}
-
-// windowStream maintains a sliding window over a sequential reader. With
-// a spare buffer it also supports asynchronous advancement (see advance),
-// producing windows identical to the synchronous consume-then-fill path.
-type windowStream struct {
-	r     *kvio.Reader
-	buf   []kv.Pair
-	spare []kv.Pair // second buffer; non-nil enables advance
-	cap   int
-	done  bool
-
-	pending     bool
-	pendingBuf  []kv.Pair
-	pendingDone bool
-}
-
-func newWindowStream(r *kvio.Reader, capPairs int, spare bool) *windowStream {
-	ws := &windowStream{r: r, buf: make([]kv.Pair, 0, capPairs), cap: capPairs}
-	if spare {
-		ws.spare = make([]kv.Pair, 0, capPairs)
-	}
-	return ws
-}
-
-// advance enqueues the window's next state on the I/O stream: drop the
-// first consumeN pairs, then top up from the reader into the spare
-// buffer, mirroring fill's semantics (including EOF detection via
-// Remaining). The op never mutates buf, so the caller may keep reading
-// buf[:consumeN] while it runs; adopt swaps the result in after the
-// stream syncs. Disk bytes are charged to the stream's modeled timeline.
-func (ws *windowStream) advance(ioS *gpu.Stream, consumeN int) {
-	ws.pending = true
-	ioS.Enqueue("advance-window", func() error {
-		nb := ws.spare[:0]
-		nb = append(nb, ws.buf[consumeN:]...)
-		done := ws.done
-		read := 0
-		var ferr error
-		for len(nb) < ws.cap && !done {
-			n := len(nb)
-			m, err := ws.r.ReadBatch(nb[n:ws.cap])
-			nb = nb[:n+m]
-			read += m
-			if err == io.EOF {
-				done = true
-				break
-			}
-			if err != nil {
-				ferr = err
-				break
-			}
-		}
-		if !done && ws.r.Remaining() == 0 {
-			done = true
-		}
-		ws.pendingBuf, ws.pendingDone = nb, done
-		ioS.Charge(costmodel.TierDiskRead, int64(read)*kv.PairBytes)
-		return ferr
-	})
-}
-
-// adopt installs the most recent advance's result as the current window.
-// Only call it after the I/O stream has synced.
-func (ws *windowStream) adopt() {
-	if !ws.pending {
-		return
-	}
-	ws.pending = false
-	old := ws.buf
-	ws.buf = ws.pendingBuf
-	ws.spare = old[:0]
-	ws.done = ws.pendingDone
-	ws.pendingBuf = nil
-}
-
-func (ws *windowStream) fill() error {
-	for len(ws.buf) < ws.cap && !ws.done {
-		n := len(ws.buf)
-		m, err := ws.r.ReadBatch(ws.buf[n:ws.cap])
-		ws.buf = ws.buf[:n+m]
-		if err == io.EOF {
-			ws.done = true
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if !ws.done && ws.r.Remaining() == 0 {
-		ws.done = true
-	}
-	return nil
-}
-
-func (ws *windowStream) consume(n int) {
-	remaining := copy(ws.buf, ws.buf[n:])
-	ws.buf = ws.buf[:remaining]
-}
-
-// exhausted reports whether the underlying stream has no pairs beyond the
-// current window.
-func (ws *windowStream) exhausted() bool { return ws.done }

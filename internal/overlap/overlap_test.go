@@ -247,12 +247,13 @@ func TestReduceHostMemAccounting(t *testing.T) {
 	if mem.Current() != 0 {
 		t.Errorf("host memory leaked: %d", mem.Current())
 	}
-	// Window buffers are clamped to the partition size: 2 pairs per side.
-	if mem.Peak() != int64(2+2)*hostPairBytes {
-		t.Errorf("peak = %d, want %d", mem.Peak(), int64(2+2)*hostPairBytes)
+	// Window buffers are clamped to the partition size: 2 pairs per side,
+	// each side holding its window and its prefetch spare.
+	if want := int64(2*(2+2)) * kvio.HostPairBytes; mem.Peak() != want {
+		t.Errorf("peak = %d, want %d", mem.Peak(), want)
 	}
 
-	// A partition larger than the window charges the full window.
+	// A partition larger than the window charges two full windows a side.
 	var big stats.MemTracker
 	keys := make([]uint64, 40)
 	for i := range keys {
@@ -264,7 +265,7 @@ func TestReduceHostMemAccounting(t *testing.T) {
 	if err := ReducePaths(context.Background(), cfg, sp, pp, func(u, v uint32) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if big.Peak() != int64(2*16)*hostPairBytes {
-		t.Errorf("large-partition peak = %d, want %d", big.Peak(), int64(2*16)*hostPairBytes)
+	if want := int64(2*2*16) * kvio.HostPairBytes; big.Peak() != want {
+		t.Errorf("large-partition peak = %d, want %d", big.Peak(), want)
 	}
 }

@@ -24,8 +24,8 @@ func overlapProfile() costmodel.Profile {
 }
 
 // reduceOnce runs one reduce and returns the ordered emission log and the
-// meter snapshot. The log keeps emission order, not just the multiset:
-// the streamed path must not reorder edges.
+// meter snapshot. The log keeps emission order, not just the multiset: a
+// ledger must not reorder edges.
 func reduceOnce(t *testing.T, windowPairs int, lg *costmodel.OverlapLedger, sfx, pfx []kv.Pair) ([]edge, costmodel.Counters) {
 	t.Helper()
 	dir := t.TempDir()
@@ -50,8 +50,9 @@ func reduceOnce(t *testing.T, windowPairs int, lg *costmodel.OverlapLedger, sfx,
 	return got, cfg.Meter.Snapshot()
 }
 
-// The streamed reduce must emit the same edges in the same order with the
-// same counters as the serial reduce, across window sizes that exercise
+// A reduce executes the same way whether or not a ledger models its
+// placement: with and without one it emits the same edges in the same
+// order with the same counters, across window sizes that exercise
 // clipping, refills, and the duplicate-run drain path.
 func TestReduceStreamsIdenticalToSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -61,7 +62,7 @@ func TestReduceStreamsIdenticalToSerial(t *testing.T) {
 		pfx = append(pfx, kv.Pair{Key: kv.Key{Lo: uint64(rng.Intn(500))}, Val: uint32(10000 + i)})
 	}
 	// A fingerprint run longer than the small windows forces the drain
-	// path under streaming too.
+	// path.
 	for i := 0; i < 30; i++ {
 		sfx = append(sfx, kv.Pair{Key: kv.Key{Lo: 250}, Val: uint32(20000 + i)})
 		pfx = append(pfx, kv.Pair{Key: kv.Key{Lo: 250}, Val: uint32(30000 + i)})
@@ -73,22 +74,22 @@ func TestReduceStreamsIdenticalToSerial(t *testing.T) {
 	for _, w := range []int{2, 3, 8, 64, 1000} {
 		wantSaved := w < 1000
 		t.Run(fmt.Sprintf("window=%d", w), func(t *testing.T) {
-			serialEdges, serialCtr := reduceOnce(t, w, nil, sfx, pfx)
+			bareEdges, bareCtr := reduceOnce(t, w, nil, sfx, pfx)
 
 			lg := costmodel.NewOverlapLedger(overlapProfile())
-			streamEdges, streamCtr := reduceOnce(t, w, lg, sfx, pfx)
+			edges, ctr := reduceOnce(t, w, lg, sfx, pfx)
 
-			if len(streamEdges) != len(serialEdges) {
-				t.Fatalf("streamed emitted %d edges, serial %d", len(streamEdges), len(serialEdges))
+			if len(edges) != len(bareEdges) {
+				t.Fatalf("with a ledger emitted %d edges, without %d", len(edges), len(bareEdges))
 			}
-			for i := range serialEdges {
-				if streamEdges[i] != serialEdges[i] {
-					t.Fatalf("edge %d: streamed %+v, serial %+v (order must match)",
-						i, streamEdges[i], serialEdges[i])
+			for i := range bareEdges {
+				if edges[i] != bareEdges[i] {
+					t.Fatalf("edge %d: with a ledger %+v, without %+v (order must match)",
+						i, edges[i], bareEdges[i])
 				}
 			}
-			if streamCtr != serialCtr {
-				t.Fatalf("streamed counters %+v != serial %+v", streamCtr, serialCtr)
+			if ctr != bareCtr {
+				t.Fatalf("counters with a ledger %+v != without %+v", ctr, bareCtr)
 			}
 			if saved := lg.SavedSeconds(); saved < 0 {
 				t.Errorf("negative saved seconds %v", saved)

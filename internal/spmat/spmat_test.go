@@ -337,9 +337,9 @@ func randomOverlapMatrix(rng *rand.Rand, numReads, vertexLen int) (*Matrix, *sgr
 	return b.Build(), g
 }
 
-// TestReduceDeterministicAcrossStreamsAndResidency pins that streams
-// on/off and in-core/out-of-core execution change neither the removal
-// mask nor any cost counter except modeled overlap.
+// TestReduceDeterministicAcrossStreamsAndResidency pins that an overlap
+// ledger and in-core/out-of-core execution change neither the removal
+// mask nor any cost counter; the ledger only models the overlap.
 func TestReduceDeterministicAcrossStreamsAndResidency(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m, _ := randomOverlapMatrix(rng, 30, 100)
@@ -352,7 +352,7 @@ func TestReduceDeterministicAcrossStreamsAndResidency(t *testing.T) {
 		removed int64
 		flops   int64
 	}
-	// The streamed run is also out-of-core: savings come from the next
+	// The modeled run is also out-of-core: savings come from the next
 	// tile's H2D prefetch overlapping the current tile's compute, so a
 	// fully resident matrix legitimately has nothing to hide.
 	runs := []*run{
@@ -379,10 +379,10 @@ func TestReduceDeterministicAcrossStreamsAndResidency(t *testing.T) {
 				r.name, r.removed, r.flops, base.removed, base.flops)
 		}
 	}
-	// Streams change no counter at all versus the same residency; the
+	// A ledger changes no counter at all versus the same residency; the
 	// out-of-core runs only add PCIe versus the resident one.
 	if runs[1].counter != runs[2].counter {
-		t.Errorf("streams changed counters: %+v vs %+v", runs[1].counter, runs[2].counter)
+		t.Errorf("the ledger changed counters: %+v vs %+v", runs[1].counter, runs[2].counter)
 	}
 	ooc := runs[2].counter
 	if ooc.PCIeBytes <= base.counter.PCIeBytes {
@@ -395,7 +395,7 @@ func TestReduceDeterministicAcrossStreamsAndResidency(t *testing.T) {
 			runs[2].counter, base.counter)
 	}
 	if runs[1].ledger.SavedSeconds() <= 0 {
-		t.Errorf("streamed run saved no modeled time")
+		t.Errorf("the modeled run saved no modeled time")
 	}
 }
 

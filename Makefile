@@ -36,7 +36,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestStreamStress|TestAllocPeakNeverExceedsCapacity|TestAllocationConcurrentFreeIdempotent' ./internal/gpu/
-	$(GO) test -race -count=10 -run 'TestFleetSchedulerStress|TestSchedulerWorkStealing|TestSchedulerPreemptionDrain|TestFlightRecorderLifecycle|TestSchedulerPreemptsOnlyWhatArrivalNeeds' ./internal/serve/
+	$(GO) test -race -count=10 -run 'TestFleetSchedulerStress|TestSchedulerFreedDeviceTakesQueuedWork|TestSchedulerSurvivesPanickingRun|TestSchedulerPreemptionDrain|TestFlightRecorderLifecycle|TestSchedulerPreemptsOnlyWhatArrivalNeeds' ./internal/serve/
 	$(GO) test -race -count=3 -run 'TestPooledBufferConcurrentSorts|TestBlockPoolConcurrentRoundTrips|TestFsyncLedger' ./internal/extsort/ ./internal/kvio/
 
 # Short fuzz passes over the parsers, the packed encoding, the graph
@@ -59,7 +59,7 @@ fuzz:
 # Every benchmark (worker scaling, streams, graph backends, ablations, hot
 # paths), then the job service's end-to-end throughput (BENCH_serve.json:
 # jobs/sec, queue latency), the fleet scaling sweep (BENCH_fleet.json:
-# jobs/sec and p50/p99 queue latency at 1/2/4 devices, steal on/off), the
+# jobs/sec and p50/p99 queue latency at 1/2/4 devices), the
 # stream overlap of one run (BENCH_streams.json: per phase, the overlapped
 # modeled seconds, the additive figure its counters price to, and wall
 # seconds), the graph-backend comparison

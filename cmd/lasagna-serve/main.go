@@ -1,8 +1,10 @@
 // Command lasagna-serve runs the multi-tenant assembly job service: an
-// HTTP API that accepts FASTQ jobs, schedules them with priority-lane and
-// device-memory admission control onto a fleet of simulated GPUs (with
-// work stealing and batch preemption between cards), persists every job
-// transition, and resumes interrupted jobs after a restart.
+// HTTP API that accepts FASTQ jobs, schedules them from one fleet queue
+// of priority lanes with device-memory admission control onto a fleet of
+// simulated GPUs (each claim on the least-leased card that can start it,
+// batch jobs preempted for interactive ones), persists every job
+// transition with its flight-recorder events, and resumes interrupted
+// jobs after a restart.
 //
 // Usage:
 //
@@ -48,14 +50,12 @@ func main() {
 		gpuName   = flag.String("gpu", "K40", "modeled GPU card jobs are costed against (K20X, K40, P40, P100, V100)")
 		devices   = flag.Int("devices", 1, "fleet size: number of -gpu cards jobs are scheduled onto")
 		devSpecs  = flag.String("device-specs", "", `explicit (possibly heterogeneous) fleet, e.g. "2xK40,P100"; overrides -gpu/-devices`)
-		noSteal   = flag.Bool("no-steal", false, "disable work stealing between fleet devices")
 		tenantSh  = flag.Float64("tenant-share", 0, "per-tenant cap as a fraction of fleet capacity (0 = uncapped)")
 		queueCap  = flag.Int("queue-cap", 16, "run-queue bound; submissions beyond it get HTTP 429")
 		maxJobs   = flag.Int("max-jobs", 2, "maximum concurrently running jobs per device")
 		hostBlock = flag.Int("host-block", 1<<20, "host block size m_h in pairs, shared by all jobs")
 		devBlock  = flag.Int("device-block", 1<<16, "device block size m_d in pairs, shared by all jobs")
 		mapBatch  = flag.Int("map-batch", 0, "reads per map device batch (0 = core default)")
-		recorder  = flag.Int("flight-recorder", 4096, "flight-recorder event-log capacity: per-job lifecycle events, traces, and SLO histograms (0 disables)")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for jobs to unwind")
 		verbose   = flag.Bool("v", false, "verbose logging: debug-level scheduler and stage events")
 		quiet     = flag.Bool("quiet", false, "log errors only")
@@ -101,19 +101,17 @@ func main() {
 	observer := obs.New(logger, nil, obs.NewRegistry())
 
 	srv, err := serve.New(serve.Config{
-		Root:                 *root,
-		GPU:                  spec,
-		Devices:              *devices,
-		DeviceSpecs:          fleetSpecs,
-		NoSteal:              *noSteal,
-		TenantShare:          *tenantSh,
-		QueueCap:             *queueCap,
-		MaxConcurrent:        *maxJobs,
-		HostBlockPairs:       *hostBlock,
-		DeviceBlockPairs:     *devBlock,
-		MapBatchReads:        *mapBatch,
-		FlightRecorderEvents: *recorder,
-		Obs:                  observer,
+		Root:             *root,
+		GPU:              spec,
+		Devices:          *devices,
+		DeviceSpecs:      fleetSpecs,
+		TenantShare:      *tenantSh,
+		QueueCap:         *queueCap,
+		MaxConcurrent:    *maxJobs,
+		HostBlockPairs:   *hostBlock,
+		DeviceBlockPairs: *devBlock,
+		MapBatchReads:    *mapBatch,
+		Obs:              observer,
 	})
 	if err != nil {
 		fatal(err)

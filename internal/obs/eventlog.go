@@ -6,7 +6,7 @@ import (
 )
 
 // LogEvent is one structured entry in an EventLog: a typed, timestamped
-// fact ("enqueue", "steal", "stage-commit", ...) about a subject (a job
+// fact ("enqueue", "claim", "stage-commit", ...) about a subject (a job
 // ID, usually), with a monotonically increasing sequence number assigned
 // at append time. Sequence numbers start at 1 and never repeat within one
 // EventLog, so consumers can totally order events from concurrent
@@ -21,9 +21,7 @@ type LogEvent struct {
 
 // EventLog is a bounded, concurrency-safe ring of LogEvents. Appends
 // never block and never grow memory past the configured capacity: once
-// full, the oldest event is evicted (Dropped counts how many). A nil
-// *EventLog no-ops on every method, so callers thread it unguarded the
-// same way they thread the rest of this package.
+// full, the oldest event is evicted (Dropped counts how many).
 type EventLog struct {
 	mu   sync.Mutex
 	buf  []LogEvent
@@ -43,11 +41,8 @@ func NewEventLog(capacity int) *EventLog {
 
 // Append records one event and returns it with its assigned sequence
 // number and timestamp. The attrs map is retained as-is and must not be
-// mutated afterwards. Nil-safe: a nil log returns a zero event (Seq 0).
+// mutated afterwards.
 func (l *EventLog) Append(typ, job string, attrs map[string]any) LogEvent {
-	if l == nil {
-		return LogEvent{}
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e := LogEvent{Seq: l.next, Time: time.Now().UTC(), Type: typ, Job: job, Attrs: attrs}
@@ -62,17 +57,8 @@ func (l *EventLog) Append(typ, job string, attrs map[string]any) LogEvent {
 	return e
 }
 
-// Events returns the retained events, oldest first.
-func (l *EventLog) Events() []LogEvent {
-	return l.Since(0)
-}
-
-// Since returns the retained events with Seq > after, oldest first. A
-// nil log returns nil.
+// Since returns the retained events with Seq > after, oldest first.
 func (l *EventLog) Since(after uint64) []LogEvent {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []LogEvent
@@ -85,21 +71,8 @@ func (l *EventLog) Since(after uint64) []LogEvent {
 	return out
 }
 
-// Len returns how many events are retained right now.
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
 // Total returns how many events were ever appended.
 func (l *EventLog) Total() uint64 {
-	if l == nil {
-		return 0
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.next - 1
@@ -107,9 +80,6 @@ func (l *EventLog) Total() uint64 {
 
 // Dropped returns how many appended events the ring has evicted.
 func (l *EventLog) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.next - 1 - uint64(l.n)

@@ -11,9 +11,9 @@ import (
 )
 
 // This file renders a Registry Snapshot in the Prometheus text exposition
-// format (version 0.0.4). Instrument names in this
-// package may embed label blocks — `fleet.device_queued{device="0"}` from
-// the scheduler, plus a `{job="<id>"}` block appended per attached child
+// format (version 0.0.4). Instrument names in this package may embed
+// label blocks — `fleet.device_inuse_bytes{device="0"}` from the
+// scheduler, plus a `{job="<id>"}` block appended per attached child
 // registry — so `graph.nnz{backend="spmat"}{job="j42"}` becomes the
 // Prometheus series `graph_nnz{backend="spmat",job="j42"}`. Histograms
 // render with cumulative buckets and an explicit `+Inf` bound, and label

@@ -16,13 +16,11 @@ import (
 // fleetBenchConfig is one scheduler shape the fleet benchmark measures.
 type fleetBenchConfig struct {
 	Devices    int     `json:"devices"`
-	Steal      bool    `json:"steal"`
 	Jobs       int     `json:"jobs"`
 	WallSec    float64 `json:"wallSeconds"`
 	JobsPerSec float64 `json:"jobsPerSec"`
 	P50QueueMs float64 `json:"p50QueueMs"`
 	P99QueueMs float64 `json:"p99QueueMs"`
-	Steals     int64   `json:"steals"`
 }
 
 // fleetBenchReport is the machine-readable summary `make bench` stores as
@@ -30,40 +28,28 @@ type fleetBenchConfig struct {
 // machine-dependent; the bench gate only compares modeled metrics, so
 // this file documents scaling rather than gating it.
 type fleetBenchReport struct {
-	JobMillis    int                `json:"jobMillisMean"`
-	Configs      []fleetBenchConfig `json:"configs"`
-	Speedup4x    float64            `json:"speedup4xVs1"`
-	StealSpeedup float64            `json:"stealSpeedupAt4"`
+	JobMillis int                `json:"jobMillisMean"`
+	Configs   []fleetBenchConfig `json:"configs"`
+	Speedup4x float64            `json:"speedup4xVs1"`
 }
 
 // BenchmarkFleetThroughput measures scheduler-level fleet scaling with
 // modeled (sleep-based) jobs of staggered durations: jobs/sec and
-// p50/p99 queue latency at 1, 2, and 4 devices, plus 4 devices with work
-// stealing disabled. Sleep-based run functions keep the measurement about
-// dispatch and placement, not pipeline CPU, so device-count scaling shows
-// through even on small CI machines. When BENCH_FLEET_OUT names a file
-// the summary is written there as JSON.
+// p50/p99 queue latency at 1, 2, and 4 devices. Sleep-based run
+// functions keep the measurement about dispatch and placement, not
+// pipeline CPU, so device-count scaling shows through even on small CI
+// machines. When BENCH_FLEET_OUT names a file the summary is written
+// there as JSON.
 func BenchmarkFleetThroughput(b *testing.B) {
 	const jobs = 48
-	shapes := []struct {
-		devices int
-		steal   bool
-	}{
-		{1, true},
-		{2, true},
-		{4, true},
-		{4, false},
-	}
 	var rep fleetBenchReport
 	rep.JobMillis = 25
 	for i := 0; i < b.N; i++ {
 		rep.Configs = rep.Configs[:0]
-		for _, shape := range shapes {
-			cfg := runFleetBenchWave(b, shape.devices, shape.steal, jobs)
-			rep.Configs = append(rep.Configs, cfg)
+		for _, devices := range []int{1, 2, 4} {
+			rep.Configs = append(rep.Configs, runFleetBenchWave(b, devices, jobs))
 		}
 		rep.Speedup4x = rep.Configs[2].JobsPerSec / rep.Configs[0].JobsPerSec
-		rep.StealSpeedup = rep.Configs[2].JobsPerSec / rep.Configs[3].JobsPerSec
 	}
 	four := rep.Configs[2]
 	b.ReportMetric(four.JobsPerSec, "jobs/s@4dev")
@@ -83,9 +69,8 @@ func BenchmarkFleetThroughput(b *testing.B) {
 
 // runFleetBenchWave pushes `jobs` staggered sleep-jobs through a fresh
 // scheduler with the given fleet shape and returns the measured config.
-// Job durations cycle 5..45ms so lanes finish unevenly — the workload
-// where stealing pays.
-func runFleetBenchWave(b *testing.B, devices int, steal bool, jobs int) fleetBenchConfig {
+// Job durations cycle 5..45ms so devices free up unevenly.
+func runFleetBenchWave(b *testing.B, devices, jobs int) fleetBenchConfig {
 	b.Helper()
 	caps := make([]int64, devices)
 	for i := range caps {
@@ -99,7 +84,6 @@ func runFleetBenchWave(b *testing.B, devices int, steal bool, jobs int) fleetBen
 		Fleet:         testFleet(caps...),
 		QueueCap:      jobs + 1,
 		MaxConcurrent: 1,
-		NoSteal:       !steal,
 		Run: func(ctx context.Context, j *Job) error {
 			id := j.Record().ID
 			mu.Lock()
@@ -133,9 +117,9 @@ func runFleetBenchWave(b *testing.B, devices int, steal bool, jobs int) fleetBen
 		}
 	}
 	for _, j := range all {
-		for j.State() != StateSucceeded {
-			if j.State().Terminal() {
-				b.Fatalf("bench job %s ended %s", j.Record().ID, j.State())
+		for st := j.State(); st != StateSucceeded; st = j.State() {
+			if st.Terminal() {
+				b.Fatalf("bench job %s ended %s", j.Record().ID, st)
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
@@ -148,12 +132,10 @@ func runFleetBenchWave(b *testing.B, devices int, steal bool, jobs int) fleetBen
 	sort.Float64s(waits)
 	return fleetBenchConfig{
 		Devices:    devices,
-		Steal:      steal,
 		Jobs:       jobs,
 		WallSec:    wall.Seconds(),
 		JobsPerSec: float64(jobs) / wall.Seconds(),
 		P50QueueMs: waits[len(waits)/2],
 		P99QueueMs: waits[(len(waits)-1)*99/100],
-		Steals:     reg.Snapshot().Counters["fleet.steals"],
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,21 +59,18 @@ func (m *releaseMap) run(ctx context.Context, j *Job) error {
 	}
 }
 
-// TestSchedulerWorkStealing pins one blocking job on each of two devices,
-// queues four instant jobs (the load balancer splits them two per lane),
-// then frees only one device. Its dispatcher must drain its own lane and
-// then steal the other device's queued jobs while that device is still
-// busy — all four run on the freed card, and exactly two claims count as
-// steals.
-func TestSchedulerWorkStealing(t *testing.T) {
+// TestSchedulerFreedDeviceTakesQueuedWork pins one blocking job on each
+// of two devices, queues four instant jobs, then frees only one device.
+// The fleet queue hands all four to the freed card while the other device
+// is still busy.
+func TestSchedulerFreedDeviceTakesQueuedWork(t *testing.T) {
 	rel := newReleaseMap("a", "b")
-	reg := obs.NewRegistry()
 	s, err := NewScheduler(SchedulerConfig{
 		Fleet:         testFleet(100, 100),
 		QueueCap:      16,
 		MaxConcurrent: 1,
 		Run:           rel.run,
-		Obs:           obs.New(nil, nil, reg),
+		Obs:           obs.New(nil, nil, obs.NewRegistry()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +100,6 @@ func TestSchedulerWorkStealing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stealsBase := reg.Snapshot().Counters["fleet.steals"]
 
 	rel.release("a")
 	for _, c := range cs {
@@ -116,9 +113,6 @@ func TestSchedulerWorkStealing(t *testing.T) {
 			t.Errorf("job %s ran on %v, want [%d] (the freed device)", c.Record().ID, devs, devA)
 		}
 	}
-	if got := reg.Snapshot().Counters["fleet.steals"] - stealsBase; got != 2 {
-		t.Errorf("fleet.steals grew by %d, want 2 (two jobs homed on the busy device)", got)
-	}
 
 	rel.release("b")
 	waitState(t, b, StateSucceeded)
@@ -127,70 +121,108 @@ func TestSchedulerWorkStealing(t *testing.T) {
 	}
 }
 
-// TestSchedulerNoStealKeepsLanes is the same setup with stealing
-// disabled: the freed device may only run the two jobs homed on it; the
-// two on the busy device's lane wait for that device.
-func TestSchedulerNoStealKeepsLanes(t *testing.T) {
-	rel := newReleaseMap("a", "b")
-	reg := obs.NewRegistry()
+// TestSchedulerClaimsLeastLeasedDevice pins the claim-time placement rule
+// on a homogeneous fleet with two slots per device: two blocking jobs
+// submitted back to back run on different devices, because each claim
+// goes to the device with the fewest leased bytes — packing both onto
+// device 0, which still has a free slot and the bytes, would be wrong.
+func TestSchedulerClaimsLeastLeasedDevice(t *testing.T) {
+	rel := newReleaseMap("x", "y")
 	s, err := NewScheduler(SchedulerConfig{
 		Fleet:         testFleet(100, 100),
-		QueueCap:      16,
-		MaxConcurrent: 1,
-		NoSteal:       true,
+		QueueCap:      8,
+		MaxConcurrent: 2,
 		Run:           rel.run,
-		Obs:           obs.New(nil, nil, reg),
+		Obs:           obs.New(nil, nil, obs.NewRegistry()),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Kill()
 
-	a, b := testJob("a", 100), testJob("b", 100)
-	for _, j := range []*Job{a, b} {
+	x, y := testJob("x", 40), testJob("y", 40)
+	for _, j := range []*Job{x, y} {
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}
-		waitState(t, j, StateRunning)
 	}
-	cs := make([]*Job, 4)
-	for i := range cs {
-		cs[i] = testJob(fmt.Sprintf("c%d", i), 100)
-		if err := s.Submit(cs[i]); err != nil {
-			t.Fatal(err)
-		}
+	waitState(t, x, StateRunning)
+	waitState(t, y, StateRunning)
+	dx, dy := x.Record().Devices, y.Record().Devices
+	if len(dx) != 1 || len(dy) != 1 || dx[0] != 0 || dy[0] != 1 {
+		t.Errorf("blocking jobs ran on %v and %v, want [0] and [1]", dx, dy)
 	}
 
-	rel.release("a")
-	succeeded := func() int {
-		n := 0
-		for _, c := range cs {
-			if c.State() == StateSucceeded {
-				n++
+	rel.release("x")
+	rel.release("y")
+	waitState(t, x, StateSucceeded)
+	waitState(t, y, StateSucceeded)
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSchedulerSurvivesPanickingRun: a RunFunc that panics fails its job
+// with the panic value, its terminal event carries the stack, and the
+// attempt's lease, slot and tenant bytes come back, so the job queued
+// behind it on the one device runs and succeeds.
+func TestSchedulerSurvivesPanickingRun(t *testing.T) {
+	boom := make(chan struct{})
+	s, err := NewScheduler(SchedulerConfig{
+		Fleet:         testFleet(100),
+		QueueCap:      8,
+		MaxConcurrent: 1,
+		TenantShare:   0.5,
+		Run: func(ctx context.Context, j *Job) error {
+			if j.ID() == "bad" {
+				<-boom
+				panic("corrupt partition")
 			}
-		}
-		return n
+			return nil
+		},
+		Obs: obs.New(nil, nil, obs.NewRegistry()),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for succeeded() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	// Settle: with stealing off, the other two must stay queued while b
-	// blocks its device.
-	time.Sleep(100 * time.Millisecond)
-	if got := succeeded(); got != 2 {
-		t.Fatalf("%d jobs succeeded with one device freed, want exactly 2", got)
-	}
-	if got := reg.Snapshot().Counters["fleet.steals"]; got != 0 {
-		t.Errorf("fleet.steals = %d with NoSteal, want 0", got)
-	}
+	defer s.Kill()
 
-	rel.release("b")
-	for _, c := range cs {
-		waitState(t, c, StateSucceeded)
+	bad := testJobP("bad", 100, Params{Tenant: "lab"})
+	next := testJobP("next", 100, Params{Tenant: "lab"})
+	if err := s.Submit(bad); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, bad, StateRunning)
+	if err := s.Submit(next); err != nil {
+		t.Fatal(err)
+	}
+	if got := next.State(); got != StateQueued {
+		t.Fatalf("next state = %s behind a running job, want queued", got)
+	}
+	close(boom)
+	waitState(t, bad, StateFailed)
+	waitState(t, next, StateSucceeded)
+
+	rec := bad.Record()
+	if rec.Error != "panic: corrupt partition" {
+		t.Errorf("failed job error = %q, want %q", rec.Error, "panic: corrupt partition")
+	}
+	last := rec.Events[len(rec.Events)-1]
+	if stack, _ := last.Attrs["stack"].(string); last.Type != EventTerminal ||
+		!strings.Contains(stack, "TestSchedulerSurvivesPanickingRun") {
+		t.Errorf("last event = %s with stack %q, want terminal with the panicking goroutine's stack",
+			last.Type, stack)
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	dev := s.Fleet().Device(0)
+	if free := dev.Available(); free != dev.Capacity() {
+		t.Errorf("device has %d of %d bytes free after the panic", free, dev.Capacity())
+	}
+	if snap := s.Snapshot(); snap.Devices[0].LeasedBytes != 0 || snap.JobsRunning != 0 {
+		t.Errorf("ledger after the panic: leased %d, running %d; want 0 and 0",
+			snap.Devices[0].LeasedBytes, snap.JobsRunning)
 	}
 }
 
@@ -447,82 +479,10 @@ func TestSchedulerShardedPlacement(t *testing.T) {
 	}
 }
 
-// TestSchedulerRetryAfterEstimate checks the adaptive Retry-After: the
-// floor holds with no history, the estimate tracks the service-time mean
-// once jobs finish, scales with the backlog, and lands on the gauge.
-func TestSchedulerRetryAfterEstimate(t *testing.T) {
-	rel := newReleaseMap("blocker")
-	reg := obs.NewRegistry()
-	baseRun := rel.run
-	s, err := NewScheduler(SchedulerConfig{
-		Fleet:         testFleet(100),
-		QueueCap:      8,
-		MaxConcurrent: 1,
-		Run: func(ctx context.Context, j *Job) error {
-			if err := baseRun(ctx, j); err != nil {
-				return err
-			}
-			time.Sleep(20 * time.Millisecond)
-			return nil
-		},
-		Obs: obs.New(nil, nil, reg),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Kill()
-
-	if got := s.EstimateRetryAfter(2 * time.Second); got != 2*time.Second {
-		t.Errorf("estimate with no history = %v, want the 2s floor", got)
-	}
-
-	warm := testJob("warm", 10)
-	if err := s.Submit(warm); err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, warm, StateSucceeded)
-
-	idle := s.EstimateRetryAfter(time.Millisecond)
-	if idle < 20*time.Millisecond {
-		t.Errorf("idle estimate %v below the 20ms mean service time", idle)
-	}
-	if got := s.EstimateRetryAfter(time.Minute); got != time.Minute {
-		t.Errorf("estimate %v, want the 1m floor to win over the mean", got)
-	}
-	if got := reg.Snapshot().Gauges["serve.retry_after_ms"]; got != 60_000 {
-		t.Errorf("serve.retry_after_ms gauge = %d, want 60000", got)
-	}
-
-	// A backlog multiplies the estimate by the number of queue waves.
-	blocker := testJob("blocker", 100)
-	if err := s.Submit(blocker); err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, blocker, StateRunning)
-	queued := make([]*Job, 3)
-	for i := range queued {
-		queued[i] = testJob(fmt.Sprintf("q%d", i), 10)
-		if err := s.Submit(queued[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if loaded := s.EstimateRetryAfter(time.Millisecond); loaded < 3*idle {
-		t.Errorf("estimate %v with 3 queued jobs, want at least 3x the idle estimate %v", loaded, idle)
-	}
-
-	rel.release("blocker")
-	for _, j := range queued {
-		waitState(t, j, StateSucceeded)
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFleetSchedulerStress hammers a heterogeneous 4-device fleet with
 // mixed lanes, tenants, shard counts, and naturally occurring preemptions.
-// Run under -race: every lease decision, steal, and drain crosses the
-// scheduler lock and this shakes the orderings out.
+// Run under -race: every lease decision and drain crosses the scheduler
+// lock and this shakes the orderings out.
 func TestFleetSchedulerStress(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := NewScheduler(SchedulerConfig{

@@ -1,27 +1,19 @@
 package serve
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // The flight-recorder event vocabulary. Every scheduling decision that
 // moves a job through its lifecycle emits exactly one of these, so the
 // global log (and the per-job slice persisted in the record) replays the
-// full history: where the job queued, who claimed or stole it, when it
+// full history: when the job queued, which devices claimed it, when it
 // was asked to drain, and how each attempt ended.
 const (
-	// EventEnqueue: the job entered a device's lane (fresh submission or
-	// crash recovery). Attrs: device, lane, tenant, demandBytes.
+	// EventEnqueue: the job entered the fleet queue (fresh submission or
+	// crash recovery). Attrs: lane, tenant, demandBytes.
 	EventEnqueue = "enqueue"
-	// EventClaim: a dispatcher took the job off a lane and leased its
-	// devices. Attrs: devices, waitMs, lane, stolen, attempt.
+	// EventClaim: the placement pass took the job off the queue and leased
+	// its devices. Attrs: devices, waitMs, lane, attempt.
 	EventClaim = "claim"
-	// EventSteal: the claim crossed devices — an idle dispatcher relieved
-	// a loaded peer. Attrs: src, dst.
-	EventSteal = "steal"
 	// EventPreemptRequest: the scheduler asked the running attempt to
 	// drain at its next stage commit. Attrs: device+needBytes for policy
 	// preemptions, operator=true for the admin endpoint.
@@ -30,8 +22,8 @@ const (
 	// voluntarily at a stage commit (reason "preempt", with drainMs) or
 	// because the server shut down (reason "shutdown").
 	EventDrain = "drain"
-	// EventRequeue: the drained job re-entered a lane at the head.
-	// Attrs: device, reason.
+	// EventRequeue: the drained job re-entered its lane at the head.
+	// Attrs: reason.
 	EventRequeue = "requeue"
 	// EventShardPlace: a Shards>1 claim placed its shards. Attrs: devices.
 	EventShardPlace = "shard-place"
@@ -39,7 +31,7 @@ const (
 	// stage (and node for sharded jobs).
 	EventStageCommit = "stage-commit"
 	// EventTerminal: the job reached succeeded/failed/canceled. Attrs:
-	// outcome, attempts, error.
+	// outcome, attempts, error (and stack, when the run panicked).
 	EventTerminal = "terminal"
 )
 
@@ -56,39 +48,32 @@ const (
 // record; Record.TotalEvents keeps counting past it.
 const maxJobRecordEvents = 512
 
-// FlightRecorder is the scheduler's audit channel: a bounded global
-// event log, a copy of each event inside the owning job's record, and
-// the SLO latency instruments derived from the same lifecycle points.
-// A nil *FlightRecorder (the default) disables all of it — no events,
-// no extra instruments, no per-job tracers — which is what keeps the
-// recorder's cost strictly zero when off.
+// defaultFlightEvents is the global log's capacity when none is given.
+const defaultFlightEvents = 4096
+
+// FlightRecorder is the scheduler's audit channel: a bounded global event
+// log and a copy of each event inside the owning job's record.
 type FlightRecorder struct {
-	events  *obs.EventLog
-	metrics *obs.Registry
+	events *obs.EventLog
 }
 
 // NewFlightRecorder builds a recorder whose global log retains capacity
-// events and whose SLO instruments register on metrics.
-func NewFlightRecorder(capacity int, metrics *obs.Registry) *FlightRecorder {
-	return &FlightRecorder{events: obs.NewEventLog(capacity), metrics: metrics}
+// events (defaultFlightEvents when capacity is not positive).
+func NewFlightRecorder(capacity int) *FlightRecorder {
+	if capacity <= 0 {
+		capacity = defaultFlightEvents
+	}
+	return &FlightRecorder{events: obs.NewEventLog(capacity)}
 }
 
-// Log returns the global event log; nil when the recorder is disabled.
-func (f *FlightRecorder) Log() *obs.EventLog {
-	if f == nil {
-		return nil
-	}
-	return f.events
-}
+// Log returns the global event log.
+func (f *FlightRecorder) Log() *obs.EventLog { return f.events }
 
 // Emit appends one lifecycle event to the global log and mirrors it into
 // the job's record (bounded at maxJobRecordEvents; TotalEvents counts
-// every emission). The returned sequence number totally orders the event
-// against all concurrent scheduler activity.
+// every emission). The event's sequence number totally orders it against
+// all concurrent scheduler activity.
 func (f *FlightRecorder) Emit(j *Job, typ string, attrs map[string]any) {
-	if f == nil {
-		return
-	}
 	e := f.events.Append(typ, j.ID(), attrs)
 	j.Update(func(r *Record) {
 		r.TotalEvents++
@@ -97,50 +82,4 @@ func (f *FlightRecorder) Emit(j *Job, typ string, attrs map[string]any) {
 		}
 		r.Events = append(r.Events, e)
 	})
-}
-
-// sloBuckets are the shared latency bounds (seconds) of the SLO
-// histograms: sub-10ms dispatches up through multi-minute batch waits.
-var sloBuckets = []float64{0.01, 0.1, 0.5, 1, 5, 15, 60, 300}
-
-// observeLatency records d on a per-lane, per-tenant histogram family.
-func (f *FlightRecorder) observeLatency(base, lane, tenant string, d time.Duration) {
-	if f == nil {
-		return
-	}
-	name := fmt.Sprintf("%s{lane=%q,tenant=%q}", base, lane, tenant)
-	f.metrics.Histogram(name, sloBuckets...).Observe(d.Seconds())
-}
-
-// ObserveQueueWait records the lane time of one claim.
-func (f *FlightRecorder) ObserveQueueWait(lane, tenant string, d time.Duration) {
-	f.observeLatency("serve.queue_seconds", lane, tenant, d)
-}
-
-// ObserveRun records the wall time of one successful run.
-func (f *FlightRecorder) ObserveRun(lane, tenant string, d time.Duration) {
-	f.observeLatency("serve.run_seconds", lane, tenant, d)
-}
-
-// ObserveE2E records submit-to-success latency.
-func (f *FlightRecorder) ObserveE2E(lane, tenant string, d time.Duration) {
-	f.observeLatency("serve.e2e_seconds", lane, tenant, d)
-}
-
-// ObserveDrain records how long a preempted attempt took to reach its
-// stage commit and hand the device back after the request.
-func (f *FlightRecorder) ObserveDrain(d time.Duration) {
-	if f == nil {
-		return
-	}
-	f.metrics.Histogram("fleet.preempt_drain_seconds", sloBuckets...).Observe(d.Seconds())
-}
-
-// CountSteal bumps the per-device-pair steal counter.
-func (f *FlightRecorder) CountSteal(src, dst int) {
-	if f == nil {
-		return
-	}
-	f.metrics.Counter(fmt.Sprintf("fleet.steals_routed{src=%q,dst=%q}",
-		fmt.Sprint(src), fmt.Sprint(dst))).Add(1)
 }

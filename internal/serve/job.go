@@ -7,17 +7,18 @@
 // different devices than the crashed attempt.
 //
 // Admission happens at two levels, mirroring the paper's two-level memory
-// model: bounded priority lanes with HTTP 429 backpressure (and an
-// adaptive Retry-After) bound the host-side backlog, and device-memory
-// leases (Config.DeviceDemandBytes claimed against specific fleet
-// devices) bound how many jobs run concurrently — the sum of admitted
-// leases can never exceed any card, so concurrent jobs never
-// oversubscribe device memory. One placement pass under the scheduler
-// lock makes every decision: idle cards steal queued work from loaded
-// ones, interactive jobs go ahead of batch jobs and may preempt them
-// (drain at the next stage commit, requeue resumable), tenants are capped
-// at a share of in-flight fleet bytes, and a Shards=K job runs across K
-// devices via the cluster layer. A job's FASTA output is byte-identical
+// model: one bounded fleet queue of priority lanes with HTTP 429
+// backpressure bounds the host-side backlog, and device-memory leases
+// (Config.DeviceDemandBytes claimed against specific fleet devices) bound
+// how many jobs run concurrently — the sum of admitted leases can never
+// exceed any card, so concurrent jobs never oversubscribe device memory.
+// One placement pass under the scheduler lock makes every decision, like
+// the paper's master handing work to whichever node is free: each claim
+// goes to the least-leased device that can start the job, interactive
+// jobs go ahead of batch jobs and may preempt them (drain at the next
+// stage commit, requeue resumable), tenants are capped at a share of
+// in-flight fleet bytes, and a Shards=K job runs across K devices via the
+// cluster layer. A job's FASTA output is byte-identical
 // regardless of which devices ran it, how often it was preempted, or its
 // shard count.
 package serve
@@ -164,7 +165,7 @@ type Record struct {
 	DeviceDemandBytes int64 `json:"deviceDemandBytes"`
 	// Devices lists the fleet device indices the job's current (or last)
 	// attempt leased: one entry for an unsharded job, Shards entries for a
-	// sharded one. Cleared while the job waits in a lane.
+	// sharded one. Cleared while the job waits in the queue.
 	Devices []int `json:"devices,omitempty"`
 	// Preemptions counts how many times a running attempt was drained at a
 	// stage commit to make room for a higher-priority job.
@@ -188,10 +189,9 @@ type Record struct {
 	Result *ResultSummary `json:"result,omitempty"`
 
 	// Events is the job's flight-recorder history: every lifecycle event
-	// the scheduler emitted for it (enqueue, claim, steal, drain, ...),
-	// bounded at maxJobRecordEvents with the oldest evicted first.
-	// TotalEvents counts every emission, so a gap is detectable. Both stay
-	// empty while the recorder is disabled.
+	// the scheduler emitted for it (enqueue, claim, drain, ...), bounded at
+	// maxJobRecordEvents with the oldest evicted first. TotalEvents counts
+	// every emission, so a gap is detectable.
 	Events      []obs.LogEvent `json:"events,omitempty"`
 	TotalEvents uint64         `json:"totalEvents,omitempty"`
 }
@@ -210,8 +210,8 @@ type Job struct {
 	// every preemption requeue so a resumed attempt starts unpreempted.
 	preemptCh chan struct{}
 	// tracer collects the job's flight trace (lifecycle spans from the
-	// scheduler plus the run's own pipeline spans); nil unless the
-	// scheduler's flight recorder is enabled.
+	// scheduler plus the run's own pipeline spans); set when the scheduler
+	// registers the job.
 	tracer *obs.Tracer
 }
 
@@ -244,9 +244,8 @@ func (j *Job) resetPreempt() {
 	j.preemptCh = make(chan struct{})
 }
 
-// Tracer returns the job's flight trace collector; nil unless the
-// scheduler's flight recorder is enabled. All Tracer methods are
-// nil-safe.
+// Tracer returns the job's flight trace collector, set when the
+// scheduler registers the job.
 func (j *Job) Tracer() *obs.Tracer {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -44,15 +45,12 @@ type SchedulerConfig struct {
 	// Every job is placed on (and leases its demand from) specific fleet
 	// devices before it may run.
 	Fleet *gpu.Fleet
-	// QueueCap bounds how many jobs may sit across all lanes; submissions
+	// QueueCap bounds how many jobs may sit in the fleet queue; submissions
 	// beyond it are rejected with ErrQueueFull.
 	QueueCap int
 	// MaxConcurrent bounds how many jobs run at once per device,
 	// independent of device capacity (a host-side CPU/IO limit).
 	MaxConcurrent int
-	// NoSteal disables work stealing: an idle device then never claims
-	// work queued on a loaded one. Stealing is on by default.
-	NoSteal bool
 	// TenantShare caps each tenant's in-flight leased device bytes at
 	// this fraction of the fleet's total capacity (0 disables the cap).
 	// A tenant with nothing in flight may always start one job, so a
@@ -70,23 +68,21 @@ type SchedulerConfig struct {
 	// Obs carries the scheduler's logger and metrics registry; nil
 	// disables both.
 	Obs *obs.Observer
-	// Recorder is the flight recorder lifecycle events, per-job trace
-	// tracks, and SLO histograms flow through; nil (the default) disables
-	// all of them.
+	// Recorder is the flight recorder lifecycle events flow through; nil
+	// gets a recorder of its own with the default capacity.
 	Recorder *FlightRecorder
 }
 
 // Scheduler is the fleet-wide admission-controlled job runner. Every
-// placement decision is made by one pass over the lanes and the lease
-// ledger under the scheduler lock (placeLocked), run after each event
-// that changes them: an enqueue or requeue, a lease release, and a cancel
-// that drops a queued job. Each device has two priority lanes
-// (interactive before batch, FIFO within a lane); a device with a free
-// concurrency slot claims from its own lanes, then steals from its peers'
-// (most-loaded peer first). A claim reserves its device bytes in the
-// ledger before the lock is released, so the gpu.Device allocations that
-// follow can never fail and multi-device (sharded) leases can never
-// deadlock.
+// placement decision is made by one pass over the fleet queue and the
+// lease ledger under the scheduler lock (placeLocked), run after each
+// event that changes them: an enqueue or requeue, a lease release, and a
+// cancel that drops a queued job. The fleet has one queue of two priority
+// lanes (interactive before batch, FIFO within a lane), and each claim
+// goes to the least-leased device that can start the job now. A claim
+// reserves its device bytes in the ledger before the lock is released,
+// so the gpu.Device allocations that follow can never fail and
+// multi-device (sharded) leases can never deadlock.
 //
 // When an interactive job fits a device's capacity but not its free
 // bytes, the pass asks running batch jobs on that device to drain at
@@ -102,33 +98,26 @@ type Scheduler struct {
 	killed atomic.Bool
 	drain  atomic.Bool
 
-	// mu guards the lanes, the per-device lease ledgers and concurrency
-	// slots, tenant accounting, the claimed attempts, the job index and
-	// the service-time window.
+	// mu guards the fleet queue, the per-device lease ledgers and
+	// concurrency slots, tenant accounting, the claimed attempts and the
+	// job index.
 	mu          sync.Mutex
-	lanes       []deviceLanes // per device
-	queuedTotal int
-	leased      []int64            // per device: bytes claimed by admitted jobs
-	slots       []int              // per device: concurrency slots in use
-	tenantInUse map[string]int64   // in-flight leased bytes per tenant
-	runningByID map[string]*runRef // claimed attempts, for preemption targeting
+	lanes       [laneCount][]waiting // the fleet queue, highest priority first
+	leased      []int64              // per device: bytes claimed by admitted jobs
+	slots       []int                // per device: concurrency slots in use
+	tenantInUse map[string]int64     // in-flight leased bytes per tenant
+	runningByID map[string]*runRef   // claimed attempts, for preemption targeting
 	jobs        map[string]*Job
-	order       []string        // registration order, for listing
-	svcTimes    []time.Duration // ring buffer of recent run durations (Retry-After)
-	svcNext     int
-	svcFull     bool
+	order       []string // registration order, for listing
 
 	queueDepth   *obs.Gauge
 	runningG     *obs.Gauge
-	retryAfterG  *obs.Gauge
 	devInUse     []*obs.Gauge
-	devQueued    []*obs.Gauge
 	admitted     *obs.Counter
 	rejected     *obs.Counter
 	succeeded    *obs.Counter
 	failed       *obs.Counter
 	canceledC    *obs.Counter
-	stealsC      *obs.Counter
 	preemptionsC *obs.Counter
 	queueWaitMs  *obs.Histogram
 }
@@ -140,9 +129,6 @@ const (
 	laneBatch       = 1
 	laneCount       = 2
 )
-
-// deviceLanes holds one device's queued jobs, highest priority first.
-type deviceLanes [laneCount][]waiting
 
 func laneIndex(priority string) int {
 	if priority == PriorityInteractive {
@@ -169,9 +155,7 @@ type waiting struct {
 // lock, and released when its run returns.
 type runRef struct {
 	waiting
-	dev       int   // the claiming device, whose concurrency slot the attempt holds
-	src       int   // the device whose lane the job came from
-	devices   []int // lease targets, one per shard
+	devices   []int // lease targets, one per shard; devices[0] holds the concurrency slot
 	started   time.Time
 	preemptAt time.Time // when a drain was requested; zero while none is
 }
@@ -194,6 +178,9 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if cfg.TenantShare < 0 || cfg.TenantShare > 1 {
 		return nil, fmt.Errorf("serve: TenantShare %v outside [0,1]", cfg.TenantShare)
 	}
+	if cfg.Recorder == nil {
+		cfg.Recorder = NewFlightRecorder(0)
+	}
 	ctx, stop := context.WithCancel(context.Background())
 	m := cfg.Obs.Metrics()
 	n := cfg.Fleet.Size()
@@ -201,30 +188,24 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		cfg:          cfg,
 		ctx:          ctx,
 		stop:         stop,
-		lanes:        make([]deviceLanes, n),
 		leased:       make([]int64, n),
 		slots:        make([]int, n),
 		tenantInUse:  make(map[string]int64),
 		runningByID:  make(map[string]*runRef),
 		jobs:         make(map[string]*Job),
-		svcTimes:     make([]time.Duration, 32),
 		queueDepth:   m.Gauge("serve.queue_depth"),
 		runningG:     m.Gauge("serve.jobs_running"),
-		retryAfterG:  m.Gauge("serve.retry_after_ms"),
+		devInUse:     make([]*obs.Gauge, n),
 		admitted:     m.Counter("serve.jobs_admitted"),
 		rejected:     m.Counter("serve.jobs_rejected"),
 		succeeded:    m.Counter("serve.jobs_succeeded"),
 		failed:       m.Counter("serve.jobs_failed"),
 		canceledC:    m.Counter("serve.jobs_canceled"),
-		stealsC:      m.Counter("fleet.steals"),
 		preemptionsC: m.Counter("fleet.preemptions"),
 		queueWaitMs:  m.Histogram("serve.queue_wait_ms", 1, 10, 100, 1e3, 10e3, 60e3),
 	}
-	s.devInUse = make([]*obs.Gauge, n)
-	s.devQueued = make([]*obs.Gauge, n)
-	for d := 0; d < n; d++ {
+	for d := range s.devInUse {
 		s.devInUse[d] = m.Gauge(fmt.Sprintf("fleet.device_inuse_bytes{device=%q}", fmt.Sprint(d)))
-		s.devQueued[d] = m.Gauge(fmt.Sprintf("fleet.device_queued{device=%q}", fmt.Sprint(d)))
 	}
 	return s, nil
 }
@@ -240,12 +221,25 @@ func (s *Scheduler) Register(j *Job) {
 	s.registerLocked(j)
 }
 
+// registerLocked indexes the job and arms its flight trace: a fresh
+// tracer with the scheduler and per-device lifecycle tracks named, which
+// the run later also feeds its pipeline spans into.
 func (s *Scheduler) registerLocked(j *Job) {
 	id := j.ID()
-	if _, ok := s.jobs[id]; !ok {
-		s.jobs[id] = j
-		s.order = append(s.order, id)
+	if _, ok := s.jobs[id]; ok {
+		return
 	}
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	tr := obs.NewTracer()
+	tr.NameProcess(flightSchedulerPid, "scheduler")
+	for d := 0; d < s.cfg.Fleet.Size(); d++ {
+		tr.NameProcess(int64(flightDevicePidBase+d),
+			fmt.Sprintf("device%02d %s", d, s.cfg.Fleet.Device(d).Spec().Name))
+	}
+	j.mu.Lock()
+	j.tracer = tr
+	j.mu.Unlock()
 }
 
 // placeable reports whether the fleet can ever run a job of this shape:
@@ -291,11 +285,10 @@ func (s *Scheduler) Recover(j *Job) { s.admit(j, true) }
 // force bypasses the bound.
 func (s *Scheduler) admit(j *Job, force bool) error {
 	s.mu.Lock()
-	if !force && s.queuedTotal >= s.cfg.QueueCap {
+	if !force && s.queuedLocked() >= s.cfg.QueueCap {
 		s.mu.Unlock()
 		return ErrQueueFull
 	}
-	s.attachFlight(j)
 	s.registerLocked(j)
 	j.Update(func(r *Record) { r.State = StateQueued })
 	runs := s.enqueueLocked(j, false)
@@ -305,33 +298,12 @@ func (s *Scheduler) admit(j *Job, force bool) error {
 	return nil
 }
 
-// attachFlight arms the job's flight trace when the recorder is on: a
-// fresh tracer with the scheduler and per-device lifecycle tracks named,
-// which the run later also feeds its pipeline spans into.
-func (s *Scheduler) attachFlight(j *Job) {
-	if s.cfg.Recorder == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.tracer != nil {
-		return
-	}
-	tr := obs.NewTracer()
-	tr.NameProcess(flightSchedulerPid, "scheduler")
-	for d := 0; d < s.cfg.Fleet.Size(); d++ {
-		tr.NameProcess(int64(flightDevicePidBase+d),
-			fmt.Sprintf("device%02d %s", d, s.cfg.Fleet.Device(d).Spec().Name))
-	}
-	j.tracer = tr
-}
-
-// enqueueLocked puts the job on its home device's lane — at the tail for
-// an arrival, at the head for a preempted job (front), so it resumes as
-// soon as capacity frees without losing its place to later arrivals — and
-// runs the placement pass. It returns the attempts the pass claimed. The
-// caller has already set the job queued; a job cancelled since then stays
-// cancelled and out of the lanes.
+// enqueueLocked puts the job in its lane of the fleet queue — at the
+// tail for an arrival, at the head for a preempted job (front), so it
+// resumes as soon as capacity frees without losing its place to later
+// arrivals — and runs the placement pass. It returns the attempts the pass
+// claimed. The caller has already set the job queued; a job cancelled
+// since then stays cancelled and out of the queue.
 func (s *Scheduler) enqueueLocked(j *Job, front bool) []*runRef {
 	rec := j.Record()
 	if rec.State != StateQueued {
@@ -339,51 +311,22 @@ func (s *Scheduler) enqueueLocked(j *Job, front bool) []*runRef {
 	}
 	w := waiting{j: j, demand: rec.DeviceDemandBytes, shards: rec.Params.ShardCount(),
 		tenant: rec.Params.Tenant, lane: laneIndex(rec.Params.Lane()), since: time.Now(), preempted: front}
-	home := s.pickHomeLocked(w.demand)
 	j.Update(func(r *Record) { r.Devices = nil })
-	q := &s.lanes[home][w.lane]
+	q := &s.lanes[w.lane]
 	if front {
 		*q = append([]waiting{w}, *q...)
-		s.cfg.Recorder.Emit(j, EventRequeue, map[string]any{"device": home, "reason": "preempt"})
+		s.cfg.Recorder.Emit(j, EventRequeue, map[string]any{"reason": "preempt"})
 	} else {
 		*q = append(*q, w)
 		s.cfg.Recorder.Emit(j, EventEnqueue, map[string]any{
-			"device": home, "lane": rec.Params.Lane(), "tenant": w.tenant, "demandBytes": w.demand})
+			"lane": rec.Params.Lane(), "tenant": w.tenant, "demandBytes": w.demand})
 	}
-	s.queuedTotal++
 	return s.placeLocked()
 }
 
-// pickHomeLocked returns the least-loaded device that can ever fit a
-// demand of the given size, measured by leased plus queued bytes.
-// Heterogeneous fleets therefore route big jobs to big cards and keep
-// small jobs off them when smaller cards are idle.
-func (s *Scheduler) pickHomeLocked(demand int64) int {
-	best, bestLoad := -1, int64(0)
-	for d := range s.lanes {
-		if s.cfg.Fleet.Device(d).Capacity() < demand {
-			continue
-		}
-		load := s.leased[d] + s.queuedBytesLocked(d)
-		if best == -1 || load < bestLoad {
-			best, bestLoad = d, load
-		}
-	}
-	if best == -1 {
-		best = 0 // placeable() vetted the shape; sharded jobs place lazily
-	}
-	return best
-}
-
-// queuedBytesLocked sums the demand queued on device d's lanes.
-func (s *Scheduler) queuedBytesLocked(d int) int64 {
-	var b int64
-	for _, q := range s.lanes[d] {
-		for _, w := range q {
-			b += w.demand
-		}
-	}
-	return b
+// queuedLocked returns how many jobs wait in the fleet queue.
+func (s *Scheduler) queuedLocked() int {
+	return len(s.lanes[laneInteractive]) + len(s.lanes[laneBatch])
 }
 
 // freeLocked returns device d's unleased bytes.
@@ -391,103 +334,58 @@ func (s *Scheduler) freeLocked(d int) int64 {
 	return s.cfg.Fleet.Device(d).Capacity() - s.leased[d]
 }
 
-// placeLocked is the scheduler's one placement pass. Devices are visited
-// in index order; while a device has a free concurrency slot it claims
-// from its own lanes and then, unless NoSteal is set, steals from its
-// peers'. A sharded claim holds a concurrency slot only on the claiming
-// device; its other shards lease bytes, not slots. Every interactive job
-// still queued afterwards may then preempt batch work. The claims are
+// placeLocked is the scheduler's one placement pass. It claims queued
+// jobs, one at a time, until no queued job can start; then every
+// interactive job still queued may preempt batch work. The claims are
 // returned for the caller to start once it has released the lock.
 func (s *Scheduler) placeLocked() []*runRef {
 	if s.ctx.Err() != nil {
 		return nil
 	}
 	var claims []*runRef
-	for d := range s.lanes {
-		for s.slots[d] < s.cfg.MaxConcurrent {
-			ref := s.claimFromLocked(d, d)
-			if ref == nil && !s.cfg.NoSteal {
-				for _, peer := range s.stealOrderLocked(d) {
-					if ref = s.claimFromLocked(d, peer); ref != nil {
-						break
-					}
-				}
-			}
-			if ref == nil {
-				break
-			}
-			claims = append(claims, ref)
+	for ref := s.claimLocked(); ref != nil; ref = s.claimLocked() {
+		claims = append(claims, ref)
+	}
+	for _, w := range s.lanes[laneInteractive] {
+		if w.j.State() == StateQueued && s.tenantEligibleLocked(w.tenant, w.demand*int64(w.shards)) {
+			s.preemptScanLocked(w)
 		}
 	}
-	for d := range s.lanes {
-		for _, w := range s.lanes[d][laneInteractive] {
-			if w.j.State() == StateQueued && s.tenantEligibleLocked(w.tenant, w.demand*int64(w.shards)) {
-				s.preemptScanLocked(w)
-			}
-		}
-	}
-	s.publishQueueGaugesLocked()
+	s.queueDepth.Set(int64(s.queuedLocked()))
 	return claims
 }
 
-// publishQueueGaugesLocked refreshes the queue-depth gauges.
-func (s *Scheduler) publishQueueGaugesLocked() {
-	s.queueDepth.Set(int64(s.queuedTotal))
-	for d, lanes := range s.lanes {
-		s.devQueued[d].Set(int64(len(lanes[laneInteractive]) + len(lanes[laneBatch])))
-	}
-}
-
-// stealOrderLocked lists the other devices with queued work,
-// most-queued-bytes first, so an idle card relieves the most loaded peer.
-func (s *Scheduler) stealOrderLocked(d int) []int {
-	var peers []int
-	queued := make([]int64, len(s.lanes))
-	for p := range s.lanes {
-		if queued[p] = s.queuedBytesLocked(p); p != d && queued[p] > 0 {
-			peers = append(peers, p)
-		}
-	}
-	sort.SliceStable(peers, func(i, k int) bool { return queued[peers[i]] > queued[peers[k]] })
-	return peers
-}
-
-// claimFromLocked claims, for device d, the first eligible job queued on
-// device src: interactive lane first, FIFO within a lane, skipping jobs
-// over their tenant's share or that cannot start right now, and dropping
-// jobs cancelled while queued. The claim reserves the leases, d's
-// concurrency slot and the tenant's bytes before it returns.
-func (s *Scheduler) claimFromLocked(d, src int) *runRef {
-	for lane := range s.lanes[src] {
-		q := s.lanes[src][lane]
+// claimLocked claims the first job in the fleet queue that can start now:
+// interactive lane first, FIFO within a lane, skipping jobs over their
+// tenant's share or that no set of devices can host right now, and
+// dropping jobs cancelled while queued. The claim reserves the leases, the
+// home device's concurrency slot and the tenant's bytes before it returns.
+func (s *Scheduler) claimLocked() *runRef {
+	for lane := range s.lanes {
+		q := s.lanes[lane]
 		for i := 0; i < len(q); i++ {
 			w := q[i]
 			if w.j.State() != StateQueued {
 				q = slices.Delete(q, i, i+1)
-				s.lanes[src][lane] = q
-				s.queuedTotal--
+				s.lanes[lane] = q
 				i--
 				continue
 			}
 			if !s.tenantEligibleLocked(w.tenant, w.demand*int64(w.shards)) {
 				continue
 			}
-			devices := s.placementLocked(d, w.demand, w.shards)
+			devices := s.placementLocked(w.demand, w.shards)
 			if devices == nil {
 				continue
 			}
-			s.lanes[src][lane] = slices.Delete(q, i, i+1)
-			s.queuedTotal--
+			s.lanes[lane] = slices.Delete(q, i, i+1)
 			for _, dev := range devices {
 				s.leased[dev] += w.demand
 				s.devInUse[dev].Set(s.leased[dev])
 			}
-			s.slots[d]++
+			s.slots[devices[0]]++
 			s.tenantInUse[w.tenant] += w.demand * int64(w.shards)
-			if src != d {
-				s.stealsC.Add(1)
-			}
-			ref := &runRef{waiting: w, dev: d, src: src, devices: devices, started: time.Now()}
+			ref := &runRef{waiting: w, devices: devices, started: time.Now()}
 			s.runningByID[w.j.ID()] = ref
 			s.runningG.Set(int64(len(s.runningByID)))
 			s.wg.Add(1) // under the lock, so Drain's Wait sees every claim
@@ -511,34 +409,29 @@ func (s *Scheduler) tenantEligibleLocked(tenant string, bytes int64) bool {
 	return used+bytes <= limit
 }
 
-// placementLocked picks the devices a claim by device d leases: d itself
-// for an unsharded job; for a sharded one, shards distinct devices with
-// the free bytes, d first when it has them, then the freest peers.
-// Returns nil when the job cannot start right now.
-func (s *Scheduler) placementLocked(d int, demand int64, shards int) []int {
-	if shards == 1 {
+// placementLocked picks the devices a claim leases, or nil when the job
+// cannot start right now. Its home is the device with a free concurrency
+// slot, the free bytes and the fewest leased bytes (lowest index on ties);
+// a sharded job adds the shards-1 freest other devices with the bytes,
+// which lease bytes but no slot.
+func (s *Scheduler) placementLocked(demand int64, shards int) []int {
+	home := -1
+	var others []int
+	for d := range s.leased {
 		if s.freeLocked(d) < demand {
-			return nil
+			continue
 		}
-		return []int{d}
-	}
-	var candidates []int
-	for p := range s.lanes {
-		if s.freeLocked(p) >= demand {
-			candidates = append(candidates, p)
+		others = append(others, d)
+		if s.slots[d] < s.cfg.MaxConcurrent && (home == -1 || s.leased[d] < s.leased[home]) {
+			home = d
 		}
 	}
-	if len(candidates) < shards {
+	if home == -1 || len(others) < shards {
 		return nil
 	}
-	sort.SliceStable(candidates, func(i, k int) bool {
-		a, b := candidates[i], candidates[k]
-		if a == d || b == d {
-			return a == d
-		}
-		return s.freeLocked(a) > s.freeLocked(b)
-	})
-	return candidates[:shards]
+	others = slices.DeleteFunc(others, func(d int) bool { return d == home })
+	sort.SliceStable(others, func(i, k int) bool { return s.freeLocked(others[i]) > s.freeLocked(others[k]) })
+	return append([]int{home}, others[:shards-1]...)
 }
 
 // preemptScanLocked handles a queued interactive job that no set of
@@ -547,12 +440,12 @@ func (s *Scheduler) placementLocked(d int, demand int64, shards int) []int {
 // asks batch work to drain.
 func (s *Scheduler) preemptScanLocked(w waiting) {
 	need := w.shards
-	for d := range s.lanes {
+	for d := range s.leased {
 		if s.freeLocked(d) >= w.demand {
 			need--
 		}
 	}
-	for d := 0; d < len(s.lanes) && need > 0; d++ {
+	for d := 0; d < len(s.leased) && need > 0; d++ {
 		if s.cfg.Fleet.Device(d).Capacity() < w.demand || s.freeLocked(d) >= w.demand {
 			continue
 		}
@@ -621,52 +514,11 @@ func (s *Scheduler) Jobs() []*Job {
 	return out
 }
 
-// QueueDepth returns how many jobs are waiting across all lanes.
+// QueueDepth returns how many jobs wait in the fleet queue.
 func (s *Scheduler) QueueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queuedTotal
-}
-
-// recordServiceTime folds a finished run's duration into the adaptive
-// Retry-After window.
-func (s *Scheduler) recordServiceTime(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.svcTimes[s.svcNext] = d
-	s.svcNext++
-	if s.svcNext == len(s.svcTimes) {
-		s.svcNext = 0
-		s.svcFull = true
-	}
-}
-
-// EstimateRetryAfter predicts how long a rejected submission should wait
-// before retrying: the current backlog (queued plus one) divided by the
-// fleet's run-slot count, times the recent mean job service time. floor
-// is returned when no service history exists yet; the estimate is also
-// never below it. The estimate is published on the serve.retry_after_ms
-// gauge.
-func (s *Scheduler) EstimateRetryAfter(floor time.Duration) time.Duration {
-	s.mu.Lock()
-	n := s.svcNext
-	if s.svcFull {
-		n = len(s.svcTimes)
-	}
-	var sum time.Duration
-	for _, d := range s.svcTimes[:n] {
-		sum += d
-	}
-	depth := s.queuedTotal
-	s.mu.Unlock()
-	est := floor
-	if n > 0 {
-		slots := s.cfg.Fleet.Size() * s.cfg.MaxConcurrent
-		waves := (depth + 1 + slots - 1) / slots
-		est = max(time.Duration(waves)*(sum/time.Duration(n)), floor)
-	}
-	s.retryAfterG.Set(est.Milliseconds())
-	return est
+	return s.queuedLocked()
 }
 
 // Cancel requests cancellation of a job. A queued job transitions to
@@ -728,8 +580,8 @@ func (s *Scheduler) Preempt(id string) error {
 	return nil
 }
 
-// dropQueued removes a job from whatever lane it waits in and places what
-// that changes (no-op when it is not queued, e.g. already claimed).
+// dropQueued removes a job from the fleet queue and places what that
+// changes (no-op when it is not queued, e.g. already claimed).
 func (s *Scheduler) dropQueued(j *Job) {
 	s.mu.Lock()
 	var runs []*runRef
@@ -743,13 +595,10 @@ func (s *Scheduler) dropQueued(j *Job) {
 // removeQueuedLocked takes the job out of the lane it waits in, reporting
 // whether it was there.
 func (s *Scheduler) removeQueuedLocked(j *Job) bool {
-	for d := range s.lanes {
-		for lane, q := range s.lanes[d] {
-			if i := slices.IndexFunc(q, func(w waiting) bool { return w.j == j }); i >= 0 {
-				s.lanes[d][lane] = slices.Delete(q, i, i+1)
-				s.queuedTotal--
-				return true
-			}
+	for lane, q := range s.lanes {
+		if i := slices.IndexFunc(q, func(w waiting) bool { return w.j == j }); i >= 0 {
+			s.lanes[lane] = slices.Delete(q, i, i+1)
+			return true
 		}
 	}
 	return false
@@ -806,7 +655,7 @@ func (s *Scheduler) start(refs []*runRef) {
 // attempt, then hands its leases and concurrency slot back — placing
 // whatever they free — and settles the outcome. An attempt whose job was
 // cancelled between the lane pop and the lease grant is released without
-// running.
+// running, and a RunFunc that panics fails its job alone (call).
 func (s *Scheduler) run(ref *runRef) {
 	defer s.wg.Done()
 	j := ref.j
@@ -842,11 +691,30 @@ func (s *Scheduler) run(ref *runRef) {
 		r.Devices = append([]int(nil), ref.devices...)
 	})
 	s.notify(j)
-	err := s.cfg.Run(ctx, j)
-	runWall := time.Since(started)
+	err := s.call(ctx, j)
 	s.start(s.release(ref, leases))
-	s.traceRun(ref, runWall, err)
-	s.finish(ref, runWall, err)
+	s.traceRun(ref, time.Since(started), err)
+	s.finish(ref, err)
+}
+
+// panicError is the outcome of an attempt whose RunFunc panicked: the
+// panic value and the stack of the goroutine that raised it.
+type panicError struct {
+	value any
+	stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.value) }
+
+// call runs the job's RunFunc and turns a panic on its goroutine into the
+// attempt's error, so one bad job fails instead of taking the process down.
+func (s *Scheduler) call(ctx context.Context, j *Job) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &panicError{value: v, stack: debug.Stack()}
+		}
+	}()
+	return s.cfg.Run(ctx, j)
 }
 
 // release returns an attempt's allocations, ledger bytes, concurrency slot
@@ -861,7 +729,7 @@ func (s *Scheduler) release(ref *runRef, leases []*gpu.Allocation) []*runRef {
 		s.leased[dev] -= ref.demand
 		s.devInUse[dev].Set(s.leased[dev])
 	}
-	s.slots[ref.dev]--
+	s.slots[ref.devices[0]]--
 	s.tenantInUse[ref.tenant] -= ref.demand * int64(len(ref.devices))
 	if s.tenantInUse[ref.tenant] <= 0 {
 		delete(s.tenantInUse, ref.tenant)
@@ -871,36 +739,25 @@ func (s *Scheduler) release(ref *runRef, leases []*gpu.Allocation) []*runRef {
 	return s.placeLocked()
 }
 
-// recordClaim emits the flight-recorder view of one started claim: the
-// steal (when the job crossed devices), a span on the job trace's
-// scheduler track closing the lane time (named for why the job was
-// waiting), the claim (and shard-place) events, and the per-lane/tenant
-// queue-wait observation.
+// recordClaim emits the flight-recorder view of one started claim: a span
+// on the job trace's scheduler track closing the lane time (named for why
+// the job was waiting) and the claim (and shard-place) events.
 func (s *Scheduler) recordClaim(ref *runRef) {
-	if s.cfg.Recorder == nil {
-		return
-	}
 	rec := ref.j.Record()
 	wait := ref.started.Sub(ref.since)
-	stolen := ref.src != ref.dev
-	if stolen {
-		s.cfg.Recorder.CountSteal(ref.src, ref.dev)
-		s.cfg.Recorder.Emit(ref.j, EventSteal, map[string]any{"src": ref.src, "dst": ref.dev})
-	}
 	gap := "queued"
 	if ref.preempted {
 		gap = "preempted gap"
 	}
 	ref.j.Tracer().Complete(obs.Track{Pid: flightSchedulerPid}, "sched", gap,
-		ref.since, wait, map[string]any{"devices": ref.devices, "stolen": stolen})
+		ref.since, wait, map[string]any{"devices": ref.devices})
 	s.cfg.Recorder.Emit(ref.j, EventClaim, map[string]any{
 		"devices": append([]int(nil), ref.devices...), "waitMs": wait.Milliseconds(),
-		"lane": rec.Params.Lane(), "stolen": stolen, "attempt": rec.Attempts + 1})
+		"lane": rec.Params.Lane(), "attempt": rec.Attempts + 1})
 	if len(ref.devices) > 1 {
 		s.cfg.Recorder.Emit(ref.j, EventShardPlace, map[string]any{
 			"devices": append([]int(nil), ref.devices...)})
 	}
-	s.cfg.Recorder.ObserveQueueWait(rec.Params.Lane(), ref.tenant, wait)
 }
 
 // traceRun draws the finished attempt on the job's flight trace, one span
@@ -908,9 +765,6 @@ func (s *Scheduler) recordClaim(ref *runRef) {
 // different device rows of a single Perfetto view.
 func (s *Scheduler) traceRun(ref *runRef, wall time.Duration, err error) {
 	jt := ref.j.Tracer()
-	if jt == nil {
-		return
-	}
 	outcome := "ok"
 	switch {
 	case errors.Is(err, ErrPreempted):
@@ -926,7 +780,7 @@ func (s *Scheduler) traceRun(ref *runRef, wall time.Duration, err error) {
 }
 
 // finish settles a released attempt's outcome into the job record.
-func (s *Scheduler) finish(ref *runRef, runWall time.Duration, err error) {
+func (s *Scheduler) finish(ref *runRef, err error) {
 	j := ref.j
 	canceledByUser := j.CancelRequested()
 	interrupted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
@@ -942,12 +796,8 @@ func (s *Scheduler) finish(ref *runRef, runWall time.Duration, err error) {
 			}
 		})
 		s.succeeded.Add(1)
-		s.recordServiceTime(runWall)
 		s.cfg.Recorder.Emit(j, EventTerminal, map[string]any{
 			"outcome": string(StateSucceeded), "attempts": rec.Attempts})
-		s.cfg.Recorder.ObserveRun(rec.Params.Lane(), rec.Params.Tenant, runWall)
-		s.cfg.Recorder.ObserveE2E(rec.Params.Lane(), rec.Params.Tenant,
-			now.Sub(rec.SubmittedAt))
 		s.notify(j)
 	case errors.Is(err, ErrPreempted) && !canceledByUser:
 		// The job drained at a stage commit to hand its leases to a
@@ -962,7 +812,6 @@ func (s *Scheduler) finish(ref *runRef, runWall time.Duration, err error) {
 		}
 		s.cfg.Recorder.Emit(j, EventDrain, map[string]any{
 			"reason": "preempt", "drainMs": drainLatency.Milliseconds()})
-		s.cfg.Recorder.ObserveDrain(drainLatency)
 		j.resetPreempt()
 		j.Update(func(r *Record) {
 			r.State = StateQueued
@@ -999,8 +848,12 @@ func (s *Scheduler) finish(ref *runRef, runWall time.Duration, err error) {
 			r.Error = err.Error()
 		})
 		s.failed.Add(1)
-		s.cfg.Recorder.Emit(j, EventTerminal, map[string]any{
-			"outcome": string(StateFailed), "attempts": rec.Attempts, "error": err.Error()})
+		attrs := map[string]any{"outcome": string(StateFailed), "attempts": rec.Attempts, "error": err.Error()}
+		if pe := (*panicError)(nil); errors.As(err, &pe) {
+			attrs["stack"] = string(pe.stack)
+			s.cfg.Obs.Log().Error("job panicked", "job", rec.ID, "err", err, "stack", string(pe.stack))
+		}
+		s.cfg.Recorder.Emit(j, EventTerminal, attrs)
 		s.notify(j)
 	}
 }
@@ -1021,7 +874,6 @@ type DeviceState struct {
 	Card          string   `json:"card"`
 	CapacityBytes int64    `json:"capacityBytes"`
 	LeasedBytes   int64    `json:"leasedBytes"`
-	Queued        int      `json:"queued"`
 	Running       []string `json:"running,omitempty"`
 }
 
@@ -1031,7 +883,6 @@ type FleetSnapshot struct {
 	Devices     []DeviceState `json:"devices"`
 	QueueDepth  int           `json:"queueDepth"`
 	JobsRunning int           `json:"jobsRunning"`
-	Steals      int64         `json:"steals"`
 	Preemptions int64         `json:"preemptions"`
 }
 
@@ -1040,9 +891,8 @@ func (s *Scheduler) Snapshot() FleetSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := FleetSnapshot{
-		QueueDepth:  s.queuedTotal,
+		QueueDepth:  s.queuedLocked(),
 		JobsRunning: len(s.runningByID),
-		Steals:      s.stealsC.Value(),
 		Preemptions: s.preemptionsC.Value(),
 	}
 	for d := 0; d < s.cfg.Fleet.Size(); d++ {
@@ -1052,7 +902,6 @@ func (s *Scheduler) Snapshot() FleetSnapshot {
 			Card:          dev.Spec().Name,
 			CapacityBytes: dev.Capacity(),
 			LeasedBytes:   s.leased[d],
-			Queued:        len(s.lanes[d][laneInteractive]) + len(s.lanes[d][laneBatch]),
 		}
 		for id, ref := range s.runningByID {
 			if slices.Contains(ref.devices, d) {

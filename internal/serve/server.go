@@ -39,8 +39,6 @@ type Config struct {
 	// heterogeneous — device list.
 	Devices     int
 	DeviceSpecs []gpu.Spec
-	// NoSteal disables work stealing between fleet devices.
-	NoSteal bool
 	// TenantShare caps each tenant's in-flight leased bytes at this
 	// fraction of total fleet capacity (0 = no cap).
 	TenantShare float64
@@ -62,10 +60,6 @@ type Config struct {
 	// maximum job sizes. The budget bounds the modeled footprint — reads
 	// plus graph representation — not the Go process RSS.
 	HostMemBytes int64
-	// RetryAfter floors the Retry-After advertised on 429 responses
-	// (default 2s). Once jobs have finished, the advertised value adapts:
-	// queue depth times the recent mean service time, never below this.
-	RetryAfter time.Duration
 	// Obs is the server's observability sink. Its metrics registry (one is
 	// created if absent) carries the scheduler gauges/counters and the
 	// per-job child registries the debug endpoint serves.
@@ -75,13 +69,11 @@ type Config struct {
 	// server at a precise recovery point. For sharded jobs it fires per
 	// node-stage commit.
 	StageCommitHook func(ctx context.Context, jobID string, stage core.PhaseName) error
-	// FlightRecorderEvents enables the fleet flight recorder when
-	// positive: a bounded global log of that many scheduler lifecycle
-	// events (served at /debug/events and per job at
-	// /v1/jobs/{id}/events), a per-job flight trace merging lifecycle and
-	// pipeline spans (/v1/jobs/{id}/trace), and SLO latency histograms on
-	// the metrics registry. Zero — the library default — disables all of
-	// it; job output bytes and modeled costs are identical either way.
+	// FlightRecorderEvents sizes the fleet flight recorder's global log of
+	// scheduler lifecycle events, served at /debug/events (0 means 4096).
+	// The recorder is always on: each job also keeps its own events
+	// (/v1/jobs/{id}/events) and a flight trace merging lifecycle and
+	// pipeline spans (/v1/jobs/{id}/trace).
 	FlightRecorderEvents int
 }
 
@@ -116,9 +108,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.HostMemBytes <= 0 {
 		cfg.HostMemBytes = 8 << 30
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 2 * time.Second
-	}
 	if cfg.Obs == nil || cfg.Obs.Metrics() == nil {
 		cfg.Obs = obs.New(cfg.Obs.Log(), cfg.Obs.Tracer(), obs.NewRegistry())
 	}
@@ -145,16 +134,13 @@ func New(cfg Config) (*Server, error) {
 		store:   store,
 		fleet:   fleet,
 		log:     cfg.Obs.Log(),
+		flight:  NewFlightRecorder(cfg.FlightRecorderEvents),
 		started: time.Now(),
-	}
-	if cfg.FlightRecorderEvents > 0 {
-		s.flight = NewFlightRecorder(cfg.FlightRecorderEvents, cfg.Obs.Metrics())
 	}
 	s.sched, err = NewScheduler(SchedulerConfig{
 		Fleet:         fleet,
 		QueueCap:      cfg.QueueCap,
 		MaxConcurrent: cfg.MaxConcurrent,
-		NoSteal:       cfg.NoSteal,
 		TenantShare:   cfg.TenantShare,
 		Run:           s.runJob,
 		OnTransition:  s.onTransition,
@@ -299,9 +285,9 @@ func (s *Server) runJob(ctx context.Context, j *Job) error {
 	defer parent.DetachChild(label)
 
 	cfg := s.jobConfig(rec)
-	// With the flight recorder on, the job's tracer (already carrying its
-	// scheduler lifecycle spans) also collects the run's pipeline spans,
-	// so /v1/jobs/{id}/trace shows both in one Perfetto view.
+	// The job's tracer (already carrying its scheduler lifecycle spans)
+	// also collects the run's pipeline spans, so /v1/jobs/{id}/trace shows
+	// both in one Perfetto view.
 	cfg.Obs = obs.New(s.log.With("job", rec.ID), j.Tracer(), jobReg)
 	cfg.Progress = func(stage, event string) {
 		j.Update(func(r *Record) {
@@ -544,8 +530,8 @@ func parseParams(r *http.Request) (Params, error) {
 // the job's input.fastq, so it is never held whole; every rejection
 // removes the job directory again. Responses: 201 with the job record,
 // 400 on bad input, 413 when the body exceeds the limit, 422 when the job
-// can never fit on the fleet, 429 (+ adaptive Retry-After) when the run
-// queue is full, 503 while draining.
+// can never fit on the fleet, 429 (+ Retry-After) when the run queue is
+// full, 503 while draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	params, err := parseParams(r)
 	if err != nil {
@@ -629,8 +615,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err := s.sched.Submit(j); err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
-			retry := s.sched.EstimateRetryAfter(s.cfg.RetryAfter)
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retry.Seconds()))))
+			w.Header().Set("Retry-After", retryAfterSeconds)
 			writeError(w, http.StatusTooManyRequests, "run queue is full, retry later")
 		case errors.Is(err, ErrDraining):
 			writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -700,17 +685,20 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// retryAfterSeconds is the Retry-After a 429 advertises.
+const retryAfterSeconds = "2"
+
 // admissionReadLen is the reference read length /healthz quotes the
 // per-backend maximum job sizes at. Submissions are still admitted
 // against their actual MaxLen; this only anchors the advertised numbers.
 const admissionReadLen = 150
 
-// handleHealthz reports liveness plus the per-device admission state:
-// every fleet card's capacity, leased bytes, queue, and running jobs,
-// alongside the fleet-wide steal/preemption counters, the binary's
-// build identity, how long the server has been up, and the host-side
-// admission envelope — the modeled maximum reads each graph backend
-// admits under the configured host budget.
+// handleHealthz reports liveness plus the fleet's admission state (queue
+// depth, running jobs, preemptions, and every card's capacity, leased
+// bytes and running jobs), the binary's build identity, how long the
+// server has been up, and the host-side admission envelope — the modeled
+// maximum reads each graph backend admits under the configured host
+// budget.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	snap := s.sched.Snapshot()
 	version, revision, modified := buildinfo.Info()
@@ -726,8 +714,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"version":       version,
 		"revision":      revision,
 		"uptimeSeconds": math.Round(time.Since(s.started).Seconds()),
-		"queueDepth":    snap.QueueDepth,
-		"jobsRunning":   snap.JobsRunning,
 		"fleet":         snap,
 		"admission": map[string]any{
 			"hostMemBytes":       s.cfg.HostMemBytes,
@@ -737,16 +723,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handlePrometheus renders the metrics registry — scheduler instruments,
-// SLO histograms, and any live jobs' child registries under their
-// job="<id>" label — in Prometheus text exposition format 0.0.4.
+// handlePrometheus renders the metrics registry — scheduler instruments
+// and any live jobs' child registries under their job="<id>" label — in
+// Prometheus text exposition format 0.0.4.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentTypePrometheus)
 	obs.WritePrometheus(w, s.cfg.Obs.Metrics().Snapshot())
 }
 
 // handleJobEvents serves a job's flight-recorder lifecycle history in
-// emission order. With the recorder disabled the list is empty.
+// emission order.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.sched.Get(id)
@@ -770,7 +756,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // handleJobTrace serves the job's flight trace as Chrome trace-event
 // JSON: scheduler lifecycle spans (queued gaps on the scheduler track,
 // run attempts on per-device tracks) merged with the run's own pipeline
-// spans. 404 while the flight recorder is disabled.
+// spans.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.sched.Get(id)
@@ -778,24 +764,14 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %s", id)
 		return
 	}
-	tr := j.Tracer()
-	if tr == nil {
-		writeError(w, http.StatusNotFound,
-			"no flight trace for job %s: flight recorder is disabled", id)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	tr.WriteJSON(w)
+	j.Tracer().WriteJSON(w)
 }
 
 // handleDebugEvents serves the global scheduler audit log, newest window
 // of FlightRecorderEvents entries, optionally filtered to sequence
-// numbers after ?since=N. 404 while the flight recorder is disabled.
+// numbers after ?since=N.
 func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	if s.flight == nil {
-		writeError(w, http.StatusNotFound, "flight recorder is disabled")
-		return
-	}
 	var since uint64
 	if v := r.URL.Query().Get("since"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)

@@ -358,8 +358,8 @@ func TestServerBackpressureAndMetrics(t *testing.T) {
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("overflow submit %d: status %d, want 429", i, resp.StatusCode)
 		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Error("429 without a Retry-After header")
+		if got := resp.Header.Get("Retry-After"); got != "2" {
+			t.Errorf("429 Retry-After = %q, want \"2\"", got)
 		}
 		rejected++
 	}

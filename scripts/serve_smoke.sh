@@ -85,7 +85,7 @@ prom=$(curl -sf "$base/metrics")
 printf '%s\n' "$prom" | grep -q '^serve_jobs_admitted 1$' || { echo "/metrics missing serve_jobs_admitted 1"; exit 1; }
 printf '%s\n' "$prom" | grep -q '^# TYPE serve_jobs_succeeded counter$' || { echo "/metrics missing TYPE line for serve_jobs_succeeded"; exit 1; }
 printf '%s\n' "$prom" | grep -q '^serve_jobs_succeeded 1$' || { echo "/metrics missing serve_jobs_succeeded 1"; exit 1; }
-printf '%s\n' "$prom" | grep -q 'serve_e2e_seconds_bucket{.*le="+Inf"' || { echo "/metrics missing +Inf bucket for serve_e2e_seconds"; exit 1; }
+printf '%s\n' "$prom" | grep -q 'serve_queue_wait_ms_bucket{.*le="+Inf"' || { echo "/metrics missing +Inf bucket for serve_queue_wait_ms"; exit 1; }
 
 echo "== flight-recorder events"
 events=$(curl -sf "$base/v1/jobs/$job_id/events")

@@ -32,12 +32,15 @@ test:
 # the tree. The fsync-ledger tests ride the last pass: they swap kvio's
 # package-level fsync hook while sorts and a two-worker pipeline run
 # under them. The serve line gets ten passes: every HTTP, run and cancel
-# goroutine reaches the scheduler's state through one placement pass.
+# goroutine reaches the scheduler's state through one placement pass. So
+# does the ordered pool Map, Sort and Reduce share, with Sort's
+# earliest-failure test driving it over real partitions.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestStreamStress|TestAllocPeakNeverExceedsCapacity|TestAllocationConcurrentFreeIdempotent' ./internal/gpu/
 	$(GO) test -race -count=10 -run 'TestFleetSchedulerStress|TestSchedulerFreedDeviceTakesQueuedWork|TestSchedulerSurvivesPanickingRun|TestSchedulerPreemptionDrain|TestFlightRecorderLifecycle|TestSchedulerPreemptsOnlyWhatArrivalNeeds' ./internal/serve/
 	$(GO) test -race -count=3 -run 'TestPooledBufferConcurrentSorts|TestBlockPoolConcurrentRoundTrips|TestFsyncLedger' ./internal/extsort/ ./internal/kvio/
+	$(GO) test -race -count=10 -run 'TestRunOrdered|TestSortPartitionsReportsEarliestFailure' ./internal/core/
 
 # Short fuzz passes over the parsers, the packed encoding, the graph
 # stores, the fingerprint kernel (held to the reference hash and to the

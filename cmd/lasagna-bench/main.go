@@ -48,12 +48,8 @@ var experiments = []experiment{
 	{"table5", func(h *harness) error { return printRuns(h, supermic, "Table V", printMemoryTable) }},
 	{"table6", func(h *harness) error {
 		rows, err := h.table6()
-		if err != nil {
-			return err
-		}
-		dbg, err := h.debruijn()
 		if err == nil {
-			printTable6(rows, dbg)
+			printTable6(rows)
 		}
 		return err
 	}},

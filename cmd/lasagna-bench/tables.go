@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/debruijn"
 	"repro/internal/dna"
-	"repro/internal/extsort"
 	"repro/internal/readsim"
 	"repro/internal/sga"
 	"repro/internal/stats"
@@ -247,13 +245,6 @@ type table6Row struct {
 	WallRatio, GPUModelRatio float64
 }
 
-// dbgRow contrasts the resident de Bruijn structure with LaSAGNA's
-// block-bounded sort buffers on SuperMic (the Table VI footer).
-type dbgRow struct {
-	Dataset               string
-	Resident, SortBuffers int64
-}
-
 // sgaRun executes (or returns the cached) baseline run, honouring the
 // machine's host-memory budget the way the paper reports SGA going
 // out-of-memory on H.Genome with 64 GB. The budget scales with the
@@ -309,25 +300,7 @@ func (h *harness) table6() ([]table6Row, error) {
 	return rows, nil
 }
 
-// debruijn is the Table VI footer. The paper excludes de Bruijn
-// assemblers from Table VI because they hold the whole k-mer structure in
-// memory and fail on large inputs. Reproduce the structural contrast:
-// resident de Bruijn memory grows with the dataset, LaSAGNA's sort
-// working set is block-bounded.
-func (h *harness) debruijn() ([]dbgRow, error) {
-	var rows []dbgRow
-	buffers := extsort.HostBytes(scaleBlock(supermic.hostBlockPairs, h.scale))
-	for _, p := range h.profiles {
-		g, err := debruijn.Build(debruijn.Config{K: 25, MinCount: 1}, h.reads(p))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, dbgRow{Dataset: p.Name, Resident: g.ApproxBytes(), SortBuffers: buffers})
-	}
-	return rows, nil
-}
-
-func printTable6(rows []table6Row, dbg []dbgRow) {
+func printTable6(rows []table6Row) {
 	fmt.Printf("\nTable VI: SGA baseline vs LaSAGNA (index+overlap vs map+sort+reduce)\n")
 	fmt.Printf("%-11s %24s %24s %12s %12s\n",
 		"Dataset", "SGA 64GB / 128GB", "LaSAGNA 64GB / 128GB", "wall ratio", "GPU-model")
@@ -350,13 +323,4 @@ func printTable6(rows []table6Row, dbg []dbgRow) {
 	}
 	fmt.Printf("(wall ratio = SGA wall / LaSAGNA wall on this CPU; GPU-model = SGA wall / LaSAGNA modeled time; both on %s)\n",
 		tableVIMachines[ratioColumn].name)
-
-	fmt.Printf("\nde Bruijn baseline (k=25): resident k-mer memory vs LaSAGNA's block-bounded sort buffers (%s)\n",
-		supermic.name)
-	for _, r := range dbg {
-		fmt.Printf("%-11s dBG resident: %10s   LaSAGNA sort buffers: %10s (fixed)\n",
-			r.Dataset, stats.FormatBytes(r.Resident), stats.FormatBytes(r.SortBuffers))
-	}
-	fmt.Println("(the de Bruijn structure must stay resident and grows with the dataset — the")
-	fmt.Println(" paper's stated reason for excluding dBG assemblers, which went OOM on Table VI)")
 }

@@ -5,13 +5,11 @@
 // one bit per vertex records whether that edge exists. In the distributed
 // reduce phase this vector is the token that is handed from the node
 // processing partition l+1 to the node processing partition l (Section
-// III-E.3), so it is serializable.
+// III-E.3); the cluster charges its Bytes as the message size.
 package bitvec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
 )
 
@@ -57,26 +55,6 @@ func (v *Vector) Set(i uint32) error {
 	return nil
 }
 
-// Clear clears bit i.
-func (v *Vector) Clear(i uint32) error {
-	if err := v.check(i); err != nil {
-		return err
-	}
-	v.words[i>>6] &^= 1 << (i & 63)
-	return nil
-}
-
-// TestAndSet sets bit i and reports whether it was already set.
-func (v *Vector) TestAndSet(i uint32) (bool, error) {
-	if err := v.check(i); err != nil {
-		return false, err
-	}
-	w, m := i>>6, uint64(1)<<(i&63)
-	old := v.words[w]&m != 0
-	v.words[w] |= m
-	return old, nil
-}
-
 // nextSet returns the position of the first set bit at or after from,
 // or -1 when there is none.
 func (v *Vector) nextSet(from int) int {
@@ -116,56 +94,9 @@ func popcount(x uint64) int {
 // Bytes returns the in-memory size of the vector payload.
 func (v *Vector) Bytes() int64 { return 8 * int64(len(v.words)) }
 
-// Reset clears every bit.
-func (v *Vector) Reset() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
-}
-
 // Clone returns an independent copy.
 func (v *Vector) Clone() *Vector {
 	out := New(v.n)
 	copy(out.words, v.words)
 	return out
-}
-
-// WriteTo serializes the vector (length header plus words). It implements
-// io.WriterTo so the distributed reduce can stream the token between
-// simulated nodes.
-func (v *Vector) WriteTo(w io.Writer) (int64, error) {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(v.n))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	buf := make([]byte, 8*len(v.words))
-	for i, word := range v.words {
-		binary.LittleEndian.PutUint64(buf[8*i:], word)
-	}
-	nw, err := w.Write(buf)
-	return 8 + int64(nw), err
-}
-
-// ReadFrom deserializes a vector previously written by WriteTo, replacing
-// the receiver's contents.
-func (v *Vector) ReadFrom(r io.Reader) (int64, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
-	}
-	n := int(binary.LittleEndian.Uint64(hdr[:]))
-	if n < 0 {
-		return 8, fmt.Errorf("bitvec: negative length %d", n)
-	}
-	v.n = n
-	v.words = make([]uint64, (n+63)/64)
-	buf := make([]byte, 8*len(v.words))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 8, err
-	}
-	for i := range v.words {
-		v.words[i] = binary.LittleEndian.Uint64(buf[8*i:])
-	}
-	return 8 + int64(len(buf)), nil
 }

@@ -1,11 +1,9 @@
 package bitvec
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func mustGet(t *testing.T, v *Vector, i uint32) bool {
@@ -37,12 +35,6 @@ func TestSetGetClear(t *testing.T) {
 		if !mustGet(t, v, i) {
 			t.Fatalf("bit %d should be set", i)
 		}
-		if err := v.Clear(i); err != nil {
-			t.Fatalf("Clear(%d): %v", i, err)
-		}
-		if mustGet(t, v, i) {
-			t.Fatalf("bit %d should be clear again", i)
-		}
 	}
 }
 
@@ -67,11 +59,7 @@ func TestOutOfRangeErrors(t *testing.T) {
 			v := New(tc.n)
 			_, getErr := v.Get(tc.idx)
 			setErr := v.Set(tc.idx)
-			clearErr := v.Clear(tc.idx)
-			_, tasErr := v.TestAndSet(tc.idx)
-			for op, err := range map[string]error{
-				"Get": getErr, "Set": setErr, "Clear": clearErr, "TestAndSet": tasErr,
-			} {
+			for op, err := range map[string]error{"Get": getErr, "Set": setErr} {
 				if tc.ok && err != nil {
 					t.Errorf("%s(%d) on %d bits: unexpected error %v", op, tc.idx, tc.n, err)
 				}
@@ -87,20 +75,7 @@ func TestOutOfRangeErrors(t *testing.T) {
 	}
 }
 
-func TestTestAndSet(t *testing.T) {
-	v := New(100)
-	if old, err := v.TestAndSet(42); err != nil || old {
-		t.Errorf("first TestAndSet = (%v, %v), want (false, nil)", old, err)
-	}
-	if old, err := v.TestAndSet(42); err != nil || !old {
-		t.Errorf("second TestAndSet = (%v, %v), want (true, nil)", old, err)
-	}
-	if !mustGet(t, v, 42) {
-		t.Error("bit should be set after TestAndSet")
-	}
-}
-
-func TestPopCountAndReset(t *testing.T) {
+func TestPopCount(t *testing.T) {
 	v := New(500)
 	rng := rand.New(rand.NewSource(5))
 	want := map[uint32]bool{}
@@ -111,10 +86,6 @@ func TestPopCountAndReset(t *testing.T) {
 	}
 	if v.PopCount() != len(want) {
 		t.Errorf("PopCount = %d, want %d", v.PopCount(), len(want))
-	}
-	v.Reset()
-	if v.PopCount() != 0 {
-		t.Error("Reset should clear everything")
 	}
 }
 
@@ -128,57 +99,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 	if !mustGet(t, c, 3) {
 		t.Error("Clone lost bits")
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	f := func(bits []uint16, n16 uint16) bool {
-		n := int(n16)%3000 + 1
-		v := New(n)
-		for _, b := range bits {
-			if err := v.Set(uint32(int(b) % n)); err != nil {
-				return false
-			}
-		}
-		var buf bytes.Buffer
-		if _, err := v.WriteTo(&buf); err != nil {
-			return false
-		}
-		got := New(0)
-		if _, err := got.ReadFrom(&buf); err != nil {
-			return false
-		}
-		if got.Len() != v.Len() || got.PopCount() != v.PopCount() {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			a, errA := got.Get(uint32(i))
-			b, errB := v.Get(uint32(i))
-			if errA != nil || errB != nil || a != b {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReadFromTruncated(t *testing.T) {
-	v := New(128)
-	mustSet(t, v, 100)
-	var buf bytes.Buffer
-	if _, err := v.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	got := New(0)
-	if _, err := got.ReadFrom(bytes.NewReader(raw[:10])); err == nil {
-		t.Error("expected error on truncated payload")
-	}
-	if _, err := got.ReadFrom(bytes.NewReader(raw[:4])); err == nil {
-		t.Error("expected error on truncated header")
 	}
 }
 

@@ -371,13 +371,6 @@ func (c *Cluster) AssembleContext(ctx context.Context, reads *dna.ReadSet) (*Res
 		res.Counters = total.Add(c.serial.Snapshot())
 		res.Modeled = res.Counters.Breakdown(c.cfg.Profile())
 	}()
-	if reads.NumReads() == 0 {
-		return res, fmt.Errorf("cluster: empty read set")
-	}
-	if reads.MaxLen() <= c.cfg.MinOverlap {
-		return res, fmt.Errorf("cluster: MinOverlap %d is not below the longest read length %d",
-			c.cfg.MinOverlap, reads.MaxLen())
-	}
 	rs, removed, err := c.cfg.PrepareReads(reads)
 	if err != nil {
 		return res, err

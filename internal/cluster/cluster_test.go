@@ -213,6 +213,25 @@ func TestClusterErrors(t *testing.T) {
 	if _, err := cl.Assemble(rs); err == nil {
 		t.Error("reads shorter than MinOverlap should fail")
 	}
+
+	// A read above the graph layer's 16-bit length limit is refused
+	// before Map, not truncated (core's TestLongReadRejected).
+	cfg := clusterConfig(t, 1)
+	cfg.MinOverlap = 65590
+	cfg.IncludeSingletons = true
+	cfg.Workers = 1
+	if cl, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	rs = dna.NewReadSet(1, 65600)
+	rs.Append(readsim.Genome(readsim.GenomeParams{Length: 65600, Seed: 5}))
+	res, err := cl.Assemble(rs)
+	if err == nil || !strings.Contains(err.Error(), "65600") || !strings.Contains(err.Error(), "65535") {
+		t.Errorf("a 65 600-base read: err = %v, want one naming the read length and the limit", err)
+	}
+	if len(res.Phases) != 0 || len(res.Contigs) != 0 {
+		t.Errorf("rejected run ran %d phases and wrote %d contigs, want none", len(res.Phases), len(res.Contigs))
+	}
 }
 
 // TestNodeWorkersDeterminism asserts that per-node partition concurrency

@@ -219,10 +219,9 @@ func (n *Node) SortPartitions(ctx context.Context, counts map[int]int64, in, out
 	for _, l := range sortedLengthsDesc(counts) {
 		tasks = append(tasks, task{kvio.Suffix, l}, task{kvio.Prefix, l})
 	}
-	stats := make([]extsort.Stats, len(tasks))
-	err := runTasks(n.cfg.workers(), len(tasks), func(worker, i int) error {
+	sortOne := func(worker, i int) (extsort.Stats, error) {
 		if err := ctx.Err(); err != nil {
-			return err
+			return extsort.Stats{}, err
 		}
 		t := tasks[i]
 		defer n.cfg.Obs.Tracer().Begin(n.Track.Worker(worker), "partition",
@@ -233,7 +232,7 @@ func (n *Node) SortPartitions(ctx context.Context, counts map[int]int64, in, out
 		// other's spills.
 		tmpDir := filepath.Join(n.Scratch, fmt.Sprintf("sort_%s_%04d", t.kind, t.length))
 		if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-			return err
+			return extsort.Stats{}, err
 		}
 		defer os.RemoveAll(tmpDir)
 		st, err := extsort.SortFile(ctx, extsort.Config{
@@ -247,19 +246,20 @@ func (n *Node) SortPartitions(ctx context.Context, counts map[int]int64, in, out
 			Overlap:          n.Ledger,
 		}, filepath.Join(n.Scratch, in(t.kind, t.length)), filepath.Join(n.Scratch, out(t.kind, t.length)))
 		if err != nil {
-			return fmt.Errorf("core: sorting partition %d (%s): %w", t.length, t.kind, err)
+			return st, fmt.Errorf("core: sorting partition %d (%s): %w", t.length, t.kind, err)
 		}
-		stats[i] = st
+		return st, nil
+	}
+	passes, sums, consumed := 0, PartitionSums{{}, {}}, 0
+	err := runOrdered(n.cfg.workers(), len(tasks), sortOne, func(st extsort.Stats) error {
+		t := tasks[consumed]
+		consumed++
+		passes = max(passes, st.DiskPasses)
+		sums[t.kind][t.length] = st.Output
 		return nil
-	})
+	}, func(extsort.Stats) {})
 	if err != nil {
 		return 0, PartitionSums{}, err
-	}
-	passes := 0
-	sums := PartitionSums{{}, {}}
-	for i, t := range tasks {
-		passes = max(passes, stats[i].DiskPasses)
-		sums[t.kind][t.length] = stats[i].Output
 	}
 	return passes, sums, nil
 }
@@ -362,48 +362,6 @@ func sortedLengthsDesc(counts map[int]int64) []int {
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(lengths)))
 	return lengths
-}
-
-// runTasks runs n independent tasks on up to workers goroutines. Tasks are
-// claimed in index order and, once one fails, only tasks after it are
-// skipped — so of several failures the lowest-indexed is the one returned,
-// whatever the scheduling. Each task receives the index of the worker
-// running it, so callers can attribute work to per-worker trace lanes.
-func runTasks(workers, n int, task func(worker, i int) error) error {
-	errs := make([]error, n)
-	var next, failedAt atomic.Int64
-	failedAt.Store(int64(n))
-	run := func(worker int) {
-		for {
-			i := next.Add(1) - 1
-			if i >= int64(n) || i > failedAt.Load() {
-				return
-			}
-			if errs[i] = task(worker, int(i)); errs[i] != nil {
-				for cur := failedAt.Load(); i < cur; cur = failedAt.Load() {
-					if failedAt.CompareAndSwap(cur, i) {
-						break
-					}
-				}
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			run(w)
-		}(w)
-	}
-	run(0)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // runOrdered produces n values on up to workers goroutines and consumes

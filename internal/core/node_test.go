@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,3 +153,178 @@ type cancelOnCharge context.CancelFunc
 func (c cancelOnCharge) KernelCharge(int64, int64)                 { c() }
 func (cancelOnCharge) KernelLaunch(int, time.Time, time.Duration)  {}
 func (cancelOnCharge) AllocWaited(int64, time.Time, time.Duration) {}
+
+// poolProbe records what runOrdered did with each index: how often it was
+// produced (successfully) and released, the order it was consumed in, how
+// many produce calls were made and how many are still running.
+type poolProbe struct {
+	produced, released []atomic.Int32
+	consumed           []int
+	calls, live        atomic.Int32
+}
+
+func newPoolProbe(n int) *poolProbe {
+	return &poolProbe{produced: make([]atomic.Int32, n), released: make([]atomic.Int32, n)}
+}
+
+// run drives runOrdered over the probe: body is each produce's work and
+// fail, given the index being consumed, returns consume's error.
+func (p *poolProbe) run(workers int, body func(i int) error, fail func(i int) error) error {
+	return runOrdered(workers, len(p.produced), func(_, i int) (int, error) {
+		p.calls.Add(1)
+		p.live.Add(1)
+		defer p.live.Add(-1)
+		if err := body(i); err != nil {
+			return i, err
+		}
+		p.produced[i].Add(1)
+		return i, nil
+	}, func(i int) error {
+		p.consumed = append(p.consumed, i)
+		return fail(i)
+	}, func(i int) { p.released[i].Add(1) })
+}
+
+// check asserts the contract that holds however the call ended: no
+// producer is still running, the consumed indices are 0, 1, ... in order,
+// and every value produced but not consumed was released exactly once.
+func (p *poolProbe) check(t *testing.T) {
+	t.Helper()
+	if live := p.live.Load(); live != 0 {
+		t.Errorf("%d producers still running after runOrdered returned", live)
+	}
+	for i, got := range p.consumed {
+		if got != i {
+			t.Fatalf("consumed %v, want 0, 1, 2, ... in order", p.consumed)
+		}
+	}
+	for i := range p.produced {
+		want := p.produced[i].Load()
+		if i < len(p.consumed) {
+			want = 0
+		}
+		if got := p.released[i].Load(); got != want {
+			t.Errorf("index %d (produced %d times, consumed %v): released %d times, want %d",
+				i, p.produced[i].Load(), i < len(p.consumed), got, want)
+		}
+	}
+}
+
+// TestRunOrdered pins the pool Map, Sort and Reduce run on: consume sees
+// the indices in order, the earliest failure wins whatever the timing, a
+// value never consumed is released, a failing consume stops the claims and
+// no producer outlives the call.
+func TestRunOrdered(t *testing.T) {
+	none := func(int) error { return nil }
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			t.Run("consumes in order", func(t *testing.T) {
+				p := newPoolProbe(50)
+				err := p.run(workers, func(i int) error {
+					time.Sleep(time.Duration(i%5) * 100 * time.Microsecond) // finish out of order
+					return nil
+				}, none)
+				if err != nil || len(p.consumed) != 50 {
+					t.Fatalf("err = %v after %d values, want nil after 50", err, len(p.consumed))
+				}
+				p.check(t)
+			})
+
+			t.Run("earliest produce failure wins", func(t *testing.T) {
+				const k = 5
+				errK, errLater := errors.New("index k"), errors.New("index k+1")
+				laterFailed := make(chan struct{})
+				p := newPoolProbe(20)
+				err := p.run(workers, func(i int) error {
+					switch {
+					case i == k+1:
+						close(laterFailed)
+						return errLater
+					case i == k && workers > 1:
+						// Another worker claims k+1 while this one holds k.
+						select {
+						case <-laterFailed:
+						case <-time.After(10 * time.Second):
+							t.Error("index k+1 was never produced")
+						}
+						return errK
+					case i == k:
+						return errK
+					case i > k+1:
+						// As below: the pool stops claiming once k+1 fails.
+						<-laterFailed
+						time.Sleep(50 * time.Millisecond)
+					}
+					return nil
+				}, none)
+				if !errors.Is(err, errK) || len(p.consumed) != k {
+					t.Fatalf("err = %v after %d values, want %v after %d", err, len(p.consumed), errK, k)
+				}
+				if calls := int(p.calls.Load()); calls > k+workers {
+					t.Errorf("%d indices claimed, want at most %d", calls, k+workers)
+				}
+				p.check(t)
+			})
+
+			t.Run("releases what is not consumed", func(t *testing.T) {
+				const c = 3
+				errC := errors.New("consume c")
+				nextProduced := make(chan struct{})
+				p := newPoolProbe(20)
+				err := p.run(workers, func(i int) error {
+					if i == c+1 {
+						defer close(nextProduced)
+					}
+					return nil
+				}, func(i int) error {
+					if i != c {
+						return nil
+					}
+					if workers > 1 {
+						<-nextProduced // at least one value is left unconsumed
+					}
+					return errC
+				})
+				if !errors.Is(err, errC) || len(p.consumed) != c+1 {
+					t.Fatalf("err = %v after %d values, want %v after %d", err, len(p.consumed), errC, c+1)
+				}
+				p.check(t)
+				if released := p.released[c+1].Load(); workers > 1 && released != 1 {
+					t.Errorf("index c+1 was produced before consume failed but released %d times", released)
+				}
+			})
+
+			t.Run("consume failure stops claiming", func(t *testing.T) {
+				const c, n = 2, 64
+				errC := errors.New("consume c")
+				gate := make(chan struct{})
+				p := newPoolProbe(n)
+				err := p.run(workers, func(i int) error {
+					if i > c {
+						// Each worker holds at most one index past c until
+						// consume fails. The pool's stop flag is set just after
+						// consume returns, with no event a test can wait on, so
+						// the producer lingers as slow work would before it
+						// could claim another.
+						<-gate
+						time.Sleep(50 * time.Millisecond)
+					}
+					return nil
+				}, func(i int) error {
+					if i == c {
+						close(gate)
+						return errC
+					}
+					return nil
+				})
+				if !errors.Is(err, errC) {
+					t.Fatalf("err = %v, want %v", err, errC)
+				}
+				if calls := int(p.calls.Load()); calls > c+1+workers {
+					t.Errorf("%d of %d indices claimed, want at most %d", calls, n, c+1+workers)
+				}
+				p.check(t)
+			})
+		})
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path"
 	"path/filepath"
@@ -243,13 +244,6 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 		m.Gauge("core.overlap_saved_us").Set(res.OverlapSaved.Microseconds())
 		m.Gauge("core.overlap_ratio_pct").Set(int64(res.OverlapRatio * 100))
 	}()
-	if rs.NumReads() == 0 {
-		return res, fmt.Errorf("core: empty read set")
-	}
-	if rs.MaxLen() <= p.cfg.MinOverlap {
-		return res, fmt.Errorf("core: MinOverlap %d is not below the longest read length %d",
-			p.cfg.MinOverlap, rs.MaxLen())
-	}
 	rs, removed, err := p.cfg.PrepareReads(rs)
 	if err != nil {
 		return res, err
@@ -430,12 +424,24 @@ func (p *Pipeline) assembleInto(ctx context.Context, res *Result, rs dna.ReadSou
 	return res, nil
 }
 
-// PrepareReads applies the read-preparation knobs every driver honours
-// before fingerprinting its input: DedupeReads drops duplicate reads
-// (returning how many), then PackedReads stores the rest 2-bit packed, the
-// encoding the paper's host-memory budgets assume. Both need an unpacked
-// ReadSet.
+// PrepareReads checks the read set the pipeline and the cluster assemble:
+// it must be non-empty, and its longest read must exceed MinOverlap and
+// fit the graph layer's 16-bit overlap lengths and overhangs. It then
+// applies the read-preparation knobs both honour before fingerprinting
+// it: DedupeReads drops duplicate reads (returning how many), then
+// PackedReads stores the rest 2-bit packed, the encoding the paper's
+// host-memory budgets assume. Both need an unpacked ReadSet.
 func (c Config) PrepareReads(rs dna.ReadSource) (dna.ReadSource, int, error) {
+	switch maxLen := rs.MaxLen(); {
+	case rs.NumReads() == 0:
+		return rs, 0, fmt.Errorf("core: empty read set")
+	case maxLen > math.MaxUint16:
+		return rs, 0, fmt.Errorf("core: a read of %d bases exceeds the %d-base read length limit",
+			maxLen, math.MaxUint16)
+	case maxLen <= c.MinOverlap:
+		return rs, 0, fmt.Errorf("core: MinOverlap %d is not below the longest read length %d",
+			c.MinOverlap, maxLen)
+	}
 	if !c.DedupeReads && !c.PackedReads {
 		return rs, 0, nil
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -205,6 +206,40 @@ func TestAssembleErrors(t *testing.T) {
 	rs.Append(dna.MustParseSeq("ACGTACGT")) // shorter than MinOverlap 31
 	if _, err := p.Assemble(rs); err == nil {
 		t.Error("MinOverlap >= read length should fail")
+	}
+}
+
+// TestLongReadRejected pins the graph layer's 16-bit read length limit:
+// overlap lengths and path overhangs are uint16, so a longer read would
+// come out as a contig of its length mod 65 536. Such a read set must be
+// refused before Map, and a read at the limit must assemble whole.
+func TestLongReadRejected(t *testing.T) {
+	assembleOne := func(n int) (*Result, error) {
+		cfg := smallConfig(t)
+		cfg.MinOverlap = n - 10
+		cfg.IncludeSingletons = true
+		cfg.Workers = 1
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := dna.NewReadSet(1, n)
+		rs.Append(readsim.Genome(readsim.GenomeParams{Length: n, Seed: 5}))
+		return p.Assemble(rs)
+	}
+	res, err := assembleOne(65600)
+	if err == nil || !strings.Contains(err.Error(), "65600") || !strings.Contains(err.Error(), "65535") {
+		t.Fatalf("a 65 600-base read: err = %v, want one naming the read length and the limit", err)
+	}
+	if len(res.Phases) != 0 || len(res.Contigs) != 0 {
+		t.Errorf("rejected run ran %d phases and wrote %d contigs, want none", len(res.Phases), len(res.Contigs))
+	}
+	res, err = assembleOne(math.MaxUint16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Contigs) != 1 || len(res.Contigs[0]) != math.MaxUint16 {
+		t.Errorf("a read at the limit: %d contigs, want one of %d bases", len(res.Contigs), math.MaxUint16)
 	}
 }
 

@@ -106,16 +106,6 @@ func (s Seq) Clone() Seq {
 	return out
 }
 
-// Complement returns the base-wise Watson-Crick complement without
-// reversing.
-func (s Seq) Complement() Seq {
-	out := make(Seq, len(s))
-	for i, c := range s {
-		out[i] = ComplementCode(c)
-	}
-	return out
-}
-
 // ReverseComplement returns the reverse complement of s.
 func (s Seq) ReverseComplement() Seq {
 	out := make(Seq, len(s))

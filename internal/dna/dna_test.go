@@ -83,14 +83,6 @@ func TestReverseComplementInvolution(t *testing.T) {
 	}
 }
 
-func TestComplementInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	s := randomSeq(rng, 137)
-	if !s.Complement().Complement().Equal(s) {
-		t.Error("Complement is not an involution")
-	}
-}
-
 func TestReverseComplementInto(t *testing.T) {
 	s := MustParseSeq("ACGTT")
 	dst := make(Seq, 5)
@@ -159,37 +151,6 @@ func TestReadSetVertexSeq(t *testing.T) {
 	}
 	if rs.VertexLen(0) != 5 || rs.VertexLen(1) != 5 {
 		t.Error("VertexLen wrong")
-	}
-}
-
-func TestPackUnpackRoundTrip(t *testing.T) {
-	f := func(raw []byte) bool {
-		s := make(Seq, len(raw))
-		for i, b := range raw {
-			s[i] = b & 3
-		}
-		p := Pack(s)
-		if p.Len() != len(s) {
-			return false
-		}
-		return p.Unpack().Equal(s)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPackedGet(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := randomSeq(rng, 100)
-	p := Pack(s)
-	for i := range s {
-		if p.Get(i) != s[i] {
-			t.Fatalf("Get(%d) = %d, want %d", i, p.Get(i), s[i])
-		}
-	}
-	if p.Bytes() != 8*int64((100+31)/32) {
-		t.Errorf("Bytes = %d", p.Bytes())
 	}
 }
 

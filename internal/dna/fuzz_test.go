@@ -6,10 +6,10 @@ import (
 )
 
 // FuzzPackedRoundTrip feeds arbitrary bytes through the 2-bit packed
-// encoding: every input is masked into valid base codes, packed, and read
-// back via Get, Unpack, and the PackedReadSet bulk storage. Any mismatch
-// means the packed representation the pipeline's host-memory budgets
-// assume is lossy.
+// read storage: every input is masked into valid base codes, split into
+// reads, packed into a PackedReadSet and read back via Len, Read and
+// ReadInto. Any mismatch means the packed representation the pipeline's
+// host-memory budgets assume is lossy.
 func FuzzPackedRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -23,40 +23,19 @@ func FuzzPackedRoundTrip(f *testing.F) {
 			seq[i] = b & 3
 		}
 
-		p := Pack(seq)
-		if p.Len() != len(seq) {
-			t.Fatalf("Len = %d, want %d", p.Len(), len(seq))
-		}
-		for i := range seq {
-			if got := p.Get(i); got != seq[i] {
-				t.Fatalf("Get(%d) = %d, want %d", i, got, seq[i])
-			}
-		}
-		if got := p.Unpack(); !got.Equal(seq) {
-			t.Fatalf("Unpack mismatch: %v != %v", got, seq)
-		}
-		if p.Bytes() < int64(len(seq)+3)/4 {
-			t.Fatalf("Bytes = %d, too small for %d bases", p.Bytes(), len(seq))
-		}
-
-		// Split the same bases into multiple reads and round-trip through
-		// the bulk packed read set. The first byte picks the chunk size so
-		// the fuzzer explores different read-boundary alignments.
+		// Split the bases into reads, then append the whole input as one
+		// more read so a single read crosses word boundaries. The first
+		// byte picks the chunk size so the fuzzer explores different
+		// read-boundary alignments.
 		chunk := 1
 		if len(raw) > 0 {
 			chunk = int(raw[0])%7 + 1
 		}
-		rs := NewReadSet(4, len(seq))
+		rs := NewReadSet(4, 2*len(seq))
 		for off := 0; off < len(seq); off += chunk {
-			end := off + chunk
-			if end > len(seq) {
-				end = len(seq)
-			}
-			rs.Append(seq[off:end])
+			rs.Append(seq[off:min(off+chunk, len(seq))])
 		}
-		if rs.NumReads() == 0 {
-			return
-		}
+		rs.Append(seq)
 		prs := PackReadSet(rs)
 		if prs.NumReads() != rs.NumReads() {
 			t.Fatalf("NumReads = %d, want %d", prs.NumReads(), rs.NumReads())
@@ -76,6 +55,9 @@ func FuzzPackedRoundTrip(f *testing.F) {
 			if got := prs.ReadInto(uint32(i), buf); !got.Equal(want) {
 				t.Fatalf("read %d: ReadInto mismatch", i)
 			}
+		}
+		if prs.ApproxBytes() < (rs.TotalBases()+3)/4 {
+			t.Fatalf("ApproxBytes = %d, too small for %d bases", prs.ApproxBytes(), rs.TotalBases())
 		}
 	})
 }

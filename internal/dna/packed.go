@@ -1,57 +1,16 @@
 package dna
 
-// Packed is a 2-bit-per-base packed sequence. The pipeline keeps bulk read
-// storage packed when host memory is the constrained resource (the paper's
-// host-memory budgets assume 2-bit encoded bases), and unpacks into Seq
-// views only for the batch currently being processed.
-type Packed struct {
-	words []uint64
-	n     int
-}
-
+// basesPerWord is how many 2-bit codes one packed word holds.
 const basesPerWord = 32
-
-// Pack converts a Seq into its packed representation.
-func Pack(s Seq) Packed {
-	p := Packed{
-		words: make([]uint64, (len(s)+basesPerWord-1)/basesPerWord),
-		n:     len(s),
-	}
-	for i, c := range s {
-		p.words[i/basesPerWord] |= uint64(c&3) << uint((i%basesPerWord)*2)
-	}
-	return p
-}
-
-// Len returns the number of bases.
-func (p Packed) Len() int { return p.n }
-
-// Get returns the base code at position i.
-func (p Packed) Get(i int) byte {
-	return byte(p.words[i/basesPerWord]>>uint((i%basesPerWord)*2)) & 3
-}
-
-// Unpack expands the packed sequence into a fresh Seq.
-func (p Packed) Unpack() Seq {
-	out := make(Seq, p.n)
-	for i := 0; i < p.n; i++ {
-		out[i] = p.Get(i)
-	}
-	return out
-}
-
-// Bytes returns the in-memory size of the packed payload in bytes.
-func (p Packed) Bytes() int64 { return 8 * int64(len(p.words)) }
 
 // PackedReadSet stores many reads 2-bit packed with a shared offset table.
 // It is the storage format used when a whole scaled dataset is held in
 // host memory (e.g. by the contig phase, which streams reads a second
 // time).
 type PackedReadSet struct {
-	words   []uint64
-	starts  []int64 // base offsets; len = NumReads+1
-	maxLen  int
-	scratch Seq
+	words  []uint64
+	starts []int64 // base offsets; len = NumReads+1
+	maxLen int
 }
 
 // PackReadSet converts an unpacked read set.

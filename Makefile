@@ -43,9 +43,10 @@ race:
 	$(GO) test -race -count=10 -run 'TestRunOrdered|TestSortPartitionsReportsEarliestFailure' ./internal/core/
 
 # Short fuzz passes over the parsers, the packed encoding, the graph
-# stores, the fingerprint kernel (held to the reference hash and to the
-# Hillis-Steele scan's charges) and the prefetching window (Advance +
-# Adopt held to Consume + Fill); the seed corpora live under
+# stores, the two-hop reducer (held to Myers' sweep), the fingerprint
+# kernel (held to the reference hash and to the Hillis-Steele scan's
+# charges) and the prefetching window (Advance + Adopt held to Consume +
+# Fill); the seed corpora live under
 # testdata/fuzz/ or in the targets' f.Add calls.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzPackedRoundTrip -fuzztime=10s ./internal/dna/
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzEliasFanoPair -fuzztime=10s ./internal/bitvec/
 	$(GO) test -run=NONE -fuzz=FuzzVecBounds -fuzztime=10s ./internal/gpu/
 	$(GO) test -run=NONE -fuzz=FuzzSpmatFromEdgeRuns -fuzztime=10s ./internal/spmat/
+	$(GO) test -run=NONE -fuzz=FuzzTwoHopMatchesMyers -fuzztime=10s ./internal/spmat/
 	$(GO) test -run=NONE -fuzz=FuzzSuccinctFromEdgeRuns -fuzztime=10s ./internal/succinct/
 	$(GO) test -run=NONE -fuzz=FuzzScanRead -fuzztime=10s ./internal/fingerprint/
 

@@ -156,15 +156,16 @@ type graphBenchReport struct {
 	Rows []graphBenchRow `json:"rows"`
 }
 
-// BenchmarkGraphBackends compares the reduce/compress engines — greedy,
-// the sgraph full graph, and the spmat masked-SpGEMM backend — on two
-// bench-scale datasets, pinning the refinement contract (spmat never
-// removes fewer transitive edges than the Myers sweep, and the greedy
-// engine removes none) and reporting modeled seconds per engine. When
+// BenchmarkGraphBackends compares the reduce/compress engines — greedy
+// and the spmat masked-SpGEMM backend — on two bench-scale datasets,
+// checking that spmat removes at least as many edges as greedy (which
+// removes none) and reporting modeled seconds per engine. (spmat against
+// Myers' sweep is checked by the oracle tests: TestBackendDifferential in
+// internal/core and FuzzTwoHopMatchesMyers in internal/spmat.) When
 // BENCH_GRAPH_OUT names a file, the comparison table is written there as
 // JSON for the bench_gate regression check and EXPERIMENTS.md.
 func BenchmarkGraphBackends(b *testing.B) {
-	backends := []string{"greedy", "full", "spmat"}
+	backends := []string{"greedy", "spmat"}
 	var rep graphBenchReport
 	for _, idx := range []int{0, 3} {
 		p, rs := benchReads(b, idx)
@@ -190,15 +191,9 @@ func BenchmarkGraphBackends(b *testing.B) {
 				results[backend] = res
 			})
 		}
-		full, spmat := results["full"], results["spmat"]
-		if full == nil || spmat == nil {
+		spmat := results["spmat"]
+		if spmat == nil {
 			continue // sub-benchmark filtered out
-		}
-		// The refinement contract the differential tests pin at small
-		// scale must hold at bench scale too.
-		if spmat.ReducedEdges < full.ReducedEdges {
-			b.Fatalf("%s: spmat removed %d transitive edges, full graph removed %d",
-				p.Name, spmat.ReducedEdges, full.ReducedEdges)
 		}
 		if g := results["greedy"]; g != nil && spmat.ReducedEdges < g.ReducedEdges {
 			b.Fatalf("%s: spmat removed %d transitive edges, greedy removed %d",

@@ -6,7 +6,7 @@
 //
 //	lasagna -in reads.fastq -workspace ./work -lmin 63
 //	lasagna -in reads.fastq -workspace ./work -lmin 63 -nodes 8 -gpu K20X
-//	lasagna -in a.fastq.gz,b.fastq.gz -workspace ./work -dedupe -graph-backend full -reference genome.fasta
+//	lasagna -in a.fastq.gz,b.fastq.gz -workspace ./work -dedupe -graph-backend spmat -reference genome.fasta
 //	lasagna -in reads.fastq -workspace ./work -resume   # re-enter an interrupted run
 //
 // Observability (composes with every mode above, including -resume):
@@ -49,7 +49,7 @@ func main() {
 		keepFiles  = flag.Bool("keep-intermediate", false, "retain partition/sort files")
 		dedupe     = flag.Bool("dedupe", false, "remove duplicate reads before assembly")
 		packed     = flag.Bool("packed", false, "store bulk reads 2-bit packed in host memory")
-		backend    = flag.String("graph-backend", "", "reduce/compress engine: greedy (default; the paper's bit-vector graph), full (full string graph with Myers transitive reduction), spmat (CSR sparse matrix with masked-SpGEMM transitive reduction), or succinct (compressed rank/select adjacency built in one pass from sorted edge runs)")
+		backend    = flag.String("graph-backend", "", "reduce/compress engine: greedy (default; the paper's bit-vector graph), spmat (full string graph as a CSR sparse matrix with masked-SpGEMM transitive reduction), or succinct (compressed rank/select adjacency built in one pass from sorted edge runs)")
 		byFp       = flag.Bool("partition-by-fingerprint", false, "distributed shuffle by fingerprint range (with -nodes)")
 		workers    = flag.Int("workers", 0, "concurrent partition workers, per node with -nodes (0 = GOMAXPROCS, 1 = serial; output is identical)")
 		reference  = flag.String("reference", "", "optional reference FASTA for a quality report")

@@ -44,7 +44,6 @@ func TestClusterRunsEveryKnob(t *testing.T) {
 		{"VerifyOverlaps", func(c *core.Config) { c.VerifyOverlaps = true }},
 		{"DedupeReads", func(c *core.Config) { c.DedupeReads = true }},
 		{"PackedReads", func(c *core.Config) { c.PackedReads = true }},
-		{"GraphBackend=full", func(c *core.Config) { c.GraphBackend = core.BackendFull }},
 		{"KeepIntermediate", func(c *core.Config) { c.KeepIntermediate = true }},
 	}
 	for _, knob := range knobs {

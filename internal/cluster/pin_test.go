@@ -85,10 +85,11 @@ func pinSingle(t *testing.T, res *core.Result) pin {
 // testdata/pins.json, for {1, 3} nodes x every graph backend x both
 // partitionings at Workers 1 and 4, and the single-node pipeline at Workers
 // 1 and 4. The file was recorded before the node runtime moved into core
-// (go test ./internal/cluster -run TestModeledPins -update-pins rewrites it;
-// the "fullgraph" cells were added when the cluster learned the full graph,
-// then a flag of its own): a worker count is not part of a cell's key, so
-// the table also asserts modeled cost is worker-independent.
+// (go test ./internal/cluster -run TestModeledPins -update-pins rewrites it):
+// a worker count is not part of a cell's key, so the table also asserts
+// modeled cost is worker-independent. A recorded cell that no run produces
+// fails too, so a backend dropped from core.Backends cannot leave its pins
+// behind unnoticed.
 func TestModeledPins(t *testing.T) {
 	_, reads := testData(t)
 	path := filepath.Join("testdata", "pins.json")
@@ -115,13 +116,8 @@ func TestModeledPins(t *testing.T) {
 			t.Errorf("%s (%s):\n got %+v\nwant %+v", key, variant, norm, w)
 		}
 	}
-	for _, backend := range core.Backends {
-		// The full graph's cells keep the name they were recorded under.
-		engine := backend
-		if backend == core.BackendFull {
-			engine = "fullgraph"
-		}
-		use := func(cfg *core.Config) { cfg.GraphBackend = backend }
+	for _, engine := range core.Backends {
+		use := func(cfg *core.Config) { cfg.GraphBackend = engine }
 		for _, workers := range []int{1, 4} {
 			cfg := singleConfig(t)
 			use(&cfg)
@@ -155,6 +151,11 @@ func TestModeledPins(t *testing.T) {
 						fmt.Sprintf("Workers=%d", workers), pinCluster(t, res))
 				}
 			}
+		}
+	}
+	for key := range want {
+		if _, ok := got[key]; !ok && !*updatePins {
+			t.Errorf("%s: recorded in %s but no run produces it", key, path)
 		}
 	}
 	if *updatePins {

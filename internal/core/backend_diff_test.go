@@ -2,27 +2,38 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/dna"
+	"repro/internal/graph"
 	"repro/internal/quality"
 	"repro/internal/readsim"
+	"repro/internal/sga"
+	"repro/internal/sgraph"
 )
 
 // The backend differential harness runs the full pipeline under every
-// graph engine — greedy, the sgraph full graph, and the spmat sparse-
-// matrix backend — over a spread of read profiles, and pins the contract
-// between them:
+// graph engine — greedy, the spmat sparse-matrix backend and the succinct
+// compressed store — over a spread of read profiles, and holds them to a
+// reference built outside the pipeline: every exact overlap the FM-index
+// finds (package sga), reduced by Myers' sweep (package sgraph). It pins:
 //
+//   - spmat's string graph has the reference's edges: accepted plus
+//     removed equals the reference's total, which holds the pipeline's
+//     candidates to the FM-index.
 //   - spmat removes at least as many transitive edges as the Myers sweep
 //     (masked SpGEMM sees witness pairs the sweep's in-play pruning
 //     skips; see internal/spmat's package doc).
 //   - When the removed-edge counts agree, the live edge sets agree
-//     (superset + equal cardinality), so the contig FASTA must be
-//     byte-identical to the full-graph output.
+//     (superset + equal cardinality): spmat's edges.kv equals the sweep's
+//     live edges.
+//   - succinct matches spmat bit for bit.
 //   - The spmat FASTA is either byte-identical to the default greedy
 //     pipeline's output, or it is a documented refinement pinned by a
 //     golden file under testdata/golden/ — any other drift fails.
@@ -93,37 +104,70 @@ var backendShapes = []backendShape{
 }
 
 // runBackendShape assembles one shape under one engine and returns the
-// result plus the FASTA bytes written to disk.
-func runBackendShape(t *testing.T, shape backendShape, engine string) (*Result, []byte) {
+// result, the FASTA bytes written to disk and the live edges the run
+// persisted to edges.kv.
+func runBackendShape(t *testing.T, shape backendShape, backend string) (*Result, []byte, []graph.Edge) {
 	t.Helper()
-	genome := readsim.Genome(shape.genome)
-	reads := readsim.Simulate(genome, shape.reads)
 	cfg := smallConfig(t)
 	shape.mutate(&cfg)
-	switch engine {
-	case "greedy":
-	case "full":
-		cfg.GraphBackend = BackendFull
-	case "spmat":
-		cfg.GraphBackend = BackendSpmat
-	case "succinct":
-		cfg.GraphBackend = BackendSuccinct
-	default:
-		t.Fatalf("unknown engine %q", engine)
-	}
+	cfg.GraphBackend = backend
+	cfg.KeepIntermediate = true
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Assemble(reads)
+	res, err := p.Assemble(shapeReads(shape))
 	if err != nil {
-		t.Fatalf("engine %s: %v", engine, err)
+		t.Fatalf("engine %s: %v", backend, err)
 	}
 	fasta, err := os.ReadFile(res.ContigPath)
 	if err != nil {
-		t.Fatalf("engine %s: %v", engine, err)
+		t.Fatalf("engine %s: %v", backend, err)
 	}
-	return res, fasta
+	it, err := newEdgeFileIterator(filepath.Join(cfg.Workspace, edgeFileName), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var live []graph.Edge
+	if err := loadEdges(it.Next, func(e graph.Edge) { live = append(live, e) }); err != nil {
+		t.Fatal(err)
+	}
+	return res, fasta, live
+}
+
+func shapeReads(shape backendShape) *dna.ReadSet {
+	return readsim.Simulate(readsim.Genome(shape.genome), shape.reads)
+}
+
+// myersReference builds a shape's reference string graph outside the
+// pipeline: the reads prepared as the pipeline prepares them, every exact
+// overlap of at least MinOverlap the FM-index finds, and Myers' sweep. It
+// returns the reduced graph and the number of edges the sweep removed.
+func myersReference(t *testing.T, shape backendShape) (*sgraph.Graph, int64) {
+	t.Helper()
+	cfg := smallConfig(t)
+	shape.mutate(&cfg)
+	prepared, _, err := cfg.PrepareReads(shapeReads(shape))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := prepared.(*dna.ReadSet)
+	g := sgraph.New(reads.NumReads())
+	for _, e := range sga.BuildIndex(reads).AllOverlaps(cfg.MinOverlap) {
+		g.AddOverlap(e.U, e.V, e.Len)
+	}
+	return g, g.TransitiveReduce(reads.VertexLen, cfg.TransitiveFuzz)
+}
+
+// sortedEdges returns edges ordered by (U, V), the order edges.kv holds
+// a two-hop engine's live set in.
+func sortedEdges(edges []graph.Edge) []graph.Edge {
+	out := slices.Clone(edges)
+	slices.SortFunc(out, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	return out
 }
 
 func goldenPath(shape string) string {
@@ -134,10 +178,10 @@ func TestBackendDifferential(t *testing.T) {
 	for _, shape := range backendShapes {
 		shape := shape
 		t.Run(shape.name, func(t *testing.T) {
-			greedy, greedyFasta := runBackendShape(t, shape, "greedy")
-			full, fullFasta := runBackendShape(t, shape, "full")
-			sp, spFasta := runBackendShape(t, shape, "spmat")
-			succ, succFasta := runBackendShape(t, shape, "succinct")
+			_, greedyFasta, _ := runBackendShape(t, shape, BackendGreedy)
+			sp, spFasta, spLive := runBackendShape(t, shape, BackendSpmat)
+			succ, succFasta, _ := runBackendShape(t, shape, BackendSuccinct)
+			ref, refRemoved := myersReference(t, shape)
 
 			// The succinct backend runs spmat's exact reduction predicate
 			// over the compressed store, so its counters and contigs must
@@ -151,21 +195,24 @@ func TestBackendDifferential(t *testing.T) {
 				t.Errorf("succinct FASTA differs from spmat FASTA")
 			}
 
+			t.Logf("reference: %d edges, %d removed by the sweep; spmat removed %d",
+				ref.NumEdges(true), refRemoved, sp.ReducedEdges)
+			// The pipeline's candidates build the FM-index's string graph.
+			if total := ref.NumEdges(true); sp.AcceptedEdges+sp.ReducedEdges != total {
+				t.Errorf("spmat saw %d+%d edges, the FM-index reference %d",
+					sp.AcceptedEdges, sp.ReducedEdges, total)
+			}
 			// The masked SpGEMM removes a superset of the Myers sweep's
 			// transitive edges — never fewer.
-			if sp.ReducedEdges < full.ReducedEdges {
-				t.Errorf("spmat removed %d transitive edges, full graph removed %d",
-					sp.ReducedEdges, full.ReducedEdges)
+			if sp.ReducedEdges < refRemoved {
+				t.Errorf("spmat removed %d transitive edges, Myers' sweep removed %d",
+					sp.ReducedEdges, refRemoved)
 			}
-			if sp.AcceptedEdges+sp.ReducedEdges != full.AcceptedEdges+full.ReducedEdges {
-				t.Errorf("backends saw different string graphs: spmat %d+%d edges, full %d+%d",
-					sp.AcceptedEdges, sp.ReducedEdges, full.AcceptedEdges, full.ReducedEdges)
-			}
-
 			// Superset + equal count ⇒ equal removed set ⇒ identical live
-			// graph ⇒ identical unitigs, byte for byte.
-			if sp.ReducedEdges == full.ReducedEdges && !bytes.Equal(spFasta, fullFasta) {
-				t.Errorf("equal removed-edge counts (%d) but spmat FASTA differs from full-graph FASTA",
+			// graph.
+			if sp.ReducedEdges == refRemoved &&
+				!slices.Equal(spLive, sortedEdges(ref.DirectedEdges())) {
+				t.Errorf("equal removed-edge counts (%d) but spmat's live edges differ from the sweep's",
 					sp.ReducedEdges)
 			}
 
@@ -199,7 +246,6 @@ func TestBackendDifferential(t *testing.T) {
 					t.Errorf("spmat FASTA drifted from the committed golden %s", golden)
 				}
 			}
-			_ = greedy
 
 			// Quality floor: the refinement must never invent sequence.
 			genome := readsim.Genome(shape.genome)

@@ -68,22 +68,22 @@ type Config struct {
 	// graph and resume".
 	Resume bool
 	// TransitiveFuzz is the overhang slack allowed when identifying
-	// transitive edges under the full, spmat and succinct engines (0 suits
+	// transitive edges under the spmat and succinct engines (0 suits
 	// exact, error-free overlaps).
 	TransitiveFuzz int
 	// GraphBackend selects the engine behind the Reduce and Compress
 	// stages (DESIGN.md, "Graph engines"); it is the one field that does.
 	// "" or BackendGreedy is the paper's greedy bit-vector graph.
-	// BackendFull is the full string graph of Section II-A.2: every
-	// candidate overlap becomes an edge, transitive edges are removed
-	// (Myers 2005), and contigs are spelled from unitig chains, at a memory
-	// cost proportional to the overlaps instead of the reads. BackendSpmat
-	// stores the string graph as a CSR sparse matrix and removes transitive
-	// edges with a masked SpGEMM pass metered as batched, tiled device
-	// kernels (see internal/spmat); it removes a superset of the Myers
-	// sweep's transitive edges while preserving reachability, and spells
-	// contigs by the same unitig rule (see DESIGN.md, "Sparse-matrix graph
-	// backend"). BackendSuccinct runs the same reduction predicate over a
+	// BackendSpmat builds the full string graph of Section II-A.2 (every
+	// candidate overlap becomes an edge, at a memory cost proportional to
+	// the overlaps instead of the reads) as a CSR sparse matrix, removes
+	// transitive edges with a masked SpGEMM pass metered as batched, tiled
+	// device kernels (see internal/spmat), and spells contigs from unitig
+	// chains; it removes a superset of the edges Myers' sweep (the test
+	// oracle in internal/sgraph) removes while preserving reachability (see
+	// DESIGN.md, "Sparse-matrix graph backend"). The former "full" backend,
+	// which ran that sweep in the pipeline, is rejected by Validate.
+	// BackendSuccinct runs the same reduction predicate over a
 	// delta-compressed adjacency store built streaming off the sorted
 	// candidate runs, trading decode work for a host peak several times
 	// below the CSR and edge-list layouts (see DESIGN.md, "Succinct overlap-
@@ -96,8 +96,8 @@ type Config struct {
 	PackedReads bool
 	// DedupeReads removes duplicate reads (including reverse-complement
 	// duplicates) before assembly. The paper does not deduplicate, but
-	// high-coverage data forms greedy 2-cycles between duplicate reads
-	// that fragment contigs; see dna.Deduplicate.
+	// duplicate reads fragment contigs on every backend (greedy 2-cycles,
+	// unreducible branches in the string graph); see dna.Deduplicate.
 	DedupeReads bool
 	// VerifyOverlaps cross-checks every candidate edge against the actual
 	// read sequences before inserting it, turning fingerprint false
@@ -125,10 +125,6 @@ const (
 	// BackendGreedy is the paper's reduce/compress engine (also the
 	// resolution of the empty string).
 	BackendGreedy = "greedy"
-	// BackendFull is the full string graph: adjacency lists holding every
-	// candidate edge, Myers' transitive-reduction sweep, unitig compression
-	// (see internal/sgraph).
-	BackendFull = "full"
 	// BackendSpmat is the sparse-matrix engine: CSR adjacency, masked
 	// SpGEMM transitive reduction, unitig compression.
 	BackendSpmat = "spmat"
@@ -142,7 +138,7 @@ const (
 )
 
 // Backends lists the valid GraphBackend values, for CLI/API validation.
-var Backends = []string{BackendGreedy, BackendFull, BackendSpmat, BackendSuccinct}
+var Backends = []string{BackendGreedy, BackendSpmat, BackendSuccinct}
 
 // Progress events delivered to Config.Progress.
 const (
@@ -193,6 +189,11 @@ func (c Config) Validate() error {
 	if need := int64(2*c.DeviceBlockPairs) * kv.PairBytes; need > c.GPU.MemBytes {
 		return fmt.Errorf("core: device block needs %d bytes, %s has %d",
 			need, c.GPU.Name, c.GPU.MemBytes)
+	}
+	if c.GraphBackend == "full" {
+		// Not mapped to spmat: spmat may remove more edges than the sweep
+		// did, so the FASTA a "full" run wrote can differ.
+		return fmt.Errorf("core: GraphBackend %q was removed; use %q, which reduces the same string graph", c.GraphBackend, BackendSpmat)
 	}
 	if c.GraphBackend != "" && !slices.Contains(Backends, c.GraphBackend) {
 		return fmt.Errorf("core: unknown GraphBackend %q (want one of %v)", c.GraphBackend, Backends)

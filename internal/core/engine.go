@@ -79,8 +79,6 @@ type EngineStats struct {
 func (n *Node) NewGraphEngine(rs dna.ReadSource) GraphEngine {
 	base := engineBase{env: n, rs: rs}
 	switch n.cfg.backend() {
-	case BackendFull:
-		return &fullEngine{engineBase: base, g: sgraph.New(rs.NumReads())}
 	case BackendSpmat:
 		return &spmatEngine{twoHopEngine{engineBase: base}, spmat.NewBuilder(rs.NumReads())}
 	case BackendSuccinct:
@@ -183,41 +181,6 @@ func (e *greedyEngine) Paths() ([]graph.Path, error) {
 		IncludeSingletons: e.env.cfg.IncludeSingletons,
 		BreakCycles:       e.env.cfg.BreakCycles,
 	}), nil
-}
-
-// fullEngine is BackendFull: every candidate enters the
-// adjacency-list string graph and Myers' sweep marks the transitive ones.
-// Its host bytes are known only once the adjacency lists stop growing.
-type fullEngine struct {
-	engineBase
-	g       *sgraph.Graph
-	removed int64
-}
-
-func (e *fullEngine) Add(u, v uint32, l uint16) { e.g.AddOverlap(u, v, l) }
-
-func (e *fullEngine) Seal(context.Context) error {
-	e.hold(e.g.ApproxBytes())
-	e.removed = e.g.TransitiveReduce(e.rs.VertexLen, e.env.cfg.TransitiveFuzz)
-	return nil
-}
-
-func (e *fullEngine) Load(next func() (graph.Edge, bool, error)) error {
-	err := loadEdges(next, func(ed graph.Edge) { e.g.InstallEdge(ed.U, ed.V, ed.Len) })
-	if err == nil {
-		e.hold(e.g.ApproxBytes())
-	}
-	return err
-}
-
-func (e *fullEngine) Live() LiveEdges { return &edgeSlice{edges: e.g.DirectedEdges()} }
-
-func (e *fullEngine) Stats() EngineStats {
-	return EngineStats{NNZ: e.g.NumEdges(true), Removed: e.removed}
-}
-
-func (e *fullEngine) Paths() ([]graph.Path, error) {
-	return e.g.Unitigs(e.rs.VertexLen, e.env.cfg.IncludeSingletons), nil
 }
 
 // twoHopEngine is everything the row-store backends share once a store

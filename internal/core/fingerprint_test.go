@@ -6,8 +6,9 @@ import "testing"
 // run, a serve job workspace and a cluster node manifest all match on these
 // strings, so a change to the spelling silently turns every resume into a
 // cold run. The hex values were recorded before the full string graph moved
-// from its own FullGraph flag into GraphBackend and before the map-kernel
-// and traversal ablations left Config; they must not change.
+// from its own FullGraph flag into GraphBackend (and later left the
+// product) and before the map-kernel and traversal ablations left Config;
+// they must not change.
 func TestConfigFingerprintStable(t *testing.T) {
 	cells := []struct {
 		name string
@@ -18,8 +19,6 @@ func TestConfigFingerprintStable(t *testing.T) {
 			"2f1516ae7225b7adfdc6395f9988fd03ef134b67d2720bcbaa4ec40c8be4f033"},
 		{"greedy-explicit", func(c *Config) { c.GraphBackend = BackendGreedy },
 			"2f1516ae7225b7adfdc6395f9988fd03ef134b67d2720bcbaa4ec40c8be4f033"},
-		{"full", func(c *Config) { c.GraphBackend = BackendFull },
-			"4e6e44ac5ba932eb0feea0b74580fa5fa083ccb77983abccc9106452f8174a9d"},
 		{"spmat", func(c *Config) { c.GraphBackend = BackendSpmat },
 			"232aacbe049c07889084affab070aee0abc7172a0e990d534983587f3298727f"},
 		{"succinct", func(c *Config) { c.GraphBackend = BackendSuccinct },

@@ -8,11 +8,15 @@ import (
 	"repro/internal/readsim"
 )
 
+// The tests in this file run the full string graph of Section II-A.2, as
+// opposed to the paper's greedy graph, through the pipeline: the spmat
+// backend builds it from every candidate overlap and reduces it.
+
 func TestFullGraphModeAssembles(t *testing.T) {
 	genome := readsim.Genome(readsim.GenomeParams{Length: 5000, Seed: 501})
 	reads := readsim.Simulate(genome, readsim.ReadParams{ReadLen: 64, Coverage: 14, Seed: 502})
 	cfg := smallConfig(t)
-	cfg.GraphBackend = BackendFull
+	cfg.GraphBackend = BackendSpmat
 	cfg.DedupeReads = true
 	cfg.VerifyOverlaps = true
 	p, err := New(cfg)
@@ -67,16 +71,16 @@ func TestFullGraphAtLeastAsContiguousAsGreedy(t *testing.T) {
 		return res.ContigStats.N50
 	}
 	greedy := run(BackendGreedy)
-	full := run(BackendFull)
+	full := run(BackendSpmat)
 	if full < greedy {
-		t.Errorf("full-graph N50 %d < greedy N50 %d", full, greedy)
+		t.Errorf("full-graph (spmat) N50 %d < greedy N50 %d", full, greedy)
 	}
 }
 
 func TestFullGraphContigsWrittenToFasta(t *testing.T) {
 	_, reads := testGenomeReads(t, 1500, 50, 10)
 	cfg := smallConfig(t)
-	cfg.GraphBackend = BackendFull
+	cfg.GraphBackend = BackendSpmat
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -19,10 +19,6 @@ const modeledGraphDegree = 8
 //
 //   - greedy: per-vertex arrays only (successor, overlap length, one bit
 //     of out-mask) — no per-edge term, the paper's O(reads) design.
-//   - full: sgraph's adjacency lists, which hold every candidate edge in
-//     both directions until the Myers sweep marks the transitive ones —
-//     8 B per edge slot plus a 24-B slice header per vertex
-//     (sgraph.Graph.ApproxBytes).
 //   - spmat: the builder's packed edge keys (8 B/entry) and the packed
 //     CSR (8 B/rowPtr + 6 B/entry) coexist at Build time, so the peak is
 //     their sum.
@@ -36,8 +32,6 @@ func GraphHostModel(backend string, numReads, maxReadLen int) int64 {
 	reads := int64(numReads)*int64(maxReadLen) + 4*int64(numReads)
 	var g int64
 	switch backend {
-	case BackendFull:
-		g = 8*nnz + 24*n
 	case BackendSpmat:
 		g = 8*nnz + 8*(n+1) + 6*nnz
 	case BackendSuccinct:

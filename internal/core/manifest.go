@@ -158,21 +158,16 @@ func (c Config) Fingerprint() string {
 	fmt.Fprintf(h, "v1|min=%d|mh=%d|md=%d|mb=%d|gpu=%s/%d",
 		c.MinOverlap, c.HostBlockPairs, c.DeviceBlockPairs,
 		c.MapBatchReads, c.GPU.Name, c.GPU.MemBytes)
-	// The spelling predates BackendFull, when the full graph was a flag of
-	// its own beside a greedy GraphBackend and two ablation switches sat in
-	// Config: it is kept byte for byte (fg=, backend=greedy for full, and
-	// the constant ptrav/naive terms) so existing manifests still resume.
-	full := c.backend() == BackendFull
-	fmt.Fprintf(h, "|sing=%t|cyc=%t|fg=%t|fuzz=%d|ptrav=false|pack=%t|dedupe=%t|naive=false|verify=%t",
-		c.IncludeSingletons, c.BreakCycles, full, c.TransitiveFuzz,
+	// The spelling dates from when the full string graph was a flag of its
+	// own (fg=) and two ablation switches sat in Config (ptrav=, naive=):
+	// those terms are constants now, kept byte for byte so existing
+	// manifests still resume.
+	fmt.Fprintf(h, "|sing=%t|cyc=%t|fg=false|fuzz=%d|ptrav=false|pack=%t|dedupe=%t|naive=false|verify=%t",
+		c.IncludeSingletons, c.BreakCycles, c.TransitiveFuzz,
 		c.PackedReads, c.DedupeReads, c.VerifyOverlaps)
 	// The resolved backend, not the raw knob: "" and "greedy" must
 	// fingerprint identically because they produce identical bytes.
-	backend := c.backend()
-	if full {
-		backend = BackendGreedy
-	}
-	fmt.Fprintf(h, "|backend=%s", backend)
+	fmt.Fprintf(h, "|backend=%s", c.backend())
 	return hex.EncodeToString(h.Sum(nil))
 }
 

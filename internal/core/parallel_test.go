@@ -96,15 +96,16 @@ func TestWorkersDeterminism(t *testing.T) {
 }
 
 // TestWorkersDeterminismFullGraph repeats the worker-count contract for
-// the full-graph tail, whose transitive reduction consumes the candidate
-// edges in insertion order.
+// the full string graph's tail (spmat), whose candidates arrive in a
+// worker-dependent order before the builder sorts them and the masked
+// two-hop pass reduces them.
 func TestWorkersDeterminismFullGraph(t *testing.T) {
 	_, reads := testGenomeReads(t, 2000, 48, 8)
 	var base *Result
 	for _, w := range []int{1, 4} {
 		cfg := smallConfig(t)
 		cfg.Workers = w
-		cfg.GraphBackend = BackendFull
+		cfg.GraphBackend = BackendSpmat
 		p, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -58,7 +58,7 @@ type Result struct {
 	PairsGenerated    int64 // map-phase tuples written
 	CandidateEdges    int64 // reduce-phase fingerprint matches
 	AcceptedEdges     int64 // directed edges in the final graph
-	ReducedEdges      int64 // transitive edges removed (full, spmat, succinct)
+	ReducedEdges      int64 // transitive edges removed (spmat, succinct)
 	FalsePositives    int64 // verified-mismatch candidates (VerifyOverlaps)
 	SortDiskPasses    int   // max disk passes over any partition
 

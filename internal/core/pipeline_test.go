@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -248,21 +249,29 @@ func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		mutate func(*Config)
 		ok     bool
+		errHas string // a substring the error must contain
 	}{
-		{func(c *Config) {}, true},
-		{func(c *Config) { c.Workspace = "" }, false},
-		{func(c *Config) { c.MinOverlap = 0 }, false},
-		{func(c *Config) { c.HostBlockPairs = 0 }, false},
-		{func(c *Config) { c.DeviceBlockPairs = c.HostBlockPairs * 2 }, false},
-		{func(c *Config) { c.MapBatchReads = 0 }, false},
-		{func(c *Config) { c.GPU.MemBytes = 10 }, false},
+		{func(c *Config) {}, true, ""},
+		{func(c *Config) { c.Workspace = "" }, false, ""},
+		{func(c *Config) { c.MinOverlap = 0 }, false, ""},
+		{func(c *Config) { c.HostBlockPairs = 0 }, false, ""},
+		{func(c *Config) { c.DeviceBlockPairs = c.HostBlockPairs * 2 }, false, ""},
+		{func(c *Config) { c.MapBatchReads = 0 }, false, ""},
+		{func(c *Config) { c.GPU.MemBytes = 10 }, false, ""},
+		// Not mapped to spmat, which may remove more edges than the Myers
+		// sweep did: the error names the replacement instead.
+		{func(c *Config) { c.GraphBackend = "full" }, false, `was removed; use "spmat"`},
 	}
 	for i, c := range cases {
 		cfg := base
 		c.mutate(&cfg)
-		if err := cfg.Validate(); (err == nil) != c.ok {
+		err := cfg.Validate()
+		if (err == nil) != c.ok || (err != nil && !strings.Contains(err.Error(), c.errHas)) {
 			t.Errorf("case %d: err=%v ok=%v", i, err, c.ok)
 		}
+	}
+	if fmt.Sprint(Backends) != "[greedy spmat succinct]" {
+		t.Errorf("Backends = %v", Backends)
 	}
 }
 

@@ -120,10 +120,9 @@ func TestGraphHostModel(t *testing.T) {
 	n := 100000
 	greedy := GraphHostModel(BackendGreedy, n, readLen)
 	succ := GraphHostModel(BackendSuccinct, n, readLen)
-	full := GraphHostModel(BackendFull, n, readLen)
 	sp := GraphHostModel(BackendSpmat, n, readLen)
-	if !(greedy < succ && succ < full && full < sp) {
-		t.Errorf("model ordering: greedy=%d succinct=%d full=%d spmat=%d", greedy, succ, full, sp)
+	if !(greedy < succ && succ < sp) {
+		t.Errorf("model ordering: greedy=%d succinct=%d spmat=%d", greedy, succ, sp)
 	}
 
 	for _, backend := range Backends {

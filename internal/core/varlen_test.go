@@ -58,8 +58,8 @@ func TestAssembleVariableLengthReads(t *testing.T) {
 }
 
 // TestAssembleVariableLengthFullGraph covers the transitive-reduction
-// path with heterogeneous lengths, where overhang arithmetic uses
-// per-vertex lengths.
+// path (spmat's masked two-hop pass over the full string graph) with
+// heterogeneous lengths, where overhang arithmetic uses per-vertex lengths.
 func TestAssembleVariableLengthFullGraph(t *testing.T) {
 	genome := readsim.Genome(readsim.GenomeParams{Length: 2000, Seed: 603})
 	rng := rand.New(rand.NewSource(604))
@@ -71,7 +71,7 @@ func TestAssembleVariableLengthFullGraph(t *testing.T) {
 	}
 	cfg := smallConfig(t)
 	cfg.MinOverlap = 28
-	cfg.GraphBackend = BackendFull
+	cfg.GraphBackend = BackendSpmat
 	cfg.DedupeReads = true
 	p, err := New(cfg)
 	if err != nil {

@@ -127,7 +127,7 @@ func TestSortFileStreamsMatchesReference(t *testing.T) {
 // A spill that fits one run ends in drainRun, which charges its reads from
 // the calling goroutine. Those charges must land after the modeled wait on
 // the compute stream however the async I/O executor is scheduled: every
-// repetition hides the same seconds (ROADMAP 3(d) was this flipping
+// repetition hides the same seconds (ROADMAP 10(c) was this flipping
 // between two values).
 func TestSortStreamSingleRunSavedSecondsStable(t *testing.T) {
 	dir := t.TempDir()

@@ -9,7 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -173,110 +173,77 @@ func TestSubmitHostAdmission(t *testing.T) {
 			len(adm.MaxReadsPerBackend), len(core.Backends), adm.MaxReadsPerBackend)
 	}
 	// Denser representations admit fewer reads under the same budget.
-	gr, su, fu, sp := adm.MaxReadsPerBackend[core.BackendGreedy],
+	gr, su, sp := adm.MaxReadsPerBackend[core.BackendGreedy],
 		adm.MaxReadsPerBackend[core.BackendSuccinct],
-		adm.MaxReadsPerBackend[core.BackendFull],
 		adm.MaxReadsPerBackend[core.BackendSpmat]
-	if !(gr >= su && su >= fu && fu >= sp) {
-		t.Errorf("admission ordering greedy=%d succinct=%d full=%d spmat=%d, want non-increasing",
-			gr, su, fu, sp)
+	if !(gr >= su && su >= sp) {
+		t.Errorf("admission ordering greedy=%d succinct=%d spmat=%d, want non-increasing",
+			gr, su, sp)
 	}
 }
 
-// TestSubmitHostAdmissionFull: the full string graph is budgeted for the
-// candidate edges it holds, not as greedy — a job whose greedy footprint
-// fits the host budget but whose full-graph footprint does not answers 422
-// naming the full backend.
-func TestSubmitHostAdmissionFull(t *testing.T) {
-	fq, reads := testFastq(t, 1405)
-	scfg := testServerConfig(t.TempDir())
-	scfg.HostMemBytes = core.GraphHostModel(core.BackendFull, reads.NumReads(), reads.MaxLen()) - 1
-	if core.GraphHostModel(core.BackendGreedy, reads.NumReads(), reads.MaxLen()) > scfg.HostMemBytes {
-		t.Fatal("the budget does not fit the greedy footprint")
-	}
-	srv, err := New(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, err := http.Post(ts.URL+"/v1/jobs?lmin=31&graph-backend=full", "application/octet-stream", bytes.NewReader(fq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains(msg, []byte(`backend \"full\"`)) {
-		t.Fatalf("full-graph submit over its budget: status %d, want 422 naming full: %s", resp.StatusCode, msg)
-	}
-	rec := submitJob(t, ts.URL, fq, "?lmin=31&workers=1")
-	if final := pollJob(t, ts.URL, rec.ID); final.State != StateSucceeded {
-		t.Fatalf("greedy job under the same budget finished %s: %s", final.State, final.Error)
-	}
-	if err := srv.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLegacyFullGraphRecordResumes: a job record written while the full
-// string graph was its own "fullGraph" flag loads as graphBackend "full",
-// and since the config fingerprint is unchanged, a server restarted over a
-// crashed full-graph job resumes it from its committed stages to the FASTA
-// of a cold full-graph run.
-func TestLegacyFullGraphRecordResumes(t *testing.T) {
+// TestLegacyFullGraphRecordFails: a server restarted over jobs recorded
+// under the removed "full" backend — spelt graphBackend "full", or
+// "fullGraph": true from when the full graph was a flag of its own —
+// fails each of them with an error naming spmat instead of running it
+// under another engine, and still runs a greedy job from the same store.
+func TestLegacyFullGraphRecordFails(t *testing.T) {
 	root := t.TempDir()
 	fq, reads := testFastq(t, 1406)
-	params := Params{MinOverlap: 31, Workers: 1, GraphBackend: core.BackendFull}
+	params := Params{MinOverlap: 31, Workers: 1}
 
 	scfg := testServerConfig(root)
 	scfg.MaxConcurrent = 1
 	want := directFasta(t, scfg, params, reads)
-	sortCommitted := make(chan struct{})
+	mapCommitted := make(chan struct{})
 	var once sync.Once
 	scfg.StageCommitHook = func(ctx context.Context, id string, stage core.PhaseName) error {
-		if stage == core.PhaseSort {
-			once.Do(func() { close(sortCommitted) })
-			<-ctx.Done() // crash between Sort and Reduce
-			return ctx.Err()
-		}
-		return nil
+		once.Do(func() { close(mapCommitted) })
+		<-ctx.Done() // crash after the first job's Map; the others stay queued
+		return ctx.Err()
 	}
 	srv, err := New(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	rec := submitJob(t, ts.URL, fq, "?lmin=31&workers=1&graph-backend=full")
-	<-sortCommitted
+	var ids []string
+	for i := 0; i < 3; i++ {
+		ids = append(ids, submitJob(t, ts.URL, fq, "?lmin=31&workers=1").ID)
+	}
+	<-mapCommitted
 	srv.Kill()
 	ts.Close()
 
-	// Rewrite the record the way the older server spelt it.
-	path := filepath.Join(srv.Store().JobDir(rec.ID), recordFile)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// Rewrite two records the way older servers spelt a full-graph job.
+	rewrite := func(id string, edit func(params map[string]any)) {
+		path := filepath.Join(srv.Store().JobDir(id), recordFile)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		edit(doc["params"].(map[string]any))
+		if raw, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	p := doc["params"].(map[string]any)
-	delete(p, "graphBackend")
-	p["fullGraph"] = true
-	if raw, err = json.Marshal(doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := srv.Store().Load(rec.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Params.GraphBackend != core.BackendFull {
-		t.Fatalf("legacy record loads with graphBackend %q, want %q", loaded.Params.GraphBackend, core.BackendFull)
+	rewrite(ids[1], func(p map[string]any) { p["graphBackend"] = "full" })
+	rewrite(ids[2], func(p map[string]any) { p["fullGraph"] = true })
+	for _, id := range ids[1:] {
+		loaded, err := srv.Store().Load(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Params.GraphBackend != "full" {
+			t.Fatalf("legacy record %s loads with graphBackend %q, want \"full\"", id, loaded.Params.GraphBackend)
+		}
 	}
 
 	scfg2 := testServerConfig(root)
@@ -287,15 +254,17 @@ func TestLegacyFullGraphRecordResumes(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	final := pollJob(t, ts2.URL, rec.ID)
-	if final.State != StateSucceeded {
-		t.Fatalf("resumed legacy job finished %s: %s", final.State, final.Error)
+	if final := pollJob(t, ts2.URL, ids[0]); final.State != StateSucceeded {
+		t.Errorf("recovered greedy job finished %s: %s", final.State, final.Error)
+	} else if got := fetchResult(t, ts2.URL, final.ID); !bytes.Equal(got, want) {
+		t.Errorf("recovered greedy job FASTA differs from a cold run (%d vs %d bytes)", len(got), len(want))
 	}
-	if !slices.Equal(final.CachedStages, []string{string(core.PhaseMap), string(core.PhaseSort)}) {
-		t.Errorf("resumed legacy job replayed %v, want Map and Sort", final.CachedStages)
-	}
-	if got := fetchResult(t, ts2.URL, final.ID); !bytes.Equal(got, want) {
-		t.Errorf("resumed legacy job FASTA differs from a cold full-graph run (%d vs %d bytes)", len(got), len(want))
+	for _, id := range ids[1:] {
+		final := pollJob(t, ts2.URL, id)
+		if final.State != StateFailed || !strings.Contains(final.Error, core.BackendSpmat) {
+			t.Errorf("recovered full-graph job %s finished %s (%q), want failed naming %s",
+				id, final.State, final.Error, core.BackendSpmat)
+		}
 	}
 	if err := srv2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -303,7 +272,8 @@ func TestLegacyFullGraphRecordResumes(t *testing.T) {
 }
 
 // TestSubmitGraphBackendValidation rejects malformed backend submissions
-// before a job record is ever created; fullgraph is no longer a submit key.
+// before a job record is ever created: fullgraph is no longer a submit
+// key, and full no longer a backend.
 func TestSubmitGraphBackendValidation(t *testing.T) {
 	scfg := testServerConfig(t.TempDir())
 	srv, err := New(scfg)
@@ -316,6 +286,7 @@ func TestSubmitGraphBackendValidation(t *testing.T) {
 	fq, _ := testFastq(t, 1402)
 	for _, query := range []string{
 		"?graph-backend=bogus",
+		"?graph-backend=full",
 		"?graph-backend=spmat&fullgraph=true",
 		"?graph-backend=succinct&fullgraph=true",
 	} {

@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -99,7 +98,9 @@ type Params struct {
 
 // UnmarshalJSON also reads a record written while the full string graph
 // was a flag of its own: "fullGraph": true loads as graphBackend "full",
-// whose config fingerprint is the one that record's manifests carry.
+// which core.Config.Validate rejects naming its replacement, so the
+// recovered job fails as one recorded with "full" does. Without this,
+// encoding/json would drop the field and the job would run greedy.
 func (p *Params) UnmarshalJSON(data []byte) error {
 	type plain Params // without this method
 	var rec struct {
@@ -111,7 +112,7 @@ func (p *Params) UnmarshalJSON(data []byte) error {
 	}
 	*p = Params(rec.plain)
 	if rec.FullGraph && p.GraphBackend == "" {
-		p.GraphBackend = core.BackendFull
+		p.GraphBackend = "full"
 	}
 	return nil
 }

@@ -1,15 +1,17 @@
-// Package sgraph implements the full (non-greedy) string graph of
-// Section II-A.2: every suffix-prefix overlap becomes an edge, redundant
-// transitive edges are removed (Myers 2005), and contigs are spelled from
-// unambiguous unitig chains.
+// Package sgraph holds two things: the reference string graph of Section
+// II-A.2, reduced by Myers' sweep, and the unitig walk every string-graph
+// engine spells contigs with.
 //
-// The paper's pipeline uses the greedy heuristic (one out-edge per
-// vertex, longest overlap wins) because it updates a single bit-vector
-// instead of a general graph; this package provides the textbook
-// alternative the paper's background section describes, wired into the
-// pipeline as GraphBackend "full" (core.BackendFull). On clean data both modes spell the
-// same genome; the full graph additionally survives orderings where the
-// greedy rule commits to a repeat-induced edge first.
+// The reference (AddOverlap, TransitiveReduce, DirectedEdges,
+// ReducedEdges, NumEdges) is a test oracle: every suffix-prefix overlap
+// becomes an edge and Myers' (2005) linear sweep marks the transitive
+// ones. The pipeline's reducer, graph.TransitiveReduceTwoHop behind the
+// spmat and succinct backends, is held to it: it must remove a superset
+// of the sweep's edges, and the same set whenever the counts agree.
+//
+// The walk (UnitigsOf over any Traversable, and Graph.Unitigs over an
+// adjacency list rebuilt with InstallEdge) spells maximal unambiguous
+// chains; it runs in production.
 package sgraph
 
 import (
@@ -20,7 +22,7 @@ import (
 	"repro/internal/graph"
 )
 
-// Edge is one directed overlap edge in the full graph.
+// Edge is one directed overlap edge in the graph.
 type Edge struct {
 	To  uint32
 	Len uint16
@@ -29,7 +31,8 @@ type Edge struct {
 	reduced bool
 }
 
-// Graph is a full string graph over 2*numReads vertices.
+// Graph is a string graph over 2*numReads vertices, held as adjacency
+// lists.
 type Graph struct {
 	numReads int
 	adj      [][]Edge
@@ -126,17 +129,6 @@ func (g *Graph) NumEdges(includeReduced bool) int64 {
 		}
 	}
 	return n
-}
-
-// Out returns the live (non-reduced) out-edges of v.
-func (g *Graph) Out(v uint32) []Edge {
-	var out []Edge
-	for _, e := range g.adj[v] {
-		if !e.reduced {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // overhang of an edge from v: the bases v contributes before its

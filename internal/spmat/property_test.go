@@ -3,9 +3,11 @@ package spmat
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sgraph"
+	"repro/internal/succinct"
 )
 
 // closure computes the Floyd–Warshall reachability closure over the
@@ -64,49 +66,79 @@ func TestReducePreservesReachability(t *testing.T) {
 	}
 }
 
-// TestReduceRemovesSupersetOfSgraph pins the refinement contract: every
-// edge Myers' sweep (sgraph.TransitiveReduce) removes, the SpGEMM mask
-// removes too. The converse need not hold — the sweep skips witness
-// chains whose first hop was already eliminated; the matrix product
-// considers all chains of the original A.
-func TestReduceRemovesSupersetOfSgraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(202))
-	sawStrict := false
+// FuzzTwoHopMatchesMyers holds the masked two-hop reducer to Myers'
+// sweep (sgraph.TransitiveReduce), the oracle, on random overlap sets
+// (randomOverlaps) with fuzz 0 and above and with repeat-like noise:
+//
+//   - every edge the sweep removes, the mask removes too. The converse need
+//     not hold — the sweep skips witness chains whose first hop was
+//     already eliminated; the matrix product considers all chains of the
+//     original A;
+//   - when the removed counts agree, the live sets are equal, lengths
+//     included;
+//   - the succinct store, built from the same edges, masks exactly the
+//     same entries.
+//
+// The seed corpus is 25 trials shaped like the earlier fixed-seed test's
+// (a fuzz above 0 on every third), so go test runs them all.
+func FuzzTwoHopMatchesMyers(f *testing.F) {
 	for trial := 0; trial < 25; trial++ {
-		numReads := 8 + rng.Intn(25)
-		vertexLen := 60 + rng.Intn(80)
-		m, g := randomOverlapMatrix(rng, numReads, vertexLen)
 		fuzz := 0
 		if trial%3 == 2 {
-			fuzz = 1 + rng.Intn(8)
+			fuzz = 1 + trial%8
 		}
-		sgRemoved := g.TransitiveReduce(lenFn(vertexLen), fuzz)
-		red, err := m.TransitiveReduce(context.Background(), ReduceConfig{
-			Device: testDevice(), VertexLen: lenFn(vertexLen), Fuzz: fuzz,
-			RowBatch: 1 + rng.Intn(16),
-		})
+		f.Add(int64(202+trial), uint8(fuzz), uint8(trial%4), uint8(trial))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, fuzz, repeats, rowBatch uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		numReads := 8 + rng.Intn(25)
+		vertexLen := 60 + rng.Intn(80)
+		m, g := buildBoth(numReads, randomOverlaps(rng, numReads, vertexLen, int(repeats%4)*numReads))
+		cfg := ReduceConfig{
+			Device: testDevice(), VertexLen: lenFn(vertexLen), Fuzz: int(fuzz % 16),
+			RowBatch: 1 + int(rowBatch%16),
+		}
+		sgRemoved := g.TransitiveReduce(cfg.VertexLen, cfg.Fuzz)
+		red, err := m.TransitiveReduce(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if red.Removed < sgRemoved {
-			t.Errorf("trial %d: spmat removed %d < sgraph removed %d",
-				trial, red.Removed, sgRemoved)
-		}
-		if red.Removed > sgRemoved {
-			sawStrict = true
-		}
-		liveSet := make(map[[2]uint32]bool)
-		liveEdges(m, red, func(e Edge) { liveSet[[2]uint32{e.U, e.V}] = true })
+		live := map[[2]uint32]uint16{}
+		liveEdges(m, red, func(e Edge) { live[[2]uint32{e.U, e.V}] = e.Len })
 		for _, e := range g.ReducedEdges() {
-			if liveSet[[2]uint32{e.U, e.V}] {
-				t.Errorf("trial %d (fuzz %d): sgraph removed %d->%d but spmat kept it",
-					trial, fuzz, e.U, e.V)
+			if _, ok := live[[2]uint32{e.U, e.V}]; ok {
+				t.Fatalf("fuzz %d: Myers removed %d->%d but the two-hop mask kept it", cfg.Fuzz, e.U, e.V)
 			}
 		}
-	}
-	if !sawStrict {
-		t.Log("no trial exercised the strict-superset case (all removals equal)")
-	}
+		if red.Removed < sgRemoved {
+			t.Fatalf("fuzz %d: two-hop removed %d < Myers removed %d", cfg.Fuzz, red.Removed, sgRemoved)
+		}
+		if red.Removed == sgRemoved {
+			sgLive := g.DirectedEdges()
+			if len(sgLive) != len(live) {
+				t.Fatalf("equal removed counts (%d), live edges: two-hop %d, Myers %d",
+					red.Removed, len(live), len(sgLive))
+			}
+			for _, e := range sgLive {
+				if l, ok := live[[2]uint32{e.U, e.V}]; !ok || l != e.Len {
+					t.Fatalf("equal removed counts (%d): Myers keeps %d->%d (len %d), two-hop does not",
+						red.Removed, e.U, e.V, e.Len)
+				}
+			}
+		}
+		sg, err := succinct.FromEdgeRuns(m.NumVertices(), sliceIter(collect(m)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Device = testDevice()
+		sred, err := sg.TransitiveReduce(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sred.Mask, red.Mask) {
+			t.Fatalf("succinct masked %d entries, spmat %d, and the masks differ", sred.Removed, red.Removed)
+		}
+	})
 }
 
 // TestReduceAgreesWithSgraphOnChains checks exact agreement on clean

@@ -9,12 +9,13 @@
 // device kernels (tiled row blocks, H2D/D2H transfers) instead of the
 // pointer-chasing sweep sgraph performs.
 //
-// Contract with the sgraph path (see DESIGN.md, "Sparse-matrix graph
-// backend"): the masked SpGEMM removes a superset of the edges Myers'
-// sweep removes — Myers skips witness chains whose first hop was itself
-// eliminated, the matrix product does not — while preserving
-// reachability, because an edge is only masked when a two-hop chain with
-// strictly positive overhangs spells the same placement.
+// Contract with Myers' sweep in sgraph, the oracle FuzzTwoHopMatchesMyers
+// holds this package to (see DESIGN.md, "Sparse-matrix graph backend"):
+// the masked SpGEMM removes a superset of the edges the sweep removes —
+// Myers skips witness chains whose first hop was itself eliminated, the
+// matrix product does not — while preserving reachability, because an
+// edge is only masked when a two-hop chain with strictly positive
+// overhangs spells the same placement.
 package spmat
 
 import (

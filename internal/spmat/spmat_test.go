@@ -305,10 +305,16 @@ func TestTransitiveReduceFuzzMatchesSgraph(t *testing.T) {
 // randomOverlapMatrix builds a dense-ish consistent overlap graph plus
 // noise, identically into a Builder and an sgraph.Graph.
 func randomOverlapMatrix(rng *rand.Rand, numReads, vertexLen int) (*Matrix, *sgraph.Graph) {
-	b := NewBuilder(numReads)
-	g := sgraph.New(numReads)
-	// Reads laid out at increasing genomic offsets; consistent overlaps
-	// between nearby reads.
+	return buildBoth(numReads, randomOverlaps(rng, numReads, vertexLen, 0))
+}
+
+// randomOverlaps lays reads out at increasing genomic offsets and returns
+// the consistent overlaps between nearby reads, numReads noise edges with
+// arbitrary lengths, and then repeats more noise edges whose lengths are
+// drawn like true overlaps, so their overhangs can line up with real
+// chains the way a repeat's do.
+func randomOverlaps(rng *rand.Rand, numReads, vertexLen, repeats int) []overlap {
+	var ovs []overlap
 	offsets := make([]int, numReads)
 	pos := 0
 	for i := range offsets {
@@ -321,18 +327,29 @@ func randomOverlapMatrix(rng *rand.Rand, numReads, vertexLen int) (*Matrix, *sgr
 			if d <= 0 || d >= vertexLen {
 				continue
 			}
-			u, v := uint32(2*i), uint32(2*j)
-			b.AddOverlap(u, v, uint16(vertexLen-d))
-			g.AddOverlap(u, v, uint16(vertexLen-d))
+			ovs = append(ovs, overlap{uint32(2 * i), uint32(2 * j), uint16(vertexLen - d)})
 		}
 	}
-	// Noise: repeat-like edges with lengths that need not be consistent.
 	for k := 0; k < numReads; k++ {
 		u := uint32(rng.Intn(2 * numReads))
 		v := uint32(rng.Intn(2 * numReads))
-		l := uint16(1 + rng.Intn(vertexLen-1))
-		b.AddOverlap(u, v, l)
-		g.AddOverlap(u, v, l)
+		ovs = append(ovs, overlap{u, v, uint16(1 + rng.Intn(vertexLen-1))})
+	}
+	for k := 0; k < repeats; k++ {
+		u := uint32(rng.Intn(2 * numReads))
+		v := uint32(rng.Intn(2 * numReads))
+		ovs = append(ovs, overlap{u, v, uint16(vertexLen - 1 - rng.Intn(vertexLen/2))})
+	}
+	return ovs
+}
+
+// buildBoth offers the same overlaps to a Builder and an sgraph.Graph.
+func buildBoth(numReads int, ovs []overlap) (*Matrix, *sgraph.Graph) {
+	b := NewBuilder(numReads)
+	g := sgraph.New(numReads)
+	for _, o := range ovs {
+		b.AddOverlap(o.u, o.v, o.l)
+		g.AddOverlap(o.u, o.v, o.l)
 	}
 	return b.Build(), g
 }

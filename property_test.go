@@ -83,7 +83,7 @@ func TestPropertyPipelineMatchesBruteForce(t *testing.T) {
 // a contig that is not an exact genome substring, regardless of graph
 // engine, packing or deduplication.
 func TestPropertyContigsAlwaysSubstrings(t *testing.T) {
-	f := func(seed int64, fullGraph, packed, dedupe bool) bool {
+	f := func(seed int64, spmat, packed, dedupe bool) bool {
 		genome := readsim.Genome(readsim.GenomeParams{Length: 1200, Seed: seed})
 		reads := readsim.Simulate(genome, readsim.ReadParams{
 			ReadLen: 40, Coverage: 8, Seed: seed + 1,
@@ -93,8 +93,8 @@ func TestPropertyContigsAlwaysSubstrings(t *testing.T) {
 		cfg.HostBlockPairs = 1 << 12
 		cfg.DeviceBlockPairs = 1 << 9
 		cfg.MapBatchReads = 128
-		if fullGraph {
-			cfg.GraphBackend = core.BackendFull
+		if spmat {
+			cfg.GraphBackend = core.BackendSpmat
 		}
 		cfg.PackedReads = packed // packed composes with dedupe
 		cfg.DedupeReads = dedupe
@@ -108,8 +108,8 @@ func TestPropertyContigsAlwaysSubstrings(t *testing.T) {
 		for _, c := range res.Contigs {
 			s := c.String()
 			if !containsStr(gs, s) && !containsStr(grc, s) {
-				t.Logf("seed %d (full=%v packed=%v dedupe=%v): bad contig",
-					seed, fullGraph, packed, dedupe)
+				t.Logf("seed %d (spmat=%v packed=%v dedupe=%v): bad contig",
+					seed, spmat, packed, dedupe)
 				return false
 			}
 		}

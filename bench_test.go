@@ -12,16 +12,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/graph"
-	"repro/internal/kv"
 	"repro/internal/kvio"
 	"repro/internal/readsim"
 )
@@ -382,88 +377,5 @@ func BenchmarkAblationMapKernel(b *testing.B) {
 	}
 	if scan, naive := modeled[false], modeled[true]; scan > 0 && naive <= scan {
 		b.Errorf("naive kernel modeled Map %.3f ms, scan kernel %.3f ms", naive*1000, scan*1000)
-	}
-}
-
-// BenchmarkAblationPartitioning compares the paper's length-based
-// distributed shuffle with the fingerprint-range partitioning proposed as
-// future work (Section IV-D), on a 4-node cluster.
-func BenchmarkAblationPartitioning(b *testing.B) {
-	p, rs := benchReads(b, 0)
-	for _, byFp := range []bool{false, true} {
-		name := "by-length"
-		if byFp {
-			name = "by-fingerprint"
-		}
-		b.Run(name, func(b *testing.B) {
-			var modeled float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := cluster.DefaultConfig(b.TempDir(), 4)
-				cfg.MinOverlap = p.MinOverlap
-				cfg.HostBlockPairs = 1 << 14
-				cfg.DeviceBlockPairs = 1 << 11
-				cfg.InputBlockReads = 256
-				cfg.PartitionByFingerprint = byFp
-				b.StartTimer()
-				cl, err := cluster.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := cl.Assemble(rs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				modeled = res.TotalModeled.Seconds()
-			}
-			b.ReportMetric(modeled, "modeled-s")
-		})
-	}
-}
-
-// BenchmarkAblationTraversal compares the sequential path walk against
-// the BSP pointer-jumping traversal (the paper's future-work parallel graph
-// processing) on one run's greedy graph, rebuilt from its edges.kv.
-func BenchmarkAblationTraversal(b *testing.B) {
-	p, rs := benchReads(b, 3)
-	cfg := benchConfig(b, p.MinOverlap)
-	cfg.KeepIntermediate = true
-	if _, err := Assemble(cfg, rs); err != nil {
-		b.Fatal(err)
-	}
-	g := graph.New(rs.NumReads())
-	r, err := kvio.NewReader(filepath.Join(cfg.Workspace, "edges.kv"), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]kv.Pair, 4096)
-	for {
-		n, err := r.ReadBatch(buf)
-		for _, pr := range buf[:n] {
-			g.InstallEdge(graph.EdgeOfPair(pr))
-		}
-		if err == io.EOF {
-			break
-		} else if err != nil {
-			b.Fatal(err)
-		}
-	}
-	r.Close()
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "bsp-pointer-jumping"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := graph.TraverseOptions{BreakCycles: !parallel}
-			dev := gpu.NewDevice(cfg.GPU, nil)
-			for i := 0; i < b.N; i++ {
-				if parallel {
-					g.TraverseParallel(dev, rs.VertexLen, opts)
-				} else {
-					g.Traverse(rs.VertexLen, opts)
-				}
-			}
-		})
 	}
 }

@@ -50,7 +50,6 @@ func main() {
 		dedupe     = flag.Bool("dedupe", false, "remove duplicate reads before assembly")
 		packed     = flag.Bool("packed", false, "store bulk reads 2-bit packed in host memory")
 		backend    = flag.String("graph-backend", "", "reduce/compress engine: greedy (default; the paper's bit-vector graph), spmat (full string graph as a CSR sparse matrix with masked-SpGEMM transitive reduction), or succinct (compressed rank/select adjacency built in one pass from sorted edge runs)")
-		byFp       = flag.Bool("partition-by-fingerprint", false, "distributed shuffle by fingerprint range (with -nodes)")
 		workers    = flag.Int("workers", 0, "concurrent partition workers, per node with -nodes (0 = GOMAXPROCS, 1 = serial; output is identical)")
 		reference  = flag.String("reference", "", "optional reference FASTA for a quality report")
 		resume     = flag.Bool("resume", false, "resume an interrupted run from the workspace's manifest")
@@ -68,12 +67,6 @@ func main() {
 	}
 	if *in == "" || *workspace == "" {
 		flag.Usage()
-		os.Exit(2)
-	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkModeFlags(*nodes, set); err != nil {
-		fmt.Fprintf(os.Stderr, "lasagna: %v\n", err)
 		os.Exit(2)
 	}
 	if *logFormat != "text" && *logFormat != "json" {
@@ -145,7 +138,7 @@ func main() {
 		cfg.Workers = *workers
 	}
 	cfg.Obs = observer
-	res, err := assemble(ctx, cfg, *nodes, *byFp, reads)
+	res, err := assemble(ctx, cfg, *nodes, reads)
 	writeTrace(tracer, *traceOut)
 	if err != nil {
 		fatal(err)
@@ -179,28 +172,17 @@ func main() {
 }
 
 // assemble runs cfg on one node, or on nodes simulated cluster nodes.
-func assemble(ctx context.Context, cfg lasagna.Config, nodes int, byFp bool,
+func assemble(ctx context.Context, cfg lasagna.Config, nodes int,
 	reads *lasagna.ReadSet) (*lasagna.Result, error) {
 	if nodes <= 1 {
 		return lasagna.AssembleContext(ctx, cfg, reads)
 	}
 	res, err := lasagna.AssembleDistributedContext(ctx,
-		lasagna.ClusterConfig{Config: cfg, Nodes: nodes, PartitionByFingerprint: byFp}, reads)
+		lasagna.ClusterConfig{Config: cfg, Nodes: nodes}, reads)
 	if res == nil {
 		return nil, err
 	}
 	return &res.Result, err
-}
-
-// checkModeFlags refuses a command line that sets a flag the chosen mode
-// would silently ignore; set holds the flags given explicitly. Every
-// assembly flag works on any node count; only the shuffle's partitioning
-// needs a cluster.
-func checkModeFlags(nodes int, set map[string]bool) error {
-	if nodes <= 1 && set["partition-by-fingerprint"] {
-		return fmt.Errorf("-partition-by-fingerprint needs -nodes above 1")
-	}
-	return nil
 }
 
 // writeTrace flushes the collected span trace (nil-safe, so observability

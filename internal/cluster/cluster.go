@@ -3,7 +3,9 @@
 // GPU, cooperating through master-assigned input blocks, an all-to-all
 // shuffle of length partitions, and a reduce phase serialized by passing
 // the out-degree bit-vector from the node owning partition l+1 to the
-// node owning partition l.
+// node owning partition l. The simulation applies every partition's
+// candidates to one graph engine on the master, in that order, and
+// charges the token's hops and the edges' trips to the network.
 //
 // A cluster run is a core run on n nodes: it is configured by core.Config
 // (per node) and reports a core.Result, and every node runs core's Map,
@@ -37,7 +39,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/dna"
 	"repro/internal/gpu"
-	"repro/internal/graph"
 	"repro/internal/kv"
 	"repro/internal/kvio"
 	"repro/internal/obs"
@@ -54,12 +55,6 @@ type Config struct {
 	// InputBlockReads is the size of the input blocks the master hands
 	// out during the map phase; 0 means 2048.
 	InputBlockReads int
-	// PartitionByFingerprint switches the shuffle from length-based to
-	// fingerprint-range-based ownership (the paper's future work,
-	// Section IV-D): every node reduces a slice of every partition, so
-	// the reduce parallelism no longer caps at the number of length
-	// partitions, at the cost of a finer-grained shuffle.
-	PartitionByFingerprint bool
 	// Fleet, when set, supplies the nodes' devices instead of fresh
 	// per-node cards: node i runs on Fleet.Device(i) and meters on that
 	// device's meter, so a serving layer that leased fleet devices to a
@@ -105,11 +100,13 @@ func (c Config) blockReads() int {
 // Fingerprint hashes what one node's manifest is valid for: core's
 // output-relevant configuration plus the cluster geometry. The node count
 // and identity are folded in because both change what any single node's
-// storage holds.
+// storage holds. The literal fpart=false stands for the retired
+// fingerprint-range shuffle, so manifests written before it left stay
+// resumable.
 func (c Config) Fingerprint(nodeID int) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|nodes=%d|node=%d|blk=%d|fpart=%t", c.Config.Fingerprint(),
-		c.Nodes, nodeID, c.blockReads(), c.PartitionByFingerprint)
+	fmt.Fprintf(h, "%s|nodes=%d|node=%d|blk=%d|fpart=false", c.Config.Fingerprint(),
+		c.Nodes, nodeID, c.blockReads())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -125,16 +122,14 @@ type node struct {
 	runner *core.StageRunner // the node's manifest over nodeStages
 	counts map[int]int64     // owned-partition tuple counts after shuffle
 	passes int               // most disk passes any of its sorts took
-	edges  []graph.Edge      // accepted edges for owned partitions
 }
 
 // Cluster is a simulated multi-node deployment.
 type Cluster struct {
 	cfg   Config
 	nodes []*node
-	// serial meters the reduce phase's serialized component: greedy graph
-	// building and bit-vector token forwarding, or feeding the master's
-	// graph engine.
+	// serial meters the reduce phase's serialized component: feeding the
+	// master's graph engine, and what crosses the network to reach it.
 	serial *costmodel.Meter
 
 	// FaultHook, when set, fires after a node commits a stage to its
@@ -459,12 +454,16 @@ func (c *Cluster) AssembleContext(ctx context.Context, reads *dna.ReadSet) (*Res
 	res.Partitions = len(lengths)
 
 	// Reduce: overlap finding in parallel, then graph building serialized
-	// by the bit-vector token in descending length order (Section III-E.3)
-	// or on the master. The engine holds the master's graph until Compress
-	// has walked it; it is released on every way out.
+	// on the master in descending length order (Section III-E.3). The
+	// engine holds the master's graph until Compress has walked it; it is
+	// released on every way out.
 	eng := c.nodes[0].NewGraphEngine(rs)
 	defer eng.Release()
-	err = c.tracked(core.PhaseReduce, func() error { return c.reducePhase(ctx, rs, eng, res) })
+	var shipped int64
+	err = c.tracked(core.PhaseReduce, func() (err error) {
+		shipped, err = c.reducePhase(ctx, rs, eng, res)
+		return err
+	})
 	if err != nil {
 		return res, err
 	}
@@ -478,7 +477,7 @@ func (c *Cluster) AssembleContext(ctx context.Context, reads *dna.ReadSet) (*Res
 			if n.id != 0 {
 				return nil
 			}
-			return c.compressOnMaster(rs, eng, res)
+			return c.compressOnMaster(rs, eng, shipped, res)
 		})
 	})
 	if err != nil || c.cfg.KeepIntermediate {
@@ -500,12 +499,19 @@ func shufName(k kvio.Kind, l int) string { return "shuf_" + core.RawPartition(k,
 
 func sortedName(k kvio.Kind, l int) string { return "sorted_" + core.RawPartition(k, l) }
 
-// shuffleNode pulls everything n owns of every length partition below
-// maxLen from all peers into n's local storage and returns the shuffled
-// files' sums. Each peer meters the read of the file it serves (the
-// paper's active-message handler reads the requested partition and
-// responds with a chunk); what crosses between nodes is charged to n's
-// network.
+// owner is the node that owns length partition l (Section III-E.2): the
+// partitions go round the nodes from l_min.
+func (c *Cluster) owner(l int) int { return (l - c.cfg.MinOverlap) % len(c.nodes) }
+
+// edgeBytes is what one edge or candidate costs on the wire: a 4-byte
+// vertex plus its overlap length (Section III-C's sizing).
+const edgeBytes = 6
+
+// shuffleNode pulls every length partition n owns below maxLen from all
+// peers into n's local storage and returns the shuffled files' sums. Each
+// peer meters the read of the file it serves (the paper's active-message
+// handler reads the requested partition and responds with a chunk); what
+// crosses between nodes is charged to n's network.
 func (c *Cluster) shuffleNode(maxLen int, n *node) (core.PartitionSums, error) {
 	n.counts = map[int]int64{}
 	sums := core.PartitionSums{{}, {}}
@@ -517,10 +523,9 @@ func (c *Cluster) shuffleNode(maxLen int, n *node) (core.PartitionSums, error) {
 	for _, a := range mapRec.Artifacts {
 		mapped[a.Path] = a.Sum()
 	}
-	whole := !c.cfg.PartitionByFingerprint // a length partition moves whole
 	buf := make([]kv.Pair, 4096)
-	// pull streams what n owns of peer's (kind, l) partition file — which
-	// may be absent — into w and returns the pairs moved.
+	// pull copies peer's (kind, l) partition file — which may be absent —
+	// into w and returns the pairs moved.
 	pull := func(w *kvio.Writer, peer *node, kind kvio.Kind, l int) (int64, error) {
 		r, err := kvio.NewReader(kvio.PartitionPath(peer.Scratch, kind, l), peer.Meter)
 		if os.IsNotExist(err) {
@@ -533,16 +538,10 @@ func (c *Cluster) shuffleNode(maxLen int, n *node) (core.PartitionSums, error) {
 		var moved int64
 		for {
 			m, rerr := r.ReadBatch(buf)
-			kept := buf[:0]
-			for _, pair := range buf[:m] {
-				if c.owns(n.id, l, pair.Key) {
-					kept = append(kept, pair)
-				}
-			}
-			if err := w.WriteBatch(kept); err != nil {
+			if err := w.WriteBatch(buf[:m]); err != nil {
 				return moved, err
 			}
-			moved += int64(len(kept))
+			moved += int64(m)
 			if rerr == io.EOF {
 				return moved, nil
 			}
@@ -552,13 +551,13 @@ func (c *Cluster) shuffleNode(maxLen int, n *node) (core.PartitionSums, error) {
 		}
 	}
 	for l := c.cfg.MinOverlap; l < maxLen; l++ {
-		if whole && !c.owns(n.id, l, kv.Key{}) {
+		if c.owner(l) != n.id {
 			continue
 		}
 		for _, kind := range []kvio.Kind{kvio.Suffix, kvio.Prefix} {
 			dst := filepath.Join(n.Scratch, shufName(kind, l))
 			var total int64
-			if whole && len(c.nodes) == 1 {
+			if len(c.nodes) == 1 {
 				// Single node: every partition is already local and whole, so
 				// the shuffle degenerates to a rename — matching the paper,
 				// where the all-to-all transfer only appears when scaling out
@@ -604,34 +603,28 @@ func (c *Cluster) shuffleNode(maxLen int, n *node) (core.PartitionSums, error) {
 	return sums, nil
 }
 
-// reducePhase runs overlap finding on all nodes in parallel, then builds
-// the graph serially in descending partition order: under the greedy
-// engine by forwarding the out-degree bit-vector between partition owners,
-// otherwise by shipping every candidate list to the master's engine, which
-// seals (builds and reduces) its store on the master's device.
-func (c *Cluster) reducePhase(ctx context.Context, rs dna.ReadSource, eng core.GraphEngine, res *Result) error {
-	// candidates[l][nodeID]: with length partitioning only the owner's
-	// slot fills; with fingerprint partitioning every node contributes a
-	// fingerprint-ordered slice, and node-ID order re-assembles the
-	// global fingerprint order of the single-node reduce.
-	candidates := make(map[int][][]core.Candidate)
+// reducePhase runs overlap finding on all nodes in parallel, then feeds
+// every length's candidates to the master's engine in descending length
+// order, and the master seals (builds and reduces) its store on its own
+// device. It returns the greedy edges accepted from lists a node other
+// than the master found, which Compress charges for shipping.
+func (c *Cluster) reducePhase(ctx context.Context, rs dna.ReadSource, eng core.GraphEngine,
+	res *Result) (shipped int64, err error) {
+	candidates := make(map[int][]core.Candidate)
 	var candMu sync.Mutex
 
 	// Parallel overlap finding (the t_o component).
-	err := c.runPhase(core.PhaseReduce, res, func(n *node) error {
+	err = c.runPhase(core.PhaseReduce, res, func(n *node) error {
 		return n.FindOverlaps(ctx, rs, n.counts, sortedName, func(o core.Overlaps) {
 			candMu.Lock()
-			if candidates[o.Length] == nil {
-				candidates[o.Length] = make([][]core.Candidate, len(c.nodes))
-			}
-			candidates[o.Length][n.id] = o.Edges
+			candidates[o.Length] = o.Edges
 			res.CandidateEdges += o.Candidates
 			res.FalsePositives += o.FalsePositives
 			candMu.Unlock()
 		})
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	// Serialized graph building (the t_g component). The modeled cost is
@@ -644,24 +637,39 @@ func (c *Cluster) reducePhase(ctx context.Context, rs dna.ReadSource, eng core.G
 	serialSpan := c.cfg.Obs.Tracer().Begin(obs.Track{}, "stage", "ReduceSerial").
 		Metered(c.serial, prof)
 	master := c.nodes[0]
+	greedy := c.cfg.GreedyGraph()
 	sealed, serialErr := master.Measure("ReduceSerial", func() error {
-		if c.cfg.GreedyGraph() {
-			c.forwardToken(rs, candidates, res)
-			return nil
-		}
+		// The greedy rule needs the out-degree bit-vector wherever a list is
+		// applied: it hops as a token between the owners of consecutive
+		// non-empty lists, and the edges accepted away from the master travel
+		// to it for Compress. The other engines take the candidate lists
+		// themselves to the master.
+		token := bitvec.New(2 * rs.NumReads()).Bytes()
+		prevOwner := -1
 		for l := rs.MaxLen() - 1; l >= c.cfg.MinOverlap; l-- {
-			for nodeID, list := range candidates[l] {
-				if nodeID != master.id {
-					// Candidate lists travel to the master: ~6 bytes per edge
-					// (4-byte vertex + overlap length, Section III-C's sizing).
-					c.serial.AddNet(int64(len(list)) * 6)
-				}
-				for _, cd := range list {
-					c.serial.AddHostMem(eng.AddHostBytes())
-					eng.Add(cd.U, cd.V, uint16(l))
-				}
-			}
+			list, owner := candidates[l], c.owner(l)
 			delete(candidates, l)
+			var nnz int64
+			switch {
+			case !greedy:
+				if owner != master.id {
+					c.serial.AddNet(int64(len(list)) * edgeBytes)
+				}
+			case len(list) == 0:
+				continue
+			default:
+				if prevOwner != -1 && prevOwner != owner {
+					c.serial.AddNet(token)
+				}
+				prevOwner, nnz = owner, eng.Stats().NNZ
+			}
+			for _, cd := range list {
+				c.serial.AddHostMem(eng.AddHostBytes())
+				eng.Add(cd.U, cd.V, uint16(l))
+			}
+			if greedy && owner != master.id {
+				shipped += eng.Stats().NNZ - nnz
+			}
 		}
 		st, err := core.SealEngine(ctx, eng, c.cfg.Obs.Metrics())
 		res.ReducedEdges = st.Removed
@@ -679,76 +687,18 @@ func (c *Cluster) reducePhase(ctx context.Context, rs dna.ReadSource, eng core.G
 	res.TotalModeled += serialTime
 	res.TotalWall += sealed.Wall
 	c.cfg.Obs.Log().Debug("serialized reduce done", "modeled", serialTime, "err", serialErr)
-	return serialErr
-}
-
-// forwardToken is the greedy engine's serialized reduce: candidates are
-// applied under the shared greedy discipline strictly in descending
-// partition order, the out-degree bit-vector travelling between the
-// partitions' owners as a token. Each node keeps the edges it accepted.
-func (c *Cluster) forwardToken(rs dna.ReadSource, candidates map[int][][]core.Candidate, res *Result) {
-	token := bitvec.New(2 * rs.NumReads())
-	graphs := make(map[int]*graph.Graph, len(c.nodes))
-	for _, n := range c.nodes {
-		graphs[n.id] = graph.NewWithVector(rs.NumReads(), token)
-	}
-	prevOwner := -1
-	for l := rs.MaxLen() - 1; l >= c.cfg.MinOverlap; l-- {
-		for nodeID, list := range candidates[l] {
-			if len(list) == 0 {
-				continue
-			}
-			if prevOwner != -1 && prevOwner != nodeID {
-				// Token hop between nodes.
-				c.serial.AddNet(token.Bytes())
-			}
-			prevOwner = nodeID
-			g := graphs[nodeID]
-			for _, cd := range list {
-				// Each candidate touches ~4 cache lines of randomly-
-				// addressed host memory (two bit-vector probes, two
-				// edge-slot writes), which is what makes graph building
-				// the serialized cost the paper's t_g term captures.
-				c.serial.AddHostMem(4 * 64)
-				g.AddCandidate(cd.U, cd.V, uint16(l))
-			}
-		}
-		delete(candidates, l)
-	}
-	for _, n := range c.nodes {
-		n.edges = graphs[n.id].Edges()
-		res.AcceptedEdges += int64(len(n.edges))
-	}
+	return shipped, serialErr
 }
 
 // compressOnMaster walks the master's graph into paths and generates
 // contigs on node 0 — the same engine code as the single-node Compress, so
-// the FASTA bytes match it exactly. A sealed engine is walked as it stands
-// (the cluster checkpoints nothing between Reduce and Compress, so there
-// is no edges.kv to reload); under the greedy engine the nodes' disjoint
-// edge sets first travel to the master, which installs them verbatim.
-func (c *Cluster) compressOnMaster(rs dna.ReadSource, eng core.GraphEngine, res *Result) error {
+// the FASTA bytes match it exactly. The sealed engine is walked as it
+// stands (the cluster checkpoints nothing between Reduce and Compress, so
+// there is no edges.kv to reload); the shipped greedy edges other nodes
+// accepted are charged as arriving now.
+func (c *Cluster) compressOnMaster(rs dna.ReadSource, eng core.GraphEngine, shipped int64, res *Result) error {
 	master := c.nodes[0]
-	if c.cfg.GreedyGraph() {
-		var shipped []graph.Edge
-		for _, n := range c.nodes {
-			if n.id != master.id {
-				// ~6 bytes per edge (4-byte vertex + overlap length,
-				// Section III-C's sizing).
-				master.Meter.AddNet(int64(len(n.edges)) * 6)
-			}
-			shipped = append(shipped, n.edges...)
-		}
-		err := eng.Load(func() (e graph.Edge, ok bool, _ error) {
-			if ok = len(shipped) > 0; ok {
-				e, shipped = shipped[0], shipped[1:]
-			}
-			return e, ok, nil
-		})
-		if err != nil {
-			return err
-		}
-	}
+	master.Meter.AddNet(shipped * edgeBytes)
 	paths, err := eng.Paths()
 	if err != nil {
 		return err

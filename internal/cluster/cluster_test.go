@@ -178,6 +178,62 @@ func TestScalingImprovesParallelPhases(t *testing.T) {
 	}
 }
 
+// TestReduceParallelismCapsAtPartitionCount is the premise of the paper's
+// t_o*p/n bound: a length partition is reduced whole by its owner, so with
+// fewer length partitions than nodes the surplus nodes sit idle in Reduce.
+// 60-bp reads with l_min 57 leave three partitions (57, 58, 59) for four
+// nodes.
+func TestReduceParallelismCapsAtPartitionCount(t *testing.T) {
+	_, reads := testData(t)
+	cfg := clusterConfig(t, 4)
+	cfg.MinOverlap = 57
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Assemble(reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Partitions != 3 {
+		t.Fatalf("%d partitions, want 3", res.Partitions)
+	}
+	per := res.NodeModeled[core.PhaseReduce]
+	for id, d := range per {
+		if busy := d > 0; busy != (id < 3) {
+			t.Errorf("node %d: Reduce modeled %v; want only nodes 0-2 busy (%v)", id, d, per)
+		}
+	}
+}
+
+// TestOwnsCoversSpace holds the shuffle's ownership to the partition
+// property: for 1-9 nodes every length partition has one owner, and any
+// nodes consecutive lengths give each node exactly one.
+func TestOwnsCoversSpace(t *testing.T) {
+	for nodes := 1; nodes <= 9; nodes++ {
+		cfg := clusterConfig(t, nodes)
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for start := cfg.MinOverlap; start < cfg.MinOverlap+nodes; start++ {
+			owned := make([]int, nodes)
+			for l := start; l < start+nodes; l++ {
+				id := cl.owner(l)
+				if id < 0 || id >= nodes {
+					t.Fatalf("nodes=%d: l=%d owned by node %d", nodes, l, id)
+				}
+				owned[id]++
+			}
+			for id, k := range owned {
+				if k != 1 {
+					t.Errorf("nodes=%d: node %d owns %d of lengths [%d, %d)", nodes, id, k, start, start+nodes)
+				}
+			}
+		}
+	}
+}
+
 func TestClusterValidate(t *testing.T) {
 	good := clusterConfig(t, 2)
 	if err := good.Validate(); err != nil {

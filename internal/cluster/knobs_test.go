@@ -32,9 +32,9 @@ func withDuplicates(t *testing.T) *dna.ReadSet {
 }
 
 // TestClusterRunsEveryKnob is the differential table for the knobs the
-// cluster once lacked: on {1, 3} nodes under both partitionings, a cluster
-// run with the knob writes the same FASTA bytes, counts and read-preparation
-// numbers as the single-node run of the same core.Config.
+// cluster once lacked: on {1, 3} nodes, a cluster run with the knob writes
+// the same FASTA bytes, counts, read-preparation numbers and sort disk
+// passes as the single-node run of the same core.Config.
 func TestClusterRunsEveryKnob(t *testing.T) {
 	reads := withDuplicates(t)
 	knobs := []struct {
@@ -64,37 +64,34 @@ func TestClusterRunsEveryKnob(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, nodes := range []int{1, 3} {
-			for _, byFP := range []bool{false, true} {
-				cell := fmt.Sprintf("%s nodes=%d fingerprint=%t", knob.name, nodes, byFP)
-				cfg := base
-				cfg.Workspace = t.TempDir()
-				cfg.Nodes = nodes
-				cfg.PartitionByFingerprint = byFP
-				cl, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := cl.Assemble(reads)
-				if err != nil {
-					t.Fatalf("%s: %v", cell, err)
-				}
-				if got, err := os.ReadFile(res.ContigPath); err != nil || !bytes.Equal(got, want) {
-					t.Errorf("%s: FASTA differs from the single-node run's (err %v)", cell, err)
-				}
-				type counts struct {
-					Reads, Dups, Parts                                   int
-					Pairs, Candidates, Accepted, Reduced, FalsePositives int64
-				}
-				got := counts{res.NumReads, res.DuplicatesRemoved, res.Partitions, res.PairsGenerated,
-					res.CandidateEdges, res.AcceptedEdges, res.ReducedEdges, res.FalsePositives}
-				ref := counts{sres.NumReads, sres.DuplicatesRemoved, sres.Partitions, sres.PairsGenerated,
-					sres.CandidateEdges, sres.AcceptedEdges, sres.ReducedEdges, sres.FalsePositives}
-				if got != ref {
-					t.Errorf("%s: counts %+v, single node %+v", cell, got, ref)
-				}
-				if !byFP && res.SortDiskPasses != sres.SortDiskPasses {
-					t.Errorf("%s: %d sort disk passes, single node %d", cell, res.SortDiskPasses, sres.SortDiskPasses)
-				}
+			cell := fmt.Sprintf("%s nodes=%d", knob.name, nodes)
+			cfg := base
+			cfg.Workspace = t.TempDir()
+			cfg.Nodes = nodes
+			cl, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := cl.Assemble(reads)
+			if err != nil {
+				t.Fatalf("%s: %v", cell, err)
+			}
+			if got, err := os.ReadFile(res.ContigPath); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s: FASTA differs from the single-node run's (err %v)", cell, err)
+			}
+			type counts struct {
+				Reads, Dups, Parts                                   int
+				Pairs, Candidates, Accepted, Reduced, FalsePositives int64
+			}
+			got := counts{res.NumReads, res.DuplicatesRemoved, res.Partitions, res.PairsGenerated,
+				res.CandidateEdges, res.AcceptedEdges, res.ReducedEdges, res.FalsePositives}
+			ref := counts{sres.NumReads, sres.DuplicatesRemoved, sres.Partitions, sres.PairsGenerated,
+				sres.CandidateEdges, sres.AcceptedEdges, sres.ReducedEdges, sres.FalsePositives}
+			if got != ref {
+				t.Errorf("%s: counts %+v, single node %+v", cell, got, ref)
+			}
+			if res.SortDiskPasses != sres.SortDiskPasses {
+				t.Errorf("%s: %d sort disk passes, single node %d", cell, res.SortDiskPasses, sres.SortDiskPasses)
 			}
 		}
 		if knob.name == "DedupeReads" && sres.DuplicatesRemoved == 0 {

@@ -82,10 +82,10 @@ func pinSingle(t *testing.T, res *core.Result) pin {
 
 // TestModeledPins holds every modeled number of the cluster and the
 // single-node pipeline on testData to the values recorded in
-// testdata/pins.json, for {1, 3} nodes x every graph backend x both
-// partitionings at Workers 1 and 4, and the single-node pipeline at Workers
-// 1 and 4. The file was recorded before the node runtime moved into core
-// (go test ./internal/cluster -run TestModeledPins -update-pins rewrites it):
+// testdata/pins.json, for {1, 3} nodes x every graph backend at Workers 1
+// and 4, and the single-node pipeline at Workers 1 and 4. The file was
+// recorded before the node runtime moved into core (go test
+// ./internal/cluster -run TestModeledPins -update-pins rewrites it):
 // a worker count is not part of a cell's key, so the table also asserts
 // modeled cost is worker-independent. A recorded cell that no run produces
 // fails too, so a backend dropped from core.Backends cannot leave its pins
@@ -133,23 +133,22 @@ func TestModeledPins(t *testing.T) {
 			check("single/"+engine, fmt.Sprintf("Workers=%d", workers), pinSingle(t, res))
 		}
 		for _, nodes := range []int{1, 3} {
-			for _, byFP := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					cfg := clusterConfig(t, nodes)
-					use(&cfg.Config)
-					cfg.PartitionByFingerprint = byFP
-					cfg.Workers = workers
-					cl, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := cl.Assemble(reads)
-					if err != nil {
-						t.Fatal(err)
-					}
-					check(fmt.Sprintf("nodes=%d/%s/fingerprint=%t", nodes, engine, byFP),
-						fmt.Sprintf("Workers=%d", workers), pinCluster(t, res))
+			for _, workers := range []int{1, 4} {
+				cfg := clusterConfig(t, nodes)
+				use(&cfg.Config)
+				cfg.Workers = workers
+				cl, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
+				res, err := cl.Assemble(reads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The key keeps the spelling of the retired fingerprint-range
+				// shuffle's cells, so the recorded cells stay byte-identical.
+				check(fmt.Sprintf("nodes=%d/%s/fingerprint=false", nodes, engine),
+					fmt.Sprintf("Workers=%d", workers), pinCluster(t, res))
 			}
 		}
 	}

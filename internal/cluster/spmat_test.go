@@ -64,3 +64,32 @@ func TestClusterBackendChangesFingerprint(t *testing.T) {
 		t.Error("spmat backend must change the node fingerprint")
 	}
 }
+
+// TestClusterFingerprintStable pins Config.Fingerprint, the hash every
+// node manifest is keyed by: a change to what it folds in (the retired
+// fpart=false literal included) would silently invalidate the manifests
+// of existing workspaces, so a resumed run would start over.
+func TestClusterFingerprintStable(t *testing.T) {
+	cells := []struct {
+		name          string
+		backend       string
+		nodes, nodeID int
+		want          string
+	}{
+		{"greedy n=1", core.BackendGreedy, 1, 0,
+			"f51bbc5b8cfdbcc96110960792cc80638d2ba7e4cd5367296129c962c3a236d9"},
+		{"greedy node 2 of 3", core.BackendGreedy, 3, 2,
+			"3c4799f33428583f260444e57982d8600e7c776f287661c7c1ee89d42deaaf6f"},
+		{"spmat n=1", core.BackendSpmat, 1, 0,
+			"c58d2fe3147db8e3161f91b05340aae9508865014a6e446cfba3c6d7df4abb82"},
+		{"spmat node 2 of 3", core.BackendSpmat, 3, 2,
+			"f5decb9333380712d794c279f57f44b698b2200a1d3bc1d7227884773763c825"},
+	}
+	for _, cell := range cells {
+		cfg := DefaultConfig("ws", cell.nodes)
+		cfg.GraphBackend = cell.backend
+		if got := cfg.Fingerprint(cell.nodeID); got != cell.want {
+			t.Errorf("%s: fingerprint %s, want %s", cell.name, got, cell.want)
+		}
+	}
+}

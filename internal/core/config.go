@@ -22,8 +22,8 @@ import (
 
 // Config parameterizes an assembly run: the knobs that change the answer
 // (or the machine it is computed on) plus the execution knobs the resume
-// fingerprint leaves out. Ablations configure the layer they ablate — a
-// Mapper's NaiveKernel, graph.TraverseParallel — not this struct.
+// fingerprint leaves out. An ablation configures the layer it ablates — a
+// Mapper's NaiveKernel — not this struct.
 type Config struct {
 	// Workspace is the scratch directory for partition files, sort runs,
 	// and outputs. It must exist.

@@ -48,7 +48,9 @@ type GraphEngine interface {
 	// Live iterates the surviving directed edges in the order edges.kv
 	// persists them.
 	Live() LiveEdges
-	// Stats reports the sealed store's totals.
+	// Stats reports the sealed store's totals. The greedy engine also
+	// answers during the feed (its NNZ is the edges accepted so far); the
+	// two-hop engines have no store before Seal.
 	Stats() EngineStats
 	// Paths walks the surviving graph into contig paths.
 	Paths() ([]graph.Path, error)

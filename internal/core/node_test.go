@@ -150,9 +150,10 @@ func TestFindOverlapsDrainsOnErrorAndCancel(t *testing.T) {
 // charge.
 type cancelOnCharge context.CancelFunc
 
-func (c cancelOnCharge) KernelCharge(int64, int64)                 { c() }
-func (cancelOnCharge) KernelLaunch(int, time.Time, time.Duration)  {}
-func (cancelOnCharge) AllocWaited(int64, time.Time, time.Duration) {}
+func (c cancelOnCharge) KernelCharge(int64, int64)                       { c() }
+func (cancelOnCharge) KernelLaunch(int, time.Time, time.Duration)        {}
+func (cancelOnCharge) AllocWaited(int64, time.Time, time.Duration)       {}
+func (cancelOnCharge) StreamOp(string, string, time.Time, time.Duration) {}
 
 // poolProbe records what runOrdered did with each index: how often it was
 // produced (successfully) and released, the order it was consumed in, how

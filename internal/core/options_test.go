@@ -2,64 +2,10 @@ package core
 
 import (
 	"bytes"
-	"path/filepath"
-	"reflect"
 	"testing"
 
-	"repro/internal/contig"
 	"repro/internal/gpu"
-	"repro/internal/graph"
 )
-
-// TestParallelTraversalIdenticalAssembly walks one run's greedy graph —
-// rebuilt from its edges.kv — sequentially and with the BSP pointer-jumping
-// traversal: with cycle breaking off the two must find the same paths, and
-// those paths spell the run's contigs.
-func TestParallelTraversalIdenticalAssembly(t *testing.T) {
-	_, reads := testGenomeReads(t, 2500, 55, 10)
-	cfg := smallConfig(t)
-	cfg.BreakCycles = false // the BSP walk skips residual cycles
-	cfg.KeepIntermediate = true
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Assemble(reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.New(reads.NumReads())
-	it, err := newEdgeFileIterator(filepath.Join(cfg.Workspace, edgeFileName), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = loadEdges(it.Next, g.InstallEdge)
-	if cerr := it.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := graph.TraverseOptions{BreakCycles: false}
-	dev := gpu.NewDevice(cfg.GPU, nil)
-	seq := g.Traverse(reads.VertexLen, opts)
-	par := g.TraverseParallel(dev, reads.VertexLen, opts)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("sequential walk found %d paths, BSP %d, and they differ", len(seq), len(par))
-	}
-	contigs := contig.Generate(contig.Config{Device: dev}, par, reads)
-	if len(contigs) != len(res.Contigs) {
-		t.Fatalf("BSP paths spell %d contigs, the run wrote %d", len(contigs), len(res.Contigs))
-	}
-	for i := range contigs {
-		if !contigs[i].Equal(res.Contigs[i]) {
-			t.Fatalf("contig %d differs between the BSP paths and the run", i)
-		}
-	}
-	if dev.Meter().Snapshot().DeviceOps == 0 {
-		t.Error("the BSP traversal charged no device work")
-	}
-}
 
 func TestDedupeOptionReducesReads(t *testing.T) {
 	_, reads := testGenomeReads(t, 1000, 40, 25) // heavy duplication

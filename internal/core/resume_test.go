@@ -462,8 +462,9 @@ type sortScratchSnapshot struct {
 	err   error // read after the run returns
 }
 
-func (h *sortScratchSnapshot) KernelLaunch(int, time.Time, time.Duration)  {}
-func (h *sortScratchSnapshot) AllocWaited(int64, time.Time, time.Duration) {}
+func (h *sortScratchSnapshot) KernelLaunch(int, time.Time, time.Duration)        {}
+func (h *sortScratchSnapshot) AllocWaited(int64, time.Time, time.Duration)       {}
+func (h *sortScratchSnapshot) StreamOp(string, string, time.Time, time.Duration) {}
 func (h *sortScratchSnapshot) KernelCharge(int64, int64) {
 	if h.taken.Load() || !h.mu.TryLock() {
 		return // photographed, or the other worker is at it

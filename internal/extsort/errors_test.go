@@ -68,8 +68,9 @@ type cancelInMerge struct {
 	cancel context.CancelFunc
 }
 
-func (h cancelInMerge) KernelLaunch(int, time.Time, time.Duration)  {}
-func (h cancelInMerge) AllocWaited(int64, time.Time, time.Duration) {}
+func (h cancelInMerge) KernelLaunch(int, time.Time, time.Duration)        {}
+func (h cancelInMerge) AllocWaited(int64, time.Time, time.Duration)       {}
+func (h cancelInMerge) StreamOp(string, string, time.Time, time.Duration) {}
 func (h cancelInMerge) KernelCharge(int64, int64) {
 	if _, err := os.Stat(h.watch); err == nil {
 		h.cancel()

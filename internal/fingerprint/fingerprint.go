@@ -68,8 +68,8 @@ var (
 )
 
 // KeySpaceHi is the size of the value space of a fingerprint's high
-// component (kv.Key.Hi is the first hash modulo ParamsA.Prime). Range
-// partitioning of the fingerprint space divides this interval.
+// component (kv.Key.Hi is the first hash modulo ParamsA.Prime): the
+// interval synthetic sort keys draw Hi from to look like real tuples.
 const KeySpaceHi = 2305843009213693951
 
 const (

@@ -29,6 +29,10 @@ type Hooks interface {
 	// Immediate grants do not fire, so every event is real device-queue
 	// backpressure.
 	AllocWaited(bytes int64, start time.Time, wait time.Duration)
+	// StreamOp fires after an asynchronous stream executed op on stream;
+	// the observability layer draws these as overlapping stream tracks.
+	// Inline ops do not fire: the enclosing span already covers them.
+	StreamOp(stream, op string, start time.Time, wall time.Duration)
 }
 
 // ErrOutOfMemory is returned when an allocation would exceed the device's

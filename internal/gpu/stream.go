@@ -8,16 +8,6 @@ import (
 	"repro/internal/kv"
 )
 
-// StreamHooks extends Hooks for implementations that also want per-stream
-// operation events (the observability layer draws them as overlapping
-// stream tracks in the trace). Detected by type assertion, so existing
-// Hooks implementations keep working unchanged. StreamOp fires only for
-// ops executed asynchronously — inline ops are already covered by the
-// enclosing span.
-type StreamHooks interface {
-	StreamOp(stream, op string, start time.Time, wall time.Duration)
-}
-
 type streamOp struct {
 	name    string
 	fn      func() error
@@ -97,7 +87,7 @@ func (s *Stream) run() {
 		}
 		start := time.Now()
 		err := op.fn()
-		if h, ok := s.dev.hooks.(StreamHooks); ok {
+		if h := s.dev.hooks; h != nil {
 			h.StreamOp(s.name, op.name, start, time.Since(start))
 		}
 		if err != nil {

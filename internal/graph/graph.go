@@ -17,8 +17,6 @@
 package graph
 
 import (
-	"fmt"
-
 	"repro/internal/bitvec"
 	"repro/internal/dna"
 	"repro/internal/kv"
@@ -80,26 +78,15 @@ type Graph struct {
 	numEdges int64
 }
 
-// New creates a graph over numReads reads (2*numReads vertices) with a
-// fresh out-degree bit-vector.
+// New creates a graph over numReads reads (2*numReads vertices).
 func New(numReads int) *Graph {
-	return NewWithVector(numReads, bitvec.New(2*numReads))
-}
-
-// NewWithVector creates a graph that uses the supplied out-degree
-// bit-vector, which the distributed reduce phase passes between nodes. The
-// vector must have exactly 2*numReads bits.
-func NewWithVector(numReads int, out *bitvec.Vector) *Graph {
-	if out.Len() != 2*numReads {
-		panic(fmt.Sprintf("graph: bit-vector has %d bits, want %d", out.Len(), 2*numReads))
-	}
 	next := make([]uint32, 2*numReads)
 	for i := range next {
 		next[i] = NoVertex
 	}
 	return &Graph{
 		numReads: numReads,
-		out:      out,
+		out:      bitvec.New(2 * numReads),
 		next:     next,
 		olen:     make([]uint16, 2*numReads),
 	}
@@ -130,11 +117,10 @@ func (g *Graph) AddCandidate(u, v uint32, l uint16) bool {
 }
 
 // InstallEdge records a single directed edge without the greedy checks
-// and without adding the complementary edge. It exists for the
-// distributed reduce: workers accept candidates under the shared
-// bit-vector token (which already enforced the greedy discipline) and
-// ship their disjoint edge sets to the master, which installs them
-// verbatim (Section III-E.3 stores the graph as disjoint edge sets).
+// and without adding the complementary edge. It rebuilds a graph from a
+// persisted edges.kv (the greedy engine's Load): those edges passed the
+// greedy discipline when they were accepted, and the file holds both
+// halves of every complementary pair.
 func (g *Graph) InstallEdge(e Edge) {
 	bset(g.out, e.U)
 	g.next[e.U] = e.V
@@ -157,8 +143,8 @@ func (g *Graph) HasIncoming(v uint32) bool {
 	return bget(g.out, dna.ComplementVertex(v))
 }
 
-// Edges returns all directed edges in vertex order; intended for tests
-// and diagnostics.
+// Edges returns all directed edges in vertex order — the order the greedy
+// engine's Live persists them to edges.kv.
 func (g *Graph) Edges() []Edge {
 	var out []Edge
 	for v, t := range g.next {

@@ -328,3 +328,24 @@ func TransitiveReduceTwoHop(ctx context.Context, st RowStore, streams string, cf
 	}
 	return res, nil
 }
+
+// RunSupersteps drives a bulk-synchronous computation on the device:
+// step(s) runs once per superstep, strictly in order — the sequential
+// execution is the barrier between supersteps — and returns the device
+// traffic its grid generated (bytes moved through device memory, scalar
+// operations). The device is charged once with the summed totals,
+// matching how the modeled kernels batch their charges, and the totals
+// are returned so streamed callers can also place them on a modeled
+// timeline. The tiled two-hop reduction runs each row tile as a
+// superstep; the contract — ordered supersteps, one aggregate kernel
+// charge — is pinned by TestRunSuperstepsContract.
+func RunSupersteps(dev *gpu.Device, supersteps int,
+	step func(s int) (memBytes, ops int64)) (memBytes, ops int64) {
+	for s := 0; s < supersteps; s++ {
+		m, o := step(s)
+		memBytes += m
+		ops += o
+	}
+	dev.ChargeKernel(memBytes, ops)
+	return memBytes, ops
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/gpu"
@@ -239,5 +240,50 @@ func TestTwoHopBlockAllocatesNothing(t *testing.T) {
 	sweep() // grow the scratch
 	if allocs := testing.AllocsPerRun(5, sweep); allocs != 0 {
 		t.Errorf("%v allocs per sweep of %d kernel blocks, want 0", allocs, g.NumVertices())
+	}
+}
+
+// chargeRecorder captures every ChargeKernel the device sees, so tests
+// can pin how BSP computations batch their charges.
+type chargeRecorder struct {
+	mem, ops []int64
+}
+
+func (r *chargeRecorder) KernelLaunch(int, time.Time, time.Duration) {}
+func (r *chargeRecorder) KernelCharge(memBytes, ops int64) {
+	r.mem = append(r.mem, memBytes)
+	r.ops = append(r.ops, ops)
+}
+func (r *chargeRecorder) AllocWaited(int64, time.Time, time.Duration)       {}
+func (r *chargeRecorder) StreamOp(string, string, time.Time, time.Duration) {}
+
+// TestRunSuperstepsContract pins the BSP executor's contract: supersteps
+// run strictly in order (sequential execution is the barrier), per-step
+// charges are summed, and the device is charged exactly once with the
+// aggregate.
+func TestRunSuperstepsContract(t *testing.T) {
+	rec := &chargeRecorder{}
+	dev := gpu.NewDevice(gpu.K40, nil)
+	dev.SetHooks(rec)
+	var order []int
+	mem, ops := graph.RunSupersteps(dev, 4, func(s int) (int64, int64) {
+		order = append(order, s)
+		return int64(10 * (s + 1)), int64(s + 1)
+	})
+	for i, s := range order {
+		if s != i {
+			t.Fatalf("superstep order = %v, want ascending", order)
+		}
+	}
+	if mem != 100 || ops != 10 {
+		t.Fatalf("totals = (%d, %d), want (100, 10)", mem, ops)
+	}
+	if len(rec.mem) != 1 || rec.mem[0] != 100 || rec.ops[0] != 10 {
+		t.Fatalf("device charges = %v/%v, want one aggregate charge of 100/10",
+			rec.mem, rec.ops)
+	}
+	snap := dev.Meter().Snapshot()
+	if snap.DeviceMemBytes != 100 || snap.DeviceOps != 10 {
+		t.Fatalf("meter = %+v, want 100 device bytes / 10 ops", snap)
 	}
 }

@@ -62,9 +62,9 @@ func (h *deviceHooks) KernelCharge(memBytes, ops int64) {
 	h.ops.Add(ops)
 }
 
-// StreamOp implements gpu.StreamHooks: each asynchronously executed stream
-// op becomes an async trace span named after its stream, so overlapping
-// stream activity renders as overlapping "stream" tracks.
+// StreamOp makes each asynchronously executed stream op an async trace
+// span named after its stream, so overlapping stream activity renders as
+// overlapping "stream" tracks.
 func (h *deviceHooks) StreamOp(stream, op string, start time.Time, wall time.Duration) {
 	h.streamOps.Add(1)
 	h.tracer.Async(h.pid, "stream", stream+" "+op, start, wall,

@@ -19,9 +19,10 @@
 //	// res.Contigs, res.ContigStats, res.Phases ...
 //
 // Distributed assembly over a simulated cluster is the same run on n nodes:
-// a ClusterConfig is a Config (followed by every node) plus the node count
-// and the shuffle's partitioning, and a ClusterResult is a Result plus the
-// per-node modeled times. Every Config knob works on a cluster.
+// a ClusterConfig is a Config (followed by every node) plus the node count,
+// the input block size and an optional device fleet, and a ClusterResult
+// is a Result plus the per-node modeled times. Every Config knob works on
+// a cluster.
 //
 //	cres, err := lasagna.AssembleDistributed(
 //		lasagna.ClusterConfig{Config: cfg, Nodes: 8}, reads)
@@ -52,7 +53,7 @@ type (
 	// edge counts.
 	Result = core.Result
 	// ClusterConfig parameterizes a simulated multi-node assembly: a
-	// Config plus Nodes, InputBlockReads, PartitionByFingerprint, Fleet.
+	// Config plus Nodes, InputBlockReads, Fleet.
 	ClusterConfig = cluster.Config
 	// ClusterResult reports a distributed assembly: a Result plus the
 	// per-node and t_o/t_g modeled times.

@@ -34,13 +34,14 @@ test:
 # under them. The serve line gets ten passes: every HTTP, run and cancel
 # goroutine reaches the scheduler's state through one placement pass. So
 # does the ordered pool Map, Sort and Reduce share, with Sort's
-# earliest-failure test driving it over real partitions.
+# earliest-failure test driving it over real partitions, and Map, whose
+# kernel blocks write one shared slab at disjoint offsets.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestStreamStress|TestAllocPeakNeverExceedsCapacity|TestAllocationConcurrentFreeIdempotent' ./internal/gpu/
 	$(GO) test -race -count=10 -run 'TestFleetSchedulerStress|TestSchedulerFreedDeviceTakesQueuedWork|TestSchedulerSurvivesPanickingRun|TestSchedulerPreemptionDrain|TestFlightRecorderLifecycle|TestSchedulerPreemptsOnlyWhatArrivalNeeds' ./internal/serve/
 	$(GO) test -race -count=3 -run 'TestPooledBufferConcurrentSorts|TestBlockPoolConcurrentRoundTrips|TestFsyncLedger' ./internal/extsort/ ./internal/kvio/
-	$(GO) test -race -count=10 -run 'TestRunOrdered|TestSortPartitionsReportsEarliestFailure' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestRunOrdered|TestSortPartitionsReportsEarliestFailure|TestMapperMatchesTupleOracle|TestMapRangeDrainsOnErrorAndCancel' ./internal/core/
 
 # Short fuzz passes over the parsers, the packed encoding, the graph
 # stores, the two-hop reducer (held to Myers' sweep), the fingerprint

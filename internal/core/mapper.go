@@ -17,9 +17,19 @@ import (
 
 // Mapper runs the map-phase kernels (Section III-A) for ranges of reads:
 // reverse complements, Hillis-Steele prefix fingerprints, derived suffix
-// fingerprints, and length-partitioned tuple emission. It is shared
+// fingerprints, and length-partitioned record emission. It is shared
 // between the single-node pipeline and the distributed implementation,
 // where each node maps the input blocks the master assigns to it.
+//
+// A read of length L contributes one record per strand to each partition
+// l in [MinOverlap, L), on both sides, so a batch's partition sizes follow
+// from its read lengths alone. Each batch is therefore laid out before any
+// kernel runs: one encoded slab per side, partitions in length order, and
+// within a partition the kernel blocks' records in (read, strand) order.
+// Every block writes its records straight into their slots, and the
+// writers copy each partition's byte range as it stands. The host holds
+// the slabs of at most 2 × Workers batches at once, kv.PairBytes per
+// record (HostMem tracks them), so Map(h) scales with BatchReads.
 type Mapper struct {
 	Dev        *gpu.Device
 	HostMem    *stats.MemTracker // may be nil
@@ -28,7 +38,7 @@ type Mapper struct {
 	// Workers is the number of map batches processed concurrently. Each
 	// in-flight batch holds its own device allocation, so device-memory
 	// capacity bounds effective concurrency. Values <= 1 run the batches
-	// serially. Whatever the setting, tuples reach the partition writers
+	// serially. Whatever the setting, records reach the partition writers
 	// in batch order, so the partition files are byte-identical.
 	Workers int
 	// NaiveKernel switches the fingerprint kernels to the per-read-thread
@@ -44,6 +54,11 @@ type Mapper struct {
 	table *fingerprint.Table
 }
 
+// deviceRecordBytes is one record as the map kernel emits it on the
+// device (length, side, fingerprint, vertex): what the device-to-host copy
+// of a batch is charged per record.
+const deviceRecordBytes = 32
+
 // NewMapper builds a mapper whose place-value table covers reads up to
 // maxLen bases.
 func NewMapper(dev *gpu.Device, hostMem *stats.MemTracker, minOverlap, batchReads, maxLen int) *Mapper {
@@ -58,40 +73,65 @@ func NewMapper(dev *gpu.Device, hostMem *stats.MemTracker, minOverlap, batchRead
 
 // MapRange maps reads [start, end) of rs into the partition writers.
 // Batches are fingerprinted by up to Workers concurrent goroutines, but
-// their tuples are written strictly in batch order by the calling
+// their records are written strictly in batch order by the calling
 // goroutine (runOrdered), so the partition files do not depend on Workers.
-// Cancelling ctx aborts between batches with ctx.Err(); the tuple bytes of
-// every batch mapped but never written are released from HostMem.
+// Cancelling ctx aborts between batches with ctx.Err(); the slab of every
+// batch mapped but never written is released from HostMem.
 func (m *Mapper) MapRange(ctx context.Context, rs dna.ReadSource, start, end int,
 	sfxW, pfxW *kvio.PartitionWriters) error {
 	if end <= start {
 		return nil
 	}
-	type batch struct {
-		tuples []mapTuple
-		bytes  int64
-	}
-	release := func(b batch) {
-		if m.HostMem != nil {
-			m.HostMem.Release(b.bytes)
-		}
-	}
 	numBatches := (end - start + m.BatchReads - 1) / m.BatchReads
 	return runOrdered(m.Workers, numBatches,
-		func(worker, i int) (batch, error) {
+		func(worker, i int) (*mapSlab, error) {
 			lo, hi := m.batchBounds(start, end, i)
-			tuples, bytes, err := m.mapBatchSpan(ctx, rs, worker, i, lo, hi)
-			return batch{tuples, bytes}, err
+			return m.mapBatchSpan(ctx, rs, worker, i, lo, hi)
 		},
-		func(b batch) error {
-			defer release(b)
-			return m.writeBatch(b.tuples, sfxW, pfxW)
-		}, release)
+		func(s *mapSlab) error {
+			defer m.release(s)
+			return s.write(sfxW, pfxW)
+		}, m.release)
+}
+
+// mapSlab is one batch's records, encoded: partition (k, l) is
+// recs[k][start[l]:start[l+1]], in (read, strand) order. Both sides share
+// the layout.
+type mapSlab struct {
+	recs  [2][]byte // by kvio.Kind
+	start []int     // byte offsets, one per length up to the longest read
+}
+
+// write hands each partition's byte range to its writer, shortest first.
+func (s *mapSlab) write(sfxW, pfxW *kvio.PartitionWriters) error {
+	for l := 0; l+1 < len(s.start); l++ {
+		lo, hi := s.start[l], s.start[l+1]
+		if lo == hi {
+			continue
+		}
+		if err := sfxW.WriteEncoded(l, s.recs[kvio.Suffix][lo:hi]); err != nil {
+			return err
+		}
+		if err := pfxW.WriteEncoded(l, s.recs[kvio.Prefix][lo:hi]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// hostBytes is the slab's footprint, as HostMem tracks it.
+func (s *mapSlab) hostBytes() int64 { return int64(len(s.recs[0]) + len(s.recs[1])) }
+
+// release takes a slab off HostMem once it is written or dropped.
+func (m *Mapper) release(s *mapSlab) {
+	if m.HostMem != nil {
+		m.HostMem.Release(s.hostBytes())
+	}
 }
 
 // mapBatchSpan wraps mapBatch in a per-batch trace span on the worker's
 // lane, carrying the batch's meter delta.
-func (m *Mapper) mapBatchSpan(ctx context.Context, rs dna.ReadSource, worker, idx, lo, hi int) ([]mapTuple, int64, error) {
+func (m *Mapper) mapBatchSpan(ctx context.Context, rs dna.ReadSource, worker, idx, lo, hi int) (*mapSlab, error) {
 	span := m.Obs.Tracer().Begin(m.Track.Worker(worker), "partition",
 		fmt.Sprintf("map batch %d", idx)).
 		Metered(m.Dev.Meter(), m.Profile).
@@ -111,72 +151,75 @@ func (m *Mapper) batchBounds(start, end, idx int) (int, int) {
 }
 
 // mapBatch fingerprints reads [batchStart, batchEnd) on the device and
-// returns their partition tuples in read order, plus the host bytes the
-// tuple buffers occupy (already added to HostMem; the caller releases
-// them once the tuples are written or dropped).
-func (m *Mapper) mapBatch(ctx context.Context, rs dna.ReadSource, batchStart, batchEnd int) ([]mapTuple, int64, error) {
+// returns their records encoded in place. The slab's bytes are already
+// added to HostMem; the caller releases them once the slab is written or
+// dropped.
+func (m *Mapper) mapBatch(ctx context.Context, rs dna.ReadSource, batchStart, batchEnd int) (*mapSlab, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	workers := runtime.GOMAXPROCS(0)
 	maxLen := rs.MaxLen()
 	batchReads := batchEnd - batchStart
-	var batchBases int64
-	for r := batchStart; r < batchEnd; r++ {
-		batchBases += int64(rs.Len(uint32(r)))
+	chunks := min(workers, batchReads)
+	per := (batchReads + chunks - 1) / chunks
+	block := func(ci int) (lo, hi int) {
+		return batchStart + ci*per, min(batchStart+(ci+1)*per, batchEnd)
 	}
+
+	// longer[ci*stride+l] counts block ci's reads longer than l: each puts
+	// two records (one per strand) into partition l on each side.
+	stride := maxLen + 1
+	longer := make([]int, chunks*stride)
+	var batchBases int64
+	for ci := 0; ci < chunks; ci++ {
+		h := longer[ci*stride : (ci+1)*stride]
+		lo, hi := block(ci)
+		for r := lo; r < hi; r++ {
+			n := rs.Len(uint32(r))
+			batchBases += int64(n)
+			if n > 0 {
+				h[n-1]++
+			}
+		}
+		for l := maxLen - 1; l > 0; l-- {
+			h[l-1] += h[l]
+		}
+	}
+	// Lay the slab out, partitions by length and blocks in order within
+	// each, turning each count into that block's write cursor.
+	s := &mapSlab{start: make([]int, stride)}
+	off := 0
+	for l := m.MinOverlap; l < maxLen; l++ {
+		s.start[l] = off
+		for ci := 0; ci < chunks; ci++ {
+			c := ci*stride + l
+			reads := longer[c]
+			longer[c] = off
+			off += 2 * reads * kv.PairBytes
+		}
+	}
+	s.start[maxLen] = off
+
 	// Device holds the batch (both strands) plus per-block scan buffers.
 	scanBytes := int64(workers) * int64(maxLen) * 4 * 16
 	alloc, err := m.Dev.AllocWait(ctx, 2*batchBases+scanBytes)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: map batch of %d reads does not fit on device: %w",
+		return nil, fmt.Errorf("core: map batch of %d reads does not fit on device: %w",
 			batchReads, err)
 	}
 	m.Dev.CopyToDevice(batchBases)
-
-	chunks := workers
-	if chunks > batchReads {
-		chunks = batchReads
-	}
-	per := (batchReads + chunks - 1) / chunks
-	results := make([][]mapTuple, chunks)
-	m.Dev.LaunchBlocks(chunks, func(ci int) {
-		results[ci] = m.runBlock(rs, batchStart+ci*per, min(batchStart+(ci+1)*per, batchEnd))
-	})
-
-	var tupleBytes int64
-	total := 0
-	for _, out := range results {
-		tupleBytes += int64(len(out)) * mapTupleBytes
-		total += len(out)
-	}
+	s.recs = [2][]byte{make([]byte, off), make([]byte, off)}
 	if m.HostMem != nil {
-		m.HostMem.Add(tupleBytes)
+		m.HostMem.Add(s.hostBytes())
 	}
-	m.Dev.CopyFromDevice(tupleBytes)
+	m.Dev.LaunchBlocks(chunks, func(ci int) {
+		lo, hi := block(ci)
+		m.runBlock(rs, lo, hi, longer[ci*stride:(ci+1)*stride], s.recs)
+	})
+	m.Dev.CopyFromDevice(s.hostBytes() / kv.PairBytes * deviceRecordBytes)
 	alloc.Free()
-
-	tuples := make([]mapTuple, 0, total)
-	for _, out := range results {
-		tuples = append(tuples, out...)
-	}
-	return tuples, tupleBytes, nil
-}
-
-// writeBatch streams one batch's tuples into the partition writers.
-func (m *Mapper) writeBatch(tuples []mapTuple, sfxW, pfxW *kvio.PartitionWriters) error {
-	for _, t := range tuples {
-		var err error
-		if t.kind == kvio.Suffix {
-			err = sfxW.Write(int(t.length), t.pair)
-		} else {
-			err = pfxW.Write(int(t.length), t.pair)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return s, nil
 }
 
 // fpKernel is the subset of the fingerprint kernels the mapper needs,
@@ -187,8 +230,10 @@ type fpKernel interface {
 	ScanRead(dev *gpu.Device, s dna.Seq, pout, sout []kv.Key) (pf, sf []kv.Key)
 }
 
-// runBlock executes one simulated thread block over reads [lo, hi).
-func (m *Mapper) runBlock(rs dna.ReadSource, lo, hi int) []mapTuple {
+// runBlock executes one simulated thread block over reads [lo, hi),
+// encoding each record at its side's slab at cur[l], the block's write
+// cursor for partition l.
+func (m *Mapper) runBlock(rs dna.ReadSource, lo, hi int, cur []int, recs [2][]byte) {
 	var kern fpKernel = fingerprint.NewKernel(m.table)
 	if m.NaiveKernel {
 		kern = fingerprint.NewNaiveKernel(m.table)
@@ -197,7 +242,7 @@ func (m *Mapper) runBlock(rs dna.ReadSource, lo, hi int) []mapTuple {
 	pfps := make([]kv.Key, maxLen)
 	sfps := make([]kv.Key, maxLen)
 	rcBuf := make(dna.Seq, maxLen)
-	var out []mapTuple
+	sfx, pfx := recs[kvio.Suffix], recs[kvio.Prefix]
 	for r := lo; r < hi; r++ {
 		read := rs.Read(uint32(r))
 		for strand := uint32(0); strand < 2; strand++ {
@@ -212,11 +257,11 @@ func (m *Mapper) runBlock(rs dna.ReadSource, lo, hi int) []mapTuple {
 			// Keep lengths [lmin, len); the full-length partition is
 			// dropped to avoid self-loops (Section III-A).
 			for l := m.MinOverlap; l < len(seq); l++ {
-				out = append(out,
-					mapTuple{int32(l), kvio.Suffix, kv.Pair{Key: sf[len(seq)-l], Val: v}},
-					mapTuple{int32(l), kvio.Prefix, kv.Pair{Key: pf[l-1], Val: v}})
+				c := cur[l]
+				kv.Pair{Key: sf[len(seq)-l], Val: v}.Encode(sfx[c : c+kv.PairBytes])
+				kv.Pair{Key: pf[l-1], Val: v}.Encode(pfx[c : c+kv.PairBytes])
+				cur[l] = c + kv.PairBytes
 			}
 		}
 	}
-	return out
 }

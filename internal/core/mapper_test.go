@@ -13,7 +13,9 @@ import (
 	"testing"
 
 	"repro/internal/dna"
+	"repro/internal/fingerprint"
 	"repro/internal/gpu"
+	"repro/internal/kv"
 	"repro/internal/kvio"
 	"repro/internal/stats"
 )
@@ -64,8 +66,81 @@ func TestMapperPartitionsIndependentOfBatching(t *testing.T) {
 	}
 }
 
+// TestMapperMatchesTupleOracle holds every raw partition byte to the
+// tuple-at-a-time emission: per read, per strand, l ascending, the
+// l-suffix's fingerprint to the suffix file and the l-prefix's to the
+// prefix file, both hashed with the reference Horner fingerprint. The
+// reads include empty ones, ones shorter than, equal to and one base
+// longer than lmin, and ones of the maximum length, and the source is
+// mapped plain and 2-bit packed under every worker count and batch size.
+func TestMapperMatchesTupleOracle(t *testing.T) {
+	const lmin, maxLen = 20, 70
+	rng := rand.New(rand.NewSource(443))
+	lengths := []int{0, lmin - 1, lmin, lmin + 1, maxLen, 0, lmin + 1, maxLen, lmin}
+	for len(lengths) < 200 {
+		lengths = append(lengths, rng.Intn(maxLen+1))
+	}
+	rs := dna.NewReadSet(len(lengths), maxLen*len(lengths))
+	for _, n := range lengths {
+		s := make(dna.Seq, n)
+		for j := range s {
+			s[j] = byte(rng.Intn(4))
+		}
+		rs.Append(s)
+	}
+	want := tupleOracle(rs, lmin)
+	sources := []struct {
+		name string
+		rs   dna.ReadSource
+	}{{"plain", rs}, {"packed", dna.PackSource(rs)}}
+	for _, src := range sources {
+		for _, workers := range []int{1, 2, 3} {
+			for _, batch := range []int{1, 7, DefaultConfig("").MapBatchReads} {
+				t.Run(fmt.Sprintf("%s/workers=%d/batch=%d", src.name, workers, batch), func(t *testing.T) {
+					m := NewMapper(gpu.NewDevice(gpu.K40, nil), nil, lmin, batch, src.rs.MaxLen())
+					m.Workers = workers
+					got := mapPartitionFiles(t, m, src.rs)
+					if len(got) != len(want) {
+						t.Errorf("%d partition files, want %d", len(got), len(want))
+					}
+					for name, data := range want {
+						if !bytes.Equal(got[name], data) {
+							t.Errorf("%s: %d bytes differ from the %d-byte tuple emission",
+								name, len(got[name]), len(data))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// tupleOracle returns the raw partition files Map must write for rs, by
+// name, emitting one tuple at a time.
+func tupleOracle(rs dna.ReadSource, lmin int) map[string][]byte {
+	table := fingerprint.NewTable(rs.MaxLen())
+	files := map[string][]byte{}
+	emit := func(k kvio.Kind, l int, key kv.Key, v uint32) {
+		var rec [kv.PairBytes]byte
+		kv.Pair{Key: key, Val: v}.Encode(rec[:])
+		name := RawPartition(k, l)
+		files[name] = append(files[name], rec[:]...)
+	}
+	for r := 0; r < rs.NumReads(); r++ {
+		for strand := uint32(0); strand < 2; strand++ {
+			v := dna.ForwardVertex(uint32(r)) | strand
+			seq := rs.VertexSeq(v)
+			for l := lmin; l < len(seq); l++ {
+				emit(kvio.Suffix, l, table.Fingerprint(seq[len(seq)-l:]), v)
+				emit(kvio.Prefix, l, table.Fingerprint(seq[:l]), v)
+			}
+		}
+	}
+	return files
+}
+
 // A writer error and a cancellation mid-Map both drain the ordered pool at
-// Workers=4: the error surfaces, the tuple bytes of every batch mapped but
+// Workers=4: the error surfaces, the slab bytes of every batch mapped but
 // never written are off the host tracker again and no worker goroutine is
 // left. TestFindOverlapsDrainsOnErrorAndCancel is the Reduce-side twin.
 func TestMapRangeDrainsOnErrorAndCancel(t *testing.T) {

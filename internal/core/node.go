@@ -368,7 +368,9 @@ func sortedLengthsDesc(counts map[int]int64) []int {
 // them on the calling goroutine in index order, so whatever consume builds
 // is identical to the serial run's. Values are claimed in index order and,
 // once a produce or consume fails, no further index is claimed; of several
-// failures the lowest-indexed one is returned. Every produced value that is
+// failures the lowest-indexed one is returned. At most lookahead(workers)
+// indices are claimed but not yet consumed, so the values held at once
+// depend on workers, not on scheduling. Every produced value that is
 // never consumed — it follows a failure — is handed to release, and no
 // goroutine outlives the call. A failed produce owns its partial value.
 // With one worker (or one value) each value is produced and consumed on the
@@ -397,6 +399,11 @@ func runOrdered[T any](workers, n int, produce func(worker, i int) (T, error),
 	for i := range slots {
 		slots[i].done = make(chan struct{})
 	}
+	// A producer takes a window slot before it claims an index and the
+	// consumer frees one per value consumed. Stopping closes quit, which
+	// wakes every producer waiting for a slot the consumer will not free.
+	window := make(chan struct{}, lookahead(workers))
+	quit := make(chan struct{})
 	var next atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -404,7 +411,15 @@ func runOrdered[T any](workers, n int, produce func(worker, i int) (T, error),
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for !stop.Load() {
+			for {
+				select {
+				case window <- struct{}{}:
+				case <-quit:
+					return
+				}
+				if stop.Load() {
+					return
+				}
 				i := next.Add(1) - 1
 				if i >= int64(n) {
 					return
@@ -420,7 +435,9 @@ func runOrdered[T any](workers, n int, produce func(worker, i int) (T, error),
 	// Index i is always claimed before the consumer waits on it: claims are
 	// in index order, and producers stop only after a failure at some index
 	// k, which was claimed after every index below it; the consumer never
-	// waits past k.
+	// waits past k. Nor can the window hold i back: a slot is held by an
+	// index in [i, n), by a producer about to claim one, or by one that
+	// found every index claimed.
 	var err error
 	consumed := 0
 	for ; consumed < n && err == nil; consumed++ {
@@ -431,8 +448,10 @@ func runOrdered[T any](workers, n int, produce func(worker, i int) (T, error),
 		}
 		var zero T
 		s.v = zero // consumed values are the caller's to drop
+		<-window
 	}
 	stop.Store(true)
+	close(quit)
 	wg.Wait()
 	for i := consumed; i < n; i++ {
 		select {
@@ -445,3 +464,8 @@ func runOrdered[T any](workers, n int, produce func(worker, i int) (T, error),
 	}
 	return err
 }
+
+// lookahead is how many indices runOrdered's workers may claim ahead of
+// its consumer: enough that each worker has a value queued behind the one
+// it is producing.
+func lookahead(workers int) int { return 2 * workers }

@@ -157,11 +157,14 @@ func (cancelOnCharge) StreamOp(string, string, time.Time, time.Duration) {}
 
 // poolProbe records what runOrdered did with each index: how often it was
 // produced (successfully) and released, the order it was consumed in, how
-// many produce calls were made and how many are still running.
+// many produce calls were made and how many are still running, and the
+// most indices claimed but not yet consumed at once.
 type poolProbe struct {
 	produced, released []atomic.Int32
 	consumed           []int
 	calls, live        atomic.Int32
+	ahead, maxAhead    atomic.Int32
+	workers            int
 }
 
 func newPoolProbe(n int) *poolProbe {
@@ -171,8 +174,15 @@ func newPoolProbe(n int) *poolProbe {
 // run drives runOrdered over the probe: body is each produce's work and
 // fail, given the index being consumed, returns consume's error.
 func (p *poolProbe) run(workers int, body func(i int) error, fail func(i int) error) error {
+	p.workers = workers
 	return runOrdered(workers, len(p.produced), func(_, i int) (int, error) {
 		p.calls.Add(1)
+		for a := p.ahead.Add(1); ; {
+			m := p.maxAhead.Load()
+			if a <= m || p.maxAhead.CompareAndSwap(m, a) {
+				break
+			}
+		}
 		p.live.Add(1)
 		defer p.live.Add(-1)
 		if err := body(i); err != nil {
@@ -182,17 +192,23 @@ func (p *poolProbe) run(workers int, body func(i int) error, fail func(i int) er
 		return i, nil
 	}, func(i int) error {
 		p.consumed = append(p.consumed, i)
+		p.ahead.Add(-1)
 		return fail(i)
 	}, func(i int) { p.released[i].Add(1) })
 }
 
 // check asserts the contract that holds however the call ended: no
-// producer is still running, the consumed indices are 0, 1, ... in order,
-// and every value produced but not consumed was released exactly once.
+// producer is still running, no more indices were ever claimed ahead of the
+// consumer than the lookahead allows, the consumed indices are 0, 1, ...
+// in order, and every value produced but not consumed was released exactly
+// once.
 func (p *poolProbe) check(t *testing.T) {
 	t.Helper()
 	if live := p.live.Load(); live != 0 {
 		t.Errorf("%d producers still running after runOrdered returned", live)
+	}
+	if m := int(p.maxAhead.Load()); m > lookahead(p.workers) {
+		t.Errorf("%d indices claimed ahead of the consumer, want at most %d", m, lookahead(p.workers))
 	}
 	for i, got := range p.consumed {
 		if got != i {
@@ -213,8 +229,9 @@ func (p *poolProbe) check(t *testing.T) {
 
 // TestRunOrdered pins the pool Map, Sort and Reduce run on: consume sees
 // the indices in order, the earliest failure wins whatever the timing, a
-// value never consumed is released, a failing consume stops the claims and
-// no producer outlives the call.
+// value never consumed is released, a failing consume stops the claims, a
+// slow consumer holds the producers to the lookahead and no producer
+// outlives the call.
 func TestRunOrdered(t *testing.T) {
 	none := func(int) error { return nil }
 	for _, workers := range []int{1, 2, 4} {
@@ -227,6 +244,46 @@ func TestRunOrdered(t *testing.T) {
 				}, none)
 				if err != nil || len(p.consumed) != 50 {
 					t.Fatalf("err = %v after %d values, want nil after 50", err, len(p.consumed))
+				}
+				p.check(t)
+			})
+
+			t.Run("lookahead is bounded", func(t *testing.T) {
+				// The consumer holds index 0 until the producers have
+				// claimed the whole window, then gives them time to
+				// overrun it.
+				want := lookahead(workers)
+				if workers == 1 {
+					want = 1 // serial: each value is consumed before the next
+				}
+				var claimedAtFirst int32
+				full := make(chan struct{})
+				p := newPoolProbe(40)
+				err := p.run(workers, func(i int) error {
+					if i == want-1 { // claims are in index order
+						close(full)
+					}
+					return nil
+				}, func(i int) error {
+					if i != 0 {
+						return nil
+					}
+					select {
+					case <-full:
+					case <-time.After(10 * time.Second):
+						return fmt.Errorf("only %d of %d window slots were claimed", p.calls.Load(), want)
+					}
+					// No event marks a claim that must not happen; give the
+					// producers time to make one.
+					time.Sleep(20 * time.Millisecond)
+					claimedAtFirst = p.calls.Load()
+					return nil
+				})
+				if err != nil || len(p.consumed) != 40 {
+					t.Fatalf("err = %v after %d values, want nil after 40", err, len(p.consumed))
+				}
+				if int(claimedAtFirst) != want {
+					t.Errorf("%d indices claimed while index 0 was being consumed, want %d", claimedAtFirst, want)
 				}
 				p.check(t)
 			})

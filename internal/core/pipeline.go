@@ -16,7 +16,6 @@ import (
 	"repro/internal/fastq"
 	"repro/internal/gpu"
 	"repro/internal/graph"
-	"repro/internal/kv"
 	"repro/internal/kvio"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -484,16 +483,6 @@ func sortedPartition(k kvio.Kind, length int) string { return RawPartition(k, le
 func inWorkspace(name PartitionNamer) PartitionNamer {
 	return func(k kvio.Kind, length int) string { return path.Join("partitions", name(k, length)) }
 }
-
-// mapTuple is one (length, side, fingerprint, vertex) emission from the
-// map kernels, buffered before the partitioned disk write.
-type mapTuple struct {
-	length int32
-	kind   kvio.Kind
-	pair   kv.Pair
-}
-
-const mapTupleBytes = 32
 
 // reducePhase feeds every verified candidate, in descending length order,
 // to the configured graph engine, seals it, and persists the surviving

@@ -219,17 +219,17 @@ func sortRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, in *kvio.Re
 		cfg.HostMem.Add(hostBytes)
 		memRelease = func() { cfg.HostMem.Release(hostBytes) }
 	}
-	blocks := [2][]kv.Pair{getPairs(blockPairs), getPairs(blockPairs)}
-	scratch := getPairs(blockPairs)
+	blocks := [2][]kv.Pair{kvio.GetPairs(blockPairs), kvio.GetPairs(blockPairs)}
+	scratch := kvio.GetPairs(blockPairs)
 	release := func() {
 		// An early return can leave a block read in flight on the async
 		// I/O stream; barrier it before the buffers go back to the pool,
 		// or a concurrent sort could be handed a buffer the executor is
 		// still filling.
 		ioS.Sync()
-		putPairs(blocks[0])
-		putPairs(blocks[1])
-		putPairs(scratch)
+		kvio.PutPairs(blocks[0])
+		kvio.PutPairs(blocks[1])
+		kvio.PutPairs(scratch)
 		memRelease()
 	}
 
@@ -383,8 +383,8 @@ func drainRun(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, path string
 		cfg.HostMem.Add(hostBytes)
 		defer cfg.HostMem.Release(hostBytes)
 	}
-	buf := getPairs(capPairs)
-	defer putPairs(buf)
+	buf := kvio.GetPairs(capPairs)
+	defer kvio.PutPairs(buf)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -583,8 +583,8 @@ func mergeInMemory(ctx context.Context, cfg Config, cmp *gpu.Stream, a, b []kv.P
 	if half < 1 {
 		half = 1
 	}
-	out := getPairs(2 * half)[:0]
-	defer putPairs(out)
+	out := kvio.GetPairs(2 * half)[:0]
+	defer kvio.PutPairs(out)
 	for len(a) > 0 && len(b) > 0 {
 		wa, wb := window(a, half), window(b, half)
 		// Entirely ordered windows short-circuit without a device trip
@@ -706,7 +706,7 @@ func mergeRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, pathA, pat
 		cfg.HostMem.Add(hostBytes)
 		defer cfg.HostMem.Release(hostBytes)
 	}
-	bufs := [4][]kv.Pair{getPairs(aCap), getPairs(aCap), getPairs(bCap), getPairs(bCap)}
+	bufs := [4][]kv.Pair{kvio.GetPairs(aCap), kvio.GetPairs(aCap), kvio.GetPairs(bCap), kvio.GetPairs(bCap)}
 	wa := kvio.NewWindow(ra, bufs[0], bufs[1])
 	wb := kvio.NewWindow(rb, bufs[2], bufs[3])
 	defer func() {
@@ -714,7 +714,7 @@ func mergeRuns(ctx context.Context, cfg Config, ioS, cmp *gpu.Stream, pathA, pat
 		// I/O stream before the window buffers go back to the pool.
 		ioS.Sync()
 		for _, b := range bufs {
-			putPairs(b)
+			kvio.PutPairs(b)
 		}
 	}()
 

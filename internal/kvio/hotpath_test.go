@@ -377,3 +377,61 @@ func TestWriterMetersPerFlushedBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteEncodedMatchesWrite pins that records handed over encoded, in
+// chunks that straddle block boundaries, leave the same file, count, Sum
+// and meter charges after every chunk as writing the decoded pairs one by
+// one, and that a chunk of partial records is refused.
+func TestWriteEncodedMatchesWrite(t *testing.T) {
+	dir := t.TempDir()
+	for _, n := range []int{1, blockPairs - 1, blockPairs, blockPairs + 1, 2*blockPairs + 3} {
+		ps := randPairs(int64(n), n)
+		enc := make([]byte, n*kv.PairBytes)
+		for i, p := range ps {
+			p.Encode(enc[i*kv.PairBytes:])
+		}
+		open := func(name string) (*Writer, *costmodel.Meter) {
+			meter := costmodel.NewMeter()
+			w, err := NewWriter(filepath.Join(dir, fmt.Sprintf("%s_%d.kv", name, n)), meter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w, meter
+		}
+		one, oneMeter := open("write")
+		bulk, bulkMeter := open("encoded")
+		chunks := []int{1, 3, blockPairs - 2, 5000, 2 * blockPairs}
+		for i, lo := 0, 0; lo < n; i++ {
+			hi := min(lo+chunks[i%len(chunks)], n)
+			for _, p := range ps[lo:hi] {
+				if err := one.Write(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := bulk.WriteEncoded(enc[lo*kv.PairBytes : hi*kv.PairBytes]); err != nil {
+				t.Fatal(err)
+			}
+			if a, b := oneMeter.Snapshot(), bulkMeter.Snapshot(); a != b || one.Count() != bulk.Count() {
+				t.Fatalf("n=%d after %d records: encoded writer metered %+v, count %d; Write %+v, count %d",
+					n, hi, b, bulk.Count(), a, one.Count())
+			}
+			lo = hi
+		}
+		if err := bulk.WriteEncoded(make([]byte, kv.PairBytes+1)); err == nil {
+			t.Fatalf("n=%d: a partial record was accepted", n)
+		}
+		for _, w := range []*Writer{one, bulk} {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if one.Sum() != bulk.Sum() || oneMeter.Snapshot() != bulkMeter.Snapshot() {
+			t.Fatalf("n=%d: encoded writer closed with sum %+v, Write with %+v", n, bulk.Sum(), one.Sum())
+		}
+		a, errA := os.ReadFile(filepath.Join(dir, fmt.Sprintf("write_%d.kv", n)))
+		b, errB := os.ReadFile(filepath.Join(dir, fmt.Sprintf("encoded_%d.kv", n)))
+		if errA != nil || errB != nil || string(a) != string(b) {
+			t.Fatalf("n=%d: files differ (%v, %v)", n, errA, errB)
+		}
+	}
+}

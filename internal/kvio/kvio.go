@@ -94,6 +94,40 @@ func putBlock(b []byte) {
 	blockPool.Put(&b)
 }
 
+// pairPool recycles host-side pair buffers — an external sort's
+// run-formation blocks, merge scratch and merge output, and the windows
+// the sort's merges and the reduce stream through — across partitions and
+// merge passes, so a long run over many partitions allocates them once
+// instead of once per partition. The pool only recycles backing arrays:
+// HostMem accounting is unchanged, because the modeled cost of a buffer is
+// its reservation, not its allocation.
+var pairPool sync.Pool
+
+// GetPairs returns a buffer of length exactly n with undefined contents.
+// A pooled buffer with a larger capacity is re-sliced to n — never handed
+// back at its previous partition's length, which would let a smaller
+// partition read the previous partition's stale tail. A pooled buffer too
+// small for the request is dropped for the GC.
+func GetPairs(n int) []kv.Pair {
+	if v := pairPool.Get(); v != nil {
+		buf := *(v.(*[]kv.Pair))
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	}
+	return make([]kv.Pair, n)
+}
+
+// PutPairs recycles a buffer obtained from GetPairs. The caller must not
+// retain any alias past this call.
+func PutPairs(buf []kv.Pair) {
+	if cap(buf) == 0 {
+		return
+	}
+	buf = buf[:0]
+	pairPool.Put(&buf)
+}
+
 // fileSync is the fsync hook Writer.Close and Sync go through; a variable
 // so the tests can observe ordering and inject failures.
 var fileSync = (*os.File).Sync
@@ -226,6 +260,32 @@ func (w *Writer) WriteBatch(ps []kv.Pair) error {
 		w.off += n * kv.PairBytes
 		w.count += int64(n)
 		ps = ps[n:]
+	}
+	return nil
+}
+
+// WriteEncoded appends records already encoded with kv.Pair.Encode; len(b)
+// must be a multiple of kv.PairBytes. The bytes pass through the block as
+// Write's would, so the file, its Sum and the meter's charges are the
+// same as for writing the decoded pairs one by one.
+func (w *Writer) WriteEncoded(b []byte) error {
+	if w.closed {
+		return fmt.Errorf("kvio: write to closed writer %s", w.f.Name())
+	}
+	if len(b)%kv.PairBytes != 0 {
+		return fmt.Errorf("kvio: %d encoded bytes to %s are not whole records of %d bytes",
+			len(b), w.f.Name(), kv.PairBytes)
+	}
+	for len(b) > 0 {
+		if w.off == len(w.block) {
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
+		n := copy(w.block[w.off:], b) // whole records: the block is too
+		w.off += n
+		w.count += int64(n / kv.PairBytes)
+		b = b[n:]
 	}
 	return nil
 }
@@ -465,6 +525,25 @@ func NewPartitionWriters(dir string, kind Kind, meter *costmodel.Meter) *Partiti
 
 // Write appends a tuple to the partition for the given length.
 func (pw *PartitionWriters) Write(length int, p kv.Pair) error {
+	w, err := pw.writer(length)
+	if err != nil {
+		return err
+	}
+	return w.Write(p)
+}
+
+// WriteEncoded appends encoded records (Writer.WriteEncoded) to the
+// partition for the given length.
+func (pw *PartitionWriters) WriteEncoded(length int, b []byte) error {
+	w, err := pw.writer(length)
+	if err != nil {
+		return err
+	}
+	return w.WriteEncoded(b)
+}
+
+// writer returns the partition's writer, creating its file on first use.
+func (pw *PartitionWriters) writer(length int) (*Writer, error) {
 	if length >= len(pw.writers) {
 		pw.writers = append(pw.writers, make([]*Writer, length+1-len(pw.writers))...)
 	}
@@ -473,11 +552,11 @@ func (pw *PartitionWriters) Write(length int, p kv.Pair) error {
 		var err error
 		w, err = NewWriter(PartitionPath(pw.dir, pw.kind, length), pw.meter)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pw.writers[length] = w
 	}
-	return w.Write(p)
+	return w, nil
 }
 
 // Counts returns the tuple count per length written so far.

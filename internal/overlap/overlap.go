@@ -105,8 +105,17 @@ func Reduce(ctx context.Context, cfg Config, sfxReader, pfxReader *kvio.Reader, 
 		cfg.HostMem.Add(hostBytes)
 		defer cfg.HostMem.Release(hostBytes)
 	}
-	ws := kvio.NewWindow(sfxReader, make([]kv.Pair, sCap), make([]kv.Pair, sCap))
-	wp := kvio.NewWindow(pfxReader, make([]kv.Pair, pCap), make([]kv.Pair, pCap))
+	bufs := [4][]kv.Pair{kvio.GetPairs(sCap), kvio.GetPairs(sCap), kvio.GetPairs(pCap), kvio.GetPairs(pCap)}
+	ws := kvio.NewWindow(sfxReader, bufs[0], bufs[1])
+	wp := kvio.NewWindow(pfxReader, bufs[2], bufs[3])
+	defer func() {
+		// An early return can leave prefetch ops in flight; barrier the
+		// I/O stream before the window buffers go back to the pool.
+		ioS.Sync()
+		for _, b := range bufs {
+			kvio.PutPairs(b)
+		}
+	}()
 
 	ws.Advance(ioS, 0)
 	wp.Advance(ioS, 0)

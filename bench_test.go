@@ -1,18 +1,18 @@
 // Benchmarks of the pipeline's configurations beyond the paper's tables:
-// worker scaling, modeled streams, the graph backends and their host
-// memory, and the ablations. Each runs at a reduced scale and reports
-// modeled seconds alongside Go's wall-clock measurement; several write
-// the JSON baselines `make bench-gate` compares. The paper's tables and
-// figures are cmd/lasagna-bench's, asserted by its TestPaperShapes.
+// worker scaling, the graph backends and their host memory, and the
+// ablations. Each runs at a reduced scale and reports modeled seconds
+// alongside Go's wall-clock measurement; the backend comparisons assert
+// their claims and run in `make bench-gate`. Their deterministic numbers
+// are pinned exactly in tier-1 (internal/cluster's TestModeledPins). The
+// paper's tables and figures are cmd/lasagna-bench's, asserted by its
+// TestPaperShapes.
 //
 //	go test -bench=. -benchmem
 package lasagna
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -63,105 +63,17 @@ func BenchmarkPipelineWorkers(b *testing.B) {
 	}
 }
 
-// streamsBenchPhase is one phase's additive-vs-overlapped comparison in
-// BENCH_streams.json. The serial figure is the additive model's
-// (Modeled + OverlapSaved: the phase's metered work, priced with nothing
-// overlapped).
-type streamsBenchPhase struct {
-	Phase              string  `json:"phase"`
-	SerialModeledS     float64 `json:"serialModeledS"`
-	OverlappedModeledS float64 `json:"overlappedModeledS"`
-	OverlappedWallS    float64 `json:"overlappedWallS"`
-}
-
-type streamsBenchReport struct {
-	SerialModeledS     float64             `json:"serialModeledS"`
-	OverlappedModeledS float64             `json:"overlappedModeledS"`
-	SavedS             float64             `json:"savedS"`
-	OverlapRatio       float64             `json:"overlapRatio"`
-	Phases             []streamsBenchPhase `json:"phases"`
-}
-
-// BenchmarkPipelineStreams assembles the largest bench-scale dataset and
-// reports how much modeled time the stream overlap hides: each phase's
-// overlapped modeled seconds beside the additive figure the same run's
-// counters price to (see core's streams tests for why the two differ by
-// exactly the saving). When BENCH_STREAMS_OUT names a file, the per-phase
-// comparison is written there as JSON.
-func BenchmarkPipelineStreams(b *testing.B) {
-	p, rs := benchReads(b, 3)
-	b.ReportAllocs()
-	var res *core.Result
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := benchConfig(b, p.MinOverlap)
-		b.StartTimer()
-		var err error
-		res, err = Assemble(cfg, rs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.TotalModeled.Seconds(), "modeled-s")
-	out := os.Getenv("BENCH_STREAMS_OUT")
-	if out == "" {
-		return
-	}
-	rep := streamsBenchReport{
-		SerialModeledS:     (res.TotalModeled + res.OverlapSaved).Seconds(),
-		OverlappedModeledS: res.TotalModeled.Seconds(),
-		SavedS:             res.OverlapSaved.Seconds(),
-		OverlapRatio:       res.OverlapRatio,
-	}
-	for _, ps := range res.Phases {
-		rep.Phases = append(rep.Phases, streamsBenchPhase{
-			Phase:              ps.Name,
-			SerialModeledS:     (ps.Modeled + ps.OverlapSaved).Seconds(),
-			OverlappedModeledS: ps.Modeled.Seconds(),
-			OverlappedWallS:    ps.Wall.Seconds(),
-		})
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// graphBenchRow is one (dataset, backend) cell of BENCH_graph.json. Only
-// the modeled fields participate in the bench_gate regression check;
-// wall seconds and edge counts are informational.
-type graphBenchRow struct {
-	Dataset         string  `json:"dataset"`
-	Backend         string  `json:"backend"`
-	ModeledS        float64 `json:"modeledS"`
-	ReduceModeledS  float64 `json:"reduceModeledS"`
-	WallS           float64 `json:"wallS"`
-	NNZ             int64   `json:"nnz"`
-	AcceptedEdges   int64   `json:"acceptedEdges"`
-	ReducedEdges    int64   `json:"reducedEdges"`
-	Contigs         int     `json:"contigs"`
-	N50             int     `json:"n50"`
-	PeakDeviceBytes int64   `json:"peakDeviceBytes"`
-}
-
-type graphBenchReport struct {
-	Rows []graphBenchRow `json:"rows"`
-}
-
 // BenchmarkGraphBackends compares the reduce/compress engines — greedy
 // and the spmat masked-SpGEMM backend — on two bench-scale datasets,
 // checking that spmat removes at least as many edges as greedy (which
-// removes none) and reporting modeled seconds per engine. (spmat against
-// Myers' sweep is checked by the oracle tests: TestBackendDifferential in
-// internal/core and FuzzTwoHopMatchesMyers in internal/spmat.) When
-// BENCH_GRAPH_OUT names a file, the comparison table is written there as
-// JSON for the bench_gate regression check and EXPERIMENTS.md.
+// removes none) and reporting modeled seconds per engine, with the
+// modeled seconds the stream overlap hid (the additive figure is their
+// sum; TestStreamsIdenticalOutputLowerModeledTime holds each phase's
+// saving exactly). (spmat against Myers' sweep is checked by the oracle
+// tests: TestBackendDifferential in internal/core and
+// FuzzTwoHopMatchesMyers in internal/spmat.)
 func BenchmarkGraphBackends(b *testing.B) {
 	backends := []string{"greedy", "spmat"}
-	var rep graphBenchReport
 	for _, idx := range []int{0, 3} {
 		p, rs := benchReads(b, idx)
 		results := map[string]*core.Result{}
@@ -182,91 +94,30 @@ func BenchmarkGraphBackends(b *testing.B) {
 					}
 				}
 				b.ReportMetric(res.TotalModeled.Seconds(), "modeled-s")
+				b.ReportMetric(res.OverlapSaved.Seconds(), "overlap-saved-s")
 				b.ReportMetric(float64(res.ReducedEdges), "removed-edges")
 				results[backend] = res
 			})
 		}
-		spmat := results["spmat"]
-		if spmat == nil {
-			continue // sub-benchmark filtered out
-		}
-		if g := results["greedy"]; g != nil && spmat.ReducedEdges < g.ReducedEdges {
+		// A cell is nil when its sub-benchmark was filtered out.
+		if sp, g := results["spmat"], results["greedy"]; sp != nil && g != nil && sp.ReducedEdges < g.ReducedEdges {
 			b.Fatalf("%s: spmat removed %d transitive edges, greedy removed %d",
-				p.Name, spmat.ReducedEdges, g.ReducedEdges)
-		}
-		for _, backend := range backends {
-			res := results[backend]
-			if res == nil {
-				continue
-			}
-			row := graphBenchRow{
-				Dataset:       p.Name,
-				Backend:       backend,
-				ModeledS:      res.TotalModeled.Seconds(),
-				WallS:         res.TotalWall.Seconds(),
-				NNZ:           res.AcceptedEdges + res.ReducedEdges,
-				AcceptedEdges: res.AcceptedEdges,
-				ReducedEdges:  res.ReducedEdges,
-				Contigs:       len(res.Contigs),
-				N50:           res.ContigStats.N50,
-			}
-			if ps, ok := res.PhaseByName(core.PhaseReduce); ok {
-				row.ReduceModeledS = ps.Modeled.Seconds()
-			}
-			for _, ps := range res.Phases {
-				if ps.PeakDevice > row.PeakDeviceBytes {
-					row.PeakDeviceBytes = ps.PeakDevice
-				}
-			}
-			rep.Rows = append(rep.Rows, row)
+				p.Name, sp.ReducedEdges, g.ReducedEdges)
 		}
 	}
-	out := os.Getenv("BENCH_GRAPH_OUT")
-	if out == "" || len(rep.Rows) == 0 {
-		return
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// memBenchRow is one (dataset, scale, backend) cell of BENCH_mem.json.
-// The modeled seconds and both host-peak fields participate in the
-// bench_gate regression check (keys containing "modeled" or "hostPeak");
-// wall seconds and edge counts are informational.
-type memBenchRow struct {
-	Dataset        string  `json:"dataset"`
-	Scale          float64 `json:"scale"`
-	Backend        string  `json:"backend"`
-	ModeledS       float64 `json:"modeledS"`
-	GraphHostPeakB int64   `json:"graphHostPeakB"`
-	HostPeakB      int64   `json:"hostPeakB"`
-	WallS          float64 `json:"wallS"`
-	AcceptedEdges  int64   `json:"acceptedEdges"`
-	ReducedEdges   int64   `json:"reducedEdges"`
-}
-
-type memBenchReport struct {
-	Rows []memBenchRow `json:"rows"`
 }
 
 // BenchmarkGraphBackendMemory compares the host-memory footprint of the
 // reduce/compress engines — greedy, the spmat edge-list/CSR backend, and
 // the succinct compressed store — on the largest profile at two scale
 // factors, reporting the graph-attributable host peak the MemTracker
-// measured alongside modeled seconds. The tentpole claim is pinned at
-// the larger scale: the succinct store's graph peak must be at least 2x
-// below the spmat edge-list path's. When BENCH_MEM_OUT names a file,
-// the comparison table is written there as JSON for the bench_gate
-// regression check and EXPERIMENTS.md.
+// measured, and the whole run's tracked host peak, alongside modeled
+// seconds. The store's claim is asserted at the larger scale: the succinct
+// store's graph peak must be at least 2x below the spmat edge-list
+// path's.
 func BenchmarkGraphBackendMemory(b *testing.B) {
 	backends := []string{core.BackendGreedy, core.BackendSpmat, core.BackendSuccinct}
 	scales := []float64{0.05, 0.1}
-	var rep memBenchReport
 	for _, scale := range scales {
 		p := readsim.Profiles[3].Scaled(scale)
 		_, rs := p.Generate()
@@ -281,7 +132,7 @@ func BenchmarkGraphBackendMemory(b *testing.B) {
 					cfg := benchConfig(b, p.MinOverlap)
 					cfg.GraphBackend = backend
 					// Total host peak grows with the sort blocks concurrent
-					// workers hold; one worker keeps the gated hostPeakB
+					// workers hold; one worker keeps host-peak-B
 					// independent of the box's core count.
 					cfg.Workers = 1
 					b.StartTimer()
@@ -301,19 +152,9 @@ func BenchmarkGraphBackendMemory(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(graphPeak), "graph-peak-B")
+				b.ReportMetric(float64(hostPeak), "host-peak-B")
 				b.ReportMetric(res.TotalModeled.Seconds(), "modeled-s")
 				graphPeaks[backend] = graphPeak
-				rep.Rows = append(rep.Rows, memBenchRow{
-					Dataset:        p.Name,
-					Scale:          scale,
-					Backend:        backend,
-					ModeledS:       res.TotalModeled.Seconds(),
-					GraphHostPeakB: graphPeak,
-					HostPeakB:      hostPeak,
-					WallS:          res.TotalWall.Seconds(),
-					AcceptedEdges:  res.AcceptedEdges,
-					ReducedEdges:   res.ReducedEdges,
-				})
 			})
 		}
 		sp, succ := graphPeaks[core.BackendSpmat], graphPeaks[core.BackendSuccinct]
@@ -321,17 +162,6 @@ func BenchmarkGraphBackendMemory(b *testing.B) {
 			b.Fatalf("%s scale %.2f: succinct graph peak %d B is not 2x below spmat's %d B",
 				p.Name, scale, succ, sp)
 		}
-	}
-	out := os.Getenv("BENCH_MEM_OUT")
-	if out == "" || len(rep.Rows) == 0 {
-		return
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }
 

@@ -2,28 +2,29 @@
 // the Rabin-Karp fingerprint scan, kvio pair serialization, the external
 // sort's device chunk sort, one tile of the two-hop transitive reducer
 // over the succinct store, the overlap reducer's bound kernels over one
-// sorted window pair, and the spmat CSR build — plus the BENCH_wall.json
-// emission the bench_gate wall-clock rule consumes.
+// sorted window pair, and the spmat CSR build — each held to an
+// allocation ceiling.
 //
-// Unlike the modeled-seconds benchmarks (BenchmarkPipelineStreams etc.), these
-// measure raw host nanoseconds and allocations per operation: the cost
-// model is deliberately identical before and after any hot-path rework,
-// so wall time is the only signal that the loops actually got faster.
+// Unlike the pipeline benchmarks, these measure raw host nanoseconds and
+// allocations per operation: the cost model is deliberately identical
+// before and after any hot-path rework, so wall time is the only signal
+// that the loops actually got faster. ns/op and B/op are reported, not
+// gated (they depend on the host); allocs/op is a property of the code
+// and fails the benchmark above the loop's maxAllocs.
 //
 // BenchmarkHotPaths does its own calibration (warmup, then grow the
 // iteration count until a loop runs long enough to time stably) instead
-// of relying on b.N, because the gate needs steady-state numbers — in
+// of relying on b.N, because the ceilings need steady-state numbers — in
 // particular allocs/op after buffer pools are warm — even under
 // -benchtime=1x. testing.Benchmark cannot be used from inside a running
 // benchmark (it deadlocks on the global benchmark lock), so the
 // measurement is explicit:
 //
-//	BENCH_WALL_OUT=BENCH_wall.json go test -run=NONE -bench='^BenchmarkHotPaths$' -benchtime=1x .
+//	go test -run='^$' -bench='^BenchmarkHotPaths$' -benchtime=1x .
 package lasagna
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -56,40 +57,32 @@ const (
 	hotBuildReads  = 512     // reads in the spmat build: two row buckets, ~1.4 MB of garbage per op
 )
 
-// wallRow is one hot loop's measurement in BENCH_wall.json. The nsPerOp
-// and allocsPerOp fields are gated by scripts/bench_gate (nsPerOp with
-// the generous wall-clock threshold, allocsPerOp absolutely); bytesPerOp
-// is informational.
-type wallRow struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"nsPerOp"`
-	AllocsPerOp float64 `json:"allocsPerOp"`
-	BytesPerOp  float64 `json:"bytesPerOp"`
-}
+// allocSlack is how far above its recorded allocs/op a loop may go: one
+// allocation more per op fails, pool and collector noise below that
+// does not.
+const allocSlack = 0.5
 
-type wallReport struct {
-	Loops []wallRow `json:"loops"`
-}
-
-// wallLoop is one benchmarked hot loop: setup returns the operation to
-// be timed and a cleanup. The op may keep internal state (open files,
+// hotLoop is one benchmarked hot loop: setup returns the operation to be
+// timed and a cleanup. The op may keep internal state (open files,
 // rotation counters); it must be safe to call any number of times.
-type wallLoop struct {
-	name  string
-	setup func() (op func() error, cleanup func(), err error)
+// maxAllocs is its ceiling: the allocs/op recorded when the ceiling was
+// set, plus allocSlack.
+type hotLoop struct {
+	name      string
+	setup     func() (op func() error, cleanup func(), err error)
+	maxAllocs float64
 }
 
-// hotPathLoops returns the gated hot loops. TestBenchWallBaseline pins
-// the committed baseline against exactly this list, so the gate can
-// never silently compare an empty intersection.
-func hotPathLoops() []wallLoop {
-	return []wallLoop{
-		{"fingerprint_scan", setupFingerprintScan},
-		{"kvio_roundtrip", setupKVIORoundtrip},
-		{"extsort_chunk_sort", setupChunkSort},
-		{"twohop_tile", setupTwoHopTile},
-		{"overlap_bounds_sorted_window", setupSortedWindowBounds},
-		{"spmat_build", setupSpmatBuild},
+// hotPathLoops returns the gated hot loops; TestHotPathLoopsRun checks
+// each has a ceiling.
+func hotPathLoops() []hotLoop {
+	return []hotLoop{
+		{"fingerprint_scan", setupFingerprintScan, 0 + allocSlack},
+		{"kvio_roundtrip", setupKVIORoundtrip, 0.02 + allocSlack},
+		{"extsort_chunk_sort", setupChunkSort, 0 + allocSlack},
+		{"twohop_tile", setupTwoHopTile, 22.27 + allocSlack},
+		{"overlap_bounds_sorted_window", setupSortedWindowBounds, 0 + allocSlack},
+		{"spmat_build", setupSpmatBuild, 48.03 + allocSlack},
 	}
 }
 
@@ -354,25 +347,30 @@ func setupSpmatBuild() (func() error, func(), error) {
 
 // Measurement knobs: each loop warms up (filling buffer pools and
 // caches), then the iteration count grows until one timed run lasts at
-// least measureTarget, so the ns/op resolution is far below the gate's
-// threshold and pool warmup allocations amortize to zero.
+// least measureTarget, so the ns/op resolution is fine and pool warmup
+// allocations amortize to zero.
 const (
-	wallWarmupOps = 8
+	warmupOps     = 8
 	measureTarget = 200 * time.Millisecond
 	measureMaxOps = 1 << 20
 )
 
+// loopCost is one hot loop's steady-state cost per operation.
+type loopCost struct {
+	nsPerOp, allocsPerOp, bytesPerOp float64
+}
+
 // measureLoop runs one hot loop to a steady-state measurement. minOps
 // lets the smoke test bound the work; pass 0 for the full calibration.
-func measureLoop(l wallLoop, minOps int) (wallRow, error) {
+func measureLoop(l hotLoop, minOps int) (loopCost, error) {
 	op, cleanup, err := l.setup()
 	if err != nil {
-		return wallRow{}, fmt.Errorf("%s: setup: %w", l.name, err)
+		return loopCost{}, fmt.Errorf("%s: setup: %w", l.name, err)
 	}
 	defer cleanup()
-	for i := 0; i < wallWarmupOps; i++ {
+	for i := 0; i < warmupOps; i++ {
 		if err := op(); err != nil {
-			return wallRow{}, fmt.Errorf("%s: warmup: %w", l.name, err)
+			return loopCost{}, fmt.Errorf("%s: warmup: %w", l.name, err)
 		}
 	}
 	n := 64
@@ -385,17 +383,16 @@ func measureLoop(l wallLoop, minOps int) (wallRow, error) {
 		start := time.Now()
 		for i := 0; i < n; i++ {
 			if err := op(); err != nil {
-				return wallRow{}, fmt.Errorf("%s: op: %w", l.name, err)
+				return loopCost{}, fmt.Errorf("%s: op: %w", l.name, err)
 			}
 		}
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&ms1)
 		if minOps > 0 || elapsed >= measureTarget || n >= measureMaxOps {
-			return wallRow{
-				Name:        l.name,
-				NsPerOp:     float64(elapsed.Nanoseconds()) / float64(n),
-				AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(n),
-				BytesPerOp:  float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(n),
+			return loopCost{
+				nsPerOp:     float64(elapsed.Nanoseconds()) / float64(n),
+				allocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(n),
+				bytesPerOp:  float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(n),
 			}, nil
 		}
 		// Grow toward the target in a few steps.
@@ -410,42 +407,40 @@ func measureLoop(l wallLoop, minOps int) (wallRow, error) {
 	}
 }
 
-// writeWallReport writes the measured loops as BENCH_wall.json.
-func writeWallReport(path string, rows []wallRow) error {
-	data, err := json.MarshalIndent(wallReport{Loops: rows}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// BenchmarkHotPaths measures every hot loop at steady state and reports
-// ns/op and allocs/op per loop. When BENCH_WALL_OUT names a file, the
-// table is written there for the bench_gate wall-clock rule. The
-// measurement is self-calibrating and independent of b.N (see the
-// package comment), so -benchtime=1x gives full-quality numbers.
+// BenchmarkHotPaths measures every hot loop at steady state, reports its
+// ns/op, B/op and allocs/op, and fails a loop whose allocs/op exceeds its
+// ceiling. The measurement is self-calibrating and independent of b.N
+// (see the package comment), so -benchtime=1x gives full-quality numbers.
 func BenchmarkHotPaths(b *testing.B) {
-	var rows []wallRow
 	for _, l := range hotPathLoops() {
-		row, err := measureLoop(l, 0)
+		c, err := measureLoop(l, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows = append(rows, row)
-		b.ReportMetric(row.NsPerOp, l.name+"-ns/op")
-		b.Logf("%s: %.0f ns/op, %.2f allocs/op, %.0f B/op",
-			l.name, row.NsPerOp, row.AllocsPerOp, row.BytesPerOp)
+		b.ReportMetric(c.nsPerOp, l.name+"-ns/op")
+		b.ReportMetric(c.bytesPerOp, l.name+"-B/op")
+		b.ReportMetric(c.allocsPerOp, l.name+"-allocs/op")
+		if c.allocsPerOp > l.maxAllocs {
+			b.Errorf("%s: %.2f allocs/op, ceiling %.2f", l.name, c.allocsPerOp, l.maxAllocs)
+		}
 	}
 	// Keep the conventional loop so `go test -bench` accounting stays
 	// sane; the real measurement happened above.
 	for i := 0; i < b.N; i++ {
 	}
-	out := os.Getenv("BENCH_WALL_OUT")
-	if out == "" {
-		return
+}
+
+// TestHotPathLoopsRun runs every hot loop's setup and a few of its ops,
+// so a loop that no longer builds or runs fails in tier-1 and not only
+// under the benchmark, and requires a ceiling on each: a loop added
+// without one would go ungated.
+func TestHotPathLoopsRun(t *testing.T) {
+	for _, l := range hotPathLoops() {
+		if l.maxAllocs < allocSlack {
+			t.Errorf("%s: allocation ceiling %.2f is below the slack, so it was not set from a count", l.name, l.maxAllocs)
+		}
+		if _, err := measureLoop(l, 4); err != nil {
+			t.Error(err)
+		}
 	}
-	if err := writeWallReport(out, rows); err != nil {
-		b.Fatal(err)
-	}
-	fmt.Printf("wrote %s (%d loops)\n", out, len(rows))
 }

@@ -20,11 +20,14 @@ import (
 var updatePins = flag.Bool("update-pins", false,
 	"rewrite testdata/pins.json from this run instead of comparing against it")
 
-// pinPhase is the modeled, worker-count-independent part of a PhaseStats.
+// pinPhase is the modeled, worker-count-independent part of a PhaseStats:
+// its modeled time and tier bytes, and the host bytes its graph store
+// held at peak (0, and so left out, in phases that hold none).
 type pinPhase struct {
 	Name                         string
 	Modeled                      time.Duration
 	DiskRead, DiskWrite, NetByte int64
+	GraphHostPeak                int64 `json:",omitempty"`
 }
 
 // pin is everything about a run that must not depend on how it was
@@ -38,12 +41,16 @@ type pin struct {
 	ReduceOverlapModeled, ReduceSerial time.Duration
 	Candidate, Accepted, Reduced       int64
 	FastaSHA256                        string
+	// HostPeak is each phase's tracked host peak, recorded from the
+	// single-node Workers=1 run only: more workers hold more blocks at
+	// once, so the peak is a function of the worker count.
+	HostPeak []int64 `json:",omitempty"`
 }
 
 func pinPhases(phases []stats.PhaseStats) []pinPhase {
 	out := make([]pinPhase, len(phases))
 	for i, p := range phases {
-		out[i] = pinPhase{p.Name, p.Modeled, p.DiskRead, p.DiskWrite, p.NetBytes}
+		out[i] = pinPhase{p.Name, p.Modeled, p.DiskRead, p.DiskWrite, p.NetBytes, p.GraphHostPeak}
 	}
 	return out
 }
@@ -72,12 +79,18 @@ func pinCluster(t *testing.T, res *Result) pin {
 	return p
 }
 
-func pinSingle(t *testing.T, res *core.Result) pin {
-	return pin{
+func pinSingle(t *testing.T, res *core.Result, workers int) pin {
+	p := pin{
 		Counters: res.Counters, TotalModeled: res.TotalModeled, Phases: pinPhases(res.Phases),
 		Candidate: res.CandidateEdges, Accepted: res.AcceptedEdges, Reduced: res.ReducedEdges,
 		FastaSHA256: fastaSum(t, res.ContigPath),
 	}
+	if workers == 1 {
+		for _, ps := range res.Phases {
+			p.HostPeak = append(p.HostPeak, ps.PeakHost)
+		}
+	}
+	return p
 }
 
 // TestModeledPins holds every modeled number of the cluster and the
@@ -87,7 +100,9 @@ func pinSingle(t *testing.T, res *core.Result) pin {
 // recorded before the node runtime moved into core (go test
 // ./internal/cluster -run TestModeledPins -update-pins rewrites it):
 // a worker count is not part of a cell's key, so the table also asserts
-// modeled cost is worker-independent. A recorded cell that no run produces
+// modeled cost and graph peaks are worker-independent. The single-node
+// cells also pin each phase's tracked host peak at Workers=1, which the
+// Workers=4 variant leaves out. A recorded cell that no run produces
 // fails too, so a backend dropped from core.Backends cannot leave its pins
 // behind unnoticed.
 func TestModeledPins(t *testing.T) {
@@ -102,14 +117,20 @@ func TestModeledPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]pin{}
+	// check holds a cell's first variant (Workers=1) to the recording and
+	// every later one to the first, less the host peaks it alone carries.
 	check := func(key, variant string, p pin) {
 		// Through JSON, so a recorded and a fresh pin compare alike (nil
 		// versus empty maps).
 		raw, _ := json.Marshal(p)
 		var norm pin
 		json.Unmarshal(raw, &norm)
-		if first, ok := got[key]; ok && !reflect.DeepEqual(first, norm) {
-			t.Errorf("%s: %s differs from the cell's first variant:\n got %+v\nwant %+v", key, variant, norm, first)
+		if first, ok := got[key]; ok {
+			first.HostPeak = nil
+			if !reflect.DeepEqual(first, norm) {
+				t.Errorf("%s: %s differs from the cell's first variant:\n got %+v\nwant %+v", key, variant, norm, first)
+			}
+			return
 		}
 		got[key] = norm
 		if w, ok := want[key]; !*updatePins && (!ok || !reflect.DeepEqual(w, norm)) {
@@ -130,7 +151,7 @@ func TestModeledPins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("single/"+engine, fmt.Sprintf("Workers=%d", workers), pinSingle(t, res))
+			check("single/"+engine, fmt.Sprintf("Workers=%d", workers), pinSingle(t, res, workers))
 		}
 		for _, nodes := range []int{1, 3} {
 			for _, workers := range []int{1, 4} {

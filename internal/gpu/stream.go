@@ -24,9 +24,12 @@ type streamOp struct {
 // the placement) and to the line (modeled placement, where overlap across
 // streams is what shrinks the makespan). A nil line disables modeling
 // without changing how the ops execute. An async stream runs its ops on a
-// background executor (the I/O streams that prefetch); an inline
-// (async=false) stream executes them immediately on the caller (the
-// compute streams, whose kernels produce values the caller needs).
+// background executor: it is for streams whose ops do real I/O (the
+// external sort's and the overlap reducer's prefetch, which read files).
+// An inline (async=false) stream executes them immediately on the caller:
+// the compute streams, whose kernels produce values the caller needs, and
+// an I/O stream whose ops only charge transfers (the two-hop pass's),
+// where an executor would cost a goroutine and nothing would overlap.
 //
 // One goroutine owns a stream's enqueue side (the pipeline's per-unit
 // orchestrator); Sync/Close create the happens-before edges that make the

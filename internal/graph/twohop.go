@@ -215,7 +215,10 @@ func TransitiveReduceTwoHop(ctx context.Context, st RowStore, streams string, cf
 
 	tl := cfg.Overlap.NewTimeline()
 	defer tl.Commit()
-	ioS := dev.NewStream(streams+"-io", tl.Line("prefetch"), true)
+	// The I/O stream's ops are transfer charges only (stage measures on the
+	// caller), so it runs inline: an executor would cost a goroutine and
+	// its channels per pass and move nothing.
+	ioS := dev.NewStream(streams+"-io", tl.Line("prefetch"), false)
 	defer ioS.Close()
 	cmp := dev.NewStream(streams+"-compute", tl.Line("compute"), false)
 	defer cmp.Close()

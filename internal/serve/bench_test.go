@@ -5,26 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"testing"
 	"time"
 )
 
-// serveBenchReport is the machine-readable summary `make bench` stores as
-// BENCH_serve.json.
-type serveBenchReport struct {
-	Jobs            int     `json:"jobs"`
-	WallSeconds     float64 `json:"wallSeconds"`
-	JobsPerSec      float64 `json:"jobsPerSec"`
-	MeanQueueWaitMs float64 `json:"meanQueueWaitMs"`
-	MaxQueueWaitMs  float64 `json:"maxQueueWaitMs"`
-	MaxConcurrent   int     `json:"maxConcurrent"`
-}
-
 // BenchmarkServeThroughput pushes b.N small assembly jobs through the
 // full HTTP + scheduler + pipeline path and reports end-to-end job
-// throughput plus queue latency. When BENCH_SERVE_OUT names a file, the
-// summary is written there as JSON for the bench harness.
+// throughput plus queue latency. Both are wall-clock and host-dependent,
+// so they are reported, not gated.
 func BenchmarkServeThroughput(b *testing.B) {
 	scfg := testServerConfig(b.TempDir())
 	scfg.QueueCap = b.N + 1 // measure service time, not rejection
@@ -53,7 +41,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		}
 		ids[i] = rec.ID
 	}
-	var meanWait, maxWait float64
+	var meanWait float64
 	for _, id := range ids {
 		rec := benchPoll(b, ts.URL, id)
 		if rec.State != StateSucceeded {
@@ -61,9 +49,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 		}
 		if rec.Result != nil {
 			meanWait += rec.Result.QueueWaitMs
-			if rec.Result.QueueWaitMs > maxWait {
-				maxWait = rec.Result.QueueWaitMs
-			}
 		}
 	}
 	elapsed := time.Since(start)
@@ -72,23 +57,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "jobs/s")
 	b.ReportMetric(meanWait, "queue-ms/job")
 
-	if out := os.Getenv("BENCH_SERVE_OUT"); out != "" {
-		rep := serveBenchReport{
-			Jobs:            b.N,
-			WallSeconds:     elapsed.Seconds(),
-			JobsPerSec:      float64(b.N) / elapsed.Seconds(),
-			MeanQueueWaitMs: meanWait,
-			MaxQueueWaitMs:  maxWait,
-			MaxConcurrent:   scfg.MaxConcurrent,
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // benchPoll waits for the job to finish.

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"testing"
@@ -13,64 +11,33 @@ import (
 	"repro/internal/obs"
 )
 
-// fleetBenchConfig is one scheduler shape the fleet benchmark measures.
-type fleetBenchConfig struct {
-	Devices    int     `json:"devices"`
-	Jobs       int     `json:"jobs"`
-	WallSec    float64 `json:"wallSeconds"`
-	JobsPerSec float64 `json:"jobsPerSec"`
-	P50QueueMs float64 `json:"p50QueueMs"`
-	P99QueueMs float64 `json:"p99QueueMs"`
-}
-
-// fleetBenchReport is the machine-readable summary `make bench` stores as
-// BENCH_fleet.json. Throughput and latency are wall-clock and
-// machine-dependent; the bench gate only compares modeled metrics, so
-// this file documents scaling rather than gating it.
-type fleetBenchReport struct {
-	JobMillis int                `json:"jobMillisMean"`
-	Configs   []fleetBenchConfig `json:"configs"`
-	Speedup4x float64            `json:"speedup4xVs1"`
+// fleetWave is one fleet shape's measured run.
+type fleetWave struct {
+	jobsPerSec, p99QueueMs float64
 }
 
 // BenchmarkFleetThroughput measures scheduler-level fleet scaling with
-// modeled (sleep-based) jobs of staggered durations: jobs/sec and
-// p50/p99 queue latency at 1, 2, and 4 devices. Sleep-based run
-// functions keep the measurement about dispatch and placement, not
-// pipeline CPU, so device-count scaling shows through even on small CI
-// machines. When BENCH_FLEET_OUT names a file the summary is written
-// there as JSON.
+// modeled (sleep-based) jobs of staggered durations: jobs/sec and p99
+// queue latency at 4 devices and the jobs/sec speedup over 1 device.
+// Sleep-based run functions keep the measurement about dispatch and
+// placement, not pipeline CPU, so device-count scaling shows through even
+// on small CI machines. The figures are wall-clock: reported, not gated.
 func BenchmarkFleetThroughput(b *testing.B) {
 	const jobs = 48
-	var rep fleetBenchReport
-	rep.JobMillis = 25
+	var one, four fleetWave
 	for i := 0; i < b.N; i++ {
-		rep.Configs = rep.Configs[:0]
-		for _, devices := range []int{1, 2, 4} {
-			rep.Configs = append(rep.Configs, runFleetBenchWave(b, devices, jobs))
-		}
-		rep.Speedup4x = rep.Configs[2].JobsPerSec / rep.Configs[0].JobsPerSec
+		one = runFleetBenchWave(b, 1, jobs)
+		four = runFleetBenchWave(b, 4, jobs)
 	}
-	four := rep.Configs[2]
-	b.ReportMetric(four.JobsPerSec, "jobs/s@4dev")
-	b.ReportMetric(rep.Speedup4x, "speedup-4v1")
-	b.ReportMetric(four.P99QueueMs, "p99-queue-ms")
-
-	if out := os.Getenv("BENCH_FLEET_OUT"); out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.ReportMetric(four.jobsPerSec, "jobs/s@4dev")
+	b.ReportMetric(four.jobsPerSec/one.jobsPerSec, "speedup-4v1")
+	b.ReportMetric(four.p99QueueMs, "p99-queue-ms")
 }
 
 // runFleetBenchWave pushes `jobs` staggered sleep-jobs through a fresh
-// scheduler with the given fleet shape and returns the measured config.
+// scheduler with the given fleet shape and returns what it measured.
 // Job durations cycle 5..45ms so devices free up unevenly.
-func runFleetBenchWave(b *testing.B, devices, jobs int) fleetBenchConfig {
+func runFleetBenchWave(b *testing.B, devices, jobs int) fleetWave {
 	b.Helper()
 	caps := make([]int64, devices)
 	for i := range caps {
@@ -130,12 +97,8 @@ func runFleetBenchWave(b *testing.B, devices, jobs int) fleetBenchConfig {
 	}
 
 	sort.Float64s(waits)
-	return fleetBenchConfig{
-		Devices:    devices,
-		Jobs:       jobs,
-		WallSec:    wall.Seconds(),
-		JobsPerSec: float64(jobs) / wall.Seconds(),
-		P50QueueMs: waits[len(waits)/2],
-		P99QueueMs: waits[(len(waits)-1)*99/100],
+	return fleetWave{
+		jobsPerSec: float64(jobs) / wall.Seconds(),
+		p99QueueMs: waits[(len(waits)-1)*99/100],
 	}
 }

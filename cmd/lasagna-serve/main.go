@@ -1,7 +1,7 @@
-// Command lasagna-serve runs the multi-tenant assembly job service: an
-// HTTP API that accepts FASTQ jobs, schedules them from one fleet queue
-// of priority lanes with device-memory admission control onto a fleet of
-// simulated GPUs (each claim on the least-leased card that can start it,
+// Command lasagna-serve runs the assembly job service: an HTTP API that
+// accepts FASTQ jobs, schedules them from one fleet queue of priority
+// lanes with device-memory admission control onto a fleet of simulated
+// GPUs (each claim on the least-leased card that can start it,
 // batch jobs preempted for interactive ones), persists every job
 // transition with its flight-recorder events, and resumes interrupted
 // jobs after a restart.
@@ -10,12 +10,12 @@
 //
 //	lasagna-serve -addr localhost:8844 -root ./serve-data
 //	lasagna-serve -root ./serve-data -gpu P100 -devices 4 -max-jobs 4 -queue-cap 32
-//	lasagna-serve -root ./serve-data -device-specs "2xK40,P100" -tenant-share 0.5
+//	lasagna-serve -root ./serve-data -device-specs "2xK40,P100"
 //
 // Submit, watch, fetch:
 //
 //	curl -sf --data-binary @reads.fastq 'http://localhost:8844/v1/jobs?lmin=31&workers=2'
-//	curl -sf --data-binary @reads.fastq 'http://localhost:8844/v1/jobs?priority=interactive&tenant=lab1'
+//	curl -sf --data-binary @reads.fastq 'http://localhost:8844/v1/jobs?priority=interactive'
 //	curl -sf --data-binary @reads.fastq 'http://localhost:8844/v1/jobs?shards=4'
 //	curl -sf http://localhost:8844/v1/jobs/<id>
 //	curl -sf http://localhost:8844/v1/jobs/<id>/result > contigs.fasta
@@ -50,7 +50,6 @@ func main() {
 		gpuName   = flag.String("gpu", "K40", "modeled GPU card jobs are costed against (K20X, K40, P40, P100, V100)")
 		devices   = flag.Int("devices", 1, "fleet size: number of -gpu cards jobs are scheduled onto")
 		devSpecs  = flag.String("device-specs", "", `explicit (possibly heterogeneous) fleet, e.g. "2xK40,P100"; overrides -gpu/-devices`)
-		tenantSh  = flag.Float64("tenant-share", 0, "per-tenant cap as a fraction of fleet capacity (0 = uncapped)")
 		queueCap  = flag.Int("queue-cap", 16, "run-queue bound; submissions beyond it get HTTP 429")
 		maxJobs   = flag.Int("max-jobs", 2, "maximum concurrently running jobs per device")
 		hostBlock = flag.Int("host-block", 1<<20, "host block size m_h in pairs, shared by all jobs")
@@ -105,7 +104,6 @@ func main() {
 		GPU:              spec,
 		Devices:          *devices,
 		DeviceSpecs:      fleetSpecs,
-		TenantShare:      *tenantSh,
 		QueueCap:         *queueCap,
 		MaxConcurrent:    *maxJobs,
 		HostBlockPairs:   *hostBlock,

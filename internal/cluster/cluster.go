@@ -263,6 +263,7 @@ func foldPhase(per []stats.PhaseStats) stats.PhaseStats {
 		ps.Modeled = max(ps.Modeled, p.Modeled)
 		ps.PeakHost = max(ps.PeakHost, p.PeakHost)
 		ps.PeakDevice = max(ps.PeakDevice, p.PeakDevice)
+		ps.GraphHostPeak = max(ps.GraphHostPeak, p.GraphHostPeak)
 		ps.OverlapSaved += p.OverlapSaved
 		ps.DiskRead += p.DiskRead
 		ps.DiskWrite += p.DiskWrite
@@ -684,6 +685,7 @@ func (c *Cluster) reducePhase(ctx context.Context, rs dna.ReadSource, eng core.G
 	res.ReduceSerialModeled = serialTime
 	last.Modeled += serialTime
 	last.Wall += sealed.Wall
+	last.GraphHostPeak = max(last.GraphHostPeak, sealed.GraphHostPeak)
 	res.TotalModeled += serialTime
 	res.TotalWall += sealed.Wall
 	c.cfg.Obs.Log().Debug("serialized reduce done", "modeled", serialTime, "err", serialErr)

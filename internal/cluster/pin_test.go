@@ -55,6 +55,15 @@ func pinPhases(phases []stats.PhaseStats) []pinPhase {
 	return out
 }
 
+// maxGraphPeak is the run-level maximum of a pin's per-phase graph peaks.
+func maxGraphPeak(p pin) int64 {
+	var m int64
+	for _, ps := range p.Phases {
+		m = max(m, ps.GraphHostPeak)
+	}
+	return m
+}
+
 func fastaSum(t *testing.T, path string) string {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -104,7 +113,9 @@ func pinSingle(t *testing.T, res *core.Result, workers int) pin {
 // cells also pin each phase's tracked host peak at Workers=1, which the
 // Workers=4 variant leaves out. A recorded cell that no run produces
 // fails too, so a backend dropped from core.Backends cannot leave its pins
-// behind unnoticed.
+// behind unnoticed. Every cluster run's largest per-phase graph peak must
+// equal the single node's for its backend: the master builds and seals the
+// one graph store both drivers hold.
 func TestModeledPins(t *testing.T) {
 	_, reads := testData(t)
 	path := filepath.Join("testdata", "pins.json")
@@ -168,8 +179,12 @@ func TestModeledPins(t *testing.T) {
 				}
 				// The key keeps the spelling of the retired fingerprint-range
 				// shuffle's cells, so the recorded cells stay byte-identical.
-				check(fmt.Sprintf("nodes=%d/%s/fingerprint=false", nodes, engine),
-					fmt.Sprintf("Workers=%d", workers), pinCluster(t, res))
+				key := fmt.Sprintf("nodes=%d/%s/fingerprint=false", nodes, engine)
+				cp := pinCluster(t, res)
+				check(key, fmt.Sprintf("Workers=%d", workers), cp)
+				if c, s := maxGraphPeak(cp), maxGraphPeak(got["single/"+engine]); c != s {
+					t.Errorf("%s (Workers=%d): run-level graph peak %d, single node %d", key, workers, c, s)
+				}
 			}
 		}
 	}

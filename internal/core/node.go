@@ -37,8 +37,11 @@ type Node struct {
 	Device  *gpu.Device
 	Meter   *costmodel.Meter
 	HostMem *stats.MemTracker // the host pool sort blocks and buffered tuples count against
-	// Graph is charged with the bytes of the graph representation itself
-	// (builders and sealed stores); HostMem unless the owner widens it.
+	// GraphMem tracks the bytes of the graph representation itself
+	// (builders and sealed stores), the backend-comparable subset of
+	// HostMem that Measure reports as PhaseStats.GraphHostPeak.
+	GraphMem *stats.MemTracker
+	// Graph is the engines' memory sink: it charges HostMem and GraphMem.
 	Graph succinct.MemSink
 	// Ledger accumulates the modeled overlap savings of the sort, reduce
 	// and two-hop passes, whose prefetching I/O streams overlap their
@@ -60,8 +63,9 @@ type Node struct {
 // the observer; the node's trace process is track.Pid.
 func NewNode(cfg Config, dev *gpu.Device, track obs.Track, scratch string) *Node {
 	n := &Node{Device: dev, Meter: dev.Meter(), HostMem: new(stats.MemTracker),
-		Scratch: scratch, Track: track, Profile: cfg.Profile(), cfg: cfg}
-	n.Graph = n.HostMem
+		GraphMem: new(stats.MemTracker), Scratch: scratch, Track: track,
+		Profile: cfg.Profile(), cfg: cfg}
+	n.Graph = graphSink{n}
 	n.Ledger = costmodel.NewOverlapLedger(n.Profile)
 	if cfg.Obs != nil {
 		dev.SetHooks(obs.DeviceHooks(cfg.Obs, track.Pid))
@@ -74,15 +78,23 @@ func NewNode(cfg Config, dev *gpu.Device, track obs.Track, scratch string) *Node
 	return n
 }
 
+// graphSink charges graph-representation memory to both the node's host
+// pool and its graph tracker.
+type graphSink struct{ n *Node }
+
+func (s graphSink) Add(b int64)     { s.n.HostMem.Add(b); s.n.GraphMem.Add(b) }
+func (s graphSink) Release(b int64) { s.n.HostMem.Release(b); s.n.GraphMem.Release(b) }
+
 // Measure runs fn as one phase on this node and reports what it cost: the
 // meter delta priced under the node's profile, minus the overlap the
 // phase's streamed units hid (they commit their timelines before the phase
 // returns, so the ledger delta is attributable to this phase alone), with
-// the host and device peaks reset at entry. The stage span on the node's
-// driver lane carries the same counter delta; phases run serially on a
-// node, so those deltas sum exactly to its final meter snapshot.
+// the host, graph and device peaks reset at entry. The stage span on the
+// node's driver lane carries the same counter delta; phases run serially
+// on a node, so those deltas sum exactly to its final meter snapshot.
 func (n *Node) Measure(name PhaseName, fn func() error) (stats.PhaseStats, error) {
 	n.HostMem.ResetPeak()
+	n.GraphMem.ResetPeak()
 	n.Device.MemTracker().ResetPeak()
 	span := n.cfg.Obs.Tracer().Begin(n.Track, "stage", string(name)).Metered(n.Meter, n.Profile)
 	if name == PhaseReduce || name == PhaseCompress {
@@ -96,17 +108,18 @@ func (n *Node) Measure(name PhaseName, fn func() error) (stats.PhaseStats, error
 	delta := n.Meter.Snapshot().Sub(before)
 	saved := time.Duration((n.Ledger.SavedSeconds() - savedBefore) * float64(time.Second))
 	return stats.PhaseStats{
-		Name:         string(name),
-		Wall:         timer.Elapsed(),
-		Modeled:      max(delta.Time(n.Profile)-saved, 0),
-		PeakHost:     n.HostMem.Peak(),
-		PeakDevice:   n.Device.MemTracker().Peak(),
-		DiskRead:     delta.DiskReadBytes,
-		DiskWrite:    delta.DiskWriteBytes,
-		NetBytes:     delta.NetBytes,
-		PCIeBytes:    delta.PCIeBytes,
-		DeviceOps:    delta.DeviceOps,
-		OverlapSaved: saved,
+		Name:          string(name),
+		Wall:          timer.Elapsed(),
+		Modeled:       max(delta.Time(n.Profile)-saved, 0),
+		PeakHost:      n.HostMem.Peak(),
+		PeakDevice:    n.Device.MemTracker().Peak(),
+		GraphHostPeak: n.GraphMem.Peak(),
+		DiskRead:      delta.DiskReadBytes,
+		DiskWrite:     delta.DiskWriteBytes,
+		NetBytes:      delta.NetBytes,
+		PCIeBytes:     delta.PCIeBytes,
+		DeviceOps:     delta.DeviceOps,
+		OverlapSaved:  saved,
 	}, err
 }
 

@@ -26,14 +26,9 @@ import (
 type Pipeline struct {
 	cfg  Config
 	node *Node
-	// graphMem tracks the host bytes attributable to the graph
-	// representation itself (builders plus sealed adjacency structures).
-	// Every graph charge also lands in the node's host pool; this tracker
-	// is the backend-comparable subset reported as PhaseStats.GraphHostPeak
-	// and the graph.host_peak_bytes gauge.
-	graphMem stats.MemTracker
 	// graphPeakSeen is the run-level high water of per-phase graph peaks,
-	// published to the gauge (graphMem's own peak resets per phase).
+	// published to the graph.host_peak_bytes gauge (the node's tracker
+	// resets its peak per phase).
 	graphPeakSeen int64
 
 	// FaultHook, when set, fires after every stage commit (manifest
@@ -108,7 +103,6 @@ func New(cfg Config) (*Pipeline, error) {
 	p := &Pipeline{cfg: cfg}
 	p.node = NewNode(cfg, gpu.NewDevice(cfg.GPU, nil), obs.Track{},
 		filepath.Join(cfg.Workspace, "partitions"))
-	p.node.Graph = graphSink{p}
 	return p, nil
 }
 
@@ -127,23 +121,15 @@ func (p *Pipeline) HostMem() *stats.MemTracker { return p.node.HostMem }
 
 // GraphMem exposes the graph-representation host tracker (for tests and
 // diagnostics).
-func (p *Pipeline) GraphMem() *stats.MemTracker { return &p.graphMem }
-
-// graphSink charges graph-representation memory to both the host pool and
-// the graph-attributable tracker; it is the pipeline node's Graph.
-type graphSink struct{ p *Pipeline }
-
-func (s graphSink) Add(n int64)     { s.p.node.HostMem.Add(n); s.p.graphMem.Add(n) }
-func (s graphSink) Release(n int64) { s.p.node.HostMem.Release(n); s.p.graphMem.Release(n) }
+func (p *Pipeline) GraphMem() *stats.MemTracker { return p.node.GraphMem }
 
 // runPhase measures fn as one pipeline phase on the node and adds what is
-// run-level: progress callbacks, the graph peak and Result accumulation.
+// run-level: progress callbacks, the graph peak gauge and Result
+// accumulation.
 func (p *Pipeline) runPhase(name PhaseName, res *Result, fn func() error) error {
-	p.graphMem.ResetPeak()
 	p.progress(string(name), ProgressStart)
 	p.cfg.Obs.Log().Debug("stage start", "stage", string(name))
 	ps, err := p.node.Measure(name, fn)
-	ps.GraphHostPeak = p.graphMem.Peak()
 	if ps.GraphHostPeak > p.graphPeakSeen {
 		p.graphPeakSeen = ps.GraphHostPeak
 	}

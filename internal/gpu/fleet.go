@@ -48,16 +48,6 @@ func (f *Fleet) Device(i int) *Device { return f.devs[i] }
 // fleet's own; callers must not mutate it.
 func (f *Fleet) Devices() []*Device { return f.devs }
 
-// TotalCapacity returns the summed memory capacity of every device — the
-// denominator for fleet-wide tenant shares.
-func (f *Fleet) TotalCapacity() int64 {
-	var total int64
-	for _, d := range f.devs {
-		total += d.Capacity()
-	}
-	return total
-}
-
 // MaxCapacity returns the largest single-device capacity: the biggest
 // unsharded job the fleet can ever place.
 func (f *Fleet) MaxCapacity() int64 {

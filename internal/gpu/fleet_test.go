@@ -15,9 +15,6 @@ func TestNewFleetIndependentAllocators(t *testing.T) {
 	if f.Size() != 2 {
 		t.Fatalf("Size() = %d, want 2", f.Size())
 	}
-	if got := f.TotalCapacity(); got != 1100 {
-		t.Errorf("TotalCapacity() = %d, want 1100", got)
-	}
 	if got := f.MaxCapacity(); got != 1000 {
 		t.Errorf("MaxCapacity() = %d, want 1000", got)
 	}

@@ -12,7 +12,7 @@ import (
 	"repro/internal/obs"
 )
 
-// testJobP returns a submittable job with explicit params (lane, tenant,
+// testJobP returns a submittable job with explicit params (lane,
 // shards).
 func testJobP(id string, demand int64, p Params) *Job {
 	j := testJob(id, demand)
@@ -164,7 +164,7 @@ func TestSchedulerClaimsLeastLeasedDevice(t *testing.T) {
 
 // TestSchedulerSurvivesPanickingRun: a RunFunc that panics fails its job
 // with the panic value, its terminal event carries the stack, and the
-// attempt's lease, slot and tenant bytes come back, so the job queued
+// attempt's lease and slot come back, so the job queued
 // behind it on the one device runs and succeeds.
 func TestSchedulerSurvivesPanickingRun(t *testing.T) {
 	boom := make(chan struct{})
@@ -172,7 +172,6 @@ func TestSchedulerSurvivesPanickingRun(t *testing.T) {
 		Fleet:         testFleet(100),
 		QueueCap:      8,
 		MaxConcurrent: 1,
-		TenantShare:   0.5,
 		Run: func(ctx context.Context, j *Job) error {
 			if j.ID() == "bad" {
 				<-boom
@@ -187,8 +186,8 @@ func TestSchedulerSurvivesPanickingRun(t *testing.T) {
 	}
 	defer s.Kill()
 
-	bad := testJobP("bad", 100, Params{Tenant: "lab"})
-	next := testJobP("next", 100, Params{Tenant: "lab"})
+	bad := testJob("bad", 100)
+	next := testJob("next", 100)
 	if err := s.Submit(bad); err != nil {
 		t.Fatal(err)
 	}
@@ -334,83 +333,6 @@ func TestSchedulerHeterogeneousPlacement(t *testing.T) {
 	}
 }
 
-// TestSchedulerTenantFairness caps each tenant at half the fleet and
-// checks a tenant at its cap is skipped — without blocking the lane for
-// other tenants — and resumes once its in-flight bytes drop.
-func TestSchedulerTenantFairness(t *testing.T) {
-	rel := newReleaseMap("a1", "a2", "a3", "b1")
-	started := make(chan string, 8)
-	baseRun := rel.run
-	s, err := NewScheduler(SchedulerConfig{
-		Fleet:         testFleet(1000),
-		QueueCap:      8,
-		MaxConcurrent: 8,
-		TenantShare:   0.5, // 500 bytes per tenant
-		Run: func(ctx context.Context, j *Job) error {
-			started <- j.Record().ID
-			return baseRun(ctx, j)
-		},
-		Obs: obs.New(nil, nil, obs.NewRegistry()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Kill()
-
-	jobs := map[string]*Job{
-		"a1": testJobP("a1", 200, Params{Tenant: "alice"}),
-		"a2": testJobP("a2", 200, Params{Tenant: "alice"}),
-		"a3": testJobP("a3", 200, Params{Tenant: "alice"}),
-		"b1": testJobP("b1", 200, Params{Tenant: "bob"}),
-	}
-	for _, id := range []string{"a1", "a2", "a3", "b1"} {
-		if err := s.Submit(jobs[id]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	first := map[string]bool{}
-	for i := 0; i < 3; i++ {
-		select {
-		case id := <-started:
-			first[id] = true
-		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d jobs started, want 3 concurrent", len(first))
-		}
-	}
-	if !first["a1"] || !first["a2"] || !first["b1"] {
-		t.Fatalf("first wave = %v, want a1+a2 (alice at cap) and b1 (bob's first job)", first)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if got := jobs["a3"].State(); got != StateQueued {
-		t.Fatalf("a3 state = %s while alice is at her share, want queued", got)
-	}
-
-	// Freeing one alice job brings her under the 500-byte cap; a3 starts.
-	rel.release("a1")
-	select {
-	case id := <-started:
-		if id != "a3" {
-			t.Fatalf("job %s started after a1 freed, want a3", id)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a3 never started after alice dropped below her share")
-	}
-
-	for _, id := range []string{"a2", "a3", "b1"} {
-		rel.release(id)
-	}
-	for _, j := range jobs {
-		waitState(t, j, StateSucceeded)
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if snap := s.Snapshot(); snap.Devices[0].LeasedBytes != 0 {
-		t.Errorf("device still shows %d leased bytes after drain", snap.Devices[0].LeasedBytes)
-	}
-}
-
 // TestSchedulerShardedPlacement runs a Shards=3 job on a 4-device fleet:
 // it must lease three distinct devices at once, and a second sharded job
 // must wait until enough devices free up.
@@ -480,7 +402,7 @@ func TestSchedulerShardedPlacement(t *testing.T) {
 }
 
 // TestFleetSchedulerStress hammers a heterogeneous 4-device fleet with
-// mixed lanes, tenants, shard counts, and naturally occurring preemptions.
+// mixed lanes, shard counts, and naturally occurring preemptions.
 // Run under -race: every lease decision and drain crosses the scheduler
 // lock and this shakes the orderings out.
 func TestFleetSchedulerStress(t *testing.T) {
@@ -489,7 +411,6 @@ func TestFleetSchedulerStress(t *testing.T) {
 		Fleet:         testFleet(100, 100, 200, 200),
 		QueueCap:      64,
 		MaxConcurrent: 2,
-		TenantShare:   0.5,
 		Run: func(ctx context.Context, j *Job) error {
 			select {
 			case <-j.Preempted():
@@ -510,7 +431,7 @@ func TestFleetSchedulerStress(t *testing.T) {
 	demands := []int64{50, 100, 150, 200}
 	jobs := make([]*Job, 40)
 	for i := range jobs {
-		p := Params{Tenant: fmt.Sprintf("t%d", i%3)}
+		var p Params
 		demand := demands[i%4]
 		if i%3 == 0 {
 			p.Priority = PriorityInteractive
@@ -621,79 +542,6 @@ func TestSchedulerPreemptsOnlyWhatArrivalNeeds(t *testing.T) {
 	}
 	if drained != 1 || preemptions() != 1 {
 		t.Errorf("%d batch jobs drained, fleet.preemptions = %d; want 1 and 1", drained, preemptions())
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("tenant over its share", testPreemptSkipsTenantOverShare)
-}
-
-// testPreemptSkipsTenantOverShare: an interactive arrival whose tenant is
-// at its share cannot claim, so it drains nothing however many passes run.
-// On a 1000-byte card capped at 500 bytes per tenant, alice runs one
-// 300-byte interactive job and two other tenants run 300-byte batch jobs;
-// alice's second 300-byte interactive job waits for her first, not for a
-// drain.
-func testPreemptSkipsTenantOverShare(t *testing.T) {
-	finish := make(chan struct{})
-	reg := obs.NewRegistry()
-	s, err := NewScheduler(SchedulerConfig{
-		Fleet:         testFleet(1000),
-		QueueCap:      8,
-		MaxConcurrent: 4,
-		TenantShare:   0.5,
-		Run: func(ctx context.Context, j *Job) error {
-			select {
-			case <-j.Preempted():
-				return ErrPreempted
-			case <-finish:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		},
-		Obs: obs.New(nil, nil, reg),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Kill()
-
-	jobs := []*Job{
-		testJobP("a1", 300, Params{Priority: PriorityInteractive, Tenant: "alice"}),
-		testJobP("b0", 300, Params{Tenant: "t0"}),
-		testJobP("b1", 300, Params{Tenant: "t1"}),
-	}
-	for _, j := range jobs {
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-		waitState(t, j, StateRunning)
-	}
-	a2 := testJobP("a2", 300, Params{Priority: PriorityInteractive, Tenant: "alice"})
-	if err := s.Submit(a2); err != nil {
-		t.Fatal(err)
-	}
-	// Another event runs another pass.
-	extra := testJob("extra", 300)
-	if err := s.Submit(extra); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if got := reg.Snapshot().Counters["fleet.preemptions"]; got != 0 {
-		t.Fatalf("fleet.preemptions = %d for an arrival over its tenant's share, want 0", got)
-	}
-	if got := a2.State(); got != StateQueued {
-		t.Fatalf("a2 state = %s while alice is at her share, want queued", got)
-	}
-
-	close(finish)
-	for _, j := range append(jobs, a2, extra) {
-		waitState(t, j, StateSucceeded)
-	}
-	if got := reg.Snapshot().Counters["fleet.preemptions"]; got != 0 {
-		t.Errorf("fleet.preemptions = %d, want 0", got)
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)

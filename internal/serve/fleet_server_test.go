@@ -40,7 +40,7 @@ func TestFleetDeterminism(t *testing.T) {
 
 	queries := []string{
 		"?lmin=31&workers=1&name=batch-0",
-		"?lmin=31&workers=1&name=batch-1&tenant=lab1",
+		"?lmin=31&workers=1&name=batch-1",
 		"?lmin=31&workers=1&name=rush&priority=interactive",
 		"?lmin=31&workers=1&name=wide-2&shards=2",
 		"?lmin=31&workers=1&name=wide-4&shards=4",

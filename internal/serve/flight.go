@@ -9,7 +9,7 @@ import "repro/internal/obs"
 // was asked to drain, and how each attempt ended.
 const (
 	// EventEnqueue: the job entered the fleet queue (fresh submission or
-	// crash recovery). Attrs: lane, tenant, demandBytes.
+	// crash recovery). Attrs: lane, demandBytes.
 	EventEnqueue = "enqueue"
 	// EventClaim: the placement pass took the job off the queue and leased
 	// its devices. Attrs: devices, waitMs, lane, attempt.
@@ -33,15 +33,6 @@ const (
 	// EventTerminal: the job reached succeeded/failed/canceled. Attrs:
 	// outcome, attempts, error (and stack, when the run panicked).
 	EventTerminal = "terminal"
-)
-
-// Track layout of a per-job flight trace. The job's pipeline spans keep
-// their native pids (0 for the single-device pipeline, 1..k for cluster
-// nodes), so lifecycle tracks live far above: one scheduler track for
-// queued/gap spans and one track per fleet device for run attempts.
-const (
-	flightSchedulerPid  = 900
-	flightDevicePidBase = 1000
 )
 
 // maxJobRecordEvents bounds the event slice persisted inside each job

@@ -65,8 +65,9 @@ func eventTypes(evs []obs.LogEvent) []string {
 // scheduler level: on a heterogeneous two-device fleet, a job waits while
 // both devices are busy, is claimed by device 1 when that device frees,
 // is preempted there mid-run by an interactive arrival, and resumes on
-// device 0. Its event log must reconstruct that lifecycle in order, and
-// its flight trace must carry run spans on both device tracks.
+// device 0. Its event log must reconstruct that lifecycle in order: the
+// devices of each attempt, the drain and requeue reasons, the preempted
+// gap the second claim closes, and the outcome.
 func TestFlightRecorderLifecycle(t *testing.T) {
 	rel := newTokenRun("b0", "b1", "v", "i")
 	reg := obs.NewRegistry()
@@ -159,26 +160,14 @@ func TestFlightRecorderLifecycle(t *testing.T) {
 	if rec.Events[3].Attrs["reason"] != "preempt" {
 		t.Errorf("drain reason = %v, want preempt", rec.Events[3].Attrs["reason"])
 	}
+	if rec.Events[4].Attrs["reason"] != "preempt" {
+		t.Errorf("requeue reason = %v, want preempt", rec.Events[4].Attrs["reason"])
+	}
+	if _, ok := secondClaim.Attrs["waitMs"].(int64); !ok {
+		t.Errorf("second claim attrs = %v, want the preempted gap as waitMs", secondClaim.Attrs)
+	}
 	if rec.Events[6].Attrs["outcome"] != string(StateSucceeded) {
 		t.Errorf("terminal outcome = %v, want succeeded", rec.Events[6].Attrs["outcome"])
-	}
-
-	// The flight trace shows run attempts on BOTH device tracks plus the
-	// queued/preempted gaps on the scheduler track.
-	spans := map[string][]int64{}
-	for _, e := range v.Tracer().Events() {
-		if e.Phase == "X" {
-			spans[e.Name] = append(spans[e.Name], e.Pid)
-		}
-	}
-	if pids := spans["run attempt 1"]; len(pids) != 1 || pids[0] != flightDevicePidBase+1 {
-		t.Errorf("run attempt 1 on pids %v, want [%d]", pids, flightDevicePidBase+1)
-	}
-	if pids := spans["run attempt 2"]; len(pids) != 1 || pids[0] != flightDevicePidBase+0 {
-		t.Errorf("run attempt 2 on pids %v, want [%d]", pids, flightDevicePidBase+0)
-	}
-	if len(spans["queued"]) != 1 || len(spans["preempted gap"]) != 1 {
-		t.Errorf("scheduler-track gaps = %v, want one queued and one preempted gap", spans)
 	}
 
 	// The global audit log totally orders the victim's events against the
@@ -201,10 +190,8 @@ func TestFlightRecorderLifecycle(t *testing.T) {
 
 // TestServerFlightEndpoints exercises the HTTP surface end to end with a
 // real pipeline job that gets preempted and resumed: the per-job events
-// endpoint replays the lifecycle, the trace endpoint serves valid
-// trace-event JSON holding both lifecycle and pipeline spans, /metrics
-// carries the queue-wait histogram, and every response carries an
-// X-Request-Id.
+// endpoint replays the lifecycle, /metrics carries the queue-wait
+// histogram, and every response carries an X-Request-Id.
 func TestServerFlightEndpoints(t *testing.T) {
 	scfg := testServerConfig(t.TempDir())
 	scfg.MaxConcurrent = 1
@@ -232,7 +219,7 @@ func TestServerFlightEndpoints(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	rec := submitJob(t, ts.URL, fq, "?lmin=31&workers=1&name=flight&tenant=lab9")
+	rec := submitJob(t, ts.URL, fq, "?lmin=31&workers=1&name=flight")
 	<-reached
 	if err := srv.Scheduler().Preempt(rec.ID); err != nil {
 		t.Fatal(err)
@@ -280,36 +267,6 @@ func TestServerFlightEndpoints(t *testing.T) {
 	}
 	if commits == 0 {
 		t.Error("no stage-commit events recorded")
-	}
-
-	// Trace endpoint: valid trace-event JSON with lifecycle spans on the
-	// scheduler/device tracks AND the pipeline's own spans (pid 0).
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + rec.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	traceBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var trace struct {
-		TraceEvents []obs.Event `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(traceBody, &trace); err != nil {
-		t.Fatalf("trace is not valid trace-event JSON: %v", err)
-	}
-	pids := map[int64]bool{}
-	for _, e := range trace.TraceEvents {
-		if e.Phase == "X" {
-			pids[e.Pid] = true
-		}
-	}
-	if !pids[flightSchedulerPid] {
-		t.Errorf("trace has no scheduler-track span (pids %v)", pids)
-	}
-	if !pids[flightDevicePidBase] {
-		t.Errorf("trace has no device-track run span (pids %v)", pids)
-	}
-	if !pids[0] {
-		t.Errorf("trace has no pipeline spans on pid 0 (pids %v)", pids)
 	}
 
 	// /metrics declares the families and carries the queue-wait histogram.

@@ -1,7 +1,6 @@
-// Package serve turns the single-shot assembly pipeline into a
-// multi-tenant job service: an HTTP API accepts FASTQ jobs, a sharded
-// scheduler with real admission control packs them onto a fleet of
-// simulated GPUs, and per-job JSON records plus the core run manifests
+// Package serve turns the single-shot assembly pipeline into a job
+// service: an HTTP API accepts FASTQ jobs, a sharded scheduler with real
+// admission control packs them onto a fleet of simulated GPUs, and per-job JSON records plus the core run manifests
 // make the whole thing crash-safe — a killed server restarts, re-lists
 // its jobs, and resumes in-flight ones mid-pipeline, possibly on
 // different devices than the crashed attempt.
@@ -16,9 +15,8 @@
 // the paper's master handing work to whichever node is free: each claim
 // goes to the least-leased device that can start the job, interactive
 // jobs go ahead of batch jobs and may preempt them (drain at the next
-// stage commit, requeue resumable), tenants are capped at a share of
-// in-flight fleet bytes, and a Shards=K job runs across K devices via the
-// cluster layer. A job's FASTA output is byte-identical
+// stage commit, requeue resumable), and a Shards=K job runs across K
+// devices via the cluster layer. A job's FASTA output is byte-identical
 // regardless of which devices ran it, how often it was preempted, or its
 // shard count.
 package serve
@@ -86,10 +84,6 @@ type Params struct {
 	// "interactive" for jobs dispatched ahead of every batch job (and
 	// allowed to preempt running batch jobs when no device has room).
 	Priority string `json:"priority,omitempty"`
-	// Tenant groups jobs for fairness accounting: the scheduler caps each
-	// tenant's in-flight device bytes at its configured share of the
-	// fleet. "" is the anonymous tenant.
-	Tenant string `json:"tenant,omitempty"`
 	// Shards splits the job across this many fleet devices via the
 	// cluster layer (0 or 1 = single-device pipeline). Output is
 	// byte-identical at every shard count.
@@ -199,8 +193,8 @@ type Record struct {
 
 // Job is the scheduler's runtime handle on one record: the record itself
 // plus the cancellation and preemption plumbing that never touches disk.
-// Per-attempt scheduling state (lane time, requeue reason, drain request
-// time) is the scheduler's, held under its lock.
+// Per-attempt scheduling state (lane time, drain request time) is the
+// scheduler's, held under its lock.
 type Job struct {
 	mu              sync.Mutex
 	rec             Record
@@ -210,10 +204,6 @@ type Job struct {
 	// drain at its next stage commit; replaced with a fresh channel on
 	// every preemption requeue so a resumed attempt starts unpreempted.
 	preemptCh chan struct{}
-	// tracer collects the job's flight trace (lifecycle spans from the
-	// scheduler plus the run's own pipeline spans); set when the scheduler
-	// registers the job.
-	tracer *obs.Tracer
 }
 
 // NewJob wraps a record for scheduling.
@@ -243,14 +233,6 @@ func (j *Job) resetPreempt() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.preemptCh = make(chan struct{})
-}
-
-// Tracer returns the job's flight trace collector, set when the
-// scheduler registers the job.
-func (j *Job) Tracer() *obs.Tracer {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.tracer
 }
 
 // ID returns the job's identifier without cloning the whole record.

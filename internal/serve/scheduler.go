@@ -51,11 +51,6 @@ type SchedulerConfig struct {
 	// MaxConcurrent bounds how many jobs run at once per device,
 	// independent of device capacity (a host-side CPU/IO limit).
 	MaxConcurrent int
-	// TenantShare caps each tenant's in-flight leased device bytes at
-	// this fraction of the fleet's total capacity (0 disables the cap).
-	// A tenant with nothing in flight may always start one job, so a
-	// small share never starves a tenant outright.
-	TenantShare float64
 	// Run executes one job; the server injects the real pipeline, tests
 	// inject controllable stand-ins.
 	Run RunFunc
@@ -99,13 +94,11 @@ type Scheduler struct {
 	drain  atomic.Bool
 
 	// mu guards the fleet queue, the per-device lease ledgers and
-	// concurrency slots, tenant accounting, the claimed attempts and the
-	// job index.
+	// concurrency slots, the claimed attempts and the job index.
 	mu          sync.Mutex
 	lanes       [laneCount][]waiting // the fleet queue, highest priority first
 	leased      []int64              // per device: bytes claimed by admitted jobs
 	slots       []int                // per device: concurrency slots in use
-	tenantInUse map[string]int64     // in-flight leased bytes per tenant
 	runningByID map[string]*runRef   // claimed attempts, for preemption targeting
 	jobs        map[string]*Job
 	order       []string // registration order, for listing
@@ -138,17 +131,13 @@ func laneIndex(priority string) int {
 }
 
 // waiting is one lane entry: a queued job with the shape the scheduler
-// places it by (fixed at submit time) and the state of its current wait.
+// places it by (fixed at submit time) and when its current wait began.
 type waiting struct {
 	j      *Job
 	demand int64 // per-device lease
 	shards int
-	tenant string
 	lane   int
 	since  time.Time // when the job entered the lane
-	// preempted marks a job requeued after draining for a higher-priority
-	// job, so the claim that resumes it names the gap it closes.
-	preempted bool
 }
 
 // runRef is one claimed attempt: made by placeLocked, started outside the
@@ -175,9 +164,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2
 	}
-	if cfg.TenantShare < 0 || cfg.TenantShare > 1 {
-		return nil, fmt.Errorf("serve: TenantShare %v outside [0,1]", cfg.TenantShare)
-	}
 	if cfg.Recorder == nil {
 		cfg.Recorder = NewFlightRecorder(0)
 	}
@@ -190,7 +176,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		stop:         stop,
 		leased:       make([]int64, n),
 		slots:        make([]int, n),
-		tenantInUse:  make(map[string]int64),
 		runningByID:  make(map[string]*runRef),
 		jobs:         make(map[string]*Job),
 		queueDepth:   m.Gauge("serve.queue_depth"),
@@ -221,9 +206,7 @@ func (s *Scheduler) Register(j *Job) {
 	s.registerLocked(j)
 }
 
-// registerLocked indexes the job and arms its flight trace: a fresh
-// tracer with the scheduler and per-device lifecycle tracks named, which
-// the run later also feeds its pipeline spans into.
+// registerLocked indexes the job (once).
 func (s *Scheduler) registerLocked(j *Job) {
 	id := j.ID()
 	if _, ok := s.jobs[id]; ok {
@@ -231,15 +214,6 @@ func (s *Scheduler) registerLocked(j *Job) {
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	tr := obs.NewTracer()
-	tr.NameProcess(flightSchedulerPid, "scheduler")
-	for d := 0; d < s.cfg.Fleet.Size(); d++ {
-		tr.NameProcess(int64(flightDevicePidBase+d),
-			fmt.Sprintf("device%02d %s", d, s.cfg.Fleet.Device(d).Spec().Name))
-	}
-	j.mu.Lock()
-	j.tracer = tr
-	j.mu.Unlock()
 }
 
 // placeable reports whether the fleet can ever run a job of this shape:
@@ -310,7 +284,7 @@ func (s *Scheduler) enqueueLocked(j *Job, front bool) []*runRef {
 		return nil
 	}
 	w := waiting{j: j, demand: rec.DeviceDemandBytes, shards: rec.Params.ShardCount(),
-		tenant: rec.Params.Tenant, lane: laneIndex(rec.Params.Lane()), since: time.Now(), preempted: front}
+		lane: laneIndex(rec.Params.Lane()), since: time.Now()}
 	j.Update(func(r *Record) { r.Devices = nil })
 	q := &s.lanes[w.lane]
 	if front {
@@ -319,7 +293,7 @@ func (s *Scheduler) enqueueLocked(j *Job, front bool) []*runRef {
 	} else {
 		*q = append(*q, w)
 		s.cfg.Recorder.Emit(j, EventEnqueue, map[string]any{
-			"lane": rec.Params.Lane(), "tenant": w.tenant, "demandBytes": w.demand})
+			"lane": rec.Params.Lane(), "demandBytes": w.demand})
 	}
 	return s.placeLocked()
 }
@@ -347,7 +321,7 @@ func (s *Scheduler) placeLocked() []*runRef {
 		claims = append(claims, ref)
 	}
 	for _, w := range s.lanes[laneInteractive] {
-		if w.j.State() == StateQueued && s.tenantEligibleLocked(w.tenant, w.demand*int64(w.shards)) {
+		if w.j.State() == StateQueued {
 			s.preemptScanLocked(w)
 		}
 	}
@@ -356,10 +330,10 @@ func (s *Scheduler) placeLocked() []*runRef {
 }
 
 // claimLocked claims the first job in the fleet queue that can start now:
-// interactive lane first, FIFO within a lane, skipping jobs over their
-// tenant's share or that no set of devices can host right now, and
-// dropping jobs cancelled while queued. The claim reserves the leases, the
-// home device's concurrency slot and the tenant's bytes before it returns.
+// interactive lane first, FIFO within a lane, skipping jobs that no set of
+// devices can host right now, and dropping jobs cancelled while queued.
+// The claim reserves the leases and the home device's concurrency slot
+// before it returns.
 func (s *Scheduler) claimLocked() *runRef {
 	for lane := range s.lanes {
 		q := s.lanes[lane]
@@ -369,9 +343,6 @@ func (s *Scheduler) claimLocked() *runRef {
 				q = slices.Delete(q, i, i+1)
 				s.lanes[lane] = q
 				i--
-				continue
-			}
-			if !s.tenantEligibleLocked(w.tenant, w.demand*int64(w.shards)) {
 				continue
 			}
 			devices := s.placementLocked(w.demand, w.shards)
@@ -384,7 +355,6 @@ func (s *Scheduler) claimLocked() *runRef {
 				s.devInUse[dev].Set(s.leased[dev])
 			}
 			s.slots[devices[0]]++
-			s.tenantInUse[w.tenant] += w.demand * int64(w.shards)
 			ref := &runRef{waiting: w, devices: devices, started: time.Now()}
 			s.runningByID[w.j.ID()] = ref
 			s.runningG.Set(int64(len(s.runningByID)))
@@ -393,20 +363,6 @@ func (s *Scheduler) claimLocked() *runRef {
 		}
 	}
 	return nil
-}
-
-// tenantEligibleLocked enforces the per-tenant share of in-flight leased
-// bytes. A tenant with nothing running may always start one job.
-func (s *Scheduler) tenantEligibleLocked(tenant string, bytes int64) bool {
-	if s.cfg.TenantShare <= 0 {
-		return true
-	}
-	used := s.tenantInUse[tenant]
-	if used == 0 {
-		return true
-	}
-	limit := int64(s.cfg.TenantShare * float64(s.cfg.Fleet.TotalCapacity()))
-	return used+bytes <= limit
 }
 
 // placementLocked picks the devices a claim leases, or nil when the job
@@ -693,7 +649,6 @@ func (s *Scheduler) run(ref *runRef) {
 	s.notify(j)
 	err := s.call(ctx, j)
 	s.start(s.release(ref, leases))
-	s.traceRun(ref, time.Since(started), err)
 	s.finish(ref, err)
 }
 
@@ -717,8 +672,8 @@ func (s *Scheduler) call(ctx context.Context, j *Job) (err error) {
 	return s.cfg.Run(ctx, j)
 }
 
-// release returns an attempt's allocations, ledger bytes, concurrency slot
-// and tenant bytes, and runs the placement pass over what they free.
+// release returns an attempt's allocations, ledger bytes and concurrency
+// slot, and runs the placement pass over what they free.
 func (s *Scheduler) release(ref *runRef, leases []*gpu.Allocation) []*runRef {
 	for _, a := range leases {
 		a.Free()
@@ -730,52 +685,23 @@ func (s *Scheduler) release(ref *runRef, leases []*gpu.Allocation) []*runRef {
 		s.devInUse[dev].Set(s.leased[dev])
 	}
 	s.slots[ref.devices[0]]--
-	s.tenantInUse[ref.tenant] -= ref.demand * int64(len(ref.devices))
-	if s.tenantInUse[ref.tenant] <= 0 {
-		delete(s.tenantInUse, ref.tenant)
-	}
 	delete(s.runningByID, ref.j.ID())
 	s.runningG.Set(int64(len(s.runningByID)))
 	return s.placeLocked()
 }
 
-// recordClaim emits the flight-recorder view of one started claim: a span
-// on the job trace's scheduler track closing the lane time (named for why
-// the job was waiting) and the claim (and shard-place) events.
+// recordClaim emits the claim (and shard-place) events of one started
+// claim; waitMs is the lane time it closes, the preempted gap when the
+// job's last event was a preempt requeue.
 func (s *Scheduler) recordClaim(ref *runRef) {
 	rec := ref.j.Record()
 	wait := ref.started.Sub(ref.since)
-	gap := "queued"
-	if ref.preempted {
-		gap = "preempted gap"
-	}
-	ref.j.Tracer().Complete(obs.Track{Pid: flightSchedulerPid}, "sched", gap,
-		ref.since, wait, map[string]any{"devices": ref.devices})
 	s.cfg.Recorder.Emit(ref.j, EventClaim, map[string]any{
 		"devices": append([]int(nil), ref.devices...), "waitMs": wait.Milliseconds(),
 		"lane": rec.Params.Lane(), "attempt": rec.Attempts + 1})
 	if len(ref.devices) > 1 {
 		s.cfg.Recorder.Emit(ref.j, EventShardPlace, map[string]any{
 			"devices": append([]int(nil), ref.devices...)})
-	}
-}
-
-// traceRun draws the finished attempt on the job's flight trace, one span
-// per leased device track, so a migrated job shows its attempts on
-// different device rows of a single Perfetto view.
-func (s *Scheduler) traceRun(ref *runRef, wall time.Duration, err error) {
-	jt := ref.j.Tracer()
-	outcome := "ok"
-	switch {
-	case errors.Is(err, ErrPreempted):
-		outcome = "preempted"
-	case err != nil:
-		outcome = "interrupted"
-	}
-	name := fmt.Sprintf("run attempt %d", ref.j.Record().Attempts)
-	for _, d := range ref.devices {
-		jt.Complete(obs.Track{Pid: int64(flightDevicePidBase + d)}, "sched", name,
-			ref.started, wall, map[string]any{"device": d, "outcome": outcome, "leaseBytes": ref.demand})
 	}
 }
 

@@ -39,9 +39,6 @@ type Config struct {
 	// heterogeneous — device list.
 	Devices     int
 	DeviceSpecs []gpu.Spec
-	// TenantShare caps each tenant's in-flight leased bytes at this
-	// fraction of total fleet capacity (0 = no cap).
-	TenantShare float64
 	// QueueCap bounds the run queue (default 16); MaxConcurrent bounds
 	// simultaneous runs per device (default 2).
 	QueueCap      int
@@ -72,12 +69,11 @@ type Config struct {
 	// FlightRecorderEvents sizes the fleet flight recorder's global log of
 	// scheduler lifecycle events, served at /debug/events (0 means 4096).
 	// The recorder is always on: each job also keeps its own events
-	// (/v1/jobs/{id}/events) and a flight trace merging lifecycle and
-	// pipeline spans (/v1/jobs/{id}/trace).
+	// (/v1/jobs/{id}/events).
 	FlightRecorderEvents int
 }
 
-// Server is the multi-tenant assembly job service: HTTP API + scheduler +
+// Server is the assembly job service: HTTP API + scheduler +
 // store, sharing a fleet of bounded devices.
 type Server struct {
 	cfg     Config
@@ -141,7 +137,6 @@ func New(cfg Config) (*Server, error) {
 		Fleet:         fleet,
 		QueueCap:      cfg.QueueCap,
 		MaxConcurrent: cfg.MaxConcurrent,
-		TenantShare:   cfg.TenantShare,
 		Run:           s.runJob,
 		OnTransition:  s.onTransition,
 		Obs:           cfg.Obs,
@@ -285,10 +280,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) error {
 	defer parent.DetachChild(label)
 
 	cfg := s.jobConfig(rec)
-	// The job's tracer (already carrying its scheduler lifecycle spans)
-	// also collects the run's pipeline spans, so /v1/jobs/{id}/trace shows
-	// both in one Perfetto view.
-	cfg.Obs = obs.New(s.log.With("job", rec.ID), j.Tracer(), jobReg)
+	cfg.Obs = obs.New(s.log.With("job", rec.ID), nil, jobReg)
 	cfg.Progress = func(stage, event string) {
 		j.Update(func(r *Record) {
 			r.Stage = stage
@@ -392,7 +384,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
 	mux.HandleFunc("GET /debug/events", s.handleDebugEvents)
@@ -456,7 +447,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // submitKeys are the query keys a submit reads; parseParams refuses any
 // other, so a misspelt or retired knob never silently runs the default.
 var submitKeys = []string{"lmin", "workers", "shards", "dedupe", "singletons", "verify",
-	"graph-backend", "priority", "tenant", "name"}
+	"graph-backend", "priority", "name"}
 
 // parseParams reads the per-job knobs from the submit query string.
 func parseParams(r *http.Request) (Params, error) {
@@ -521,7 +512,6 @@ func parseParams(r *http.Request) (Params, error) {
 		}
 		p.Priority = v
 	}
-	p.Tenant = q.Get("tenant")
 	return p, nil
 }
 
@@ -751,21 +741,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		"dropped":     rec.TotalEvents - uint64(len(events)),
 		"events":      events,
 	})
-}
-
-// handleJobTrace serves the job's flight trace as Chrome trace-event
-// JSON: scheduler lifecycle spans (queued gaps on the scheduler track,
-// run attempts on per-device tracks) merged with the run's own pipeline
-// spans.
-func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, ok := s.sched.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %s", id)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	j.Tracer().WriteJSON(w)
 }
 
 // handleDebugEvents serves the global scheduler audit log, newest window

@@ -235,7 +235,10 @@ func TestServerE2E(t *testing.T) {
 
 // TestServerKillAndRestart crashes the server right after a job commits
 // its Sort stage and checks the restarted server resumes the job through
-// the run manifest to output byte-identical with a direct run.
+// the run manifest to output byte-identical with a direct run. A second
+// job, queued behind the first at the crash, has its record rewritten
+// with a "tenant" param, a key of records written while tenant caps were
+// a scheduler feature: it still loads, runs and matches.
 func TestServerKillAndRestart(t *testing.T) {
 	root := t.TempDir()
 	fq, reads := testFastq(t, 3301)
@@ -264,8 +267,29 @@ func TestServerKillAndRestart(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	rec := submitJob(t, ts.URL, fq, "?lmin=31&workers=1&name=crashy")
 	<-sortCommitted
+	queued := submitJob(t, ts.URL, fq, "?lmin=31&workers=1&name=queued")
 	srv.Kill()
 	ts.Close()
+
+	if onDisk, err := srv.Store().Load(queued.ID); err != nil || onDisk.State != StateQueued {
+		t.Fatalf("second job on disk after crash: %s, %v; want queued", onDisk.State, err)
+	}
+	path := srv.Store().recordPath(queued.ID)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["params"].(map[string]any)["tenant"] = "lab1"
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// The crash must leave the on-disk record mid-run, exactly as SIGKILL
 	// would: still running, Sort committed, workspace and manifest intact.
@@ -304,6 +328,12 @@ func TestServerKillAndRestart(t *testing.T) {
 	got := fetchResult(t, ts2.URL, final.ID)
 	if !bytes.Equal(got, want) {
 		t.Errorf("resumed FASTA differs from direct assembly (%d vs %d bytes)", len(got), len(want))
+	}
+	if q := pollJob(t, ts2.URL, queued.ID); q.State != StateSucceeded {
+		t.Fatalf("recovered tenant-tagged job finished %s: %s", q.State, q.Error)
+	}
+	if got := fetchResult(t, ts2.URL, queued.ID); !bytes.Equal(got, want) {
+		t.Errorf("tenant-tagged job's FASTA differs from direct assembly (%d vs %d bytes)", len(got), len(want))
 	}
 	if err := srv2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -482,7 +512,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	noJobDirs("oversized body malformed early")
 	// A retired or misspelt knob is refused by name instead of silently
 	// assembling greedy.
-	for _, key := range []string{"fullgraph", "graph_backend"} {
+	for _, key := range []string{"fullgraph", "graph_backend", "tenant"} {
 		resp, err := http.Post(ts.URL+"/v1/jobs?lmin=3&"+key+"=spmat", "application/octet-stream",
 			strings.NewReader("@r1\nACGTACGT\n+\nIIIIIIII\n"))
 		if err != nil {

@@ -56,7 +56,9 @@ type PhaseStats struct {
 	// graph representation itself (builder + adjacency structure) during
 	// the phase — the quantity the backend choice moves, reported
 	// separately from PeakHost so representation wins are visible next
-	// to sort-buffer noise.
+	// to sort-buffer noise. Both drivers set it: the single-node pipeline
+	// from its node, a cluster as the largest node's (the master's
+	// serialized reduce folded into Reduce).
 	GraphHostPeak int64
 	// OverlapSaved is the modeled time hidden by stream overlap during the
 	// phase; Modeled already has it subtracted (Modeled + OverlapSaved is
